@@ -25,20 +25,28 @@ entirely (:meth:`grow_frozen`).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.brain.base import ACTION_KINDS, Action, Autotuner
 from repro.brain.log import BrainLog
 from repro.brain.signals import build_observation
+
+if TYPE_CHECKING:
+    from repro.sched.core import SchedRun
 
 _EPS = 1e-12
 
 
 class BrainDriver:
-    """Applies one brain's decisions inside one scheduler run."""
+    """Applies one brain's decisions inside one scheduler run.
 
-    def __init__(self, config, autotuner: Autotuner, scheduler) -> None:
+    Holds decision state only; the live run (and through it the
+    scheduler) arrives per call, so the driver pickles with the run.
+    """
+
+    def __init__(self, config, autotuner: Autotuner) -> None:
         self.config = config
         self.autotuner = autotuner
-        self.scheduler = scheduler
         self.log = BrainLog()
         #: Next decision tick on the virtual clock.
         self._next_tick = float(config.interval)
@@ -66,10 +74,12 @@ class BrainDriver:
         return {node for node, until in self._avoid.items() if until > now + _EPS}
 
     # -- the decision tick ----------------------------------------------------
-    def apply_due(self, *, now, state, queued, running, faults=None) -> None:
-        """Fire the decision round if a tick is due at ``now``."""
+    def apply_due(self, run: SchedRun) -> None:
+        """Fire the decision round if a tick is due at ``run.now``."""
+        now = run.now
         if self._next_tick > now + _EPS:
             return
+        running = run.running
         # Catch up ticks the event loop skipped while idle: at most one
         # decision round fires, at `now`, and the next tick is strictly
         # in the future (the loop's progress guarantee).
@@ -79,14 +89,7 @@ class BrainDriver:
         if not running:
             self.log.append("tick", t=now, job="-", jobs=0)
             return
-        obs = build_observation(
-            scheduler=self.scheduler,
-            now=now,
-            state=state,
-            running=running,
-            queued=len(queued),
-            faults=faults,
-        )
+        obs = build_observation(run)
         cutoff = self.config.migrate_suspicion * obs.quarantine_threshold
         gray = obs.gray_nodes(cutoff) if cutoff != float("inf") else []
         # Gray nodes stay off-limits to autoscale growth until the brain
@@ -102,17 +105,18 @@ class BrainDriver:
             if applied >= self.config.max_actions:
                 self._decline(action, now, "per-tick action cap reached")
                 continue
-            problem = self._validate(action, now, state, by_name, acted)
+            problem = self._validate(action, run, by_name, acted)
             if problem is not None:
                 self._decline(action, now, problem)
                 continue
-            self._apply(action, now, state, by_name[action.job])
+            self._apply(action, run, by_name[action.job])
             acted.add(action.job)
             applied += 1
 
     # -- validation -----------------------------------------------------------
-    def _validate(self, action: Action, now, state, by_name, acted) -> str | None:
+    def _validate(self, action: Action, run: SchedRun, by_name, acted) -> str | None:
         """Reason the action cannot apply, or ``None`` if it can."""
+        state = run.state
         if action.kind not in ACTION_KINDS:  # pragma: no cover - Action checks
             return f"unknown kind {action.kind!r}"
         record = by_name.get(action.job)
@@ -120,10 +124,10 @@ class BrainDriver:
             return "job is not running"
         if action.job in acted:
             return "one action per job per tick"
-        if self.grow_frozen(action.job, now):
+        if self.grow_frozen(action.job, run.now):
             return "dwell window active"
         spec = record.spec
-        gpus = self.scheduler._job_gpus(spec)
+        gpus = run.scheduler.job_gpus(spec)
         if action.kind in ("migrate", "shrink"):
             if action.src is None or action.src not in record.nodes:
                 return f"src {action.src} is not in the allocation"
@@ -144,9 +148,10 @@ class BrainDriver:
         return None
 
     # -- application ----------------------------------------------------------
-    def _apply(self, action: Action, now, state, record) -> None:
+    def _apply(self, action: Action, run: SchedRun, record) -> None:
+        now, state, scheduler = run.now, run.state, run.scheduler
         spec = record.spec
-        gpus = self.scheduler._job_gpus(spec)
+        gpus = scheduler.job_gpus(spec)
         detail = {"reason": action.reason, "nodes_before": sorted(record.nodes)}
         if action.kind == "migrate":
             state.release(spec.name, [action.src])
@@ -174,7 +179,7 @@ class BrainDriver:
                 record.membership.revoke()
             state.set_comm_intensity(
                 spec.name,
-                self.scheduler.comm_intensity(spec, nodes=len(record.nodes)),
+                scheduler.comm_intensity(spec, nodes=len(record.nodes)),
             )
             self.shrinks += 1
             detail.update(src=action.src)
@@ -187,7 +192,7 @@ class BrainDriver:
                 record.membership.join()
             state.set_comm_intensity(
                 spec.name,
-                self.scheduler.comm_intensity(spec, nodes=len(record.nodes)),
+                scheduler.comm_intensity(spec, nodes=len(record.nodes)),
             )
             self.grows += 1
             detail.update(dst=action.dst)

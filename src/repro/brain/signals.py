@@ -140,7 +140,7 @@ class BrainObservation:
     # -- pricing oracle --------------------------------------------------------
     def job_gpus(self, name: str) -> int:
         """GPUs the job takes on each of its nodes."""
-        return self._scheduler._job_gpus(self._specs[name])
+        return self._scheduler.job_gpus(self._specs[name])
 
     def throughput(self, name: str, node_count: int) -> float:
         """Model-driven solo iterations/second at a hypothetical size.
@@ -158,7 +158,7 @@ class BrainObservation:
 
     def hourly_usd(self, name: str, node_count: int) -> float:
         """Spot/on-demand burn rate at a hypothetical allocation size."""
-        return self._scheduler._hourly_rate(self._specs[name], node_count)
+        return self._scheduler.hourly_rate(self._specs[name], node_count)
 
     def expected_rollback_iterations(self, node: int) -> float:
         """Iterations a crash of ``node`` would cost, suspicion-weighted.
@@ -172,10 +172,9 @@ class BrainObservation:
         return self.suspicion_fraction(node) * self.checkpoint_iterations / 2.0
 
 
-def build_observation(
-    *, scheduler, now: float, state, running, queued, faults=None
-) -> BrainObservation:
-    """Snapshot live scheduler state for one decision tick."""
+def build_observation(run) -> BrainObservation:
+    """Snapshot a live :class:`~repro.sched.core.SchedRun` for one decision tick."""
+    scheduler, now, state, faults = run.scheduler, run.now, run.state, run.faults
     ledger = state.health
     threshold = (
         ledger.policy.quarantine_threshold if ledger is not None else float("inf")
@@ -199,7 +198,7 @@ def build_observation(
     nic_scale = faults.active_nic_scale() if faults is not None else 1.0
     jobs = []
     specs = {}
-    for record in sorted(running, key=lambda r: r.spec.name):
+    for record in sorted(run.running, key=lambda r: r.spec.name):
         spec = record.spec
         specs[spec.name] = spec
         contention = state.contention_for(record.nodes)
@@ -227,21 +226,20 @@ def build_observation(
                 contention=contention,
                 throughput_it_per_s=round(1.0 / busy, 9) if busy > 0 else 0.0,
                 hourly_usd=round(
-                    scheduler._hourly_rate(spec, len(record.nodes)), 9
+                    scheduler.hourly_rate(spec, len(record.nodes)), 9
                 ),
             )
         )
-    plan = getattr(scheduler, "faults", None)
     return BrainObservation(
         now=now,
         nodes=nodes,
         jobs=jobs,
         quarantine_threshold=threshold,
         checkpoint_iterations=(
-            plan.checkpoint_iterations if plan is not None else 25
+            faults.checkpoint_iterations if faults is not None else 25
         ),
         spot_discount=scheduler.spot_profile.spot_discount,
-        queued=queued,
+        queued=len(run.queued),
         scheduler=scheduler,
         specs=specs,
     )

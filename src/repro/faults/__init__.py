@@ -24,7 +24,7 @@ from repro.faults.registry import (
     gray_jitter_draw,
     register_fault,
 )
-from repro.faults.sched_driver import SchedContext, SchedFaultDriver
+from repro.faults.sched_driver import SchedFaultDriver
 
 __all__ = [
     "FAULTS",
@@ -41,7 +41,6 @@ __all__ = [
     "FaultInjector",
     "RunContext",
     "SchedFaultDriver",
-    "SchedContext",
     "KIND_WEIGHTS",
     "HealthPolicy",
     "NodeHealthLedger",

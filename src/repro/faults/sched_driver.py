@@ -6,10 +6,13 @@ The driver owns all mutable fault state for one
 seconds), downed nodes awaiting repair, active NIC-degradation and
 straggler windows, and the structured :class:`~repro.faults.log.FaultLog`.
 
-The scheduler consults :meth:`next_boundary` when picking its
-piecewise-constant horizon (so a fault lands exactly on a scheduler
-event), calls :meth:`apply_due` at the top of every event, and prices
-running jobs with :meth:`active_nic_scale` / :meth:`stretch_for`.
+The event loop (:class:`~repro.sched.core.SchedRun`) consults
+:meth:`next_boundary` when picking its piecewise-constant horizon (so a
+fault lands exactly on a scheduler event), calls :meth:`apply_due` at
+the top of every event, and prices running jobs with
+:meth:`active_nic_scale` / :meth:`stretch_for`.  Every hook's ``ctx``
+is that run itself; fault plugins read its ``scheduler`` / ``now`` /
+``state`` / ``queued`` / ``running``.
 Crashes evict tenants through the normal ``ClusterState`` release path
 and roll their progress back to the last implied checkpoint
 (``plan.checkpoint_iterations``); a victim pushed below ``min_nodes``
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.faults.health import HealthPolicy, NodeHealthLedger
 from repro.faults.log import FaultLog
@@ -30,16 +33,8 @@ from repro.faults.plan import FaultPlan
 from repro.faults.registry import FAULTS, gray_jitter_draw
 from repro.utils.seeding import new_rng
 
-
-@dataclass
-class SchedContext:
-    """Mutable view of the scheduler event loop passed to fault hooks."""
-
-    scheduler: object
-    now: float
-    state: object
-    queued: object
-    running: list
+if TYPE_CHECKING:
+    from repro.sched.core import SchedRun
 
 
 class SchedFaultDriver:
@@ -99,7 +94,7 @@ class SchedFaultDriver:
         future = [t for t in times if t > now + 1e-12]
         return min(future) if future else None
 
-    def apply_due(self, ctx: SchedContext) -> None:
+    def apply_due(self, ctx: SchedRun) -> None:
         """Probe, repair, expire, and inject everything due at ``ctx.now``."""
         now = ctx.now
         for node in self.health.due_probes(now):
@@ -174,7 +169,7 @@ class SchedFaultDriver:
             event = self._pending.popleft()
             FAULTS.get(event.kind)().apply_sched(self, event, ctx)
 
-    def note_replacements(self, ctx: SchedContext) -> None:
+    def note_replacements(self, ctx: SchedRun) -> None:
         """Close the recovery loop for requeued jobs the scheduler re-placed."""
         if not self._awaiting_replace:
             return
@@ -196,10 +191,10 @@ class SchedFaultDriver:
             )
 
     # -- fault application helpers (called by Fault subclasses) ----------------
-    def up_nodes(self, ctx: SchedContext) -> list[int]:
+    def up_nodes(self, ctx: SchedRun) -> list[int]:
         return [n for n in range(ctx.state.num_nodes) if ctx.state.is_up(n)]
 
-    def pick_up_nodes(self, ctx: SchedContext, k: int) -> list[int]:
+    def pick_up_nodes(self, ctx: SchedRun, k: int) -> list[int]:
         """Seeded choice of ``k`` distinct up nodes (fewer if scarce)."""
         up = self.up_nodes(ctx)
         if not up:
@@ -208,7 +203,7 @@ class SchedFaultDriver:
         chosen = self.rng.choice(len(up), size=k, replace=False)
         return sorted(int(up[i]) for i in chosen)
 
-    def crash(self, event, ctx: SchedContext, nodes) -> None:
+    def crash(self, event, ctx: SchedRun, nodes) -> None:
         """Take ``nodes`` down unwarned; shrink or requeue their tenants."""
         now = ctx.now
         self.injected += 1
@@ -300,7 +295,7 @@ class SchedFaultDriver:
 
                 record.status = QUEUED
                 ctx.running.remove(record)
-                ctx.queued.add(record, scheduler._job_gpus(record.spec))
+                ctx.queued.add(record, scheduler.job_gpus(record.spec))
                 self.requeues += 1
                 self._awaiting_replace[name] = (event, now)
                 self.log.append(
@@ -314,7 +309,7 @@ class SchedFaultDriver:
                     action="below min_nodes; requeued",
                 )
 
-    def degrade_nic(self, event, ctx: SchedContext) -> None:
+    def degrade_nic(self, event, ctx: SchedRun) -> None:
         now = ctx.now
         self.injected += 1
         self._nic.append((event.until, float(event.scale), event))
@@ -335,7 +330,7 @@ class SchedFaultDriver:
             source="per-event bandwidth repricing",
         )
 
-    def add_straggler(self, event, ctx: SchedContext) -> None:
+    def add_straggler(self, event, ctx: SchedRun) -> None:
         now = ctx.now
         self.injected += 1
         if event.node is not None:
@@ -374,7 +369,7 @@ class SchedFaultDriver:
         )
         self._observe_health(event, now, node)
 
-    def gray_net(self, event, ctx: SchedContext) -> None:
+    def gray_net(self, event, ctx: SchedRun) -> None:
         """Pin a gray-link window — loss + realised jitter — on one node.
 
         The closed-form scheduler cannot redraw jitter per iteration, so
@@ -491,4 +486,4 @@ class SchedFaultDriver:
         }
 
 
-__all__ = ["SchedContext", "SchedFaultDriver"]
+__all__ = ["SchedFaultDriver"]

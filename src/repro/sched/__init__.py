@@ -19,6 +19,10 @@ window) is admitted onto one shared virtual cluster by
   training uses; every job's allocation history replays through
   :class:`~repro.elastic.ElasticTrainer` via
   :meth:`JobRecord.to_trace_schedule`;
+* one event loop drives it all: :class:`SchedRun`
+  (``submit`` / ``step(until)`` / ``drain``) holds every piece of run
+  state; batch :meth:`MultiTenantScheduler.run` and the ``repro serve``
+  daemon are two front ends on it;
 * the :class:`SchedReport` carries per-job queue wait / JCT / goodput /
   contention slowdown / dollars and cluster-wide makespan, utilization
   and deadline hit rate, in the ``BENCH_*.json`` schema.
@@ -27,6 +31,7 @@ Declarative entry points: ``SchedConfig`` (:mod:`repro.api.config`) and
 ``python -m repro sched --config examples/configs/multi_tenant.json``.
 """
 
+from repro.sched.core import SchedRun
 from repro.sched.job import (
     DONE,
     PREFERENCES,
@@ -68,6 +73,7 @@ __all__ = [
     "build_policy",
     "ClusterState",
     "MultiTenantScheduler",
+    "SchedRun",
     "SchedReport",
     "JobOutcome",
     "compare_policies",

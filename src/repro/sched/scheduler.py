@@ -2,7 +2,11 @@
 
 :class:`MultiTenantScheduler` admits a queue of :class:`~repro.sched.job
 .JobSpec` onto one shared virtual cluster and simulates it to completion
-on a virtual clock:
+on a virtual clock.  The scheduler is the *decision* half — placement,
+preemption, autoscale, memoized pricing, the report; everything a
+simulation mutates, and the event loop that advances it, is the
+:class:`~repro.sched.core.SchedRun` that
+:meth:`MultiTenantScheduler.start` hands out:
 
 * **Placement** — feasible nodes (enough free GPUs) are ordered by a
   pluggable policy from :mod:`repro.sched.policies` and the job takes up
@@ -34,7 +38,6 @@ bit-identical report.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,6 +45,7 @@ from typing import Callable, Sequence
 from repro.elastic.events import SPOT_PROFILES, SpotProfile
 from repro.elastic.membership import MembershipView
 from repro.perf.iteration_model import IterationModel
+from repro.sched.core import SchedRun, admit_key
 from repro.sched.job import DONE, RUNNING, JobRecord, JobSpec
 from repro.sched.policies import POLICIES, ClusterState, build_policy
 from repro.utils.tables import format_table
@@ -68,45 +72,6 @@ PAYLOAD_COLUMNS = [
     "deadline_met",
     "final_loss",
 ]
-
-
-def _admit_key(record: JobRecord) -> tuple:
-    """Admission order: highest priority, then earliest arrival, then name."""
-    return (-record.spec.priority, record.spec.arrival_seconds, record.spec.name)
-
-
-class _AdmitQueue:
-    """The admission backlog, grouped by placement signature.
-
-    Whether a job fits depends only on its *signature* — (GPUs per node,
-    ``min_nodes``) — never on which job carries it.  Keeping one
-    admit-ordered list per signature lets the admit scan visit at most
-    one head job per signature (plus one pop per placement) instead of
-    walking every queued job at every event; on a trace-scale backlog of
-    thousands of queued jobs with a handful of distinct shapes, that is
-    the difference between an O(queue) and an O(shapes) scan.
-    """
-
-    def __init__(self) -> None:
-        #: signature -> records, each list sorted by :func:`_admit_key`.
-        self.by_sig: dict[tuple[int, int], list[JobRecord]] = {}
-        self._count = 0
-
-    def add(self, record: JobRecord, gpus: int) -> None:
-        sig = (gpus, record.spec.min_nodes)
-        bisect.insort(self.by_sig.setdefault(sig, []), record, key=_admit_key)
-        self._count += 1
-
-    def pop_head(self, sig: tuple[int, int]) -> JobRecord:
-        records = self.by_sig[sig]
-        record = records.pop(0)
-        if not records:
-            del self.by_sig[sig]
-        self._count -= 1
-        return record
-
-    def __len__(self) -> int:
-        return self._count
 
 
 @dataclass(frozen=True)
@@ -259,11 +224,6 @@ class MultiTenantScheduler:
     seed:
         Recorded for provenance; the simulation itself is closed-form
         deterministic (no random draws).
-    max_events:
-        Safety cap on scheduler decision points.  ``None`` (the
-        default) scales the cap with the queue — ``max(10_000, 16 *
-        len(jobs))`` — so trace-scale replays never hit it while
-        pathological hand-written scenarios still terminate.
     faults:
         Optional resolved :class:`~repro.faults.plan.FaultPlan`
         (``target="sched"``, ``at`` in virtual seconds).  Each
@@ -290,7 +250,6 @@ class MultiTenantScheduler:
         gpus_per_node: int | None = None,
         policy: str = "bin-pack",
         seed: int = 0,
-        max_events: int | None = None,
         name: str = "sched",
         faults=None,
         brain=None,
@@ -309,19 +268,15 @@ class MultiTenantScheduler:
         self.policy_name = POLICIES.canonical(policy) or policy
         self.policy: Callable = build_policy(policy)
         self.seed = seed
-        self.max_events = max_events
         self.name = name
         self.faults = faults
         self.brain = brain
-        #: Live per-run brain driver (``None`` outside an active-brain
-        #: run); consulted by autoscale growth for dwell/avoid guards.
-        self._brain_driver = None
         # The fast-path memoization layer.  Jobs sharing a workload key
         # (profile/scheme-kind/density/resolution/batch/GPU slice) are
         # timing-identical, so the caches are keyed per *key* — a
         # 10k-job trace with a few dozen distinct workload shapes pays
         # for a few dozen IterationModel builds, not hundreds of
-        # thousands.  All reset per run (job names may be reused).
+        # thousands.  All reset per :meth:`start` (job names may be reused).
         #: job name -> workload key.
         self._key_cache: dict[str, tuple] = {}
         #: (workload key, nodes, contention) -> iteration seconds.
@@ -334,9 +289,9 @@ class MultiTenantScheduler:
         )
 
     # -- per-job timing -------------------------------------------------------
-    def _job_gpus(self, spec: JobSpec) -> int:
-        gpus = spec.gpus_per_node if spec.gpus_per_node is not None else self.gpus_per_node
-        return gpus
+    def job_gpus(self, spec: JobSpec) -> int:
+        """GPUs the job takes on each of its nodes (default: the whole node)."""
+        return spec.gpus_per_node if spec.gpus_per_node is not None else self.gpus_per_node
 
     def _iteration_model(
         self,
@@ -350,7 +305,7 @@ class MultiTenantScheduler:
 
         profile = spec.model_profile()
         network = build_cluster(
-            self.instance, nodes, gpus_per_node=self._job_gpus(spec)
+            self.instance, nodes, gpus_per_node=self.job_gpus(spec)
         )
         return IterationModel(
             network=network,
@@ -367,7 +322,7 @@ class MultiTenantScheduler:
     def _workload_key(self, spec: JobSpec) -> tuple:
         key = self._key_cache.get(spec.name)
         if key is None:
-            key = self._key_cache[spec.name] = spec.workload_key(self._job_gpus(spec))
+            key = self._key_cache[spec.name] = spec.workload_key(self.job_gpus(spec))
         return key
 
     def iteration_seconds(
@@ -418,32 +373,15 @@ class MultiTenantScheduler:
             self._intensity_cache[key] = cached
         return cached
 
-    def _hourly_rate(self, spec: JobSpec, nodes: int) -> float:
+    def hourly_rate(self, spec: JobSpec, nodes: int) -> float:
         """USD/hour for the job's current slice (GPU-share of node price)."""
         price = self.spot_profile.on_demand_hourly
         if spec.preference == "spot":
             price *= self.spot_profile.spot_discount
-        share = self._job_gpus(spec) / self.gpus_per_node
+        share = self.job_gpus(spec) / self.gpus_per_node
         return price * nodes * share
 
     # -- scheduling decisions -------------------------------------------------
-    def _validate(self, jobs: Sequence[JobSpec]) -> None:
-        names = [job.name for job in jobs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"job names must be unique, got {sorted(names)}")
-        for job in jobs:
-            gpus = self._job_gpus(job)
-            if gpus > self.gpus_per_node:
-                raise ValueError(
-                    f"job {job.name!r} wants {gpus} GPUs/node on "
-                    f"{self.gpus_per_node}-GPU nodes"
-                )
-            if job.min_nodes > self.num_nodes:
-                raise ValueError(
-                    f"job {job.name!r} needs {job.min_nodes} nodes, cluster has "
-                    f"{self.num_nodes}"
-                )
-
     def _try_preempt(
         self, job: JobSpec, running: list[JobRecord], state: ClusterState
     ) -> bool:
@@ -460,7 +398,7 @@ class MultiTenantScheduler:
         (its elastic floor); every committed shrink drives the victim's
         membership view like a warned revocation.
         """
-        gpus = self._job_gpus(job)
+        gpus = self.job_gpus(job)
         needed = job.min_nodes - len(state.feasible_nodes(gpus))
         if needed <= 0:
             return False
@@ -517,7 +455,7 @@ class MultiTenantScheduler:
 
     def _place(self, record: JobRecord, state: ClusterState, now: float) -> bool:
         spec = record.spec
-        gpus = self._job_gpus(spec)
+        gpus = self.job_gpus(spec)
         candidates = state.feasible_nodes(gpus)
         if len(candidates) < spec.min_nodes:
             return False
@@ -546,16 +484,17 @@ class MultiTenantScheduler:
         record.mark_waypoint()
         return True
 
-    def _grow(self, record: JobRecord, state: ClusterState, now: float) -> bool:
+    def _grow(
+        self, record: JobRecord, state: ClusterState, now: float, brain
+    ) -> bool:
         spec = record.spec
         if len(record.nodes) >= spec.max_nodes:
             return False
-        brain = self._brain_driver
         if brain is not None and brain.grow_frozen(spec.name, now):
             # The brain just rescaled this job; growing it back before
             # the dwell window ends would undo the decision.
             return False
-        gpus = self._job_gpus(spec)
+        gpus = self.job_gpus(spec)
         candidates = state.feasible_nodes(gpus, exclude=record.nodes)
         if brain is not None and candidates:
             avoid = brain.avoid_nodes(now)
@@ -577,13 +516,9 @@ class MultiTenantScheduler:
         )
         return True
 
-    def _schedule(
-        self,
-        queued: _AdmitQueue,
-        running: list[JobRecord],
-        state: ClusterState,
-        now: float,
-    ) -> None:
+    def schedule(self, run: SchedRun) -> None:
+        """Admit what fits at ``run.now``, then autoscale onto idle capacity."""
+        queued, running, state, now = run.queued, run.running, run.state, run.now
         # 1. Admit queued jobs in admission order (highest priority,
         # then earliest arrival); preempt if needed.  The scan walks the
         # signature heads in global admission order via a heap, with a
@@ -599,7 +534,7 @@ class MultiTenantScheduler:
         failed: list[tuple[int, int]] = []  # signatures that failed to place
         parked: list[tuple[int, int]] = []  # pruned signatures (revivable)
         heads = [
-            (_admit_key(records[0]), sig) for sig, records in queued.by_sig.items()
+            (admit_key(records[0]), sig) for sig, records in queued.by_sig.items()
         ]
         heapq.heapify(heads)
         while heads:
@@ -617,14 +552,14 @@ class MultiTenantScheduler:
                     failed.clear()
                     for revived in parked:
                         head = queued.by_sig[revived][0]
-                        heapq.heappush(heads, (_admit_key(head), revived))
+                        heapq.heappush(heads, (admit_key(head), revived))
                     parked.clear()
             if self._place(record, state, now):
                 queued.pop_head(sig)
                 running.append(record)
                 if sig in queued.by_sig:
                     head = queued.by_sig[sig][0]
-                    heapq.heappush(heads, (_admit_key(head), sig))
+                    heapq.heappush(heads, (admit_key(head), sig))
             else:
                 failed.append(sig)
                 parked.append(sig)
@@ -637,36 +572,26 @@ class MultiTenantScheduler:
                     running,
                     key=lambda r: (-r.spec.priority, r.spec.arrival_seconds, r.spec.name),
                 ):
-                    if self._grow(record, state, now):
+                    if self._grow(record, state, now, run.brain):
                         changed = True
 
-    # -- main loop ------------------------------------------------------------
-    def run(self, jobs: Sequence[JobSpec]) -> SchedReport:
-        """Simulate the job set to completion; returns the full report."""
-        if not jobs:
-            raise ValueError("need at least one JobSpec")
-        self._validate(jobs)
+    # -- driving a run --------------------------------------------------------
+    def start(self) -> SchedRun:
+        """A fresh, empty :class:`~repro.sched.core.SchedRun` on this cluster.
+
+        Drivers are built per run, so one scheduler replays the same
+        fault plan (and brain) identically under every policy.
+        """
         # Job names may be reused across runs (with different shapes).
         self._key_cache.clear()
         self._time_cache.clear()
         self._intensity_cache.clear()
-        max_events = (
-            self.max_events
-            if self.max_events is not None
-            else max(10_000, 16 * len(jobs))
-        )
-        state = ClusterState(self.num_nodes, self.gpus_per_node)
-        driver = None
+        faults = None
         if self.faults is not None:
-            from repro.faults.sched_driver import SchedContext, SchedFaultDriver
+            from repro.faults.sched_driver import SchedFaultDriver
 
-            # A fresh driver per run: one plan replays identically under
-            # every policy.
-            driver = SchedFaultDriver(self.faults)
-            # Publish the health ledger for the fault-aware policy;
-            # fault-free runs leave state.health as None.
-            state.health = driver.health
-        self._brain_driver = None
+            faults = SchedFaultDriver(self.faults)
+        brain = None
         if self.brain is not None:
             from repro.brain.base import build_brain
             from repro.brain.driver import BrainDriver
@@ -675,166 +600,39 @@ class MultiTenantScheduler:
             if autotuner.active:
                 # Inactive brains (`static`) never get a driver, so the
                 # run stays byte-identical to a brain-free build.
-                self._brain_driver = BrainDriver(self.brain, autotuner, self)
-        brain_driver = self._brain_driver
-        records = {job.name: JobRecord(spec=job) for job in jobs}
-        pending = sorted(
-            records.values(),
-            key=lambda r: (r.spec.arrival_seconds, -r.spec.priority, r.spec.name),
-        )
-        arrived = 0  # index into pending; everything before it has arrived
-        queued = _AdmitQueue()
-        running: list[JobRecord] = []
-        done: list[JobRecord] = []
+                brain = BrainDriver(self.brain, autotuner)
+        return SchedRun(self, faults, brain)
 
-        now = 0.0
-        occupied_node_seconds = 0.0
-        events = 0
-        while (
-            arrived < len(pending) or len(queued) or running
-        ) and events < max_events:
-            events += 1
-            while (
-                arrived < len(pending)
-                and pending[arrived].spec.arrival_seconds <= now + 1e-12
+    def run(self, jobs: Sequence[JobSpec]) -> SchedReport:
+        """Simulate the job set to completion; returns the full report."""
+        if not jobs:
+            raise ValueError("need at least one JobSpec")
+        names = [job.name for job in jobs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"job names must be unique, got {sorted(names)}")
+        run = self.start()
+        for job in jobs:
+            run.submit(job)
+        # The cap scales with the queue, so trace-scale replays never
+        # hit it while pathological hand-written scenarios still stop.
+        run.drain(max(10_000, 16 * len(jobs)))
+        self.replay_payloads(run)
+        return self.report(run)
+
+    def replay_payloads(self, run: SchedRun) -> None:
+        """Train every placed payload job's allocation history, once.
+
+        The real ElasticTrainer replay runs after — and never feeds back
+        into — the closed-form simulation, so scheduling outcomes are
+        bit-identical with payloads stripped.
+        """
+        for record in run.records.values():
+            if (
+                record.spec.payload is not None
+                and record.waypoints
+                and record.train_summary is None
             ):
-                record = pending[arrived]
-                queued.add(record, self._job_gpus(record.spec))
-                arrived += 1
-            if driver is not None:
-                state.now = now
-                ctx = SchedContext(
-                    scheduler=self, now=now, state=state, queued=queued,
-                    running=running,
-                )
-                driver.apply_due(ctx)
-            if brain_driver is not None:
-                state.now = now
-                brain_driver.apply_due(
-                    now=now, state=state, queued=queued, running=running,
-                    faults=driver,
-                )
-            self._schedule(queued, running, state, now)
-            if driver is not None:
-                driver.note_replacements(
-                    SchedContext(
-                        scheduler=self, now=now, state=state, queued=queued,
-                        running=running,
-                    )
-                )
-            if not running:
-                next_arrival = (
-                    pending[arrived].spec.arrival_seconds
-                    if arrived < len(pending)
-                    else None
-                )
-                boundary = (
-                    driver.next_boundary(now) if driver is not None else None
-                )
-                waits = [t for t in (next_arrival, boundary) if t is not None]
-                if not waits:
-                    break  # nothing placeable remains and no repair is coming
-                now = min(waits)
-                continue
-
-            # Piecewise-constant rates until the next event.
-            nic_scale = (
-                driver.active_nic_scale() if driver is not None else 1.0
-            )
-            rates: dict[str, tuple[float, float]] = {}
-            for record in running:
-                contention = state.contention_for(record.nodes)
-                stretch = (
-                    driver.stretch_for(record.nodes)
-                    if driver is not None
-                    else 1.0
-                )
-                jitter = (
-                    driver.jitter_for(record.nodes)
-                    if driver is not None
-                    else 1.0
-                )
-                busy = self.iteration_seconds(
-                    record.spec,
-                    nodes=len(record.nodes),
-                    contention=contention,
-                    nic_scale=nic_scale,
-                    stretch=stretch,
-                    jitter=jitter,
-                )
-                # The slowdown baseline stays fault-free: the solo rate
-                # is the ideal this job is judged against.
-                solo = (
-                    busy
-                    if contention <= 1 and nic_scale >= 1 and stretch <= 1
-                    and jitter <= 1
-                    else self.iteration_seconds(
-                        record.spec, nodes=len(record.nodes), contention=1.0
-                    )
-                )
-                rates[record.spec.name] = (1.0 / busy, 1.0 / solo)
-
-            next_completion = min(
-                now + record.remaining / rates[record.spec.name][0]
-                for record in running
-            )
-            next_arrival = (
-                pending[arrived].spec.arrival_seconds
-                if arrived < len(pending)
-                else None
-            )
-            horizon = next_completion
-            if next_arrival is not None and next_arrival < horizon:
-                horizon = next_arrival
-            if driver is not None:
-                boundary = driver.next_boundary(now)
-                if boundary is not None and boundary < horizon:
-                    horizon = boundary
-            if brain_driver is not None:
-                # Decision ticks only matter while jobs are running, so
-                # the brain boundary is consulted on the busy path only
-                # (the idle branch would otherwise spin on ticks that
-                # can never decide anything).
-                boundary = brain_driver.next_boundary(now)
-                if boundary is not None and boundary < horizon:
-                    horizon = boundary
-            dt = max(0.0, horizon - now)
-
-            for record in running:
-                rate, solo_rate = rates[record.spec.name]
-                record.progress = min(
-                    record.spec.iterations, record.progress + rate * dt
-                )
-                record.solo_equivalent += solo_rate * dt
-                record.running_seconds += dt
-                record.cost_usd += (
-                    self._hourly_rate(record.spec, len(record.nodes)) * dt / 3600.0
-                )
-            occupied_node_seconds += state.busy_nodes() * dt
-            now = horizon
-
-            for record in list(running):
-                if record.remaining <= 1e-9:
-                    state.release(record.spec.name)
-                    record.status = DONE
-                    record.completion = now
-                    running.remove(record)
-                    done.append(record)
-
-        # Payload jobs now *train*: replay the decided allocation history
-        # through the real ElasticTrainer.  This runs after — and never
-        # feeds back into — the closed-form simulation, so scheduling
-        # outcomes are bit-identical with payloads stripped.
-        for record in records.values():
-            if record.spec.payload is not None and record.waypoints:
                 record.train_summary = self._replay_payload(record)
-        report = self._report(records, now, occupied_node_seconds, events)
-        if driver is not None:
-            report.fault_log = driver.summary()
-        if brain_driver is not None:
-            report.brain_log = brain_driver.summary()
-        self._brain_driver = None
-        return report
 
     def _replay_payload(self, record: JobRecord) -> dict:
         """Train a payload job's allocation history with ElasticTrainer."""
@@ -856,7 +654,7 @@ class MultiTenantScheduler:
             density=record.spec.density,
             instance=self.instance,
             num_nodes=start_nodes,
-            gpus_per_node=self._job_gpus(record.spec),
+            gpus_per_node=self.job_gpus(record.spec),
             min_nodes=record.spec.min_nodes,
             optimizer=SGD(lr=payload.lr, momentum=payload.momentum),
             seed=payload.seed,
@@ -879,15 +677,11 @@ class MultiTenantScheduler:
             "joins": report.joins,
         }
 
-    def _report(
-        self,
-        records: dict[str, JobRecord],
-        makespan: float,
-        occupied_node_seconds: float,
-        events: int,
-    ) -> SchedReport:
+    def report(self, run: SchedRun) -> SchedReport:
+        """The :class:`SchedReport` of ``run`` at its current virtual time."""
+        makespan = run.now
         outcomes = []
-        for record in records.values():
+        for record in run.records.values():
             outcomes.append(
                 JobOutcome(
                     job=record.spec.name,
@@ -933,7 +727,9 @@ class MultiTenantScheduler:
             makespan_s=makespan,
             total_cost_usd=sum(o.cost_usd for o in outcomes),
             utilization=(
-                occupied_node_seconds / (self.num_nodes * makespan) if makespan else 0.0
+                run.occupied_node_seconds / (self.num_nodes * makespan)
+                if makespan
+                else 0.0
             ),
             cluster_goodput_it_per_s=(
                 total_iterations / makespan if makespan else 0.0
@@ -944,9 +740,13 @@ class MultiTenantScheduler:
             deadline_hit_rate=(
                 sum(deadlines) / len(deadlines) if deadlines else None
             ),
-            events=events,
+            events=run.events,
             traces={o.job: o.waypoints for o in outcomes},
         )
+        if run.faults is not None:
+            report.fault_log = run.faults.summary()
+        if run.brain is not None:
+            report.brain_log = run.brain.summary()
         return report
 
 

@@ -136,6 +136,11 @@ class ServeRuntime:
             self.recovery["corrupt_snapshots"] = loaded.corrupt_slots
         else:
             self.engine = ServeEngine(self.config)
+            # Slot files that exist but would not load — torn, or written
+            # by an older snapshot format — all count as fallbacks.
+            self.recovery["corrupt_snapshots"] = sum(
+                path.exists() for path in self.store.slots
+            )
         audits = {
             r.get("of"): r for r in scan.records if r.get("kind") == "audit"
         }

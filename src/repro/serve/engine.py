@@ -1,18 +1,20 @@
 """The live scheduler engine behind ``repro serve``.
 
-:class:`ServeEngine` is the existing
-:class:`~repro.sched.MultiTenantScheduler` (placement, contention,
-preemption, autoscale), :class:`~repro.faults.sched_driver
-.SchedFaultDriver` and :class:`~repro.brain.driver.BrainDriver` turned
-into an *incremental* service: instead of one pre-declared batch driven
-to completion by :meth:`~repro.sched.MultiTenantScheduler.run`, jobs
-are **submitted while the clock runs** and virtual time advances in
-bounded :meth:`tick`\\ s.  Each tick replays the exact event-loop body
-the batch path uses — arrivals, fault/brain boundaries,
-``_schedule``, piecewise-constant rate accrual, completion sweep — so a
-drained engine fed the same jobs at once is *bit-identical* to a batch
-``run()`` (payload rows, makespan, event counts; the test suite pins
-this equivalence).
+:class:`ServeEngine` turns the scheduler into an *incremental* service:
+instead of one pre-declared batch driven to completion by
+:meth:`~repro.sched.MultiTenantScheduler.run`, jobs are **submitted
+while the clock runs** and virtual time advances in bounded ticks.  It
+owns no scheduling logic — it drives the same
+:class:`~repro.sched.core.SchedRun` event loop the batch path drains
+(placement, contention, preemption, autoscale, faults and brain
+included), stepping it with an ``until`` bound.  A drained engine fed
+the same jobs at once is therefore *bit-identical* to a batch ``run()``
+(payload rows, makespan, event counts; the test suite pins this).
+
+What the engine adds is what only a service needs: op decoding, the
+exactly-once op-id watermark, ``queue_limit`` backpressure,
+late-arrival clamping, the per-tick ``series`` trajectory,
+:meth:`state_digest` and snapshot (de)serialisation of the run.
 
 Everything here is deterministic in the op sequence: no wall clock, no
 RNG outside the seeded fault plan.  That is what makes the write-ahead
@@ -30,19 +32,11 @@ crash) composes into exactly-once admission.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import hashlib
 from typing import Any
 
-from repro.sched.job import DONE, JobRecord
-from repro.sched.policies import ClusterState
-from repro.sched.scheduler import (
-    MultiTenantScheduler,
-    SchedReport,
-    _AdmitQueue,
-    payload_for_reports,
-)
+from repro.sched.scheduler import MultiTenantScheduler, SchedReport, payload_for_reports
 from repro.serve.journal import canonical_json
 
 _EPS = 1e-12
@@ -64,16 +58,18 @@ class QueueFullError(ValueError):
         )
 
 
-def _pending_key(record: JobRecord) -> tuple:
-    """Arrival order, matching the batch path's ``pending`` sort."""
-    return (record.spec.arrival_seconds, -record.spec.priority, record.spec.name)
-
-
 class ServeEngine:
-    """One live multi-tenant scheduler, advanced op by op."""
+    """One live multi-tenant scheduler run, advanced op by op."""
 
     def __init__(self, config) -> None:
         self.config = config
+        plan = None
+        if config.faults is not None:
+            from repro.faults.plan import FaultPlan
+
+            plan = FaultPlan.from_config(
+                config.faults, seed=config.seed, target="sched"
+            )
         self.scheduler = MultiTenantScheduler(
             num_nodes=config.cluster.num_nodes,
             instance=config.cluster.instance,
@@ -81,37 +77,11 @@ class ServeEngine:
             policy=config.policy,
             seed=config.seed,
             name=config.name,
+            faults=plan,
+            brain=config.brain,
         )
-        self.state = ClusterState(self.scheduler.num_nodes, self.scheduler.gpus_per_node)
-        self.driver = None
-        if config.faults is not None:
-            from repro.faults.plan import FaultPlan
-            from repro.faults.sched_driver import SchedFaultDriver
-
-            plan = FaultPlan.from_config(
-                config.faults, seed=config.seed, target="sched"
-            )
-            self.driver = SchedFaultDriver(plan)
-            self.state.health = self.driver.health
-        self.brain_driver = None
-        if config.brain is not None:
-            from repro.brain.base import build_brain
-            from repro.brain.driver import BrainDriver
-
-            autotuner = build_brain(config.brain)
-            if autotuner.active:
-                self.brain_driver = BrainDriver(config.brain, autotuner, self.scheduler)
-        self.scheduler._brain_driver = self.brain_driver
-        #: name -> JobRecord, every job ever accepted.
-        self.records: dict[str, JobRecord] = {}
-        #: Accepted but not yet arrived, sorted by :func:`_pending_key`.
-        self.pending: list[JobRecord] = []
-        self.queued = _AdmitQueue()
-        self.running: list[JobRecord] = []
-        self.done: list[JobRecord] = []
-        self.now = 0.0
-        self.events = 0
-        self.occupied_node_seconds = 0.0
+        #: The one event loop and all its state (see repro.sched.core).
+        self.core = self.scheduler.start()
         #: Highest op id consumed (exactly-once apply watermark).
         self.last_op_id = 0
         self.submitted = 0
@@ -121,6 +91,19 @@ class ServeEngine:
         #: row per tick/drain — the daemon's continuously emitted
         #: goodput curve (virtual clock, so bit-stable across replays).
         self.series: list[list[float]] = []
+
+    @property
+    def records(self) -> dict:
+        """name -> JobRecord, every job ever accepted."""
+        return self.core.records
+
+    @property
+    def done(self) -> list:
+        return self.core.done
+
+    @property
+    def now(self) -> float:
+        return self.core.now
 
     # -- op dispatch ----------------------------------------------------------
     def apply_op(self, op: dict) -> dict:
@@ -174,28 +157,16 @@ class ServeEngine:
                 f"submit needs a 'job' mapping, got {type(job).__name__}"
             )
         spec = _from_dict("job", job, JobConfig).to_spec()
-        if spec.name in self.records:
-            raise ValueError(f"job name {spec.name!r} was already submitted")
-        gpus = self.scheduler._job_gpus(spec)
-        if gpus > self.scheduler.gpus_per_node:
-            raise ValueError(
-                f"job {spec.name!r} wants {gpus} GPUs/node on "
-                f"{self.scheduler.gpus_per_node}-GPU nodes"
-            )
-        if spec.min_nodes > self.scheduler.num_nodes:
-            raise ValueError(
-                f"job {spec.name!r} needs {spec.min_nodes} nodes, cluster has "
-                f"{self.scheduler.num_nodes}"
-            )
-        backlog = len(self.pending) + len(self.queued)
+        core = self.core
+        # Name and shape problems outrank backpressure in the ack.
+        core.check(spec)
+        backlog = len(core.pending) + len(core.queued)
         if backlog >= self.config.queue_limit:
             raise QueueFullError(spec.name, backlog, self.config.queue_limit)
-        if spec.arrival_seconds < self.now - _EPS:
+        if spec.arrival_seconds < core.now - _EPS:
             # The virtual clock never rewinds: late submissions arrive now.
-            spec = dataclasses.replace(spec, arrival_seconds=self.now)
-        record = JobRecord(spec=spec)
-        self.records[spec.name] = record
-        bisect.insort(self.pending, record, key=_pending_key)
+            spec = dataclasses.replace(spec, arrival_seconds=core.now)
+        core.submit(spec)
         self.submitted += 1
         return {
             "job": spec.name,
@@ -203,154 +174,24 @@ class ServeEngine:
             "backlog": backlog + 1,
         }
 
-    # -- the event loop, one bounded slice at a time --------------------------
-    def _advance(self, until: float | None) -> list[str] | None:
-        """One event-loop iteration, never past ``until``.
-
-        The body is the batch :meth:`MultiTenantScheduler.run` loop,
-        verbatim in structure and float order, with ``until`` as one
-        extra horizon bound.  Returns the jobs completed this iteration;
-        returns ``None`` (only possible with ``until=None``) when
-        nothing can ever progress again — the batch path's terminal
-        ``break``.
-        """
-        scheduler = self.scheduler
-        state = self.state
-        driver = self.driver
-        brain_driver = self.brain_driver
-        self.events += 1
-        while (
-            self.pending
-            and self.pending[0].spec.arrival_seconds <= self.now + _EPS
-        ):
-            record = self.pending.pop(0)
-            self.queued.add(record, scheduler._job_gpus(record.spec))
-        if driver is not None:
-            from repro.faults.sched_driver import SchedContext
-
-            state.now = self.now
-            driver.apply_due(
-                SchedContext(
-                    scheduler=scheduler, now=self.now, state=state,
-                    queued=self.queued, running=self.running,
-                )
-            )
-        if brain_driver is not None:
-            state.now = self.now
-            brain_driver.apply_due(
-                now=self.now, state=state, queued=self.queued,
-                running=self.running, faults=driver,
-            )
-        scheduler._schedule(self.queued, self.running, state, self.now)
-        if driver is not None:
-            from repro.faults.sched_driver import SchedContext
-
-            driver.note_replacements(
-                SchedContext(
-                    scheduler=scheduler, now=self.now, state=state,
-                    queued=self.queued, running=self.running,
-                )
-            )
-        if not self.running:
-            next_arrival = (
-                self.pending[0].spec.arrival_seconds if self.pending else None
-            )
-            boundary = driver.next_boundary(self.now) if driver is not None else None
-            waits = [t for t in (next_arrival, boundary) if t is not None]
-            if not waits:
-                if until is None:
-                    return None  # nothing placeable remains, no repair coming
-                self.now = until  # the daemon idles; virtual time still passes
-                return []
-            self.now = min(waits) if until is None else min(min(waits), until)
-            return []
-
-        nic_scale = driver.active_nic_scale() if driver is not None else 1.0
-        rates: dict[str, tuple[float, float]] = {}
-        for record in self.running:
-            contention = state.contention_for(record.nodes)
-            stretch = driver.stretch_for(record.nodes) if driver is not None else 1.0
-            jitter = driver.jitter_for(record.nodes) if driver is not None else 1.0
-            busy = scheduler.iteration_seconds(
-                record.spec,
-                nodes=len(record.nodes),
-                contention=contention,
-                nic_scale=nic_scale,
-                stretch=stretch,
-                jitter=jitter,
-            )
-            solo = (
-                busy
-                if contention <= 1 and nic_scale >= 1 and stretch <= 1
-                and jitter <= 1
-                else scheduler.iteration_seconds(
-                    record.spec, nodes=len(record.nodes), contention=1.0
-                )
-            )
-            rates[record.spec.name] = (1.0 / busy, 1.0 / solo)
-
-        next_completion = min(
-            self.now + record.remaining / rates[record.spec.name][0]
-            for record in self.running
-        )
-        next_arrival = (
-            self.pending[0].spec.arrival_seconds if self.pending else None
-        )
-        horizon = next_completion
-        if next_arrival is not None and next_arrival < horizon:
-            horizon = next_arrival
-        if driver is not None:
-            boundary = driver.next_boundary(self.now)
-            if boundary is not None and boundary < horizon:
-                horizon = boundary
-        if brain_driver is not None:
-            boundary = brain_driver.next_boundary(self.now)
-            if boundary is not None and boundary < horizon:
-                horizon = boundary
-        if until is not None and until < horizon:
-            horizon = until
-        dt = max(0.0, horizon - self.now)
-
-        for record in self.running:
-            rate, solo_rate = rates[record.spec.name]
-            record.progress = min(
-                record.spec.iterations, record.progress + rate * dt
-            )
-            record.solo_equivalent += solo_rate * dt
-            record.running_seconds += dt
-            record.cost_usd += (
-                scheduler._hourly_rate(record.spec, len(record.nodes)) * dt / 3600.0
-            )
-        self.occupied_node_seconds += state.busy_nodes() * dt
-        self.now = horizon
-
-        completed: list[str] = []
-        for record in list(self.running):
-            if record.remaining <= 1e-9:
-                state.release(record.spec.name)
-                record.status = DONE
-                record.completion = self.now
-                self.running.remove(record)
-                self.done.append(record)
-                completed.append(record.spec.name)
-        return completed
-
+    # -- bounded slices of the event loop -------------------------------------
     def _tick(self, until: Any = None) -> dict:
         """Advance the virtual clock to ``until`` (default: one tick_seconds)."""
+        core = self.core
         if until is None:
-            until = self.now + self.config.tick_seconds
+            until = core.now + self.config.tick_seconds
         if not isinstance(until, (int, float)) or isinstance(until, bool):
             raise ValueError(f"tick 'until' must be a number, got {until!r}")
         until = float(until)
-        if until < self.now - 1e-9:
+        if until < core.now - 1e-9:
             raise ValueError(
-                f"tick until={until} is behind the virtual clock ({self.now})"
+                f"tick until={until} is behind the virtual clock ({core.now})"
             )
-        t0 = self.now
+        t0 = core.now
         completed: list[str] = []
         for _ in range(self.config.max_events_per_tick):
-            completed.extend(self._advance(until) or ())
-            if self.now >= until - 1e-9:
+            completed.extend(core.step(until))
+            if core.now >= until - 1e-9:
                 break
         else:  # pragma: no cover - runaway-loop backstop
             raise RuntimeError(
@@ -360,69 +201,58 @@ class ServeEngine:
         self._mark_series()
         return {
             "t0": t0,
-            "now": self.now,
+            "now": core.now,
             "completed": completed,
-            "running": len(self.running),
-            "queued": len(self.queued) + len(self.pending),
-            "done": len(self.done),
+            "running": len(core.running),
+            "queued": len(core.queued) + len(core.pending),
+            "done": len(core.done),
         }
 
     def _drain(self) -> dict:
         """Run the backlog to completion — the batch path's terminal state."""
-        t0 = self.now
-        completed: list[str] = []
-        cap = max(10_000, 16 * max(1, len(self.records)), self.config.max_events_per_tick)
-        for _ in range(cap):
-            if not (self.pending or len(self.queued) or self.running):
-                break
-            out = self._advance(None)
-            if out is None:
-                break  # unplaceable remainder; identical to the batch break
-            completed.extend(out)
-        else:  # pragma: no cover - runaway-loop backstop
+        core = self.core
+        t0 = core.now
+        cap = max(10_000, 16 * max(1, len(core.records)), self.config.max_events_per_tick)
+        completed = core.drain(cap)
+        if completed is None:  # pragma: no cover - runaway-loop backstop
             raise RuntimeError(f"drain exceeded its event cap ({cap})")
         self.ticks += 1
         self._mark_series()
         return {
             "t0": t0,
-            "now": self.now,
+            "now": core.now,
             "completed": completed,
-            "done": len(self.done),
+            "done": len(core.done),
             "drained": True,
         }
 
     def _mark_series(self) -> None:
+        core = self.core
         self.series.append(
             [
-                round(self.now, 6),
-                len(self.done),
-                round(sum(r.progress for r in self.records.values()), 6),
+                round(core.now, 6),
+                len(core.done),
+                round(sum(r.progress for r in core.records.values()), 6),
             ]
         )
 
     # -- reporting ------------------------------------------------------------
     def report(self) -> SchedReport:
         """The live :class:`SchedReport` at the current virtual time."""
-        if not self.records:
+        scheduler, core = self.scheduler, self.core
+        if not core.records:
             # A daemon drained before any submission still reports.
             return SchedReport(
-                name=self.scheduler.name,
-                policy=self.scheduler.policy_name,
-                instance=self.scheduler.instance,
-                num_nodes=self.scheduler.num_nodes,
-                gpus_per_node=self.scheduler.gpus_per_node,
-                seed=self.scheduler.seed,
-                makespan_s=self.now,
-                events=self.events,
+                name=scheduler.name,
+                policy=scheduler.policy_name,
+                instance=scheduler.instance,
+                num_nodes=scheduler.num_nodes,
+                gpus_per_node=scheduler.gpus_per_node,
+                seed=scheduler.seed,
+                makespan_s=core.now,
+                events=core.events,
             )
-        report = self.scheduler._report(
-            self.records, self.now, self.occupied_node_seconds, self.events
-        )
-        if self.driver is not None:
-            report.fault_log = self.driver.summary()
-        if self.brain_driver is not None:
-            report.brain_log = self.brain_driver.summary()
-        return report
+        return scheduler.report(core)
 
     def payload(self, *, bench: str | None = None, replay: bool = True) -> dict:
         """The BENCH payload of the service so far (+ serve trajectory).
@@ -433,13 +263,7 @@ class ServeEngine:
         ``replay=False`` to stay cheap.
         """
         if replay:
-            for record in self.records.values():
-                if (
-                    record.spec.payload is not None
-                    and record.waypoints
-                    and record.train_summary is None
-                ):
-                    record.train_summary = self.scheduler._replay_payload(record)
+            self.scheduler.replay_payloads(self.core)
         payload = payload_for_reports(
             [self.report()], bench=bench or f"serve_{self.config.name}"
         )
@@ -448,15 +272,16 @@ class ServeEngine:
 
     def stats(self) -> dict:
         """Virtual-clock service counters (all journal-replay stable)."""
+        core = self.core
         return {
-            "now": self.now,
-            "events": self.events,
+            "now": core.now,
+            "events": core.events,
             "ticks": self.ticks,
             "submitted": self.submitted,
             "rejected": self.rejected,
-            "completed": len(self.done),
-            "running": len(self.running),
-            "backlog": len(self.pending) + len(self.queued),
+            "completed": len(core.done),
+            "running": len(core.running),
+            "backlog": len(core.pending) + len(core.queued),
             "last_op_id": self.last_op_id,
             "digest": self.state_digest(),
             "series": [list(row) for row in self.series],
@@ -470,20 +295,19 @@ class ServeEngine:
         agree on this digest, and the recovery path verifies it against
         the journaled audit records.
         """
+        core = self.core
         doc = {
-            "now": self.now,
-            "events": self.events,
-            "occupied": self.occupied_node_seconds,
+            "now": core.now,
+            "events": core.events,
+            "occupied": core.occupied_node_seconds,
             "last_op_id": self.last_op_id,
             "submitted": self.submitted,
             "rejected": self.rejected,
             "ticks": self.ticks,
-            "pending": [r.spec.name for r in self.pending],
-            "queued": sorted(
-                r.spec.name for rs in self.queued.by_sig.values() for r in rs
-            ),
-            "running": [r.spec.name for r in self.running],
-            "done": [r.spec.name for r in self.done],
+            "pending": [r.spec.name for r in core.pending],
+            "queued": sorted(r.spec.name for r in core.queued),
+            "running": [r.spec.name for r in core.running],
+            "done": [r.spec.name for r in core.done],
             "jobs": {
                 name: [
                     record.status,
@@ -497,57 +321,27 @@ class ServeEngine:
                     record.membership.epoch if record.membership is not None else 0,
                     record.waypoints,
                 ]
-                for name, record in self.records.items()
+                for name, record in core.records.items()
             },
-            "faults": self.driver.log.digest() if self.driver is not None else None,
-            "brain": (
-                self.brain_driver.log.digest()
-                if self.brain_driver is not None
-                else None
-            ),
+            "faults": core.faults.log.digest() if core.faults is not None else None,
+            "brain": core.brain.log.digest() if core.brain is not None else None,
         }
         blob = canonical_json(doc).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
     # -- snapshot state extraction / restore ----------------------------------
     def snapshot_state(self) -> dict:
-        """Every mutable piece, as one object graph (shared refs intact).
+        """The run plus the serve counters, as one object graph.
 
-        The scheduler itself (policy closure, memo caches) and the brain
-        driver's back-reference to it are deliberately *excluded*: both
-        are rebuilt from config on restore — the caches are pure
-        memoization, so an empty cache changes wall-clock only, never a
-        result.  Everything else (records, cluster state, fault driver
-        with its RNG and health ledger, brain decision state) pickles in
-        one ``dumps`` so cross-references survive exactly.
+        The run pickles whole — records, cluster state, fault driver
+        with its RNG and health ledger, brain decision state — so
+        cross-references survive exactly.  Only the scheduler (policy
+        closure, memo caches) is left out and rebuilt from config on
+        restore: the caches are pure memoization, so an empty cache
+        changes wall-clock only, never a result.
         """
-        brain_state = None
-        if self.brain_driver is not None:
-            bd = self.brain_driver
-            brain_state = {
-                "autotuner": bd.autotuner,
-                "log": bd.log,
-                "next_tick": bd._next_tick,
-                "job_hold": bd._job_hold,
-                "avoid": bd._avoid,
-                "ticks": bd.ticks,
-                "migrations": bd.migrations,
-                "grows": bd.grows,
-                "shrinks": bd.shrinks,
-                "declined": bd.declined,
-            }
         return {
-            "records": self.records,
-            "pending": self.pending,
-            "queued": self.queued,
-            "running": self.running,
-            "done": self.done,
-            "state": self.state,
-            "driver": self.driver,
-            "brain": brain_state,
-            "now": self.now,
-            "events": self.events,
-            "occupied_node_seconds": self.occupied_node_seconds,
+            "core": self.core,
             "last_op_id": self.last_op_id,
             "submitted": self.submitted,
             "rejected": self.rejected,
@@ -560,36 +354,8 @@ class ServeEngine:
     def from_snapshot_state(cls, config, state: dict) -> "ServeEngine":
         """Rebuild a live engine from :meth:`snapshot_state` output."""
         engine = cls(config)
-        engine.records = state["records"]
-        engine.pending = state["pending"]
-        engine.queued = state["queued"]
-        engine.running = state["running"]
-        engine.done = state["done"]
-        engine.state = state["state"]
-        engine.driver = state["driver"]
-        if engine.driver is not None:
-            engine.state.health = engine.driver.health
-        brain_state = state["brain"]
-        if brain_state is not None:
-            from repro.brain.driver import BrainDriver
-
-            bd = BrainDriver(config.brain, brain_state["autotuner"], engine.scheduler)
-            bd.log = brain_state["log"]
-            bd._next_tick = brain_state["next_tick"]
-            bd._job_hold = brain_state["job_hold"]
-            bd._avoid = brain_state["avoid"]
-            bd.ticks = brain_state["ticks"]
-            bd.migrations = brain_state["migrations"]
-            bd.grows = brain_state["grows"]
-            bd.shrinks = brain_state["shrinks"]
-            bd.declined = brain_state["declined"]
-            engine.brain_driver = bd
-        else:
-            engine.brain_driver = None
-        engine.scheduler._brain_driver = engine.brain_driver
-        engine.now = state["now"]
-        engine.events = state["events"]
-        engine.occupied_node_seconds = state["occupied_node_seconds"]
+        engine.core = state["core"]
+        engine.core.scheduler = engine.scheduler
         engine.last_op_id = state["last_op_id"]
         engine.submitted = state["submitted"]
         engine.rejected = state["rejected"]

@@ -30,10 +30,10 @@ class _StubScheduler:
     def iteration_seconds(self, spec, *, nodes, contention=1.0, **_):
         return self.curves[spec][nodes]
 
-    def _hourly_rate(self, spec, nodes):
+    def hourly_rate(self, spec, nodes):
         return 2.0 * nodes
 
-    def _job_gpus(self, spec):
+    def job_gpus(self, spec):
         return 2
 
 

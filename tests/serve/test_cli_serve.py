@@ -63,6 +63,23 @@ class TestServe:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == first
 
+    def test_restart_over_old_format_snapshots_replays_the_journal(
+        self, tmp_path, capsys
+    ):
+        state = tmp_path / "s"
+        argv = [
+            "serve", "--config", str(SERVE_CONFIG), "--json",
+            "--script", str(DAY_OPS), "--state-dir", str(state),
+        ]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        slots = sorted(state.glob("snap-*.bin"))
+        assert slots
+        for slot in slots:  # a pre-RPSNAP02 daemon's slots
+            slot.write_bytes(b"RPSNAP01" + slot.read_bytes()[8:])
+        assert main(argv) == 0  # one-line-or-nothing: no traceback, exit 0
+        assert json.loads(capsys.readouterr().out) == first
+
     def test_set_overrides_reach_the_daemon(self, tmp_path, capsys):
         assert main([
             "serve", "--config", str(SERVE_CONFIG), "--json",

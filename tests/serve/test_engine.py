@@ -83,6 +83,29 @@ class TestBatchEquivalence:
         assert one.payload() == two.payload()
 
 
+class TestOneCore:
+    """The engine steps the batch path's own event loop, drivers included."""
+
+    def test_engine_drives_a_sched_run_built_by_the_scheduler(self):
+        from repro.sched import SchedRun
+
+        engine = engine_with(JOBS, serve_config(faults=FAULTS, brain=BRAIN))
+        assert isinstance(engine.core, SchedRun)
+        assert engine.core.scheduler is engine.scheduler
+        assert engine.records is engine.core.records and engine.now == 0.0
+        engine.apply_op({"op": "tick", "id": 8, "until": 35.0})
+        assert engine.now == engine.core.now == 35.0
+
+    def test_brain_sees_the_plan_checkpoint_interval_like_batch_does(self):
+        # The serve scheduler used to be built without the fault plan, so
+        # its brain priced rollbacks at the default 25 iterations.
+        from repro.brain.signals import build_observation
+
+        faults = {**FAULTS, "checkpoint_iterations": 7}
+        engine = engine_with(JOBS, serve_config(faults=faults, brain=BRAIN))
+        assert build_observation(engine.core).checkpoint_iterations == 7
+
+
 class TestAdmission:
     def test_unknown_job_key_rejected(self):
         engine = ServeEngine(serve_config())

@@ -89,6 +89,27 @@ class TestRestart:
         assert len(notes) == 1
         assert notes[0]["digest"] == again.engine.state_digest()
 
+    def test_old_format_snapshots_fall_back_to_full_journal_replay(self, tmp_path):
+        from repro.serve.snapshot import SLOT_NAMES, SNAPSHOT_MAGIC
+
+        runtime = ServeRuntime(CONFIG, tmp_path)
+        run_ops(runtime, OPS)  # snapshot_every=3: both slots get written
+        digest = runtime.engine.state_digest()
+        runtime.close()
+        # What a daemon from before the RPSNAP02 layout bump left behind:
+        # intact files whose magic this build no longer accepts.
+        for name in SLOT_NAMES:
+            slot = tmp_path / name
+            data = slot.read_bytes()
+            assert data.startswith(SNAPSHOT_MAGIC) and SNAPSHOT_MAGIC != b"RPSNAP01"
+            slot.write_bytes(b"RPSNAP01" + data[len(SNAPSHOT_MAGIC):])
+        recovered = ServeRuntime(CONFIG, tmp_path)
+        assert recovered.recovery["corrupt_snapshots"] == 2
+        assert recovered.recovery["snapshot_slot"] is None
+        assert recovered.recovery["replayed"] == len(OPS)  # from genesis
+        assert recovered.engine.state_digest() == digest
+        recovered.close()
+
     def test_tampered_audit_digest_fails_replay_loudly(self, tmp_path):
         runtime = ServeRuntime(CONFIG, tmp_path)
         run_ops(runtime, OPS[:2])  # below snapshot_every: replay from genesis
