@@ -7,22 +7,13 @@ the resulting :meth:`RunReport.bench_payload` passes the repo's
 seed.
 """
 
-import importlib.util
 import pathlib
 
 from repro.api import RunConfig, apply_overrides, run
+from repro.utils.bench import validate_bench_payload
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = REPO / "examples" / "configs" / "smoke.json"
-
-
-def _load_validator():
-    spec = importlib.util.spec_from_file_location(
-        "bench_conftest", pathlib.Path(__file__).resolve().parent / "conftest.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.validate_bench_payload
 
 
 def test_bench_api_smoke_payload(benchmark, save_result):
@@ -30,8 +21,7 @@ def test_bench_api_smoke_payload(benchmark, save_result):
     report = benchmark(lambda: run(config))
 
     payload = report.bench_payload("api_smoke")
-    validate = _load_validator()
-    validate(payload)  # raises on schema violations
+    validate_bench_payload(payload)  # raises on schema violations
 
     save_result(
         "api_smoke",
@@ -63,4 +53,4 @@ def test_bench_api_smoke_override(benchmark):
     )
     report = benchmark.pedantic(lambda: run(config), rounds=1, iterations=1)
     assert report.name == "smoke-dense"
-    _load_validator()(report.bench_payload())
+    validate_bench_payload(report.bench_payload())

@@ -21,22 +21,18 @@ Emits ``results/BENCH_brain_run.json``; the *committed* baseline lives
 at ``results/BENCH_brain.json`` and is never written by a bench run
 (updating it is a deliberate ``cp`` after a representative run).  The
 CI ``brain-smoke`` job gates fresh runs against it via
-``check_brain_regression.py``.
+``check_regression.py brain``.
 """
 
-import json
-
 import pytest
+from check_regression import assert_gates, table
 
 from repro.brain.drill import BRAIN_DRILL_BRAINS, brain_drills_payload
 from repro.exec.sweeper import ParallelSweeper
+from repro.utils.eventlog import canonical_json
 
 SEED = 7
 POOL_JOBS = 2
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.fixture(scope="module")
@@ -45,39 +41,26 @@ def drills(save_result):
     pooled = brain_drills_payload(
         seed=SEED, sweeper=ParallelSweeper("process", jobs=POOL_JOBS)
     )
-    deterministic = _canonical(serial) == _canonical(pooled)
+    deterministic = canonical_json(serial) == canonical_json(pooled)
 
-    rows = serial["rows"]
-    columns = serial["columns"]
-    save_result(
+    return save_result(
         "brain_run",
         serial["text"],
-        columns=columns,
-        rows=rows,
+        columns=serial["columns"],
+        rows=serial["rows"],
         meta={
             **serial["meta"],
             "deterministic": deterministic,
             "pool_jobs": POOL_JOBS,
         },
     )
-    index = {column: i for i, column in enumerate(columns)}
-    return {
-        "rows": rows,
-        "index": index,
-        "deterministic": deterministic,
-        "brains": serial["meta"]["brains"],
-        "digests": serial["meta"]["digests"],
-    }
 
 
 def test_bench_brain_determinism(benchmark, drills):
     """Serial and process-pool brain matrices match bit for bit."""
 
     def check():
-        assert drills["deterministic"], (
-            "brain-drill payload diverged between the serial loop and a "
-            f"{POOL_JOBS}-worker process pool"
-        )
+        assert_gates("brain", drills, "drill determinism")
         return True
 
     assert benchmark(check)
@@ -87,18 +70,17 @@ def test_bench_brain_covers_every_builtin(benchmark, drills):
     """One gray-storm run per built-in brain, static baseline included."""
 
     def check():
-        assert drills["brains"] == list(BRAIN_DRILL_BRAINS)
+        assert drills["meta"]["brains"] == list(BRAIN_DRILL_BRAINS)
         assert len(drills["rows"]) == len(BRAIN_DRILL_BRAINS)
-        idx = drills["index"]
-        by_brain = {row[idx["brain"]]: row for row in drills["rows"]}
+        by_brain = table(drills, "brain")
         # The static row is the true no-brain baseline: no decisions, no
         # decision log; every active brain pins a decision-log digest.
         static = by_brain["static"]
-        assert static[idx["brain_digest"]] is None
+        assert static["brain_digest"] is None
         for count in ("migrations", "shrinks", "grows", "declined"):
-            assert static[idx[count]] == 0, (count, static)
+            assert static[count] == 0, (count, static)
         for brain in ("throughput", "health-migrate"):
-            assert by_brain[brain][idx["brain_digest"]], brain
+            assert by_brain[brain]["brain_digest"], brain
         return True
 
     assert benchmark(check)
@@ -113,26 +95,7 @@ def test_bench_brain_beats_static(benchmark, drills):
     """
 
     def check():
-        idx = drills["index"]
-        by_brain = {row[idx["brain"]]: row for row in drills["rows"]}
-        static, brain = by_brain["static"], by_brain["health-migrate"]
-        assert brain[idx["storm_goodput"]] > static[idx["storm_goodput"]], (
-            "health-migrate goodput under the storm "
-            f"({brain[idx['storm_goodput']]}) does not beat static "
-            f"({static[idx['storm_goodput']]})"
-        )
-        assert brain[idx["mean_jct_s"]] < static[idx["mean_jct_s"]], (
-            f"health-migrate mean JCT ({brain[idx['mean_jct_s']]}) does "
-            f"not beat static ({static[idx['mean_jct_s']]})"
-        )
-        assert brain[idx["usd_per_kiter"]] < static[idx["usd_per_kiter"]], (
-            f"health-migrate $/kiter ({brain[idx['usd_per_kiter']]}) does "
-            f"not beat static ({static[idx['usd_per_kiter']]})"
-        )
-        assert brain[idx["fairness"]] >= static[idx["fairness"]], (
-            f"health-migrate finish-time fairness ({brain[idx['fairness']]}) "
-            f"is worse than static ({static[idx['fairness']]})"
-        )
+        assert_gates("brain", drills, "health-migrate beats static")
         return True
 
     assert benchmark(check)
@@ -142,19 +105,7 @@ def test_bench_brain_acts_on_the_storm(benchmark, drills):
     """The winning brain actually re-planned: decisions were applied."""
 
     def check():
-        idx = drills["index"]
-        by_brain = {row[idx["brain"]]: row for row in drills["rows"]}
-        brain = by_brain["health-migrate"]
-        applied = (
-            brain[idx["migrations"]] + brain[idx["shrinks"]] + brain[idx["grows"]]
-        )
-        assert applied >= 1, (
-            "health-migrate won without applying a single decision — the "
-            "win is not attributable to the brain"
-        )
-        assert brain[idx["migrations"]] >= 1, (
-            "the gray storm never triggered a health migration"
-        )
+        assert_gates("brain", drills, "health-migrate migrated")
         return True
 
     assert benchmark(check)
@@ -164,11 +115,9 @@ def test_bench_brain_deadlines_hold(benchmark, drills):
     """No brain may trade the deadline job away for throughput."""
 
     def check():
-        idx = drills["index"]
-        for row in drills["rows"]:
-            assert row[idx["deadline_hit_rate"]] == 1.0, (
-                f"{row[idx['brain']]}: bert-deadline missed its deadline "
-                "under the gray storm"
+        for brain, row in table(drills, "brain").items():
+            assert row["deadline_hit_rate"] == 1.0, (
+                f"{brain}: bert-deadline missed its deadline under the gray storm"
             )
         return True
 

@@ -6,9 +6,9 @@ Two measurements, one payload:
   scheme families x 2 seeds) run serially and through
   :class:`~repro.exec.ParallelSweeper` on the ``process`` backend at
   ``jobs`` in {2, 4}.  Whole independent runs parallelise embarrassingly,
-  so on a ≥4-core host ``jobs=4`` must clear ``EXEC_MIN_SWEEP_SPEEDUP``
-  (default 1.5x; the CI ``exec-smoke`` job gates on it via
-  ``check_exec_regression.py``).
+  so on a ≥4-core host ``jobs=4`` must clear the sweep-speedup floor
+  (1.5x; the CI ``exec-smoke`` job gates on it via
+  ``check_regression.py exec_scaling``).
 * **trainer scaling** — steps/sec of one ``W=8`` CNN trainer with the
   per-worker forward/backward fanned across the pool, reported for the
   record (per-step IPC makes this the harder win; the sweep ratio is
@@ -27,10 +27,10 @@ bench run (updating it is a deliberate ``cp`` after a representative
 run).
 """
 
-import os
 import time
 
 import pytest
+from check_regression import assert_gates
 
 from repro.api.config import RunConfig
 from repro.api.facade import run
@@ -155,7 +155,7 @@ def scaling(save_result):
             f"trainer, {cores} usable core(s)"
         ),
     )
-    save_result(
+    payload = save_result(
         "exec_scaling_run",
         text,
         columns=columns,
@@ -179,42 +179,25 @@ def scaling(save_result):
             "trainer_steps_per_sec_serial": round(trainer["serial"], 2),
         },
     )
-    return {"sweep": sweep, "trainer": trainer, "cores": cores}
-
-
-#: Acceptance floor for the jobs=4 sweep ratio on >= 4-core hosts.  CI
-#: runners deliver this comfortably (whole runs parallelise without
-#: synchronisation); contended hosts can lower it via the env knob.
-MIN_SWEEP_SPEEDUP = float(os.environ.get("EXEC_MIN_SWEEP_SPEEDUP", "1.5"))
-#: Cores needed before the speedup assert arms.
-GATE_CORES = 4
+    return {"trainer": trainer, "payload": payload}
 
 
 def test_bench_sweep_parity(benchmark, scaling):
     """Pool width never changes results — asserted on every host."""
 
     def check():
-        assert scaling["sweep"]["parity_ok"], "parallel sweep diverged from serial"
+        assert_gates("exec_scaling", scaling["payload"], "parallel sweep parity")
         return True
 
     assert benchmark(check)
 
 
 def test_bench_sweep_speedup(benchmark, scaling):
-    """jobs=4 clears the wall-clock floor wherever 4 cores exist."""
+    """jobs=4 clears the wall-clock floor wherever 4 cores exist (the
+    row reads ``cpu_count`` and does not apply below that)."""
 
     def check():
-        speedup = scaling["sweep"]["speedups"][4]
-        if scaling["cores"] < GATE_CORES:
-            print(
-                f"note: {scaling['cores']} usable core(s) < {GATE_CORES}; "
-                f"recording jobs=4 sweep speedup {speedup:.2f}x without asserting"
-            )
-            return True
-        assert speedup >= MIN_SWEEP_SPEEDUP, (
-            f"jobs=4 sweep speedup {speedup:.2f}x < {MIN_SWEEP_SPEEDUP}x "
-            f"on a {scaling['cores']}-core host"
-        )
+        assert_gates("exec_scaling", scaling["payload"], "jobs=4 sweep speedup floor")
         return True
 
     assert benchmark(check)

@@ -21,30 +21,19 @@ Emits ``results/BENCH_fault_drills_run.json``; the *committed* baseline
 lives at ``results/BENCH_fault_drills.json`` and is never written by a
 bench run (updating it is a deliberate ``cp`` after a representative
 run).  The CI ``faults-smoke`` job gates fresh runs against it via
-``check_faults_regression.py``.
+``check_regression.py fault_drills``.
 """
 
-import json
-
 import pytest
+from check_regression import MIN_GOODPUT_RATIO, assert_gates, table
 
 from repro.api.registry import SCHEMES
 from repro.exec.sweeper import ParallelSweeper
 from repro.faults.drill import POLICY_DRILL_POLICIES, STORM_EVENTS, drills_payload
+from repro.utils.eventlog import canonical_json
 
 SEED = 7
 POOL_JOBS = 2
-
-#: Goodput-under-storm floor: the storm costs rollback-replay work,
-#: degraded-NIC and gray-link iterations, and budget-blown checkpoint
-#: retries, but a scheme that keeps less than this fraction of its
-#: fault-free goodput has broken recovery, not slow recovery (the whole
-#: matrix sits near 0.063 under the seven-fault storm today).
-MIN_GOODPUT_RATIO = 0.05
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +42,13 @@ def drills(save_result):
     pooled = drills_payload(
         seed=SEED, sweeper=ParallelSweeper("process", jobs=POOL_JOBS)
     )
-    deterministic = _canonical(serial) == _canonical(pooled)
+    deterministic = canonical_json(serial) == canonical_json(pooled)
 
-    rows = serial["rows"]
-    columns = serial["columns"]
-    save_result(
+    return save_result(
         "fault_drills_run",
         serial["text"],
-        columns=columns,
-        rows=rows,
+        columns=serial["columns"],
+        rows=serial["rows"],
         meta={
             **serial["meta"],
             "deterministic": deterministic,
@@ -69,24 +56,13 @@ def drills(save_result):
             "min_goodput_ratio": MIN_GOODPUT_RATIO,
         },
     )
-    index = {column: i for i, column in enumerate(columns)}
-    return {
-        "rows": rows,
-        "index": index,
-        "deterministic": deterministic,
-        "schemes": serial["meta"]["schemes"],
-        "policy_drill": serial["meta"]["policy_drill"],
-    }
 
 
 def test_bench_drills_determinism(benchmark, drills):
     """Serial and process-pool drill matrices match bit for bit."""
 
     def check():
-        assert drills["deterministic"], (
-            "fault-drill payload diverged between the serial loop and a "
-            f"{POOL_JOBS}-worker process pool"
-        )
+        assert_gates("fault_drills", drills, "drill determinism")
         return True
 
     assert benchmark(check)
@@ -96,7 +72,7 @@ def test_bench_drills_cover_every_scheme(benchmark, drills):
     """One storm + baseline pair per registered scheme, none skipped."""
 
     def check():
-        assert drills["schemes"] == SCHEMES.available()
+        assert drills["meta"]["schemes"] == SCHEMES.available()
         assert len(drills["rows"]) == len(SCHEMES.available())
         return True
 
@@ -107,15 +83,9 @@ def test_bench_drills_recover(benchmark, drills):
     """Every scheme detects and recovers from the full composed storm."""
 
     def check():
-        idx = drills["index"]
-        for row in drills["rows"]:
-            scheme = row[idx["scheme"]]
-            assert row[idx["injected"]] == len(STORM_EVENTS), (scheme, row)
-            assert row[idx["recovered"]] == row[idx["injected"]], (scheme, row)
-            assert row[idx["absorbed"]] == 0, (scheme, row)
-            assert row[idx["corrupt_checkpoints"]] >= 1, (
-                f"{scheme}: the corrupted checkpoint was never detected"
-            )
+        assert_gates("fault_drills", drills, "storm recovery")
+        for scheme, row in table(drills, "scheme").items():
+            assert row["injected"] == len(STORM_EVENTS), (scheme, row)
         return True
 
     assert benchmark(check)
@@ -125,23 +95,9 @@ def test_bench_policy_drill_fault_aware_wins(benchmark, drills):
     """Reading the health ledger must pay: fault-aware beats fault-blind."""
 
     def check():
-        drill = drills["policy_drill"]
-        idx = {column: i for i, column in enumerate(drill["columns"])}
-        by_policy = {row[idx["policy"]]: row for row in drill["rows"]}
-        assert set(by_policy) == set(POLICY_DRILL_POLICIES)
-        aware = by_policy["fault-aware"]
-        for blind in ("bin-pack", "spread", "network-aware"):
-            assert (
-                aware[idx["storm_goodput"]] > by_policy[blind][idx["storm_goodput"]]
-            ), (
-                f"fault-aware goodput under the gray storm "
-                f"({aware[idx['storm_goodput']]}) does not beat {blind} "
-                f"({by_policy[blind][idx['storm_goodput']]})"
-            )
-        # The storm's flap train must actually trip the ledger, on every
-        # policy (the health timeline is policy-independent).
-        for policy, row in by_policy.items():
-            assert row[idx["quarantines"]] >= 1, (policy, row)
+        drill = drills["meta"]["policy_drill"]
+        assert set(table(drill, "policy")) == set(POLICY_DRILL_POLICIES)
+        assert_gates("fault_drills", drills, "fault-aware beats fault-blind")
         assert set(drill["digests"]) == set(POLICY_DRILL_POLICIES)
         return True
 
@@ -152,13 +108,7 @@ def test_bench_drills_goodput_floor(benchmark, drills):
     """Goodput under the storm clears the recovery-is-working floor."""
 
     def check():
-        idx = drills["index"]
-        for row in drills["rows"]:
-            ratio = row[idx["goodput_ratio"]]
-            assert ratio is not None and ratio >= MIN_GOODPUT_RATIO, (
-                f"{row[idx['scheme']]}: goodput ratio {ratio} under the "
-                f"storm fell below the {MIN_GOODPUT_RATIO} floor"
-            )
+        assert_gates("fault_drills", drills, "goodput floor under the storm")
         return True
 
     assert benchmark(check)

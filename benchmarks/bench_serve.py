@@ -10,7 +10,7 @@ mid-journal-append — with restart, at-least-once resend, and a
 byte-compare of the recovered payload.
 
 The gates this bench feeds (hard in CI via
-``check_serve_regression.py``):
+``check_regression.py serve``):
 
 * **kill-anywhere** — every injection point recovers to a
   byte-identical payload with zero acknowledged submissions lost;
@@ -30,6 +30,7 @@ import shutil
 import tempfile
 
 import pytest
+from check_regression import assert_gates
 
 from repro.api.config import ServeConfig
 from repro.serve.drill import DEFAULT_POINTS, RecoveryDrill, ops_from_script
@@ -37,12 +38,6 @@ from repro.serve.drill import DEFAULT_POINTS, RecoveryDrill, ops_from_script
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_PATH = REPO / "examples" / "configs" / "serve_smoke.json"
 OPS_PATH = REPO / "examples" / "serve" / "day_ops.jsonl"
-
-#: Worst-case acceptable restart cost for the day-of-ops state, seconds.
-#: Measured ~5 ms on a dev core; the ceiling is 100x that to stay hard
-#: on the slowest CI runner while still catching a replay-from-genesis
-#: regression (a lost snapshot path multiplies replay length).
-MAX_RECOVERY_S = 2.0
 
 COLUMNS = (
     "point",
@@ -97,7 +92,7 @@ def serve_drill(save_result):
     lines = ["  ".join(c.ljust(w) for c, w in zip(COLUMNS, widths))]
     for row in rows:
         lines.append("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    save_result(
+    payload = save_result(
         "serve_run",
         "\n".join(lines),
         columns=list(COLUMNS),
@@ -114,19 +109,14 @@ def serve_drill(save_result):
             "deterministic": deterministic,
         },
     )
-    return {"result": result, "rows": rows, "deterministic": deterministic}
+    return {"result": result, "payload": payload}
 
 
 def test_bench_serve_kill_anywhere(benchmark, serve_drill):
     """Every injection point recovers byte-identically, losing nothing."""
 
     def check():
-        result = serve_drill["result"]
-        assert result["all_match"], result
-        assert result["lost_acked_total"] == 0, result
-        for point in result["points"]:
-            assert point["payload_match"], point
-            assert point["lost_acked"] == 0, point
+        assert_gates("serve", serve_drill["payload"], "kill-anywhere recovery")
         return True
 
     assert benchmark(check)
@@ -154,9 +144,7 @@ def test_bench_serve_determinism(benchmark, serve_drill):
     """Two independent uninterrupted runs produce identical payload bytes."""
 
     def check():
-        assert serve_drill["deterministic"], (
-            "two reference serve runs of the same op stream diverged"
-        )
+        assert_gates("serve", serve_drill["payload"], "reference determinism")
         assert serve_drill["result"]["reference_digest"]
         return True
 
@@ -167,12 +155,7 @@ def test_bench_serve_recovery_bounded(benchmark, serve_drill):
     """Worst-case restart cost stays under the wall-clock ceiling."""
 
     def check():
-        worst = serve_drill["result"]["max_recovery_s"]
-        assert worst <= MAX_RECOVERY_S, (
-            f"worst-case recovery took {worst:.3f}s "
-            f"(ceiling {MAX_RECOVERY_S}s) — snapshot loading or journal "
-            "replay regressed"
-        )
+        assert_gates("serve", serve_drill["payload"], "worst-case recovery ceiling")
         return True
 
     assert benchmark(check)

@@ -8,8 +8,7 @@ Machine-readable results: every ``save_result`` call also emits a
 schema-checked ``results/BENCH_<name>.json`` so benchmark outputs can be
 tracked as trajectories across commits.  Benches that pass structured
 ``columns``/``rows`` get first-class tabular JSON; the rest get the text
-artefact wrapped in the same envelope.  :func:`validate_bench_payload`
-is the single source of truth for the schema.
+artefact wrapped in the same envelope (:mod:`repro.utils.bench`).
 """
 
 from __future__ import annotations
@@ -19,69 +18,10 @@ import pathlib
 
 import pytest
 
+from repro.utils.bench import bench_payload, validate_bench_payload
 from repro.utils.seeding import new_rng
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-#: Bump when the BENCH_*.json envelope changes shape.
-BENCH_SCHEMA_VERSION = 1
-
-#: Keys every BENCH_*.json must carry.
-REQUIRED_KEYS = ("bench", "schema_version", "structured")
-
-
-def validate_bench_payload(payload: dict) -> dict:
-    """Check a BENCH_*.json payload against the output schema.
-
-    Schema (version 1):
-
-    * ``bench`` — artefact name (non-empty string);
-    * ``schema_version`` — :data:`BENCH_SCHEMA_VERSION`;
-    * ``structured`` — bool; when true, ``columns`` (list of str) and
-      ``rows`` (list of rows, each matching ``columns`` in length and
-      containing only JSON scalars) are required;
-    * ``text`` — the rendered text artefact (always present);
-    * ``meta`` — optional dict of free-form scalars.
-
-    Returns the payload unchanged; raises ``ValueError`` on violations.
-    """
-    for key in REQUIRED_KEYS:
-        if key not in payload:
-            raise ValueError(f"bench payload missing required key {key!r}")
-    if not isinstance(payload["bench"], str) or not payload["bench"]:
-        raise ValueError("bench payload 'bench' must be a non-empty string")
-    if payload["schema_version"] != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"bench payload schema_version {payload['schema_version']!r} != "
-            f"{BENCH_SCHEMA_VERSION}"
-        )
-    if not isinstance(payload.get("text"), str):
-        raise ValueError("bench payload 'text' must be a string")
-    meta = payload.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError("bench payload 'meta' must be a dict")
-    if payload["structured"]:
-        columns = payload.get("columns")
-        rows = payload.get("rows")
-        if not isinstance(columns, list) or not columns or not all(
-            isinstance(c, str) for c in columns
-        ):
-            raise ValueError("structured payload needs a non-empty str 'columns' list")
-        if not isinstance(rows, list):
-            raise ValueError("structured payload needs a 'rows' list")
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != len(columns):
-                raise ValueError(
-                    f"row {i} has {len(row) if isinstance(row, list) else 'no'} "
-                    f"cells, expected {len(columns)}"
-                )
-            for cell in row:
-                if not isinstance(cell, (str, int, float, bool, type(None))):
-                    raise ValueError(
-                        f"row {i} contains non-scalar cell {cell!r} "
-                        f"({type(cell).__name__})"
-                    )
-    return payload
 
 
 @pytest.fixture(scope="session")
@@ -95,9 +35,9 @@ def save_result(results_dir):
     """``save_result(name, text, *, columns=, rows=, meta=)``.
 
     Writes the text artefact under ``results/<name>.txt`` and a
-    schema-checked JSON twin under ``results/BENCH_<name>.json``.  Pass
-    ``columns``/``rows`` to make the JSON structured (preferred); the
-    row cells must be JSON scalars.
+    schema-checked JSON twin under ``results/BENCH_<name>.json``, and
+    returns the payload.  Pass ``columns``/``rows`` to make the JSON
+    structured (preferred); the row cells must be JSON scalars.
     """
 
     def _save(
@@ -107,30 +47,17 @@ def save_result(results_dir):
         columns: list[str] | None = None,
         rows: list[list] | None = None,
         meta: dict | None = None,
-    ) -> pathlib.Path:
-        if (columns is None) != (rows is None):
-            raise ValueError("pass columns and rows together (or neither)")
-        normalized = text if text.endswith("\n") else text + "\n"
-        payload: dict = {
-            "bench": name,
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "structured": columns is not None,
-            "text": normalized,
-        }
-        if columns is not None:
-            payload["columns"] = list(columns)
-            payload["rows"] = [list(row) for row in rows]
-        if meta:
-            payload["meta"] = dict(meta)
+    ) -> dict:
         # Validate before touching disk so a schema violation never
         # leaves a text artefact without its JSON twin.
-        validate_bench_payload(payload)
-        path = results_dir / f"{name}.txt"
-        path.write_text(normalized)
+        payload = validate_bench_payload(
+            bench_payload(name, text=text, columns=columns, rows=rows, meta=meta)
+        )
+        (results_dir / f"{name}.txt").write_text(payload["text"])
         (results_dir / f"BENCH_{name}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
-        return path
+        return payload
 
     return _save
 

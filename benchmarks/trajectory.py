@@ -1,7 +1,7 @@
 """Collect ``results/BENCH_*.json`` payloads into one trajectory file.
 
 Every benchmark emits a schema-checked ``BENCH_<name>.json`` (see
-``benchmarks/conftest.py``).  This tool folds the current crop into
+:mod:`repro.utils.bench`).  This tool folds the current crop into
 ``results/TRAJECTORY.json`` — a per-bench series keyed by commit — so
 benchmark metrics can be tracked across the repository's history:
 
@@ -15,35 +15,37 @@ benchmark metrics can be tracked across the repository's history:
 Usage::
 
     python benchmarks/trajectory.py [--results-dir results]
-        [--out results/TRAJECTORY.json] [--commit SHA]
-        [--exclude GLOB ...] [--include-runs]
+        [--out results/TRAJECTORY.json] [--commit SHA] [--include-runs]
 
-``BENCH_*_run.json`` payloads are skipped by default: they are the
-fresh-measurement twins the perf gates compare against committed
-baselines (same bench name, same schema), so folding both in would let
-whichever was written last clobber the series entry.  Pass
-``--include-runs`` to fold them in deliberately.
-
-CI runs this after the smoke benchmarks and uploads the result as an
-artifact, excluding committed baseline payloads (``--exclude``) so a
-stale checked-in measurement is never stamped onto the current commit;
-committing the file is optional (the series merges).
+The committed baselines the regression gate compares against
+(``BENCH_<bench>.json`` for every bench in ``check_regression.GATES``)
+are never folded in: they were measured at an older commit, and a stale
+checked-in measurement must not be stamped onto the current one.
+Their fresh-measurement twins (``BENCH_*_run.json``) are skipped by
+default too; CI passes ``--include-runs`` after a gate job so the run
+it just measured joins the series, and uploads the result as an
+artifact (committing the file is optional: the series merges).
 """
 
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import pathlib
 import subprocess
 import sys
 
+from check_regression import GATES
+from repro.utils.bench import BENCH_SCHEMA_VERSION
+
 #: Bump when the trajectory envelope changes shape.
 TRAJECTORY_SCHEMA_VERSION = 1
 
-#: Fresh-measurement payloads skipped unless ``--include-runs``.
-RUN_PAYLOAD_GLOB = "BENCH_*_run.json"
+#: Fresh-measurement payloads (skipped unless ``--include-runs``) end so.
+RUN_SUFFIX = "_run.json"
+
+#: Committed baselines: exactly the gated benches, never folded in.
+BASELINE_NAMES = frozenset(f"BENCH_{bench}.json" for bench in GATES)
 
 
 def current_commit(repo_root: pathlib.Path) -> str:
@@ -98,23 +100,19 @@ def collect(
     out_path: pathlib.Path,
     commit: str,
     *,
-    exclude: tuple[str, ...] = (),
     include_runs: bool = False,
 ) -> dict:
     """Merge the current BENCH payloads into the trajectory at ``out_path``.
 
-    ``exclude`` holds filename globs (e.g. ``BENCH_perf_hotpath.json``)
-    for payloads that must not be stamped onto ``commit`` — typically
-    committed baselines measured at an older commit.  ``*_run``
-    fresh-measurement payloads are excluded unless ``include_runs``.
+    Committed baselines (:data:`BASELINE_NAMES`) are never stamped onto
+    ``commit``; ``*_run`` fresh-measurement payloads only with
+    ``include_runs``.
     """
-    patterns = tuple(exclude)
-    if not include_runs:
-        patterns += (RUN_PAYLOAD_GLOB,)
     paths = [
         path
         for path in sorted(results_dir.glob("BENCH_*.json"))
-        if not any(fnmatch.fnmatch(path.name, pattern) for pattern in patterns)
+        if path.name not in BASELINE_NAMES
+        and (include_runs or not path.name.endswith(RUN_SUFFIX))
     ]
     if not paths:
         raise SystemExit(f"error: no BENCH_*.json files under {results_dir}")
@@ -141,8 +139,11 @@ def collect(
     for path in paths:
         payload = json.loads(path.read_text())
         name = payload.get("bench")
-        if not name or payload.get("schema_version") != 1:
-            print(f"skipping {path.name}: not a schema-1 BENCH payload")
+        if not name or payload.get("schema_version") != BENCH_SCHEMA_VERSION:
+            print(
+                f"skipping {path.name}: not a schema-{BENCH_SCHEMA_VERSION} "
+                "BENCH payload"
+            )
             continue
         series = trajectory["benches"].setdefault(name, {})
         series[commit] = bench_entry(payload)
@@ -177,14 +178,6 @@ def main(argv: list[str] | None = None) -> int:
         help="commit id to key this crop under (default: git rev-parse --short HEAD)",
     )
     parser.add_argument(
-        "--exclude",
-        action="append",
-        default=[],
-        metavar="GLOB",
-        help="filename glob(s) to skip, e.g. committed baselines measured "
-        "at an older commit (repeatable)",
-    )
-    parser.add_argument(
         "--include-runs",
         action="store_true",
         help="also fold BENCH_*_run.json fresh-measurement payloads in "
@@ -196,13 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         pathlib.Path(args.out) if args.out else results_dir / "TRAJECTORY.json"
     )
     commit = args.commit or current_commit(repo_root)
-    collect(
-        results_dir,
-        out_path,
-        commit,
-        exclude=tuple(args.exclude),
-        include_runs=args.include_runs,
-    )
+    collect(results_dir, out_path, commit, include_runs=args.include_runs)
     return 0
 
 

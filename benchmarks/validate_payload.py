@@ -1,10 +1,10 @@
-"""Validate a ``BENCH_*.json`` payload against the output schema.
+"""Validate ``BENCH_*.json`` payloads against the envelope schema.
 
-Thin CLI over ``benchmarks/conftest.py::validate_bench_payload`` (the
-single source of truth) so CI jobs share one checked-in validator
-instead of duplicating inline heredocs::
+The CLI over :func:`repro.utils.bench.validate_bench_payload` for
+payloads no regression gate covers (``python -m repro ... --json``
+output); needs ``PYTHONPATH=src`` like everything else here::
 
-    python benchmarks/validate_payload.py results/BENCH_perf_hotpath_run.json
+    python benchmarks/validate_payload.py smoke_payload.json
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ import json
 import pathlib
 import sys
 
-_HERE = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(_HERE))
-# conftest imports repro; make the src layout importable without an
-# installed package or PYTHONPATH.
-sys.path.insert(0, str(_HERE.parent / "src"))
-from conftest import validate_bench_payload  # noqa: E402
+from repro.utils.bench import validate_bench_payload
 
 
 def main(argv: list[str]) -> int:

@@ -421,18 +421,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_facade(config)
-    payload = report.bench_payload()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(payload["text"], end="")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if not args.json:
-            print(f"[payload written to {out}]")
+    _emit_payload(run_facade(config).bench_payload(), args)
     return 0
 
 
@@ -481,16 +470,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         payload = payload_for_reports(
             list(reports.values()), bench=f"sched_{config.name}"
         )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(payload["text"], end="")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if not args.json:
-            print(f"[payload written to {out}]")
+    _emit_payload(payload, args)
     return 0
 
 
@@ -565,7 +545,7 @@ def _serve_ops(args: argparse.Namespace) -> list[dict]:
 
 
 def _emit_payload(payload: dict, args: argparse.Namespace) -> None:
-    """Shared --json/--out emission (same contract as run/sched)."""
+    """The --json/--out emission shared by run, sched and serve."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

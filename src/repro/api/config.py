@@ -15,17 +15,35 @@ time, not an hour into a sweep.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import pathlib
+import types
+import typing
 from dataclasses import dataclass, field, fields
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 
 class ConfigError(ValueError):
     """A malformed or unresolvable run configuration."""
 
 
+@functools.cache
+def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:
+    """``{field: (scalar type, nullable)}`` for the int/float/str/bool
+    (and ``| None``) fields of a config dataclass; every other field is
+    checked by the code that parses it."""
+    scalars = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        kinds = [arg for arg in args if arg is not type(None)]
+        if len(kinds) == 1 and kinds[0] in (int, float, str, bool):
+            scalars[name] = (kinds[0], len(args) > 1)
+    return scalars
+
+
 def _check_keys(section: str, data: dict, cls) -> None:
+    """Reject unknown keys and wrong-typed scalar values of a section."""
     allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - allowed)
     if unknown:
@@ -33,6 +51,19 @@ def _check_keys(section: str, data: dict, cls) -> None:
             f"unknown key(s) {', '.join(map(repr, unknown))} in {section!r}; "
             f"accepted keys: {', '.join(sorted(allowed))}"
         )
+    scalars = _scalar_fields(cls)
+    for key, value in data.items():
+        kind, nullable = scalars.get(key, (None, True))
+        if kind is None or (value is None and nullable):
+            continue
+        # JSON has one number type: an int is a fine float, but a bool
+        # (an int subclass) is never a number here.
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+            raise ConfigError(
+                f"{section}.{key} must be {kind.__name__}"
+                f"{' or null' if nullable else ''}, got {value!r}"
+            )
 
 
 def _from_dict(section: str, data: Any, cls):
@@ -40,6 +71,43 @@ def _from_dict(section: str, data: Any, cls):
         raise ConfigError(f"{section!r} must be a mapping, got {type(data).__name__}")
     _check_keys(section, data, cls)
     return cls(**data)
+
+
+def _validate_cluster(cluster: "ClusterConfig") -> None:
+    from repro.api import registry
+
+    if cluster.instance not in registry.CLUSTERS:
+        raise ConfigError(
+            f"unknown cluster instance {cluster.instance!r}; "
+            f"registered: {', '.join(registry.CLUSTERS.available())}"
+        )
+    if cluster.num_nodes < 1 or cluster.gpus_per_node < 1:
+        raise ConfigError("cluster num_nodes and gpus_per_node must be >= 1")
+
+
+class _JsonConfig:
+    """JSON file/text round trip of the three top-level configs (each
+    names its ``KIND`` and supplies ``from_dict`` / ``to_dict``)."""
+
+    KIND: ClassVar[str]
+
+    @classmethod
+    def from_json(cls, text: str, *, validate: bool = True):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON {cls.KIND} config: {exc}") from exc
+        return cls.from_dict(data, validate=validate)
+
+    @classmethod
+    def from_file(cls, path: str | pathlib.Path, *, validate: bool = True):
+        path = pathlib.Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        return cls.from_json(path.read_text(), validate=validate)
+
+    def to_json(self, *, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -348,8 +416,10 @@ def _validate_brain(brain: BrainConfig) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_JsonConfig):
     """Everything one run needs, serializable and seed-complete."""
+
+    KIND: ClassVar[str] = "run"
 
     #: Run label (non-empty); becomes the ``run_<name>`` bench id.
     name: str = "run"
@@ -389,21 +459,6 @@ class RunConfig:
             config.validate()
         return config
 
-    @classmethod
-    def from_json(cls, text: str, *, validate: bool = True) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON run config: {exc}") from exc
-        return cls.from_dict(data, validate=validate)
-
-    @classmethod
-    def from_file(cls, path: str | pathlib.Path, *, validate: bool = True) -> "RunConfig":
-        path = pathlib.Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_json(path.read_text(), validate=validate)
-
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         data = {
@@ -420,9 +475,6 @@ class RunConfig:
             data["faults"] = _faults_to_dict(self.faults)
         return data
 
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
     # -- validation --------------------------------------------------------
     def validate(self) -> "RunConfig":
         """Check names against the registries and values for sanity."""
@@ -430,11 +482,7 @@ class RunConfig:
 
         if not self.name:
             raise ConfigError("run 'name' must be a non-empty string")
-        if self.cluster.instance not in registry.CLUSTERS:
-            raise ConfigError(
-                f"unknown cluster instance {self.cluster.instance!r}; "
-                f"registered: {', '.join(registry.CLUSTERS.available())}"
-            )
+        _validate_cluster(self.cluster)
         if self.comm.scheme not in registry.SCHEMES:
             raise ConfigError(
                 f"unknown comm scheme {self.comm.scheme!r}; "
@@ -450,8 +498,6 @@ class RunConfig:
                 f"unknown model {self.train.model!r}; "
                 f"registered: {', '.join(registry.MODELS.available())}"
             )
-        if self.cluster.num_nodes < 1 or self.cluster.gpus_per_node < 1:
-            raise ConfigError("cluster num_nodes and gpus_per_node must be >= 1")
         if not 0 < self.comm.density <= 1:
             raise ConfigError(f"comm density must be in (0, 1], got {self.comm.density}")
         if self.train.epochs < 1 or self.train.local_batch < 1 or self.train.num_samples < 1:
@@ -551,13 +597,15 @@ class JobConfig:
 
 
 @dataclass(frozen=True)
-class SchedConfig:
+class SchedConfig(_JsonConfig):
     """A multi-tenant scheduling scenario: shared cluster + job queue.
 
     ``python -m repro sched --config <file>`` runs the scenario once per
     entry in ``policies`` and emits one combined BENCH payload, so a
     single config file is a policy comparison.
     """
+
+    KIND: ClassVar[str] = "sched"
 
     #: Scenario label (non-empty); becomes the ``sched_<name>`` bench id.
     name: str = "sched"
@@ -631,23 +679,6 @@ class SchedConfig:
             config.validate()
         return config
 
-    @classmethod
-    def from_json(cls, text: str, *, validate: bool = True) -> "SchedConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON sched config: {exc}") from exc
-        return cls.from_dict(data, validate=validate)
-
-    @classmethod
-    def from_file(
-        cls, path: str | pathlib.Path, *, validate: bool = True
-    ) -> "SchedConfig":
-        path = pathlib.Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_json(path.read_text(), validate=validate)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -674,21 +705,10 @@ class SchedConfig:
             "exec": dataclasses.asdict(self.exec),
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
     def validate(self) -> "SchedConfig":
-        from repro.api import registry
-
         if not self.name:
             raise ConfigError("sched 'name' must be a non-empty string")
-        if self.cluster.instance not in registry.CLUSTERS:
-            raise ConfigError(
-                f"unknown cluster instance {self.cluster.instance!r}; "
-                f"registered: {', '.join(registry.CLUSTERS.available())}"
-            )
-        if self.cluster.num_nodes < 1 or self.cluster.gpus_per_node < 1:
-            raise ConfigError("cluster num_nodes and gpus_per_node must be >= 1")
+        _validate_cluster(self.cluster)
         if not self.policies:
             raise ConfigError("sched 'policies' must name at least one policy")
         from repro.sched.policies import POLICIES
@@ -740,7 +760,7 @@ class SchedConfig:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(_JsonConfig):
     """The always-on scheduler daemon (``python -m repro serve``).
 
     Unlike :class:`SchedConfig` — one pre-declared batch, one policy
@@ -748,6 +768,8 @@ class ServeConfig:
     placement policy, jobs submitted while the clock runs, durable state
     under ``--state-dir``.  See ``docs/serve.md``.
     """
+
+    KIND: ClassVar[str] = "serve"
 
     #: Service label (non-empty); becomes the ``serve_<name>`` bench id.
     name: str = "serve"
@@ -798,23 +820,6 @@ class ServeConfig:
             config.validate()
         return config
 
-    @classmethod
-    def from_json(cls, text: str, *, validate: bool = True) -> "ServeConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON serve config: {exc}") from exc
-        return cls.from_dict(data, validate=validate)
-
-    @classmethod
-    def from_file(
-        cls, path: str | pathlib.Path, *, validate: bool = True
-    ) -> "ServeConfig":
-        path = pathlib.Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_json(path.read_text(), validate=validate)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -837,21 +842,10 @@ class ServeConfig:
             "max_events_per_tick": self.max_events_per_tick,
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
     def validate(self) -> "ServeConfig":
-        from repro.api import registry
-
         if not self.name:
             raise ConfigError("serve 'name' must be a non-empty string")
-        if self.cluster.instance not in registry.CLUSTERS:
-            raise ConfigError(
-                f"unknown cluster instance {self.cluster.instance!r}; "
-                f"registered: {', '.join(registry.CLUSTERS.available())}"
-            )
-        if self.cluster.num_nodes < 1 or self.cluster.gpus_per_node < 1:
-            raise ConfigError("cluster num_nodes and gpus_per_node must be >= 1")
+        _validate_cluster(self.cluster)
         from repro.sched.policies import POLICIES
 
         if self.policy not in POLICIES:

@@ -22,12 +22,8 @@ from repro.api.registry import (
     build_scheme,
     build_workload,
 )
+from repro.utils.bench import bench_payload
 from repro.utils.seeding import new_rng
-from repro.utils.tables import format_table
-
-#: Keep in sync with ``benchmarks/conftest.py::BENCH_SCHEMA_VERSION``
-#: (the CI schema gate checks both producers).
-BENCH_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -63,18 +59,12 @@ class RunReport:
     def bench_payload(self, bench: str | None = None) -> dict:
         """A ``BENCH_*.json``-compatible payload (schema version 1)."""
         columns = sorted(self.summary)
-        rows = [[self.summary[c] for c in columns]]
-        text = format_table(
-            columns, rows, title=f"{self.name}: {self.model} / {self.scheme} ({self.mode})"
-        )
-        return {
-            "bench": bench or f"run_{self.name}",
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "structured": True,
-            "columns": columns,
-            "rows": rows,
-            "text": text if text.endswith("\n") else text + "\n",
-            "meta": {
+        return bench_payload(
+            bench or f"run_{self.name}",
+            title=f"{self.name}: {self.model} / {self.scheme} ({self.mode})",
+            columns=columns,
+            rows=[[self.summary[c] for c in columns]],
+            meta={
                 "mode": self.mode,
                 "scheme": self.scheme,
                 "model": self.model,
@@ -82,7 +72,7 @@ class RunReport:
                 "seed": self.seed,
                 **({"faults": self.faults} if self.faults is not None else {}),
             },
-        }
+        )
 
     def format(self) -> str:
         """Human-readable one-run summary table."""
@@ -368,4 +358,4 @@ def _sched_fault_plan(config):
     return FaultPlan.from_config(config.faults, seed=config.seed, target="sched")
 
 
-__all__ = ["run", "run_sched", "preflight", "RunReport", "BENCH_SCHEMA_VERSION"]
+__all__ = ["run", "run_sched", "preflight", "RunReport"]

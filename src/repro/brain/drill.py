@@ -29,10 +29,7 @@ from __future__ import annotations
 
 from repro.api.config import SchedConfig
 from repro.faults.drill import GRAY_STORM_EVENTS, GRAY_STORM_HEALTH, gray_storm_config
-from repro.utils.tables import format_table
-
-#: Keep in sync with ``benchmarks/conftest.py::BENCH_SCHEMA_VERSION``.
-BENCH_SCHEMA_VERSION = 1
+from repro.utils.bench import bench_payload
 
 #: Brains the drill compares (static first: it is the baseline every
 #: active brain must beat).
@@ -173,20 +170,15 @@ def brain_drills_payload(
 ) -> dict:
     """One BENCH-schema payload covering the brain drill matrix."""
     results = run_brain_drills(brains, seed=seed, sweeper=sweeper)
-    rows = [[result[column] for column in BRAIN_DRILL_COLUMNS] for result in results]
-    title = (
-        f"{bench}: {len(results)} brains x gray storm under "
-        f"{BRAIN_DRILL_POLICY} (seed {seed})"
-    )
-    text = format_table(BRAIN_DRILL_COLUMNS, rows, title=title)
-    return {
-        "bench": bench,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "structured": True,
-        "columns": list(BRAIN_DRILL_COLUMNS),
-        "rows": rows,
-        "text": text if text.endswith("\n") else text + "\n",
-        "meta": {
+    return bench_payload(
+        bench,
+        title=(
+            f"{bench}: {len(results)} brains x gray storm under "
+            f"{BRAIN_DRILL_POLICY} (seed {seed})"
+        ),
+        columns=BRAIN_DRILL_COLUMNS,
+        rows=[[result[column] for column in BRAIN_DRILL_COLUMNS] for result in results],
+        meta={
             "seed": seed,
             "policy": BRAIN_DRILL_POLICY,
             "brains": [result["brain"] for result in results],
@@ -200,7 +192,7 @@ def brain_drills_payload(
                 for result in results
             },
         },
-    }
+    )
 
 
 __all__ = [

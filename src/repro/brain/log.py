@@ -1,7 +1,8 @@
 """Structured, wall-clock-free brain decision log.
 
-Mirrors :class:`~repro.faults.log.FaultLog` for the autotuner: every
-decision tick and every applied/declined action appends one entry —
+The autotuner's :class:`~repro.utils.eventlog.EventLog` (the class the
+fault log also specialises): every decision tick and every
+applied/declined action appends one entry —
 
 ``{"seq", "t", "phase", "job", "detail"?}``
 
@@ -13,8 +14,7 @@ byte-identical across hosts, repeat runs, and any ``--jobs`` width.
 
 from __future__ import annotations
 
-import hashlib
-import json
+from repro.utils.eventlog import EventLog
 
 #: The lifecycle phases a brain-log entry can record: ``tick`` opens a
 #: decision round, the three action kinds record applied decisions, and
@@ -23,63 +23,11 @@ import json
 PHASES = ("tick", "migrate", "shrink", "grow", "decline")
 
 
-class BrainLog:
-    """Append-only decision log with deterministic serialisation."""
+class BrainLog(EventLog):
+    """The brain decision log: :class:`EventLog` keyed by job."""
 
-    def __init__(self) -> None:
-        self._entries: list[dict] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def append(self, phase: str, *, t: float, job: str, **detail) -> dict:
-        """Record one decision step; returns the entry."""
-        if phase not in PHASES:
-            raise ValueError(f"unknown log phase {phase!r}; expected one of {PHASES}")
-        entry = {
-            "seq": len(self._entries),
-            "t": round(float(t), 9),
-            "phase": phase,
-            "job": str(job),
-        }
-        if detail:
-            entry["detail"] = {
-                key: _jsonable(value) for key, value in sorted(detail.items())
-            }
-        self._entries.append(entry)
-        return entry
-
-    def to_dicts(self) -> list[dict]:
-        """A deep-enough copy safe to embed in payloads."""
-        return [
-            {**entry, **({"detail": dict(entry["detail"])} if "detail" in entry else {})}
-            for entry in self._entries
-        ]
-
-    def to_json(self) -> str:
-        """Canonical serialisation (sorted keys, no whitespace)."""
-        return json.dumps(self._entries, sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Short stable hash of the canonical serialisation."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
-
-    def phase_counts(self) -> dict[str, int]:
-        counts = {phase: 0 for phase in PHASES}
-        for entry in self._entries:
-            counts[entry["phase"]] += 1
-        return {phase: n for phase, n in counts.items() if n}
-
-
-def _jsonable(value):
-    """Coerce a detail value to JSON scalars/lists (fail loudly otherwise)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"brain log detail values must be JSON scalars, got {value!r}")
+    PHASES = PHASES
+    KEYS = (("job", str),)
 
 
 __all__ = ["PHASES", "BrainLog"]

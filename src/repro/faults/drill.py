@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from repro.api.config import RunConfig, SchedConfig
 from repro.api.registry import SCHEMES
-from repro.utils.tables import format_table
-
-#: Keep in sync with ``benchmarks/conftest.py::BENCH_SCHEMA_VERSION``.
-BENCH_SCHEMA_VERSION = 1
+from repro.utils.bench import bench_payload
 
 #: The composed storm (``at`` in wall iterations of an 80-iteration run):
 #: a NIC flap, a fail-slow disk, and a straggler window overlap the
@@ -351,21 +348,16 @@ def drills_payload(
     nested because the BENCH schema keys rows by the scheme axis).
     """
     results = run_drills(schemes, seed=seed, sweeper=sweeper)
-    rows = [[result[column] for column in DRILL_COLUMNS] for result in results]
-    title = (
-        f"{bench}: {len(results)} schemes x {len(STORM_EVENTS)}-fault storm "
-        f"(seed {seed})"
-    )
-    text = format_table(DRILL_COLUMNS, rows, title=title)
     policy_results = run_policy_drills(seed=seed, sweeper=sweeper)
-    return {
-        "bench": bench,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "structured": True,
-        "columns": list(DRILL_COLUMNS),
-        "rows": rows,
-        "text": text if text.endswith("\n") else text + "\n",
-        "meta": {
+    return bench_payload(
+        bench,
+        title=(
+            f"{bench}: {len(results)} schemes x {len(STORM_EVENTS)}-fault storm "
+            f"(seed {seed})"
+        ),
+        columns=DRILL_COLUMNS,
+        rows=[[result[column] for column in DRILL_COLUMNS] for result in results],
+        meta={
             "seed": seed,
             "schemes": [result["scheme"] for result in results],
             "storm": [dict(event) for event in STORM_EVENTS],
@@ -387,7 +379,7 @@ def drills_payload(
                 },
             },
         },
-    }
+    )
 
 
 __all__ = [

@@ -13,71 +13,18 @@ payloads.
 
 from __future__ import annotations
 
-import hashlib
-import json
+from repro.utils.eventlog import EventLog
 
 #: The lifecycle phases an entry can record.  ``quarantine`` and
 #: ``probe`` are the health ledger's transitions (sched runs only).
 PHASES = ("inject", "detect", "recover", "repair", "absorb", "quarantine", "probe")
 
 
-class FaultLog:
-    """Append-only event log with deterministic serialisation."""
+class FaultLog(EventLog):
+    """The fault event log: :class:`EventLog` keyed by fault + latencies."""
 
-    def __init__(self) -> None:
-        self._entries: list[dict] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def append(
-        self,
-        phase: str,
-        *,
-        t: float,
-        kind: str,
-        fault_id: int,
-        target: str,
-        **detail,
-    ) -> dict:
-        """Record one lifecycle step; returns the entry."""
-        if phase not in PHASES:
-            raise ValueError(f"unknown log phase {phase!r}; expected one of {PHASES}")
-        entry = {
-            "seq": len(self._entries),
-            "t": round(float(t), 9),
-            "phase": phase,
-            "kind": str(kind),
-            "fault_id": int(fault_id),
-            "target": str(target),
-        }
-        if detail:
-            entry["detail"] = {
-                key: _jsonable(value) for key, value in sorted(detail.items())
-            }
-        self._entries.append(entry)
-        return entry
-
-    def to_dicts(self) -> list[dict]:
-        """A deep-enough copy safe to embed in payloads."""
-        return [
-            {**entry, **({"detail": dict(entry["detail"])} if "detail" in entry else {})}
-            for entry in self._entries
-        ]
-
-    def to_json(self) -> str:
-        """Canonical serialisation (sorted keys, no whitespace)."""
-        return json.dumps(self._entries, sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        """Short stable hash of the canonical serialisation."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]
-
-    def phase_counts(self) -> dict[str, int]:
-        counts = {phase: 0 for phase in PHASES}
-        for entry in self._entries:
-            counts[entry["phase"]] += 1
-        return {phase: n for phase, n in counts.items() if n}
+    PHASES = PHASES
+    KEYS = (("kind", str), ("fault_id", int), ("target", str))
 
     def latencies(self, start: str = "inject", end: str = "recover") -> dict[int, float]:
         """Per-fault virtual latency from first ``start`` to last ``end``."""
@@ -98,18 +45,6 @@ class FaultLog:
         if not values:
             return None
         return round(sum(values) / len(values), 9)
-
-
-def _jsonable(value):
-    """Coerce a detail value to JSON scalars/lists (fail loudly otherwise)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    # numpy scalars and the like
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"fault log detail values must be JSON scalars, got {value!r}")
 
 
 __all__ = ["PHASES", "FaultLog"]

@@ -48,10 +48,7 @@ from repro.perf.iteration_model import IterationModel
 from repro.sched.core import SchedRun, admit_key
 from repro.sched.job import DONE, RUNNING, JobRecord, JobSpec
 from repro.sched.policies import POLICIES, ClusterState, build_policy
-from repro.utils.tables import format_table
-
-#: Keep in sync with ``benchmarks/conftest.py::BENCH_SCHEMA_VERSION``.
-BENCH_SCHEMA_VERSION = 1
+from repro.utils.bench import bench_payload
 
 #: Columns of the per-job rows every sched payload carries.
 PAYLOAD_COLUMNS = [
@@ -170,22 +167,17 @@ def payload_for_reports(
     """One BENCH-schema payload covering one or more policy runs."""
     if not reports:
         raise ValueError("need at least one SchedReport")
-    rows = [outcome.row() for report in reports for outcome in report.jobs]
     first = reports[0]
-    title = (
-        f"{bench}: {len(first.jobs)} jobs on {first.num_nodes}x"
-        f"{first.gpus_per_node} {first.instance} "
-        f"({', '.join(r.policy for r in reports)})"
-    )
-    text = format_table(PAYLOAD_COLUMNS, rows, title=title)
-    return {
-        "bench": bench,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "structured": True,
-        "columns": list(PAYLOAD_COLUMNS),
-        "rows": rows,
-        "text": text if text.endswith("\n") else text + "\n",
-        "meta": {
+    return bench_payload(
+        bench,
+        title=(
+            f"{bench}: {len(first.jobs)} jobs on {first.num_nodes}x"
+            f"{first.gpus_per_node} {first.instance} "
+            f"({', '.join(r.policy for r in reports)})"
+        ),
+        columns=PAYLOAD_COLUMNS,
+        rows=[outcome.row() for report in reports for outcome in report.jobs],
+        meta={
             "instance": first.instance,
             "num_nodes": first.num_nodes,
             "gpus_per_node": first.gpus_per_node,
@@ -203,7 +195,7 @@ def payload_for_reports(
                 else {}
             ),
         },
-    }
+    )
 
 
 class MultiTenantScheduler:
@@ -796,7 +788,6 @@ def compare_policies(
 
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "PAYLOAD_COLUMNS",
     "JobOutcome",
     "SchedReport",

@@ -21,9 +21,9 @@ import math
 from typing import Sequence
 
 from repro.sched.job import DONE, JobSpec
-from repro.sched.scheduler import BENCH_SCHEMA_VERSION, SchedReport
+from repro.sched.scheduler import SchedReport
 from repro.sched.traces.ingest import load_trace, trace_to_specs
-from repro.utils.tables import format_table
+from repro.utils.bench import bench_payload
 
 #: Columns of the per-policy distribution rows.
 DISTRIBUTION_COLUMNS = [
@@ -96,21 +96,16 @@ def payload_for_trace_reports(
     if not reports:
         raise ValueError("need at least one SchedReport")
     first = reports[0]
-    rows = distribution_rows(reports)
-    title = (
-        f"{bench}: {len(first.jobs)} jobs on {first.num_nodes}x"
-        f"{first.gpus_per_node} {first.instance} "
-        f"({', '.join(r.policy for r in reports)})"
-    )
-    text = format_table(DISTRIBUTION_COLUMNS, rows, title=title)
-    return {
-        "bench": bench,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "structured": True,
-        "columns": list(DISTRIBUTION_COLUMNS),
-        "rows": rows,
-        "text": text if text.endswith("\n") else text + "\n",
-        "meta": {
+    return bench_payload(
+        bench,
+        title=(
+            f"{bench}: {len(first.jobs)} jobs on {first.num_nodes}x"
+            f"{first.gpus_per_node} {first.instance} "
+            f"({', '.join(r.policy for r in reports)})"
+        ),
+        columns=DISTRIBUTION_COLUMNS,
+        rows=distribution_rows(reports),
+        meta={
             "trace": trace,
             "num_jobs": len(first.jobs),
             "instance": first.instance,
@@ -120,7 +115,7 @@ def payload_for_trace_reports(
             "policies": [r.policy for r in reports],
             "summary": {r.policy: r.summary() for r in reports},
         },
-    }
+    )
 
 
 __all__ = [

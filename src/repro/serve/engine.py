@@ -33,11 +33,10 @@ crash) composes into exactly-once admission.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any
 
 from repro.sched.scheduler import MultiTenantScheduler, SchedReport, payload_for_reports
-from repro.serve.journal import canonical_json
+from repro.utils.eventlog import digest16
 
 _EPS = 1e-12
 
@@ -326,8 +325,7 @@ class ServeEngine:
             "faults": core.faults.log.digest() if core.faults is not None else None,
             "brain": core.brain.log.digest() if core.brain is not None else None,
         }
-        blob = canonical_json(doc).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return digest16(doc)
 
     # -- snapshot state extraction / restore ----------------------------------
     def snapshot_state(self) -> dict:

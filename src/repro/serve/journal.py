@@ -35,6 +35,8 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
+from repro.utils.eventlog import canonical_json
+
 #: Magic + format version; bump the trailing digits on layout changes.
 JOURNAL_MAGIC = b"RPJRNL01"
 
@@ -47,11 +49,6 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 class JournalError(RuntimeError):
     """A journal file that cannot be opened or appended to."""
-
-
-def canonical_json(record: dict) -> str:
-    """The one spelling a record ever has (digest- and CRC-stable)."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def encode_frame(record: dict) -> bytes:

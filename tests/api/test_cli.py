@@ -11,6 +11,7 @@ from repro.api.cli import main
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 SMOKE_CONFIG = REPO / "examples" / "configs" / "smoke.json"
 SCHED_CONFIG = REPO / "examples" / "configs" / "multi_tenant.json"
+SERVE_CONFIG = REPO / "examples" / "configs" / "serve_smoke.json"
 
 
 class TestList:
@@ -121,6 +122,11 @@ class TestRun:
             ["run", "--config", str(SMOKE_CONFIG), "--set", "oops"],
             ["sched", "--config", "/nonexistent/cfg.json"],
             ["sched", "--config", str(SCHED_CONFIG), "--set", "policies.0=warp"],
+            # Wrong-typed scalars: one line from the loader, not a
+            # TypeError out of validate().
+            ["run", "--config", str(SMOKE_CONFIG), "--set", "comm.density=hi"],
+            ["sched", "--config", str(SCHED_CONFIG), "--set", "cluster.num_nodes=four"],
+            ["serve", "--config", str(SERVE_CONFIG), "--set", "queue_limit=many"],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", *argv],

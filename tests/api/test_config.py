@@ -10,9 +10,11 @@ from repro.api import (
     ConfigError,
     ElasticConfig,
     RunConfig,
+    SchedConfig,
     TrainConfig,
     apply_overrides,
 )
+from repro.api.config import ServeConfig
 
 FULL = {
     "name": "full",
@@ -84,6 +86,37 @@ class TestUnknownKeys:
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="must be a mapping"):
             RunConfig.from_dict({"comm": "mstopk"})
+
+    @pytest.mark.parametrize(
+        "cls, data, message",
+        [
+            (ServeConfig, {"queue_limit": "many"},
+             "serve.queue_limit must be int, got 'many'"),
+            (SchedConfig, {"cluster": {"num_nodes": "four"}},
+             "cluster.num_nodes must be int, got 'four'"),
+            (RunConfig, {"comm": {"density": "hi"}},
+             "comm.density must be float, got 'hi'"),
+            (RunConfig, {"seed": True}, "run.seed must be int, got True"),
+            (RunConfig, {"comm": {"density": False}},
+             "comm.density must be float, got False"),
+            (RunConfig, {"train": {"data_seed": "x"}},
+             "train.data_seed must be int or null, got 'x'"),
+            (RunConfig, {"elastic": {}, "faults": {"events": [{"at": "soon"}]}},
+             "faults.events[0].at must be float, got 'soon'"),
+        ],
+    )
+    def test_wrong_typed_scalar_is_a_config_error(self, cls, data, message):
+        """A str where a number belongs fails at load, not as a TypeError
+        from a comparison inside validate()."""
+        with pytest.raises(ConfigError) as err:
+            cls.from_dict(data)
+        assert str(err.value) == message
+
+    def test_json_number_and_null_forms_load(self):
+        config = RunConfig.from_dict(
+            {"comm": {"density": 1}, "train": {"data_seed": None, "lr": 1}}
+        )
+        assert config.comm.density == 1 and config.train.data_seed is None
 
 
 class TestNameValidation:

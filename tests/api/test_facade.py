@@ -1,23 +1,10 @@
 """run(RunConfig) reproduces the legacy hand-wired paths bit-identically."""
 
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
-
-REPO = pathlib.Path(__file__).resolve().parent.parent.parent
-
-
-def _validate_bench_payload(payload):
-    spec = importlib.util.spec_from_file_location(
-        "bench_conftest_for_api", REPO / "benchmarks" / "conftest.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.validate_bench_payload(payload)
+from repro.utils.bench import validate_bench_payload
 
 
 def _train_config_json(scheme: str) -> str:
@@ -180,14 +167,14 @@ class TestRunReport:
     def test_bench_payload_passes_schema_gate(self):
         report = run(RunConfig.from_json(_train_config_json("mstopk")))
         payload = report.bench_payload()
-        _validate_bench_payload(payload)
+        validate_bench_payload(payload)
         assert payload["bench"] == "run_parity-mstopk"
         assert payload["meta"]["seed"] == 7
         assert len(payload["rows"]) == 1
 
     def test_elastic_bench_payload_passes_schema_gate(self):
         report = run(RunConfig.from_json(ELASTIC_JSON))
-        _validate_bench_payload(report.bench_payload("elastic_smoke"))
+        validate_bench_payload(report.bench_payload("elastic_smoke"))
 
     def test_report_echoes_config(self):
         config = RunConfig.from_json(_train_config_json("dense"))

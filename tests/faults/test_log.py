@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.brain.log import BrainLog
 from repro.faults.log import PHASES, FaultLog
+from repro.utils.eventlog import EventLog, digest16
 
 
 def _sample_log() -> FaultLog:
@@ -51,6 +53,21 @@ class TestAppend:
         log = _sample_log()
         log.to_dicts()[0]["detail"]["nodes"] = "mutated"
         assert log.to_dicts()[0]["detail"] == {"nodes": [2]}
+
+
+class TestOneImplementation:
+    def test_fault_and_brain_logs_share_append_and_digest(self):
+        assert FaultLog.append is BrainLog.append is EventLog.append
+        assert FaultLog.digest is BrainLog.digest is EventLog.digest
+
+    def test_key_fields_are_what_differs(self):
+        brain = BrainLog()
+        entry = brain.append("migrate", t=3, job=7, src=1, dst=2)
+        assert entry == {"seq": 0, "t": 3.0, "phase": "migrate", "job": "7",
+                         "detail": {"dst": 2, "src": 1}}
+        with pytest.raises(ValueError, match="unknown log phase 'inject'"):
+            brain.append("inject", t=0, job="j")
+        assert brain.digest() == digest16([entry])
 
 
 class TestDigest:

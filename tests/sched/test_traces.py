@@ -17,7 +17,6 @@ The acceptance bars pinned here:
 """
 
 import dataclasses
-import importlib.util
 import json
 import os
 import pathlib
@@ -49,6 +48,7 @@ from repro.sched.traces import (
     write_trace,
     write_trace_csv,
 )
+from repro.utils.bench import validate_bench_payload
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 SAMPLE_TRACE = REPO / "examples" / "traces" / "sample_day.jsonl"
@@ -311,19 +311,11 @@ class TestConfigThreading:
 
 
 class TestDistributionPayload:
-    def _validate(self, payload):
-        spec = importlib.util.spec_from_file_location(
-            "bench_conftest_for_traces", REPO / "benchmarks" / "conftest.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.validate_bench_payload(payload)
-
     def test_payload_passes_schema_gate(self):
         specs = trace_to_specs(small_trace(num_jobs=30))
         report = MultiTenantScheduler(num_nodes=4, gpus_per_node=8).run(specs)
         payload = payload_for_trace_reports([report], trace="day.jsonl")
-        self._validate(payload)
+        validate_bench_payload(payload)
         assert payload["columns"] == DISTRIBUTION_COLUMNS
         assert payload["meta"]["trace"] == "day.jsonl"
         assert payload["meta"]["num_jobs"] == 30

@@ -2,10 +2,12 @@
 
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
+from check_regression import GATES
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "benchmarks" / "trajectory.py"
@@ -24,10 +26,10 @@ def write_bench(results_dir: pathlib.Path, name: str, value: float) -> None:
     (results_dir / f"BENCH_{name}.json").write_text(json.dumps(payload))
 
 
-def run_trajectory(results_dir: pathlib.Path, commit: str):
+def run_trajectory(results_dir: pathlib.Path, commit: str, *flags: str):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--results-dir", str(results_dir),
-         "--commit", commit],
+         "--commit", commit, *flags],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -75,17 +77,18 @@ class TestCollect:
         trajectory = run_trajectory(tmp_path, "c2")
         assert set(trajectory["benches"]) == {"alpha"}
 
-    def test_exclude_skips_committed_baselines(self, tmp_path):
+    def test_committed_baselines_are_never_folded_in(self, tmp_path):
+        """The gated benches' baselines were measured at older commits:
+        skipped by name (the gates table's keys), with no flag, while
+        their fresh ``_run`` twins fold in on request."""
+        for bench in GATES:
+            shutil.copy(REPO / "results" / f"BENCH_{bench}.json", tmp_path)
         write_bench(tmp_path, "fresh", 1.0)
-        write_bench(tmp_path, "stale_baseline", 9.0)
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPT), "--results-dir", str(tmp_path),
-             "--commit", "c1", "--exclude", "BENCH_stale_baseline.json"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        trajectory = json.loads((tmp_path / "TRAJECTORY.json").read_text())
-        assert set(trajectory["benches"]) == {"fresh"}
+        write_bench(tmp_path, "brain_run", 2.0)
+        assert set(run_trajectory(tmp_path, "c1")["benches"]) == {"fresh"}
+        assert set(run_trajectory(tmp_path, "c2", "--include-runs")["benches"]) == {
+            "fresh", "brain_run",
+        }
 
     def test_run_payloads_skipped_by_default(self, tmp_path):
         """BENCH_*_run.json fresh measurements shadow their committed
@@ -98,13 +101,7 @@ class TestCollect:
     def test_include_runs_opts_back_in(self, tmp_path):
         write_bench(tmp_path, "alpha", 1.0)
         write_bench(tmp_path, "alpha_run", 9.0)
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPT), "--results-dir", str(tmp_path),
-             "--commit", "c1", "--include-runs"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        trajectory = json.loads((tmp_path / "TRAJECTORY.json").read_text())
+        trajectory = run_trajectory(tmp_path, "c1", "--include-runs")
         assert set(trajectory["benches"]) == {"alpha", "alpha_run"}
 
     def test_no_payloads_errors(self, tmp_path):
@@ -115,19 +112,6 @@ class TestCollect:
         )
         assert proc.returncode != 0
         assert "no BENCH_*.json" in proc.stderr
-
-    def test_runs_against_committed_results(self, tmp_path):
-        """The repo's own results/ directory collects cleanly."""
-        out = tmp_path / "TRAJECTORY.json"
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPT), "--out", str(out), "--commit", "test"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        trajectory = json.loads(out.read_text())
-        # The committed perf baseline is always present; local bench
-        # runs add more series on top.
-        assert "perf_hotpath_run" in trajectory["benches"]
 
     def test_committed_trajectory_seed_is_valid(self):
         """results/TRAJECTORY.json (committed) parses and has the seed."""
