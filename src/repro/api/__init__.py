@@ -27,12 +27,10 @@ from repro.api.config import (
     ConfigError,
     ElasticConfig,
     ExecConfig,
-    JobConfig,
     RunConfig,
     SchedConfig,
     TrainConfig,
     apply_overrides,
-    apply_sched_overrides,
 )
 from repro.api.facade import RunReport, preflight, run, run_sched
 from repro.api.registry import (
@@ -62,11 +60,9 @@ __all__ = [
     "TrainConfig",
     "ElasticConfig",
     "ExecConfig",
-    "JobConfig",
     "SchedConfig",
     "ConfigError",
     "apply_overrides",
-    "apply_sched_overrides",
     # facade
     "run",
     "run_sched",

@@ -42,14 +42,7 @@ import pathlib
 import sys
 
 from repro.api import registry
-from repro.api.config import (
-    RunConfig,
-    SchedConfig,
-    ServeConfig,
-    apply_overrides,
-    apply_sched_overrides,
-    apply_serve_overrides,
-)
+from repro.api.config import RunConfig, SchedConfig, ServeConfig, apply_overrides
 from repro.api.facade import preflight, run_sched
 from repro.api.facade import run as run_facade
 
@@ -76,23 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one declarative run config")
     run_p.add_argument("--config", required=True, help="path to a RunConfig JSON file")
-    run_p.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config entry, e.g. --set comm.density=0.01 "
-        "(repeatable; dotted paths; JSON values)",
-    )
-    run_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the BENCH-schema JSON payload instead of the table",
-    )
-    run_p.add_argument(
-        "--out", default=None, metavar="PATH", help="also write the JSON payload here"
-    )
+    _add_config_flags(run_p, example="comm.density=0.01")
     _add_exec_flags(run_p)
 
     sched_p = sub.add_parser(
@@ -109,23 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "docs/traces.md) instead of the config's inline jobs; without "
         "--config the scenario defaults to 16 8-GPU tencent nodes",
     )
-    sched_p.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config entry, e.g. --set jobs.0.priority=5 "
-        "(repeatable; dotted paths; numeric segments index lists)",
-    )
-    sched_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the BENCH-schema JSON payload instead of the table",
-    )
-    sched_p.add_argument(
-        "--out", default=None, metavar="PATH", help="also write the JSON payload here"
-    )
+    _add_config_flags(sched_p, example="jobs.0.priority=5")
     _add_exec_flags(sched_p)
 
     trace_p = sub.add_parser(
@@ -231,36 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how --kill-at dies: a real SIGKILL (default) or a Python "
         "exception (in-process harnesses)",
     )
-    serve_p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the admission backlog bound (--set queue_limit=N)",
-    )
-    serve_p.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the snapshot cadence in ops (--set snapshot_every=N)",
-    )
-    serve_p.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config entry, e.g. --set cluster.num_nodes=4",
-    )
-    serve_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the BENCH-schema JSON payload instead of the table",
-    )
-    serve_p.add_argument(
-        "--out", default=None, metavar="PATH", help="also write the JSON payload here"
-    )
+    _add_config_flags(serve_p, example="queue_limit=32")
 
     submit_p = sub.add_parser(
         "submit", help="submit jobs/ops to a running serve daemon"
@@ -312,9 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="base connect-retry backoff in seconds, doubled per attempt "
         "with jitter (default: 0.05)",
     )
-    submit_p.add_argument(
-        "--json", action="store_true", help="print each ack as JSON (default)"
-    )
 
     list_p = sub.add_parser("list", help="enumerate registered components")
     list_p.add_argument(
@@ -331,6 +260,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_exec_flags(exp_p)
     return parser
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *, example: str) -> None:
+    """``--set`` / ``--json`` / ``--out``: shared by run, sched and serve."""
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help=f"override a config entry, e.g. --set {example} (repeatable; "
+        "dotted paths; numeric segments index lists; JSON values)",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="print the BENCH-schema JSON payload instead of the table",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="PATH", help="also write the JSON payload here"
+    )
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
@@ -451,10 +401,10 @@ def _cmd_sched(args: argparse.Namespace) -> int:
                 validate=False,
             )
         if args.trace is not None:
-            config = dataclasses.replace(config, trace=args.trace)
+            config = dataclasses.replace(config, trace=args.trace, jobs=None)
         overrides = list(args.overrides) + _exec_overrides(args)
         if overrides:
-            config = apply_sched_overrides(config, overrides)
+            config = apply_overrides(config, overrides)
         config.validate()
         reports = run_sched(config)
     except (ValueError, KeyError) as exc:
@@ -577,13 +527,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         config = ServeConfig.from_file(args.config)
-        overrides = list(args.overrides)
-        if args.queue_limit is not None:
-            overrides.append(f"queue_limit={args.queue_limit}")
-        if args.snapshot_every is not None:
-            overrides.append(f"snapshot_every={args.snapshot_every}")
-        if overrides:
-            config = apply_serve_overrides(config, overrides)
+        if args.overrides:
+            config = apply_overrides(config, args.overrides)
         for point in args.kill_at:
             parse_kill_spec(point)
         if args.socket is not None and (args.drill or args.kill_at):

@@ -1,14 +1,25 @@
-"""Declarative run configuration — one JSON file fully specifies a run.
+"""Declarative configuration — one JSON file fully specifies a run.
 
-:class:`RunConfig` nests :class:`ClusterConfig` (where), :class:`CommConfig`
-(how gradients move), :class:`TrainConfig` (what trains) and an optional
-:class:`ElasticConfig` (churn).  It round-trips losslessly through
-``to_dict``/``from_dict`` and ``to_json``/``from_json``, rejects unknown
-keys with the list of accepted ones, and validates every component name
-against the :mod:`repro.api.registry` registries — a typo fails at load
-time, not an hour into a sweep.
+Every knob is declared exactly once, as a field of the frozen dataclass
+the runtime itself reads.  The sections that belong to a subsystem live
+beside the registry they validate against (``brain`` →
+:mod:`repro.brain.base`, ``exec`` → :mod:`repro.exec.backend`,
+``faults`` → :mod:`repro.faults.plan`, ``jobs[i]`` / ``payload`` →
+:mod:`repro.sched.job`, the serve config → :mod:`repro.serve.engine`);
+this module holds the sections of the training run itself, the
+top-level :class:`RunConfig` / :class:`SchedConfig`, and the one codec
+that serves all of them and re-exports every name.
 
-``apply_overrides`` implements the CLI's ``--set section.key=value``
+The codec (:func:`load` / :func:`dump`) is driven by the dataclasses'
+type hints — scalars, ``X | None``, nested sections, ``tuple[X, ...]``
+lists — so every config round-trips losslessly through
+``to_dict``/``from_dict`` and ``to_json``/``from_json``, unknown keys
+are rejected with the list of accepted ones, and a wrong-typed or
+non-finite value at any depth is a one-line :class:`ConfigError`.  Each
+section's ``validate()`` then checks names against the registries and
+values for range — a typo fails at load time, not an hour into a sweep.
+
+:func:`apply_overrides` implements the CLI's ``--set section.key=value``
 (values parsed as JSON, falling back to strings).
 """
 
@@ -17,79 +28,134 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import pathlib
 import types
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Sequence
 
+from repro.api import registry
+from repro.brain.base import BrainConfig
+from repro.exec.backend import ExecConfig
+from repro.faults.plan import FaultConfig, FaultPlan, FaultsConfig
+from repro.sched.job import JobSpec, TrainPayload
+from repro.sched.policies import POLICIES
+from repro.utils.registry import ConfigError
 
-class ConfigError(ValueError):
-    """A malformed or unresolvable run configuration."""
+# ---------------------------------------------------------------------------
+# The codec: dict <-> config dataclass, driven by type hints
+# ---------------------------------------------------------------------------
+
+_SCALARS = (int, float, str, bool)
 
 
 @functools.cache
-def _scalar_fields(cls) -> dict[str, tuple[type, bool]]:
-    """``{field: (scalar type, nullable)}`` for the int/float/str/bool
-    (and ``| None``) fields of a config dataclass; every other field is
-    checked by the code that parses it."""
-    scalars = {}
-    for name, hint in typing.get_type_hints(cls).items():
+def _schema(cls) -> dict[str, tuple[Any, bool]]:
+    """``{field: (kind, nullable)}`` of a config dataclass.
+
+    ``kind`` is a scalar type, a section dataclass, or ``[element kind]``
+    for a ``tuple[X, ...]`` field.
+    """
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        hint = hints[f.name]
         args = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-        kinds = [arg for arg in args if arg is not type(None)]
-        if len(kinds) == 1 and kinds[0] in (int, float, str, bool):
-            scalars[name] = (kinds[0], len(args) > 1)
-    return scalars
+        (kind,) = (arg for arg in args if arg is not type(None))
+        if typing.get_origin(kind) is tuple:
+            kind = [typing.get_args(kind)[0]]
+        schema[f.name] = (kind, len(args) > 1)
+    return schema
 
 
-def _check_keys(section: str, data: dict, cls) -> None:
-    """Reject unknown keys and wrong-typed scalar values of a section."""
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
+def load(cls, data: Any, label: str, *, top: bool = False):
+    """Build config dataclass ``cls`` from a mapping, type-checked.
+
+    ``label`` names the section in error messages.  Sub-sections of a
+    top-level config are labelled by their bare key (``cluster``), deeper
+    ones by their path (``faults.events[0]``); scalars always by path.
+    Errors raised by ``cls`` itself (a ``__post_init__`` range check)
+    come back as ``ConfigError("<label>: ...")``.
+    """
+    if not isinstance(data, dict):
+        what = f"{label} config" if top else repr(label)
+        raise ConfigError(f"{what} must be a mapping, got {type(data).__name__}")
+    schema = _schema(cls)
+    unknown = sorted(data.keys() - schema.keys())
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in {section!r}; "
-            f"accepted keys: {', '.join(sorted(allowed))}"
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {label!r}; "
+            f"accepted keys: {', '.join(sorted(schema))}"
         )
-    scalars = _scalar_fields(cls)
+    kwargs = {}
     for key, value in data.items():
-        kind, nullable = scalars.get(key, (None, True))
-        if kind is None or (value is None and nullable):
-            continue
-        # JSON has one number type: an int is a fine float, but a bool
-        # (an int subclass) is never a number here.
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
-            raise ConfigError(
-                f"{section}.{key} must be {kind.__name__}"
-                f"{' or null' if nullable else ''}, got {value!r}"
-            )
+        kind, nullable = schema[key]
+        child = key if top and kind not in _SCALARS else f"{label}.{key}"
+        kwargs[key] = _load_value(kind, nullable, value, child)
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _from_dict(section: str, data: Any, cls):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{section!r} must be a mapping, got {type(data).__name__}")
-    _check_keys(section, data, cls)
-    return cls(**data)
-
-
-def _validate_cluster(cluster: "ClusterConfig") -> None:
-    from repro.api import registry
-
-    if cluster.instance not in registry.CLUSTERS:
-        raise ConfigError(
-            f"unknown cluster instance {cluster.instance!r}; "
-            f"registered: {', '.join(registry.CLUSTERS.available())}"
+def _load_value(kind, nullable: bool, value: Any, label: str):
+    if value is None and nullable:
+        return None
+    if isinstance(kind, list):
+        (element,) = kind
+        if isinstance(value, str) and element is str:
+            value = [value]  # one name needs no brackets: --set policies=spread
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{label!r} must be a list, got {type(value).__name__}")
+        return tuple(
+            _load_value(element, False, item, f"{label}[{i}]")
+            for i, item in enumerate(value)
         )
-    if cluster.num_nodes < 1 or cluster.gpus_per_node < 1:
-        raise ConfigError("cluster num_nodes and gpus_per_node must be >= 1")
+    if kind not in _SCALARS:
+        return value if isinstance(value, kind) else load(kind, value, label)
+    # JSON has one number type: an int is a fine float, but a bool (an
+    # int subclass) is never a number here.
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(
+            f"{label} must be {kind.__name__}{' or null' if nullable else ''}, "
+            f"got {value!r}"
+        )
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer literal beyond float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{label} must be finite, got {value}")
+    return value
 
 
-class _JsonConfig:
-    """JSON file/text round trip of the three top-level configs (each
-    names its ``KIND`` and supplies ``from_dict`` / ``to_dict``)."""
+def dump(value: Any) -> Any:
+    """The JSON form of a config value: sections become dicts, tuples
+    lists (so ``--set`` can index them); every field is emitted."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [dump(item) for item in value]
+    return value
+
+
+class JsonConfig:
+    """dict / JSON / file round trip of the three top-level configs
+    (each names its ``KIND`` and supplies ``validate``)."""
 
     KIND: ClassVar[str]
+
+    @classmethod
+    def from_dict(cls, data: dict, *, validate: bool = True):
+        config = load(cls, data, cls.KIND, top=True)
+        if validate:
+            config.validate()
+        return config
 
     @classmethod
     def from_json(cls, text: str, *, validate: bool = True):
@@ -106,8 +172,27 @@ class _JsonConfig:
             raise ConfigError(f"config file not found: {path}")
         return cls.from_json(path.read_text(), validate=validate)
 
+    def to_dict(self) -> dict:
+        """Every field, except top-level entries that are ``None`` — an
+        absent optional section stays absent."""
+        return {key: value for key, value in dump(self).items() if value is not None}
+
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
+
+    def _validate_shared(self, *, fault_target: str) -> None:
+        """What all three configs carry: a name, a cluster, maybe faults."""
+        if not self.name:
+            raise ConfigError(f"{self.KIND} 'name' must be a non-empty string")
+        self.cluster.validate()
+        if self.faults is not None:
+            # Resolving the plan checks kinds, parameters and plan file.
+            FaultPlan.from_config(self.faults, seed=self.seed, target=fault_target)
+
+
+# ---------------------------------------------------------------------------
+# Sections of a training run
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -122,6 +207,11 @@ class ClusterConfig:
     #: GPUs per node, >= 1 (overrides the preset's count — presets model
     #: 8xV100 instances, small simulations usually want 2).
     gpus_per_node: int = 2
+
+    def validate(self) -> None:
+        registry.CLUSTERS.require(self.instance, "cluster instance")
+        if self.num_nodes < 1 or self.gpus_per_node < 1:
+            raise ConfigError("cluster num_nodes and gpus_per_node must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,6 +233,13 @@ class CommConfig:
     #: compressors``) overriding the scheme default; dense schemes
     #: reject one at build time.
     compressor: str | None = None
+
+    def validate(self) -> None:
+        registry.SCHEMES.require(self.scheme, "comm scheme")
+        if self.compressor is not None:
+            registry.COMPRESSORS.require(self.compressor)
+        if not 0 < self.density <= 1:
+            raise ConfigError(f"comm density must be in (0, 1], got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +269,11 @@ class TrainConfig:
     #: Seed for dataset synthesis; defaults to the run seed, so one seed
     #: fixes everything while sweeps can pin the data and vary the rest.
     data_seed: int | None = None
+
+    def validate(self) -> None:
+        registry.MODELS.require(self.model)
+        if self.epochs < 1 or self.local_batch < 1 or self.num_samples < 1:
+            raise ConfigError("train epochs, local_batch and num_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -212,211 +314,32 @@ class ElasticConfig:
     #: Straggler lognormal sigma (0 disables the variability model).
     sigma: float = 0.0
 
+    def validate(self, cluster: ClusterConfig) -> None:
+        if self.schedule not in ELASTIC_SCHEDULES:
+            raise ConfigError(
+                f"unknown elastic schedule {self.schedule!r}; "
+                f"accepted: {', '.join(ELASTIC_SCHEDULES)}"
+            )
+        if self.iterations < 1:
+            raise ConfigError("elastic iterations must be >= 1")
+        if self.rate < 0:
+            raise ConfigError("elastic rate must be >= 0")
+        if not 1 <= self.min_nodes <= cluster.num_nodes:
+            raise ConfigError("elastic min_nodes must be in [1, cluster.num_nodes]")
+
 
 #: Schedules ElasticConfig understands (kept next to the dataclass, not
 #: in the registry: they are modes of one subsystem, not plugins).
 ELASTIC_SCHEDULES = ("poisson", "none")
 
 
-@dataclass(frozen=True)
-class ExecConfig:
-    """Where compute runs: execution backend + pool width.
-
-    Never changes *what* is computed — every backend is bit-identical to
-    ``serial`` (results are pinned by the parity and invariance suites),
-    so this section is pure wall-clock policy.
-    """
-
-    #: Registered execution backend (:data:`repro.exec.BACKENDS`);
-    #: built-ins: ``serial`` (inline, the default) / ``process``
-    #: (shared-memory worker pool on real CPU cores).
-    backend: str = "serial"
-    #: Pool width for parallel backends: worker processes for the
-    #: trainer's per-worker compute and for sweep fan-out (0 = all
-    #: usable cores; ignored by ``serial``).
-    jobs: int = 1
-    #: Multiprocessing start method (``fork`` / ``spawn`` /
-    #: ``forkserver``; None = platform preference — ``fork`` where
-    #: available, else ``spawn``).
-    start_method: str | None = None
+# ---------------------------------------------------------------------------
+# Top-level configs
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FaultConfig:
-    """One planned fault event (see ``python -m repro list faults``).
-
-    Only the parameters a kind reads matter; the rest keep their
-    defaults.  ``at`` is in *wall iterations* for elastic runs and in
-    *virtual seconds* for scheduler runs — the natural clock of each
-    simulation.
-    """
-
-    #: Registered fault kind or alias (``python -m repro list faults``).
-    kind: str = "node-crash"
-    #: Injection time (wall iterations for runs, seconds for sched).
-    at: float = 0.0
-    #: Window length for windowed kinds; 0 = permanent.  For sched
-    #: crashes, a nonzero duration schedules the node's repair.
-    duration: float = 0.0
-    #: nic-degrade: remaining fraction of inter-node bandwidth, (0, 1).
-    scale: float = 0.5
-    #: straggler: compute slow-down factor, > 1.
-    stretch: float = 2.0
-    #: az-reclaim: fraction of live nodes reclaimed, (0, 1].
-    fraction: float = 0.5
-    #: Explicit victim node id (None = seeded pick among live nodes).
-    node: int | None = None
-    #: Flap support: total occurrences (>= 1) spaced ``period`` apart.
-    repeat: int = 1
-    #: Spacing between repeats (same unit as ``at``); required > 0 when
-    #: ``repeat`` > 1.
-    period: float = 0.0
-    #: gray-net: packet-loss probability on the sick link, [0, 1);
-    #: retransmissions stretch effective bandwidth by 1 / (1 - loss).
-    loss_rate: float = 0.05
-    #: gray-net: latency-jitter amplitude (>= 0); scales the seeded
-    #: per-iteration stochastic comm stretch.
-    jitter: float = 0.5
-    #: gray-net: distribution the per-iteration jitter draws from
-    #: (``exp`` or ``lognormal``).
-    jitter_dist: str = "exp"
-
-
-@dataclass(frozen=True)
-class FaultsConfig:
-    """The fault plan of a run: seeded, deterministic, replayable.
-
-    Present ⇒ the run (elastic) or scenario (sched) is perturbed by the
-    listed events through :mod:`repro.faults`; absent ⇒ every code path
-    is bit-identical to a build without the subsystem.
-    """
-
-    #: Seed for the plan's victim picks (None = derived from the run
-    #: seed, so one master seed still fixes everything).
-    seed: int | None = None
-    #: Planned fault events (each a :class:`FaultConfig`).
-    events: tuple = ()
-    #: Path to a JSON plan file (``{"events": [...]}`` or a bare list);
-    #: mutually exclusive with inline ``events``.
-    plan: str | None = None
-    #: Iterations between the *implied* checkpoints the scheduler's
-    #: closed form rolls surprise-hit jobs back to (elastic runs use
-    #: their real ``elastic.checkpoint_every`` instead).
-    checkpoint_iterations: int = 25
-    #: Virtual-seconds budget for one checkpoint write (elastic runs);
-    #: a disk-slow-stretched write exceeding it is abandoned and retried
-    #: on the fallback slot.  0 = unlimited (the pre-gray behaviour).
-    checkpoint_timeout: float = 0.0
-    #: Node suspicion score at which the health ledger quarantines a
-    #: repeat offender (> 0); read by the ``fault-aware`` policy.
-    quarantine_threshold: float = 2.0
-    #: Suspicion half-life in virtual seconds (> 0): how fast the
-    #: phi-accrual-style score decays between fault observations.
-    health_half_life: float = 300.0
-    #: Virtual seconds a quarantined node sits out before a probe
-    #: halves its score and returns it to the candidate pool (>= 0).
-    probe_cooldown: float = 180.0
-
-
-def _faults_from_dict(data: Any) -> FaultsConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"'faults' must be a mapping, got {type(data).__name__}")
-    _check_keys("faults", data, FaultsConfig)
-    kwargs: dict[str, Any] = {k: v for k, v in data.items() if k != "events"}
-    events = data.get("events", ())
-    if not isinstance(events, (list, tuple)):
-        raise ConfigError("'faults.events' must be a list of fault mappings")
-    parsed = []
-    for i, event in enumerate(events):
-        if isinstance(event, FaultConfig):
-            parsed.append(event)
-        else:
-            parsed.append(_from_dict(f"faults.events[{i}]", event, FaultConfig))
-    kwargs["events"] = tuple(parsed)
-    return FaultsConfig(**kwargs)
-
-
-def _faults_to_dict(faults: FaultsConfig) -> dict:
-    data = dataclasses.asdict(faults)
-    # Lists, not tuples, so JSON round-trips and --set can index them.
-    data["events"] = [dict(event) for event in data["events"]]
-    return data
-
-
-def _validate_faults(faults: FaultsConfig, *, seed: int, target: str) -> None:
-    """Resolve the plan (kinds, params, plan file) so typos fail at load."""
-    from repro.faults.plan import FaultPlan
-
-    FaultPlan.from_config(faults, seed=seed, target=target)
-
-
-@dataclass(frozen=True)
-class BrainConfig:
-    """The autotuning brain of a sched scenario (``repro.brain``).
-
-    Present ⇒ the named :class:`~repro.brain.Autotuner` observes every
-    policy run and issues migrate/shrink/grow decisions at each tick;
-    absent — or ``static`` — ⇒ every code path is byte-identical to a
-    build without the subsystem.
-    """
-
-    #: Registered brain name or alias (``python -m repro list brains``);
-    #: built-ins: ``static`` / ``throughput`` / ``health-migrate``.
-    name: str = "static"
-    #: Virtual seconds between decision ticks, > 0.
-    interval: float = 60.0
-    #: Seconds a just-rescaled job (and its vacated node) is frozen
-    #: against autoscale reversal, >= 0.
-    min_dwell: float = 120.0
-    #: Suspicion fraction of the quarantine threshold at which a node
-    #: reads as *gray* (migration candidate), in (0, 1].
-    migrate_suspicion: float = 0.5
-    #: Minimum marginal-node scaling efficiency (net of rollback risk)
-    #: required to grow, in (0, 1].
-    grow_efficiency: float = 0.7
-    #: Marginal efficiency below which the last node is shed, in [0, 1).
-    shrink_efficiency: float = 0.25
-    #: Weight of the suspicion-priced expected rollback cost subtracted
-    #: from a scale-up's efficiency, >= 0.
-    rollback_weight: float = 1.0
-    #: Applied decisions per tick across all jobs, >= 1.
-    max_actions: int = 2
-
-
-def _validate_brain(brain: BrainConfig) -> None:
-    from repro.brain.base import BRAINS
-
-    if brain.name not in BRAINS:
-        raise ConfigError(
-            f"unknown brain {brain.name!r}; "
-            f"registered: {', '.join(BRAINS.available())}"
-        )
-    if brain.interval <= 0:
-        raise ConfigError(f"brain interval must be > 0, got {brain.interval}")
-    if brain.min_dwell < 0:
-        raise ConfigError(f"brain min_dwell must be >= 0, got {brain.min_dwell}")
-    if not 0 < brain.migrate_suspicion <= 1:
-        raise ConfigError(
-            f"brain migrate_suspicion must be in (0, 1], got {brain.migrate_suspicion}"
-        )
-    if not 0 < brain.grow_efficiency <= 1:
-        raise ConfigError(
-            f"brain grow_efficiency must be in (0, 1], got {brain.grow_efficiency}"
-        )
-    if not 0 <= brain.shrink_efficiency < 1:
-        raise ConfigError(
-            f"brain shrink_efficiency must be in [0, 1), got {brain.shrink_efficiency}"
-        )
-    if brain.rollback_weight < 0:
-        raise ConfigError(
-            f"brain rollback_weight must be >= 0, got {brain.rollback_weight}"
-        )
-    if brain.max_actions < 1:
-        raise ConfigError(f"brain max_actions must be >= 1, got {brain.max_actions}")
-
-
-@dataclass(frozen=True)
-class RunConfig(_JsonConfig):
+class RunConfig(JsonConfig):
     """Everything one run needs, serializable and seed-complete."""
 
     KIND: ClassVar[str] = "run"
@@ -433,171 +356,25 @@ class RunConfig(_JsonConfig):
     faults: FaultsConfig | None = None
     exec: ExecConfig = field(default_factory=ExecConfig)
 
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: dict, *, validate: bool = True) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"run config must be a mapping, got {type(data).__name__}")
-        _check_keys("run", data, cls)
-        kwargs: dict[str, Any] = {
-            k: data[k] for k in ("name", "seed") if k in data
-        }
-        if "cluster" in data:
-            kwargs["cluster"] = _from_dict("cluster", data["cluster"], ClusterConfig)
-        if "comm" in data:
-            kwargs["comm"] = _from_dict("comm", data["comm"], CommConfig)
-        if "train" in data:
-            kwargs["train"] = _from_dict("train", data["train"], TrainConfig)
-        if data.get("elastic") is not None:
-            kwargs["elastic"] = _from_dict("elastic", data["elastic"], ElasticConfig)
-        if data.get("faults") is not None:
-            kwargs["faults"] = _faults_from_dict(data["faults"])
-        if "exec" in data:
-            kwargs["exec"] = _from_dict("exec", data["exec"], ExecConfig)
-        config = cls(**kwargs)
-        if validate:
-            config.validate()
-        return config
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        data = {
-            "name": self.name,
-            "seed": self.seed,
-            "cluster": dataclasses.asdict(self.cluster),
-            "comm": dataclasses.asdict(self.comm),
-            "train": dataclasses.asdict(self.train),
-            "exec": dataclasses.asdict(self.exec),
-        }
-        if self.elastic is not None:
-            data["elastic"] = dataclasses.asdict(self.elastic)
-        if self.faults is not None:
-            data["faults"] = _faults_to_dict(self.faults)
-        return data
-
-    # -- validation --------------------------------------------------------
     def validate(self) -> "RunConfig":
         """Check names against the registries and values for sanity."""
-        from repro.api import registry
-
-        if not self.name:
-            raise ConfigError("run 'name' must be a non-empty string")
-        _validate_cluster(self.cluster)
-        if self.comm.scheme not in registry.SCHEMES:
+        if self.faults is not None and self.elastic is None:
             raise ConfigError(
-                f"unknown comm scheme {self.comm.scheme!r}; "
-                f"registered: {', '.join(registry.SCHEMES.available())}"
+                "faults require an 'elastic' section: fault drills perturb "
+                "the elastic trainer (add \"elastic\": {} or "
+                "--set elastic.schedule=none)"
             )
-        if self.comm.compressor is not None and self.comm.compressor not in registry.COMPRESSORS:
-            raise ConfigError(
-                f"unknown compressor {self.comm.compressor!r}; "
-                f"registered: {', '.join(registry.COMPRESSORS.available())}"
-            )
-        if self.train.model not in registry.MODELS:
-            raise ConfigError(
-                f"unknown model {self.train.model!r}; "
-                f"registered: {', '.join(registry.MODELS.available())}"
-            )
-        if not 0 < self.comm.density <= 1:
-            raise ConfigError(f"comm density must be in (0, 1], got {self.comm.density}")
-        if self.train.epochs < 1 or self.train.local_batch < 1 or self.train.num_samples < 1:
-            raise ConfigError("train epochs, local_batch and num_samples must be >= 1")
-        _validate_exec(self.exec)
+        self._validate_shared(fault_target="run")
+        self.comm.validate()
+        self.train.validate()
+        self.exec.validate()
         if self.elastic is not None:
-            if self.elastic.schedule not in ELASTIC_SCHEDULES:
-                raise ConfigError(
-                    f"unknown elastic schedule {self.elastic.schedule!r}; "
-                    f"accepted: {', '.join(ELASTIC_SCHEDULES)}"
-                )
-            if self.elastic.iterations < 1:
-                raise ConfigError("elastic iterations must be >= 1")
-            if self.elastic.rate < 0:
-                raise ConfigError("elastic rate must be >= 0")
-            if self.elastic.min_nodes < 1 or self.elastic.min_nodes > self.cluster.num_nodes:
-                raise ConfigError(
-                    "elastic min_nodes must be in [1, cluster.num_nodes]"
-                )
-        if self.faults is not None:
-            if self.elastic is None:
-                raise ConfigError(
-                    "faults require an 'elastic' section: fault drills perturb "
-                    "the elastic trainer (add \"elastic\": {} or "
-                    "--set elastic.schedule=none)"
-                )
-            _validate_faults(self.faults, seed=self.seed, target="run")
+            self.elastic.validate(self.cluster)
         return self
 
 
-# ---------------------------------------------------------------------------
-# Multi-tenant scheduling configs (repro.sched)
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class JobConfig:
-    """One schedulable job of a :class:`SchedConfig` scenario.
-
-    The scalar mirror of :class:`repro.sched.JobSpec`; see that class
-    for full semantics.  Validation happens by constructing the spec.
-    """
-
-    #: Unique job identifier within the scenario.
-    name: str = "job"
-    #: Workload profile: ``resnet50`` / ``vgg19`` / ``transformer``
-    #: (:data:`repro.models.profiles.PROFILES`).
-    profile: str = "resnet50"
-    #: Registered comm-scheme name or alias (``python -m repro list
-    #: schemes``); timed via its Table 3 archetype.
-    scheme: str = "mstopk"
-    #: Top-k sparsity rho in (0, 1] for the sparse schemes.
-    density: float = 0.01
-    #: Input resolution in pixels (None = 224 when calibrated, else the
-    #: profile's reference; 0 for the Transformer).
-    resolution: int | None = None
-    #: Per-GPU batch (None = the profile's default).
-    local_batch: int | None = None
-    #: Iterations of work to complete, >= 1.
-    iterations: int = 200
-    #: Placement priority; higher may shrink strictly-lower ones.
-    priority: int = 0
-    #: Completion deadline in seconds after arrival (None = none).
-    deadline_seconds: float | None = None
-    #: Billing: ``spot`` (discounted) or ``on-demand`` (full price).
-    preference: str = "spot"
-    #: Elastic allocation window in whole nodes, 1 <= min <= max.
-    min_nodes: int = 1
-    max_nodes: int = 2
-    #: GPUs used on each allocated node (None = the whole node); smaller
-    #: slices let jobs co-locate and contend for the NIC.
-    gpus_per_node: int | None = None
-    #: Submission time on the virtual clock, seconds >= 0.
-    arrival_seconds: float = 0.0
-    #: Optional training payload (:class:`repro.sched.TrainPayload`
-    #: fields as a mapping, e.g. ``{"model": "mlp-tiny", "seed": 3}``);
-    #: payload jobs replay their scheduler-decided allocation history
-    #: through the real ElasticTrainer after the simulation.
-    payload: dict | None = None
-
-    def to_spec(self):
-        """Build the runtime :class:`repro.sched.JobSpec` (validates)."""
-        from repro.sched.job import JobSpec, TrainPayload
-
-        data = dataclasses.asdict(self)
-        payload = data.pop("payload", None)
-        try:
-            if payload is not None:
-                if not isinstance(payload, dict):
-                    raise ValueError(
-                        f"payload must be a mapping, got {type(payload).__name__}"
-                    )
-                data["payload"] = TrainPayload(**payload)
-            return JobSpec(**data)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"job {self.name!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class SchedConfig(_JsonConfig):
+class SchedConfig(JsonConfig):
     """A multi-tenant scheduling scenario: shared cluster + job queue.
 
     ``python -m repro sched --config <file>`` runs the scenario once per
@@ -615,11 +392,13 @@ class SchedConfig(_JsonConfig):
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     #: Registered placement policies to compare (``python -m repro list
     #: policies``); built-ins: ``bin-pack`` / ``spread`` /
-    #: ``network-aware``.
-    policies: tuple = ("bin-pack",)
-    #: The job queue (>= 1 job; names unique).  Ignored when ``trace``
-    #: is set (the two are mutually exclusive in config files).
-    jobs: tuple = (JobConfig(),)
+    #: ``network-aware`` / ``fault-aware``.
+    policies: tuple[str, ...] = ("bin-pack",)
+    #: The job queue (>= 1 job; names unique), each entry a
+    #: :class:`~repro.sched.job.JobSpec`.  Left out, it is one default
+    #: job — or, with ``trace`` set, nothing: the two are mutually
+    #: exclusive.
+    jobs: tuple[JobSpec, ...] | None = None
     #: Path to a cluster trace (``.jsonl`` file or PAI-style CSV
     #: directory; see ``docs/traces.md``).  When set, the job queue is
     #: loaded from the trace instead of ``jobs`` and the CLI reports
@@ -635,268 +414,52 @@ class SchedConfig(_JsonConfig):
     #: fans the policy grid across cores (results identical to serial).
     exec: ExecConfig = field(default_factory=ExecConfig)
 
-    @classmethod
-    def from_dict(cls, data: dict, *, validate: bool = True) -> "SchedConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"sched config must be a mapping, got {type(data).__name__}"
-            )
-        _check_keys("sched", data, cls)
-        kwargs: dict[str, Any] = {k: data[k] for k in ("name", "seed") if k in data}
-        if "cluster" in data:
-            kwargs["cluster"] = _from_dict("cluster", data["cluster"], ClusterConfig)
-        if "policies" in data:
-            policies = data["policies"]
-            if isinstance(policies, str):
-                policies = [policies]
-            if not isinstance(policies, (list, tuple)):
-                raise ConfigError("'policies' must be a list of policy names")
-            kwargs["policies"] = tuple(policies)
-        if "jobs" in data and "trace" in data and data["trace"] is not None:
+    def __post_init__(self) -> None:
+        if self.trace is None and self.jobs is None:
+            object.__setattr__(self, "jobs", (JobSpec(),))
+        elif self.trace is not None and self.jobs is not None:
             raise ConfigError(
                 "'jobs' and 'trace' are mutually exclusive: a trace IS the "
                 "job queue"
             )
-        if "jobs" in data:
-            jobs = data["jobs"]
-            if not isinstance(jobs, (list, tuple)):
-                raise ConfigError("'jobs' must be a list of job mappings")
-            kwargs["jobs"] = tuple(
-                _from_dict(f"jobs[{i}]", job, JobConfig) for i, job in enumerate(jobs)
-            )
-        if "trace" in data and data["trace"] is not None:
-            if not isinstance(data["trace"], str) or not data["trace"]:
-                raise ConfigError("'trace' must be a non-empty path string")
-            kwargs["trace"] = data["trace"]
-        if data.get("faults") is not None:
-            kwargs["faults"] = _faults_from_dict(data["faults"])
-        if data.get("brain") is not None:
-            kwargs["brain"] = _from_dict("brain", data["brain"], BrainConfig)
-        if "exec" in data:
-            kwargs["exec"] = _from_dict("exec", data["exec"], ExecConfig)
-        config = cls(**kwargs)
-        if validate:
-            config.validate()
-        return config
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "cluster": dataclasses.asdict(self.cluster),
-            "policies": list(self.policies),
-            # jobs/trace are mutually exclusive; emit whichever is live
-            # so the dict survives a from_dict round trip.
-            **(
-                {"trace": self.trace}
-                if self.trace is not None
-                else {"jobs": [dataclasses.asdict(job) for job in self.jobs]}
-            ),
-            **(
-                {"faults": _faults_to_dict(self.faults)}
-                if self.faults is not None
-                else {}
-            ),
-            **(
-                {"brain": dataclasses.asdict(self.brain)}
-                if self.brain is not None
-                else {}
-            ),
-            "exec": dataclasses.asdict(self.exec),
-        }
 
     def validate(self) -> "SchedConfig":
-        if not self.name:
-            raise ConfigError("sched 'name' must be a non-empty string")
-        _validate_cluster(self.cluster)
+        self._validate_shared(fault_target="sched")
         if not self.policies:
             raise ConfigError("sched 'policies' must name at least one policy")
-        from repro.sched.policies import POLICIES
-
         for policy in self.policies:
-            if policy not in POLICIES:
-                raise ConfigError(
-                    f"unknown policy {policy!r}; "
-                    f"registered: {', '.join(POLICIES.available())}"
-                )
+            POLICIES.require(policy)
         canonical = [POLICIES.canonical(p) for p in self.policies]
         duplicates = sorted({p for p in canonical if canonical.count(p) > 1})
         if duplicates:
             raise ConfigError(
                 f"policies resolve to duplicate entries: {', '.join(duplicates)}"
             )
-        if self.faults is not None:
-            _validate_faults(self.faults, seed=self.seed, target="sched")
         if self.brain is not None:
-            _validate_brain(self.brain)
+            self.brain.validate()
+        self.exec.validate()
         if self.trace is not None:
-            if not isinstance(self.trace, str) or not self.trace:
-                raise ConfigError("'trace' must be a non-empty path string")
             # Trace contents (existence, referential integrity, workload
-            # names) are validated when the trace is loaded at run time;
-            # the inline-jobs checks below do not apply.
-            _validate_exec(self.exec)
+            # names) are validated when the trace is loaded at run time.
+            if not self.trace:
+                raise ConfigError("'trace' must be a non-empty path string")
             return self
         if not self.jobs:
             raise ConfigError("sched 'jobs' must contain at least one job")
         names = [job.name for job in self.jobs]
         if len(set(names)) != len(names):
             raise ConfigError(f"job names must be unique, got {sorted(names)}")
-        for job in self.jobs:
-            spec = job.to_spec()  # field-level validation
-            if spec.min_nodes > self.cluster.num_nodes:
-                raise ConfigError(
-                    f"job {job.name!r} needs {spec.min_nodes} nodes, cluster "
-                    f"has {self.cluster.num_nodes}"
-                )
-            gpus = spec.gpus_per_node
-            if gpus is not None and gpus > self.cluster.gpus_per_node:
-                raise ConfigError(
-                    f"job {job.name!r} wants {gpus} GPUs/node on "
-                    f"{self.cluster.gpus_per_node}-GPU nodes"
-                )
-        _validate_exec(self.exec)
+        try:
+            for job in self.jobs:
+                job.check_fits(self.cluster.num_nodes, self.cluster.gpus_per_node)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
 
-@dataclass(frozen=True)
-class ServeConfig(_JsonConfig):
-    """The always-on scheduler daemon (``python -m repro serve``).
-
-    Unlike :class:`SchedConfig` — one pre-declared batch, one policy
-    *comparison* — a serve config describes a single live service: one
-    placement policy, jobs submitted while the clock runs, durable state
-    under ``--state-dir``.  See ``docs/serve.md``.
-    """
-
-    KIND: ClassVar[str] = "serve"
-
-    #: Service label (non-empty); becomes the ``serve_<name>`` bench id.
-    name: str = "serve"
-    #: Seeds the fault plan; the service itself is deterministic.
-    seed: int = 0
-    #: The shared cluster the daemon schedules onto.
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    #: The single placement policy the live service runs.
-    policy: str = "bin-pack"
-    #: Optional fault plan perturbing the live cluster.
-    faults: FaultsConfig | None = None
-    #: Optional autotuning brain re-planning resources online.
-    brain: BrainConfig | None = None
-    #: Admission backlog bound (pending + queued); submissions beyond it
-    #: are shed with a structured ``queue full`` rejection.
-    queue_limit: int = 64
-    #: Snapshot cadence: persist engine state every N applied ops
-    #: (bounds journal-replay length on recovery).
-    snapshot_every: int = 8
-    #: Virtual seconds one ``tick`` op advances when no ``until`` given.
-    tick_seconds: float = 300.0
-    #: Event-loop iterations allowed per tick/drain (runaway guard).
-    max_events_per_tick: int = 10_000
-
-    @classmethod
-    def from_dict(cls, data: dict, *, validate: bool = True) -> "ServeConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"serve config must be a mapping, got {type(data).__name__}"
-            )
-        _check_keys("serve", data, cls)
-        kwargs: dict[str, Any] = {
-            k: data[k]
-            for k in (
-                "name", "seed", "policy", "queue_limit", "snapshot_every",
-                "tick_seconds", "max_events_per_tick",
-            )
-            if k in data
-        }
-        if "cluster" in data:
-            kwargs["cluster"] = _from_dict("cluster", data["cluster"], ClusterConfig)
-        if data.get("faults") is not None:
-            kwargs["faults"] = _faults_from_dict(data["faults"])
-        if data.get("brain") is not None:
-            kwargs["brain"] = _from_dict("brain", data["brain"], BrainConfig)
-        config = cls(**kwargs)
-        if validate:
-            config.validate()
-        return config
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "cluster": dataclasses.asdict(self.cluster),
-            "policy": self.policy,
-            **(
-                {"faults": _faults_to_dict(self.faults)}
-                if self.faults is not None
-                else {}
-            ),
-            **(
-                {"brain": dataclasses.asdict(self.brain)}
-                if self.brain is not None
-                else {}
-            ),
-            "queue_limit": self.queue_limit,
-            "snapshot_every": self.snapshot_every,
-            "tick_seconds": self.tick_seconds,
-            "max_events_per_tick": self.max_events_per_tick,
-        }
-
-    def validate(self) -> "ServeConfig":
-        if not self.name:
-            raise ConfigError("serve 'name' must be a non-empty string")
-        _validate_cluster(self.cluster)
-        from repro.sched.policies import POLICIES
-
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {self.policy!r}; "
-                f"registered: {', '.join(POLICIES.available())}"
-            )
-        if self.queue_limit < 1:
-            raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.snapshot_every < 1:
-            raise ConfigError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}"
-            )
-        if not self.tick_seconds > 0:
-            raise ConfigError(
-                f"tick_seconds must be > 0, got {self.tick_seconds}"
-            )
-        if self.max_events_per_tick < 1:
-            raise ConfigError(
-                f"max_events_per_tick must be >= 1, got {self.max_events_per_tick}"
-            )
-        if self.faults is not None:
-            _validate_faults(self.faults, seed=self.seed, target="sched")
-        if self.brain is not None:
-            _validate_brain(self.brain)
-        return self
-
-
-def apply_serve_overrides(
-    config: ServeConfig, overrides: Sequence[str]
-) -> ServeConfig:
-    """Apply dotted overrides to a serve config and re-validate."""
-    return ServeConfig.from_dict(_apply_overrides_data(config.to_dict(), overrides))
-
-
-def _validate_exec(config: ExecConfig) -> None:
-    """Shared exec-section validation for run and sched configs."""
-    from repro.exec.backend import BACKENDS, START_METHODS
-
-    if config.backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown exec backend {config.backend!r}; "
-            f"registered: {', '.join(BACKENDS.available())}"
-        )
-    if config.jobs < 0:
-        raise ConfigError(f"exec jobs must be >= 0 (0 = all cores), got {config.jobs}")
-    if config.start_method is not None and config.start_method not in START_METHODS:
-        raise ConfigError(
-            f"unknown exec start_method {config.start_method!r}; "
-            f"accepted: {', '.join(START_METHODS)}"
-        )
+# ---------------------------------------------------------------------------
+# --set overrides
+# ---------------------------------------------------------------------------
 
 
 def _parse_override_value(raw: str) -> Any:
@@ -956,29 +519,33 @@ def _apply_overrides_data(data: dict, overrides: Sequence[str]) -> dict:
     return data
 
 
-def apply_overrides(config: RunConfig, overrides: Sequence[str]) -> RunConfig:
-    """Apply ``section.key=value`` overrides and re-validate.
+def apply_overrides(config, overrides: Sequence[str]):
+    """Apply ``section.key=value`` overrides to any top-level config and
+    re-validate.
 
     ``--set elastic.rate=0.02`` on a non-elastic config materialises a
     default :class:`ElasticConfig` first, so any run can be made elastic
-    from the command line.
+    from the command line; list entries address by index
+    (``--set jobs.0.priority=5``, ``--set policies.1=spread``).
     """
-    return RunConfig.from_dict(_apply_overrides_data(config.to_dict(), overrides))
+    return type(config).from_dict(_apply_overrides_data(config.to_dict(), overrides))
 
 
-def apply_sched_overrides(
-    config: SchedConfig, overrides: Sequence[str]
-) -> SchedConfig:
-    """Apply dotted overrides to a sched config and re-validate.
+def __getattr__(name: str):
+    # ServeConfig is built from the classes above, so its module imports
+    # this one; the re-export resolves on first use.
+    if name == "ServeConfig":
+        from repro.serve.engine import ServeConfig
 
-    List entries address by index: ``--set jobs.0.priority=5``,
-    ``--set policies.1=spread``.
-    """
-    return SchedConfig.from_dict(_apply_overrides_data(config.to_dict(), overrides))
+        return ServeConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
     "ConfigError",
+    "load",
+    "dump",
+    "JsonConfig",
     "ClusterConfig",
     "CommConfig",
     "TrainConfig",
@@ -988,11 +555,10 @@ __all__ = [
     "FaultConfig",
     "FaultsConfig",
     "BrainConfig",
+    "TrainPayload",
+    "JobSpec",
     "RunConfig",
-    "JobConfig",
     "SchedConfig",
     "ServeConfig",
     "apply_overrides",
-    "apply_sched_overrides",
-    "apply_serve_overrides",
 ]

@@ -22,6 +22,7 @@ from repro.api.registry import (
     build_scheme,
     build_workload,
 )
+from repro.faults.plan import FaultPlan
 from repro.utils.bench import bench_payload
 from repro.utils.seeding import new_rng
 
@@ -168,7 +169,6 @@ def _run_elastic(config: RunConfig, workload, exec_backend=None) -> RunReport:
     injector = None
     if config.faults is not None:
         from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan
 
         plan = FaultPlan.from_config(config.faults, seed=config.seed, target="run")
         injector = FaultInjector(plan)
@@ -320,42 +320,42 @@ def run_sched(config) -> dict:
     with :func:`repro.sched.payload_for_reports`.
 
     With ``exec.backend: process`` the per-policy simulations (each
-    fully independent and deterministic) fan across the worker pool;
-    the returned mapping is identical to the serial loop's.
+    fully independent and deterministic) fan across the worker pool,
+    each worker running :func:`run_sched_serial` on one policy; the
+    returned mapping is identical to the serial loop's.
     """
+    config.validate()
+    exec_backend = _build_exec_backend(config.exec)
+    if exec_backend is None:
+        return run_sched_serial(config)
+    from repro.exec.sweeper import ParallelSweeper
+
+    try:
+        return ParallelSweeper(exec_backend).run_sched_policies(config)
+    finally:
+        exec_backend.close()
+
+
+def run_sched_serial(config) -> dict:
+    """The in-process body of :func:`run_sched`: load the queue (inline
+    jobs or trace), resolve the fault plan, run every policy in turn."""
     from repro.sched import compare_policies
     from repro.sched.traces import job_specs_for
 
-    config.validate()
-    exec_backend = _build_exec_backend(config.exec)
-    if exec_backend is not None:
-        from repro.exec.sweeper import ParallelSweeper
-
-        try:
-            return ParallelSweeper(exec_backend).run_sched_policies(config)
-        finally:
-            exec_backend.close()
-    jobs = job_specs_for(config)
+    plan = None
+    if config.faults is not None:
+        plan = FaultPlan.from_config(config.faults, seed=config.seed, target="sched")
     return compare_policies(
-        jobs,
+        job_specs_for(config),
         config.policies,
         num_nodes=config.cluster.num_nodes,
         instance=config.cluster.instance,
         gpus_per_node=config.cluster.gpus_per_node,
         seed=config.seed,
         name=config.name,
-        faults=_sched_fault_plan(config),
+        faults=plan,
         brain=config.brain,
     )
 
 
-def _sched_fault_plan(config):
-    """Resolve a SchedConfig's faults section (or ``None``)."""
-    if config.faults is None:
-        return None
-    from repro.faults.plan import FaultPlan
-
-    return FaultPlan.from_config(config.faults, seed=config.seed, target="sched")
-
-
-__all__ = ["run", "run_sched", "preflight", "RunReport"]
+__all__ = ["run", "run_sched", "run_sched_serial", "preflight", "RunReport"]

@@ -22,6 +22,7 @@ from repro.brain.base import (
     BRAINS,
     Action,
     Autotuner,
+    BrainConfig,
     build_brain,
     register_brain,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "Action",
     "Autotuner",
     "register_brain",
+    "BrainConfig",
     "build_brain",
     "BrainDriver",
     "PHASES",

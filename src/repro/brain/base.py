@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.api.registry import Registry
+from repro.utils.registry import ConfigError, Registry
 
 #: Brain registry: name -> :class:`Autotuner` subclass.
 BRAINS = Registry("brain")
@@ -45,8 +45,66 @@ def register_brain(name: str, *, aliases: Iterable[str] = (), overwrite: bool = 
     return BRAINS.register(name, aliases=aliases, overwrite=overwrite)
 
 
+@dataclass(frozen=True)
+class BrainConfig:
+    """The ``brain`` section of a sched / serve config.
+
+    Present ⇒ the named :class:`Autotuner` observes every policy run and
+    issues migrate/shrink/grow decisions at each tick; absent — or
+    ``static`` — ⇒ every code path is byte-identical to a build without
+    the subsystem.
+    """
+
+    #: Registered brain name or alias (``python -m repro list brains``);
+    #: built-ins: ``static`` / ``throughput`` / ``health-migrate``.
+    name: str = "static"
+    #: Virtual seconds between decision ticks, > 0.
+    interval: float = 60.0
+    #: Seconds a just-rescaled job (and its vacated node) is frozen
+    #: against autoscale reversal, >= 0.
+    min_dwell: float = 120.0
+    #: Suspicion fraction of the quarantine threshold at which a node
+    #: reads as *gray* (migration candidate), in (0, 1].
+    migrate_suspicion: float = 0.5
+    #: Minimum marginal-node scaling efficiency (net of rollback risk)
+    #: required to grow, in (0, 1].
+    grow_efficiency: float = 0.7
+    #: Marginal efficiency below which the last node is shed, in [0, 1).
+    shrink_efficiency: float = 0.25
+    #: Weight of the suspicion-priced expected rollback cost subtracted
+    #: from a scale-up's efficiency, >= 0.
+    rollback_weight: float = 1.0
+    #: Applied decisions per tick across all jobs, >= 1.
+    max_actions: int = 2
+
+    def validate(self) -> None:
+        BRAINS.require(self.name)
+        if self.interval <= 0:
+            raise ConfigError(f"brain interval must be > 0, got {self.interval}")
+        if self.min_dwell < 0:
+            raise ConfigError(f"brain min_dwell must be >= 0, got {self.min_dwell}")
+        if not 0 < self.migrate_suspicion <= 1:
+            raise ConfigError(
+                f"brain migrate_suspicion must be in (0, 1], got {self.migrate_suspicion}"
+            )
+        if not 0 < self.grow_efficiency <= 1:
+            raise ConfigError(
+                f"brain grow_efficiency must be in (0, 1], got {self.grow_efficiency}"
+            )
+        if not 0 <= self.shrink_efficiency < 1:
+            raise ConfigError(
+                f"brain shrink_efficiency must be in [0, 1), got {self.shrink_efficiency}"
+            )
+        if self.rollback_weight < 0:
+            raise ConfigError(
+                f"brain rollback_weight must be >= 0, got {self.rollback_weight}"
+            )
+        if self.max_actions < 1:
+            raise ConfigError(f"brain max_actions must be >= 1, got {self.max_actions}")
+
+
 def build_brain(config) -> "Autotuner":
-    """Instantiate the brain a :class:`~repro.api.config.BrainConfig` names."""
+    """Instantiate the brain a :class:`BrainConfig` names."""
     cls = BRAINS.get(config.name)
     return cls(config)
 
@@ -100,6 +158,7 @@ __all__ = [
     "BRAINS",
     "ACTION_KINDS",
     "register_brain",
+    "BrainConfig",
     "build_brain",
     "Action",
     "Autotuner",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.faults.plan import FaultsConfig
+
 
 @dataclass(frozen=True)
 class NodeSignal:
@@ -66,8 +68,7 @@ class BrainObservation:
         now: float,
         nodes: list,
         jobs: list,
-        quarantine_threshold: float,
-        checkpoint_iterations: int,
+        faults: FaultsConfig | None,
         spot_discount: float,
         queued: int,
         scheduler,
@@ -78,10 +79,14 @@ class BrainObservation:
         self.jobs = list(jobs)
         #: Ledger quarantine threshold (``inf`` without a fault plan, so
         #: nothing ever reads as gray on healthy clusters).
-        self.quarantine_threshold = quarantine_threshold
+        self.quarantine_threshold = (
+            faults.quarantine_threshold if faults is not None else float("inf")
+        )
         #: Iterations between the implied checkpoints a crash rolls back
         #: to — the unit of expected rollback cost.
-        self.checkpoint_iterations = checkpoint_iterations
+        self.checkpoint_iterations = (
+            faults if faults is not None else FaultsConfig
+        ).checkpoint_iterations  # the class attribute is the field default
         self.spot_discount = spot_discount
         #: Jobs waiting in the admission queue at the tick.
         self.queued = queued
@@ -176,9 +181,6 @@ def build_observation(run) -> BrainObservation:
     """Snapshot a live :class:`~repro.sched.core.SchedRun` for one decision tick."""
     scheduler, now, state, faults = run.scheduler, run.now, run.state, run.faults
     ledger = state.health
-    threshold = (
-        ledger.policy.quarantine_threshold if ledger is not None else float("inf")
-    )
     nodes = []
     for n in range(state.num_nodes):
         nodes.append(
@@ -234,10 +236,7 @@ def build_observation(run) -> BrainObservation:
         now=now,
         nodes=nodes,
         jobs=jobs,
-        quarantine_threshold=threshold,
-        checkpoint_iterations=(
-            faults.checkpoint_iterations if faults is not None else 25
-        ),
+        faults=ledger.policy if ledger is not None else None,
         spot_discount=scheduler.spot_profile.spot_discount,
         queued=len(run.queued),
         scheduler=scheduler,

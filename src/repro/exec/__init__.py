@@ -21,6 +21,7 @@ Select a backend declaratively (``"exec": {"backend": "process",
 
 from repro.exec.backend import (
     BACKENDS,
+    ExecConfig,
     ProcessBackend,
     SerialBackend,
     build_backend,
@@ -35,6 +36,7 @@ from repro.exec.sweeper import ParallelSweeper
 __all__ = [
     "BACKENDS",
     "register_backend",
+    "ExecConfig",
     "build_backend",
     "cpu_count",
     "resolve_jobs",

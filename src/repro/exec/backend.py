@@ -24,10 +24,11 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.api.registry import Registry
 from repro.exec.worker import CALL, STOP, worker_main
+from repro.utils.registry import ConfigError, Registry
 
 BACKENDS = Registry("exec backend")
 
@@ -38,6 +39,39 @@ START_METHODS = ("fork", "spawn", "forkserver")
 def register_backend(name: str, *, aliases: Iterable[str] = (), overwrite: bool = False):
     """Register a backend factory ``f(*, jobs, start_method) -> ExecBackend``."""
     return BACKENDS.register(name, aliases=aliases, overwrite=overwrite)
+
+
+@dataclass(frozen=True)
+class ExecConfig:
+    """The ``exec`` section: execution backend + pool width.
+
+    Never changes *what* is computed — every backend is bit-identical to
+    ``serial`` (results are pinned by the parity and invariance suites),
+    so this section is pure wall-clock policy.
+    """
+
+    #: Registered execution backend (``python -m repro list backends``);
+    #: built-ins: ``serial`` (inline, the default) / ``process``
+    #: (shared-memory worker pool on real CPU cores).
+    backend: str = "serial"
+    #: Pool width for parallel backends: worker processes for the
+    #: trainer's per-worker compute and for sweep fan-out (0 = all
+    #: usable cores; ignored by ``serial``).
+    jobs: int = 1
+    #: Multiprocessing start method (``fork`` / ``spawn`` /
+    #: ``forkserver``; None = platform preference — ``fork`` where
+    #: available, else ``spawn``).
+    start_method: str | None = None
+
+    def validate(self) -> None:
+        BACKENDS.require(self.backend)
+        if self.jobs < 0:
+            raise ConfigError(f"exec jobs must be >= 0 (0 = all cores), got {self.jobs}")
+        if self.start_method is not None and self.start_method not in START_METHODS:
+            raise ConfigError(
+                f"unknown exec start_method {self.start_method!r}; "
+                f"accepted: {', '.join(START_METHODS)}"
+            )
 
 
 def cpu_count() -> int:
@@ -251,6 +285,7 @@ __all__ = [
     "BACKENDS",
     "START_METHODS",
     "register_backend",
+    "ExecConfig",
     "build_backend",
     "cpu_count",
     "resolve_jobs",

@@ -116,34 +116,21 @@ def _task_run_config(payload: dict) -> Any:
 
 
 def _task_sched_policy(task: tuple[dict, str]) -> Any:
-    """Pool task: one sched scenario under one placement policy."""
+    """Pool task: one sched scenario under one placement policy.
+
+    Only the config dict crosses the process boundary: a trace path or
+    a fault plan resolves here, in the worker, so every policy replays
+    the same queue and the same storm.
+    """
     from repro.api.config import SchedConfig
-    from repro.sched import compare_policies
-    from repro.sched.traces import job_specs_for
+    from repro.api.facade import run_sched_serial
 
     payload, policy = task
     data = dict(payload)
     data["policies"] = [policy]
     data["exec"] = {"backend": "serial", "jobs": 1}
-    config = SchedConfig.from_dict(data)
-    # Trace configs resolve here, in the worker: only the path crosses
-    # the process boundary, and each worker parses the trace itself —
-    # likewise the fault plan, so every policy replays the same storm.
-    from repro.api.facade import _sched_fault_plan
-
-    jobs = job_specs_for(config)
-    reports = compare_policies(
-        jobs,
-        [policy],
-        num_nodes=config.cluster.num_nodes,
-        instance=config.cluster.instance,
-        gpus_per_node=config.cluster.gpus_per_node,
-        seed=config.seed,
-        name=config.name,
-        faults=_sched_fault_plan(config),
-        brain=config.brain,
-    )
-    return next(iter(reports.values()))
+    (report,) = run_sched_serial(SchedConfig.from_dict(data)).values()
+    return report
 
 
 def _task_experiment(entry: tuple[str, str, bool]) -> tuple[str, str]:

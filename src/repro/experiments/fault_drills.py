@@ -24,7 +24,7 @@ shortest in the storm too.
 
 from __future__ import annotations
 
-from repro.api.config import ClusterConfig, FaultConfig, FaultsConfig, JobConfig, SchedConfig
+from repro.api.config import ClusterConfig, FaultConfig, FaultsConfig, JobSpec, SchedConfig
 from repro.api.facade import run_sched
 from repro.faults.drill import (
     DRILL_COLUMNS,
@@ -48,7 +48,7 @@ def sched_storm_scenario(*, seed: int = 7) -> SchedConfig:
         cluster=ClusterConfig(instance="tencent", num_nodes=6, gpus_per_node=2),
         policies=("bin-pack", "spread", "fault-aware"),
         jobs=(
-            JobConfig(
+            JobSpec(
                 name="resnet-prod",
                 profile="resnet50",
                 scheme="mstopk",
@@ -57,7 +57,7 @@ def sched_storm_scenario(*, seed: int = 7) -> SchedConfig:
                 min_nodes=1,
                 max_nodes=3,
             ),
-            JobConfig(
+            JobSpec(
                 name="vgg-batch",
                 profile="vgg19",
                 scheme="dense",

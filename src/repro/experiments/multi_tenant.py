@@ -20,7 +20,7 @@ nodes, network-aware placement) buys the dense job its bandwidth back.
 
 from __future__ import annotations
 
-from repro.api.config import ClusterConfig, JobConfig, SchedConfig
+from repro.api.config import ClusterConfig, JobSpec, SchedConfig
 from repro.api.facade import run_sched
 from repro.sched.scheduler import SchedReport
 from repro.utils.tables import print_table
@@ -46,7 +46,7 @@ def scenario(
         ),
         policies=tuple(policies),
         jobs=(
-            JobConfig(
+            JobSpec(
                 name="resnet-prod",
                 profile="resnet50",
                 scheme="mstopk",
@@ -57,7 +57,7 @@ def scenario(
                 max_nodes=2,
                 gpus_per_node=4,
             ),
-            JobConfig(
+            JobSpec(
                 name="vgg-batch",
                 profile="vgg19",
                 scheme="dense",
@@ -67,7 +67,7 @@ def scenario(
                 max_nodes=2,
                 gpus_per_node=4,
             ),
-            JobConfig(
+            JobSpec(
                 name="xfmr-deadline",
                 profile="transformer",
                 scheme="mstopk",
@@ -81,7 +81,7 @@ def scenario(
                 max_nodes=2,
                 gpus_per_node=8,
             ),
-            JobConfig(
+            JobSpec(
                 name="topk-sweep",
                 profile="resnet50",
                 scheme="topk",

@@ -7,14 +7,14 @@ elastic-membership and multi-tenant-scheduler machinery, never around
 it.  Plans are seeded and deterministic; every injection/detection/
 recovery step lands in a wall-clock-free :class:`~repro.faults.log.FaultLog`
 so replay is bit-identical at any ``--jobs`` width.  See
-``docs/faults.md``.
+``docs/faults.md``.  The recovery drills (:mod:`repro.faults.drill`) sit
+on top of ``repro.api`` and are imported by module path.
 """
 
-from repro.faults.drill import drill_config, drills_payload, run_drills
-from repro.faults.health import KIND_WEIGHTS, HealthPolicy, NodeHealthLedger
+from repro.faults.health import KIND_WEIGHTS, NodeHealthLedger
 from repro.faults.injector import FaultInjector, RunContext
 from repro.faults.log import PHASES, FaultLog
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.plan import FaultConfig, FaultEvent, FaultPlan, FaultsConfig
 from repro.faults.registry import (
     FAULT_TARGETS,
     FAULTS,
@@ -34,6 +34,8 @@ __all__ = [
     "FaultError",
     "register_fault",
     "gray_jitter_draw",
+    "FaultConfig",
+    "FaultsConfig",
     "FaultEvent",
     "FaultPlan",
     "FaultLog",
@@ -42,9 +44,5 @@ __all__ = [
     "RunContext",
     "SchedFaultDriver",
     "KIND_WEIGHTS",
-    "HealthPolicy",
     "NodeHealthLedger",
-    "drill_config",
-    "run_drills",
-    "drills_payload",
 ]

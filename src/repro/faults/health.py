@@ -19,7 +19,7 @@ runs, and any ``--jobs`` width.  The ``fault-aware`` placement policy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.faults.plan import FaultsConfig
 
 #: Suspicion added per observed fault, by kind.  Hard failures weigh
 #: more than performance gray-ness; unknown kinds use ``_DEFAULT_WEIGHT``.
@@ -35,33 +35,16 @@ KIND_WEIGHTS = {
 _DEFAULT_WEIGHT = 0.5
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Knobs of the ledger (see ``FaultsConfig``)."""
-
-    quarantine_threshold: float = 2.0
-    half_life_s: float = 300.0
-    probe_cooldown_s: float = 180.0
-
-
 class NodeHealthLedger:
-    """Per-node suspicion scores with decay, quarantine, and probes."""
+    """Per-node suspicion scores with decay, quarantine, and probes.
 
-    def __init__(self, policy: HealthPolicy | None = None) -> None:
-        self.policy = policy if policy is not None else HealthPolicy()
-        if self.policy.quarantine_threshold <= 0:
-            raise ValueError(
-                f"quarantine_threshold must be > 0, "
-                f"got {self.policy.quarantine_threshold}"
-            )
-        if self.policy.half_life_s <= 0:
-            raise ValueError(
-                f"half_life_s must be > 0, got {self.policy.half_life_s}"
-            )
-        if self.policy.probe_cooldown_s < 0:
-            raise ValueError(
-                f"probe_cooldown_s must be >= 0, got {self.policy.probe_cooldown_s}"
-            )
+    ``policy`` is the ``faults`` section itself: the ledger reads its
+    ``quarantine_threshold`` / ``health_half_life`` / ``probe_cooldown``.
+    """
+
+    def __init__(self, policy: FaultsConfig | None = None) -> None:
+        self.policy = policy if policy is not None else FaultsConfig()
+        self.policy.validate()
         self._score: dict[int, float] = {}
         self._updated: dict[int, float] = {}
         #: node -> virtual time its health probe is due.
@@ -76,7 +59,7 @@ class NodeHealthLedger:
         if score is None:
             return 0.0
         dt = max(0.0, now - self._updated[node])
-        return score * 0.5 ** (dt / self.policy.half_life_s)
+        return score * 0.5 ** (dt / self.policy.health_half_life)
 
     def is_quarantined(self, node: int) -> bool:
         return node in self._probe_at
@@ -102,7 +85,7 @@ class NodeHealthLedger:
         self._updated[node] = now
         if node in self._probe_at or score < self.policy.quarantine_threshold:
             return False
-        self._probe_at[node] = now + self.policy.probe_cooldown_s
+        self._probe_at[node] = now + self.policy.probe_cooldown
         self.quarantines += 1
         return True
 
@@ -126,4 +109,4 @@ class NodeHealthLedger:
         }
 
 
-__all__ = ["KIND_WEIGHTS", "HealthPolicy", "NodeHealthLedger"]
+__all__ = ["KIND_WEIGHTS", "NodeHealthLedger"]

@@ -422,7 +422,7 @@ class FaultInjector:
         if stretch <= 1.0:
             return base
         cost = base * stretch
-        timeout = self.plan.checkpoint_timeout
+        timeout = self.plan.config.checkpoint_timeout
         if timeout <= 0 or cost <= timeout + 1e-12:
             return cost
         _, _, event = max(self._disk, key=lambda rec: (rec[1], -rec[2].fault_id))

@@ -1,12 +1,14 @@
-"""Seeded, deterministic fault plans.
+"""The ``faults`` config section and the seeded plans resolved from it.
 
-A :class:`FaultPlan` is the fully-resolved form of a
-:class:`repro.api.config.FaultsConfig`: plan files loaded, flap trains
-(``repeat``/``period``) expanded into concrete events, every kind
-checked against the :data:`~repro.faults.registry.FAULTS` registry and
-the target surface, and every parameter validated — so a typo fails at
-config-load time with one clear :class:`~repro.faults.registry.FaultError`
-instead of mid-simulation.
+:class:`FaultsConfig` (a list of :class:`FaultConfig` events plus the
+checkpoint and node-health knobs) is the section run, sched and serve
+configs carry.  A :class:`FaultPlan` is its fully-resolved form: plan
+files loaded, flap trains (``repeat``/``period``) expanded into concrete
+events, every kind checked against the
+:data:`~repro.faults.registry.FAULTS` registry and the target surface,
+and every parameter validated — so a typo fails at config-load time with
+one clear :class:`~repro.faults.registry.FaultError` instead of
+mid-simulation.
 
 The same plan drives an :class:`~repro.faults.injector.FaultInjector`
 (elastic runs, ``at`` in wall iterations) or a
@@ -21,10 +23,123 @@ import dataclasses
 import json
 import math
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.faults.registry import FAULT_TARGETS, FAULTS, FaultError
+from repro.utils.registry import ConfigError
 from repro.utils.seeding import derive_seed
+
+
+@dataclass(frozen=True)
+class FaultConfig:
+    """One planned fault event (see ``python -m repro list faults``).
+
+    Only the parameters a kind reads matter; the rest keep their
+    defaults.  ``at`` is in *wall iterations* for elastic runs and in
+    *virtual seconds* for scheduler runs — the natural clock of each
+    simulation.
+    """
+
+    #: Registered fault kind or alias (``python -m repro list faults``).
+    kind: str = "node-crash"
+    #: Injection time (wall iterations for runs, seconds for sched).
+    at: float = 0.0
+    #: Window length for windowed kinds; 0 = permanent.  For sched
+    #: crashes, a nonzero duration schedules the node's repair.
+    duration: float = 0.0
+    #: nic-degrade: remaining fraction of inter-node bandwidth, (0, 1).
+    scale: float = 0.5
+    #: straggler: compute slow-down factor, > 1.
+    stretch: float = 2.0
+    #: az-reclaim: fraction of live nodes reclaimed, (0, 1].
+    fraction: float = 0.5
+    #: Explicit victim node id (None = seeded pick among live nodes).
+    node: int | None = None
+    #: Flap support: total occurrences (>= 1) spaced ``period`` apart.
+    repeat: int = 1
+    #: Spacing between repeats (same unit as ``at``); required > 0 when
+    #: ``repeat`` > 1.
+    period: float = 0.0
+    #: gray-net: packet-loss probability on the sick link, [0, 1);
+    #: retransmissions stretch effective bandwidth by 1 / (1 - loss).
+    loss_rate: float = 0.05
+    #: gray-net: latency-jitter amplitude (>= 0); scales the seeded
+    #: per-iteration stochastic comm stretch.
+    jitter: float = 0.5
+    #: gray-net: distribution the per-iteration jitter draws from
+    #: (``exp`` or ``lognormal``).
+    jitter_dist: str = "exp"
+
+
+@dataclass(frozen=True)
+class FaultsConfig:
+    """The fault plan of a run: seeded, deterministic, replayable.
+
+    Present ⇒ the run (elastic) or scenario (sched) is perturbed by the
+    listed events through :mod:`repro.faults`; absent ⇒ every code path
+    is bit-identical to a build without the subsystem.
+    """
+
+    #: Seed for the plan's victim picks (None = derived from the run
+    #: seed, so one master seed still fixes everything).
+    seed: int | None = None
+    #: Planned fault events.
+    events: tuple[FaultConfig, ...] = ()
+    #: Path to a JSON plan file (``{"events": [...]}`` or a bare list);
+    #: mutually exclusive with inline ``events``.
+    plan: str | None = None
+    #: Iterations between the *implied* checkpoints the scheduler's
+    #: closed form rolls surprise-hit jobs back to (elastic runs use
+    #: their real ``elastic.checkpoint_every`` instead), >= 1.
+    checkpoint_iterations: int = 25
+    #: Virtual-seconds budget for one checkpoint write (elastic runs);
+    #: a disk-slow-stretched write exceeding it is abandoned and retried
+    #: on the fallback slot.  0 = unlimited (the pre-gray behaviour).
+    checkpoint_timeout: float = 0.0
+    #: Node suspicion score at which the health ledger quarantines a
+    #: repeat offender (> 0); read by the ``fault-aware`` policy.
+    quarantine_threshold: float = 2.0
+    #: Suspicion half-life in virtual seconds (> 0): how fast the
+    #: phi-accrual-style score decays between fault observations.
+    health_half_life: float = 300.0
+    #: Virtual seconds a quarantined node sits out before a probe
+    #: halves its score and returns it to the candidate pool (>= 0).
+    probe_cooldown: float = 180.0
+
+    def validate(self) -> None:
+        """Range-check the scalar knobs; :meth:`FaultPlan.from_config`
+        (which calls this) resolves the events."""
+        if self.checkpoint_iterations < 1:
+            raise FaultError(
+                "faults checkpoint_iterations must be >= 1, "
+                f"got {self.checkpoint_iterations}"
+            )
+        if self.checkpoint_timeout < 0:
+            raise FaultError(
+                "faults checkpoint_timeout must be >= 0 (0 disables the "
+                f"write budget), got {self.checkpoint_timeout}"
+            )
+        if self.quarantine_threshold <= 0:
+            raise FaultError(
+                "faults quarantine_threshold must be > 0, "
+                f"got {self.quarantine_threshold}"
+            )
+        if self.health_half_life <= 0:
+            raise FaultError(
+                f"faults health_half_life must be > 0, got {self.health_half_life}"
+            )
+        if self.probe_cooldown < 0:
+            raise FaultError(
+                f"faults probe_cooldown must be >= 0, got {self.probe_cooldown}"
+            )
+
+
+def _load_section(cls, data, label: str):
+    """The config codec, imported on use: :mod:`repro.api.config` imports
+    this module for the section classes above."""
+    from repro.api.config import load
+
+    return load(cls, data, label)
 
 
 @dataclass(frozen=True)
@@ -56,15 +171,13 @@ class FaultPlan:
     seed: int
     target: str
     events: tuple[FaultEvent, ...] = ()
-    checkpoint_iterations: int = 25
-    checkpoint_timeout: float = 0.0
-    quarantine_threshold: float = 2.0
-    health_half_life: float = 300.0
-    probe_cooldown: float = 180.0
+    #: The validated section the plan came from; the checkpoint and
+    #: node-health knobs are read from it, never copied.
+    config: FaultsConfig = field(default_factory=FaultsConfig)
 
     @classmethod
     def from_config(cls, faults, *, seed: int, target: str) -> "FaultPlan":
-        """Resolve a ``FaultsConfig`` (or equivalent dict) into a plan.
+        """Resolve a :class:`FaultsConfig` (or equivalent dict) into a plan.
 
         ``seed`` is the *run* seed; the plan seed derives from it unless
         the config pins its own.  Raises :class:`FaultError` on any
@@ -74,12 +187,8 @@ class FaultPlan:
             raise FaultError(
                 f"unknown fault target {target!r}; expected one of {FAULT_TARGETS}"
             )
-        from repro.api.config import FaultConfig, FaultsConfig
-
         if isinstance(faults, dict):
-            from repro.api.config import _faults_from_dict
-
-            faults = _faults_from_dict(faults)
+            faults = _load_section(FaultsConfig, faults, "faults")
         if not isinstance(faults, FaultsConfig):
             raise FaultError(
                 f"'faults' must be a FaultsConfig or mapping, "
@@ -92,51 +201,14 @@ class FaultPlan:
                     "faults 'events' and 'plan' are mutually exclusive: a plan "
                     "file IS the event list"
                 )
-            entries = _load_plan_file(faults.plan, FaultConfig)
-        if faults.checkpoint_iterations < 1:
-            raise FaultError(
-                "faults checkpoint_iterations must be >= 1, "
-                f"got {faults.checkpoint_iterations}"
-            )
-        if faults.checkpoint_timeout < 0:
-            raise FaultError(
-                "faults checkpoint_timeout must be >= 0 (0 disables the "
-                f"write budget), got {faults.checkpoint_timeout}"
-            )
-        if faults.quarantine_threshold <= 0:
-            raise FaultError(
-                "faults quarantine_threshold must be > 0, "
-                f"got {faults.quarantine_threshold}"
-            )
-        if faults.health_half_life <= 0:
-            raise FaultError(
-                "faults health_half_life must be > 0, "
-                f"got {faults.health_half_life}"
-            )
-        if faults.probe_cooldown < 0:
-            raise FaultError(
-                "faults probe_cooldown must be >= 0, "
-                f"got {faults.probe_cooldown}"
-            )
-        plan_seed = (
-            int(faults.seed)
-            if faults.seed is not None
-            else derive_seed(seed, "faults")
-        )
+            entries = _load_plan_file(faults.plan)
+        faults.validate()
+        plan_seed = faults.seed if faults.seed is not None else derive_seed(seed, "faults")
         events: list[FaultEvent] = []
         for index, entry in enumerate(entries):
             events.extend(_expand(index, entry, target))
         events.sort(key=lambda e: (e.at, e.fault_id))
-        return cls(
-            seed=plan_seed,
-            target=target,
-            events=tuple(events),
-            checkpoint_iterations=int(faults.checkpoint_iterations),
-            checkpoint_timeout=float(faults.checkpoint_timeout),
-            quarantine_threshold=float(faults.quarantine_threshold),
-            health_half_life=float(faults.health_half_life),
-            probe_cooldown=float(faults.probe_cooldown),
-        )
+        return cls(seed=plan_seed, target=target, events=tuple(events), config=faults)
 
     def to_dicts(self) -> list[dict]:
         return [dataclasses.asdict(event) for event in self.events]
@@ -147,10 +219,17 @@ class FaultPlan:
         return sorted({event.kind for event in self.events})
 
 
-def _expand(index: int, entry, target: str) -> list[FaultEvent]:
+#: FaultConfig fields FaultEvent takes as floats.  A config file may
+#: write ``20`` for ``20.0`` and the section keeps what was written (its
+#: JSON form is pinned), but event times and factors reach the
+#: digest-pinned fault log, where ``20`` and ``20.0`` differ.
+_FLOAT_PARAMS = ("duration", "scale", "stretch", "fraction", "loss_rate", "jitter")
+
+
+def _expand(index: int, entry: FaultConfig, target: str) -> list[FaultEvent]:
     """Validate one config entry and expand its repeat train."""
     label = f"faults.events[{index}]"
-    kind = FAULTS.canonical(str(entry.kind))
+    kind = FAULTS.canonical(entry.kind)
     if kind is None:
         raise FaultError(
             f"{label}: unknown fault {entry.kind!r}; "
@@ -162,46 +241,29 @@ def _expand(index: int, entry, target: str) -> list[FaultEvent]:
             f"{label}: fault {kind!r} cannot target {target!r} "
             f"(targets: {', '.join(sorted(fault.targets))})"
         )
-    try:
-        at = float(entry.at)
-        duration = float(entry.duration)
-        scale = float(entry.scale)
-        stretch = float(entry.stretch)
-        fraction = float(entry.fraction)
-        repeat = int(entry.repeat)
-        period = float(entry.period)
-        node = None if entry.node is None else int(entry.node)
-        loss_rate = float(entry.loss_rate)
-        jitter = float(entry.jitter)
-    except (TypeError, ValueError) as exc:
-        raise FaultError(f"{label}: non-numeric parameter: {exc}") from exc
-    jitter_dist = str(entry.jitter_dist)
+    at, period = float(entry.at), float(entry.period)
+    params = {name: float(getattr(entry, name)) for name in _FLOAT_PARAMS}
     if at < 0:
         raise FaultError(f"{label}: at must be >= 0, got {at}")
-    if duration < 0:
-        raise FaultError(f"{label}: duration must be >= 0, got {duration}")
-    if repeat < 1:
-        raise FaultError(f"{label}: repeat must be >= 1, got {repeat}")
-    if repeat > 1 and period <= 0:
+    if params["duration"] < 0:
+        raise FaultError(f"{label}: duration must be >= 0, got {params['duration']}")
+    if entry.repeat < 1:
+        raise FaultError(f"{label}: repeat must be >= 1, got {entry.repeat}")
+    if entry.repeat > 1 and period <= 0:
         raise FaultError(
             f"{label}: repeat > 1 needs a positive period, got {period}"
         )
     if period < 0:
         raise FaultError(f"{label}: period must be >= 0, got {period}")
     events = []
-    for occurrence in range(repeat):
+    for occurrence in range(entry.repeat):
         event = FaultEvent(
             fault_id=index * 1000 + occurrence,
             kind=kind,
             at=at + occurrence * period,
-            duration=duration,
-            scale=scale,
-            stretch=stretch,
-            fraction=fraction,
-            node=node,
-            loss_rate=loss_rate,
-            jitter=jitter,
-            jitter_dist=jitter_dist,
+            node=entry.node,
+            jitter_dist=entry.jitter_dist,
+            **params,
         )
         try:
             fault.check(event)
@@ -211,7 +273,7 @@ def _expand(index: int, entry, target: str) -> list[FaultEvent]:
     return events
 
 
-def _load_plan_file(path_str: str, fault_config_cls) -> list:
+def _load_plan_file(path_str: str) -> list[FaultConfig]:
     """Load ``{"events": [...]}`` (or a bare list) from a JSON plan file."""
     path = pathlib.Path(path_str)
     if not path.exists():
@@ -231,23 +293,13 @@ def _load_plan_file(path_str: str, fault_config_cls) -> list:
         raise FaultError(
             f"fault plan file {path} must hold a list of fault mappings"
         )
-    allowed = {f.name for f in dataclasses.fields(fault_config_cls)}
-    entries = []
-    for i, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise FaultError(
-                f"fault plan file {path} entry {i} must be a mapping, "
-                f"got {type(item).__name__}"
-            )
-        unknown = sorted(set(item) - allowed)
-        if unknown:
-            raise FaultError(
-                f"fault plan file {path} entry {i} has unknown key(s) "
-                f"{', '.join(map(repr, unknown))}; accepted: "
-                f"{', '.join(sorted(allowed))}"
-            )
-        entries.append(fault_config_cls(**item))
-    return entries
+    try:
+        return [
+            _load_section(FaultConfig, item, f"fault plan file {path} entry {i}")
+            for i, item in enumerate(data)
+        ]
+    except ConfigError as exc:
+        raise FaultError(str(exc)) from exc
 
 
-__all__ = ["FaultEvent", "FaultPlan"]
+__all__ = ["FaultConfig", "FaultsConfig", "FaultEvent", "FaultPlan"]

@@ -1,7 +1,7 @@
 """Registry of injectable faults — the pluggable failure vocabulary.
 
 Like schemes, models, and policies, faults are registered by name in a
-:class:`repro.api.registry.Registry` (``python -m repro list faults``
+:class:`repro.utils.registry.Registry` (``python -m repro list faults``
 prints them).  A fault class declares which simulation targets it can
 perturb (``"run"`` — an :class:`~repro.elastic.elastic_trainer.ElasticTrainer`
 simulation; ``"sched"`` — a :class:`~repro.sched.scheduler.MultiTenantScheduler`
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.api.registry import Registry
+from repro.utils.registry import Registry
 
 #: Simulation surfaces a fault can perturb.
 FAULT_TARGETS = ("run", "sched")

@@ -15,7 +15,7 @@ is that run itself; fault plugins read its ``scheduler`` / ``now`` /
 ``state`` / ``queued`` / ``running``.
 Crashes evict tenants through the normal ``ClusterState`` release path
 and roll their progress back to the last implied checkpoint
-(``plan.checkpoint_iterations``); a victim pushed below ``min_nodes``
+(``plan.config.checkpoint_iterations``); a victim pushed below ``min_nodes``
 requeues through the ordinary admission queue, and its
 detection-to-recovery latency is the virtual time until the scheduler
 re-places it.
@@ -27,7 +27,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.faults.health import HealthPolicy, NodeHealthLedger
+from repro.faults.health import NodeHealthLedger
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
 from repro.faults.registry import FAULTS, gray_jitter_draw
@@ -48,7 +48,6 @@ class SchedFaultDriver:
         self.plan = plan
         self.log = log if log is not None else FaultLog()
         self.rng = new_rng(plan.seed)
-        self.checkpoint_iterations = plan.checkpoint_iterations
         self._pending = deque(plan.events)  # already sorted by (at, fault_id)
         #: node -> (repair time or inf, event).
         self._down: dict[int, tuple[float, object]] = {}
@@ -61,13 +60,7 @@ class SchedFaultDriver:
         #: Per-node suspicion scores the fault-aware policy reads; its
         #: timeline depends only on the plan, never on placement, so it
         #: is identical under every policy compared against one storm.
-        self.health = NodeHealthLedger(
-            HealthPolicy(
-                quarantine_threshold=plan.quarantine_threshold,
-                half_life_s=plan.health_half_life,
-                probe_cooldown_s=plan.probe_cooldown,
-            )
-        )
+        self.health = NodeHealthLedger(plan.config)
         self.injected = 0
         self.recovered = 0
         self.absorbed = 0
@@ -262,7 +255,7 @@ class SchedFaultDriver:
         # An unwarned crash kills the synchronous step: every affected
         # job rolls back to its last implied checkpoint.
         scheduler = ctx.scheduler
-        ckpt = self.checkpoint_iterations
+        ckpt = self.plan.config.checkpoint_iterations
         for name in sorted(affected):
             record = by_name[name]
             lost = record.progress - math.floor(record.progress / ckpt) * ckpt
@@ -431,7 +424,7 @@ class SchedFaultDriver:
                 target="sched",
                 node=node,
                 suspicion=round(self.health.suspicion(node, now), 9),
-                probe_at=round(now + self.health.policy.probe_cooldown_s, 9),
+                probe_at=round(now + self.health.policy.probe_cooldown, 9),
             )
 
     # -- pricing inputs --------------------------------------------------------

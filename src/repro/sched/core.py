@@ -124,17 +124,7 @@ class SchedRun:
         scheduler = self.scheduler
         if spec.name in self.records:
             raise ValueError(f"job name {spec.name!r} was already submitted")
-        gpus = scheduler.job_gpus(spec)
-        if gpus > scheduler.gpus_per_node:
-            raise ValueError(
-                f"job {spec.name!r} wants {gpus} GPUs/node on "
-                f"{scheduler.gpus_per_node}-GPU nodes"
-            )
-        if spec.min_nodes > scheduler.num_nodes:
-            raise ValueError(
-                f"job {spec.name!r} needs {spec.min_nodes} nodes, cluster has "
-                f"{scheduler.num_nodes}"
-            )
+        spec.check_fits(scheduler.num_nodes, scheduler.gpus_per_node)
 
     def submit(self, spec: JobSpec) -> JobRecord:
         """Accept a job; it joins the admission queue once it arrives."""

@@ -119,6 +119,11 @@ class TrainPayload:
 class JobSpec:
     """One schedulable training job.
 
+    Also the declarative form: a ``jobs[i]`` entry of a sched config and
+    the ``job`` body of a serve ``submit`` op load straight into this
+    class (``repro.api.config.load``), so every key, default and range
+    check below is declared here and nowhere else.
+
     Parameters
     ----------
     name:
@@ -163,7 +168,7 @@ class JobSpec:
         :class:`~repro.elastic.ElasticTrainer` after the simulation.
     """
 
-    name: str
+    name: str = "job"
     profile: str = "resnet50"
     scheme: str = "mstopk"
     density: float = 0.01
@@ -207,6 +212,18 @@ class JobSpec:
         # construction (and config validation), not mid-simulation.
         get_profile(self.profile)
         scheme_kind_of(self.scheme)
+
+    def check_fits(self, num_nodes: int, gpus_per_node: int) -> None:
+        """Raise ``ValueError`` if a cluster of this shape can never run the job."""
+        gpus = self.gpus_per_node
+        if gpus is not None and gpus > gpus_per_node:
+            raise ValueError(
+                f"job {self.name!r} wants {gpus} GPUs/node on {gpus_per_node}-GPU nodes"
+            )
+        if self.min_nodes > num_nodes:
+            raise ValueError(
+                f"job {self.name!r} needs {self.min_nodes} nodes, cluster has {num_nodes}"
+            )
 
     # -- resolution helpers ---------------------------------------------------
     def model_profile(self) -> ModelProfile:

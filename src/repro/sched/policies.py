@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.api.registry import Registry
 from repro.sched.job import JobSpec
+from repro.utils.registry import Registry
 
 #: Policy registry: ``f(job, candidates, state) -> ordered candidate list``.
 POLICIES = Registry("policy")

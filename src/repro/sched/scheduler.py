@@ -225,7 +225,7 @@ class MultiTenantScheduler:
         policies.  ``None`` keeps every code path bit-identical to a
         fault-free build.
     brain:
-        Optional :class:`~repro.api.config.BrainConfig`.  An *active*
+        Optional :class:`~repro.brain.base.BrainConfig`.  An *active*
         brain (anything but ``static``) drives a fresh
         :class:`~repro.brain.driver.BrainDriver` per :meth:`run`:
         periodic decision ticks that migrate/shrink/grow running jobs
@@ -758,7 +758,7 @@ def compare_policies(
 
     ``faults`` is an optional resolved ``FaultPlan`` (target ``sched``);
     the identical storm replays under every policy.  ``brain`` is an
-    optional :class:`~repro.api.config.BrainConfig` applied to every
+    optional :class:`~repro.brain.base.BrainConfig` applied to every
     policy run the same way.
     """
     if not policies:

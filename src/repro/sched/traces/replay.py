@@ -1,11 +1,11 @@
 """Trace-aware job loading and trace-scale result payloads.
 
 :func:`job_specs_for` is the one place a :class:`~repro.api.config
-.SchedConfig` becomes scheduler job specs — the serial facade path, the
-``repro.exec`` pool workers and the CLI all call it, so a ``trace``
-path in the config is honoured identically everywhere (each pool worker
-loads the trace itself; only the config dict crosses the process
-boundary).
+.SchedConfig` yields its scheduler job specs — its inline ``jobs`` (the
+section *is* :class:`~repro.sched.job.JobSpec`) or its ``trace`` loaded
+from disk — for the serial facade path and the ``repro.exec`` pool
+workers alike (each pool worker loads the trace itself; only the config
+dict crosses the process boundary).
 
 :func:`payload_for_trace_reports` is the BENCH payload for trace-scale
 runs: per-job rows would mean tens of thousands of lines, so it emits
@@ -48,9 +48,9 @@ _METRICS = {
 
 def job_specs_for(config) -> list[JobSpec]:
     """The job specs a sched config describes (inline jobs or a trace)."""
-    if getattr(config, "trace", None):
+    if config.trace is not None:
         return trace_to_specs(load_trace(config.trace))
-    return [job.to_spec() for job in config.jobs]
+    return list(config.jobs)
 
 
 def _percentile(ordered: list[float], q: float) -> float:

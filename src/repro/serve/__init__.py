@@ -26,7 +26,7 @@ from repro.serve.drill import (
     ops_from_script,
     ops_from_trace,
 )
-from repro.serve.engine import QueueFullError, ServeEngine
+from repro.serve.engine import QueueFullError, ServeConfig, ServeEngine
 from repro.serve.journal import (
     Journal,
     JournalError,
@@ -51,6 +51,7 @@ __all__ = [
     "JournalScan",
     "QueueFullError",
     "RecoveryDrill",
+    "ServeConfig",
     "ServeEngine",
     "ServeRuntime",
     "SimulatedCrash",

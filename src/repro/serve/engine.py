@@ -33,12 +33,73 @@ crash) composes into exactly-once admission.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, ClassVar
 
+from repro.api.config import ClusterConfig, ConfigError, JsonConfig, load
+from repro.brain.base import BrainConfig
+from repro.faults.plan import FaultPlan, FaultsConfig
+from repro.sched.job import JobSpec
+from repro.sched.policies import POLICIES
 from repro.sched.scheduler import MultiTenantScheduler, SchedReport, payload_for_reports
 from repro.utils.eventlog import digest16
 
 _EPS = 1e-12
+
+
+@dataclass(frozen=True)
+class ServeConfig(JsonConfig):
+    """The always-on scheduler daemon (``python -m repro serve``).
+
+    Unlike :class:`~repro.api.config.SchedConfig` — one pre-declared
+    batch, one policy *comparison* — a serve config describes a single
+    live service: one placement policy, jobs submitted while the clock
+    runs, durable state under ``--state-dir``.  See ``docs/serve.md``.
+    """
+
+    KIND: ClassVar[str] = "serve"
+
+    #: Service label (non-empty); becomes the ``serve_<name>`` bench id.
+    name: str = "serve"
+    #: Seeds the fault plan; the service itself is deterministic.
+    seed: int = 0
+    #: The shared cluster the daemon schedules onto.
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    #: The single placement policy the live service runs.
+    policy: str = "bin-pack"
+    #: Optional fault plan perturbing the live cluster.
+    faults: FaultsConfig | None = None
+    #: Optional autotuning brain re-planning resources online.
+    brain: BrainConfig | None = None
+    #: Admission backlog bound (pending + queued); submissions beyond it
+    #: are shed with a structured ``queue full`` rejection.
+    queue_limit: int = 64
+    #: Snapshot cadence: persist engine state every N applied ops
+    #: (bounds journal-replay length on recovery).
+    snapshot_every: int = 8
+    #: Virtual seconds one ``tick`` op advances when no ``until`` given.
+    tick_seconds: float = 300.0
+    #: Event-loop iterations allowed per tick/drain (runaway guard).
+    max_events_per_tick: int = 10_000
+
+    def validate(self) -> "ServeConfig":
+        self._validate_shared(fault_target="sched")
+        POLICIES.require(self.policy)
+        if self.queue_limit < 1:
+            raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
+        if self.snapshot_every < 1:
+            raise ConfigError(
+                f"snapshot_every must be >= 1, got {self.snapshot_every}"
+            )
+        if not self.tick_seconds > 0:
+            raise ConfigError(
+                f"tick_seconds must be > 0, got {self.tick_seconds}"
+            )
+        if self.max_events_per_tick < 1:
+            raise ConfigError(
+                f"max_events_per_tick must be >= 1, got {self.max_events_per_tick}"
+            )
+        return self
 
 
 class QueueFullError(ValueError):
@@ -64,8 +125,6 @@ class ServeEngine:
         self.config = config
         plan = None
         if config.faults is not None:
-            from repro.faults.plan import FaultPlan
-
             plan = FaultPlan.from_config(
                 config.faults, seed=config.seed, target="sched"
             )
@@ -149,13 +208,11 @@ class ServeEngine:
 
     # -- submissions ----------------------------------------------------------
     def _submit(self, job: Any) -> dict:
-        from repro.api.config import JobConfig, _from_dict
-
         if not isinstance(job, dict):
             raise ValueError(
                 f"submit needs a 'job' mapping, got {type(job).__name__}"
             )
-        spec = _from_dict("job", job, JobConfig).to_spec()
+        spec = load(JobSpec, job, "job")
         core = self.core
         # Name and shape problems outrank backpressure in the ack.
         core.check(spec)
@@ -368,4 +425,4 @@ class ServeEngine:
         return engine
 
 
-__all__ = ["ServeEngine", "QueueFullError"]
+__all__ = ["ServeConfig", "ServeEngine", "QueueFullError"]

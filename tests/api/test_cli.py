@@ -112,10 +112,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "key=value" in err
 
-    def test_failure_is_one_line_without_traceback(self):
+    def test_failure_is_one_line_without_traceback(self, tmp_path):
         """User errors reach the shell as one actionable line, no traceback."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        hostile_ops = tmp_path / "hostile.jsonl"
+        hostile_ops.write_text(
+            '{"op": "submit", "job": {"name": "b", "payload": {"model": 3}}}\n'
+        )
         for argv in (
             ["run", "--config", "/nonexistent/cfg.json"],
             ["run", "--config", str(SMOKE_CONFIG), "--set", "comm.scheme=warp"],
@@ -127,6 +131,14 @@ class TestRun:
             ["run", "--config", str(SMOKE_CONFIG), "--set", "comm.density=hi"],
             ["sched", "--config", str(SCHED_CONFIG), "--set", "cluster.num_nodes=four"],
             ["serve", "--config", str(SERVE_CONFIG), "--set", "queue_limit=many"],
+            # Wrong-typed values below the top level: list elements and
+            # nested sections are type-checked too (these used to escape
+            # as AttributeError tracebacks).
+            ["sched", "--config", str(SCHED_CONFIG), "--set", "policies.0=3"],
+            ["sched", "--config", str(SCHED_CONFIG), "--set", "jobs.0.payload=3"],
+            ["sched", "--config", str(SCHED_CONFIG), "--set", "brain.interval=NaN"],
+            ["serve", "--config", str(SERVE_CONFIG), "--script", str(hostile_ops),
+             "--state-dir", str(tmp_path / "state")],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", *argv],

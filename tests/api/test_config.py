@@ -1,6 +1,8 @@
 """RunConfig: lossless serialization, strict validation, overrides."""
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -67,6 +69,48 @@ class TestRoundTrip:
             RunConfig.from_json("{nope")
 
 
+REPO = pathlib.Path(__file__).resolve().parent.parent.parent
+
+#: sha256 of ``from_file(path).to_json()``, recorded at the last commit
+#: whose ``to_dict`` was written out by hand per config (f8e0d3a): the
+#: codec may not reorder, drop or re-default a key of any shipped config.
+CANONICAL_FORMS = {
+    "examples/configs/dense_baseline.json":
+        (RunConfig, "364ef9f9e15242e64d9feb4ddf6f7bcab432ef4bfef1d90c1806e3d7155b1ec1"),
+    "examples/configs/elastic_spot.json":
+        (RunConfig, "0b34708c926efac98205120d801a51b10e1e90b5256de1f22edcb11349e52ca5"),
+    "examples/configs/fault_drill.json":
+        (RunConfig, "8cd1eb353e3a6482ff1c2eb2549fe0d681f7d46e13d943afe8e936bc51fbd138"),
+    "examples/configs/smoke.json":
+        (RunConfig, "58d75d3689bebb7dbd4b05767b831ad3b2218e8bb9c3ee891f8652a15e995275"),
+    "examples/configs/gray_storm.json":
+        (SchedConfig, "8a6b44554fcd86912f7bf1bbeae248e81096d4e285a95c89978996a55b98015a"),
+    "examples/configs/multi_tenant.json":
+        (SchedConfig, "c9a846d8d8049fd50bba6f2877f1cf81dc9f154a1cb8b59afbe8e378a1d40332"),
+    "examples/configs/trace_replay.json":
+        (SchedConfig, "5945c1e21c8534cc39fb4cbcc430b3b9268f86f1a4cd9e9ece151e38cf8d8f2e"),
+    "examples/configs/serve_smoke.json":
+        (ServeConfig, "f4d7ca9aaf9d0d102a8fb6ec48318a9e69256322894d3ec0ab2d1b899e3a0d29"),
+    "benchmarks/e2e/fixtures/serve_config.json":
+        (ServeConfig, "e3fbc2b944449a780a74aa5164b55a2179fc439ed85a8eb94c7dcbbc805838d7"),
+}
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("path", sorted(CANONICAL_FORMS))
+    def test_shipped_config_serialises_to_the_pinned_bytes(self, path):
+        cls, digest = CANONICAL_FORMS[path]
+        text = cls.from_file(REPO / path).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_every_shipped_config_is_pinned(self):
+        shipped = {
+            f"examples/configs/{p.name}"
+            for p in (REPO / "examples" / "configs").glob("*.json")
+        }
+        assert shipped <= set(CANONICAL_FORMS)
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize(
         "data, needle",
@@ -103,6 +147,20 @@ class TestUnknownKeys:
              "train.data_seed must be int or null, got 'x'"),
             (RunConfig, {"elastic": {}, "faults": {"events": [{"at": "soon"}]}},
              "faults.events[0].at must be float, got 'soon'"),
+            # Below the top level too: list elements and nested sections.
+            (SchedConfig, {"policies": [3]}, "policies[0] must be str, got 3"),
+            (SchedConfig, {"jobs": [{"name": "b", "payload": {"model": 3}}]},
+             "jobs[0].payload.model must be str, got 3"),
+            (SchedConfig, {"jobs": [{"payload": 3}]},
+             "'jobs[0].payload' must be a mapping, got int"),
+            (SchedConfig, {"jobs": {"name": "b"}}, "'jobs' must be a list, got dict"),
+            # NaN passes every ``<= 0`` range check; no float field takes it.
+            (SchedConfig, {"brain": {"interval": float("nan")}},
+             "brain.interval must be finite, got nan"),
+            (ServeConfig, {"tick_seconds": float("inf")},
+             "serve.tick_seconds must be finite, got inf"),
+            (RunConfig, {"comm": {"density": float("-inf")}},
+             "comm.density must be finite, got -inf"),
         ],
     )
     def test_wrong_typed_scalar_is_a_config_error(self, cls, data, message):
@@ -111,6 +169,10 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError) as err:
             cls.from_dict(data)
         assert str(err.value) == message
+
+    def test_integer_beyond_float_range_is_not_finite(self):
+        with pytest.raises(ConfigError, match="comm.density must be finite"):
+            RunConfig.from_dict({"comm": {"density": 10**400}})
 
     def test_json_number_and_null_forms_load(self):
         config = RunConfig.from_dict(

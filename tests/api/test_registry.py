@@ -53,6 +53,12 @@ class TestDiscovery:
         assert SCHEMES.canonical("nope") is None
         assert "hitopk" in SCHEMES.aliases_of("mstopk")
 
+    @pytest.mark.parametrize("junk", [3, None, 1.5, ["mstopk"], {"a": 1}])
+    def test_a_non_string_is_simply_unknown(self, junk):
+        # Names arrive from config files and socket lines.
+        assert SCHEMES.canonical(junk) is None
+        assert junk not in SCHEMES
+
     def test_unknown_name_error_lists_available(self, net):
         with pytest.raises(KeyError, match="available: .*mstopk"):
             build_scheme("psgd", net)

@@ -9,7 +9,7 @@ first, one promise per target per tick).
 
 import pytest
 
-from repro.api.config import BrainConfig
+from repro.api.config import BrainConfig, FaultsConfig
 from repro.brain.builtins import HealthMigrateBrain, StaticBrain, ThroughputBrain
 from repro.brain.signals import BrainObservation, JobSignal, NodeSignal
 
@@ -70,8 +70,11 @@ def _observation(nodes, jobs, curves, *, threshold=2.0):
         now=120.0,
         nodes=nodes,
         jobs=jobs,
-        quarantine_threshold=threshold,
-        checkpoint_iterations=25,
+        faults=(
+            None
+            if threshold == float("inf")
+            else FaultsConfig(quarantine_threshold=threshold)
+        ),
         spot_discount=0.3,
         queued=0,
         scheduler=_StubScheduler(curves),

@@ -8,7 +8,6 @@ from repro.api.config import (
     RunConfig,
     SchedConfig,
     apply_overrides,
-    apply_sched_overrides,
 )
 
 
@@ -63,7 +62,7 @@ class TestExecSection:
         config = SchedConfig.from_dict({"exec": {"backend": "process", "jobs": 2}})
         assert config.exec.jobs == 2
         assert SchedConfig.from_dict(config.to_dict()) == config
-        updated = apply_sched_overrides(config, ["exec.jobs=3"])
+        updated = apply_overrides(config, ["exec.jobs=3"])
         assert updated.exec.jobs == 3
 
     def test_sched_unknown_backend_rejected(self):

@@ -8,19 +8,16 @@ storm see the identical quarantine/probe schedule.
 
 import pytest
 
-from repro.faults.health import (
-    KIND_WEIGHTS,
-    HealthPolicy,
-    NodeHealthLedger,
-)
+from repro.faults.health import KIND_WEIGHTS, NodeHealthLedger
+from repro.faults.plan import FaultsConfig
 
 
 def _ledger(threshold=2.0, half_life=300.0, cooldown=180.0):
     return NodeHealthLedger(
-        HealthPolicy(
+        FaultsConfig(
             quarantine_threshold=threshold,
-            half_life_s=half_life,
-            probe_cooldown_s=cooldown,
+            health_half_life=half_life,
+            probe_cooldown=cooldown,
         )
     )
 
@@ -135,19 +132,13 @@ class TestSummaryAndValidation:
         [
             {"quarantine_threshold": 0.0},
             {"quarantine_threshold": -1.0},
-            {"half_life_s": 0.0},
-            {"probe_cooldown_s": -1.0},
+            {"health_half_life": 0.0},
+            {"probe_cooldown": -1.0},
         ],
     )
     def test_bad_policy_rejected(self, kwargs):
-        params = {
-            "quarantine_threshold": 2.0,
-            "half_life_s": 300.0,
-            "probe_cooldown_s": 180.0,
-        }
-        params.update(kwargs)
         with pytest.raises(ValueError):
-            NodeHealthLedger(HealthPolicy(**params))
+            NodeHealthLedger(FaultsConfig(**kwargs))
 
     def test_timeline_is_deterministic(self):
         # Same observations, same answers — no RNG, no wall clock.

@@ -15,7 +15,7 @@ from repro.api.config import (
     ExecConfig,
     FaultConfig,
     FaultsConfig,
-    JobConfig,
+    JobSpec,
     SchedConfig,
 )
 from repro.api.facade import run_sched
@@ -32,7 +32,7 @@ def _sched_config(events, *, num_nodes=4, jobs=None, policies=("bin-pack",),
         ),
         policies=tuple(policies),
         jobs=tuple(jobs) if jobs else (
-            JobConfig(
+            JobSpec(
                 name="prod",
                 profile="resnet50",
                 scheme="mstopk",
@@ -94,7 +94,7 @@ class TestCrashRecovery:
             [FaultConfig(kind="az-reclaim", at=30, duration=50, fraction=0.5)],
             num_nodes=2,
             jobs=[
-                JobConfig(
+                JobSpec(
                     name="wide",
                     profile="resnet50",
                     scheme="mstopk",
@@ -189,7 +189,7 @@ def _flap_train_config(policies=("bin-pack",)):
                      repeat=3, period=30)],
         policies=policies,
         jobs=[
-            JobConfig(
+            JobSpec(
                 name="prod",
                 profile="resnet50",
                 scheme="mstopk",

@@ -13,9 +13,17 @@ through the cycle and asserts nothing is lost, renamed, or coerced:
   a fixed point after one normalisation;
 * ``to_json`` is stable across the cycle (sorted keys, so this is the
   byte-level contract the determinism suites compare).
+
+And the hostile half: a valid ``RunConfig`` / ``SchedConfig`` /
+``ServeConfig`` dict with the value at one random path replaced by
+random JSON-typed junk either still loads or raises ``ValueError``
+(``ConfigError`` / ``FaultError``) — never a ``TypeError`` /
+``AttributeError`` out of a comparison or a registry lookup.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 
@@ -25,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import registry
-from repro.api.config import RunConfig, SchedConfig
+from repro.api.config import RunConfig, SchedConfig, ServeConfig
 from repro.brain.base import BRAINS
 from repro.sched.policies import POLICIES
 
@@ -161,7 +169,16 @@ def job_dicts(index: int) -> st.SearchStrategy:
             "min_nodes": st.just(1),  # always <= cluster.num_nodes
             "max_nodes": st.integers(1, 4),
             "arrival_seconds": st.floats(0.0, 300.0, allow_nan=False),
-        }
+        },
+        optional={
+            "payload": st.none()
+            | st.fixed_dictionaries(
+                {
+                    "model": st.sampled_from(sorted(registry.MODELS.available())),
+                    "seed": st.integers(0, 2**31 - 1),
+                }
+            ),
+        },
     )
 
 
@@ -234,3 +251,81 @@ class TestSchedConfigRoundTrip:
         assert [job["name"] for job in emitted["jobs"]] == [
             job["name"] for job in data["jobs"]
         ]
+
+
+# -- junk at a random path --------------------------------------------------
+
+serve_config_dicts = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(["serve", "prop-serve"]),
+        "seed": st.integers(0, 2**31 - 1),
+        "cluster": cluster_dicts,
+        "policy": st.sampled_from(sorted(POLICIES.available())),
+        "queue_limit": st.integers(1, 64),
+        "snapshot_every": st.integers(1, 16),
+        "tick_seconds": st.floats(1.0, 600.0, allow_nan=False),
+    },
+    optional={
+        "faults": faults_dicts(SCHED_FAULT_KINDS),
+        "brain": brain_dicts,
+    },
+)
+
+# Any JSON value, NaN and the infinities included.  Integers stay small:
+# a huge *well-typed* count (``repeat``) is a resource question, not the
+# type-safety one asked here.
+json_junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10_000, 10_000)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every addressable location below the root of a JSON document."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _paths(child, (*prefix, key))
+
+
+def _with_junk(data, pick: int, junk):
+    mutated = copy.deepcopy(data)
+    paths = list(_paths(mutated))
+    *parents, last = paths[pick % len(paths)]
+    node = mutated
+    for key in parents:
+        node = node[key]
+    node[last] = junk
+    return mutated
+
+
+class TestJunkAtRandomPath:
+    @pytest.mark.parametrize(
+        "cls, dicts",
+        [
+            (RunConfig, run_config_dicts),
+            (SchedConfig, sched_config_dicts),
+            (ServeConfig, serve_config_dicts),
+        ],
+    )
+    def test_loads_or_raises_value_error(self, cls, dicts):
+        @given(data=dicts, pick=st.integers(0, 10_000), junk=json_junk)
+        @settings(max_examples=150, deadline=None)
+        def check(data, pick, junk):
+            try:
+                config = cls.from_dict(_with_junk(data, pick, junk))
+            except ValueError:
+                return
+            assert isinstance(config, cls)
+
+        check()

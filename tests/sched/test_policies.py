@@ -128,15 +128,10 @@ class TestFaultAwareOrdering:
 
     @staticmethod
     def _ledger(threshold=2.0):
-        from repro.faults.health import HealthPolicy, NodeHealthLedger
+        from repro.faults.health import NodeHealthLedger
+        from repro.faults.plan import FaultsConfig
 
-        return NodeHealthLedger(
-            HealthPolicy(
-                quarantine_threshold=threshold,
-                half_life_s=300.0,
-                probe_cooldown_s=180.0,
-            )
-        )
+        return NodeHealthLedger(FaultsConfig(quarantine_threshold=threshold))
 
     def test_degenerates_to_spread_without_ledger(self, state):
         assert state.health is None

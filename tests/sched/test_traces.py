@@ -267,7 +267,7 @@ class TestConfigThreading:
                     "name": "x",
                     "cluster": {"instance": "tencent", "num_nodes": 2},
                     "trace": "day.jsonl",
-                    "jobs": [{"name": "j", "workload": "resnet50"}],
+                    "jobs": [{"name": "j", "profile": "resnet50"}],
                 }
             )
 

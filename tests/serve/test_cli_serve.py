@@ -84,7 +84,7 @@ class TestServe:
         assert main([
             "serve", "--config", str(SERVE_CONFIG), "--json",
             "--script", str(DAY_OPS), "--state-dir", str(tmp_path / "s"),
-            "--set", "name=renamed", "--snapshot-every", "2",
+            "--set", "name=renamed", "--set", "snapshot_every=2",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bench"] == "serve_renamed"
@@ -142,7 +142,7 @@ class TestServeFailureModes:
             {"op": "submit", "job": {"name": "b"}},
         ])
         assert main([
-            "serve", "--config", str(SERVE_CONFIG), "--queue-limit", "1",
+            "serve", "--config", str(SERVE_CONFIG), "--set", "queue_limit=1",
             "--script", str(script), "--state-dir", str(tmp_path / "s"),
         ]) == 2
         err = capsys.readouterr().err

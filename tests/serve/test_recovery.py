@@ -66,6 +66,34 @@ class TestRestart:
         assert again.finalize() == payload
         again.close()
 
+    def test_hostile_submit_is_rejected_not_a_poison_pill(self, tmp_path):
+        # A wrong-typed nested value used to escape apply_op as an
+        # AttributeError *after* the WAL append, so every restart from
+        # this state dir re-crashed replaying it.
+        runtime = ServeRuntime(CONFIG, tmp_path)
+        run_ops(runtime, OPS[:1])
+        before = runtime.engine.rejected
+        ack = runtime.handle(
+            {"op": "submit", "id": 2, "job": {"name": "b", "payload": {"model": 3}}}
+        )
+        assert ack == {
+            "ok": False, "id": 2, "error": "job.payload.model must be str, got 3",
+        }
+        # The rejection consumed its id; the daemon keeps serving.
+        assert runtime.handle(OPS[1])["duplicate"]
+        run_ops(runtime, OPS[2:3])
+        assert runtime.engine.rejected == before + 1
+        assert "b" not in runtime.engine.records
+        digest = runtime.engine.state_digest()
+        runtime.close()
+
+        again = ServeRuntime(CONFIG, tmp_path)
+        assert again.recovery["recovered"]
+        assert again.engine.state_digest() == digest
+        assert again.engine.rejected == before + 1
+        assert "b" not in again.engine.records
+        again.close()
+
     def test_restart_dedups_resent_ops(self, tmp_path):
         runtime = ServeRuntime(CONFIG, tmp_path)
         run_ops(runtime, OPS)
