@@ -93,11 +93,11 @@ def matrix_tree_allreduce(mat: np.ndarray) -> np.ndarray:
 def matrix_torus_allreduce_2d(mat: np.ndarray, topology: ClusterTopology) -> np.ndarray:
     """Vectorised 2D-Torus all-reduce over a node-major ``(P, d)`` matrix.
 
-    Phase 1 runs the rotated-fold reduce-scatter on each node's
-    contiguous row block, phase 2 runs a vectorised inter-node ring
-    all-reduce per segment column block, and phase 3 (the intra-node
-    all-gather) is the identity on the assembled vector.  Bit-identical
-    to :func:`torus_allreduce_2d`.
+    Phase 1 runs the ring reduce-scatter fold on each node's contiguous
+    row block, phase 2 runs a vectorised inter-node ring all-reduce per
+    segment column block, and phase 3 (the intra-node all-gather) is
+    the identity on the assembled vector.  Bit-identical to
+    :func:`torus_allreduce_2d`.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2:

@@ -10,13 +10,12 @@ chunk to its successor, which matches the cost form of paper Eq. (7):
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from repro.collectives.primitives import validate_group
-from repro.utils.partition import chunk_bounds, chunk_sizes
+from repro.utils.partition import chunk_bounds
 
 
 def ring_reduce_scatter(tensors: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -65,11 +64,10 @@ def matrix_reduce_scatter(mat: np.ndarray) -> np.ndarray:
     concatenation of :func:`ring_reduce_scatter`'s outputs, bit for bit.
 
     The ring schedule accumulates chunk ``c`` in the fixed order
-    ``x[c+1] + x[c+2] + ... + x[c]`` (indices mod ``p``); because IEEE
-    addition is commutative (though not associative), that left fold is
-    reproduced exactly by ``p - 1`` whole-width accumulations of the
-    row-rotated matrix — no Python loop over chunks, no per-chunk
-    temporaries.
+    ``x[c+1] + x[c+2] + ... + x[c]`` (indices mod ``p``).  Each owner
+    chunk is folded in exactly that order with ``p - 1`` contiguous
+    slice adds straight into the output, so every element of ``mat`` is
+    read once and nothing wider than a chunk is ever materialised.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2:
@@ -82,24 +80,13 @@ def matrix_reduce_scatter(mat: np.ndarray) -> np.ndarray:
     if p == 2:
         # Both chunks fold as one commutative pairwise add.
         return mat[0] + mat[1]
-    row, col = _fold_indices(p, d)
-    acc = mat[(row + 1) % p, col]
-    for t in range(2, p + 1):
-        acc += mat[(row + t) % p, col]
-    return acc
-
-
-@lru_cache(maxsize=8)
-def _fold_indices(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached base gather indices for the rotated fold (hot-path reuse).
-
-    Only the chunk-ownership row vector and the column arange are kept
-    (2 * d int64 per layout); the per-step rotations are small temps.
-    """
-    sizes = chunk_sizes(d, p)
-    row = np.repeat(np.arange(p), sizes)  # owning chunk of each position
-    col = np.arange(d)
-    return row, col
+    out = np.empty(d, dtype=mat.dtype)
+    for c, (start, end) in enumerate(chunk_bounds(d, p)):
+        acc = out[start:end]
+        np.add(mat[(c + 1) % p, start:end], mat[(c + 2) % p, start:end], out=acc)
+        for t in range(3, p + 1):
+            acc += mat[(c + t) % p, start:end]
+    return out
 
 
 def reference_reduce_scatter(tensors: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -105,19 +105,17 @@ class HiTopKComm(CommScheme):
         d = mat.shape[1]
         bounds = chunk_bounds(d, n)
 
-        # Step 1: intra-node ring reduce-scatter — one vectorised
-        # rotated-fold per node (ranks are node-major, so each node is a
+        # Step 1: intra-node ring reduce-scatter, one contiguous-chunk
+        # fold per node (ranks are node-major, so each node is a
         # contiguous row block of the gradient matrix).
-        node_acc = np.empty((m, d), dtype=mat.dtype)
-        for node in range(m):
-            node_acc[node] = matrix_reduce_scatter(mat[node * n : (node + 1) * n])
+        node_acc = [
+            matrix_reduce_scatter(mat[node * n : (node + 1) * n]) for node in range(m)
+        ]
 
         # Step 2: per-shard top-k selection with shard-resident error
-        # feedback, batched: the EF-corrected shards for all m*n GPUs go
-        # through ONE multi-shard selection pass (for MSTopK: one count
-        # pass per binary-search iteration over every shard at once).
-        # k̃ = ρ * shard_size (paper: ρ d / n).  Shard order is rank
-        # order, matching the sequential path's rng stream exactly.
+        # feedback; the EF-corrected shards of all m*n GPUs go through
+        # one ``select_batch`` call.  k̃ = ρ * shard_size (paper: ρ d / n).
+        # Shard order is rank order, which fixes the rng stream.
         shard_ranks: list[int] = []
         shard_views: list[np.ndarray] = []
         ks: list[int] = []
@@ -125,7 +123,7 @@ class HiTopKComm(CommScheme):
             for local in range(n):
                 start, end = bounds[local]
                 shard_ranks.append(topo.rank(node, local))
-                shard_views.append(node_acc[node, start:end])
+                shard_views.append(node_acc[node][start:end])
                 ks.append(density_to_k(end - start, self.density))
         if self.ef is not None:
             corrected = [

@@ -20,7 +20,7 @@ Two deployment points exist in this reproduction:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,21 +30,19 @@ from repro.collectives.sparse import SparseVector
 def _subtract_sent(
     residual: np.ndarray, corrected: np.ndarray, sent: SparseVector
 ) -> None:
-    """Zero the transmitted coordinates of ``residual`` in place.
+    """Turn ``residual`` (holding ``corrected``) into ``corrected - densify(sent)``.
 
-    Entries where the transmitted value differs from the local one
-    (e.g. scaled random-k) keep the difference.  For unique selection
-    indices (every top-k operator), ``sent.to_dense()[indices]`` is
-    exactly ``sent.values``, so the O(d) densify collapses to an O(k)
-    fancy update with bit-identical results; duplicate indices take the
-    original densify path.
+    Only the transmitted coordinates are touched: zeroed, the sent
+    values subtracted (``ufunc.at`` accumulates duplicate indices like
+    ``to_dense``), the local value added back.  For a top-k selection
+    that is ``-v + v``, an exact zero; where the transmitted value
+    differs from the local one (scaled random-k) the difference stays,
+    bit for bit ``corrected[i] - v`` (IEEE ``a - b`` is ``-b + a``).
     """
     indices = sent.indices
-    if indices.size and np.unique(indices).size != indices.size:
-        residual[indices] = 0.0
-        residual[indices] += corrected[indices] - sent.to_dense()[indices]
-        return
-    residual[indices] = corrected[indices] - sent.values
+    residual[indices] = 0.0
+    np.subtract.at(residual, indices, sent.values)
+    residual[indices] += corrected[indices]
 
 
 class ErrorFeedback:
@@ -68,6 +66,11 @@ class ErrorFeedback:
         """Current residual for ``key`` (``None`` before first update)."""
         return self._residuals.get(key)
 
+    def replace(self, residuals: Mapping[object, np.ndarray]) -> None:
+        """Drop every buffer and hold copies of ``residuals`` instead
+        (checkpoint restore, elastic re-folding)."""
+        self._residuals = {key: np.array(value) for key, value in residuals.items()}
+
     def apply(self, key: object, grad: np.ndarray) -> np.ndarray:
         """Return ``grad + residual[key]`` (fresh array; grad unmodified)."""
         grad = np.asarray(grad)
@@ -78,6 +81,11 @@ class ErrorFeedback:
             raise ValueError(
                 f"residual shape {residual.shape} does not match gradient "
                 f"shape {grad.shape} for key {key!r}"
+            )
+        if residual.dtype != grad.dtype:
+            raise ValueError(
+                f"residual dtype {residual.dtype} does not match gradient "
+                f"dtype {grad.dtype} for key {key!r}"
             )
         return grad + residual
 

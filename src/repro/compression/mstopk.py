@@ -20,6 +20,7 @@ approximation can only differ from exact top-k inside the band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +54,68 @@ class ThresholdSearchResult:
     found2: bool = False  # thres2 established
 
 
+def _threshold_search(
+    magnitude: np.ndarray, k: int, n_samplings: int, shard: int
+) -> ThresholdSearchResult:
+    """Algorithm 1 lines 1–24 on one shard, comparing only undecided elements.
+
+    A pass with ``nnz <= k`` lowers the upper end of the ratio interval
+    and one with ``nnz > k`` raises the lower end, so every later
+    threshold lies between the two bracketing ones: the ``k1`` elements
+    at or above ``thres1`` are counted by all of them and the elements
+    below ``thres2`` by none.  Only the ``k2 - k1`` elements in between
+    are kept and compared again, and the result equals that of ``N``
+    full passes over the shard field for field.  (Where the mean of a
+    near-constant shard rounds above its max the thresholds *fall* as
+    the ratio rises; the search then never turns round, and nothing
+    after its first pass changes the result either way.)  Once
+    ``k1 == k`` and ``k2 == k + 1`` no count can move either, and the
+    remaining samplings are skipped; ``iterations`` still reports the
+    ``N`` the GPU kernel runs.
+    """
+    if n_samplings < 1:
+        raise ValueError(f"n_samplings must be >= 1, got {n_samplings}")
+    d = magnitude.size
+    if not 1 <= k <= d:
+        raise ValueError(f"k={k} out of range for shard {shard} of size {d}")
+    mean = float(magnitude.mean())
+    top = float(magnitude.max())
+    span = top - mean
+    if not math.isfinite(span):
+        raise ValueError(
+            f"shard {shard}: non-finite gradient (max |x| = {top}, mean |x| = {mean})"
+        )
+    lo, hi = 0.0, 1.0
+    k1, k2 = 0, d
+    thres1, thres2 = 0.0, 0.0
+    found1, found2 = False, False
+    candidates = magnitude
+
+    for _ in range(n_samplings):
+        if k1 == k and k2 <= k + 1:
+            break
+        ratio = lo + (hi - lo) / 2.0
+        thres = mean + ratio * span
+        above = candidates >= thres
+        nnz = k1 + int(np.count_nonzero(above))
+        if nnz <= k:
+            hi = ratio
+            if nnz > k1 or not found1:
+                k1 = nnz
+                thres1 = thres
+                found1 = True
+            candidates = candidates[~above]
+        else:
+            lo = ratio
+            if nnz < k2:
+                k2 = nnz
+                thres2 = thres
+                found2 = True
+            candidates = candidates[above]
+
+    return ThresholdSearchResult(thres1, thres2, k1, k2, n_samplings, found1, found2)
+
+
 def mstopk_threshold_search(
     magnitude: np.ndarray, k: int, n_samplings: int = DEFAULT_N_SAMPLINGS
 ) -> ThresholdSearchResult:
@@ -62,37 +125,7 @@ def mstopk_threshold_search(
     1 exactly: the search interval is the ratio ``[l, r] ⊂ [0, 1]``
     mapped onto ``[mean, max]`` of the magnitudes.
     """
-    if n_samplings < 1:
-        raise ValueError(f"n_samplings must be >= 1, got {n_samplings}")
-    d = magnitude.size
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} out of range for vector of size {d}")
-
-    mean = float(magnitude.mean())
-    top = float(magnitude.max())
-    lo, hi = 0.0, 1.0
-    k1, k2 = 0, d
-    thres1, thres2 = 0.0, 0.0
-    found1, found2 = False, False
-
-    for _ in range(n_samplings):
-        ratio = lo + (hi - lo) / 2.0
-        thres = mean + ratio * (top - mean)
-        nnz = int(np.count_nonzero(magnitude >= thres))
-        if nnz <= k:
-            hi = ratio
-            if nnz > k1 or not found1:
-                k1 = nnz
-                thres1 = thres
-                found1 = True
-        else:
-            lo = ratio
-            if nnz < k2:
-                k2 = nnz
-                thres2 = thres
-                found2 = True
-
-    return ThresholdSearchResult(thres1, thres2, k1, k2, n_samplings, found1, found2)
+    return mstopk_threshold_search_batch([magnitude], [k], n_samplings)[0]
 
 
 def mstopk_threshold_search_batch(
@@ -100,95 +133,16 @@ def mstopk_threshold_search_batch(
     ks: Sequence[int],
     n_samplings: int = DEFAULT_N_SAMPLINGS,
 ) -> list[ThresholdSearchResult]:
-    """Batched threshold search: one count pass per iteration for *all* shards.
-
-    Bit-identical to calling :func:`mstopk_threshold_search` on every
-    shard independently: per-shard ``mean``/``max`` are computed on the
-    exact shard slices (so unequal shard lengths never perturb the
-    pairwise summation), and the ``lo``/``hi``/``thres`` updates are the
-    same IEEE-754 scalar operations applied elementwise.  The ``30 × n``
-    Python-level count passes of the sequential path collapse into
-    ``30`` broadcast passes over an ``(n_shards, max_len)`` matrix.
-    """
-    if n_samplings < 1:
-        raise ValueError(f"n_samplings must be >= 1, got {n_samplings}")
+    """The threshold search on every shard (of any lengths), in order."""
     rows = [np.asarray(m) for m in magnitudes]
     if len(rows) != len(ks):
         raise ValueError(f"{len(rows)} shards but {len(ks)} k values")
-    if not rows:
-        return []
-    lengths = np.array([r.size for r in rows])
-    ks_arr = np.asarray(ks, dtype=np.int64)
-    for i, (length, k) in enumerate(zip(lengths, ks_arr)):
-        if rows[i].ndim != 1:
-            raise ValueError(f"shard {i} must be 1-D, got shape {rows[i].shape}")
-        if not 1 <= k <= length:
-            raise ValueError(f"k={k} out of range for shard {i} of size {length}")
-
-    n = len(rows)
-    # Per-shard mean/max on the true slices (cheap, and bit-identical to
-    # the scalar path — padding would perturb NumPy's pairwise sums).
-    means = np.array([float(r.mean()) for r in rows])
-    tops = np.array([float(r.max()) for r in rows])
-
-    max_len = int(lengths.max())
-    if bool(np.all(lengths == max_len)):
-        mag = np.stack(rows)
-        mask = None
-    else:
-        mag = np.zeros((n, max_len), dtype=np.result_type(*rows))
-        mask = np.zeros((n, max_len), dtype=bool)
-        for i, r in enumerate(rows):
-            mag[i, : r.size] = r
-            mask[i, : r.size] = True
-
-    # Per-shard bracketing state stays in plain Python scalars (the
-    # same IEEE-754 arithmetic as the scalar search, and far cheaper
-    # than ufunc dispatch on length-``n`` vectors); only the O(n * d)
-    # count pass is batched.
-    means_l = means.tolist()
-    spans_l = (tops - means).tolist()
-    ks_l = ks_arr.tolist()
-    lo = [0.0] * n
-    hi = [1.0] * n
-    k1 = [0] * n
-    k2 = lengths.astype(int).tolist()
-    thres1 = [0.0] * n
-    thres2 = [0.0] * n
-    found1 = [False] * n
-    found2 = [False] * n
-    thres = np.empty(n)
-    ratios = [0.0] * n
-
-    for _ in range(n_samplings):
-        for i in range(n):
-            ratio = lo[i] + (hi[i] - lo[i]) / 2.0
-            ratios[i] = ratio
-            thres[i] = means_l[i] + ratio * spans_l[i]
-        above = mag >= thres[:, None]
-        if mask is not None:
-            above &= mask
-        counts = above.sum(axis=1).tolist()
-        for i in range(n):
-            nnz = counts[i]
-            if nnz <= ks_l[i]:
-                hi[i] = ratios[i]
-                if nnz > k1[i] or not found1[i]:
-                    k1[i] = nnz
-                    thres1[i] = float(thres[i])
-                    found1[i] = True
-            else:
-                lo[i] = ratios[i]
-                if nnz < k2[i]:
-                    k2[i] = nnz
-                    thres2[i] = float(thres[i])
-                    found2[i] = True
-
+    for i, row in enumerate(rows):
+        if row.ndim != 1:
+            raise ValueError(f"shard {i} must be 1-D, got shape {row.shape}")
     return [
-        ThresholdSearchResult(
-            thres1[i], thres2[i], k1[i], k2[i], n_samplings, found1[i], found2[i]
-        )
-        for i in range(n)
+        _threshold_search(row, int(k), n_samplings, i)
+        for i, (row, k) in enumerate(zip(rows, ks))
     ]
 
 
@@ -215,19 +169,7 @@ def mstopk_select(
         iterations only if the gradient layout varies; training code
         passes per-worker generators.
     """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError(f"input must be 1-D, got shape {x.shape}")
-    if not 0 <= k <= x.size:
-        raise ValueError(f"k={k} out of range for vector of size {x.size}")
-    if k == 0:
-        return SparseVector(np.empty(0, dtype=x.dtype), np.empty(0, dtype=np.int64), x.size)
-    if k == x.size:
-        return SparseVector(x.copy(), np.arange(x.size, dtype=np.int64), x.size)
-
-    magnitude = np.abs(x)
-    search = mstopk_threshold_search(magnitude, k, n_samplings)
-    return _select_from_search(x, magnitude, k, search, rng)
+    return mstopk_select_batch([x], [k], n_samplings=n_samplings, rng=rng)[0]
 
 
 def _select_from_search(
@@ -280,13 +222,11 @@ def mstopk_select_batch(
     n_samplings: int = DEFAULT_N_SAMPLINGS,
     rng: RandomState | None = None,
 ) -> list[SparseVector]:
-    """Batched Algorithm 1 over many shards at once.
+    """Algorithm 1 on every shard, in order.
 
-    Bit-identical to calling :func:`mstopk_select` per shard in order:
-    the threshold search is one broadcast pass per iteration (via
-    :func:`mstopk_threshold_search_batch`) and the random tail offsets
-    are drawn shard-by-shard in the same order, so the consumed ``rng``
-    stream matches the sequential path exactly.
+    The random tail offsets are drawn shard by shard, so one ``rng``
+    serves the whole batch with the stream a per-shard loop of
+    :func:`mstopk_select` would consume.
     """
     rows = [np.asarray(x) for x in xs]
     if len(rows) != len(ks):
@@ -297,17 +237,6 @@ def mstopk_select_batch(
         if not 0 <= k <= x.size:
             raise ValueError(f"k={k} out of range for shard {i} of size {x.size}")
 
-    # Trivial shards (k == 0 or k == d) never reach the search in the
-    # scalar path, so exclude them from the batch too.
-    search_rows = [i for i, (x, k) in enumerate(zip(rows, ks)) if 0 < ks[i] < x.size]
-    magnitudes = {i: np.abs(rows[i]) for i in search_rows}
-    searches = mstopk_threshold_search_batch(
-        [magnitudes[i] for i in search_rows],
-        [ks[i] for i in search_rows],
-        n_samplings,
-    )
-    search_by_row = dict(zip(search_rows, searches))
-
     out: list[SparseVector] = []
     for i, (x, k) in enumerate(zip(rows, ks)):
         if k == 0:
@@ -317,7 +246,9 @@ def mstopk_select_batch(
         elif k == x.size:
             out.append(SparseVector(x.copy(), np.arange(x.size, dtype=np.int64), x.size))
         else:
-            out.append(_select_from_search(x, magnitudes[i], k, search_by_row[i], rng))
+            magnitude = np.abs(x)
+            search = _threshold_search(magnitude, k, n_samplings, i)
+            out.append(_select_from_search(x, magnitude, k, search, rng))
     return out
 
 

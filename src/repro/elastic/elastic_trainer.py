@@ -311,8 +311,8 @@ class ElasticTrainer:
             if orphans and ef is not None:
                 n = self.membership.gpus_per_node
                 old_topo = ClusterTopology(meta["world_size"] // n, n)
-                ef._residuals = fold_residuals(
-                    orphans, old_topo, new_trainer.scheme.topology
+                ef.replace(
+                    fold_residuals(orphans, old_topo, new_trainer.scheme.topology)
                 )
             self.trainer = new_trainer
             restored = ckpt_useful

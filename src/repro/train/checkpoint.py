@@ -177,10 +177,7 @@ def load_checkpoint(
     # the saved ones are loaded back in.
     if isinstance(trainer.optimizer, SGD):
         trainer.optimizer._velocity.clear()
-    ef = getattr(trainer.scheme, "ef", None)
-    if ef is not None and world_matches:
-        ef._residuals.clear()
-    orphan_residuals: dict[object, np.ndarray] = {}
+    residuals: dict[object, np.ndarray] = {}
     for key, value in arrays.items():
         if key.startswith("param/"):
             name = key[len("param/"):]
@@ -202,13 +199,13 @@ def load_checkpoint(
             # EF keys are worker ranks (ints) in the built-in
             # schemes; fall back to the string form otherwise.
             ef_key: object = int(raw_key) if raw_key.lstrip("-").isdigit() else raw_key
-            if not world_matches:
-                orphan_residuals[ef_key] = value.copy()
-                continue
-            if ef is not None:
-                ef._residuals[ef_key] = value.copy()
-    if orphan_residuals:
-        meta["residuals"] = orphan_residuals
+            residuals[ef_key] = value
+    if world_matches:
+        ef = getattr(trainer.scheme, "ef", None)
+        if ef is not None:
+            ef.replace(residuals)
+    elif residuals:
+        meta["residuals"] = residuals
     rng_state = meta.get("rng_state")
     if rng_state is not None:
         trainer._rng.bit_generator.state = rng_state

@@ -25,7 +25,10 @@ from repro.collectives import (
 )
 
 
-@pytest.mark.parametrize("p,d", [(1, 7), (2, 8), (3, 5), (4, 16), (5, 1), (8, 37), (6, 1003)])
+@pytest.mark.parametrize(
+    "p,d",
+    [(1, 7), (2, 8), (3, 5), (4, 16), (5, 1), (8, 37), (6, 1003), (9, 4), (8, 30421)],
+)
 class TestMatrixFolds:
     def test_reduce_scatter_matches_ring(self, p, d):
         mat = np.random.default_rng(p * 100 + d).standard_normal((p, d))
@@ -43,6 +46,14 @@ class TestMatrixFolds:
         mat = np.random.default_rng(p * 100 + d).standard_normal((p, d))
         out = matrix_tree_allreduce(mat)
         np.testing.assert_array_equal(out, tree_allreduce(list(mat))[0])
+
+    def test_column_slice_input_matches(self, p, d):
+        # The torus hands in ``node_acc[:, start:end]``: rows strided.
+        wide = np.random.default_rng(p + d).standard_normal((p, d + 11))
+        view = wide[:, 5 : 5 + d]
+        expected = np.concatenate(ring_reduce_scatter(list(view)))
+        np.testing.assert_array_equal(matrix_reduce_scatter(view), expected)
+        np.testing.assert_array_equal(matrix_ring_allreduce(view), expected)
 
     def test_inputs_not_mutated(self, p, d):
         mat = np.random.default_rng(0).standard_normal((p, d))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives.sparse import SparseVector
 from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.exact_topk import topk_argpartition
 from repro.compression.mstopk import mstopk_select
@@ -106,6 +107,41 @@ class TestBookkeeping:
         ef.update("w", g, topk_argpartition(g, 2))
         with pytest.raises(ValueError):
             ef.apply("w", rng.normal(size=11))
+
+    @pytest.mark.parametrize(
+        "grad_dtype,residual_dtype",
+        [(np.float32, np.float64), (np.float64, np.float32)],
+    )
+    def test_dtype_mismatch_rejected(self, rng, grad_dtype, residual_dtype):
+        # It used to upcast the corrected gradient silently while the
+        # stored residual kept the old dtype.
+        ef = ErrorFeedback()
+        g = rng.normal(size=10).astype(residual_dtype)
+        ef.update("w", g, topk_argpartition(g, 2))
+        with pytest.raises(ValueError, match="residual dtype .* does not match gradient dtype"):
+            ef.apply("w", rng.normal(size=10).astype(grad_dtype))
+        assert ef.apply("w", g).dtype == residual_dtype
+
+    def test_replace_swaps_every_buffer_for_a_copy(self, rng):
+        ef = ErrorFeedback()
+        g = rng.normal(size=10)
+        ef.update("old", g, topk_argpartition(g, 2))
+        fresh = {0: rng.normal(size=4), 1: rng.normal(size=4)}
+        ef.replace(fresh)
+        assert list(ef.keys()) == [0, 1]
+        np.testing.assert_array_equal(ef.residual(1), fresh[1])
+        fresh[1][:] = 0.0  # the caller's array is not the buffer
+        assert ef.residual(1).any()
+        ef.replace({})
+        assert len(ef) == 0
+
+    def test_duplicate_sent_indices_subtract_their_sum(self, rng):
+        # A coalescable selection: the residual is corrected - densify(sent).
+        ef = ErrorFeedback()
+        g = rng.normal(size=8)
+        sent = SparseVector(np.array([0.5, 0.25, 2.0]), np.array([3, 3, 6]), 8)
+        ef.update("w", g, sent)
+        np.testing.assert_allclose(ef.residual("w"), g - sent.to_dense(), atol=1e-15)
 
     def test_sent_length_mismatch_rejected(self, rng):
         ef = ErrorFeedback()

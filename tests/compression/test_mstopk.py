@@ -21,6 +21,7 @@ from repro.compression.exact_topk import exact_threshold, topk_argpartition
 from repro.compression.mstopk import (
     MSTopK,
     mstopk_select,
+    mstopk_select_batch,
     mstopk_threshold_search,
 )
 from repro.utils.seeding import new_rng
@@ -144,6 +145,22 @@ class TestDegenerateInputs:
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
             mstopk_select(np.zeros((3, 3)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shard_rejected_by_scalar_and_batch_alike(self, bad):
+        # One NaN used to make the selection coordinates 0..k-1 whatever
+        # the magnitudes, and park the NaN in the EF residual for good.
+        x = np.random.default_rng(0).standard_normal(1000)
+        x[500] = bad
+        clean = np.random.default_rng(1).standard_normal(1000)
+        with pytest.raises(ValueError, match=r"^shard 0: non-finite gradient"):
+            mstopk_select(x, 10)
+        with pytest.raises(ValueError, match=r"^shard 0: non-finite gradient"):
+            mstopk_threshold_search(np.abs(x), 10)
+        with pytest.raises(ValueError, match=r"^shard 2: non-finite gradient"):
+            mstopk_select_batch([clean, clean[:7], x], [10, 7, 10])
+        with pytest.raises(ValueError, match=r"^shard 1: non-finite gradient"):
+            MSTopK().select_batch(np.stack([clean, x]), 10)
 
 
 class TestThresholdSearch:

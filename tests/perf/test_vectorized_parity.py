@@ -39,35 +39,48 @@ def pool():
     backend.close()
 
 
+def assert_aggregate_parity(name, network, d, steps=4):
+    """Outputs, accounting, EF state, and rng stream all match."""
+    world = network.topology.world_size
+    vec = build_scheme(name, network, density=0.05)
+    ref = build_scheme(name, network, density=0.05)
+    rng_data = np.random.default_rng(17)
+    rng_vec, rng_ref = new_rng(5), new_rng(5)
+    for step in range(steps):
+        grads = rng_data.standard_normal((world, d))
+        a = vec.aggregate(grads, rng=rng_vec)
+        b = legacy_aggregate(ref, grads, rng=rng_ref)
+        assert len(a.outputs) == len(b.outputs) == world
+        for out_a, out_b in zip(a.outputs, b.outputs):
+            np.testing.assert_array_equal(out_a, out_b)
+        assert a.inter_bytes == b.inter_bytes, (name, step)
+        assert a.intra_bytes == b.intra_bytes, (name, step)
+        for key in ("k", "k_tilde", "global_nnz"):
+            assert a.extras.get(key) == b.extras.get(key), (name, step)
+        ef_vec = getattr(vec, "ef", None)
+        ef_ref = getattr(ref, "ef", None)
+        if ef_vec is not None:
+            assert list(ef_vec.keys()) == list(ef_ref.keys())
+            for ef_key in ef_vec.keys():
+                np.testing.assert_array_equal(
+                    ef_vec.residual(ef_key), ef_ref.residual(ef_key)
+                )
+    # Identical rng consumption: the next draw must agree.
+    assert rng_vec.integers(0, 1 << 30) == rng_ref.integers(0, 1 << 30)
+
+
 class TestSchemeParity:
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_aggregate_bit_identical_over_steps(self, network, name):
-        """Outputs, accounting, EF state, and rng stream all match."""
-        vec = build_scheme(name, network, density=0.05)
-        ref = build_scheme(name, network, density=0.05)
-        rng_data = np.random.default_rng(17)
-        rng_vec, rng_ref = new_rng(5), new_rng(5)
-        for step in range(4):
-            grads = rng_data.standard_normal((8, 863))
-            a = vec.aggregate(grads, rng=rng_vec)
-            b = legacy_aggregate(ref, grads, rng=rng_ref)
-            assert len(a.outputs) == len(b.outputs) == 8
-            for out_a, out_b in zip(a.outputs, b.outputs):
-                np.testing.assert_array_equal(out_a, out_b)
-            assert a.inter_bytes == b.inter_bytes, (name, step)
-            assert a.intra_bytes == b.intra_bytes, (name, step)
-            for key in ("k", "k_tilde", "global_nnz"):
-                assert a.extras.get(key) == b.extras.get(key), (name, step)
-            ef_vec = getattr(vec, "ef", None)
-            ef_ref = getattr(ref, "ef", None)
-            if ef_vec is not None:
-                assert list(ef_vec.keys()) == list(ef_ref.keys())
-                for ef_key in ef_vec.keys():
-                    np.testing.assert_array_equal(
-                        ef_vec.residual(ef_key), ef_ref.residual(ef_key)
-                    )
-        # Identical rng consumption: the next draw must agree.
-        assert rng_vec.integers(0, 1 << 30) == rng_ref.integers(0, 1 << 30)
+        assert_aggregate_parity(name, network, d=863)
+
+    @pytest.mark.parametrize("name", ["mstopk", "dense", "2dtar"])
+    def test_eight_gpu_nodes_with_uneven_chunks(self, name):
+        """``tencent 4x2`` only reaches the two-row shortcut of the
+        intra-node fold; 2x8 with ``d % 8 != 0`` runs the chunked ring
+        (and the 16-rank flat ring) with unequal shard lengths."""
+        network = build_cluster("tencent", 2, gpus_per_node=8)
+        assert_aggregate_parity(name, network, d=1003)
 
     @pytest.mark.parametrize("name", SCHEMES)
     def test_matrix_and_list_inputs_agree(self, network, name):
