@@ -6,21 +6,27 @@ with the crash-safety contract:
 1. **WAL before apply** — every mutating op is appended to the
    CRC-framed journal (fsynced) *before* the engine applies it, and only
    then acknowledged.  An acknowledged op therefore survives any kill.
+   That input frame's ``fsync`` is the only one an ack pays.
 2. **Audit after apply** — each applied op's acknowledgement and the
-   engine's post-apply state digest are appended as an *audit* record.
-   Audits are never needed to recover (the inputs alone rebuild the
-   state) but they are *verified* during replay: a digest mismatch means
-   the engine stopped being deterministic, which is a real bug and
-   fails recovery loudly rather than silently diverging.
+   engine's chained ``witness`` (a hash link over the op, its ack and
+   the state it could have touched — O(cluster), not O(history)) are
+   appended as an *audit* record.  Audits are never needed to recover
+   (the inputs alone rebuild the state), so they are flushed but not
+   fsynced and ride the next input frame's ``fsync``; they are
+   *verified* during replay: a mismatch means the engine stopped being
+   deterministic, which is a real bug and fails recovery loudly rather
+   than silently diverging.
 3. **Snapshot every N ops** — double-buffered slots
    (:class:`~repro.serve.snapshot.SnapshotStore`) bound replay length;
    a corrupt newest slot falls back to the other slot, then to
-   journal-only replay from genesis.
+   journal-only replay from genesis.  The O(history) full
+   ``state_digest()`` is taken here (and verified on restore), not per
+   op.
 
 Recovery on construction is: repair the torn journal tail → load the
 newest good snapshot → replay input records past its ``applied_seq``,
-checking audit digests → append a ``recovered`` note.  The whole
-procedure is exercised continuously by the kill-anywhere drills
+checking audit acks and witnesses → append a ``recovered`` note.  The
+whole procedure is exercised continuously by the kill-anywhere drills
 (:mod:`repro.serve.drill`), which crash the runtime at seeded injection
 points — mid-tick, mid-snapshot, mid-journal-append — via ``kill_plan``.
 """
@@ -150,23 +156,25 @@ class ServeRuntime:
             seq = record.get("seq", 0)
             if seq <= self._applied_seq:
                 continue
-            ack = self.engine.apply_op(record["op"])
+            ack = self.engine.apply_op(record["op"], seq)
             self._applied_seq = seq
             self.recovery["replayed"] += 1
             audit = audits.get(seq)
             if audit is None:
-                continue  # crashed between input append and audit append
-            digest = self.engine.state_digest()
-            if audit.get("digest") != digest:
-                raise RuntimeError(
-                    f"journal replay diverged at seq {seq}: state digest "
-                    f"{digest} != journaled {audit.get('digest')} — the engine "
-                    "is no longer deterministic in its inputs"
-                )
+                continue  # crashed before the audit append reached the disk
             if audit.get("ack") != ack:
                 raise RuntimeError(
                     f"journal replay diverged at seq {seq}: ack {ack} != "
                     f"journaled {audit.get('ack')}"
+                )
+            # Audits from builds that journaled a full-state "digest"
+            # instead carry no witness and are ack-checked only.
+            witness = audit.get("witness")
+            if witness is not None and witness != self.engine.witness:
+                raise RuntimeError(
+                    f"journal replay diverged at seq {seq}: witness "
+                    f"{self.engine.witness} != journaled {witness} — the "
+                    "engine is no longer deterministic in its inputs"
                 )
         self._next_seq = scan.last_seq + 1
         self.recovery["recovered"] = bool(scan.records) or loaded is not None
@@ -225,7 +233,7 @@ class ServeRuntime:
             if self._kill == ("tick", self._tick_no):
                 # Die mid-tick: journaled but not applied, not acked.
                 self._crash(f"tick:{self._tick_no}")
-        ack = self.engine.apply_op(op)
+        ack = self.engine.apply_op(op, seq)
         self._applied_seq = seq
         self._audit(seq, ack)
         self._ops_since_snapshot += 1
@@ -238,14 +246,17 @@ class ServeRuntime:
         return ack
 
     def _audit(self, of_seq: int, ack: dict) -> None:
+        # Not needed to recover, so not worth an fsync: flushed now, made
+        # durable by the next input frame's fsync.
         self.journal.append(
             {
                 "kind": "audit",
                 "seq": self._next_seq,
                 "of": of_seq,
                 "ack": ack,
-                "digest": self.engine.state_digest(),
-            }
+                "witness": self.engine.witness,
+            },
+            durable=False,
         )
         self._next_seq += 1
 

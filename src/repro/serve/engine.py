@@ -13,15 +13,20 @@ the same jobs at once is therefore *bit-identical* to a batch ``run()``
 
 What the engine adds is what only a service needs: op decoding, the
 exactly-once op-id watermark, ``queue_limit`` backpressure,
-late-arrival clamping, the per-tick ``series`` trajectory,
-:meth:`state_digest` and snapshot (de)serialisation of the run.
+late-arrival clamping, the per-tick ``series`` trajectory, the two
+determinism witnesses (the per-op chained ``witness`` and the full
+:meth:`state_digest`) and snapshot (de)serialisation of the run.
 
 Everything here is deterministic in the op sequence: no wall clock, no
 RNG outside the seeded fault plan.  That is what makes the write-ahead
 journal (:mod:`repro.serve.journal`) a complete crash-recovery story —
 replaying the journaled ops against a fresh (or snapshotted) engine
-reconstructs the live state bit for bit, witnessed by
-:meth:`state_digest`.
+reconstructs the live state bit for bit.  Two witnesses prove it: every
+applied op advances ``witness``, a hash chain over the op, its ack and
+everything the op could have touched (cost bounded by the cluster, not
+by history), which replay checks op by op; and :meth:`state_digest`
+hashes the *whole* state, which is O(history) and therefore taken only
+at snapshot cadence, on restore and in ``status`` / payloads.
 
 Exactly-once apply: every mutating op carries a client-assigned,
 strictly increasing integer ``id``.  An op whose id the engine has
@@ -45,6 +50,25 @@ from repro.sched.scheduler import MultiTenantScheduler, SchedReport, payload_for
 from repro.utils.eventlog import digest16
 
 _EPS = 1e-12
+
+#: ``witness`` of an engine that has applied nothing yet.
+GENESIS_WITNESS = "0" * 16
+
+
+def _record_state(record) -> list:
+    """The digest-relevant mutable fields of one job record."""
+    return [
+        record.status,
+        record.progress,
+        sorted(record.nodes),
+        record.grows,
+        record.shrinks,
+        record.cost_usd,
+        record.running_seconds,
+        record.solo_equivalent,
+        record.membership.epoch if record.membership is not None else 0,
+        record.waypoints,
+    ]
 
 
 @dataclass(frozen=True)
@@ -149,6 +173,10 @@ class ServeEngine:
         #: row per tick/drain — the daemon's continuously emitted
         #: goodput curve (virtual clock, so bit-stable across replays).
         self.series: list[list[float]] = []
+        #: Hash chain over every applied op (see :meth:`apply_op`).
+        self.witness = GENESIS_WITNESS
+        #: name -> record of each job the op being applied could touch.
+        self._touched: dict = {}
 
     @property
     def records(self) -> dict:
@@ -164,7 +192,7 @@ class ServeEngine:
         return self.core.now
 
     # -- op dispatch ----------------------------------------------------------
-    def apply_op(self, op: dict) -> dict:
+    def apply_op(self, op: dict, seq: int | None = None) -> dict:
         """Apply one journaled op; returns its acknowledgement.
 
         Deterministic in (current state, op) — including rejections,
@@ -172,6 +200,15 @@ class ServeEngine:
         like successes, so a journal replay reproduces every counter.
         User-level problems come back as ``{"ok": False, "error": ...}``
         acks; anything raising past here is a real bug.
+
+        Every applied op (``seq`` is its journal frame's number) also
+        advances ``witness``: the sha256-16 chain link over the previous
+        witness, ``seq``, the op, its ack, the core scalars, the state
+        of every record the op could have touched — running before or
+        after any event-loop step, completed, submitted — and the fault
+        and brain log entries it appended.  Two engines that applied
+        the same ops agree on it at every op, for O(cluster) work per
+        op where :meth:`state_digest` costs O(history).
         """
         if not isinstance(op, dict):
             raise ValueError(f"op must be a mapping, got {type(op).__name__}")
@@ -179,6 +216,10 @@ class ServeEngine:
         op_id = op.get("id")
         if op_id is not None and op_id <= self.last_op_id:
             return {"ok": True, "id": op_id, "duplicate": True}
+        core = self.core
+        self._touched = {r.spec.name: r for r in core.running}
+        logs = [d.log for d in (core.faults, core.brain) if d is not None]
+        marks = [len(log) for log in logs]
         try:
             if kind == "submit":
                 result = self._submit(op.get("job"))
@@ -197,14 +238,29 @@ class ServeEngine:
                     f"unknown op {kind!r}; accepted: submit, tick, drain, "
                     "snapshot, status, payload, stop"
                 )
+            ack = {"ok": True, "id": op_id, **result}
         except (ValueError, KeyError) as exc:
-            if op_id is not None:
-                self.last_op_id = op_id
             self.rejected += 1
-            return {"ok": False, "id": op_id, "error": str(exc)}
+            ack = {"ok": False, "id": op_id, "error": str(exc)}
         if op_id is not None:
             self.last_op_id = op_id
-        return {"ok": True, "id": op_id, **result}
+        self.witness = digest16(
+            [
+                self.witness,
+                seq,
+                op,
+                ack,
+                [
+                    core.now, core.events, core.occupied_node_seconds,
+                    self.last_op_id, self.submitted, self.rejected, self.ticks,
+                    len(core.pending), len(core.queued), len(core.running),
+                    len(core.done),
+                ],
+                {name: _record_state(r) for name, r in self._touched.items()},
+                [log.tail(mark) for log, mark in zip(logs, marks)],
+            ]
+        )
+        return ack
 
     # -- submissions ----------------------------------------------------------
     def _submit(self, job: Any) -> dict:
@@ -222,7 +278,7 @@ class ServeEngine:
         if spec.arrival_seconds < core.now - _EPS:
             # The virtual clock never rewinds: late submissions arrive now.
             spec = dataclasses.replace(spec, arrival_seconds=core.now)
-        core.submit(spec)
+        self._touched[spec.name] = core.submit(spec)
         self.submitted += 1
         return {
             "job": spec.name,
@@ -247,12 +303,14 @@ class ServeEngine:
         completed: list[str] = []
         for _ in range(self.config.max_events_per_tick):
             completed.extend(core.step(until))
+            self._touched.update((r.spec.name, r) for r in core.running)
             if core.now >= until - 1e-9:
                 break
         else:  # pragma: no cover - runaway-loop backstop
             raise RuntimeError(
                 f"tick exceeded max_events_per_tick={self.config.max_events_per_tick}"
             )
+        self._touched.update((name, core.records[name]) for name in completed)
         self.ticks += 1
         self._mark_series()
         return {
@@ -268,6 +326,10 @@ class ServeEngine:
         """Run the backlog to completion — the batch path's terminal state."""
         core = self.core
         t0 = core.now
+        # A drain can run every live job, so all of them count as touched.
+        self._touched.update(
+            (r.spec.name, r) for r in (*core.pending, *core.queued, *core.running)
+        )
         cap = max(10_000, 16 * max(1, len(core.records)), self.config.max_events_per_tick)
         completed = core.drain(cap)
         if completed is None:  # pragma: no cover - runaway-loop backstop
@@ -346,10 +408,12 @@ class ServeEngine:
     def state_digest(self) -> str:
         """sha256-16 over the canonical JSON of the full mutable state.
 
-        The determinism witness: two engines that applied the same op
-        sequence — live, journal-replayed, or snapshot-plus-tail — must
-        agree on this digest, and the recovery path verifies it against
-        the journaled audit records.
+        The whole-state determinism witness: two engines that applied
+        the same op sequence — live, journal-replayed, or
+        snapshot-plus-tail — must agree on this digest.  It costs
+        O(every job ever accepted), so the per-op check is ``witness``;
+        this one is taken per snapshot, verified on restore, and
+        reported by ``status``, payloads and the ``recovered`` note.
         """
         core = self.core
         doc = {
@@ -365,18 +429,7 @@ class ServeEngine:
             "running": [r.spec.name for r in core.running],
             "done": [r.spec.name for r in core.done],
             "jobs": {
-                name: [
-                    record.status,
-                    record.progress,
-                    sorted(record.nodes),
-                    record.grows,
-                    record.shrinks,
-                    record.cost_usd,
-                    record.running_seconds,
-                    record.solo_equivalent,
-                    record.membership.epoch if record.membership is not None else 0,
-                    record.waypoints,
-                ]
+                name: _record_state(record)
                 for name, record in core.records.items()
             },
             "faults": core.faults.log.digest() if core.faults is not None else None,
@@ -402,6 +455,7 @@ class ServeEngine:
             "rejected": self.rejected,
             "ticks": self.ticks,
             "series": self.series,
+            "witness": self.witness,
             "digest": self.state_digest(),
         }
 
@@ -416,6 +470,7 @@ class ServeEngine:
         engine.rejected = state["rejected"]
         engine.ticks = state["ticks"]
         engine.series = state["series"]
+        engine.witness = state["witness"]
         restored = engine.state_digest()
         if restored != state["digest"]:
             raise RuntimeError(

@@ -9,6 +9,13 @@ reconstructs the exact engine state: the engine is deterministic in its
 inputs (the whole repo's virtual-clock discipline), so the journal of
 inputs *is* the state.
 
+Only input frames pay the ``fsync``.  *Audit* frames (ack + witness,
+verified on replay but never needed to rebuild state) are appended with
+``durable=False``: written and flushed to the OS — so they survive a
+``kill -9`` — and made durable by the next input frame's ``fsync``.  A
+power loss can therefore cost the newest audit, never an acknowledged
+input.
+
 Frame layout (all little-endian)::
 
     header:  8 bytes  b"RPJRNL01" (magic + format version)
@@ -84,10 +91,13 @@ class Journal:
 
     ``append`` writes the full frame, flushes and fsyncs before
     returning — the WAL contract: once the caller sees the new offset,
-    the record survives any subsequent kill.  ``append_torn`` exists for
-    the recovery drills only: it persists a deliberate *partial* frame
-    (exactly what a kill mid-``write`` leaves behind) so the torn-tail
-    repair path is exercised by real bytes, not a simulation of them.
+    the record survives any subsequent kill.  ``durable=False`` stops
+    at the flush (process-kill-safe; the next durable append's fsync
+    covers it) for records recovery can do without.  ``append_torn``
+    exists for the recovery drills only: it persists a deliberate
+    *partial* frame (exactly what a kill mid-``write`` leaves behind) so
+    the torn-tail repair path is exercised by real bytes, not a
+    simulation of them.
     """
 
     def __init__(self, path: str | pathlib.Path, *, sync: bool = True) -> None:
@@ -103,15 +113,16 @@ class Journal:
         elif self.path.stat().st_size < len(JOURNAL_MAGIC):
             raise JournalError(f"journal {self.path} is shorter than its header")
 
-    def _flush(self) -> None:
+    def _flush(self, durable: bool = True) -> None:
         self._file.flush()
-        if self.sync:
+        if durable and self.sync:
             os.fsync(self._file.fileno())
 
-    def append(self, record: dict) -> int:
-        """Durably append one record; returns the new end offset."""
+    def append(self, record: dict, *, durable: bool = True) -> int:
+        """Append one record (fsynced unless ``durable=False``); returns
+        the new end offset."""
         self._file.write(encode_frame(record))
-        self._flush()
+        self._flush(durable)
         return self._file.tell()
 
     def append_torn(self, record: dict) -> int:

@@ -14,7 +14,7 @@ free), and double-buffered slots with fallback — exactly the
 
 File layout (little-endian)::
 
-    magic:   8 bytes  b"RPSNAP03"
+    magic:   8 bytes  b"RPSNAP04"
     header:  u32 CRC32(meta || body) | u32 meta length | u64 body length
     meta:    canonical JSON (applied_seq, virtual now, counters, ...)
     body:    pickled engine state (one object graph, shared refs intact)
@@ -41,7 +41,7 @@ from repro.serve.journal import canonical_json
 from repro.train.checkpoint import CheckpointCorruptError
 
 #: Magic + format version; bump the trailing digits on layout changes.
-SNAPSHOT_MAGIC = b"RPSNAP03"
+SNAPSHOT_MAGIC = b"RPSNAP04"
 
 _HEAD = struct.Struct("<IIQ")  # CRC32(meta||body), meta length, body length
 
@@ -71,7 +71,7 @@ def write_snapshot(
     path.parent.mkdir(parents=True, exist_ok=True)
     meta_bytes = canonical_json(meta).encode("utf-8")
     body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    crc = zlib.crc32(meta_bytes + body)
+    crc = zlib.crc32(body, zlib.crc32(meta_bytes))
     blob = SNAPSHOT_MAGIC + _HEAD.pack(crc, len(meta_bytes), len(body)) + meta_bytes + body
     if tear_after is not None:
         if isinstance(tear_after, float) and 0 < tear_after < 1:
@@ -84,9 +84,9 @@ def write_snapshot(
     return meta
 
 
-def read_snapshot(path: str | pathlib.Path) -> tuple[dict, object]:
-    """Verify and load ``(meta, state)``; raises :class:`SnapshotCorruptError`."""
-    path = pathlib.Path(path)
+def _read_verified(path: pathlib.Path) -> tuple[dict, memoryview]:
+    """``(meta, pickled body)`` of a file that passes every integrity
+    check, without unpickling; raises :class:`SnapshotCorruptError`."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -105,15 +105,28 @@ def read_snapshot(path: str | pathlib.Path) -> tuple[dict, object]:
             f"expected {head_end + meta_len + body_len}"
         )
     meta_bytes = data[head_end : head_end + meta_len]
-    body = data[head_end + meta_len :]
-    if zlib.crc32(meta_bytes + body) != crc:
+    body = memoryview(data)[head_end + meta_len :]
+    if zlib.crc32(body, zlib.crc32(meta_bytes)) != crc:
         raise SnapshotCorruptError(f"snapshot {path} failed its CRC32 check")
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
-        state = pickle.loads(body)
-    except Exception as exc:  # torn pickle / mangled JSON both land here
+    except ValueError as exc:
         raise SnapshotCorruptError(f"snapshot {path} failed to decode: {exc}") from exc
-    return meta, state
+    return meta, body
+
+
+def _unpickle(path: pathlib.Path, body: memoryview) -> object:
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # a CRC-clean body this build cannot rebuild
+        raise SnapshotCorruptError(f"snapshot {path} failed to decode: {exc}") from exc
+
+
+def read_snapshot(path: str | pathlib.Path) -> tuple[dict, object]:
+    """Verify and load ``(meta, state)``; raises :class:`SnapshotCorruptError`."""
+    path = pathlib.Path(path)
+    meta, body = _read_verified(path)
+    return meta, _unpickle(path, body)
 
 
 @dataclass
@@ -133,13 +146,19 @@ class SnapshotStore:
     def __init__(self, state_dir: str | pathlib.Path) -> None:
         self.state_dir = pathlib.Path(state_dir)
         self.slots = tuple(self.state_dir / name for name in SLOT_NAMES)
+        #: The stale slot, known without reading once this store has
+        #: written the other one (``None``: scan the slots to find out).
+        self._next: pathlib.Path | None = None
 
     def _slot_seq(self, path: pathlib.Path) -> int | None:
-        """``applied_seq`` of a slot's snapshot, or ``None`` if unusable."""
+        """``applied_seq`` of a slot's snapshot, or ``None`` if unusable.
+
+        CRC and meta only — the body is verified but never unpickled.
+        """
         if not path.exists():
             return None
         try:
-            meta, _ = read_snapshot(path)
+            meta, _ = _read_verified(path)
         except SnapshotCorruptError:
             return None
         return int(meta.get("applied_seq", 0))
@@ -161,8 +180,12 @@ class SnapshotStore:
     def save(
         self, state: object, meta: dict, *, tear_after: int | None = None
     ) -> pathlib.Path:
-        path = self.target_slot()
+        path = self._next or self.target_slot()
         write_snapshot(path, state, meta, tear_after=tear_after)
+        # The slot just written holds the newest good snapshot, so the
+        # next save needs no scan — unless this write was torn.
+        other = self.slots[1] if path == self.slots[0] else self.slots[0]
+        self._next = other if tear_after is None else None
         return path
 
     def load(self) -> SnapshotLoad | None:
@@ -173,21 +196,22 @@ class SnapshotStore:
         so recovery can log that it *fell back* rather than silently
         loading older state.
         """
-        good: list[tuple[int, pathlib.Path]] = []
+        good: list[tuple[int, pathlib.Path, dict, memoryview]] = []
         corrupt = 0
         for path in self.slots:
             if not path.exists():
                 continue
-            seq = self._slot_seq(path)
-            if seq is None:
-                corrupt += 1
-            else:
-                good.append((seq, path))
-        # Newest first; _slot_seq already verified, but a read can still
-        # fail (e.g. the file changed underneath us) — fall through.
-        for _, path in sorted(good, key=lambda c: -c[0]):
             try:
-                meta, state = read_snapshot(path)
+                meta, body = _read_verified(path)
+            except SnapshotCorruptError:
+                corrupt += 1
+                continue
+            good.append((int(meta.get("applied_seq", 0)), path, meta, body))
+        # Newest first; each file was read and verified once above, and
+        # only the winner is unpickled — if that fails, fall through.
+        for _, path, meta, body in sorted(good, key=lambda c: -c[0]):
+            try:
+                state = _unpickle(path, body)
             except SnapshotCorruptError:
                 corrupt += 1
                 continue

@@ -1,7 +1,7 @@
 """Canonical JSON, its short digest, and the append-only log built on them.
 
 Everything this repo pins by digest — fault logs, brain decision logs,
-journal frames, the serve engine's state witness — is hashed over *one*
+journal frames, the serve engine's state witnesses — is hashed over *one*
 spelling of JSON: sorted keys, no whitespace.  :func:`canonical_json`
 is that spelling, :func:`digest16` the sha256-16 over it, and
 :class:`EventLog` the wall-clock-free structured log both the fault and
@@ -42,6 +42,24 @@ class EventLog:
 
     def __init__(self) -> None:
         self._entries: list[dict] = []
+        self._reset_hash()
+
+    def _reset_hash(self) -> None:
+        # Running sha256 over the canonical list spelling of the first
+        # ``_hashed`` entries: "[" e0 "," e1 ... (the closing "]" is
+        # added to a copy by digest()).
+        self._hash = hashlib.sha256(b"[")
+        self._hashed = 0
+
+    def __getstate__(self) -> dict:
+        # Hash objects do not pickle; digest() rebuilds one from the entries.
+        state = self.__dict__.copy()
+        del state["_hash"], state["_hashed"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_hash()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,9 +91,24 @@ class EventLog:
         """Canonical serialisation (sorted keys, no whitespace)."""
         return canonical_json(self._entries)
 
+    def tail(self, start: int) -> list[dict]:
+        """The entries appended since the log was ``start`` long."""
+        return self._entries[start:]
+
     def digest(self) -> str:
-        """Short stable hash of the canonical serialisation."""
-        return digest16(self._entries)
+        """Short stable hash of the canonical serialisation.
+
+        Equal to ``digest16`` of the entries, but lazily incremental:
+        each call serialises only what was appended since the last one,
+        and a log nobody digests (the batch path) hashes nothing.
+        """
+        for entry in self._entries[self._hashed :]:
+            prefix = "," if self._hashed else ""
+            self._hash.update((prefix + canonical_json(entry)).encode("utf-8"))
+            self._hashed += 1
+        closed = self._hash.copy()
+        closed.update(b"]")
+        return closed.hexdigest()[:16]
 
     def phase_counts(self) -> dict[str, int]:
         counts = {phase: 0 for phase in self.PHASES}

@@ -81,6 +81,26 @@ class TestDigest:
         other.append("absorb", t=20.0, kind="straggler", fault_id=1, target="run")
         assert log.digest() != other.digest()
 
+    def test_digest_is_incremental_and_survives_pickling(self):
+        import pickle
+
+        log = FaultLog()
+        assert log.digest() == digest16([])
+        for _ in range(2):  # digest, append, digest again; then unpickled
+            log.append("absorb", t=1.0, kind="straggler", fault_id=1, target="run")
+            assert log.digest() == digest16(log.to_dicts())
+            log.append("repair", t=2.0, kind="straggler", fault_id=1, target="run")
+            assert log.digest() == digest16(log.to_dicts())
+            log = pickle.loads(pickle.dumps(log))
+        assert len(log) == 4 and log.digest() == digest16(log.to_dicts())
+
+    def test_tail_is_what_was_appended_since(self):
+        log = _sample_log()
+        mark = len(log)
+        assert log.tail(mark) == []
+        entry = log.append("absorb", t=20.0, kind="straggler", fault_id=1, target="run")
+        assert log.tail(mark) == [entry]
+
     def test_canonical_json_is_compact_and_sorted(self):
         text = _sample_log().to_json()
         assert ": " not in text and ", " not in text

@@ -4,9 +4,11 @@ A hypothesis state machine feeds the same random op stream — submits,
 ticks, duplicate-id resends — to two :class:`ServeEngine`\\ s, one of
 which is also torn down and rebuilt from a pickled snapshot at random
 points.  After every op both must satisfy the core invariants
-(``tests/sched/invariants.py``) and agree on :meth:`state_digest`: a
-restore mid-stream changes no later digest.  Every run ends with a
-drain that must finish every accepted job.
+(``tests/sched/invariants.py``) and agree on :meth:`state_digest` and
+on the chained ``witness``: a restore mid-stream changes no later digest
+and continues the chain.  Every run ends with a drain that must finish
+every accepted job, and with a third engine replaying the op list from
+genesis (the journal-replay path) onto the same witness and digest.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ class ServeMachine(RuleBasedStateMachine):
     def resend_duplicate(self, data):
         op = data.draw(st.sampled_from(self.ops))
         before = self.live.state_digest()
+        link = self.live.witness
         assert self.feed(op) == {"ok": True, "id": op["id"], "duplicate": True}
         assert self.live.state_digest() == before
+        assert self.live.witness == link  # nothing applied, chain not advanced
 
     @rule()
     def snapshot_and_restore(self):
@@ -102,6 +106,7 @@ class ServeMachine(RuleBasedStateMachine):
     @invariant()
     def engines_agree_and_hold_invariants(self):
         assert self.live.state_digest() == self.phoenix.state_digest()
+        assert self.live.witness == self.phoenix.witness
         for index, engine in enumerate((self.live, self.phoenix)):
             self.clocks[index] = check_invariants(engine.core, self.clocks[index])
 
@@ -111,6 +116,15 @@ class ServeMachine(RuleBasedStateMachine):
         self.engines_agree_and_hold_invariants()
         assert sorted(r.spec.name for r in self.live.done) == sorted(self.accepted)
         assert self.live.payload() == self.phoenix.payload()
+        replayed = ServeEngine(CONFIG)
+        links = set()
+        for op in self.ops:
+            replayed.apply_op(op)
+            links.add(replayed.witness)
+        # live == snapshot-plus-tail (phoenix) == replayed from genesis.
+        assert replayed.witness == self.live.witness
+        assert replayed.state_digest() == self.live.state_digest()
+        assert len(links) == len(self.ops)  # every applied op moved the chain
 
 
 ServeMachine.TestCase.settings = settings(

@@ -48,6 +48,25 @@ class TestFraming:
             journal.append({"seq": 2})
         assert [r["seq"] for r in scan_journal(path).records] == [1, 2]
 
+    def test_non_durable_append_skips_the_fsync_not_the_flush(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
+        path = tmp_path / "j.bin"
+        with Journal(path) as journal:
+            synced.clear()
+            journal.append({"seq": 1})
+            assert len(synced) == 1
+            journal.append({"seq": 2}, durable=False)
+            assert len(synced) == 1
+            # Flushed to the OS: another reader (or this process's
+            # successor after a kill -9) sees the whole frame already.
+            assert [r["seq"] for r in scan_journal(path).records] == [1, 2]
+
     def test_not_a_journal_raises(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAJRNL" + b"x" * 32)

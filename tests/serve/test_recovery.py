@@ -138,26 +138,79 @@ class TestRestart:
         assert recovered.engine.state_digest() == digest
         recovered.close()
 
-    def test_tampered_audit_digest_fails_replay_loudly(self, tmp_path):
-        runtime = ServeRuntime(CONFIG, tmp_path)
-        run_ops(runtime, OPS[:2])  # below snapshot_every: replay from genesis
-        runtime.close()
-        # Rewrite the journal with one audit digest falsified: replay
-        # must refuse rather than silently diverge.
+    @staticmethod
+    def _rewrite_audits(state_dir, edit):
+        """Re-journal the state dir with ``edit`` applied to each audit."""
         from repro.serve.journal import Journal
 
-        path = tmp_path / "journal.bin"
+        path = state_dir / "journal.bin"
         records = scan_journal(path).records
         for record in records:
             if record.get("kind") == "audit":
-                record["digest"] = "0" * 16
-                break
+                edit(record)
         path.unlink()
         with Journal(path) as journal:
             for record in records:
                 journal.append(record)
-        with pytest.raises(RuntimeError, match="replay diverged"):
+
+    @pytest.mark.parametrize(
+        "field, forged", [("witness", "0" * 16), ("ack", {"ok": True, "id": 1})]
+    )
+    def test_tampered_audit_fails_replay_loudly(self, tmp_path, field, forged):
+        runtime = ServeRuntime(CONFIG, tmp_path)
+        run_ops(runtime, OPS[:2])  # below snapshot_every: replay from genesis
+        runtime.close()
+        # One audit field falsified: replay must refuse rather than
+        # silently diverge, at the op the audit belongs to.
+        self._rewrite_audits(
+            tmp_path, lambda r: r.update({field: forged}) if r["of"] == 1 else None
+        )
+        with pytest.raises(RuntimeError, match=f"replay diverged at seq 1: {field}"):
             ServeRuntime(CONFIG, tmp_path)
+
+    def test_full_digest_audits_of_older_builds_are_ack_checked_only(self, tmp_path):
+        runtime = ServeRuntime(CONFIG, tmp_path)
+        run_ops(runtime, OPS[:2])
+        digest = runtime.engine.state_digest()
+        runtime.close()
+
+        def downgrade(record):  # what a pre-witness build journaled
+            del record["witness"]
+            record["digest"] = "f" * 16
+
+        self._rewrite_audits(tmp_path, downgrade)
+        again = ServeRuntime(CONFIG, tmp_path)
+        assert again.recovery["replayed"] == 2
+        assert again.engine.state_digest() == digest
+        again.close()
+        # ... but their acks still are.
+        self._rewrite_audits(tmp_path, lambda r: r.update(ack={"ok": False}))
+        with pytest.raises(RuntimeError, match="replay diverged at seq 1: ack"):
+            ServeRuntime(CONFIG, tmp_path)
+
+    def test_state_divergence_fails_at_the_op_that_accrues_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sched.scheduler import MultiTenantScheduler
+
+        config = ServeConfig.from_dict({**CONFIG.to_dict(), "snapshot_every": 100})
+        runtime = ServeRuntime(config, tmp_path)
+        acks = run_ops(runtime, OPS[:5])
+        runtime.close()
+        # Input frames take the odd seqs (audits the even ones): the
+        # first tick — the first op to accrue any progress — is seq 5.
+        assert acks[2]["completed"] == []
+
+        real = MultiTenantScheduler.iteration_seconds
+
+        def slower_a(self, spec, **kwargs):  # one running job's rate, perturbed
+            return real(self, spec, **kwargs) * (1.001 if spec.name == "a" else 1.0)
+
+        monkeypatch.setattr(MultiTenantScheduler, "iteration_seconds", slower_a)
+        # Same ack (nothing completes either way), different state: the
+        # chained witness catches it at that tick, not a snapshot later.
+        with pytest.raises(RuntimeError, match="replay diverged at seq 5: witness"):
+            ServeRuntime(config, tmp_path)
 
 
 class TestKillPoints:

@@ -1,7 +1,10 @@
 """Double-buffered snapshots: CRC verification, slots, torn-write fallback."""
 
+import pickle
+
 import pytest
 
+from repro.serve import snapshot as snapshot_module
 from repro.serve.snapshot import (
     SLOT_NAMES,
     SnapshotCorruptError,
@@ -114,3 +117,86 @@ class TestStore:
         # Corrupting the newest (seq 3) makes its slot the next target.
         stale.write_bytes(stale.read_bytes()[:10])
         assert store.target_slot() == stale
+
+
+class Unloadable:
+    """Pickles fine; raises when unpickled (a CRC-clean, unusable body)."""
+
+    def __reduce__(self):
+        return (_refuse, ())
+
+
+def _refuse():
+    raise RuntimeError("this build cannot rebuild that state")
+
+
+class TestStoreReadsOnlyWhatItMust:
+    @pytest.fixture
+    def unpickles(self, monkeypatch):
+        calls = []
+        real = pickle.loads
+
+        def loads(data):
+            calls.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(snapshot_module.pickle, "loads", loads)
+        return calls
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        real = snapshot_module._read_verified
+
+        def read_verified(path):
+            calls.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(snapshot_module, "_read_verified", read_verified)
+        return calls
+
+    def test_choosing_the_target_slot_never_unpickles(self, tmp_path, unpickles):
+        store = SnapshotStore(tmp_path)
+        store.save({"n": 1}, {"applied_seq": 1})
+        store.save({"n": 2}, {"applied_seq": 2})
+        assert SnapshotStore(tmp_path).target_slot().name == SLOT_NAMES[0]
+        assert unpickles == []
+
+    def test_steady_state_save_reads_nothing(self, tmp_path, reads):
+        store = SnapshotStore(tmp_path)
+        first = store.save({"n": 1}, {"applied_seq": 1})  # scans: slots unknown
+        scanned = len(reads)
+        names = [store.save({"n": n}, {"applied_seq": n}).name for n in (2, 3, 4)]
+        assert len(reads) == scanned
+        assert names == [SLOT_NAMES[1], first.name, SLOT_NAMES[1]]
+
+    def test_a_torn_save_makes_the_next_save_look_again(self, tmp_path, reads):
+        store = SnapshotStore(tmp_path)
+        store.save({"n": 1}, {"applied_seq": 1})
+        torn = store.save({"n": 2}, {"applied_seq": 2}, tear_after=0.5)
+        scanned = len(reads)
+        # The torn slot is still the stale one; the good slot survives.
+        assert store.save({"n": 3}, {"applied_seq": 3}) == torn
+        assert len(reads) > scanned
+        assert store.load().state == {"n": 3}
+
+    def test_load_reads_each_slot_once_and_unpickles_only_the_winner(
+        self, tmp_path, reads, unpickles
+    ):
+        store = SnapshotStore(tmp_path)
+        store.save({"n": 1}, {"applied_seq": 1})
+        store.save({"n": 2}, {"applied_seq": 2})
+        reads.clear()
+        assert store.load().state == {"n": 2}
+        assert sorted(reads) == sorted(SLOT_NAMES)
+        assert len(unpickles) == 1
+
+    def test_crc_clean_but_unloadable_newest_falls_back(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.save({"n": 1}, {"applied_seq": 1})
+        newest = store.save(Unloadable(), {"applied_seq": 2})
+        with pytest.raises(SnapshotCorruptError, match="failed to decode"):
+            read_snapshot(newest)
+        loaded = store.load()
+        assert loaded.state == {"n": 1}
+        assert loaded.corrupt_slots == 1
