@@ -71,7 +71,7 @@ from repro.models import resnet50_profile, transformer_profile, vgg19_profile
 from repro.sched import JobSpec, MultiTenantScheduler, register_policy
 from repro.optim import LAMB, LARS, SGD
 from repro.pto import ParallelTensorOperator, lars_learning_rates_pto
-from repro.train import ConvergenceRunner, DistributedTrainer, make_scheme
+from repro.train import ConvergenceRunner, DistributedTrainer
 
 __version__ = "1.0.0"
 
@@ -119,7 +119,6 @@ __all__ = [
     # train
     "DistributedTrainer",
     "ConvergenceRunner",
-    "make_scheme",
     # elastic
     "ElasticTrainer",
     "MembershipView",

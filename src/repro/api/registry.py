@@ -4,8 +4,8 @@ Every pluggable piece of the system registers here under a canonical
 name (plus aliases): communication *schemes*, gradient *compressors*,
 trainable *model workloads*, and cloud *cluster* presets.  The
 registries replace the string-keyed if/elif ladders that used to live in
-``train/algorithms.py`` and ``cluster/cloud_presets.py``; those modules
-are now thin shims over this one.
+``train/algorithms.py`` (gone) and ``cluster/cloud_presets.py`` (now a
+thin shim over this module).
 
 Extending the system is a decorator away::
 

@@ -12,14 +12,19 @@ pool.  At bind time it
 * partitions the ``W`` virtual workers into one contiguous row chunk
   per pool worker.
 
-Each ``run_step`` ships only row indices and the (small) per-worker
-batches over the pipes; gradients come back through the shared matrix.
-Results merge in row order — the float accumulation order of losses and
-metrics matches the serial loop exactly, so the engine is bit-identical
-to ``serial`` (pinned by ``tests/perf/test_vectorized_parity.py``).
-Per-phase worker timings fold into the trainer's
-:class:`~repro.perf.hotpath.PhaseTimer` via ``merge`` so compute done
-off the main process still shows up in the profile.
+Each ``run_step`` ships only a chunk's first row index and its (small)
+per-worker batches over the pipes; every worker runs the same compute
+kernel the inline trainer runs
+(:func:`repro.utils.partition.gradient_rows` — the engine never decides
+how rows are computed) and gradients come
+back through the shared matrix.  Per-row losses and metrics come back
+in row order and the trainer folds them exactly as it does inline, so
+the engine is bit-identical to ``serial`` (pinned by
+``tests/perf/test_vectorized_parity.py``).  The kernel's per-call phase
+records are replayed into the trainer's ``timer`` (``add(phase,
+seconds)``), so compute done off the main process still shows up in the
+profile — as CPU seconds across the pool, which can exceed the step's
+wall-clock.
 """
 
 from __future__ import annotations
@@ -30,19 +35,7 @@ import numpy as np
 
 from repro.exec.shm import SharedArray
 from repro.exec.worker import BIND, RELEASE, STEP, EngineSpec
-
-
-def _chunk_rows(world_size: int, jobs: int) -> list[list[int]]:
-    """Contiguous, nearly-equal row chunks (first chunks get the spill)."""
-    jobs = max(1, min(jobs, world_size))
-    base, spill = divmod(world_size, jobs)
-    chunks: list[list[int]] = []
-    start = 0
-    for i in range(jobs):
-        size = base + (1 if i < spill else 0)
-        chunks.append(list(range(start, start + size)))
-        start += size
-    return chunks
+from repro.utils.partition import chunk_bounds
 
 
 class ProcessStepEngine:
@@ -52,16 +45,12 @@ class ProcessStepEngine:
         self.backend = backend
         self.engine_id = backend.allocate_engine_id()
         world = trainer.world_size
-        self._chunks = _chunk_rows(world, backend.jobs)
+        self._chunks = chunk_bounds(world, min(backend.jobs, world))
         self._grad = SharedArray.create((world, trainer.grad_dim))
         self._params = SharedArray.create((trainer.grad_dim,))
-        self._param_names = list(trainer._param_names)
-        self._slices = list(trainer._grad_slices)
         spec = EngineSpec(
             model=trainer.model,
-            param_names=self._param_names,
-            shapes=[tuple(s) for s in trainer._grad_shapes],
-            slices=[(int(sl.start), int(sl.stop)) for sl in self._slices],
+            layout=trainer._layout,
             grad_spec=self._grad.spec(),
             param_spec=self._params.spec(),
         )
@@ -76,55 +65,38 @@ class ProcessStepEngine:
     # ------------------------------------------------------------------
     def run_step(
         self, trainer, batches: Sequence[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[list[float], dict[str, float]]:
-        """Compute every worker row; returns ``(losses, metric_sums)``.
+    ) -> tuple[list[float], list[dict[str, float]]]:
+        """Compute every worker row; returns per-row ``(losses, metrics)``.
 
         The shared gradient matrix holds each worker's fused gradient on
         return; the caller aggregates it exactly as the serial path does.
         """
         if self._closed:
             raise RuntimeError("step engine is closed")
-        flat = self._params.array
-        for name, sl in zip(self._param_names, self._slices):
-            flat[sl] = trainer.params[name].reshape(-1)
-        active = []
-        for worker, rows in zip(self._workers, self._chunks):
-            worker.conn.send(
-                (STEP, self.engine_id, rows, [batches[row] for row in rows])
-            )
-            active.append(worker)
-        per_row: list[tuple[float, dict[str, float]] | None] = [None] * len(batches)
-        phase_seconds: dict[str, float] = {}
-        phase_calls: dict[str, int] = {}
+        trainer._layout.write(self._params.array, trainer.params)
+        for worker, (lo, hi) in zip(self._workers, self._chunks):
+            worker.conn.send((STEP, self.engine_id, lo, batches[lo:hi]))
+        losses: list[float] = []
+        metrics: list[dict[str, float]] = []
         error: BaseException | None = None
-        for worker in active:
+        for worker in self._workers:
             # Always consume every outstanding reply, even after a
             # failure: an abandoned reply would desync the pool's
             # sequence-number-free request/reply pairing.
             try:
-                chunk = worker.reply()
+                chunk_losses, chunk_metrics, phases = worker.reply()
             except BaseException as exc:
                 if error is None:
                     error = exc
                 continue
-            for row, loss, metrics, phases in chunk:
-                per_row[row] = (loss, metrics)
-                for phase, seconds in phases.items():
-                    phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-                    phase_calls[phase] = phase_calls.get(phase, 0) + 1
+            losses += chunk_losses
+            metrics += chunk_metrics
+            if trainer.timer is not None:
+                for phase, seconds in phases:
+                    trainer.timer.add(phase, seconds)
         if error is not None:
             raise error
-        if trainer.timer is not None and phase_seconds:
-            trainer.timer.merge(phase_seconds, calls=phase_calls)
-        losses: list[float] = []
-        metric_sums: dict[str, float] = {}
-        for entry in per_row:
-            assert entry is not None, "pool worker dropped a row"
-            loss, metrics = entry
-            losses.append(loss)
-            for key, value in metrics.items():
-                metric_sums[key] = metric_sums.get(key, 0.0) + value
-        return losses, metric_sums
+        return losses, metrics
 
     # ------------------------------------------------------------------
     def close(self) -> None:

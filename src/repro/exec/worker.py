@@ -2,30 +2,31 @@
 
 One worker serves both faces of the execution backend:
 
-* **step tasks** — compute forward/backward for an assigned set of
-  virtual-worker rows against a bound :class:`EngineSpec` and write the
-  fused gradients straight into the engine's shared ``(W, d)`` matrix
-  (parameters are read from a shared buffer the parent refreshed before
-  dispatch, so nothing heavy crosses the pipe);
+* **step tasks** — run the trainer's compute kernel
+  (:func:`repro.utils.partition.gradient_rows`) on an assigned
+  contiguous row chunk of a bound :class:`EngineSpec`: the destination
+  is a view of the engine's shared ``(W, d)`` matrix, the parameters
+  are views of a shared flat buffer the parent refreshed before
+  dispatch, so only the chunk's first row index and its (small) batches
+  cross the pipe, and per-row losses / metrics and the kernel's phase
+  records come back;
 * **call tasks** — run an arbitrary module-level function (the sweep
   face: one fully independent ``RunConfig`` / sched policy / experiment
   per task) and pickle the result back.
 
 The module is import-clean for the ``spawn`` start method: it pulls in
-NumPy and the shared-memory helper only; model classes arrive by
-unpickling the bound spec.
+NumPy, the kernel and the shared-memory helper only; model classes
+arrive by unpickling the bound spec.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.exec.shm import SharedArray
+from repro.utils.partition import FlatLayout, gradient_rows
 
 #: Message kinds of the parent -> worker protocol.
 BIND, RELEASE, STEP, CALL, STOP = "bind", "release", "step", "call", "stop"
@@ -36,17 +37,14 @@ class EngineSpec:
     """Everything a worker needs to serve step tasks for one trainer.
 
     Shipped once per engine bind; ``grad_spec`` / ``param_spec`` are
-    :meth:`SharedArray.spec` tuples naming the shared blocks.
+    :meth:`SharedArray.spec` tuples naming the shared blocks, ``layout``
+    places each parameter (and its gradient) in a flat row of them.
     """
 
     model: Any
-    param_names: list[str]
-    shapes: list[tuple[int, ...]]
-    slices: list[tuple[int, int]]
+    layout: FlatLayout
     grad_spec: tuple[str, tuple[int, ...], str]
     param_spec: tuple[str, tuple[int, ...], str]
-    #: Allow the blocked all-rows-at-once tape pass when the model has one.
-    fused: bool = True
 
 
 @dataclass
@@ -56,7 +54,6 @@ class _BoundEngine:
     spec: EngineSpec
     grad: SharedArray
     params_flat: SharedArray
-    slices: list[slice] = field(default_factory=list)
 
     def close(self) -> None:
         self.grad.close()
@@ -66,69 +63,30 @@ class _BoundEngine:
 def _bind(spec: EngineSpec) -> _BoundEngine:
     grad = SharedArray.attach(*spec.grad_spec)
     params_flat = SharedArray.attach(*spec.param_spec)
-    slices = [slice(lo, hi) for lo, hi in spec.slices]
-    return _BoundEngine(spec=spec, grad=grad, params_flat=params_flat, slices=slices)
+    return _BoundEngine(spec=spec, grad=grad, params_flat=params_flat)
 
 
-def _params_view(engine: _BoundEngine) -> dict[str, np.ndarray]:
-    """Parameter dict as zero-copy views into the shared flat buffer."""
-    flat = engine.params_flat.array
-    return {
-        name: flat[sl].reshape(shape)
-        for name, sl, shape in zip(
-            engine.spec.param_names, engine.slices, engine.spec.shapes
-        )
-    }
+class _PhaseRecords(list):
+    """The kernel's ``timer``: ``(phase, seconds)`` records for the parent."""
+
+    def add(self, phase: str, seconds: float) -> None:
+        self.append((phase, seconds))
 
 
-def _fusable(model: Any, spec: EngineSpec, batches: list) -> bool:
-    if not spec.fused or not hasattr(model, "loss_and_grad_workers"):
-        return False
-    from repro.train.trainer import DistributedTrainer
-
-    return DistributedTrainer._fusable_batches(batches)
-
-
-def _run_step(engine: _BoundEngine, rows: list[int], batches: list) -> list:
-    """Compute the assigned rows; returns ``(row, loss, metrics, phases)``.
-
-    The blocked multi-row tape pass (``loss_and_grad_workers``) and the
-    per-row ``loss_and_grad`` loop are bit-identical (pinned by the
-    hot-path parity suite), so chunk fusion is purely a speed choice.
-    """
+def _run_step(engine: _BoundEngine, lo: int, batches: list) -> tuple:
+    """Compute rows ``lo .. lo + len(batches)`` of the shared matrix;
+    returns ``(losses, metrics, phases)``, the first two per row."""
     spec = engine.spec
-    model = spec.model
-    params = _params_view(engine)
-    mat = engine.grad.array
-    tick = time.perf_counter
-    results = []
-    if len(rows) > 1 and _fusable(model, spec, batches):
-        t0 = tick()
-        xs = np.stack([bx for bx, _ in batches])
-        ys = np.stack([by for _, by in batches])
-        losses, grads, metrics_list = model.loss_and_grad_workers(params, xs, ys)
-        t1 = tick()
-        for name, sl in zip(spec.param_names, engine.slices):
-            mat[np.asarray(rows), sl] = grads[name].reshape(len(rows), -1)
-        t2 = tick()
-        phases = {
-            "forward_backward": (t1 - t0) / len(rows),
-            "fuse": (t2 - t1) / len(rows),
-        }
-        for row, loss, metrics in zip(rows, losses, metrics_list):
-            results.append((row, float(loss), metrics, phases))
-        return results
-    for row, (bx, by) in zip(rows, batches):
-        t0 = tick()
-        loss, grads, metrics = model.loss_and_grad(params, bx, by)
-        t1 = tick()
-        out_row = mat[row]
-        for name, sl in zip(spec.param_names, engine.slices):
-            out_row[sl] = grads[name].reshape(-1)
-        t2 = tick()
-        phases = {"forward_backward": t1 - t0, "fuse": t2 - t1}
-        results.append((row, float(loss), metrics, phases))
-    return results
+    phases = _PhaseRecords()
+    losses, metrics = gradient_rows(
+        spec.model,
+        spec.layout.views(engine.params_flat.array),
+        batches,
+        engine.grad.array[lo : lo + len(batches)],
+        spec.layout,
+        phases,
+    )
+    return losses, metrics, list(phases)
 
 
 def worker_main(conn) -> None:
@@ -161,8 +119,8 @@ def worker_main(conn) -> None:
                         bound.close()
                     reply = None
                 elif kind == STEP:
-                    _, engine_id, rows, batches = message
-                    reply = _run_step(engines[engine_id], rows, batches)
+                    _, engine_id, lo, batches = message
+                    reply = _run_step(engines[engine_id], lo, batches)
                 elif kind == CALL:
                     _, fn, args = message
                     reply = fn(*args)

@@ -226,6 +226,12 @@ class FaultPlan:
 _FLOAT_PARAMS = ("duration", "scale", "stretch", "fraction", "loss_rate", "jitter")
 
 
+#: Fault ids are ``index * _ID_STRIDE + occurrence``: one entry expands
+#: (eagerly) into at most this many events, or its ids would run into
+#: the next entry's and mix their per-fault latencies in the log.
+_ID_STRIDE = 1000
+
+
 def _expand(index: int, entry: FaultConfig, target: str) -> list[FaultEvent]:
     """Validate one config entry and expand its repeat train."""
     label = f"faults.events[{index}]"
@@ -249,6 +255,10 @@ def _expand(index: int, entry: FaultConfig, target: str) -> list[FaultEvent]:
         raise FaultError(f"{label}: duration must be >= 0, got {params['duration']}")
     if entry.repeat < 1:
         raise FaultError(f"{label}: repeat must be >= 1, got {entry.repeat}")
+    if entry.repeat > _ID_STRIDE:
+        raise FaultError(
+            f"{label}: repeat must be <= {_ID_STRIDE}, got {entry.repeat}"
+        )
     if entry.repeat > 1 and period <= 0:
         raise FaultError(
             f"{label}: repeat > 1 needs a positive period, got {period}"
@@ -258,7 +268,7 @@ def _expand(index: int, entry: FaultConfig, target: str) -> list[FaultEvent]:
     events = []
     for occurrence in range(entry.repeat):
         event = FaultEvent(
-            fault_id=index * 1000 + occurrence,
+            fault_id=index * _ID_STRIDE + occurrence,
             kind=kind,
             at=at + occurrence * period,
             node=entry.node,

@@ -78,17 +78,21 @@ class MLPClassifier:
     ) -> tuple[np.ndarray, dict[str, np.ndarray], list[dict[str, float]]]:
         """Fused forward + backward for ``W`` workers' batches at once.
 
-        ``xs`` is ``(W, B, ...)`` and ``ys`` is ``(W, B)``.  Parameters
-        are replicated along a worker axis so the worker-batched matmuls
-        produce per-worker gradients in single batched GEMMs —
+        ``xs`` is ``(W, B, ...)`` and ``ys`` is ``(W, B)``.  Every
+        parameter gets a worker axis as a read-only stride-0 view — the
+        ``W`` workers read the one array, nothing is replicated (the
+        tape never writes into a leaf's data; pinned by
+        ``tests/models/test_nn_models.py``) — so the worker-batched
+        matmuls produce per-worker gradients in single batched GEMMs,
         bit-identical to ``W`` sequential :meth:`loss_and_grad` calls
-        (pinned by the hot-path parity tests).
+        (pinned by ``tests/utils/test_gradient_rows.py`` and the hot-path
+        parity tests).
         """
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         workers, local = xs.shape[0], xs.shape[1]
         tensors = {
-            k: Tensor(np.broadcast_to(v, (workers,) + v.shape).copy(), requires_grad=True)
+            k: Tensor(np.broadcast_to(v, (workers,) + v.shape), requires_grad=True)
             for k, v in params.items()
         }
         h = Tensor(xs.reshape(workers, local, -1))

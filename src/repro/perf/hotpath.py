@@ -60,17 +60,15 @@ class PhaseTimer:
         """Fold another timer's phases into this one.
 
         ``other`` is a :class:`PhaseTimer` or a plain ``phase ->
-        seconds`` mapping (what pool workers ship back over the pipe);
-        ``calls`` optionally carries the matching call counts (defaults
-        to the other timer's counts, or 1 per phase for a bare mapping).
+        seconds`` mapping; ``calls`` optionally carries the matching
+        call counts (defaults to the other timer's counts, or 1 per
+        phase for a bare mapping).
 
-        This is how off-process work stays visible: the ``process``
-        execution backend times ``forward_backward`` / ``fuse`` inside
-        its pool workers and merges them here, so per-phase shares no
-        longer undercount compute that never ran on the main process.
-        Note the merged seconds are *CPU seconds across the pool* — with
-        ``jobs`` workers they can legitimately exceed the step's
-        wall-clock.
+        (Off-process compute needs no merge: the ``process`` execution
+        backend replays its pool workers' ``forward_backward`` / ``fuse``
+        records through :meth:`add`, one per model call.  Those are *CPU
+        seconds across the pool* — with ``jobs`` workers they can
+        legitimately exceed the step's wall-clock.)
         """
         if isinstance(other, PhaseTimer):
             seconds = other.seconds

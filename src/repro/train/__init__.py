@@ -9,11 +9,6 @@ experiment: the same model and data trained under Dense-SGD, TopK-SGD
 and MSTopK-SGD.
 """
 
-# TRAINING_ALGORITHMS is aliased from the registry directly so that
-# `import repro` stays silent; accessing it via repro.train.algorithms
-# emits the DeprecationWarning.
-from repro.api.registry import CONVERGENCE_ALGORITHMS as TRAINING_ALGORITHMS
-from repro.train.algorithms import make_scheme
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.convergence import (
     ConvergenceResult,
@@ -30,8 +25,6 @@ from repro.train.trainer import DistributedTrainer, TrainingReport
 __all__ = [
     "DistributedTrainer",
     "TrainingReport",
-    "make_scheme",
-    "TRAINING_ALGORITHMS",
     "save_checkpoint",
     "load_checkpoint",
     "ConvergenceRunner",

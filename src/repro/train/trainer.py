@@ -21,7 +21,9 @@ from repro.comm.base import CommScheme
 from repro.comm.legacy import legacy_aggregate
 from repro.optim.sgd import SGD
 from repro.utils.partition import (
+    FlatLayout,
     flatten_tensors,
+    gradient_rows,
     round_robin_shards,
     unflatten_tensors,
 )
@@ -29,7 +31,14 @@ from repro.utils.seeding import RandomState, new_rng
 
 
 class TrainableModel(Protocol):
-    """What the trainer needs from a model."""
+    """What the trainer needs from a model.
+
+    A model may also offer ``loss_and_grad_workers`` — all workers'
+    stacked ``(W, B, ...)`` batches through one blocked pass, returning
+    per-worker losses, gradients with a leading worker axis and
+    per-worker metrics; :func:`~repro.utils.partition.gradient_rows`
+    takes it when it can.
+    """
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
         ...
@@ -61,6 +70,13 @@ class TrainingReport:
 class DistributedTrainer:
     """Synchronous data-parallel trainer over ``P`` virtual workers.
 
+    A step is: validate the batches, compute every worker's gradient
+    into its row of the ``(W, d)`` fusion buffer
+    (:func:`~repro.utils.partition.gradient_rows` — the same kernel inline
+    and in the execution engine's pool workers; it alone decides between
+    the model's blocked all-rows pass and the per-row loop), then
+    aggregate through the scheme and apply the averaged gradient.
+
     Parameters
     ----------
     model:
@@ -75,9 +91,9 @@ class DistributedTrainer:
     timer:
         Optional :class:`repro.perf.hotpath.PhaseTimer` (anything with an
         ``add(phase, seconds)`` method).  When set, each step's
-        ``forward_backward`` / ``fuse`` / ``aggregate`` / ``apply``
-        phases are accumulated; when ``None`` the hot path pays no
-        timing overhead.
+        ``forward_backward`` / ``fuse`` (one record per model call) and
+        ``aggregate`` / ``apply`` (one per step) phases are accumulated;
+        when ``None`` nothing is recorded.
     legacy_hotpath:
         Route ``train_step`` through the pre-vectorisation reference
         path (per-worker ``flatten_tensors`` + the per-rank loops of
@@ -86,9 +102,9 @@ class DistributedTrainer:
     exec_backend:
         Optional :mod:`repro.exec` backend deciding where per-worker
         forward/backward runs.  ``None`` (and the ``serial`` backend)
-        keep the inline loop; a :class:`~repro.exec.ProcessBackend`
-        binds a shared-memory step engine that fans workers across real
-        CPU cores — bit-identical to serial, pinned by
+        compute inline; a :class:`~repro.exec.ProcessBackend` binds a
+        shared-memory step engine that fans contiguous row chunks across
+        real CPU cores — bit-identical to serial, pinned by
         ``tests/perf/test_vectorized_parity.py``.  Call :meth:`close`
         when done to release the engine's shared blocks.
     """
@@ -110,28 +126,15 @@ class DistributedTrainer:
         self.world_size = scheme.topology.world_size
         self._rng = new_rng(seed)
         self.params = model.init_params(new_rng(seed + 1))
-        self._param_names = list(self.params.keys())
         self.timer = timer
         self.legacy_hotpath = legacy_hotpath
         # Fused-gradient layout, computed ONCE: every worker produces
-        # gradients with the init-time shapes, so there is no reason to
-        # re-derive the flat layout from ``flatten_tensors`` on every
-        # step for every worker.
-        self._grad_shapes: list[tuple[int, ...]] = [
-            tuple(self.params[name].shape) for name in self._param_names
-        ]
-        sizes = [int(np.prod(shape)) if shape else 1 for shape in self._grad_shapes]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        self.grad_dim = int(offsets[-1])
-        self._grad_slices: list[slice] = [
-            slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(sizes))
-        ]
+        # gradients with the init-time shapes.
+        self._layout = FlatLayout.of(self.params)
+        self.grad_dim = self._layout.dim
         # Preallocated (W, d) fusion buffer, reused every step: rows are
         # per-worker fused gradients, handed to the scheme as one matrix.
         self._grad_matrix = np.zeros((self.world_size, self.grad_dim))
-        # Worker-fused compute: models that can run all workers' batches
-        # through one blocked tape pass advertise loss_and_grad_workers.
-        self._fused_compute = hasattr(model, "loss_and_grad_workers")
         # Execution engine: a non-serial backend replaces the fusion
         # buffer with a shared-memory block and fans the per-worker
         # compute across its pool (the engine rebinds _grad_matrix).
@@ -151,9 +154,11 @@ class DistributedTrainer:
     ) -> tuple[float, dict[str, float]]:
         """One synchronous step given one batch per worker.
 
-        Hot path: each worker's gradients are written straight into the
-        preallocated ``(W, d)`` fusion buffer (no per-step concatenation
-        churn) and the scheme aggregates the matrix in one call.
+        Hot path: :func:`~repro.utils.partition.gradient_rows` writes each
+        worker's gradient straight into its row of the preallocated
+        ``(W, d)`` fusion buffer — inline over the whole buffer, or in
+        the engine's pool workers over one row chunk each — and the
+        scheme aggregates the matrix in one call.
         """
         if len(batches) != self.world_size:
             raise ValueError(
@@ -161,45 +166,23 @@ class DistributedTrainer:
             )
         if self.legacy_hotpath:
             return self._train_step_legacy(batches)
-
         if self._engine is not None:
-            # The engine fills the (shared) fusion buffer off-process and
-            # returns losses/metrics in row order — the same accumulation
-            # order as the inline loops below.
-            losses, metric_sums = self._engine.run_step(self, batches)
-            return self._aggregate_and_apply(losses, metric_sums)
-
-        if self._fused_compute and self._fusable_batches(batches):
-            return self._train_step_fused(batches)
-
-        timer = self.timer
-        tick = time.perf_counter
-        mat = self._grad_matrix
-        losses: list[float] = []
-        metric_sums: dict[str, float] = {}
-        for row, (bx, by) in enumerate(batches):
-            if timer is not None:
-                t0 = tick()
-            loss, grads, metrics = self.model.loss_and_grad(self.params, bx, by)
-            if timer is not None:
-                t1 = tick()
-                timer.add("forward_backward", t1 - t0)
-            out_row = mat[row]
-            for name, sl in zip(self._param_names, self._grad_slices):
-                out_row[sl] = grads[name].reshape(-1)
-            if timer is not None:
-                timer.add("fuse", tick() - t1)
-            losses.append(loss)
-            for key, value in metrics.items():
-                metric_sums[key] = metric_sums.get(key, 0.0) + value
-
-        loss_mean, metrics = self._aggregate_and_apply(losses, metric_sums)
-        return loss_mean, metrics
+            losses, metrics = self._engine.run_step(self, batches)
+        else:
+            losses, metrics = gradient_rows(
+                self.model, self.params, batches, self._grad_matrix,
+                self._layout, self.timer,
+            )
+        return self._aggregate_and_apply(losses, metrics)
 
     def _aggregate_and_apply(
-        self, losses: Sequence[float], metric_sums: dict[str, float]
+        self, losses: Sequence[float], metrics: Sequence[dict[str, float]]
     ) -> tuple[float, dict[str, float]]:
-        """Shared step tail: aggregate the fusion buffer, average, apply."""
+        """Shared step tail: aggregate the fusion buffer, average, apply.
+
+        ``losses`` / ``metrics`` hold one entry per worker row; metrics
+        are summed here, in row order, wherever the rows were computed.
+        """
         timer = self.timer
         tick = time.perf_counter
         if timer is not None:
@@ -208,76 +191,17 @@ class DistributedTrainer:
         if timer is not None:
             t1 = tick()
             timer.add("aggregate", t1 - t0)
-        mean_flat = result.outputs[0] / self.world_size
-        mean_grads = {
-            name: mean_flat[sl].reshape(shape)
-            for name, sl, shape in zip(
-                self._param_names, self._grad_slices, self._grad_shapes
-            )
-        }
+        mean_grads = self._layout.views(result.outputs[0] / self.world_size)
         self.optimizer.step(self.params, mean_grads)
         if timer is not None:
             timer.add("apply", tick() - t1)
 
-        metrics = {k: v / self.world_size for k, v in metric_sums.items()}
-        return float(np.mean(losses)), metrics | {"comm_seconds": result.time}
-
-    @staticmethod
-    def _fusable_batches(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
-        """Whether the worker-fused path can take these batches.
-
-        Requires uniform shapes (they stack into one ``(W, B, ...)``
-        block) and no padded labels — the worker-blocked cross-entropy
-        does not support the ``label < 0`` padding convention the
-        sequential per-worker path accepts.
-        """
-        bx0, by0 = batches[0]
-        shape_x = np.shape(bx0)
-        shape_y = np.shape(by0)
-        if not all(
-            np.shape(bx) == shape_x and np.shape(by) == shape_y
-            for bx, by in batches[1:]
-        ):
-            return False
-        for _, by in batches:
-            labels = np.asarray(by)
-            if labels.size and np.issubdtype(labels.dtype, np.number) and labels.min() < 0:
-                return False
-        return True
-
-    def _train_step_fused(
-        self, batches: Sequence[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[float, dict[str, float]]:
-        """Worker-fused step: one tape pass for all workers' batches.
-
-        Models exposing ``loss_and_grad_workers`` compute every worker's
-        gradients in a single blocked forward/backward; the per-worker
-        rows land directly in the ``(W, d)`` fusion buffer as one
-        vectorised write per parameter.
-        """
-        timer = self.timer
-        tick = time.perf_counter
-        mat = self._grad_matrix
-        if timer is not None:
-            t0 = tick()
-        xs = np.stack([bx for bx, _ in batches])
-        ys = np.stack([by for _, by in batches])
-        losses, grads, metrics_list = self.model.loss_and_grad_workers(
-            self.params, xs, ys
-        )
-        if timer is not None:
-            t1 = tick()
-            timer.add("forward_backward", t1 - t0)
-        for name, sl in zip(self._param_names, self._grad_slices):
-            mat[:, sl] = grads[name].reshape(self.world_size, -1)
-        if timer is not None:
-            timer.add("fuse", tick() - t1)
-
         metric_sums: dict[str, float] = {}
-        for metrics in metrics_list:
-            for key, value in metrics.items():
+        for row_metrics in metrics:
+            for key, value in row_metrics.items():
                 metric_sums[key] = metric_sums.get(key, 0.0) + value
-        return self._aggregate_and_apply([float(v) for v in losses], metric_sums)
+        means = {k: v / self.world_size for k, v in metric_sums.items()}
+        return float(np.mean(losses)), means | {"comm_seconds": result.time}
 
     def _train_step_legacy(
         self, batches: Sequence[tuple[np.ndarray, np.ndarray]]
@@ -289,7 +213,7 @@ class DistributedTrainer:
         shapes = None
         for bx, by in batches:
             loss, grads, metrics = self.model.loss_and_grad(self.params, bx, by)
-            flat, shapes = flatten_tensors([grads[k] for k in self._param_names])
+            flat, shapes = flatten_tensors([grads[k] for k in self._layout.names])
             worker_flat.append(flat)
             losses.append(loss)
             for key, value in metrics.items():
@@ -299,7 +223,7 @@ class DistributedTrainer:
         mean_flat = result.outputs[0] / self.world_size
         assert shapes is not None
         mean_grads = dict(
-            zip(self._param_names, unflatten_tensors(mean_flat, shapes))
+            zip(self._layout.names, unflatten_tensors(mean_flat, shapes))
         )
         self.optimizer.step(self.params, mean_grads)
 

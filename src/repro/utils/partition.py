@@ -8,11 +8,19 @@ centralised here so that every subsystem agrees on shard boundaries.
 
 The convention matches NCCL's reduce-scatter: the first ``d % parts``
 shards get one extra element.
+
+Tensor fusion lives here too: :func:`flatten_tensors` and its
+precomputed form :class:`FlatLayout`, and :func:`gradient_rows`, the
+trainer's compute stage, which fuses every worker's gradient into its
+row of the ``(W, d)`` buffer.  NumPy only, so pool workers import it
+cleanly under ``spawn``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import time
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -153,7 +161,126 @@ def unflatten_tensors(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> li
     return tensors
 
 
+@dataclass(frozen=True)
+class FlatLayout:
+    """Where each named tensor lives in one fused ``(dim,)`` buffer.
+
+    :func:`flatten_tensors`' layout, derived once from the init-time
+    shapes instead of per call.  It pickles, so the trainer, the step
+    engine and the pool workers all read and fill flat gradient /
+    parameter buffers through the same value.
+    """
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    slices: tuple[slice, ...]
+    dim: int
+
+    @classmethod
+    def of(cls, tensors: Mapping[str, np.ndarray]) -> "FlatLayout":
+        shapes = tuple(tuple(np.shape(t)) for t in tensors.values())
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        ends = np.cumsum(sizes).tolist()
+        slices = tuple(slice(hi - size, hi) for size, hi in zip(sizes, ends))
+        return cls(tuple(tensors), shapes, slices, sum(sizes))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The named tensors as zero-copy views of a flat ``(dim,)`` buffer."""
+        return {
+            name: flat[sl].reshape(shape)
+            for name, sl, shape in zip(self.names, self.slices, self.shapes)
+        }
+
+    def write(self, out: np.ndarray, tensors: Mapping[str, np.ndarray]) -> None:
+        """Fuse ``tensors`` into ``out``: one ``(dim,)`` row, or a
+        ``(rows, dim)`` block of tensors that carry a leading row axis."""
+        for name, sl in zip(self.names, self.slices):
+            out[..., sl] = tensors[name].reshape(*out.shape[:-1], -1)
+
+
+def _stackable(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether :func:`gradient_rows`' blocked pass can take these batches.
+
+    Requires uniform shapes (they stack into one ``(W, B, ...)`` block)
+    and no padded labels — the worker-blocked cross-entropy does not
+    support the ``label < 0`` padding convention the per-row pass
+    accepts.
+    """
+    bx0, by0 = batches[0]
+    shape_x = np.shape(bx0)
+    shape_y = np.shape(by0)
+    if not all(
+        np.shape(bx) == shape_x and np.shape(by) == shape_y for bx, by in batches[1:]
+    ):
+        return False
+    for _, by in batches:
+        labels = np.asarray(by)
+        if labels.size and np.issubdtype(labels.dtype, np.number) and labels.min() < 0:
+            return False
+    return True
+
+
+def gradient_rows(
+    model: Any,
+    params: dict[str, np.ndarray],
+    batches: Sequence[tuple[np.ndarray, np.ndarray]],
+    out: np.ndarray,
+    layout: FlatLayout,
+    timer=None,
+) -> tuple[list[float], list[dict[str, float]]]:
+    """The trainer's compute stage: the gradient of ``batches[i]``, fused
+    into ``out[i]``, for every ``i``.
+
+    One kernel, called by the trainer on the whole ``(W, d)`` fusion
+    buffer and by every pool worker on a view of its contiguous row
+    chunk (``out`` is a ``(len(batches), layout.dim)`` row block).  A
+    model that offers ``loss_and_grad_workers`` runs all rows through
+    one blocked tape pass when there is more than one and the batches
+    stack; otherwise each row is one ``loss_and_grad`` call.  The two
+    are bit-identical (pinned by ``tests/utils/test_gradient_rows.py``
+    and the hot-path parity suite), so the choice is purely one of
+    speed, made from what the kernel can observe.
+
+    ``timer`` (anything with ``add(phase, seconds)``) gets one
+    ``forward_backward`` and one ``fuse`` record per model call.
+    Returns ``(losses, metrics)``, one entry per row in row order; the
+    caller folds the metrics, so the float accumulation order does not
+    depend on how the rows were split into calls.
+    """
+    tick = time.perf_counter
+
+    def fuse(t0: float, grads: Mapping[str, np.ndarray], dest: np.ndarray) -> None:
+        t1 = tick()
+        if timer is not None:
+            timer.add("forward_backward", t1 - t0)
+        layout.write(dest, grads)
+        if timer is not None:
+            timer.add("fuse", tick() - t1)
+
+    if (
+        len(batches) > 1
+        and hasattr(model, "loss_and_grad_workers")
+        and _stackable(batches)
+    ):
+        t0 = tick()
+        xs = np.stack([bx for bx, _ in batches])
+        ys = np.stack([by for _, by in batches])
+        block_losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys)
+        fuse(t0, grads, out)
+        return [float(loss) for loss in block_losses], metrics
+    losses, metrics = [], []
+    for (bx, by), row in zip(batches, out):
+        t0 = tick()
+        loss, grads, row_metrics = model.loss_and_grad(params, bx, by)
+        fuse(t0, grads, row)
+        losses.append(loss)
+        metrics.append(row_metrics)
+    return losses, metrics
+
+
 __all__ = [
+    "FlatLayout",
+    "gradient_rows",
     "chunk_sizes",
     "chunk_bounds",
     "shard_slice",

@@ -22,7 +22,7 @@ def _legacy_train(scheme: str):
     from repro.cluster.cloud_presets import make_cluster
     from repro.models.nn.mlp import MLPClassifier
     from repro.optim.sgd import SGD
-    from repro.train.algorithms import make_scheme
+    from repro.api import build_scheme
     from repro.train.synthetic import make_spiral_classification, train_val_split
     from repro.train.trainer import DistributedTrainer
     from repro.utils.seeding import new_rng
@@ -31,10 +31,9 @@ def _legacy_train(scheme: str):
     x, y = make_spiral_classification(256, num_classes=4, rng=rng)
     model = MLPClassifier(input_dim=2, hidden=(48, 48), num_classes=4)
     net = make_cluster(2, "tencent", gpus_per_node=2)
-    with pytest.warns(DeprecationWarning):
-        comm = make_scheme(scheme, net, density=0.05)
     trainer = DistributedTrainer(
-        model, comm, optimizer=SGD(lr=0.05, momentum=0.9), seed=7
+        model, build_scheme(scheme, net, density=0.05),
+        optimizer=SGD(lr=0.05, momentum=0.9), seed=7,
     )
     train_x, train_y, val_x, val_y = train_val_split(np.asarray(x), np.asarray(y))
     report = trainer.train(

@@ -1,4 +1,4 @@
-"""Registries: discovery, aliases, extension, and the legacy shims."""
+"""Registries: discovery, aliases, extension."""
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ class TestDiscovery:
         with pytest.raises(KeyError, match="unknown group"):
             available("widgets")
 
-    def test_every_legacy_scheme_name_resolves(self):
+    def test_every_legacy_scheme_name_resolves(self, net):
         for name in (
             "dense", "dense-tree", "tree", "trear", "dense-ring", "ring",
             "2dtar", "torus", "dense-2dtar", "topk", "topk-sgd", "naiveag",
@@ -47,6 +47,11 @@ class TestDiscovery:
             "hitopk", "hitopkcomm", "naiveag-mstopk",
         ):
             assert name in SCHEMES, name
+            assert build_scheme(name, net).topology.world_size == 4, name
+
+    def test_convergence_algorithms_are_registered_schemes(self):
+        assert CONVERGENCE_ALGORITHMS == ("dense", "topk", "mstopk")
+        assert all(name in SCHEMES for name in CONVERGENCE_ALGORITHMS)
 
     def test_canonical_and_aliases(self):
         assert SCHEMES.canonical("HiTopKComm") == "mstopk"
@@ -136,6 +141,10 @@ class TestSchemeBuilders:
         )
         assert isinstance(build_scheme("topk", net).compressor, ExactTopK)
 
+    def test_sparse_schemes_carry_error_feedback(self, net):
+        assert build_scheme("topk", net).ef is not None
+        assert build_scheme("mstopk", net).ef is not None
+
     def test_n_samplings_reaches_mstopk(self, net):
         scheme = build_scheme("mstopk", net, n_samplings=7)
         assert scheme.compressor.n_samplings == 7
@@ -164,55 +173,6 @@ class TestClusters:
         assert view.instance.cloud == "Aliyun"
         with pytest.raises(KeyError, match="available"):
             MembershipView(2, 2, instance="azure")
-
-
-class TestLegacyShims:
-    def test_make_scheme_warns_and_matches_registry(self, net):
-        from repro.train.algorithms import make_scheme
-
-        rng_a, rng_b = new_rng(5), new_rng(5)
-        grads = [new_rng(9).normal(size=512) for _ in range(4)]
-        for name in ("dense", "dense-ring", "2dtar", "topk", "gtopk",
-                     "mstopk", "naiveag-mstopk"):
-            with pytest.warns(DeprecationWarning, match="build_scheme"):
-                old = make_scheme(name, net, density=0.1)
-            new = build_scheme(name, net, density=0.1)
-            assert type(old) is type(new)
-            a = old.aggregate(grads, rng=rng_a)
-            b = new.aggregate(grads, rng=rng_b)
-            np.testing.assert_array_equal(a.outputs[0], b.outputs[0])
-            assert a.time == b.time
-
-    def test_make_scheme_unknown_name_still_keyerror(self, net):
-        from repro.train.algorithms import make_scheme
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                make_scheme("psgd", net)
-
-    def test_training_algorithms_tuple_preserved(self):
-        with pytest.warns(DeprecationWarning, match="CONVERGENCE_ALGORITHMS"):
-            from repro.train.algorithms import TRAINING_ALGORITHMS
-
-        assert TRAINING_ALGORITHMS == ("dense", "topk", "mstopk")
-        assert TRAINING_ALGORITHMS == CONVERGENCE_ALGORITHMS
-        for name in TRAINING_ALGORITHMS:
-            assert name in SCHEMES
-
-    def test_training_algorithms_via_package_is_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.train import TRAINING_ALGORITHMS
-
-        assert TRAINING_ALGORITHMS == CONVERGENCE_ALGORITHMS
-
-    def test_unknown_module_attribute_raises(self):
-        import repro.train.algorithms as algorithms
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            algorithms.NOPE
 
 
 class TestWorkloads:

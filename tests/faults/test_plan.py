@@ -126,6 +126,8 @@ class TestPlanResolution:
             (FaultConfig(kind="node-crash", at=1, duration=-2), "duration must be >= 0"),
             (FaultConfig(kind="node-crash", at=1, repeat=0), "repeat must be >= 1"),
             (FaultConfig(kind="node-crash", at=1, repeat=2), "positive period"),
+            (FaultConfig(kind="node-crash", at=1, repeat=10**9, period=1),
+             r"faults\.events\[0\]: repeat must be <= 1000, got 1000000000"),
             (FaultConfig(kind="node-crash", at=1, node=-3), "node must be >= 0"),
             (FaultConfig(kind="nic-degrade", at=1, scale=1.5), "scale must be in"),
             (FaultConfig(kind="straggler", at=1, stretch=0.5), "stretch must be > 1"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import MODELS, build_workload
 from repro.models.nn.convnet import SmallConvNet
 from repro.models.nn.mlp import MLPClassifier
 from repro.models.nn.transformer import TinyTransformer, make_copy_task
@@ -133,3 +134,29 @@ class TestTinyTransformer:
     def test_odd_d_model_rejected(self):
         with pytest.raises(ValueError):
             TinyTransformer(d_model=15)
+
+
+@pytest.mark.parametrize("name", MODELS.available())
+def test_the_tape_never_writes_into_a_leafs_data(name):
+    """Read-only parameters give bit-identical losses and gradients.
+
+    This is what lets parameters reach the tape as views — the blocked
+    pass's stride-0 worker axis, the pool's shared parameter buffer.
+    """
+    workload = build_workload(name, num_samples=32, rng=new_rng(5))
+    model, x, y = workload.model, workload.x[:8], workload.y[:8]
+    passes = [lambda params: model.loss_and_grad(params, x, y)]
+    if hasattr(model, "loss_and_grad_workers"):
+        xs, ys = x.reshape(2, 4, *x.shape[1:]), y.reshape(2, 4, *y.shape[1:])
+        passes.append(lambda params: model.loss_and_grad_workers(params, xs, ys))
+    for run in passes:
+        writable = model.init_params(new_rng(6))
+        frozen = {key: value.copy() for key, value in writable.items()}
+        for value in frozen.values():
+            value.flags.writeable = False
+        want_loss, want_grads, _ = run(writable)
+        loss, grads, _ = run(frozen)
+        np.testing.assert_array_equal(loss, want_loss)
+        for key in writable:
+            np.testing.assert_array_equal(grads[key], want_grads[key])
+            np.testing.assert_array_equal(frozen[key], writable[key])

@@ -62,14 +62,14 @@ class TestTraining:
 
     def test_distributed_training_with_mstopk(self, rng):
         from repro.cluster.cloud_presets import make_cluster
-        from repro.train.algorithms import make_scheme
+        from repro.api import build_scheme
         from repro.train.trainer import DistributedTrainer
 
         x, y = make_synthetic_images(256, num_classes=3, image_size=8, rng=rng)
         net = make_cluster(2, "tencent", gpus_per_node=2)
         model = TinyResNet(width=4, num_classes=3, image_size=8)
         trainer = DistributedTrainer(
-            model, make_scheme("mstopk", net, density=0.1),
+            model, build_scheme("mstopk", net, density=0.1),
             optimizer=SGD(lr=0.1), seed=0,
         )
         report = trainer.train(x, y, epochs=4, local_batch=8)

@@ -9,6 +9,7 @@ come through PTO, and checkpoints punctuate the run.
 import numpy as np
 import pytest
 
+from repro.api import build_scheme
 from repro.cluster.cloud_presets import make_cluster
 from repro.data.cache import DataCache
 from repro.data.dataset import SyntheticImageDataset
@@ -17,7 +18,6 @@ from repro.models.nn.mlp import MLPClassifier
 from repro.optim.lars import LARS, lars_coefficients
 from repro.optim.sgd import SGD
 from repro.pto.lars_pto import lars_learning_rates_pto
-from repro.train.algorithms import make_scheme
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.synthetic import make_spiral_classification, train_val_split
 from repro.train.trainer import DistributedTrainer
@@ -44,7 +44,7 @@ class TestFullPipeline:
 
         model = MLPClassifier(input_dim=8 * 8 * 3, hidden=(16,), num_classes=4)
         trainer = DistributedTrainer(
-            model, make_scheme("mstopk", cluster, density=0.1),
+            model, build_scheme("mstopk", cluster, density=0.1),
             optimizer=SGD(lr=0.05), seed=0,
         )
 
@@ -104,14 +104,14 @@ class TestFullPipeline:
         model = MLPClassifier(input_dim=2, hidden=(24,), num_classes=4)
 
         trainer = DistributedTrainer(
-            model, make_scheme("mstopk", cluster, density=0.1),
+            model, build_scheme("mstopk", cluster, density=0.1),
             optimizer=SGD(lr=0.05, momentum=0.9), seed=0,
         )
         trainer.train(train_x, train_y, epochs=3, local_batch=16)
         path = save_checkpoint(trainer, tmp_path / "mid")
 
         resumed = DistributedTrainer(
-            model, make_scheme("mstopk", cluster, density=0.1),
+            model, build_scheme("mstopk", cluster, density=0.1),
             optimizer=SGD(lr=0.05, momentum=0.9), seed=0,
         )
         load_checkpoint(resumed, path)
@@ -145,7 +145,7 @@ class TestFullPipeline:
         dense_sum = np.sum(worker_grads, axis=0)
 
         for name in ("dense", "2dtar", "topk", "mstopk", "naiveag-mstopk"):
-            scheme = make_scheme(name, cluster, density=0.2)
+            scheme = build_scheme(name, cluster, density=0.2)
             out = scheme.aggregate(worker_grads, rng=rng).outputs[0]
             cosine = out @ dense_sum / (
                 np.linalg.norm(out) * np.linalg.norm(dense_sum) + 1e-12

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import build_scheme
 from repro.cluster.cloud_presets import make_cluster
 from repro.compression.base import TopKCompressor
 from repro.compression.dgc import DGCTopK
@@ -23,7 +24,6 @@ from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.exact_topk import ExactTopK
 from repro.compression.mstopk import MSTopK
 from repro.compression.randomk import RandomK
-from repro.train.algorithms import make_scheme
 from repro.utils.seeding import new_rng
 
 ALL_COMPRESSORS: list[TopKCompressor] = [
@@ -90,7 +90,7 @@ class TestSchemeContract:
     def test_outputs_rank_identical(self, name, m, n, d, seed):
         rng = np.random.default_rng(seed)
         net = make_cluster(m, "tencent", gpus_per_node=n)
-        scheme = make_scheme(name, net, density=0.25)
+        scheme = build_scheme(name, net, density=0.25)
         grads = [rng.normal(size=d) for _ in range(m * n)]
         result = scheme.aggregate(grads, rng=new_rng(seed))
         assert len(result.outputs) == m * n
@@ -104,15 +104,15 @@ class TestSchemeContract:
         # Summation commutes: permuting worker order changes nothing.
         net = make_cluster(2, "tencent", gpus_per_node=2)
         grads = [rng.normal(size=40) for _ in range(4)]
-        a = make_scheme(name, net).aggregate(grads).outputs[0]
+        a = build_scheme(name, net).aggregate(grads).outputs[0]
         permuted = [grads[i] for i in (2, 0, 3, 1)]
-        b = make_scheme(name, net).aggregate(permuted).outputs[0]
+        b = build_scheme(name, net).aggregate(permuted).outputs[0]
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
     def test_inputs_never_mutated(self, name, rng):
         net = make_cluster(2, "tencent", gpus_per_node=2)
-        scheme = make_scheme(name, net, density=0.25)
+        scheme = build_scheme(name, net, density=0.25)
         grads = [rng.normal(size=32) for _ in range(4)]
         originals = [g.copy() for g in grads]
         scheme.aggregate(grads, rng=rng)
@@ -121,7 +121,7 @@ class TestSchemeContract:
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
     def test_time_model_monotone_in_size(self, name, testbed):
-        scheme = make_scheme(name, testbed, density=0.01)
+        scheme = build_scheme(name, testbed, density=0.01)
         assert (
             scheme.time_model(50_000_000).total > scheme.time_model(5_000_000).total
         )

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import build_scheme
 from repro.cluster.cloud_presets import make_cluster
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.sgd import SGD
-from repro.train.algorithms import make_scheme
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.synthetic import make_spiral_classification
 from repro.train.trainer import DistributedTrainer
@@ -18,7 +18,7 @@ def make_trainer(seed=0, scheme_name="mstopk"):
     model = MLPClassifier(input_dim=2, hidden=(12,), num_classes=4)
     return DistributedTrainer(
         model,
-        make_scheme(scheme_name, net, density=0.1),
+        build_scheme(scheme_name, net, density=0.1),
         optimizer=SGD(lr=0.1, momentum=0.9),
         seed=seed,
     )
@@ -149,7 +149,7 @@ class TestValidation:
         net = make_cluster(2, "tencent", gpus_per_node=4)  # 8 workers
         other = DistributedTrainer(
             MLPClassifier(input_dim=2, hidden=(12,), num_classes=4),
-            make_scheme("mstopk", net, density=0.1),
+            build_scheme("mstopk", net, density=0.1),
             seed=0,
         )
         with pytest.raises(ValueError, match="world size"):
@@ -166,7 +166,7 @@ class TestValidation:
         net = make_cluster(2, "tencent", gpus_per_node=4)  # 8 workers
         other = DistributedTrainer(
             MLPClassifier(input_dim=2, hidden=(12,), num_classes=4),
-            make_scheme("mstopk", net, density=0.1),
+            build_scheme("mstopk", net, density=0.1),
             seed=0,
         )
         meta = load_checkpoint(other, path, strict_world=False)
@@ -187,7 +187,7 @@ class TestValidation:
         net = make_cluster(2, "tencent", gpus_per_node=2)
         other = DistributedTrainer(
             MLPClassifier(input_dim=2, hidden=(9,), num_classes=4),  # other arch
-            make_scheme("mstopk", net, density=0.1),
+            build_scheme("mstopk", net, density=0.1),
             seed=0,
         )
         with pytest.raises((KeyError, ValueError)):

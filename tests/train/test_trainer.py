@@ -10,10 +10,10 @@ trainers are tested for state handling and improvement.
 import numpy as np
 import pytest
 
+from repro.api import build_scheme
 from repro.cluster.cloud_presets import make_cluster
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.sgd import SGD
-from repro.train.algorithms import make_scheme
 from repro.train.synthetic import make_spiral_classification
 from repro.train.trainer import DistributedTrainer
 from repro.utils.seeding import new_rng
@@ -30,7 +30,7 @@ class TestDataParallelEquivalence:
     def test_dense_equals_large_batch_single_worker(self, setup):
         model, x, y = setup
         net = make_cluster(2, "tencent", gpus_per_node=2)
-        scheme = make_scheme("dense", net)
+        scheme = build_scheme("dense", net)
         trainer = DistributedTrainer(
             model, scheme, optimizer=SGD(lr=0.1, momentum=0.0), seed=0
         )
@@ -57,7 +57,7 @@ class TestDataParallelEquivalence:
         results = {}
         for name in ("dense", "2dtar"):
             trainer = DistributedTrainer(
-                model, make_scheme(name, net), optimizer=SGD(lr=0.1, momentum=0.0), seed=0
+                model, build_scheme(name, net), optimizer=SGD(lr=0.1, momentum=0.0), seed=0
             )
             batches = [
                 (x[w * 8 : (w + 1) * 8], y[w * 8 : (w + 1) * 8]) for w in range(4)
@@ -74,7 +74,7 @@ class TestTrainingLoop:
     def test_report_structure(self, setup):
         model, x, y = setup
         net = make_cluster(2, "tencent", gpus_per_node=2)
-        trainer = DistributedTrainer(model, make_scheme("dense", net), seed=0)
+        trainer = DistributedTrainer(model, build_scheme("dense", net), seed=0)
         report = trainer.train(
             x, y, epochs=2, local_batch=16, val_x=x[:64], val_y=y[:64]
         )
@@ -87,7 +87,7 @@ class TestTrainingLoop:
         model, x, y = setup
         net = make_cluster(2, "tencent", gpus_per_node=2)
         trainer = DistributedTrainer(
-            model, make_scheme("dense", net), optimizer=SGD(lr=0.1), seed=0
+            model, build_scheme("dense", net), optimizer=SGD(lr=0.1), seed=0
         )
         report = trainer.train(x, y, epochs=6, local_batch=16)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
@@ -97,7 +97,7 @@ class TestTrainingLoop:
         net = make_cluster(2, "tencent", gpus_per_node=2)
         trainer = DistributedTrainer(
             model,
-            make_scheme("mstopk", net, density=0.1),
+            build_scheme("mstopk", net, density=0.1),
             optimizer=SGD(lr=0.1),
             seed=0,
         )
@@ -107,14 +107,14 @@ class TestTrainingLoop:
     def test_batch_count_validation(self, setup):
         model, x, y = setup
         net = make_cluster(2, "tencent", gpus_per_node=2)
-        trainer = DistributedTrainer(model, make_scheme("dense", net), seed=0)
+        trainer = DistributedTrainer(model, build_scheme("dense", net), seed=0)
         with pytest.raises(ValueError):
             trainer.train_step([(x[:8], y[:8])])  # needs 4 batches
 
     def test_dataset_too_small(self, rng):
         model = MLPClassifier(input_dim=2, hidden=(4,), num_classes=4)
         net = make_cluster(4, "tencent", gpus_per_node=8)  # 32 workers
-        trainer = DistributedTrainer(model, make_scheme("dense", net), seed=0)
+        trainer = DistributedTrainer(model, build_scheme("dense", net), seed=0)
         x, y = make_spiral_classification(16, num_classes=4, rng=rng)
         with pytest.raises(ValueError):
             trainer.train(x, y, epochs=1, local_batch=4)
@@ -125,23 +125,8 @@ class TestTrainingLoop:
         finals = []
         for _ in range(2):
             trainer = DistributedTrainer(
-                model, make_scheme("dense", net), optimizer=SGD(lr=0.1), seed=9
+                model, build_scheme("dense", net), optimizer=SGD(lr=0.1), seed=9
             )
             report = trainer.train(x, y, epochs=2, local_batch=16)
             finals.append(report.epoch_losses[-1])
         assert finals[0] == finals[1]
-
-
-class TestAlgorithmsFactory:
-    def test_known_names(self, tiny_cluster):
-        for name in ("dense", "dense-ring", "2dtar", "topk", "mstopk", "naiveag-mstopk"):
-            scheme = make_scheme(name, tiny_cluster)
-            assert scheme.topology.world_size == 4
-
-    def test_unknown_name(self, tiny_cluster):
-        with pytest.raises(KeyError):
-            make_scheme("psgd", tiny_cluster)
-
-    def test_sparse_schemes_have_error_feedback(self, tiny_cluster):
-        assert make_scheme("topk", tiny_cluster).ef is not None
-        assert make_scheme("mstopk", tiny_cluster).ef is not None

@@ -1,0 +1,146 @@
+"""The compute-stage kernel: one gradient per row, blocked or per row.
+
+:func:`repro.utils.partition.gradient_rows` is what both the inline
+trainer and every pool worker run.  Its two bodies must agree bit for bit with
+an explicit per-row reference, and the choice between them must follow
+only what the kernel can observe (the model's capability, the row count,
+whether the batches stack).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.api.registry import build_workload
+from repro.models.nn.mlp import MLPClassifier
+from repro.perf.hotpath import PhaseTimer
+from repro.utils.partition import FlatLayout, flatten_tensors, gradient_rows
+from repro.utils.seeding import new_rng
+
+
+class _Proxy:
+    """Delegating proxy that counts model calls — the shape of
+    ``benchmarks/e2e/tracing.traced``: the two gradient methods are
+    wrapped when the target has them, the rest passes through."""
+
+    def __init__(self, target):
+        self._target = target
+        self.calls = {}
+        for method in ("loss_and_grad", "loss_and_grad_workers"):
+            if hasattr(target, method):
+                setattr(self, method, self._counted(method))
+
+    def _counted(self, method):
+        def call(*args):
+            self.calls[method] = self.calls.get(method, 0) + 1
+            return getattr(self._target, method)(*args)
+
+        return call
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def _batches(name, sizes, pad=False):
+    workload = build_workload(name, num_samples=64, rng=new_rng(3))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    batches = [
+        (workload.x[lo:hi], workload.y[lo:hi].copy())
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    if pad:
+        batches[-1][1][-1] = -1  # the "ignore this sample" label convention
+    return workload.model, batches
+
+
+def _reference(model, params, batches):
+    """The per-row loop, spelled out with the unfused primitives."""
+    rows, losses, metrics = [], [], []
+    for bx, by in batches:
+        loss, grads, row_metrics = model.loss_and_grad(params, bx, by)
+        rows.append(flatten_tensors([grads[name] for name in params])[0])
+        losses.append(loss)
+        metrics.append(row_metrics)
+    return np.stack(rows), losses, metrics
+
+
+BLOCKED = {"loss_and_grad_workers": 1}
+
+
+@pytest.mark.parametrize(
+    "name, sizes, pad, calls",
+    [
+        ("mlp", [8] * 4, False, BLOCKED),
+        ("mlp", [2] * 16, False, BLOCKED),
+        ("mlp-tiny", [1] * 3, False, BLOCKED),
+        ("mlp-tiny", [5] * 2, False, BLOCKED),
+        ("mlp", [8, 8, 6, 8], False, {"loss_and_grad": 4}),  # ragged
+        ("mlp", [8] * 4, True, {"loss_and_grad": 4}),  # padded label
+        ("mlp", [8], False, {"loss_and_grad": 1}),  # a one-row chunk
+        ("cnn", [4] * 3, False, {"loss_and_grad": 3}),  # no blocked pass
+    ],
+)
+def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, calls):
+    model, batches = _batches(name, sizes, pad)
+    params = model.init_params(new_rng(4))
+    layout = FlatLayout.of(params)
+    want_rows, want_losses, want_metrics = _reference(model, params, batches)
+
+    proxy = _Proxy(model)
+    timer = PhaseTimer()
+    out = np.full((len(batches), layout.dim), np.nan)
+    losses, metrics = gradient_rows(proxy, params, batches, out, layout, timer)
+
+    assert proxy.calls == calls
+    np.testing.assert_array_equal(out, want_rows)
+    assert losses == want_losses
+    assert metrics == want_metrics  # per row, so any fold of them agrees
+    # One forward_backward and one fuse record per model call.
+    n_calls = sum(calls.values())
+    assert timer.calls == {"forward_backward": n_calls, "fuse": n_calls}
+
+
+def test_row_block_destination_leaves_other_rows_untouched():
+    model, batches = _batches("mlp", [4] * 4)
+    params = model.init_params(new_rng(4))
+    layout = FlatLayout.of(params)
+    mat = np.full((8, layout.dim), 7.0)
+    gradient_rows(model, params, batches, mat[2:6], layout)
+    np.testing.assert_array_equal(mat[2:6], _reference(model, params, batches)[0])
+    assert (mat[:2] == 7.0).all() and (mat[6:] == 7.0).all()
+
+
+def test_blocked_pass_replicates_no_parameters():
+    """The worker axis is a view: one call's peak allocation stays near
+    the ``(W, d)`` gradients it returns (2.08x with a per-worker
+    parameter copy, 1.08x on the view)."""
+    workers, local = 16, 2
+    model = MLPClassifier(64, (256, 256), 16)
+    params = model.init_params(new_rng(0))
+    rng = new_rng(1)
+    xs = rng.normal(size=(workers, local, 64))
+    ys = rng.integers(0, 16, size=(workers, local))
+    model.loss_and_grad_workers(params, xs, ys)  # warm-up: lazy imports, caches
+    tracemalloc.start()
+    try:
+        model.loss_and_grad_workers(params, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grads_bytes = workers * FlatLayout.of(params).dim * 8
+    assert peak < 1.5 * grads_bytes, peak / grads_bytes
+
+
+def test_layout_round_trips_through_a_flat_buffer():
+    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
+    layout = FlatLayout.of(params)
+    assert layout.names == tuple(params)
+    assert layout.dim == sum(p.size for p in params.values())
+    flat = np.empty(layout.dim)
+    layout.write(flat, params)
+    np.testing.assert_array_equal(flat, flatten_tensors(list(params.values()))[0])
+    views = layout.views(flat)
+    for name, value in params.items():
+        np.testing.assert_array_equal(views[name], value)
+        assert np.shares_memory(views[name], flat)
