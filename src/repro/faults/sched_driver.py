@@ -428,6 +428,23 @@ class SchedFaultDriver:
             )
 
     # -- pricing inputs --------------------------------------------------------
+    def pricing_inputs(self) -> tuple:
+        """Everything the three queries below read, as one comparable value.
+
+        ``()`` while links and nodes are healthy.  The event loop keeps
+        its prices while this equals the previous event's value; it is
+        derived from the fields' contents, so a fault plugin that writes
+        ``_nic`` / ``_stragglers`` / ``_gray`` directly needs no
+        bookkeeping.
+        """
+        if not (self._nic or self._stragglers or self._gray):
+            return ()
+        return (
+            tuple(scale for _, scale, _ in self._nic),
+            tuple((node, window[1]) for node, window in self._stragglers.items()),
+            tuple((node, window[1]) for node, window in self._gray.items()),
+        )
+
     def active_nic_scale(self) -> float:
         """The strongest active degradation (1.0 when links are healthy)."""
         if not self._nic:

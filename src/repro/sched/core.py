@@ -20,12 +20,15 @@ The run is also what the drivers see: fault plugins and the brain read
 ``scheduler`` / ``now`` / ``state`` / ``queued`` / ``running`` (and
 ``faults``) straight off it.  It pickles whole for serve snapshots —
 minus the scheduler, whose policy closure and memo caches are rebuilt
-from config and re-attached on restore.
+from config and re-attached on restore, and minus the run's own
+memoisation (prices, refused admissions, preemption budget), which a
+restored run simply recomputes.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 
 from repro.sched.job import DONE, JobRecord, JobSpec
 from repro.sched.policies import ClusterState
@@ -112,11 +115,36 @@ class SchedRun:
         #: Event-loop iterations so far (the terminal one included).
         self.events = 0
         self.occupied_node_seconds = 0.0
+        self._reset_derived()
+
+    #: Memoisation the loop keeps between events (see :meth:`step` and
+    #: :meth:`MultiTenantScheduler.schedule`).  Never pickled: a restored
+    #: run re-prices every running job and retries every admission once.
+    _DERIVED = ("prices", "priced_inputs", "refused", "spare")
+
+    def _reset_derived(self) -> None:
+        #: running job name -> (busy rate, solo rate, USD/hour), each
+        #: valid until ``state.touched`` names the job or the fault
+        #: driver's pricing inputs differ from ``priced_inputs``.
+        self.prices: dict[str, tuple[float, float, float]] = {}
+        self.priced_inputs: tuple = ()
+        #: placement signature -> (``state.version``, head priority) of
+        #: its last failed admission attempt.
+        self.refused: dict[tuple[int, int], tuple[int, int]] = {}
+        #: (``state.version``, {priority: nodes running jobs of that
+        #: priority hold above their ``min_nodes``}).
+        self.spare: tuple[int, dict[int, int]] = (-1, {})
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["scheduler"]
+        for name in self._DERIVED:
+            del state[name]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_derived()
 
     # -- submissions ----------------------------------------------------------
     def check(self, spec: JobSpec) -> None:
@@ -144,6 +172,17 @@ class SchedRun:
         iteration; returns ``None`` (only possible with ``until=None``)
         when nothing can ever progress again — no job is running, none
         will arrive, and no repair is coming.
+
+        An event costs what it touched, not what is running: a running
+        job keeps its price — ``(busy rate, solo rate, USD/hour)`` —
+        until a :class:`~repro.sched.policies.ClusterState` transition
+        names it in ``state.touched`` (its node count or a co-tenant
+        set changed) or the fault driver's ``pricing_inputs()`` differ
+        from the previous event's (then every job is re-priced).  What
+        stays per event and per running job is the float work itself —
+        the finish-time minimum and the four accruals — because the
+        horizon feeds every later event time and a deferred accrual
+        ``x + r*(a + b)`` is not the ``x + r*a + r*b`` a digest pins.
         """
         scheduler = self.scheduler
         state = self.state
@@ -177,37 +216,30 @@ class SchedRun:
                 self.now = min(waits) if until is None else min(min(waits), until)
             return []
 
-        # Piecewise-constant rates until the next event.
-        iteration_seconds = scheduler.iteration_seconds
-        nic_scale = faults.active_nic_scale() if faults is not None else 1.0
-        rates: list[tuple[float, float]] = []
+        # Piecewise-constant rates until the next event.  A price stands
+        # until its job is touched by a ClusterState transition or the
+        # fault driver's pricing inputs change; both are consumed here
+        # and nowhere else (the idle return above leaves them pending).
+        prices = self.prices
+        touched = state.touched
+        inputs = faults.pricing_inputs() if faults is not None else ()
+        if inputs != self.priced_inputs:
+            self.priced_inputs = inputs
+            prices.clear()
+        else:
+            for name in touched:
+                prices.pop(name, None)
+        touched.clear()
+        horizon = math.inf
         for record in running:
-            nodes = record.nodes
-            contention = state.contention_for(nodes)
-            stretch = faults.stretch_for(nodes) if faults is not None else 1.0
-            jitter = faults.jitter_for(nodes) if faults is not None else 1.0
-            busy = iteration_seconds(
-                record.spec,
-                nodes=len(nodes),
-                contention=contention,
-                nic_scale=nic_scale,
-                stretch=stretch,
-                jitter=jitter,
-            )
-            # The slowdown baseline stays fault-free: the solo rate is
-            # the ideal this job is judged against.
-            solo = (
-                busy
-                if contention <= 1 and nic_scale >= 1 and stretch <= 1
-                and jitter <= 1
-                else iteration_seconds(record.spec, nodes=len(nodes), contention=1.0)
-            )
-            rates.append((1.0 / busy, 1.0 / solo))
-
-        horizon = min(
-            now + record.remaining / rate
-            for record, (rate, _) in zip(running, rates)
-        )
+            spec = record.spec
+            price = prices.get(spec.name)
+            if price is None:
+                price = prices[spec.name] = self._price(record)
+            remaining = spec.iterations - record.progress
+            finish = now + (remaining if remaining > 0.0 else 0.0) / price[0]
+            if finish < horizon:
+                horizon = finish
         if next_arrival is not None and next_arrival < horizon:
             horizon = next_arrival
         if faults is not None:
@@ -226,27 +258,67 @@ class SchedRun:
             horizon = until
         dt = max(0.0, horizon - now)
 
-        hourly_rate = scheduler.hourly_rate
-        for record, (rate, solo_rate) in zip(running, rates):
-            record.progress = min(record.spec.iterations, record.progress + rate * dt)
-            record.solo_equivalent += solo_rate * dt
-            record.running_seconds += dt
-            record.cost_usd += (
-                hourly_rate(record.spec, len(record.nodes)) * dt / 3600.0
-            )
+        # Accrual stays eager — every running job, every event, these
+        # expressions in this order: x + r*(a + b) != x + r*a + r*b in
+        # floats, and the horizon above feeds every later event time.
         self.occupied_node_seconds += state.busy_nodes() * dt
         self.now = now = horizon
+        finished: list[JobRecord] = []
+        for record in running:
+            rate, solo_rate, hourly = prices[record.spec.name]
+            iterations = record.spec.iterations
+            progress = record.progress + rate * dt
+            if progress >= iterations:
+                # >=, not >: on a tie the job must hold the int itself
+                # (payload rows print 2695, not 2695.0).
+                progress = iterations
+            record.progress = progress
+            record.solo_equivalent += solo_rate * dt
+            record.running_seconds += dt
+            record.cost_usd += hourly * dt / 3600.0
+            if iterations - progress <= 1e-9:
+                finished.append(record)
 
-        completed: list[str] = []
-        for record in list(running):
-            if record.remaining <= 1e-9:
-                state.release(record.spec.name)
-                record.status = DONE
-                record.completion = now
-                running.remove(record)
-                self.done.append(record)
-                completed.append(record.spec.name)
-        return completed
+        if not finished:
+            return []
+        for record in finished:
+            name = record.spec.name
+            state.release(name)
+            del prices[name]
+            record.status = DONE
+            record.completion = now
+        running[:] = [record for record in running if record.status != DONE]
+        self.done.extend(finished)
+        return [record.spec.name for record in finished]
+
+    def _price(self, record: JobRecord) -> tuple[float, float, float]:
+        """``(busy rate, solo rate, USD/hour)`` of a running job right now."""
+        scheduler, faults = self.scheduler, self.faults
+        spec, nodes = record.spec, record.nodes
+        count = len(nodes)
+        contention = self.state.contention_for(nodes)
+        if faults is not None:
+            nic_scale = faults.active_nic_scale()
+            stretch = faults.stretch_for(nodes)
+            jitter = faults.jitter_for(nodes)
+        else:
+            nic_scale = stretch = jitter = 1.0
+        busy = scheduler.iteration_seconds(
+            spec,
+            nodes=count,
+            contention=contention,
+            nic_scale=nic_scale,
+            stretch=stretch,
+            jitter=jitter,
+        )
+        # The slowdown baseline stays fault-free: the solo rate is
+        # the ideal this job is judged against.
+        solo = (
+            busy
+            if contention <= 1 and nic_scale >= 1 and stretch <= 1 and jitter <= 1
+            else scheduler.iteration_seconds(spec, nodes=count, contention=1.0)
+        )
+        return 1.0 / busy, 1.0 / solo, scheduler.hourly_rate(spec, count)
 
     def drain(self, max_events: int) -> list[str] | None:
         """Step until no work is left or none of it can ever progress.

@@ -115,7 +115,7 @@ class TrainPayload:
             raise ValueError(f"payload momentum must be in [0, 1), got {self.momentum}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """One schedulable training job.
 
@@ -264,15 +264,37 @@ class JobSpec:
         )
 
 
+def _fields_state(self) -> dict:
+    return {name: getattr(self, name) for name in self.__slots__}
+
+
+def _set_fields_state(self, state: dict) -> None:
+    for name, value in state.items():
+        object.__setattr__(self, name, value)
+
+
+# A 10k-job trace holds 10k specs and a run 10k records, so both are
+# slotted; they pickle as the plain field dict a ``__dict__`` instance
+# would, which is what serve snapshot slots hold.  Set after the class
+# statement because ``dataclass(frozen=True, slots=True)`` installs
+# list-valued hooks of its own (on 3.10 even over ones in the body).
+JobSpec.__getstate__ = _fields_state
+JobSpec.__setstate__ = _set_fields_state
+
+
 #: JobRecord lifecycle states.
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class JobRecord:
-    """Mutable scheduler-side state of one job."""
+    """Mutable scheduler-side state of one job.
+
+    Compared by identity: a record *is* its job, and ``running.remove``
+    must never match another record that happens to be field-equal.
+    """
 
     spec: JobSpec
     status: str = QUEUED
@@ -339,6 +361,9 @@ class JobRecord:
         if not self.waypoints:
             raise ValueError(f"job {self.spec.name!r} was never placed")
         return TraceSchedule.from_deltas(self.waypoints, warned=warned)
+
+    __getstate__ = _fields_state
+    __setstate__ = _set_fields_state
 
 
 __all__ = [

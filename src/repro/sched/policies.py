@@ -69,6 +69,27 @@ class ClusterState:
     communication intensity (fraction of its solo iteration spent in
     communication) so network-aware policies can weigh neighbours by how
     hard they hit the shared NIC.
+
+    This is the only place an allocation, a tenant count or a node's
+    up/down status can change, so the four transitions — :meth:`place`,
+    :meth:`release`, :meth:`set_down`, :meth:`set_up` — do all the
+    invalidating for everything derived from occupancy:
+
+    * ``version`` counts transitions.  Anything that is a pure function
+      of the occupancy (a memoised :meth:`feasible_count`, a refused
+      admission, a preemption budget) is valid exactly while the
+      ``version`` it was computed at is still current.
+    * ``touched`` collects the jobs whose node count or
+      :meth:`contention_for` a transition may have changed: the job
+      placed or released, plus every co-tenant of each node it joined
+      or left.  The event loop re-prices those jobs and clears the set.
+
+    ``version``, ``touched``, the :meth:`feasible_count` memo and the
+    :meth:`busy_nodes` counter are all derived, so they are left out of
+    pickles and rebuilt on restore: a restored state starts at
+    ``version`` 0 with nothing touched, and the
+    :class:`~repro.sched.core.SchedRun` holding values stamped with an
+    older ``version`` is restored without them.
     """
 
     def __init__(self, num_nodes: int, gpus_per_node: int) -> None:
@@ -91,6 +112,31 @@ class ClusterState:
         #: touch either.
         self.health = None
         self.now = 0.0
+        self._reset_derived()
+
+    #: Attributes derived from the occupancy (see the class docstring).
+    _DERIVED = ("version", "touched", "_feasible", "_busy")
+
+    def _reset_derived(self) -> None:
+        self.version = 0
+        self.touched: set[str] = set()
+        #: GPUs wanted -> feasible node count, at the current version.
+        self._feasible: dict[int, int] = {}
+        self._busy = sum(1 for occupants in self._occupants.values() if occupants)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_derived()
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._feasible.clear()
 
     # -- queries --------------------------------------------------------------
     def free_gpus(self, node: int) -> int:
@@ -132,13 +178,24 @@ class ClusterState:
             if n not in excluded and self.free_gpus(n) >= gpus
         ]
 
+    def feasible_count(self, gpus: int) -> int:
+        """``len(feasible_nodes(gpus))``, computed once per ``version``."""
+        count = self._feasible.get(gpus)
+        if count is None:
+            down = self._down
+            count = self._feasible[gpus] = sum(
+                1 for n, free in self._free.items() if free >= gpus and n not in down
+            )
+        return count
+
     def contention_for(self, nodes: Iterable[int]) -> int:
         """Worst-case tenant count across a node set (>= 1)."""
         counts = [self.tenants(n) for n in nodes]
         return max(counts) if counts else 1
 
     def busy_nodes(self) -> int:
-        return sum(1 for n in range(self.num_nodes) if self._occupants[n])
+        """Nodes with at least one tenant."""
+        return self._busy
 
     # -- transitions ----------------------------------------------------------
     def place(self, job: str, nodes: Iterable[int], gpus: int) -> None:
@@ -151,8 +208,16 @@ class ClusterState:
                 )
             if job in self._occupants[node]:
                 raise ValueError(f"job {job!r} already occupies node {node}")
+        self._changed()
+        touched = self.touched
+        touched.add(job)
         for node in nodes:
-            self._occupants[node][job] = gpus
+            occupants = self._occupants[node]
+            if occupants:
+                touched.update(occupants)
+            else:
+                self._busy += 1
+            occupants[job] = gpus
             self._free[node] -= gpus
 
     def release(self, job: str, nodes: Iterable[int] | None = None) -> None:
@@ -161,10 +226,18 @@ class ClusterState:
             if nodes is not None
             else [n for n, occ in self._occupants.items() if job in occ]
         )
+        self._changed()
+        touched = self.touched
+        touched.add(job)
         for node in targets:
-            if job not in self._occupants[node]:
+            occupants = self._occupants[node]
+            if job not in occupants:
                 raise KeyError(f"job {job!r} does not occupy node {node}")
-            self._free[node] += self._occupants[node].pop(job)
+            self._free[node] += occupants.pop(job)
+            if occupants:
+                touched.update(occupants)
+            else:
+                self._busy -= 1
 
     def set_comm_intensity(self, job: str, intensity: float) -> None:
         self._comm_intensity[job] = max(0.0, float(intensity))
@@ -180,10 +253,12 @@ class ClusterState:
                 f"node {node} still hosts {sorted(self._occupants[node])}; "
                 "release its jobs before marking it down"
             )
+        self._changed()
         self._down.add(node)
 
     def set_up(self, node: int) -> None:
         """Return a repaired node to service."""
+        self._changed()
         self._down.discard(node)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -71,7 +71,7 @@ PAYLOAD_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobOutcome:
     """Final accounting for one job under one policy."""
 
@@ -268,9 +268,10 @@ class MultiTenantScheduler:
         # timing-identical, so the caches are keyed per *key* — a
         # 10k-job trace with a few dozen distinct workload shapes pays
         # for a few dozen IterationModel builds, not hundreds of
-        # thousands.  All reset per :meth:`start` (job names may be reused).
-        #: job name -> workload key.
-        self._key_cache: dict[str, tuple] = {}
+        # thousands — and nothing here grows with the number of jobs.
+        # All reset per :meth:`start`.
+        #: spec shape fields -> workload key (one entry per distinct shape).
+        self._key_cache: dict[tuple, tuple] = {}
         #: (workload key, nodes, contention) -> iteration seconds.
         self._time_cache: dict[tuple, float] = {}
         #: (workload key, nodes) -> solo communication share.
@@ -312,9 +313,17 @@ class MultiTenantScheduler:
         )
 
     def _workload_key(self, spec: JobSpec) -> tuple:
-        key = self._key_cache.get(spec.name)
+        shape = (
+            spec.profile,
+            spec.scheme,
+            spec.density,
+            spec.resolution,
+            spec.local_batch,
+            spec.gpus_per_node,
+        )
+        key = self._key_cache.get(shape)
         if key is None:
-            key = self._key_cache[spec.name] = spec.workload_key(self.job_gpus(spec))
+            key = self._key_cache[shape] = spec.workload_key(self.job_gpus(spec))
         return key
 
     def iteration_seconds(
@@ -335,9 +344,10 @@ class MultiTenantScheduler:
         (a realised gray-link stretch, >= 1) multiplies the visible
         communication term.  Pure in ``(workload key, nodes,
         contention, nic_scale, stretch, jitter)``, so results are
-        memoized per :meth:`run` — the event loop re-prices every
-        running job at every event and would otherwise rebuild
-        identical models millions of times on a trace-scale queue.
+        memoized per :meth:`start` — the event loop re-prices a job
+        whenever a placement, release or fault touches it, and a
+        trace-scale queue would otherwise rebuild the same few hundred
+        models a hundred thousand times.
         """
         key = (self._workload_key(spec), nodes, contention, nic_scale, stretch, jitter)
         cached = self._time_cache.get(key)
@@ -374,9 +384,7 @@ class MultiTenantScheduler:
         return price * nodes * share
 
     # -- scheduling decisions -------------------------------------------------
-    def _try_preempt(
-        self, job: JobSpec, running: list[JobRecord], state: ClusterState
-    ) -> bool:
+    def _try_preempt(self, job: JobSpec, run: SchedRun) -> bool:
         """Shrink strictly-lower-priority jobs until ``job`` fits.
 
         Preemption is *targeted and all-or-nothing*: per candidate node
@@ -389,18 +397,34 @@ class MultiTenantScheduler:
         Each victim can lose at most ``len(nodes) - min_nodes`` nodes
         (its elastic floor); every committed shrink drives the victim's
         membership view like a warned revocation.
+
+        Every planned node costs at least one victim one node above its
+        floor, so when all eligible victims together hold fewer spare
+        nodes than the job still needs there is no plan to search for.
+        That total is a function of the occupancy and the priority
+        only: it is summed per priority once per ``state.version``
+        (``run.spare``) and the common refusal never builds a budget.
         """
+        running, state = run.running, run.state
         gpus = self.job_gpus(job)
-        needed = job.min_nodes - len(state.feasible_nodes(gpus))
+        needed = job.min_nodes - state.feasible_count(gpus)
         if needed <= 0:
             return False
+        version, spare = run.spare
+        if version != state.version:
+            spare = {}
+            for r in running:
+                extra = len(r.nodes) - r.spec.min_nodes
+                if extra > 0:
+                    spare[r.spec.priority] = spare.get(r.spec.priority, 0) + extra
+            run.spare = (state.version, spare)
+        if sum(n for priority, n in spare.items() if priority < job.priority) < needed:
+            return False  # eligible victims cannot give up enough nodes
         budget = {
             r.spec.name: len(r.nodes) - r.spec.min_nodes
             for r in running
             if r.spec.priority < job.priority
         }
-        if not any(budget.values()):
-            return False  # nobody eligible can give up a node
         by_name = {r.spec.name: r for r in running}
         # Cheapest nodes first: fewest tenants to displace, most free.
         order = sorted(
@@ -448,10 +472,9 @@ class MultiTenantScheduler:
     def _place(self, record: JobRecord, state: ClusterState, now: float) -> bool:
         spec = record.spec
         gpus = self.job_gpus(spec)
-        candidates = state.feasible_nodes(gpus)
-        if len(candidates) < spec.min_nodes:
+        if state.feasible_count(gpus) < spec.min_nodes:
             return False
-        ordered = list(self.policy(spec, candidates, state))
+        ordered = list(self.policy(spec, state.feasible_nodes(gpus), state))
         take = min(spec.max_nodes, len(ordered))
         chosen = ordered[:take]
         state.place(spec.name, chosen, gpus)
@@ -509,8 +532,18 @@ class MultiTenantScheduler:
         return True
 
     def schedule(self, run: SchedRun) -> None:
-        """Admit what fits at ``run.now``, then autoscale onto idle capacity."""
+        """Admit what fits at ``run.now``, then autoscale onto idle capacity.
+
+        A failed admission attempt changes nothing (preemption is
+        all-or-nothing) and is decided by the occupancy, the placement
+        signature and the head's priority alone, so it is stamped
+        ``run.refused[sig] = (state.version, priority)`` and a head
+        that meets its own stamp fails without being retried.  The
+        stamp is the version *at the failure*: a later placement in the
+        same scan is a new potential victim the next scan must see.
+        """
         queued, running, state, now = run.queued, run.running, run.state, run.now
+        refused = run.refused
         # 1. Admit queued jobs in admission order (highest priority,
         # then earliest arrival); preempt if needed.  The scan walks the
         # signature heads in global admission order via a heap, with a
@@ -537,8 +570,12 @@ class MultiTenantScheduler:
             if any(g <= gpus and m <= min_nodes for g, m in failed):
                 parked.append(sig)
                 continue
-            if len(state.feasible_nodes(gpus)) < min_nodes:
-                if self._try_preempt(spec, running, state):
+            if refused.get(sig) == (state.version, spec.priority):
+                failed.append(sig)
+                parked.append(sig)
+                continue
+            if state.feasible_count(gpus) < min_nodes:
+                if self._try_preempt(spec, run):
                     # Committed shrinks freed capacity: previously failed
                     # or pruned shapes may fit now, so reset the prune.
                     failed.clear()
@@ -553,6 +590,7 @@ class MultiTenantScheduler:
                     head = queued.by_sig[sig][0]
                     heapq.heappush(heads, (admit_key(head), sig))
             else:
+                refused[sig] = (state.version, spec.priority)
                 failed.append(sig)
                 parked.append(sig)
         # 2. Autoscale: grow running jobs onto capacity nothing is queued for.
@@ -574,7 +612,6 @@ class MultiTenantScheduler:
         Drivers are built per run, so one scheduler replays the same
         fault plan (and brain) identically under every policy.
         """
-        # Job names may be reused across runs (with different shapes).
         self._key_cache.clear()
         self._time_cache.clear()
         self._intensity_cache.clear()

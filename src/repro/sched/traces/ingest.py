@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import json
 import pathlib
+import sys
 from typing import Any, Sequence
 
 from repro.sched.job import JobSpec, TrainPayload
@@ -268,7 +269,9 @@ def trace_to_specs(trace: Trace) -> list[JobSpec]:
             )
             specs.append(
                 JobSpec(
-                    name=job.job_name,
+                    # Traces reuse job names (every generated day has the
+                    # same ones); hold each name once, not once per trace.
+                    name=sys.intern(job.job_name),
                     profile=job.workload,
                     scheme=job.scheme,
                     density=job.density,

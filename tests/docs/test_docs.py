@@ -31,7 +31,7 @@ KNOWN_EXERCISED = {
     # Editable install; CI uses PYTHONPATH=src instead (this repo has no
     # third-party build deps, so the install path is trivial).
     "python setup.py develop": "install step (CI uses PYTHONPATH=src)",
-    # The 10k-job day replay (~15 s each) — CI trace-smoke runs the same
+    # The 10k-job day replay (~2.5 s each) — CI trace-smoke runs the same
     # path at the same scale through bench_trace_replay.py and gates it.
     "python -m repro sched --trace /tmp/big_day.jsonl": (
         "CI trace-smoke job (bench_trace_replay, 10k scale)"

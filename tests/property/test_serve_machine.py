@@ -2,8 +2,9 @@
 
 A hypothesis state machine feeds the same random op stream — submits,
 ticks, duplicate-id resends — to two :class:`ServeEngine`\\ s, one of
-which is also torn down and rebuilt from a pickled snapshot at random
-points.  After every op both must satisfy the core invariants
+which is also torn down and rebuilt from a pickled snapshot, or made to
+forget its core's derived caches, at random points.  After every op
+both must satisfy the core invariants
 (``tests/sched/invariants.py``) and agree on :meth:`state_digest` and
 on the chained ``witness``: a restore mid-stream changes no later digest
 and continues the chain.  Every run ends with a drain that must finish
@@ -25,7 +26,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.api.config import ServeConfig
 from repro.serve.engine import ServeEngine
-from tests.sched.invariants import check_invariants
+from tests.sched.invariants import check_invariants, drop_caches
 
 CONFIG = ServeConfig.from_dict(
     {
@@ -102,6 +103,12 @@ class ServeMachine(RuleBasedStateMachine):
     def snapshot_and_restore(self):
         blob = pickle.dumps(self.phoenix.snapshot_state())
         self.phoenix = ServeEngine.from_snapshot_state(CONFIG, pickle.loads(blob))
+
+    @rule()
+    def forget_derived_state(self):
+        # The core's memoisation (prices, refused admissions, cluster
+        # counters) gone mid-stream, as after a restore, minus the restore.
+        drop_caches(self.phoenix.core)
 
     @invariant()
     def engines_agree_and_hold_invariants(self):

@@ -2,7 +2,82 @@
 after any ``step()``.  Shared by ``tests/sched`` and ``tests/property``.
 """
 
+from repro.brain.base import BrainConfig
+from repro.faults.plan import FaultPlan
+from repro.sched import MultiTenantScheduler
 from repro.sched.job import DONE, QUEUED, RUNNING
+from repro.sched.traces import SyntheticTraceConfig, generate_trace, trace_to_specs
+
+#: The e2e benchmark's fault mix on a shorter period (so a 300-job day
+#: sees every kind several times) plus a straggler, which it lacks.
+STORM = {
+    "events": [
+        {"kind": "node-crash", "at": 1800, "duration": 1200, "repeat": 20, "period": 4000},
+        {"kind": "gray-net", "at": 900, "duration": 2400, "loss_rate": 0.1, "jitter": 0.8,
+         "repeat": 12, "period": 7000},
+        {"kind": "nic-degrade", "at": 2700, "duration": 1800, "scale": 0.5, "repeat": 10,
+         "period": 8000},
+        {"kind": "straggler", "at": 3300, "duration": 2000, "stretch": 1.7, "repeat": 8,
+         "period": 9000},
+        {"kind": "az-reclaim", "at": 40000, "duration": 1800, "fraction": 0.25},
+    ]
+}
+
+
+def storm_day(
+    num_jobs: int = 300, seed: int = 11, arrive_within: float = 30_000.0, **scheduler_kwargs
+):
+    """A seeded ``generate_trace`` day with its arrivals packed into
+    ``arrive_within`` seconds, on a cluster small enough that the
+    backlog queues and preempts, under ``fault-aware`` placement with
+    :data:`STORM` and the ``health-migrate`` brain: ``(scheduler, specs)``."""
+    config = SyntheticTraceConfig(num_jobs=num_jobs, seed=seed, duration_seconds=arrive_within)
+    specs = trace_to_specs(generate_trace(config))
+    kwargs = dict(
+        num_nodes=8,
+        gpus_per_node=8,
+        policy="fault-aware",
+        seed=seed,
+        faults=FaultPlan.from_config(STORM, seed=seed, target="sched"),
+        brain=BrainConfig(name="health-migrate", interval=600),
+    )
+    kwargs.update(scheduler_kwargs)
+    return MultiTenantScheduler(**kwargs), specs
+
+
+def drop_caches(run) -> None:
+    """Forget everything derived, in place: what a snapshot restore does
+    to the run's memoisation and to ``ClusterState``'s."""
+    scheduler = run.scheduler
+    run.state.__setstate__(run.state.__getstate__())
+    run.__setstate__(run.__getstate__())
+    run.scheduler = scheduler
+
+
+def price_from_scratch(run, record) -> tuple:
+    """``(busy rate, solo rate, USD/hour)`` of a running job, computed from
+    nothing but the cluster, the fault driver and the scheduler's pricing
+    functions — the reference every price the run holds must equal."""
+    scheduler, faults = run.scheduler, run.faults
+    nodes = record.nodes
+    contention = run.state.contention_for(nodes)
+    nic_scale = faults.active_nic_scale() if faults is not None else 1.0
+    stretch = faults.stretch_for(nodes) if faults is not None else 1.0
+    jitter = faults.jitter_for(nodes) if faults is not None else 1.0
+    busy = scheduler.iteration_seconds(
+        record.spec,
+        nodes=len(nodes),
+        contention=contention,
+        nic_scale=nic_scale,
+        stretch=stretch,
+        jitter=jitter,
+    )
+    solo = (
+        busy
+        if contention <= 1 and nic_scale >= 1 and stretch <= 1 and jitter <= 1
+        else scheduler.iteration_seconds(record.spec, nodes=len(nodes), contention=1.0)
+    )
+    return (1.0 / busy, 1.0 / solo, scheduler.hourly_rate(record.spec, len(nodes)))
 
 
 def check_invariants(run, prev_now: float = 0.0) -> float:
@@ -60,4 +135,22 @@ def check_invariants(run, prev_now: float = 0.0) -> float:
             assert record.completion is not None and record.completion <= run.now
         else:
             assert not record.nodes, f"{spec.name} waits but holds {record.nodes}"
+
+    # What ClusterState derives from the occupancy equals a recount.
+    assert state.busy_nodes() == sum(
+        1 for node in range(state.num_nodes) if state.occupants_of(node)
+    )
+    for gpus in {scheduler.job_gpus(r.spec) for r in run.records.values()} | {1}:
+        assert state.feasible_count(gpus) == len(state.feasible_nodes(gpus)), gpus
+
+    # A price is held only for a running job (or one a transition has
+    # named since, which the next busy event forgets), and every held
+    # price the loop would still trust equals the from-scratch one.
+    running = {r.spec.name: r for r in run.running}
+    assert run.prices.keys() <= running.keys() | state.touched
+    inputs = run.faults.pricing_inputs() if run.faults is not None else ()
+    if inputs == run.priced_inputs:
+        for name, price in run.prices.items():
+            if name not in state.touched:
+                assert price == price_from_scratch(run, running[name]), name
     return run.now

@@ -9,8 +9,11 @@ import pytest
 from repro.api.config import SchedConfig
 from repro.faults.plan import FaultPlan
 from repro.sched import JobSpec, MultiTenantScheduler
-from repro.sched.traces import job_specs_for
-from tests.sched.invariants import check_invariants
+from repro.sched.core import SchedRun
+from repro.sched.policies import ClusterState
+from repro.sched.traces import distribution_rows, job_specs_for
+from repro.serve.engine import _record_state
+from tests.sched.invariants import check_invariants, drop_caches, storm_day
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -129,6 +132,106 @@ class TestTheCheckerItself:
         run.done.append(run.running[0])  # one record, two sets
         with pytest.raises(AssertionError, match="both running and done"):
             check_invariants(run)
+
+    def test_a_stale_price_and_a_miscounted_cluster_are_caught(self):
+        scheduler, jobs = build(PLAIN)
+        run = scheduler.start()
+        for job in jobs:
+            run.submit(job)
+        while len(run.running) < 2:
+            run.step()
+        check_invariants(run)
+        rate, solo_rate, hourly = run.prices["wide"]
+        run.prices["wide"] = (rate * 2, solo_rate, hourly)  # nothing touched it
+        with pytest.raises(AssertionError, match="wide"):
+            check_invariants(run)
+        run.prices["wide"] = (rate, solo_rate, hourly)
+        run.prices["ghost"] = (rate, solo_rate, hourly)  # a price nobody runs under
+        with pytest.raises(AssertionError):
+            check_invariants(run)
+        del run.prices["ghost"]
+        check_invariants(run)
+        run.state._busy += 1
+        with pytest.raises(AssertionError):
+            check_invariants(run)
+        run.state._busy -= 1
+        run.state._feasible[1] = 0  # a memo that outlived its version
+        with pytest.raises(AssertionError):
+            check_invariants(run)
+
+
+def core_view(run) -> tuple:
+    return (
+        run.now,
+        run.events,
+        run.occupied_node_seconds,
+        {name: _record_state(record) for name, record in run.records.items()},
+    )
+
+
+class TestDerivedCaches:
+    """Prices, refused admissions, the preemption budget and
+    ``ClusterState``'s counters are memoisation: forgetting them at any
+    point — which is what a snapshot restore does — changes nothing."""
+
+    @pytest.mark.parametrize("tick", [None, 450.0], ids=["drain", "ticks"])
+    def test_forgetting_everything_before_every_step_changes_nothing(self, tick):
+        (scheduler, specs), (twin_scheduler, _) = storm_day(), storm_day()
+        run, amnesiac = scheduler.start(), twin_scheduler.start()
+        for spec in specs:
+            run.submit(spec)
+            amnesiac.submit(spec)
+        now, until, steps = 0.0, tick, 0
+        while run.pending or len(run.queued) or run.running:
+            drop_caches(amnesiac)
+            completed = run.step(until)
+            assert amnesiac.step(until) == completed
+            assert core_view(amnesiac) == core_view(run)
+            now = check_invariants(run, now)
+            if tick is not None and run.now >= until - 1e-9:
+                until += tick
+            steps += 1
+            assert steps < 5_000
+        assert run.refused and run.spare[0] >= 0  # the memos were in play
+        report, twin = scheduler.report(run), twin_scheduler.report(amnesiac)
+        assert report.summary()["jobs_done"] == len(specs)
+        assert report.fault_log["requeues"] and report.brain_log["shrinks"]
+        assert distribution_rows([report]) == distribution_rows([twin])
+        assert (report.fault_log, report.brain_log) == (twin.fault_log, twin.brain_log)
+
+    def test_no_cache_enters_a_pickle(self):
+        import pickle
+
+        scheduler, specs = storm_day()
+        run = scheduler.start()
+        for spec in specs:
+            run.submit(spec)
+        while not (run.prices and run.refused and run.state.touched):
+            run.step()
+        assert run.state.version > 0 and run.spare[0] >= 0
+        derived = {"scheduler", *SchedRun._DERIVED, *ClusterState._DERIVED}
+        assert not derived & run.__getstate__().keys()
+        assert not derived & run.state.__getstate__().keys()
+        blob = pickle.dumps(run)
+        for name in ("priced_inputs", "refused", "touched", "_feasible"):
+            assert name.encode() not in blob
+        clone = pickle.loads(blob)
+        assert (clone.prices, clone.refused, clone.spare) == ({}, {}, (-1, {}))
+        assert (clone.state.version, clone.state.touched) == (0, set())
+        clone.scheduler = scheduler
+        check_invariants(clone)  # busy_nodes was recounted
+        assert clone.state.busy_nodes() == run.state.busy_nodes() > 0
+
+    def test_a_job_accrued_to_its_cap_holds_the_int_itself(self):
+        # min(iterations, x) returns the *int* on a tie; payload rows
+        # print 5000, not 5000.0, and every pinned digest depends on it.
+        run = MultiTenantScheduler(num_nodes=2, gpus_per_node=4).start()
+        record = run.submit(JobSpec(name="a", iterations=5000))
+        run.step(until=1.0)
+        assert 0.0 < record.progress < 5000
+        record.progress = 5000.0  # accrual lands exactly on the cap
+        assert run.step() == ["a"]
+        assert record.progress is record.spec.iterations
 
 
 class TestCoreApi:

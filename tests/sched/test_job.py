@@ -94,3 +94,33 @@ class TestTraceBridge:
             TraceSchedule.from_deltas([(0, 0)])
         with pytest.raises(ValueError):
             TraceSchedule.from_deltas([(10, 2), (5, 1)])
+
+
+class TestIdentityAndPickling:
+    def test_records_compare_by_identity(self):
+        # running.remove(record) must take out *that* record, and must
+        # not build two 14-field tuples per element to find it.
+        first, twin = (JobRecord(spec=JobSpec(name="j")) for _ in range(2))
+        assert first != twin and first == first
+        running = [first, twin]
+        running.remove(twin)
+        assert running[0] is first
+
+    @pytest.mark.parametrize(
+        "make", [lambda: JobSpec(name="j", iterations=77), lambda: JobRecord(spec=JobSpec(name="j"))]
+    )
+    def test_slotted_classes_pickle_as_the_plain_field_dict(self, make):
+        import dataclasses
+        import pickle
+
+        obj = make()
+        assert not hasattr(obj, "__dict__")
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        # The state a ``__dict__`` instance pickles with — what serve
+        # snapshot slots written before these classes had slots hold.
+        assert obj.__getstate__() == fields
+        clone = pickle.loads(pickle.dumps(obj))
+        assert {f.name: getattr(clone, f.name) for f in dataclasses.fields(obj)} == fields
+        blank = type(obj).__new__(type(obj))
+        blank.__setstate__(fields)
+        assert blank.__getstate__() == fields

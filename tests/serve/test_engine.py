@@ -219,6 +219,27 @@ class TestSnapshotState:
         clone.apply_op({"op": "drain", "id": 9})
         assert clone.payload() == engine.payload()
 
+    def test_a_restore_drops_the_core_memos_and_stays_on_the_same_chain(self):
+        import pickle
+
+        config = serve_config(faults=FAULTS, brain=BRAIN)
+        engine = engine_with(JOBS, config)
+        engine.apply_op({"op": "tick", "id": 8, "until": 35.0})
+        assert engine.core.prices and engine.core.state.version > 0
+        # The core's memos are not in the pickle (the slot layout is the
+        # one builds without them wrote; tests/sched/test_core.py pins
+        # that), so the restored engine starts without any ...
+        clone = ServeEngine.from_snapshot_state(
+            config, pickle.loads(pickle.dumps(engine.snapshot_state()))
+        )
+        assert not clone.core.prices and clone.core.state.version == 0
+        # ... and still acks, links and digests exactly as the live one.
+        for op_id, until in enumerate((36.5, 41.0, 47.0, 80.0, 140.0), start=9):
+            op = {"op": "tick", "id": op_id, "until": until}
+            assert clone.apply_op(op) == engine.apply_op(op)
+            assert clone.witness == engine.witness
+        assert clone.state_digest() == engine.state_digest()
+
     def test_restore_rejects_tampered_state(self):
         engine = engine_with(JOBS)
         state = engine.snapshot_state()
