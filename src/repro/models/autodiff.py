@@ -17,7 +17,7 @@ differences in ``tests/models/test_autodiff.py``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -39,21 +39,39 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class Tensor:
-    """A NumPy array with a gradient slot and a backward closure."""
+    """A NumPy array with a gradient slot and a backward closure.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    ``grad_out`` gives a leaf a *gradient destination*: an array of the
+    leaf's shape, owned by the caller, that the tape computes the
+    gradient into.  The first accumulation lands there (its old bytes
+    are never read), later ones add to it, and ``grad`` *is* that array
+    once :meth:`backward` has reached the leaf — so a gradient that has
+    to end up in a caller's buffer is written once, not computed
+    elsewhere and copied.  Without one the tape allocates ``grad``
+    itself.  Either way the same floating-point operations run in the
+    same order.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "_grad_out")
 
     def __init__(
         self,
         data,
         requires_grad: bool = False,
         *,
+        grad_out: Array | None = None,
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[Array], None] | None = None,
         name: str | None = None,
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
+        if grad_out is not None and grad_out.shape != self.data.shape:
+            raise ValueError(
+                f"gradient destination of shape {grad_out.shape} for a tensor of "
+                f"shape {self.data.shape}"
+            )
         self.grad: Array | None = None
+        self._grad_out = grad_out
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
@@ -82,21 +100,50 @@ class Tensor:
     def _accumulate(self, grad: Array, owned: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient slot.
 
+        A tensor that does not require a gradient takes none (closures
+        that would do real work for such an operand skip it themselves;
+        this is the backstop).  The first accumulation is copied into
+        the gradient destination when the tensor has one.  Otherwise
         ``owned=True`` promises the caller hands over a freshly
         allocated array it will neither mutate nor share — the first
         accumulation can then adopt it without the defensive copy.
         Closures that pass views of a child's gradient (add, reshape,
         transpose, sum's broadcast) must keep the default.
         """
+        if not self.requires_grad:
+            return
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != self.data.shape:
             # _unbroadcast always reduces, so its result is fresh.
             grad = _unbroadcast(grad, self.data.shape)
             owned = True
-        if self.grad is None:
-            self.grad = grad if owned else grad.copy()
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif self._grad_out is not None:
+            np.copyto(self._grad_out, grad)
+            self.grad = self._grad_out
+        else:
+            self.grad = grad if owned else grad.copy()
+
+    def _accumulate_matmul(self, x: Array, y: Array) -> None:
+        """Add the product ``x @ y`` (both at least 2-D) into the gradient slot.
+
+        When this is the first accumulation, the tensor has a gradient
+        destination and the product already has the tensor's shape, the
+        GEMM runs with ``out=`` the destination (BLAS ``beta = 0``: the
+        destination is written, never read) — no product array is
+        allocated and nothing is copied.
+        """
+        out = self._grad_out
+        if (
+            self.grad is None
+            and out is not None
+            and out.shape
+            == np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+        ):
+            self.grad = np.matmul(x, y, out=out)
+        else:
+            self._accumulate(x @ y, owned=True)
 
     # -- autodiff engine -------------------------------------------------------
     def backward(self, grad: Array | None = None) -> None:
@@ -186,6 +233,37 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def leaf_tensors(
+    params: Mapping[str, Array],
+    out: Mapping[str, Array] | None = None,
+    workers: int | None = None,
+) -> dict[str, Tensor]:
+    """One trainable leaf per parameter — how every model enters the tape.
+
+    ``out`` maps parameter names to gradient destinations (see
+    :class:`Tensor`); a name it lacks gets a tape-allocated gradient.
+    ``workers`` puts a leading worker axis on every leaf as a read-only
+    stride-0 view: ``W`` workers read the one array, nothing is
+    replicated, and each leaf's gradient (and destination) is
+    ``(workers, *shape)``.
+    """
+    out = out or {}
+    return {
+        name: Tensor(
+            value if workers is None else np.broadcast_to(value, (workers, *np.shape(value))),
+            requires_grad=True,
+            grad_out=out.get(name),
+        )
+        for name, value in params.items()
+    }
+
+
+def leaf_grads(leaves: Mapping[str, Tensor]) -> dict[str, Array]:
+    """The gradients of :func:`leaf_tensors`' leaves after ``backward()``;
+    each *is* its leaf's destination where one was given."""
+    return {name: leaf.grad for name, leaf in leaves.items()}
+
+
 def _node(
     data: Array, parents: tuple[Tensor, ...], backward: Callable[[Array], None]
 ) -> Tensor:
@@ -222,8 +300,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(grad: Array) -> None:
-        a._accumulate(grad * b.data, owned=True)
-        b._accumulate(grad * a.data, owned=True)
+        if a.requires_grad:
+            a._accumulate(grad * b.data, owned=True)
+        if b.requires_grad:
+            b._accumulate(grad * a.data, owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -273,27 +353,36 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix multiply with NumPy batching semantics."""
+    """Matrix multiply with NumPy batching semantics.
+
+    Backward computes a gradient only for an operand that requires one
+    (the data batch feeding a first layer gets none), and a matrix
+    operand's gradient GEMM goes through
+    :meth:`Tensor._accumulate_matmul`, i.e. straight into a leaf's
+    gradient destination when it has one.
+    """
     out_data = a.data @ b.data
 
     def backward(grad: Array) -> None:
         a_data, b_data = a.data, b.data
         if b_data.ndim == 1:
-            grad_a = np.multiply.outer(grad, b_data) if a_data.ndim > 1 else grad * b_data
-            a._accumulate(_unbroadcast(np.asarray(grad_a), a_data.shape), owned=True)
-            grad_b = (a_data * grad[..., None]).sum(axis=tuple(range(a_data.ndim - 1)))
-            b._accumulate(grad_b, owned=True)
+            if a.requires_grad:
+                grad_a = np.multiply.outer(grad, b_data) if a_data.ndim > 1 else grad * b_data
+                a._accumulate(grad_a, owned=True)
+            if b.requires_grad:
+                grad_b = (a_data * grad[..., None]).sum(axis=tuple(range(a_data.ndim - 1)))
+                b._accumulate(grad_b, owned=True)
             return
         if a_data.ndim == 1:
-            grad_a = grad @ np.swapaxes(b_data, -1, -2)
-            a._accumulate(_unbroadcast(np.asarray(grad_a), a_data.shape), owned=True)
-            grad_b = np.multiply.outer(a_data, grad)
-            b._accumulate(_unbroadcast(np.asarray(grad_b), b_data.shape), owned=True)
+            if a.requires_grad:
+                a._accumulate(grad @ np.swapaxes(b_data, -1, -2), owned=True)
+            if b.requires_grad:
+                b._accumulate(np.multiply.outer(a_data, grad), owned=True)
             return
-        grad_a = grad @ np.swapaxes(b_data, -1, -2)
-        grad_b = np.swapaxes(a_data, -1, -2) @ grad
-        a._accumulate(_unbroadcast(grad_a, a_data.shape), owned=True)
-        b._accumulate(_unbroadcast(grad_b, b_data.shape), owned=True)
+        if a.requires_grad:
+            a._accumulate_matmul(grad, np.swapaxes(b_data, -1, -2))
+        if b.requires_grad:
+            b._accumulate_matmul(np.swapaxes(a_data, -1, -2), grad)
 
     return _node(out_data, (a, b), backward)
 
@@ -611,11 +700,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             g_fm = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(out_c, -1)
             dw = (g_fm @ cols.T).reshape(weight.data.shape)
         weight._accumulate(dw, owned=True)
-        if not legacy and not x.requires_grad and x._backward is None:
-            # The input is a leaf that nothing differentiates (the image
-            # batch feeding the first conv): skip the transposed
-            # convolution entirely instead of materialising a gradient
-            # no one reads.
+        if not legacy and not x.requires_grad:
+            # Nothing differentiates the input (the image batch feeding
+            # the first conv): skip the transposed convolution entirely
+            # instead of materialising a gradient no one reads.
             return
         if not legacy:
             dpadded = _conv_input_grad(
@@ -692,7 +780,7 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
         g = np.ascontiguousarray(np.asarray(grad)).reshape(out_c, -1)
         dw = (g @ cols.T).reshape(weight.data.shape)
         weight._accumulate(dw, owned=True)
-        if not x.requires_grad and x._backward is None:
+        if not x.requires_grad:
             return
         # Input gradient: one GEMM back to column space, then k*k
         # strided-window accumulations.  At small spatial maps this
@@ -783,6 +871,8 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
 
 __all__ = [
     "Tensor",
+    "leaf_tensors",
+    "leaf_grads",
     "add",
     "neg",
     "mul",

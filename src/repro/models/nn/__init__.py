@@ -3,10 +3,12 @@
 Each model exposes the same interface the distributed trainer consumes:
 
 * ``init_params(rng) -> dict[str, np.ndarray]``
-* ``loss_and_grad(params, x, y) -> (loss, grads, metrics)``
+* ``loss_and_grad(params, x, y, out=None) -> (loss, grads, metrics)``
 
-Parameters are plain NumPy arrays (the trainer flattens them for
-communication); the autodiff tape is an internal detail.
+Parameters are plain NumPy arrays, and gradients are computed into the
+caller's ``out`` arrays when given (views of the trainer's flat fusion
+buffer; see :class:`repro.train.trainer.TrainableModel`); the autodiff
+tape is an internal detail.
 """
 
 from repro.models.nn.convnet import SmallConvNet

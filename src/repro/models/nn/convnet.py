@@ -14,6 +14,8 @@ from repro.models.autodiff import (
     avg_pool2d,
     conv2d,
     conv2d_cnhw,
+    leaf_grads,
+    leaf_tensors,
     legacy_kernels_active,
     softmax_cross_entropy,
 )
@@ -72,9 +74,9 @@ class SmallConvNet:
         return h @ params["fc.weight"] + params["fc.bias"]
 
     def loss_and_grad(
-        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        tensors = leaf_tensors(params, out)
         if legacy_kernels_active():
             # The faithful pre-vectorisation chain (NCHW + einsum conv).
             logits = self.logits(tensors, Tensor(np.asarray(x)))
@@ -85,9 +87,8 @@ class SmallConvNet:
             logits = self.logits_cnhw(tensors, x_cn)
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
-        grads = {k: t.grad for k, t in tensors.items()}
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
-        return float(loss.data), grads, {"accuracy": accuracy}
+        return float(loss.data), leaf_grads(tensors), {"accuracy": accuracy}
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1

@@ -12,6 +12,8 @@ import numpy as np
 
 from repro.models.autodiff import (
     Tensor,
+    leaf_grads,
+    leaf_tensors,
     reshape,
     softmax_cross_entropy,
     softmax_cross_entropy_workers,
@@ -61,20 +63,20 @@ class MLPClassifier:
         return h
 
     def loss_and_grad(
-        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        """Forward + backward on one mini-batch."""
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        """Forward + backward on one mini-batch (``out``: gradient
+        destinations, see :class:`~repro.train.trainer.TrainableModel`)."""
+        tensors = leaf_tensors(params, out)
         x_t = Tensor(np.asarray(x).reshape(len(x), -1))
         logits = self.logits(tensors, x_t)
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
-        grads = {k: t.grad for k, t in tensors.items()}
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
-        return float(loss.data), grads, {"accuracy": accuracy}
+        return float(loss.data), leaf_grads(tensors), {"accuracy": accuracy}
 
     def loss_and_grad_workers(
-        self, params: dict[str, np.ndarray], xs: np.ndarray, ys: np.ndarray
+        self, params: dict[str, np.ndarray], xs: np.ndarray, ys: np.ndarray, out=None
     ) -> tuple[np.ndarray, dict[str, np.ndarray], list[dict[str, float]]]:
         """Fused forward + backward for ``W`` workers' batches at once.
 
@@ -86,15 +88,14 @@ class MLPClassifier:
         matmuls produce per-worker gradients in single batched GEMMs,
         bit-identical to ``W`` sequential :meth:`loss_and_grad` calls
         (pinned by ``tests/utils/test_gradient_rows.py`` and the hot-path
-        parity tests).
+        parity tests).  With ``out`` — ``(W, *shape)`` destinations —
+        those GEMMs write each weight gradient straight into the
+        caller's block.
         """
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         workers, local = xs.shape[0], xs.shape[1]
-        tensors = {
-            k: Tensor(np.broadcast_to(v, (workers,) + v.shape), requires_grad=True)
-            for k, v in params.items()
-        }
+        tensors = leaf_tensors(params, out, workers)
         h = Tensor(xs.reshape(workers, local, -1))
         n_layers = len(self.hidden) + 1
         for i in range(n_layers):
@@ -106,13 +107,10 @@ class MLPClassifier:
         logits = reshape(h, (workers * local, self.num_classes))
         loss, losses = softmax_cross_entropy_workers(logits, ys.reshape(-1), workers)
         loss.backward()
-        grads = {
-            k: t.grad.reshape((workers,) + params[k].shape) for k, t in tensors.items()
-        }
         preds = logits.data.argmax(axis=1).reshape(workers, local)
         accuracy = (preds == ys).mean(axis=1)
         metrics = [{"accuracy": float(a)} for a in accuracy]
-        return losses, grads, metrics
+        return losses, leaf_grads(tensors), metrics
 
     def predict(self, params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
         tensors = {k: Tensor(v) for k, v in params.items()}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.autodiff import Tensor, conv2d, softmax_cross_entropy
+from repro.models.autodiff import Tensor, conv2d, leaf_grads, leaf_tensors, softmax_cross_entropy
 from repro.utils.seeding import RandomState
 
 
@@ -62,15 +62,14 @@ class TinyResNet:
         return h @ params["fc.weight"] + params["fc.bias"]
 
     def loss_and_grad(
-        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        tensors = leaf_tensors(params, out)
         logits = self.logits(tensors, Tensor(np.asarray(x)))
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
-        grads = {k: t.grad for k, t in tensors.items()}
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
-        return float(loss.data), grads, {"accuracy": accuracy}
+        return float(loss.data), leaf_grads(tensors), {"accuracy": accuracy}
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1

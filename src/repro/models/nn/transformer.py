@@ -17,6 +17,8 @@ from repro.models.autodiff import (
     Tensor,
     embedding,
     layer_norm,
+    leaf_grads,
+    leaf_tensors,
     softmax,
     softmax_cross_entropy,
 )
@@ -92,18 +94,17 @@ class TinyTransformer:
         return h @ params["out.weight"] + params["out.bias"]
 
     def loss_and_grad(
-        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
         """Sequence cross-entropy; ``y`` entries < 0 are padding."""
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        tensors = leaf_tensors(params, out)
         logits = self.logits(tensors, x)
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
-        grads = {k: t.grad for k, t in tensors.items()}
         predictions = logits.data.argmax(axis=-1)
         valid = np.asarray(y) >= 0
         token_acc = float((predictions[valid] == np.asarray(y)[valid]).mean())
-        return float(loss.data), grads, {"token_accuracy": token_acc}
+        return float(loss.data), leaf_grads(tensors), {"token_accuracy": token_acc}
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray

@@ -1,11 +1,11 @@
 """Distributed synchronous SGD over the virtual cluster.
 
 Implements paper Eq. (1) end to end: every virtual worker computes a
-real gradient on its own shard of the data, the per-worker gradients are
-fused into flat vectors (tensor fusion), pushed through the configured
-:class:`~repro.comm.CommScheme` (which may sparsify, with error
-feedback), averaged, and applied by the optimizer to the replicated
-parameters.  Virtual communication time accumulates alongside, so one
+real gradient on its own shard of the data, straight into its row of
+one flat fusion buffer (tensor fusion without the copy); the rows are
+pushed through the configured :class:`~repro.comm.CommScheme` (which may
+sparsify, with error feedback), averaged, and applied by the optimizer
+to the replicated parameters.  Virtual communication time accumulates alongside, so one
 run yields both a convergence curve and a simulated wall-clock.
 """
 
@@ -33,18 +33,33 @@ from repro.utils.seeding import RandomState, new_rng
 class TrainableModel(Protocol):
     """What the trainer needs from a model.
 
-    A model may also offer ``loss_and_grad_workers`` — all workers'
-    stacked ``(W, B, ...)`` batches through one blocked pass, returning
-    per-worker losses, gradients with a leading worker axis and
-    per-worker metrics; :func:`~repro.utils.partition.gradient_rows`
-    takes it when it can.
+    ``out`` maps parameter names to *gradient destinations*: arrays of
+    each parameter's shape, owned by the caller (views of a row of the
+    trainer's fusion buffer), holding arbitrary bytes.  A model should
+    compute each gradient there — overwrite, never read or accumulate —
+    and return, for every tensor it placed, the destination itself (the
+    same object); a tensor it returns as any other array is copied in by
+    the caller, so ignoring ``out`` is merely slower.  Models built on
+    the tape get all of this from
+    :func:`~repro.models.autodiff.leaf_tensors`.  With ``out=None``
+    every gradient is a fresh array.
+
+    A model may also offer ``loss_and_grad_workers(params, xs, ys,
+    out=None)`` — all workers' stacked ``(W, B, ...)`` batches through
+    one blocked pass, returning per-worker losses, gradients (and taking
+    destinations) with a leading worker axis and per-worker metrics;
+    :func:`~repro.utils.partition.gradient_rows` takes it when it can.
     """
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
         ...
 
     def loss_and_grad(
-        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+        self,
+        params: dict[str, np.ndarray],
+        x: np.ndarray,
+        y: np.ndarray,
+        out: dict[str, np.ndarray] | None = None,
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
         ...
 
@@ -70,12 +85,15 @@ class TrainingReport:
 class DistributedTrainer:
     """Synchronous data-parallel trainer over ``P`` virtual workers.
 
-    A step is: validate the batches, compute every worker's gradient
-    into its row of the ``(W, d)`` fusion buffer
+    A step is: validate the batches, have every worker's gradient
+    computed in its row of the ``(W, d)`` fusion buffer
     (:func:`~repro.utils.partition.gradient_rows` — the same kernel inline
     and in the execution engine's pool workers; it alone decides between
     the model's blocked all-rows pass and the per-row loop), then
-    aggregate through the scheme and apply the averaged gradient.
+    aggregate through the scheme and apply the averaged gradient.  The
+    trainer owns the gradient's memory: the model's tape writes into
+    views of that one preallocated buffer, the scheme reads it in place,
+    and nothing of ``(W, d)`` size is allocated or copied per step.
 
     Parameters
     ----------
@@ -91,9 +109,11 @@ class DistributedTrainer:
     timer:
         Optional :class:`repro.perf.hotpath.PhaseTimer` (anything with an
         ``add(phase, seconds)`` method).  When set, each step's
-        ``forward_backward`` / ``fuse`` (one record per model call) and
-        ``aggregate`` / ``apply`` (one per step) phases are accumulated;
-        when ``None`` nothing is recorded.
+        ``forward_backward`` / ``fuse`` (one record per model call;
+        ``fuse`` is ≈ 0 unless the model computed gradients outside its
+        destinations and they had to be copied in) and ``aggregate`` /
+        ``apply`` (one per step) phases are accumulated; when ``None``
+        nothing is recorded.
     legacy_hotpath:
         Route ``train_step`` through the pre-vectorisation reference
         path (per-worker ``flatten_tensors`` + the per-rank loops of
@@ -132,8 +152,9 @@ class DistributedTrainer:
         # gradients with the init-time shapes.
         self._layout = FlatLayout.of(self.params)
         self.grad_dim = self._layout.dim
-        # Preallocated (W, d) fusion buffer, reused every step: rows are
-        # per-worker fused gradients, handed to the scheme as one matrix.
+        # Preallocated (W, d) fusion buffer, reused every step: each row
+        # is where one worker's gradient is computed, and the whole
+        # matrix is what the scheme aggregates.
         self._grad_matrix = np.zeros((self.world_size, self.grad_dim))
         # Execution engine: a non-serial backend replaces the fusion
         # buffer with a shared-memory block and fans the per-worker
@@ -154,11 +175,11 @@ class DistributedTrainer:
     ) -> tuple[float, dict[str, float]]:
         """One synchronous step given one batch per worker.
 
-        Hot path: :func:`~repro.utils.partition.gradient_rows` writes each
-        worker's gradient straight into its row of the preallocated
-        ``(W, d)`` fusion buffer — inline over the whole buffer, or in
-        the engine's pool workers over one row chunk each — and the
-        scheme aggregates the matrix in one call.
+        Hot path: :func:`~repro.utils.partition.gradient_rows` has the
+        model compute each worker's gradient in its row of the
+        preallocated ``(W, d)`` fusion buffer — inline over the whole
+        buffer, or in the engine's pool workers over one row chunk each
+        — and the scheme aggregates the matrix in one call.
         """
         if len(batches) != self.world_size:
             raise ValueError(

@@ -11,9 +11,9 @@ shards get one extra element.
 
 Tensor fusion lives here too: :func:`flatten_tensors` and its
 precomputed form :class:`FlatLayout`, and :func:`gradient_rows`, the
-trainer's compute stage, which fuses every worker's gradient into its
-row of the ``(W, d)`` buffer.  NumPy only, so pool workers import it
-cleanly under ``spawn``.
+trainer's compute stage, which has every worker's gradient computed in
+its row of the ``(W, d)`` buffer.  NumPy only, so pool workers import
+it cleanly under ``spawn``.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ class FlatLayout:
     :func:`flatten_tensors`' layout, derived once from the init-time
     shapes instead of per call.  It pickles, so the trainer, the step
     engine and the pool workers all read and fill flat gradient /
-    parameter buffers through the same value.
+    parameter buffers through the same value.  A buffer is one
+    ``(dim,)`` row or a ``(rows, dim)`` block of them; :meth:`views`
+    hands out the tensors *in* it (what a model computes gradients
+    into), :meth:`write` copies tensors that live elsewhere.
     """
 
     names: tuple[str, ...]
@@ -185,17 +188,31 @@ class FlatLayout:
         return cls(tuple(tensors), shapes, slices, sum(sizes))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """The named tensors as zero-copy views of a flat ``(dim,)`` buffer."""
+        """The named tensors as zero-copy views of ``flat``: one ``(dim,)``
+        row, or a ``(rows, dim)`` block whose tensors carry a leading
+        row axis.
+
+        Splitting the unit-stride last axis never copies, and the
+        tensors' own dims stay contiguous (a GEMM can write into them)
+        whatever the stride between rows.
+        """
+        if flat.strides[-1] != flat.itemsize:
+            raise ValueError(
+                f"cannot view tensors in a buffer of strides {flat.strides}: "
+                "its last axis is not contiguous"
+            )
         return {
-            name: flat[sl].reshape(shape)
+            name: flat[..., sl].reshape(*flat.shape[:-1], *shape)
             for name, sl, shape in zip(self.names, self.slices, self.shapes)
         }
 
     def write(self, out: np.ndarray, tensors: Mapping[str, np.ndarray]) -> None:
-        """Fuse ``tensors`` into ``out``: one ``(dim,)`` row, or a
-        ``(rows, dim)`` block of tensors that carry a leading row axis."""
+        """Copy ``tensors`` (all of the layout's, or some) into their
+        places in ``out``: one ``(dim,)`` row, or a ``(rows, dim)`` block
+        of tensors that carry a leading row axis."""
         for name, sl in zip(self.names, self.slices):
-            out[..., sl] = tensors[name].reshape(*out.shape[:-1], -1)
+            if name in tensors:
+                out[..., sl] = tensors[name].reshape(*out.shape[:-1], -1)
 
 
 def _stackable(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
@@ -228,8 +245,8 @@ def gradient_rows(
     layout: FlatLayout,
     timer=None,
 ) -> tuple[list[float], list[dict[str, float]]]:
-    """The trainer's compute stage: the gradient of ``batches[i]``, fused
-    into ``out[i]``, for every ``i``.
+    """The trainer's compute stage: the gradient of ``batches[i]``,
+    computed in ``out[i]``, for every ``i``.
 
     One kernel, called by the trainer on the whole ``(W, d)`` fusion
     buffer and by every pool worker on a view of its contiguous row
@@ -241,19 +258,36 @@ def gradient_rows(
     and the hot-path parity suite), so the choice is purely one of
     speed, made from what the kernel can observe.
 
+    The gradient exists once: the model gets ``layout.views`` of its
+    rows as gradient destinations (4th positional argument) and returns,
+    for every tensor it computed in place, the destination itself.  Only
+    a tensor returned as some other array is copied in afterwards
+    (``layout.write``), so a model that ignores its destinations still
+    fills ``out``.
+
     ``timer`` (anything with ``add(phase, seconds)``) gets one
-    ``forward_backward`` and one ``fuse`` record per model call.
+    ``forward_backward`` and one ``fuse`` record per model call; the
+    latter times that check and whatever it had to copy.
     Returns ``(losses, metrics)``, one entry per row in row order; the
     caller folds the metrics, so the float accumulation order does not
     depend on how the rows were split into calls.
     """
+    if len(out) != len(batches) or out.shape[-1] != layout.dim:
+        raise ValueError(
+            f"gradient block of shape {out.shape} cannot take "
+            f"{len(batches)} rows of {layout.dim} elements"
+        )
     tick = time.perf_counter
 
-    def fuse(t0: float, grads: Mapping[str, np.ndarray], dest: np.ndarray) -> None:
+    def fuse(t0: float, grads: Mapping[str, np.ndarray], dest: np.ndarray, views) -> None:
         t1 = tick()
         if timer is not None:
             timer.add("forward_backward", t1 - t0)
-        layout.write(dest, grads)
+        elsewhere = {
+            name: grads[name] for name in layout.names if grads[name] is not views[name]
+        }
+        if elsewhere:
+            layout.write(dest, elsewhere)
         if timer is not None:
             timer.add("fuse", tick() - t1)
 
@@ -265,14 +299,16 @@ def gradient_rows(
         t0 = tick()
         xs = np.stack([bx for bx, _ in batches])
         ys = np.stack([by for _, by in batches])
-        block_losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys)
-        fuse(t0, grads, out)
+        views = layout.views(out)
+        block_losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys, views)
+        fuse(t0, grads, out, views)
         return [float(loss) for loss in block_losses], metrics
     losses, metrics = [], []
     for (bx, by), row in zip(batches, out):
         t0 = tick()
-        loss, grads, row_metrics = model.loss_and_grad(params, bx, by)
-        fuse(t0, grads, row)
+        views = layout.views(row)
+        loss, grads, row_metrics = model.loss_and_grad(params, bx, by, views)
+        fuse(t0, grads, row, views)
         losses.append(loss)
         metrics.append(row_metrics)
     return losses, metrics

@@ -43,16 +43,18 @@ def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def check_gradient(build_loss, x: np.ndarray, atol=1e-5, rtol=1e-4):
-    """Compare tape gradient against finite differences."""
-    t = Tensor(x.copy(), requires_grad=True)
-    loss = build_loss(t)
-    loss.backward()
+    """Compare tape gradient against finite differences: once allocated
+    by the tape, once computed into a NaN-filled gradient destination."""
 
     def scalar_fn(arr):
         return float(build_loss(Tensor(arr)).data)
 
     expected = numerical_grad(scalar_fn, x.copy())
-    np.testing.assert_allclose(t.grad, expected, atol=atol, rtol=rtol)
+    for dest in (None, np.full(x.shape, np.nan)):
+        t = Tensor(x.copy(), requires_grad=True, grad_out=dest)
+        build_loss(t).backward()
+        assert dest is None or t.grad is dest
+        np.testing.assert_allclose(t.grad, expected, atol=atol, rtol=rtol)
 
 
 class TestElementwise:
@@ -415,6 +417,18 @@ class TestEngine:
         out.backward()
         assert t.grad is None
 
+    def test_dead_operands_take_no_gradient(self, rng):
+        """A data batch and constants end backward() with no gradient
+        parked on them, in either operand position."""
+        x = Tensor(rng.normal(size=(5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        v = Tensor(rng.normal(size=3))
+        scale = Tensor(0.5)
+        loss = tensor_mean((x @ w) * scale) + (scale * (w @ v)).sum() / Tensor(2.0)
+        loss.backward()
+        assert w.grad is not None
+        assert x.grad is None and v.grad is None and scale.grad is None
+
     def test_zero_grad(self):
         t = Tensor(np.array([1.0]), requires_grad=True)
         (t * 1.0).sum().backward()
@@ -429,3 +443,49 @@ class TestEngine:
             node = node + Tensor(np.array([0.0]))
         node.sum().backward()
         np.testing.assert_allclose(t.grad, [1.0])
+
+
+class TestGradientDestinations:
+    """``grad_out``: the gradient is computed where the caller wants it
+    (``check_gradient`` runs every op above into one as well)."""
+
+    @pytest.mark.parametrize(
+        "x_shape", [(3, 4), (2, 3, 4)], ids=["gemm-into", "unbroadcast-then-copy"]
+    )
+    def test_a_leaf_used_twice_lands_once_then_adds(self, rng, x_shape):
+        x, w_val = rng.normal(size=x_shape), rng.normal(size=(4, 4))
+
+        def w_grad(dest):
+            w = Tensor(w_val, requires_grad=True, grad_out=dest)
+            ((Tensor(x) @ w) @ w).sum().backward()
+            return w.grad
+
+        dest = np.full((4, 4), np.nan)
+        assert w_grad(dest) is dest
+        np.testing.assert_array_equal(dest, w_grad(None))
+        assert w_grad(dest) is dest  # a new tape overwrites, it does not accumulate
+        np.testing.assert_array_equal(dest, w_grad(None))
+
+    def test_either_matmul_operand_can_take_its_product_in_place(self, rng):
+        a_val, b_val = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 5))
+
+        def grads(a_dest, b_dest):
+            a = Tensor(a_val, requires_grad=True, grad_out=a_dest)
+            b = Tensor(b_val, requires_grad=True, grad_out=b_dest)
+            matmul(a, b).sum().backward()
+            return a.grad, b.grad
+
+        # Row-strided destinations, the shape of a (W, d) block's views.
+        block = np.full((2, 40), np.nan)
+        a_dest, b_dest = block[:, :12].reshape(2, 3, 4), block[:, 12:32].reshape(2, 4, 5)
+        got_a, got_b = grads(a_dest, b_dest)
+        want_a, want_b = grads(None, None)
+        assert got_a is a_dest and got_b is b_dest
+        np.testing.assert_array_equal(got_a, want_a)
+        np.testing.assert_array_equal(got_b, want_b)
+        assert np.isnan(block[:, 32:]).all()
+
+    def test_wrong_shape_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"destination of shape \(3, 2\).*\(2, 3\)") as err:
+            Tensor(np.zeros((2, 3)), requires_grad=True, grad_out=np.zeros((3, 2)))
+        assert "\n" not in str(err.value)

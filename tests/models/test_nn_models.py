@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.api.registry import MODELS, build_workload
+from repro.models.autodiff import Tensor
 from repro.models.nn.convnet import SmallConvNet
 from repro.models.nn.mlp import MLPClassifier
 from repro.models.nn.transformer import TinyTransformer, make_copy_task
 from repro.optim.sgd import SGD
 from repro.train.synthetic import make_spiral_classification, make_synthetic_images
+from repro.utils.partition import FlatLayout
 from repro.utils.seeding import new_rng
 
 
@@ -121,8 +123,6 @@ class TestTinyTransformer:
     def test_sequence_too_long_rejected(self, rng):
         model = TinyTransformer(vocab_size=8, max_len=4)
         params = {k: v for k, v in model.init_params(rng).items()}
-        from repro.models.autodiff import Tensor
-
         tensors = {k: Tensor(v) for k, v in params.items()}
         with pytest.raises(ValueError):
             model.logits(tensors, rng.integers(1, 8, size=(1, 6)))
@@ -136,6 +136,20 @@ class TestTinyTransformer:
             TinyTransformer(d_model=15)
 
 
+def _gradient_passes(name):
+    """The model, and ``(run(params, out=None), lead)`` for each gradient
+    entry point it offers; ``lead`` is the row axis its gradients carry."""
+    workload = build_workload(name, num_samples=32, rng=new_rng(5))
+    model, x, y = workload.model, workload.x[:8], workload.y[:8]
+    passes = [(lambda params, out=None: model.loss_and_grad(params, x, y, out), ())]
+    if hasattr(model, "loss_and_grad_workers"):
+        xs, ys = x.reshape(2, 4, *x.shape[1:]), y.reshape(2, 4, *y.shape[1:])
+        passes.append(
+            (lambda params, out=None: model.loss_and_grad_workers(params, xs, ys, out), (2,))
+        )
+    return model, passes
+
+
 @pytest.mark.parametrize("name", MODELS.available())
 def test_the_tape_never_writes_into_a_leafs_data(name):
     """Read-only parameters give bit-identical losses and gradients.
@@ -143,13 +157,8 @@ def test_the_tape_never_writes_into_a_leafs_data(name):
     This is what lets parameters reach the tape as views — the blocked
     pass's stride-0 worker axis, the pool's shared parameter buffer.
     """
-    workload = build_workload(name, num_samples=32, rng=new_rng(5))
-    model, x, y = workload.model, workload.x[:8], workload.y[:8]
-    passes = [lambda params: model.loss_and_grad(params, x, y)]
-    if hasattr(model, "loss_and_grad_workers"):
-        xs, ys = x.reshape(2, 4, *x.shape[1:]), y.reshape(2, 4, *y.shape[1:])
-        passes.append(lambda params: model.loss_and_grad_workers(params, xs, ys))
-    for run in passes:
+    model, passes = _gradient_passes(name)
+    for run, _ in passes:
         writable = model.init_params(new_rng(6))
         frozen = {key: value.copy() for key, value in writable.items()}
         for value in frozen.values():
@@ -160,3 +169,79 @@ def test_the_tape_never_writes_into_a_leafs_data(name):
         for key in writable:
             np.testing.assert_array_equal(grads[key], want_grads[key])
             np.testing.assert_array_equal(frozen[key], writable[key])
+
+
+@pytest.mark.parametrize("name", MODELS.available())
+def test_gradients_are_computed_in_their_destinations(name):
+    """The ``out`` contract of ``TrainableModel``: NaN-prefilled views of
+    a flat block (the trainer's buffer) come back fully written and
+    bit-equal to the no-destination call — a GEMM that read its ``out``
+    or a stale element fails here — each returned gradient *is* its
+    destination, and a second call overwrites instead of accumulating."""
+    model, passes = _gradient_passes(name)
+    params = model.init_params(new_rng(6))
+    layout = FlatLayout.of(params)
+    for run, lead in passes:
+        want_loss, want_grads, _ = run(params)
+        block = np.full((*lead, layout.dim), np.nan)
+        out = layout.views(block)
+        for _ in range(2):
+            loss, grads, _ = run(params, out)
+            np.testing.assert_array_equal(loss, want_loss)
+            for key in params:
+                assert grads[key] is out[key]  # same data pointer, same strides
+                np.testing.assert_array_equal(grads[key], want_grads[key])
+            assert not np.isnan(block).any()
+
+
+@pytest.mark.parametrize("name", MODELS.available())
+def test_without_destinations_every_call_allocates_its_own_gradients(name):
+    """``out`` omitted and ``out=None`` are the same call: fresh arrays
+    each time, equal bytes."""
+    model, passes = _gradient_passes(name)
+    params = model.init_params(new_rng(6))
+    for run, _ in passes:
+        (_, first, _), (_, second, _) = run(params), run(params, None)
+        for key in params:
+            assert not np.shares_memory(first[key], second[key])
+            assert not np.shares_memory(first[key], params[key])
+            np.testing.assert_array_equal(first[key], second[key])
+
+
+def test_a_misshapen_destination_is_rejected_before_the_tape_runs():
+    model, passes = _gradient_passes("mlp-tiny")
+    params = model.init_params(new_rng(6))
+    for run, lead in passes:
+        out = {"fc0.weight": np.zeros((*lead, *params["fc0.weight"].T.shape))}
+        with pytest.raises(ValueError, match="gradient destination of shape") as err:
+            run(params, out)
+        assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("name", MODELS.available())
+def test_dead_operands_get_no_gradient_and_leaf_gradients_do_not_change(name, monkeypatch):
+    """Data batches and constants end ``backward()`` with ``grad is None``;
+    the leaf gradients equal those of a tape that computes a gradient for
+    every operand (what the tape did before it skipped dead ones)."""
+    model, passes = _gradient_passes(name)
+    params = model.init_params(new_rng(6))
+    init = Tensor.__init__
+    for run, _ in passes:
+        created = []
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        _, grads, _ = run(params)
+        dead = [t for t in created if not t.requires_grad]
+        assert dead and all(t.grad is None for t in dead)
+
+        def all_live(self, data, requires_grad=False, **kwargs):
+            init(self, data, True, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", all_live)
+        _, want_grads, _ = run(params)
+        for key in params:
+            np.testing.assert_array_equal(grads[key], want_grads[key])

@@ -42,6 +42,39 @@ class _Proxy:
         return getattr(self._target, name)
 
 
+class _Elsewhere:
+    """A model that takes ``out`` and computes (some of) its gradients
+    elsewhere: the destinations named in ``ignored`` never reach the tape."""
+
+    def __init__(self, target, ignored):
+        self._target = target
+        self._ignored = ignored
+        if hasattr(target, "loss_and_grad_workers"):
+            self.loss_and_grad_workers = self._dropping("loss_and_grad_workers")
+        self.loss_and_grad = self._dropping("loss_and_grad")
+
+    def _dropping(self, method):
+        def call(params, x, y, out):
+            kept = {name: dest for name, dest in out.items() if name not in self._ignored}
+            return getattr(self._target, method)(params, x, y, kept)
+
+        return call
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """Names copied by ``FlatLayout.write`` while the test runs, per call."""
+    copied = []
+    write = FlatLayout.write
+
+    def counted(self, out, tensors):
+        copied.append(sorted(tensors))
+        write(self, out, tensors)
+
+    monkeypatch.setattr(FlatLayout, "write", counted)
+    return copied
+
+
 def _batches(name, sizes, pad=False):
     workload = build_workload(name, num_samples=64, rng=new_rng(3))
     bounds = np.concatenate([[0], np.cumsum(sizes)])
@@ -81,7 +114,7 @@ BLOCKED = {"loss_and_grad_workers": 1}
         ("cnn", [4] * 3, False, {"loss_and_grad": 3}),  # no blocked pass
     ],
 )
-def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, calls):
+def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, calls, writes):
     model, batches = _batches(name, sizes, pad)
     params = model.init_params(new_rng(4))
     layout = FlatLayout.of(params)
@@ -93,12 +126,45 @@ def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, c
     losses, metrics = gradient_rows(proxy, params, batches, out, layout, timer)
 
     assert proxy.calls == calls
+    assert writes == []  # computed in place, blocked or per row: nothing to copy
     np.testing.assert_array_equal(out, want_rows)
     assert losses == want_losses
     assert metrics == want_metrics  # per row, so any fold of them agrees
     # One forward_backward and one fuse record per model call.
     n_calls = sum(calls.values())
     assert timer.calls == {"forward_backward": n_calls, "fuse": n_calls}
+
+
+@pytest.mark.parametrize("sizes", [[8] * 4, [8, 8, 6, 8]], ids=["blocked", "per-row"])
+@pytest.mark.parametrize("some", [False, True], ids=["all", "some"])
+def test_gradients_a_model_computes_elsewhere_are_copied_in(sizes, some, writes):
+    """A model that ignores its destinations still fills the rows, and
+    only the tensors it did not compute in place are copied."""
+    model, batches = _batches("mlp", sizes)
+    params = model.init_params(new_rng(4))
+    layout = FlatLayout.of(params)
+    ignored = ["fc1.weight", "fc2.bias"] if some else sorted(layout.names)
+    out = np.full((len(batches), layout.dim), np.nan)
+    gradient_rows(_Elsewhere(model, ignored), params, batches, out, layout)
+    np.testing.assert_array_equal(out, _reference(model, params, batches)[0])
+    n_calls = 1 if len(set(sizes)) == 1 else len(batches)
+    assert writes == [ignored] * n_calls
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, None), (5, None), (4, -1)], ids=["rows-short", "rows-over", "dim-off"]
+)
+def test_a_block_that_does_not_match_is_rejected_before_any_model_call(shape):
+    model, batches = _batches("mlp", [8, 8, 6, 8])
+    params = model.init_params(new_rng(4))
+    layout = FlatLayout.of(params)
+    rows, dim = shape[0], layout.dim + (shape[1] or 0)
+    proxy = _Proxy(model)
+    with pytest.raises(ValueError) as err:
+        gradient_rows(proxy, params, batches, np.zeros((rows, dim)), layout)
+    message = str(err.value)
+    assert f"({rows}, {dim})" in message and f"4 rows of {layout.dim}" in message
+    assert "\n" not in message and proxy.calls == {}
 
 
 def test_row_block_destination_leaves_other_rows_untouched():
@@ -111,25 +177,47 @@ def test_row_block_destination_leaves_other_rows_untouched():
     assert (mat[:2] == 7.0).all() and (mat[6:] == 7.0).all()
 
 
-def test_blocked_pass_replicates_no_parameters():
-    """The worker axis is a view: one call's peak allocation stays near
-    the ``(W, d)`` gradients it returns (2.08x with a per-worker
-    parameter copy, 1.08x on the view)."""
-    workers, local = 16, 2
+def _peak_bytes(call) -> int:
+    """``tracemalloc`` peak of one ``call()``, after a warm-up call
+    (lazy imports, caches)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_mlp_rows(workers=16, local=2):
     model = MLPClassifier(64, (256, 256), 16)
     params = model.init_params(new_rng(0))
     rng = new_rng(1)
     xs = rng.normal(size=(workers, local, 64))
     ys = rng.integers(0, 16, size=(workers, local))
-    model.loss_and_grad_workers(params, xs, ys)  # warm-up: lazy imports, caches
-    tracemalloc.start()
-    try:
-        model.loss_and_grad_workers(params, xs, ys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    grads_bytes = workers * FlatLayout.of(params).dim * 8
+    return model, params, xs, ys
+
+
+def test_blocked_pass_replicates_no_parameters():
+    """The worker axis is a view: one call's peak allocation stays near
+    the ``(W, d)`` gradients it returns (2.08x with a per-worker
+    parameter copy, 1.08x on the view)."""
+    model, params, xs, ys = _wide_mlp_rows()
+    peak = _peak_bytes(lambda: model.loss_and_grad_workers(params, xs, ys))
+    grads_bytes = len(xs) * FlatLayout.of(params).dim * 8
     assert peak < 1.5 * grads_bytes, peak / grads_bytes
+
+
+def test_a_warmed_call_allocates_no_gradient_sized_array():
+    """The gradient exists once, in ``out``: the GEMMs write there, so
+    one call's peak allocation is activations and biases (1.08x the
+    ``(W, d)`` block when the products were allocated and then copied,
+    0.08x computed in place)."""
+    model, params, xs, ys = _wide_mlp_rows()
+    layout = FlatLayout.of(params)
+    out = np.zeros((len(xs), layout.dim))
+    peak = _peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
+    assert peak < 0.25 * out.nbytes, peak / out.nbytes
 
 
 def test_layout_round_trips_through_a_flat_buffer():
@@ -144,3 +232,20 @@ def test_layout_round_trips_through_a_flat_buffer():
     for name, value in params.items():
         np.testing.assert_array_equal(views[name], value)
         assert np.shares_memory(views[name], flat)
+
+
+def test_layout_views_of_a_row_block_are_views_with_contiguous_tensors():
+    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
+    layout = FlatLayout.of(params)
+    mat = np.zeros((5, layout.dim + 3))
+    block = mat[1:4, : layout.dim]  # rows strided wider than dim
+    views = layout.views(block)
+    for index, (name, value) in enumerate(params.items()):
+        assert views[name].shape == (3, *value.shape)
+        assert views[name][0].flags.c_contiguous
+        views[name][...] = index + 1.0
+    want = np.concatenate([np.full(v.size, i + 1.0) for i, v in enumerate(params.values())])
+    np.testing.assert_array_equal(block, np.tile(want, (3, 1)))
+    assert (mat[0] == 0).all() and (mat[4] == 0).all() and (mat[:, layout.dim :] == 0).all()
+    with pytest.raises(ValueError, match="last axis is not contiguous"):
+        layout.views(np.zeros((2, 2 * layout.dim))[:, ::2])
