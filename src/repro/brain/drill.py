@@ -28,7 +28,13 @@ widths in ``results/BENCH_brain.json``.
 from __future__ import annotations
 
 from repro.api.config import SchedConfig
-from repro.faults.drill import GRAY_STORM_EVENTS, GRAY_STORM_HEALTH, gray_storm_config
+from repro.faults.drill import (
+    GRAY_STORM_EVENTS,
+    GRAY_STORM_HEALTH,
+    gray_storm_config,
+    sched_reports,
+    storm_scores,
+)
 from repro.utils.bench import bench_payload
 
 #: Brains the drill compares (static first: it is the baseline every
@@ -106,44 +112,27 @@ def run_brain_drills(brains=None, *, seed: int = 7, sweeper=None) -> list[dict]:
     names = [BRAINS.canonical(b) or b for b in (brains or BRAIN_DRILL_BRAINS)]
     configs = [brain_storm_config(seed=seed, storm=False)]
     configs.extend(brain_storm_config(brain, seed=seed) for brain in names)
-    if sweeper is not None:
-        reports = [
-            next(iter(sweeper.run_sched_policies(config).values()))
-            for config in configs
-        ]
-    else:
-        from repro.api.facade import run_sched
-
-        reports = [next(iter(run_sched(config).values())) for config in configs]
+    reports = [
+        next(iter(sched_reports(config, sweeper=sweeper).values()))
+        for config in configs
+    ]
     baseline, storm_reports = reports[0], reports[1:]
     baseline_goodput = baseline.cluster_goodput_it_per_s
     results = []
     for brain, report in zip(names, storm_reports):
         brain_log = report.brain_log or {}
-        iters = sum(outcome.iterations for outcome in report.jobs)
         jcts = [outcome.jct_s for outcome in report.jobs]
         done = [jct for jct in jcts if jct is not None]
         results.append(
             {
                 "brain": brain,
-                "storm_goodput": round(report.cluster_goodput_it_per_s, 6),
-                "baseline_goodput": round(baseline_goodput, 6),
-                "goodput_ratio": (
-                    round(report.cluster_goodput_it_per_s / baseline_goodput, 6)
-                    if baseline_goodput
-                    else None
-                ),
+                **storm_scores(report, baseline_goodput),
                 "mean_jct_s": (
                     round(sum(done) / len(done), 3) if done else None
                 ),
                 "fairness": (
                     round(_jain_fairness(jcts), 6)
                     if _jain_fairness(jcts) is not None
-                    else None
-                ),
-                "usd_per_kiter": (
-                    round(report.total_cost_usd / (iters / 1000.0), 6)
-                    if iters
                     else None
                 ),
                 "deadline_hit_rate": report.deadline_hit_rate,

@@ -25,6 +25,7 @@ from repro.faults.registry import (
     register_fault,
 )
 from repro.faults.sched_driver import SchedFaultDriver
+from repro.faults.windows import FaultWindows
 
 __all__ = [
     "FAULTS",
@@ -43,6 +44,7 @@ __all__ = [
     "FaultInjector",
     "RunContext",
     "SchedFaultDriver",
+    "FaultWindows",
     "KIND_WEIGHTS",
     "NodeHealthLedger",
 ]

@@ -279,6 +279,31 @@ def gray_storm_config(
     return SchedConfig.from_dict(data)
 
 
+def sched_reports(config, *, sweeper=None):
+    """``{policy: SchedReport}`` for one scheduler config, pooled or not."""
+    if sweeper is not None:
+        return sweeper.run_sched_policies(config)
+    from repro.api.facade import run_sched
+
+    return run_sched(config)
+
+
+def storm_scores(report, baseline_goodput: float) -> dict:
+    """The four storm-vs-baseline columns every scheduler drill reports."""
+    goodput = report.cluster_goodput_it_per_s
+    iters = sum(outcome.iterations for outcome in report.jobs)
+    return {
+        "storm_goodput": round(goodput, 6),
+        "baseline_goodput": round(baseline_goodput, 6),
+        "goodput_ratio": (
+            round(goodput / baseline_goodput, 6) if baseline_goodput else None
+        ),
+        "usd_per_kiter": (
+            round(report.total_cost_usd / (iters / 1000.0), 6) if iters else None
+        ),
+    }
+
+
 def run_policy_drills(policies=None, *, seed: int = 7, sweeper=None) -> list[dict]:
     """Gray storm + fault-free baseline per policy; one scored dict each.
 
@@ -287,21 +312,15 @@ def run_policy_drills(policies=None, *, seed: int = 7, sweeper=None) -> list[dic
     number isolates how much of the healthy schedule each policy keeps
     when the hardware turns gray.
     """
-    storm_cfg = gray_storm_config(policies, seed=seed)
-    base_cfg = gray_storm_config(policies, seed=seed, storm=False)
-    if sweeper is not None:
-        storm_reports = sweeper.run_sched_policies(storm_cfg)
-        base_reports = sweeper.run_sched_policies(base_cfg)
-    else:
-        from repro.api.facade import run_sched
-
-        storm_reports = run_sched(storm_cfg)
-        base_reports = run_sched(base_cfg)
+    storm_reports = sched_reports(
+        gray_storm_config(policies, seed=seed), sweeper=sweeper
+    )
+    base_reports = sched_reports(
+        gray_storm_config(policies, seed=seed, storm=False), sweeper=sweeper
+    )
     results = []
     for policy, report in storm_reports.items():
         log = report.fault_log
-        baseline = base_reports[policy]
-        iters = sum(outcome.iterations for outcome in report.jobs)
         results.append(
             {
                 "policy": policy,
@@ -315,23 +334,8 @@ def run_policy_drills(policies=None, *, seed: int = 7, sweeper=None) -> list[dic
                     if log["mean_detect_recover_s"] is not None
                     else None
                 ),
-                "storm_goodput": round(report.cluster_goodput_it_per_s, 6),
-                "baseline_goodput": round(baseline.cluster_goodput_it_per_s, 6),
-                "goodput_ratio": (
-                    round(
-                        report.cluster_goodput_it_per_s
-                        / baseline.cluster_goodput_it_per_s,
-                        6,
-                    )
-                    if baseline.cluster_goodput_it_per_s
-                    else None
-                ),
+                **storm_scores(report, base_reports[policy].cluster_goodput_it_per_s),
                 "makespan_s": round(report.makespan_s, 3),
-                "usd_per_kiter": (
-                    round(report.total_cost_usd / (iters / 1000.0), 6)
-                    if iters
-                    else None
-                ),
                 "log_digest": log["digest"],
             }
         )

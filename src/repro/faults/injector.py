@@ -1,9 +1,11 @@
 """Fault injection into live :class:`~repro.elastic.elastic_trainer.ElasticTrainer` runs.
 
-The injector owns all mutable fault state for one elastic simulation:
-the pending half of the :class:`~repro.faults.plan.FaultPlan`, active
-NIC-degradation and straggler windows, corrupted-checkpoint bookkeeping,
-and the structured :class:`~repro.faults.log.FaultLog`.  The trainer
+The injector is the run-side adapter over one
+:class:`~repro.faults.windows.FaultWindows` ledger (pending events, open
+NIC / straggler / gray-link / slow-disk windows, counters, the
+structured :class:`~repro.faults.log.FaultLog`), clocked in wall
+iterations; on top of it it owns what only an elastic run has —
+corrupted-checkpoint bookkeeping and checkpoint IO pricing.  The trainer
 calls :meth:`on_iteration` at the top of every wall iteration; faults
 flow through the *existing* machinery — crashes revoke nodes via
 ``MembershipView``, degradations rebuild the comm scheme on a
@@ -19,17 +21,26 @@ across ``--jobs`` widths.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 from repro.api.registry import build_scheme
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
 from repro.faults.registry import FAULTS, gray_jitter_draw
+from repro.faults.windows import FaultWindows
 from repro.utils.seeding import derive_seed, new_rng
 
 #: How many bytes :func:`_flip_bytes` inverts mid-file.
 _FLIP_SPAN = 64
+
+#: What notices each window family, as soon as a step runs under it
+#: (the ``source`` of the ``detect`` entry logged beside the ``inject``).
+_TELEMETRY = {
+    "nic": "per-step bandwidth telemetry",
+    "straggler": "per-step straggler telemetry",
+    "gray": "per-link loss/latency telemetry",
+    "disk": "checkpoint write latency telemetry",
+}
 
 
 @dataclass
@@ -55,33 +66,23 @@ class FaultInjector:
         self.plan = plan
         self.log = log if log is not None else FaultLog()
         self.rng = new_rng(plan.seed)
-        self._pending = deque(plan.events)  # already sorted by (at, fault_id)
-        # Active windows: (until_wall_iteration, value, event).
-        self._nic: list[tuple[float, float, object]] = []
-        self._stragglers: dict[int, tuple[float, float, object]] = {}
-        # Gray-link windows: (until, event, per-window jitter rng).
-        self._gray: list[tuple[float, object, object]] = []
-        # Fail-slow disk windows: (until, stretch, event).
-        self._disk: list[tuple[float, float, object]] = []
+        # Windows end on integer wall iterations: no expiry slack.
+        self.windows = FaultWindows(plan, self.log, expiry_eps=0.0)
         # str(path) -> (event, t_inject) for damaged-but-undetected files.
         self._corrupted: dict[str, tuple[object, float]] = {}
         # (membership epoch, scale, loss) -> degraded comm time breakdown.
         self._breakdown_cache: dict[tuple[int, float, float], object] = {}
-        self.injected = 0
-        self.recovered = 0
-        self.absorbed = 0
         self.lost_iterations = 0
         self.checkpoint_retries = 0
 
     # -- trainer hooks ---------------------------------------------------------
     def on_iteration(self, trainer, wall, useful, report, x, y) -> int:
         """Fire due faults and expire ended windows; returns the new step."""
-        self._expire(wall, report)
+        self.windows.expire(wall, report.total_seconds)
         ctx = RunContext(
             trainer=trainer, wall=wall, useful=useful, report=report, x=x, y=y
         )
-        while self._pending and self._pending[0].at <= wall + 1e-12:
-            event = self._pending.popleft()
+        for event in self.windows.pop_due(wall):
             FAULTS.get(event.kind)().apply_run(self, event, ctx)
         return ctx.useful
 
@@ -92,6 +93,7 @@ class FaultInjector:
     def on_corrupt_detected(self, path, report) -> None:
         """The CRC verifier rejected ``path`` during a rollback."""
         t = report.total_seconds
+        name = os.path.basename(str(path))
         record = self._corrupted.pop(str(path), None)
         if record is None:
             # Damage we did not inject (never expected in simulation;
@@ -102,27 +104,15 @@ class FaultInjector:
                 kind="checkpoint-corrupt",
                 fault_id=-1,
                 target="run",
-                path=os.path.basename(str(path)),
+                path=name,
                 attributed=False,
             )
             return
         event, t_inject = record
-        self.recovered += 1
-        self.log.append(
-            "detect",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            path=os.path.basename(str(path)),
-            checksum="crc32-mismatch",
-        )
-        self.log.append(
-            "recover",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
+        self.windows.emit("detect", event, t, path=name, checksum="crc32-mismatch")
+        self.windows.recover(
+            event,
+            t,
             latency_s=round(t - t_inject, 9),
             action="fell back to previous checkpoint",
         )
@@ -130,201 +120,96 @@ class FaultInjector:
     # -- fault application helpers (called by Fault subclasses) ----------------
     def crash(self, event, ctx, nodes) -> None:
         """Unwarned loss of ``nodes``; rollback + rebuild via the trainer."""
-        report = ctx.report
+        windows, report = self.windows, ctx.report
         t0 = report.total_seconds
-        self.injected += 1
-        self.log.append(
-            "inject",
-            t=t0,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            iteration=ctx.wall,
-            nodes=[int(n) for n in nodes],
-        )
+        windows.inject(event, t0, iteration=ctx.wall, nodes=[int(n) for n in nodes])
         restored, lost, victims = ctx.trainer.apply_fault_revocation(
             nodes, report, ctx.x, ctx.y, ctx.useful
         )
         if not victims:
-            self.absorbed += 1
-            self.log.append(
-                "absorb",
-                t=report.total_seconds,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="run",
-                reason="at min_nodes floor or nodes not live",
+            windows.absorb(
+                event, report.total_seconds, "at min_nodes floor or nodes not live"
             )
             return
         # Synchronous training notices the dead peer on the very next
         # collective, so detection is immediate in virtual time.
-        self.log.append(
-            "detect",
-            t=t0,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            victims=victims,
-        )
+        windows.emit("detect", event, t0, victims=victims)
         self.lost_iterations += lost
         t1 = report.total_seconds
-        self.recovered += 1
-        self.log.append(
-            "recover",
-            t=t1,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
+        windows.recover(
+            event,
+            t1,
             latency_s=round(t1 - t0, 9),
             lost_iterations=lost,
             world_size=ctx.trainer.membership.world_size,
         )
         ctx.useful = restored
 
+    def _open(self, family, event, ctx, value, node=None, **detail) -> None:
+        """Open a window and log its ``inject`` + telemetry ``detect`` pair."""
+        t = ctx.report.total_seconds
+        self.windows.open(family, event, value, node)
+        self.windows.inject(event, t, node=node, iteration=ctx.wall, **detail)
+        self.windows.emit("detect", event, t, source=_TELEMETRY[family])
+
     def degrade_nic(self, event, ctx) -> None:
         """Open a bandwidth-degradation window (duration=0 -> permanent)."""
-        t = ctx.report.total_seconds
-        self.injected += 1
-        self._nic.append((event.until, float(event.scale), event))
-        self.log.append(
-            "inject",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            iteration=ctx.wall,
-            scale=float(event.scale),
-        )
-        # Bandwidth telemetry flags the slow link as soon as a step
-        # runs over it.
-        self.log.append(
-            "detect",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            source="per-step bandwidth telemetry",
-        )
+        scale = float(event.scale)
+        self._open("nic", event, ctx, scale, scale=scale)
 
     def add_straggler(self, event, ctx) -> None:
         """Pin a compute-stretch factor on one node for a window."""
-        t = ctx.report.total_seconds
         live = ctx.trainer.membership.live_nodes
         if event.node is not None:
             node = int(event.node)
         else:
             node = int(self.rng.choice(live))
-        self.injected += 1
         if node not in live:
-            self.absorbed += 1
-            self.log.append(
-                "absorb",
-                t=t,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="run",
-                reason=f"node {node} not live",
+            self.windows.injected += 1  # counted, though nothing was perturbed
+            self.windows.absorb(
+                event, ctx.report.total_seconds, f"node {node} not live"
             )
             return
-        self._stragglers[node] = (event.until, float(event.stretch), event)
-        self.log.append(
-            "inject",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            iteration=ctx.wall,
-            node=node,
-            stretch=float(event.stretch),
-        )
-        self.log.append(
-            "detect",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            source="per-step straggler telemetry",
-        )
+        stretch = float(event.stretch)
+        self._open("straggler", event, ctx, stretch, node, stretch=stretch)
 
     def gray_net(self, event, ctx) -> None:
         """Open a gray-link window: packet loss + per-iteration jitter."""
-        t = ctx.report.total_seconds
-        self.injected += 1
         # Each window owns its jitter stream, derived from the plan seed
         # and the fault id — independent of pool width and of every
         # other random stream in the run.
         rng = new_rng(derive_seed(self.plan.seed, "gray-net", event.fault_id))
-        self._gray.append((event.until, event, rng))
-        self.log.append(
-            "inject",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            iteration=ctx.wall,
+        self._open(
+            "gray",
+            event,
+            ctx,
+            rng,
             loss_rate=float(event.loss_rate),
             jitter=float(event.jitter),
             jitter_dist=event.jitter_dist,
         )
-        self.log.append(
-            "detect",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            source="per-link loss/latency telemetry",
-        )
 
     def slow_disk(self, event, ctx) -> None:
         """Open a fail-slow-disk window stretching checkpoint IO."""
-        t = ctx.report.total_seconds
-        self.injected += 1
-        self._disk.append((event.until, float(event.stretch), event))
-        self.log.append(
-            "inject",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            iteration=ctx.wall,
-            stretch=float(event.stretch),
-        )
-        self.log.append(
-            "detect",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
-            source="checkpoint write latency telemetry",
-        )
+        stretch = float(event.stretch)
+        self._open("disk", event, ctx, stretch, stretch=stretch)
 
     def corrupt_checkpoint(self, event, ctx) -> None:
         """Flip bytes in the newest checkpoint file on disk."""
         t = ctx.report.total_seconds
-        self.injected += 1
         stack = ctx.trainer.checkpoint_stack()
         if not stack:
-            self.absorbed += 1
-            self.log.append(
-                "absorb",
-                t=t,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="run",
-                reason="no checkpoint on disk",
-            )
+            self.windows.injected += 1  # counted, though nothing was perturbed
+            self.windows.absorb(event, t, "no checkpoint on disk")
             return
         path, ckpt_useful = stack[-1]
         _flip_bytes(path)
         self._corrupted[str(path)] = (event, t)
         # No detect entry yet: corruption is latent until the next
         # rollback actually reads the file through the CRC verifier.
-        self.log.append(
-            "inject",
-            t=t,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
+        self.windows.inject(
+            event,
+            t,
             iteration=ctx.wall,
             path=os.path.basename(str(path)),
             checkpoint_useful=int(ckpt_useful),
@@ -333,14 +218,12 @@ class FaultInjector:
     # -- step-time perturbations ----------------------------------------------
     def nic_scale(self) -> float:
         """The strongest active degradation (1.0 when links are healthy)."""
-        if not self._nic:
-            return 1.0
-        return min(scale for _, scale, _ in self._nic)
+        return min((w[1] for w in self.windows.tables["nic"].values()), default=1.0)
 
     def gray_loss(self) -> float:
         """Combined packet-loss rate across active gray-net windows."""
         survival = 1.0
-        for _, event, _ in self._gray:
+        for _, _, event, _ in self.windows.tables["gray"].values():
             survival *= 1.0 - event.loss_rate
         return 1.0 - survival
 
@@ -351,10 +234,8 @@ class FaultInjector:
         stream — the jittery half of a gray link, on top of the clean
         retransmission cost :meth:`comm_breakdown` prices.
         """
-        if not self._gray:
-            return 1.0
         stretch = 1.0
-        for _, event, rng in self._gray:
+        for _, rng, event, _ in self.windows.tables["gray"].values():
             stretch *= 1.0 + gray_jitter_draw(event, rng)
         return stretch
 
@@ -391,22 +272,20 @@ class FaultInjector:
 
     def straggled_factors(self, factors, membership):
         """Stretch per-node compute factors for active stragglers."""
-        if not self._stragglers:
+        stragglers = self.windows.tables["straggler"]
+        if not stragglers:
             return factors
         live = membership.live_nodes
         factors = factors.copy()
-        for node in sorted(self._stragglers):
+        for node in sorted(stragglers):
             if node in live:
-                _, stretch, _ = self._stragglers[node]
-                factors[membership.node_index(node)] *= stretch
+                factors[membership.node_index(node)] *= stragglers[node][1]
         return factors
 
     # -- checkpoint IO pricing -------------------------------------------------
     def disk_stretch(self) -> float:
         """Worst active fail-slow-disk stretch (1.0 when disks are healthy)."""
-        if not self._disk:
-            return 1.0
-        return max(stretch for _, stretch, _ in self._disk)
+        return max((w[1] for w in self.windows.tables["disk"].values()), default=1.0)
 
     def checkpoint_write_seconds(self, base: float, report) -> float:
         """Virtual cost of one checkpoint write on the (possibly sick) disk.
@@ -425,27 +304,27 @@ class FaultInjector:
         timeout = self.plan.config.checkpoint_timeout
         if timeout <= 0 or cost <= timeout + 1e-12:
             return cost
-        _, _, event = max(self._disk, key=lambda rec: (rec[1], -rec[2].fault_id))
+        event = max(
+            self.windows.tables["disk"].values(),
+            key=lambda window: (window[1], -window[2].fault_id),
+        )[2]
         t0 = report.total_seconds
         backoff = 0.5 * base
         total = timeout + backoff + base
         self.checkpoint_retries += 1
-        self.log.append(
+        self.windows.emit(
             "detect",
-            t=t0 + timeout,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
+            event,
+            t0 + timeout,
             action="checkpoint write exceeded budget; abandoned",
             timeout_s=round(float(timeout), 9),
             stretch=float(event.stretch),
         )
-        self.log.append(
+        # Not a window closing: the disk is still slow, so not counted.
+        self.windows.emit(
             "recover",
-            t=t0 + total,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="run",
+            event,
+            t0 + total,
             action="retried on fallback slot",
             latency_s=round(float(total), 9),
         )
@@ -455,76 +334,13 @@ class FaultInjector:
         """Rollback-restore cost: reads stretch like writes, no budget."""
         return base * self.disk_stretch()
 
-    # -- window expiry ---------------------------------------------------------
-    def _expire(self, wall: int, report) -> None:
-        t = report.total_seconds
-        still_degraded = []
-        for until, scale, event in self._nic:
-            if until <= wall:
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=t,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="run",
-                    action="bandwidth restored",
-                )
-            else:
-                still_degraded.append((until, scale, event))
-        self._nic = still_degraded
-        for node in sorted(self._stragglers):
-            until, _, event = self._stragglers[node]
-            if until <= wall:
-                del self._stragglers[node]
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=t,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="run",
-                    node=node,
-                    action="compute speed restored",
-                )
-        still_gray = []
-        for until, event, rng in self._gray:
-            if until <= wall:
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=t,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="run",
-                    action="link health restored",
-                )
-            else:
-                still_gray.append((until, event, rng))
-        self._gray = still_gray
-        still_slow = []
-        for until, stretch, event in self._disk:
-            if until <= wall:
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=t,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="run",
-                    action="disk speed restored",
-                )
-            else:
-                still_slow.append((until, stretch, event))
-        self._disk = still_slow
-
     # -- reporting -------------------------------------------------------------
     def metrics(self) -> dict:
         """Summary counters + the log digest, JSON-ready."""
         return {
-            "injected": self.injected,
-            "recovered": self.recovered,
-            "absorbed": self.absorbed,
+            "injected": self.windows.injected,
+            "recovered": self.windows.recovered,
+            "absorbed": self.windows.absorbed,
             "lost_iterations": self.lost_iterations,
             "checkpoint_retries": self.checkpoint_retries,
             "mean_detect_recover_s": self.log.mean_latency(),

@@ -6,7 +6,8 @@ prints them).  A fault class declares which simulation targets it can
 perturb (``"run"`` — an :class:`~repro.elastic.elastic_trainer.ElasticTrainer`
 simulation; ``"sched"`` — a :class:`~repro.sched.scheduler.MultiTenantScheduler`
 cluster), validates its plan parameters, and implements ``apply_run`` /
-``apply_sched`` against the injector/driver helper APIs.  Built-ins
+``apply_sched`` against the injector's / driver's helpers and their
+:class:`~repro.faults.windows.FaultWindows` ledger.  Built-ins
 cover the cloud failure modes the paper's setting implies but never
 measures:
 
@@ -22,7 +23,8 @@ name                         targets effect
 ``disk-slow``                run     fail-slow disk stretching checkpoint writes/loads
 ============================ ======= ==============================================
 
-Registering a new fault is a decorator away::
+Registering a new fault is a decorator away (``docs/faults.md``,
+*Registering your own fault*, has a complete windowed example)::
 
     from repro.faults import Fault, register_fault
 
@@ -31,7 +33,7 @@ Registering a new fault is a decorator away::
         targets = frozenset({"run"})
 
         def apply_run(self, injector, event, ctx):
-            ...
+            injector.windows.inject(event, ctx.report.total_seconds)
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Fault injection into the closed-form multi-tenant scheduler.
 
-The driver owns all mutable fault state for one
-:class:`~repro.sched.scheduler.MultiTenantScheduler` run: pending
-:class:`~repro.faults.plan.FaultPlan` events (``at`` in virtual
-seconds), downed nodes awaiting repair, active NIC-degradation and
-straggler windows, and the structured :class:`~repro.faults.log.FaultLog`.
+The driver is the sched-side adapter over one
+:class:`~repro.faults.windows.FaultWindows` ledger (pending
+:class:`~repro.faults.plan.FaultPlan` events, open NIC / straggler /
+gray-link windows, counters, the structured
+:class:`~repro.faults.log.FaultLog`), clocked in virtual seconds; on top
+of it it owns what only a cluster has — downed nodes awaiting repair,
+requeued jobs awaiting re-placement, and the node-health ledger feed.
 
 The event loop (:class:`~repro.sched.core.SchedRun`) consults
 :meth:`next_boundary` when picking its piecewise-constant horizon (so a
@@ -24,17 +26,26 @@ re-places it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.faults.health import NodeHealthLedger
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
 from repro.faults.registry import FAULTS, gray_jitter_draw
+from repro.faults.windows import FaultWindows
 from repro.utils.seeding import new_rng
 
 if TYPE_CHECKING:
     from repro.sched.core import SchedRun
+
+
+#: What notices each window family at the event it opens on (the
+#: ``source`` of the ``detect`` entry logged beside the ``inject``).
+_TELEMETRY = {
+    "nic": "per-event bandwidth repricing",
+    "straggler": "per-event straggler repricing",
+    "gray": "per-link loss/latency telemetry",
+}
 
 
 class SchedFaultDriver:
@@ -48,44 +59,29 @@ class SchedFaultDriver:
         self.plan = plan
         self.log = log if log is not None else FaultLog()
         self.rng = new_rng(plan.seed)
-        self._pending = deque(plan.events)  # already sorted by (at, fault_id)
+        # Windows end on accumulated virtual seconds: same slack as "due".
+        self.windows = FaultWindows(plan, self.log, expiry_eps=1e-12)
         #: node -> (repair time or inf, event).
         self._down: dict[int, tuple[float, object]] = {}
-        self._nic: list[tuple[float, float, object]] = []
-        self._stragglers: dict[int, tuple[float, float, object]] = {}
-        #: node -> (window end, realised comm stretch, event) gray links.
-        self._gray: dict[int, tuple[float, float, object]] = {}
         #: job name -> (event, t_detect) for requeued jobs awaiting re-placement.
         self._awaiting_replace: dict[str, tuple[object, float]] = {}
         #: Per-node suspicion scores the fault-aware policy reads; its
         #: timeline depends only on the plan, never on placement, so it
         #: is identical under every policy compared against one storm.
         self.health = NodeHealthLedger(plan.config)
-        self.injected = 0
-        self.recovered = 0
-        self.absorbed = 0
         self.requeues = 0
         self.lost_iterations = 0.0
 
     # -- scheduler hooks -------------------------------------------------------
     def next_boundary(self, now: float) -> float | None:
         """Earliest future fault-timeline point, or ``None``."""
-        times: list[float] = []
-        if self._pending:
-            times.append(self._pending[0].at)
-        times.extend(t for t, _ in self._down.values() if not math.isinf(t))
-        times.extend(until for until, _, _ in self._nic if not math.isinf(until))
-        times.extend(
-            until for until, _, _ in self._stragglers.values() if not math.isinf(until)
-        )
-        times.extend(
-            until for until, _, _ in self._gray.values() if not math.isinf(until)
-        )
+        horizon = now + 1e-12
+        times = [t for t in self.windows.boundaries() if t > horizon]
+        times += [t for t, _ in self._down.values() if horizon < t < math.inf]
         probe_at = self.health.next_boundary(now)
         if probe_at is not None:
             times.append(probe_at)
-        future = [t for t in times if t > now + 1e-12]
-        return min(future) if future else None
+        return min(times, default=None)
 
     def apply_due(self, ctx: SchedRun) -> None:
         """Probe, repair, expire, and inject everything due at ``ctx.now``."""
@@ -107,59 +103,9 @@ class SchedFaultDriver:
             if repair_at <= now + 1e-12:
                 del self._down[node]
                 ctx.state.set_up(node)
-                self.log.append(
-                    "repair",
-                    t=now,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="sched",
-                    node=node,
-                )
-        still_degraded = []
-        for until, scale, event in self._nic:
-            if until <= now + 1e-12:
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=now,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="sched",
-                    action="bandwidth restored",
-                )
-            else:
-                still_degraded.append((until, scale, event))
-        self._nic = still_degraded
-        for node in sorted(self._stragglers):
-            until, _, event = self._stragglers[node]
-            if until <= now + 1e-12:
-                del self._stragglers[node]
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=now,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="sched",
-                    node=node,
-                    action="compute speed restored",
-                )
-        for node in sorted(self._gray):
-            until, _, event = self._gray[node]
-            if until <= now + 1e-12:
-                del self._gray[node]
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=now,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="sched",
-                    node=node,
-                    action="link health restored",
-                )
-        while self._pending and self._pending[0].at <= now + 1e-12:
-            event = self._pending.popleft()
+                self.windows.emit("repair", event, now, node=node)
+        self.windows.expire(now, now)
+        for event in self.windows.pop_due(now):
             FAULTS.get(event.kind)().apply_sched(self, event, ctx)
 
     def note_replacements(self, ctx: SchedRun) -> None:
@@ -171,13 +117,9 @@ class SchedFaultDriver:
             if name not in running_names:
                 continue
             event, t_detect = self._awaiting_replace.pop(name)
-            self.recovered += 1
-            self.log.append(
-                "recover",
-                t=ctx.now,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="sched",
+            self.windows.recover(
+                event,
+                ctx.now,
                 job=name,
                 latency_s=round(ctx.now - t_detect, 9),
                 action="requeued job re-placed",
@@ -198,27 +140,11 @@ class SchedFaultDriver:
 
     def crash(self, event, ctx: SchedRun, nodes) -> None:
         """Take ``nodes`` down unwarned; shrink or requeue their tenants."""
-        now = ctx.now
-        self.injected += 1
+        windows, now = self.windows, ctx.now
         victims = [int(n) for n in nodes if ctx.state.is_up(int(n))]
-        self.log.append(
-            "inject",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            nodes=[int(n) for n in nodes],
-        )
+        windows.inject(event, now, nodes=[int(n) for n in nodes])
         if not victims:
-            self.absorbed += 1
-            self.log.append(
-                "absorb",
-                t=now,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="sched",
-                reason="no targeted node is up",
-            )
+            windows.absorb(event, now, "no targeted node is up")
             return
         until = event.until
         affected: dict[str, list[int]] = {}
@@ -241,15 +167,7 @@ class SchedFaultDriver:
         for node in victims:
             ctx.state.set_down(node)
             self._down[node] = (until, event)
-        self.log.append(
-            "detect",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            victims=victims,
-            jobs=sorted(affected),
-        )
+        windows.emit("detect", event, now, victims=victims, jobs=sorted(affected))
         for node in victims:
             self._observe_health(event, now, node)
         # An unwarned crash kills the synchronous step: every affected
@@ -268,13 +186,9 @@ class SchedFaultDriver:
                     name,
                     scheduler.comm_intensity(record.spec, nodes=len(record.nodes)),
                 )
-                self.recovered += 1
-                self.log.append(
-                    "recover",
-                    t=now,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="sched",
+                windows.recover(
+                    event,
+                    now,
                     job=name,
                     lost_iterations=round(lost, 6),
                     action="shrunk to surviving nodes",
@@ -291,76 +205,47 @@ class SchedFaultDriver:
                 ctx.queued.add(record, scheduler.job_gpus(record.spec))
                 self.requeues += 1
                 self._awaiting_replace[name] = (event, now)
-                self.log.append(
+                windows.emit(
                     "detect",
-                    t=now,
-                    kind=event.kind,
-                    fault_id=event.fault_id,
-                    target="sched",
+                    event,
+                    now,
                     job=name,
                     lost_iterations=round(lost, 6),
                     action="below min_nodes; requeued",
                 )
 
-    def degrade_nic(self, event, ctx: SchedRun) -> None:
-        now = ctx.now
-        self.injected += 1
-        self._nic.append((event.until, float(event.scale), event))
-        self.log.append(
-            "inject",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            scale=float(event.scale),
-        )
-        self.log.append(
-            "detect",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            source="per-event bandwidth repricing",
-        )
+    def _open(self, family, event, now, value, node=None, **detail) -> None:
+        """Open a window, log its ``inject`` + repricing ``detect`` pair,
+        and feed the health ledger when the window sits on one node."""
+        self.windows.open(family, event, value, node)
+        self.windows.inject(event, now, node=node, **detail)
+        self.windows.emit("detect", event, now, source=_TELEMETRY[family])
+        if node is not None:
+            self._observe_health(event, now, node)
 
-    def add_straggler(self, event, ctx: SchedRun) -> None:
-        now = ctx.now
-        self.injected += 1
+    def _target_node(self, event, ctx: SchedRun) -> int | None:
+        """The explicit or seeded-pick node of ``event``; absorbs the
+        fault (and returns ``None``) when that node is not up."""
         if event.node is not None:
             node = int(event.node)
         else:
             picked = self.pick_up_nodes(ctx, 1)
             node = picked[0] if picked else -1
-        if node < 0 or node >= ctx.state.num_nodes or not ctx.state.is_up(node):
-            self.absorbed += 1
-            self.log.append(
-                "absorb",
-                t=now,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="sched",
-                reason=f"node {node} not up",
-            )
-            return
-        self._stragglers[node] = (event.until, float(event.stretch), event)
-        self.log.append(
-            "inject",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            node=node,
-            stretch=float(event.stretch),
-        )
-        self.log.append(
-            "detect",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            source="per-event straggler repricing",
-        )
-        self._observe_health(event, now, node)
+        if 0 <= node < ctx.state.num_nodes and ctx.state.is_up(node):
+            return node
+        self.windows.injected += 1  # counted, though nothing was perturbed
+        self.windows.absorb(event, ctx.now, f"node {node} not up")
+        return None
+
+    def degrade_nic(self, event, ctx: SchedRun) -> None:
+        scale = float(event.scale)
+        self._open("nic", event, ctx.now, scale, scale=scale)
+
+    def add_straggler(self, event, ctx: SchedRun) -> None:
+        node = self._target_node(event, ctx)
+        if node is not None:
+            stretch = float(event.stretch)
+            self._open("straggler", event, ctx.now, stretch, node, stretch=stretch)
 
     def gray_net(self, event, ctx: SchedRun) -> None:
         """Pin a gray-link window — loss + realised jitter — on one node.
@@ -369,59 +254,31 @@ class SchedFaultDriver:
         one seeded draw realises the window's expected stretch:
         ``1 / (1 - loss_rate)`` retransmissions times ``1 + jitter``.
         """
-        now = ctx.now
-        self.injected += 1
-        if event.node is not None:
-            node = int(event.node)
-        else:
-            picked = self.pick_up_nodes(ctx, 1)
-            node = picked[0] if picked else -1
-        if node < 0 or node >= ctx.state.num_nodes or not ctx.state.is_up(node):
-            self.absorbed += 1
-            self.log.append(
-                "absorb",
-                t=now,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="sched",
-                reason=f"node {node} not up",
-            )
+        node = self._target_node(event, ctx)
+        if node is None:
             return
         stretch = (1.0 / (1.0 - event.loss_rate)) * (
             1.0 + gray_jitter_draw(event, self.rng)
         )
-        self._gray[node] = (event.until, stretch, event)
-        self.log.append(
-            "inject",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            node=node,
+        self._open(
+            "gray",
+            event,
+            ctx.now,
+            stretch,
+            node,
             loss_rate=float(event.loss_rate),
             jitter=float(event.jitter),
             jitter_dist=event.jitter_dist,
             stretch=round(stretch, 9),
         )
-        self.log.append(
-            "detect",
-            t=now,
-            kind=event.kind,
-            fault_id=event.fault_id,
-            target="sched",
-            source="per-link loss/latency telemetry",
-        )
-        self._observe_health(event, now, node)
 
     def _observe_health(self, event, now: float, node: int) -> None:
         """Feed one fault observation to the ledger; log new quarantines."""
         if self.health.observe(node, now, event.kind):
-            self.log.append(
+            self.windows.emit(
                 "quarantine",
-                t=now,
-                kind=event.kind,
-                fault_id=event.fault_id,
-                target="sched",
+                event,
+                now,
                 node=node,
                 suspicion=round(self.health.suspicion(node, now), 9),
                 probe_at=round(now + self.health.policy.probe_cooldown, 9),
@@ -433,33 +290,36 @@ class SchedFaultDriver:
 
         ``()`` while links and nodes are healthy.  The event loop keeps
         its prices while this equals the previous event's value; it is
-        derived from the fields' contents, so a fault plugin that writes
-        ``_nic`` / ``_stragglers`` / ``_gray`` directly needs no
-        bookkeeping.
+        derived from the content of the ledger's ``nic`` / ``straggler``
+        / ``gray`` tables, so a fault plugin that opens its windows
+        through ``driver.windows.open`` needs no bookkeeping.
         """
-        if not (self._nic or self._stragglers or self._gray):
+        tables = self.windows.tables
+        nic, stragglers, gray = tables["nic"], tables["straggler"], tables["gray"]
+        if not (nic or stragglers or gray):
             return ()
         return (
-            tuple(scale for _, scale, _ in self._nic),
-            tuple((node, window[1]) for node, window in self._stragglers.items()),
-            tuple((node, window[1]) for node, window in self._gray.items()),
+            tuple(window[1] for window in nic.values()),
+            tuple((node, window[1]) for node, window in stragglers.items()),
+            tuple((node, window[1]) for node, window in gray.items()),
         )
 
     def active_nic_scale(self) -> float:
         """The strongest active degradation (1.0 when links are healthy)."""
-        if not self._nic:
+        nic = self.windows.tables["nic"]
+        if not nic:
             return 1.0
-        return min(scale for _, scale, _ in self._nic)
+        return min(window[1] for window in nic.values())
 
     def stretch_for(self, nodes) -> float:
         """Worst straggler stretch across an allocation (>= 1)."""
-        if not self._stragglers:
-            return 1.0
+        stragglers = self.windows.tables["straggler"]
         stretch = 1.0
-        for node in nodes:
-            record = self._stragglers.get(node)
-            if record is not None:
-                stretch = max(stretch, record[1])
+        if stragglers:
+            for node in nodes:
+                window = stragglers.get(node)
+                if window is not None and window[1] > stretch:
+                    stretch = window[1]
         return stretch
 
     def jitter_for(self, nodes) -> float:
@@ -469,22 +329,23 @@ class SchedFaultDriver:
         node jitters the whole job — rounded so the scheduler's memo
         key stays platform-stable.
         """
-        if not self._gray:
+        gray = self.windows.tables["gray"]
+        if not gray:
             return 1.0
         jitter = 1.0
         for node in nodes:
-            record = self._gray.get(node)
-            if record is not None:
-                jitter = max(jitter, record[1])
+            window = gray.get(node)
+            if window is not None and window[1] > jitter:
+                jitter = window[1]
         return round(jitter, 9)
 
     # -- reporting -------------------------------------------------------------
     def summary(self) -> dict:
         """Counters + log digest + the full entry list, JSON/pickle-safe."""
         return {
-            "injected": self.injected,
-            "recovered": self.recovered,
-            "absorbed": self.absorbed,
+            "injected": self.windows.injected,
+            "recovered": self.windows.recovered,
+            "absorbed": self.windows.absorbed,
             "requeues": self.requeues,
             "lost_iterations": round(self.lost_iterations, 6),
             "nodes_down_end": sorted(self._down),

@@ -14,7 +14,7 @@ free), and double-buffered slots with fallback — exactly the
 
 File layout (little-endian)::
 
-    magic:   8 bytes  b"RPSNAP04"
+    magic:   8 bytes  b"RPSNAP05"
     header:  u32 CRC32(meta || body) | u32 meta length | u64 body length
     meta:    canonical JSON (applied_seq, virtual now, counters, ...)
     body:    pickled engine state (one object graph, shared refs intact)
@@ -41,7 +41,7 @@ from repro.serve.journal import canonical_json
 from repro.train.checkpoint import CheckpointCorruptError
 
 #: Magic + format version; bump the trailing digits on layout changes.
-SNAPSHOT_MAGIC = b"RPSNAP04"
+SNAPSHOT_MAGIC = b"RPSNAP05"
 
 _HEAD = struct.Struct("<IIQ")  # CRC32(meta||body), meta length, body length
 

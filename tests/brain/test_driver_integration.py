@@ -6,6 +6,9 @@ per-tick action cap (with its decline entries), and the per-job dwell
 spacing no two applied actions may violate.
 """
 
+import json
+import pathlib
+
 import pytest
 
 from repro.api.facade import run_sched
@@ -117,6 +120,16 @@ class TestDrillScorecard:
         assert brain["mean_jct_s"] < static["mean_jct_s"]
         assert brain["usd_per_kiter"] < static["usd_per_kiter"]
         assert brain["fairness"] >= static["fairness"]
+
+    def test_digests_equal_committed_baseline(self):
+        # Decision log and fault log of every brain, byte for byte the
+        # committed ones (otherwise gated only by the brain-smoke CI job).
+        repo = pathlib.Path(__file__).resolve().parent.parent.parent
+        payload = json.loads((repo / "results" / "BENCH_brain.json").read_text())
+        assert {
+            r["brain"]: {"brain": r["brain_digest"], "faults": r["fault_digest"]}
+            for r in run_brain_drills(seed=7)
+        } == payload["meta"]["digests"]
 
     def test_aliases_resolve_in_drills(self):
         results = run_brain_drills(["health"])

@@ -170,3 +170,34 @@ class TestEveryDocumentedCommandRuns:
         assert main(argv[3:]) == 0, command
         out = capsys.readouterr().out
         assert out.strip(), f"{command!r} produced no output"
+
+
+def test_registering_your_own_fault_example_runs():
+    """docs/faults.md's plugin example is real: exec the fence, run a
+    scheduler scenario naming the new fault, and check the three
+    guarantees the page states (swept + logged, counted, a boundary)."""
+    from repro.api.config import SchedConfig
+    from repro.api.facade import run_sched
+    from repro.faults.drill import gray_storm_config
+    from repro.faults.registry import FAULTS
+
+    section = (DOCS / "faults.md").read_text().split("## Registering your own fault")[1]
+    (fence,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    try:
+        exec(fence, {})
+        data = gray_storm_config(["bin-pack"], storm=False).to_dict()
+        data["faults"] = {"events": [
+            {"kind": "thermal-throttle", "at": 100, "duration": 50, "stretch": 4.0, "node": 0}
+        ]}
+        (report,) = run_sched(SchedConfig.from_dict(data)).values()
+    finally:
+        FAULTS._entries.pop("thermal-throttle", None)
+    log = report.fault_log
+    assert (log["injected"], log["recovered"], log["absorbed"]) == (1, 1, 0)
+    assert [(e["phase"], e["t"]) for e in log["entries"]] == [
+        ("inject", 100.0), ("detect", 100.0), ("recover", 150.0)
+    ]
+    assert {(e["kind"], e["fault_id"], e["target"]) for e in log["entries"]} == {
+        ("thermal-throttle", 0, "sched")
+    }
+    assert log["entries"][2]["detail"] == {"action": "compute speed restored", "node": 0}

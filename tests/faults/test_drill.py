@@ -9,6 +9,7 @@ storm; and the event log + BENCH payload are byte-identical across
 repeat runs and ``--jobs`` widths.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -125,6 +126,20 @@ class TestDeterminism:
         assert report.faults is None
         assert "faults" not in report.bench_payload()["meta"]
         assert "fault_injections" not in report.summary
+
+
+def test_drill_digests_equal_committed_baseline():
+    """Every per-scheme run-storm and per-policy gray-storm fault log is
+    the committed one, byte for byte — a dropped detail key fails here,
+    not only in the ``faults-smoke`` CI job."""
+    meta = json.loads((REPO / "results" / "BENCH_fault_drills.json").read_text())["meta"]
+    # The committed schemes by name: other tests leave schemes registered.
+    assert {
+        r["scheme"]: r["log_digest"] for r in run_drills(list(meta["digests"]), seed=7)
+    } == meta["digests"]
+    assert {
+        r["policy"]: r["log_digest"] for r in run_policy_drills(seed=7)
+    } == meta["policy_drill"]["digests"]
 
 
 class TestInjectionEdgeCases:
@@ -315,6 +330,16 @@ class TestCommittedGrayStormConfig:
             json.loads((REPO / "examples" / "configs" / "gray_storm.json").read_text())
         )
         assert on_disk == gray_storm_config(storm=True)
+
+    def test_fault_drill_config_matches_generator(self):
+        # examples/configs/fault_drill.json is the CLI twin of the
+        # mstopk storm drill (only the name differs).
+        on_disk = RunConfig.from_dict(
+            json.loads((REPO / "examples" / "configs" / "fault_drill.json").read_text())
+        )
+        assert on_disk == dataclasses.replace(
+            drill_config("mstopk", storm=True), name="fault-drill"
+        )
 
     def test_storm_health_knobs_round_trip(self):
         config = gray_storm_config(storm=True)

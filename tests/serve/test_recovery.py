@@ -117,20 +117,26 @@ class TestRestart:
         assert len(notes) == 1
         assert notes[0]["digest"] == again.engine.state_digest()
 
-    def test_old_format_snapshots_fall_back_to_full_journal_replay(self, tmp_path):
+    # RPSNAP01: before the RPSNAP02 layout bump.  RPSNAP04: the last
+    # layout whose pickled fault driver kept its windows in private
+    # fields instead of a FaultWindows ledger.
+    @pytest.mark.parametrize("old_magic", [b"RPSNAP01", b"RPSNAP04"])
+    def test_old_format_snapshots_fall_back_to_full_journal_replay(
+        self, tmp_path, old_magic
+    ):
         from repro.serve.snapshot import SLOT_NAMES, SNAPSHOT_MAGIC
 
         runtime = ServeRuntime(CONFIG, tmp_path)
         run_ops(runtime, OPS)  # snapshot_every=3: both slots get written
         digest = runtime.engine.state_digest()
         runtime.close()
-        # What a daemon from before the RPSNAP02 layout bump left behind:
-        # intact files whose magic this build no longer accepts.
+        # What a daemon of an older layout left behind: intact files
+        # whose magic this build no longer accepts.
         for name in SLOT_NAMES:
             slot = tmp_path / name
             data = slot.read_bytes()
-            assert data.startswith(SNAPSHOT_MAGIC) and SNAPSHOT_MAGIC != b"RPSNAP01"
-            slot.write_bytes(b"RPSNAP01" + data[len(SNAPSHOT_MAGIC):])
+            assert data.startswith(SNAPSHOT_MAGIC) and SNAPSHOT_MAGIC != old_magic
+            slot.write_bytes(old_magic + data[len(SNAPSHOT_MAGIC):])
         recovered = ServeRuntime(CONFIG, tmp_path)
         assert recovered.recovery["corrupt_snapshots"] == 2
         assert recovered.recovery["snapshot_slot"] is None
