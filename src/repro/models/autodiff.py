@@ -558,6 +558,33 @@ def legacy_kernels_active() -> bool:
     return _LEGACY_CONV_KERNELS
 
 
+def _check_window(op: str, shape, kernel: int, stride: int = 1, padding: int = 0, weight_shape=None) -> None:
+    """Reject a hostile conv / pool window before any array work.
+
+    One ``ValueError`` line naming the offending argument, the input
+    shape and (for a convolution) the weight shape — instead of a
+    ``ZeroDivisionError``, a reshape or broadcast error from deep inside
+    numpy, or a silent ``(..., 0, 0)`` output whose mean is NaN.
+    """
+    if len(shape) != 4:
+        problem = f"input must be 4-D, got {len(shape)}-D"
+    elif kernel < 1:
+        problem = f"kernel must be >= 1, got {kernel}"
+    elif stride < 1:
+        problem = f"stride must be >= 1, got {stride}"
+    elif padding < 0:
+        problem = f"padding must be >= 0, got {padding}"
+    elif kernel > min(shape[2], shape[3]) + 2 * padding:
+        problem = (
+            f"kernel {kernel} does not fit the "
+            f"{shape[2] + 2 * padding}x{shape[3] + 2 * padding} padded input"
+        )
+    else:
+        return
+    against = "" if weight_shape is None else f", weight {tuple(weight_shape)}"
+    raise ValueError(f"{op}: {problem} (input {tuple(shape)}{against})")
+
+
 def _pad_nchw(x: Array, padding: int) -> Array:
     """Zero-pad the two spatial dims (faster than ``np.pad`` for 4-D)."""
     if not padding:
@@ -670,10 +697,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     double loop are kept behind :func:`legacy_conv_kernels` for
     baselining).
     """
-    padded = _pad_nchw(x.data, padding)
     out_c, in_c, kernel, kernel2 = weight.data.shape
     if kernel != kernel2:
         raise ValueError("only square kernels supported")
+    _check_window("conv2d", x.data.shape, kernel, stride, padding, weight.data.shape)
+    padded = _pad_nchw(x.data, padding)
     n = x.data.shape[0]
     w_mat = weight.data.reshape(out_c, -1)
     legacy = _LEGACY_CONV_KERNELS
@@ -750,6 +778,30 @@ def _im2col_cnhw(x: Array, kernel: int, stride: int) -> tuple[Array, int, int]:
     )
 
 
+def _col2im_cnhw(dcols: Array, padded_shape: tuple[int, ...], stride: int) -> Array:
+    """Sum ``(c, k, k, n, out_h, out_w)`` column gradients back onto the padded input.
+
+    Every kernel tap's window is *copied* into a zeroed slab of the
+    padded shape and the slab is added whole: a strided copy plus a
+    contiguous add cost about two thirds of the strided in-place add
+    they replace.  Per element that is ``0 + t00 + t01 + ...`` in tap order —
+    the additions, and the order, of accumulating the windows one by one
+    into a zeroed array: a slab's ``+0.0`` where its tap does not reach
+    changes nothing, because the running sum starts at ``+0.0`` and so is
+    never ``-0.0``.
+    """
+    _, kernel, _, _, out_h, out_w = dcols.shape
+    dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
+    slab = np.empty_like(dpadded)
+    for i in range(kernel):
+        rows = slice(i, i + out_h * stride, stride)
+        for j in range(kernel):
+            slab.fill(0.0)
+            slab[:, :, rows, j : j + out_w * stride : stride] = dcols[:, i, j]
+            dpadded += slab
+    return dpadded
+
+
 def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Convolution over channel-major ``(c, n, h, w)`` activations.
 
@@ -763,10 +815,11 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
     are layout-agnostic (spatial dims stay last), so only the conv op
     needs this variant.
     """
-    padded = _pad_nchw(x.data, padding)  # pads the trailing spatial dims
     out_c, in_c, kernel, kernel2 = weight.data.shape
     if kernel != kernel2:
         raise ValueError("only square kernels supported")
+    _check_window("conv2d_cnhw", x.data.shape, kernel, stride, padding, weight.data.shape)
+    padded = _pad_nchw(x.data, padding)  # pads the trailing spatial dims
     if x.data.shape[0] != in_c:
         raise ValueError(
             f"channel-major input has {x.data.shape[0]} channels, weight expects {in_c}"
@@ -782,21 +835,13 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
         weight._accumulate(dw, owned=True)
         if not x.requires_grad:
             return
-        # Input gradient: one GEMM back to column space, then k*k
-        # strided-window accumulations.  At small spatial maps this
-        # moves ~(out_c/in_c) * (core/L) times fewer bytes than the
-        # dilated transposed convolution conv2d's NCHW path uses, which
-        # is what matters on a memory-bound host.
+        # Input gradient: one GEMM back to column space, then col2im.
+        # At small spatial maps this moves ~(out_c/in_c) * (core/L)
+        # times fewer bytes than the dilated transposed convolution
+        # conv2d's NCHW path uses, which is what matters on a
+        # memory-bound host.
         dcols = (w_mat.T @ g).reshape(in_c, kernel, kernel, n, out_h, out_w)
-        dpadded = np.zeros_like(padded)
-        for i in range(kernel):
-            for j in range(kernel):
-                dpadded[
-                    :,
-                    :,
-                    i : i + out_h * stride : stride,
-                    j : j + out_w * stride : stride,
-                ] += dcols[:, i, j]
+        dpadded = _col2im_cnhw(dcols, padded.shape, stride)
         if padding:
             dpadded = dpadded[:, :, padding:-padding, padding:-padding]
         x._accumulate(dpadded, owned=True)
@@ -847,24 +892,38 @@ def softmax_cross_entropy_workers(
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling (NCHW)."""
-    n, c, h, w = x.data.shape
+    """Non-overlapping average pooling over the two trailing (spatial) dims.
+
+    Layout-agnostic: NCHW and the hot path's CNHW activations pool
+    alike.  Every window is summed in one stated order, whatever the
+    shape or memory layout: from ``+0.0``, each window row left to
+    right, then the rows top to bottom — ``0 + (x00 + x01) + (x10 + x11)``
+    for ``kernel=2`` — as ``kernel * kernel`` strided-slice adds, then one
+    division by ``kernel * kernel``.  That is numpy's own order for a
+    ``mean`` over the two window axes of ``x.reshape(n, c, oh, k, ow, k)``
+    on a C-ordered input with ``ow >= 2`` and ``k < 8`` (elsewhere that
+    reduce coalesces the window into one run or unrolls it pairwise, so
+    its bits depended on the shape), at about a fifth of its cost.
+    """
+    data = x.data
+    _check_window("avg_pool2d", data.shape, kernel)
+    n, c, h, w = data.shape
     if h % kernel or w % kernel:
         raise ValueError(f"spatial dims {(h, w)} not divisible by kernel {kernel}")
-    out_h, out_w = h // kernel, w // kernel
-    reshaped = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-    out_data = reshaped.mean(axis=(3, 5))
+    out_data = np.zeros((n, c, h // kernel, w // kernel))
+    for i in range(kernel):
+        row = data[:, :, i::kernel, ::kernel]
+        for j in range(1, kernel):
+            row = row + data[:, :, i::kernel, j::kernel]
+        out_data += row
+    out_data /= kernel * kernel
 
     def backward(grad: Array) -> None:
         g = np.asarray(grad) / (kernel * kernel)
-        # One broadcast + reshape instead of two repeat copies.  For
-        # kernel == 1 the reshape stays a read-only view of the
-        # broadcast (no copy happens), so only hand over ownership when
-        # the reshape actually materialised a writable array.
-        expanded = np.broadcast_to(
-            g[:, :, :, None, :, None], (n, c, out_h, kernel, out_w, kernel)
-        ).reshape(n, c, h, w)
-        x._accumulate(expanded, owned=expanded.flags.writeable)
+        # Two repeat copies (columns first: the element-wise one runs on
+        # the smaller array) beat one broadcast + copying reshape, and the
+        # result is a fresh owned array for every kernel, 1 included.
+        x._accumulate(g.repeat(kernel, axis=3).repeat(kernel, axis=2), owned=True)
 
     return _node(out_data, (x,), backward)
 

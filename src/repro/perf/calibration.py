@@ -1,9 +1,10 @@
 """Calibration constants for the performance model.
 
 Every constant is pinned to a measurement the paper reports; the unit
-tests in ``tests/perf/test_calibration.py`` cross-check the derived
-quantities against the corresponding paper numbers (with generous
-tolerances — we reproduce shape, not microseconds).
+tests in ``tests/perf/test_table3.py``, ``test_iteration_model.py`` and
+``test_efficiency.py`` cross-check the derived quantities against the
+corresponding paper numbers (with generous tolerances — we reproduce
+shape, not microseconds).
 
 Summary of anchors:
 

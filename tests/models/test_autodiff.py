@@ -24,6 +24,15 @@ from repro.models.autodiff import (
     tensor_sum,
 )
 from repro.utils.seeding import new_rng
+from tests.models.kernel_oracles import (
+    assert_same_bits,
+    check_conv_cnhw_bits,
+    check_pool_bits,
+    mixed_magnitudes,
+    pool_forward_replaced,
+    pool_forward_sequential,
+    pool_forward_stated,
+)
 
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -265,6 +274,126 @@ class TestConvPool:
     def test_avg_pool_indivisible_rejected(self, rng):
         with pytest.raises(ValueError):
             avg_pool2d(Tensor(rng.normal(size=(1, 1, 5, 5))), 2)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    def test_avg_pool_output_never_aliases_its_input(self, rng, kernel):
+        x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+        out = avg_pool2d(x, kernel)
+        assert not np.shares_memory(out.data, x.data)
+        upstream = np.ones(out.shape)
+        out.backward(upstream)
+        assert x.grad.flags.writeable and not np.shares_memory(x.grad, upstream)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda x, w: avg_pool2d(x, 0), r"avg_pool2d: kernel must be >= 1, got 0 \(input \(2, 3, 6, 6\)"),
+            (lambda x, w: avg_pool2d(x, -2), r"avg_pool2d: kernel must be >= 1, got -2"),
+            (lambda x, w: avg_pool2d(Tensor(x.data[0]), 2), r"avg_pool2d: input must be 4-D, got 3-D"),
+            (
+                lambda x, w: avg_pool2d(Tensor(x.data[:, :, :0, :0]), 2),
+                r"avg_pool2d: kernel 2 does not fit the 0x0 padded input \(input \(2, 3, 0, 0\)\)",
+            ),
+            (
+                lambda x, w: conv2d(x, w, stride=0),
+                r"conv2d: stride must be >= 1, got 0 \(input \(2, 3, 6, 6\), weight \(4, 3, 3, 3\)\)",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), w, stride=0),
+                r"conv2d_cnhw: stride must be >= 1, got 0 \(input \(3, 2, 6, 6\), weight \(4, 3, 3, 3\)\)",
+            ),
+            (lambda x, w: conv2d(x, w, padding=-1), r"conv2d: padding must be >= 0, got -1"),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), w, padding=-1),
+                r"conv2d_cnhw: padding must be >= 0, got -1",
+            ),
+            (
+                lambda x, w: conv2d(Tensor(x.data[:, :, :2, :]), w),
+                r"conv2d: kernel 3 does not fit the 2x6 padded input \(input \(2, 3, 2, 6\), weight",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(Tensor(x.data.transpose(1, 0, 2, 3)[:, :, :, :2]), w),
+                r"conv2d_cnhw: kernel 3 does not fit the 6x2 padded input",
+            ),
+            (lambda x, w: conv2d(Tensor(x.data[0]), w), r"conv2d: input must be 4-D, got 3-D"),
+        ],
+        ids=[
+            "pool-kernel-0",
+            "pool-kernel-negative",
+            "pool-3d",
+            "pool-empty",
+            "conv-stride-0",
+            "cnhw-stride-0",
+            "conv-padding-negative",
+            "cnhw-padding-negative",
+            "conv-kernel-too-large",
+            "cnhw-kernel-too-large",
+            "conv-3d",
+        ],
+    )
+    def test_hostile_window_is_a_one_line_value_error(self, rng, call, message):
+        """Not a ZeroDivisionError, a reshape / broadcast error from
+        inside numpy, or a silent (..., 0, 0) output with a NaN mean."""
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        with pytest.raises(ValueError, match=message) as caught:
+            call(x, w)
+        assert "\n" not in str(caught.value)
+
+
+class TestKernelSummationOrder:
+    """The strided passes were rewritten for speed on one condition — the
+    same IEEE additions in the same order.  The expressions they replaced
+    (``tests/models/kernel_oracles.py``) are the oracles; hypothesis
+    drives the shapes in ``tests/property/test_conv_kernel_order.py``."""
+
+    @pytest.mark.parametrize("destination", [False, True])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    def test_pool_bits_equal_the_replaced_expressions(self, kernel, destination):
+        rng = np.random.default_rng(kernel)
+        x_val = mixed_magnitudes(rng, (6, 4, 3 * kernel, 2 * kernel))
+        check_pool_bits(x_val, mixed_magnitudes(rng, (6, 4, 3, 2)), kernel, destination)
+
+    def test_negative_control_a_sequential_window_sum_differs(self):
+        """The property can see an order change: the same nine terms
+        summed as one running sum are not the same bits."""
+        x_val = mixed_magnitudes(np.random.default_rng(3), (6, 4, 9, 6))
+        ours = avg_pool2d(Tensor(x_val), 3).data
+        sequential = pool_forward_sequential(x_val, 3)
+        np.testing.assert_allclose(sequential, ours, rtol=1e-6, atol=1e-2)
+        assert not np.array_equal(sequential, ours)
+
+    def test_pool_order_does_not_depend_on_shape_or_layout(self):
+        """Where numpy's reduce coalesces the window (one output column)
+        or meets a transposed view, the replaced expression summed in
+        another order; the kernel keeps its stated one."""
+        rng = np.random.default_rng(5)
+        column = mixed_magnitudes(rng, (4, 3, 9, 3))
+        assert_same_bits(avg_pool2d(Tensor(column), 3).data, pool_forward_stated(column, 3))
+        assert not np.array_equal(
+            pool_forward_replaced(column, 3), pool_forward_stated(column, 3)
+        )
+        view = mixed_magnitudes(rng, (4, 3, 6, 9)).transpose(0, 1, 3, 2)
+        assert_same_bits(avg_pool2d(Tensor(view), 3).data, pool_forward_stated(view, 3))
+
+    @pytest.mark.parametrize(
+        "c, n, h, w, oc, k, stride, pad",
+        [
+            (6, 16, 6, 6, 12, 3, 1, 1),  # the benchmark's second conv
+            (3, 4, 9, 11, 4, 3, 2, 0),
+            (2, 3, 8, 8, 5, 5, 1, 2),
+            (3, 2, 10, 10, 4, 3, 3, 1),  # (H - k) % stride != 0
+            (2, 3, 7, 9, 4, 1, 2, 0),
+        ],
+    )
+    def test_conv_cnhw_bits_equal_the_replaced_col2im(self, c, n, h, w, oc, k, stride, pad):
+        rng = np.random.default_rng(h * w)
+        x_val = mixed_magnitudes(rng, (c, n, h, w))
+        w_val = mixed_magnitudes(rng, (oc, c, k, k))
+        out_h, out_w = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        grad = mixed_magnitudes(rng, (oc, n, out_h, out_w))
+        for destinations in (False, True):
+            check_conv_cnhw_bits(x_val, w_val, stride, pad, grad, destinations)
 
 
 class TestVectorizedConvKernels:
