@@ -16,6 +16,7 @@ differences in ``tests/models/test_autodiff.py``.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Mapping
 
@@ -128,22 +129,27 @@ class Tensor:
     def _accumulate_matmul(self, x: Array, y: Array) -> None:
         """Add the product ``x @ y`` (both at least 2-D) into the gradient slot.
 
-        When this is the first accumulation, the tensor has a gradient
-        destination and the product already has the tensor's shape, the
-        GEMM runs with ``out=`` the destination (BLAS ``beta = 0``: the
-        destination is written, never read) — no product array is
+        A product with the tensor's size but another shape (a conv
+        weight's ``(out_c, in_c * k * k)`` matrix form) is reshaped to
+        the tensor's.  When this is the first accumulation and the
+        tensor has a gradient destination the product's shape is a view
+        of, the GEMM runs with ``out=`` that view (BLAS ``beta = 0``:
+        the destination is written, never read) — no product array is
         allocated and nothing is copied.
         """
         out = self._grad_out
-        if (
-            self.grad is None
-            and out is not None
-            and out.shape
-            == np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
-        ):
-            self.grad = np.matmul(x, y, out=out)
-        else:
-            self._accumulate(x @ y, owned=True)
+        if self.grad is None and out is not None:
+            shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+            # A reshape copies only where the destination's own dims are strided.
+            view = out.reshape(shape) if out.size == math.prod(shape) else None
+            if view is not None and np.may_share_memory(view, out):
+                np.matmul(x, y, out=view)
+                self.grad = out
+                return
+        product = x @ y
+        if product.size == self.data.size:
+            product = product.reshape(self.data.shape)
+        self._accumulate(product, owned=True)
 
     # -- autodiff engine -------------------------------------------------------
     def backward(self, grad: Array | None = None) -> None:
@@ -452,20 +458,36 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
+def _class_ids(op: str, labels, logits_shape: tuple[int, ...]) -> Array:
+    """``labels`` as the flat class-id vector for logits of ``logits_shape``.
+
+    One ``ValueError`` line for a float label array, a label count that
+    is not the row count or a label ``>= C`` — instead of an
+    ``IndexError`` from deep inside numpy's fancy indexing.  Reads the
+    label vector only.
+    """
+    labels = np.asarray(labels).reshape(-1)
+    rows = math.prod(logits_shape[:-1])
+    if not np.issubdtype(labels.dtype, np.integer):
+        problem = f"labels must be integer class ids, got dtype {labels.dtype}"
+    elif labels.size != rows:
+        problem = f"{labels.size} labels for {rows} rows"
+    elif labels.size and labels.max() >= logits_shape[-1]:
+        problem = f"label {labels.max()} is out of range for {logits_shape[-1]} classes"
+    else:
+        return labels
+    raise ValueError(f"{op}: {problem} (logits {tuple(logits_shape)})")
+
+
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy over rows of ``logits`` (labels are class ids).
 
     Supports ``(N, C)`` logits or ``(N, T, C)`` sequence logits with
     ``(N, T)`` labels; label id < 0 marks padding (ignored).
     """
-    labels = np.asarray(labels)
     data = logits.data
-    if data.ndim == 3:
-        flat_logits = data.reshape(-1, data.shape[-1])
-        flat_labels = labels.reshape(-1)
-    else:
-        flat_logits = data
-        flat_labels = labels
+    flat_labels = _class_ids("softmax_cross_entropy", labels, data.shape)
+    flat_logits = data.reshape(-1, data.shape[-1])
     valid = flat_labels >= 0
     count = max(1, int(valid.sum()))
     shifted = flat_logits - flat_logits.max(axis=1, keepdims=True)
@@ -581,8 +603,13 @@ def _check_window(op: str, shape, kernel: int, stride: int = 1, padding: int = 0
         )
     else:
         return
+    raise _window_error(op, problem, shape, weight_shape)
+
+
+def _window_error(op: str, problem: str, shape, weight_shape=None) -> ValueError:
+    """The one-line shape of every conv / pool argument error."""
     against = "" if weight_shape is None else f", weight {tuple(weight_shape)}"
-    raise ValueError(f"{op}: {problem} (input {tuple(shape)}{against})")
+    return ValueError(f"{op}: {problem} (input {tuple(shape)}{against})")
 
 
 def _pad_nchw(x: Array, padding: int) -> Array:
@@ -802,6 +829,13 @@ def _col2im_cnhw(dcols: Array, padded_shape: tuple[int, ...], stride: int) -> Ar
     return dpadded
 
 
+def _worker_columns(mat: Array, workers: int) -> Array:
+    """``(rows, W * cols)`` as the ``(W, rows, cols)`` view of each
+    worker's column block — a GEMM operand or ``out=`` with the per-row
+    call's shape and transposition, only a wider leading dimension."""
+    return mat.reshape(len(mat), workers, -1).transpose(1, 0, 2)
+
+
 def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Convolution over channel-major ``(c, n, h, w)`` activations.
 
@@ -814,25 +848,55 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
     the hot path is memory-bound.  Elementwise ops and spatial pooling
     are layout-agnostic (spatial dims stay last), so only the conv op
     needs this variant.
+
+    A weight with :func:`leaf_tensors`' leading stride-0 worker axis,
+    ``(W, out_c, in_c, k, k)``, makes this the worker-blocked op: the
+    sample axis is ``W`` workers' batches back to back and the weight
+    gradient is per worker.  Pad, im2col and col2im run once on the
+    whole block; the three GEMMs run per worker, as batched matmuls over
+    :func:`_worker_columns` views, because one widened GEMM is not the
+    per-row call's bits on this BLAS (a column's bits of ``w_mat @ cols``
+    depend on the column count).
     """
-    out_c, in_c, kernel, kernel2 = weight.data.shape
+    w_data, shape = weight.data, x.data.shape
+    if w_data.ndim not in (4, 5):
+        problem = f"weight must be 4-D, or 5-D with a leading worker axis, got {w_data.ndim}-D"
+        raise _window_error("conv2d_cnhw", problem, shape, w_data.shape)
+    workers = w_data.shape[0] if w_data.ndim == 5 else None
+    out_c, in_c, kernel, kernel2 = w_data.shape[-4:]
+    _check_window("conv2d_cnhw", shape, kernel, stride, padding, w_data.shape)
     if kernel != kernel2:
-        raise ValueError("only square kernels supported")
-    _check_window("conv2d_cnhw", x.data.shape, kernel, stride, padding, weight.data.shape)
+        problem = "only square kernels supported"
+    elif shape[0] != in_c:
+        problem = f"channel-major input has {shape[0]} channels, weight expects {in_c}"
+    elif workers is not None and w_data.strides[0] != 0:
+        problem = "the weight's worker axis must be a stride-0 view of one weight"
+    elif workers is not None and (workers < 1 or shape[1] % workers):
+        problem = f"{workers} workers do not divide the sample axis"
+    else:
+        problem = None
+    if problem is not None:
+        raise _window_error("conv2d_cnhw", problem, shape, w_data.shape)
     padded = _pad_nchw(x.data, padding)  # pads the trailing spatial dims
-    if x.data.shape[0] != in_c:
-        raise ValueError(
-            f"channel-major input has {x.data.shape[0]} channels, weight expects {in_c}"
-        )
-    n = x.data.shape[1]
-    w_mat = weight.data.reshape(out_c, -1)
+    n = shape[1]
     cols, out_h, out_w = _im2col_cnhw(padded, kernel, stride)
-    out_data = (w_mat @ cols).reshape(out_c, n, out_h, out_w)
+    if workers is None:
+        w_mat = w_data.reshape(out_c, -1)
+        out_data = (w_mat @ cols).reshape(out_c, n, out_h, out_w)
+    else:
+        w_mat = w_data[0].reshape(out_c, -1)
+        cols_w = _worker_columns(cols, workers)
+        out_data = np.empty((out_c, n, out_h, out_w))
+        np.matmul(w_mat, cols_w, out=_worker_columns(out_data.reshape(out_c, -1), workers))
 
     def backward(grad: Array) -> None:
         g = np.ascontiguousarray(np.asarray(grad)).reshape(out_c, -1)
-        dw = (g @ cols.T).reshape(weight.data.shape)
-        weight._accumulate(dw, owned=True)
+        if workers is None:
+            dw = (g @ cols.T).reshape(w_data.shape)
+            weight._accumulate(dw, owned=True)
+        else:
+            g_w = _worker_columns(g, workers)
+            weight._accumulate_matmul(g_w, cols_w.transpose(0, 2, 1))
         if not x.requires_grad:
             return
         # Input gradient: one GEMM back to column space, then col2im.
@@ -840,7 +904,12 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
         # times fewer bytes than the dilated transposed convolution
         # conv2d's NCHW path uses, which is what matters on a
         # memory-bound host.
-        dcols = (w_mat.T @ g).reshape(in_c, kernel, kernel, n, out_h, out_w)
+        if workers is None:
+            dcols = w_mat.T @ g
+        else:
+            dcols = np.empty((w_mat.shape[1], g.shape[1]))
+            np.matmul(w_mat.T, g_w, out=_worker_columns(dcols, workers))
+        dcols = dcols.reshape(in_c, kernel, kernel, n, out_h, out_w)
         dpadded = _col2im_cnhw(dcols, padded.shape, stride)
         if padding:
             dpadded = dpadded[:, :, padding:-padding, padding:-padding]
@@ -861,12 +930,10 @@ def softmax_cross_entropy_workers(
     per-worker mean losses.  Padded labels (< 0) are not supported here;
     use :func:`softmax_cross_entropy` per worker for those workloads.
     """
-    labels = np.asarray(labels).reshape(-1)
     data = logits.data
-    if data.ndim != 2 or data.shape[0] != labels.size:
-        raise ValueError(
-            f"need flat (N, C) logits matching {labels.size} labels, got {data.shape}"
-        )
+    if data.ndim != 2:
+        raise ValueError(f"need flat (N, C) logits, got {data.shape}")
+    labels = _class_ids("softmax_cross_entropy_workers", labels, data.shape)
     if data.shape[0] % workers:
         raise ValueError(f"{data.shape[0]} rows do not split over {workers} workers")
     if labels.size and labels.min() < 0:

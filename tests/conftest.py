@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,15 @@ def testbed():
 def make_worker_grads(rng: np.random.Generator, world: int, d: int) -> list[np.ndarray]:
     """Helper used across comm/collective tests."""
     return [rng.normal(size=d) for _ in range(world)]
+
+
+def peak_bytes(call) -> int:
+    """``tracemalloc`` peak of one ``call()``, after a warm-up call
+    (lazy imports, caches) — the allocation gates' probe."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

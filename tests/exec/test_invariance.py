@@ -61,6 +61,23 @@ class TestTrainerBackendInvariance:
         process = run(_train_config("mstopk", jobs=1))
         _reports_equal(serial, process)
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_cnn_blocked_inside_each_chunk_matches_serial(self, jobs):
+        """Four workers' rows chunked 4 / 2 + 2 / 2 + 1 + 1: each pool
+        worker runs the CNN's blocked pass on its chunk (the per-row body
+        on a one-row chunk), all bit-identical to the serial trainer."""
+        config = RunConfig.from_dict(
+            {
+                "name": "inv-cnn",
+                "seed": 11,
+                "cluster": {"instance": "tencent", "num_nodes": 2, "gpus_per_node": 2},
+                "comm": {"scheme": "mstopk", "density": 0.05},
+                "train": {"model": "cnn", "epochs": 1, "num_samples": 96, "local_batch": 4},
+                "exec": {"backend": "process", "jobs": jobs},
+            }
+        )
+        _reports_equal(run(dataclasses.replace(config, exec=ExecConfig())), run(config))
+
     def test_elastic_jobs_invariance(self):
         def config(jobs):
             return RunConfig.from_dict(

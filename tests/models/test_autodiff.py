@@ -186,6 +186,35 @@ class TestFusedOps:
         softmax_cross_entropy(t, labels).backward()
         np.testing.assert_array_equal(t.grad[0, 2], np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "labels, problem",
+        [
+            ([0, 1, 4, 0, 1, 2, 0, 1], r"label 4 is out of range for 4 classes"),
+            ([0.0, 1.0, 2.0, 0.0] * 2, r"labels must be integer class ids, got dtype float64"),
+            ([0, 1, 2, 0, 1, 2, 0], r"7 labels for 8 rows"),
+        ],
+        ids=["label-too-large", "float-labels", "label-count"],
+    )
+    @pytest.mark.parametrize(
+        "op",
+        [softmax_cross_entropy, lambda t, y: softmax_cross_entropy_workers(t, y, 2)],
+        ids=["softmax_cross_entropy", "softmax_cross_entropy_workers"],
+    )
+    def test_hostile_labels_are_a_one_line_value_error(self, rng, op, labels, problem):
+        """Not an IndexError from deep inside numpy's fancy indexing."""
+        logits = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        message = rf"softmax_cross_entropy\w*: {problem} \(logits \(8, 4\)\)"
+        with pytest.raises(ValueError, match=message) as caught:
+            op(logits, np.array(labels))
+        assert "\n" not in str(caught.value)
+
+    def test_sequence_labels_are_checked_against_all_rows(self, rng):
+        logits = Tensor(rng.normal(size=(2, 3, 4)))
+        with pytest.raises(ValueError, match=r"5 labels for 6 rows \(logits \(2, 3, 4\)\)"):
+            softmax_cross_entropy(logits, np.array([1, 2, -1, 0, -1]))
+        with pytest.raises(ValueError, match=r"label 7 is out of range for 4 classes"):
+            softmax_cross_entropy(logits, np.array([[1, 2, -1], [0, 7, -1]]))
+
     def test_layer_norm_gradient(self, rng):
         gamma = Tensor(rng.normal(size=5) + 1.0)
         beta = Tensor(rng.normal(size=5))
@@ -216,6 +245,11 @@ class TestFusedOps:
         table_val = rng.normal(size=(6, 3))
         ids = np.array([[1, 1], [4, 0]])
         check_gradient(lambda t: (embedding(t, ids) * 2.0).sum(), table_val)
+
+
+def _worker_axis(weight: Tensor, workers: int) -> Tensor:
+    """``weight`` under ``leaf_tensors``' leading stride-0 worker axis."""
+    return Tensor(np.broadcast_to(weight.data, (workers, *weight.shape)))
 
 
 class TestConvPool:
@@ -316,6 +350,40 @@ class TestConvPool:
                 r"conv2d_cnhw: kernel 3 does not fit the 6x2 padded input",
             ),
             (lambda x, w: conv2d(Tensor(x.data[0]), w), r"conv2d: input must be 4-D, got 3-D"),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), _worker_axis(w, 3)),
+                r"conv2d_cnhw: 3 workers do not divide the sample axis "
+                r"\(input \(3, 2, 6, 6\), weight \(3, 4, 3, 3, 3\)\)",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), _worker_axis(w, 0)),
+                r"conv2d_cnhw: 0 workers do not divide the sample axis",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(
+                    x.transpose((1, 0, 2, 3)), Tensor(np.tile(w.data, (2, 1, 1, 1, 1)))
+                ),
+                r"conv2d_cnhw: the weight's worker axis must be a stride-0 view of one weight "
+                r"\(input \(3, 2, 6, 6\), weight \(2, 4, 3, 3, 3\)\)",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), _worker_axis(Tensor(w.data[..., :2]), 2)),
+                r"conv2d_cnhw: only square kernels supported "
+                r"\(input \(3, 2, 6, 6\), weight \(2, 4, 3, 3, 2\)\)",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), _worker_axis(Tensor(w.data[:, :2]), 2)),
+                r"conv2d_cnhw: channel-major input has 3 channels, weight expects 2 "
+                r"\(input \(3, 2, 6, 6\), weight \(2, 4, 2, 3, 3\)\)",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), _worker_axis(w, 2), stride=0),
+                r"conv2d_cnhw: stride must be >= 1, got 0 \(input \(3, 2, 6, 6\), weight \(2, 4, 3, 3, 3\)\)",
+            ),
+            (
+                lambda x, w: conv2d_cnhw(x.transpose((1, 0, 2, 3)), Tensor(w.data[0])),
+                r"conv2d_cnhw: weight must be 4-D, or 5-D with a leading worker axis, got 3-D",
+            ),
         ],
         ids=[
             "pool-kernel-0",
@@ -329,6 +397,13 @@ class TestConvPool:
             "conv-kernel-too-large",
             "cnhw-kernel-too-large",
             "conv-3d",
+            "cnhw-workers-do-not-divide",
+            "cnhw-zero-workers",
+            "cnhw-worker-axis-not-stride-0",
+            "cnhw-worker-weight-not-square",
+            "cnhw-worker-weight-channels",
+            "cnhw-worker-weight-stride-0",
+            "cnhw-weight-3d",
         ],
     )
     def test_hostile_window_is_a_one_line_value_error(self, rng, call, message):

@@ -7,8 +7,6 @@ only what the kernel can observe (the model's capability, the row count,
 whether the batches stack).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from repro.models.nn.mlp import MLPClassifier
 from repro.perf.hotpath import PhaseTimer
 from repro.utils.partition import FlatLayout, flatten_tensors, gradient_rows
 from repro.utils.seeding import new_rng
+from tests.conftest import peak_bytes
 
 
 class _Proxy:
@@ -76,7 +75,7 @@ def writes(monkeypatch):
 
 
 def _batches(name, sizes, pad=False):
-    workload = build_workload(name, num_samples=64, rng=new_rng(3))
+    workload = build_workload(name, num_samples=max(64, sum(sizes)), rng=new_rng(3))
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     batches = [
         (workload.x[lo:hi], workload.y[lo:hi].copy())
@@ -111,7 +110,12 @@ BLOCKED = {"loss_and_grad_workers": 1}
         ("mlp", [8, 8, 6, 8], False, {"loss_and_grad": 4}),  # ragged
         ("mlp", [8] * 4, True, {"loss_and_grad": 4}),  # padded label
         ("mlp", [8], False, {"loss_and_grad": 1}),  # a one-row chunk
-        ("cnn", [4] * 3, False, {"loss_and_grad": 3}),  # no blocked pass
+        ("cnn", [4] * 3, False, BLOCKED),
+        ("cnn", [16] * 8, False, BLOCKED),  # the benchmark's step: passes of 3 + 3 + 2 workers
+        ("cnn", [4] * 5, False, BLOCKED),
+        ("cnn", [1] * 3, False, BLOCKED),  # one-sample batches: the per-row body, inside
+        ("cnn", [4, 4, 3, 4], False, {"loss_and_grad": 4}),  # ragged
+        ("cnn", [4] * 3, True, {"loss_and_grad": 3}),  # padded label
     ],
 )
 def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, calls, writes):
@@ -177,18 +181,6 @@ def test_row_block_destination_leaves_other_rows_untouched():
     assert (mat[:2] == 7.0).all() and (mat[6:] == 7.0).all()
 
 
-def _peak_bytes(call) -> int:
-    """``tracemalloc`` peak of one ``call()``, after a warm-up call
-    (lazy imports, caches)."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _wide_mlp_rows(workers=16, local=2):
     model = MLPClassifier(64, (256, 256), 16)
     params = model.init_params(new_rng(0))
@@ -203,7 +195,7 @@ def test_blocked_pass_replicates_no_parameters():
     the ``(W, d)`` gradients it returns (2.08x with a per-worker
     parameter copy, 1.08x on the view)."""
     model, params, xs, ys = _wide_mlp_rows()
-    peak = _peak_bytes(lambda: model.loss_and_grad_workers(params, xs, ys))
+    peak = peak_bytes(lambda: model.loss_and_grad_workers(params, xs, ys))
     grads_bytes = len(xs) * FlatLayout.of(params).dim * 8
     assert peak < 1.5 * grads_bytes, peak / grads_bytes
 
@@ -216,7 +208,7 @@ def test_a_warmed_call_allocates_no_gradient_sized_array():
     model, params, xs, ys = _wide_mlp_rows()
     layout = FlatLayout.of(params)
     out = np.zeros((len(xs), layout.dim))
-    peak = _peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
+    peak = peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
     assert peak < 0.25 * out.nbytes, peak / out.nbytes
 
 
