@@ -38,9 +38,6 @@ RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 HARD, ADVISORY = "hard", "advisory"
 
 # Every threshold CI enforces, written once.
-#: Hot-path speedups may fall to this fraction below the committed
-#: baseline's: contended shared-core runners compress the ratio itself.
-PERF_MAX_DROP = 0.5
 #: jobs=4 sweep ratio floor, armed on hosts with >= EXEC_GATE_CORES
 #: usable cores (fewer cannot physically deliver it).
 EXEC_MIN_SPEEDUP = 1.5
@@ -157,25 +154,6 @@ def rows_near_baseline(key: str, column: str, max_drop: float) -> Check:
 
 
 # -- cross-row rules (named predicates) ---------------------------------------
-
-
-def speedups_hold(cur, base):
-    floors = {
-        key: (1.0 - PERF_MAX_DROP) * value
-        for key, value in sorted(base["meta"].items())
-        if key.startswith("speedup_")
-    }
-    low = {
-        key: cur["meta"].get(key)
-        for key, floor in floors.items()
-        if not cur["meta"].get(key, 0.0) >= floor
-    }
-    return not low, (
-        f"below {1.0 - PERF_MAX_DROP} x baseline (or missing): {low}"
-        if low
-        else f"{len(floors)} vectorized-vs-legacy ratios >= "
-        f"{1.0 - PERF_MAX_DROP} x baseline"
-    )
 
 
 def exec_floor(cur, base):
@@ -310,14 +288,6 @@ def recovery_drift(cur, base):
 # -- the table ------------------------------------------------------------------
 
 GATES: dict[str, Bench] = {
-    "perf_hotpath": Bench(
-        ("speedup_vs_legacy", "steps_per_sec"),
-        (
-            Gate("hot-path speedups hold", HARD, speedups_hold),
-            Gate("absolute steps/sec", ADVISORY,
-                 near_baseline("steps_per_sec", PERF_MAX_DROP)),
-        ),
-    ),
     "exec_scaling": Bench(
         ("cpu_count", "parity_ok", "sweep_speedup_jobs4"),
         (

@@ -3,15 +3,13 @@
 The hot-path engine replaced the per-worker Python loops of every
 scheme's ``aggregate`` with matrix-native implementations that are
 pinned bit-identical to the originals.  This module keeps the original
-loop-per-rank algorithms alive, verbatim, for two purposes:
-
-* **parity tests** (``tests/perf/test_vectorized_parity.py``) prove the
-  vectorised schemes reproduce these reference results — outputs, wire
-  accounting, error-feedback residuals, and rng stream — bit for bit;
-* **perf baselining** (``benchmarks/bench_perf_hotpath.py`` via
-  :func:`repro.perf.hotpath.compare_hotpaths`) measures the speedup of
-  the vectorised engine against the faithful pre-vectorisation
-  wall-clock on the same machine and commit.
+loop-per-rank algorithms alive, verbatim, for one purpose: they are the
+oracle of ``tests/perf/test_vectorized_parity.py`` — ``TestSchemeParity``
+proves every registered scheme reproduces these reference results
+(outputs, wire accounting, error-feedback residuals, and rng stream) bit
+for bit at any shape and seed, and the test-side ``ReferenceTrainer``
+steps a whole trainer through them.  Nothing under ``src/`` routes a
+training step here.
 
 :func:`legacy_aggregate` dispatches on the scheme type and reuses the
 scheme's own state (compressor, error feedback, time model), so a

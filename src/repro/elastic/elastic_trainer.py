@@ -173,7 +173,6 @@ class ElasticTrainer:
         warning_seconds: float = 120.0,
         timing_d: int | None = None,
         variability: VariabilityModel | None = None,
-        legacy_hotpath: bool = False,
         exec_backend=None,
         faults=None,
     ) -> None:
@@ -195,9 +194,6 @@ class ElasticTrainer:
         self.restart_seconds = restart_seconds
         self.warning_seconds = warning_seconds
         self.variability = variability
-        # Parity escape hatch: route every (re)built trainer through the
-        # pre-vectorisation reference step (see DistributedTrainer).
-        self.legacy_hotpath = legacy_hotpath
         # Execution backend shared across rescales: each rebuilt trainer
         # binds a fresh step engine to the same persistent worker pool,
         # so a membership change re-sizes the shared (W, d) matrix
@@ -249,7 +245,6 @@ class ElasticTrainer:
             scheme,
             optimizer=self.optimizer,
             seed=self.seed,
-            legacy_hotpath=self.legacy_hotpath,
             exec_backend=self.exec_backend,
         )
 

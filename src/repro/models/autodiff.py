@@ -17,7 +17,6 @@ differences in ``tests/models/test_autodiff.py``.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Callable, Mapping
 
 import numpy as np
@@ -547,39 +546,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 # -- convolution (im2col) --------------------------------------------------------------
 
-#: When True, conv2d runs the pre-vectorisation reference kernels
-#: (einsum contractions + the kernel-position scatter loop).  Only the
-#: perf baseline and kernel-parity tests flip this, via
-#: :func:`legacy_conv_kernels`.
-_LEGACY_CONV_KERNELS = False
-
-
-@contextmanager
-def legacy_conv_kernels():
-    """Temporarily restore the pre-vectorisation conv2d kernels.
-
-    The vectorised kernels (BLAS matmul contractions, transposed-conv
-    input gradient, feature-major layout) change the floating-point
-    accumulation *order*, so they are numerically equivalent but not
-    bit-identical to the old einsum path.  Parity tests and the hot-path
-    benchmark use this context to compare against the faithful original
-    (models that adopt the feature-major layout also check
-    :func:`legacy_kernels_active` to restore their original op chain).
-    """
-    global _LEGACY_CONV_KERNELS
-    previous = _LEGACY_CONV_KERNELS
-    _LEGACY_CONV_KERNELS = True
-    try:
-        yield
-    finally:
-        _LEGACY_CONV_KERNELS = previous
-
-
-def legacy_kernels_active() -> bool:
-    """Whether :func:`legacy_conv_kernels` is currently in force."""
-    return _LEGACY_CONV_KERNELS
-
-
 def _check_window(op: str, shape, kernel: int, stride: int = 1, padding: int = 0, weight_shape=None) -> None:
     """Reject a hostile conv / pool window before any array work.
 
@@ -620,24 +586,6 @@ def _pad_nchw(x: Array, padding: int) -> Array:
     out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     out[:, :, padding : padding + h, padding : padding + w] = x
     return out
-
-
-def _im2col(x: Array, kernel: int, stride: int) -> tuple[Array, int, int]:
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    shape = (n, c, kernel, kernel, out_h, out_w)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2],
-        x.strides[3],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-    )
-    cols = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = cols.reshape(n, c * kernel * kernel, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
 
 
 def _im2col_fm(x: Array, kernel: int, stride: int) -> tuple[Array, int, int]:
@@ -720,62 +668,36 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     """NCHW convolution via im2col; ``weight`` is ``(out_c, in_c, k, k)``.
 
     The forward contraction and all three backward contractions run as
-    BLAS matmuls (the original einsum kernels and the kernel-position
-    double loop are kept behind :func:`legacy_conv_kernels` for
-    baselining).
+    BLAS matmuls.
     """
-    out_c, in_c, kernel, kernel2 = weight.data.shape
+    out_c, _, kernel, kernel2 = weight.data.shape
     if kernel != kernel2:
         raise ValueError("only square kernels supported")
     _check_window("conv2d", x.data.shape, kernel, stride, padding, weight.data.shape)
     padded = _pad_nchw(x.data, padding)
     n = x.data.shape[0]
     w_mat = weight.data.reshape(out_c, -1)
-    legacy = _LEGACY_CONV_KERNELS
-    if legacy:
-        cols, out_h, out_w = _im2col(padded, kernel, stride)
-        out_data = np.einsum("of,nfl->nol", w_mat, cols).reshape(
-            n, out_c, out_h, out_w
-        )
-    else:
-        # Feature-major layout: the batch folds into the GEMM's N
-        # dimension, so the forward contraction is ONE (out_c, f) x
-        # (f, n*L) multiply instead of n per-sample GEMMs.
-        cols, out_h, out_w = _im2col_fm(padded, kernel, stride)
-        out_data = np.ascontiguousarray(
-            (w_mat @ cols).reshape(out_c, n, out_h, out_w).transpose(1, 0, 2, 3)
-        )
+    # Feature-major layout: the batch folds into the GEMM's N
+    # dimension, so the forward contraction is ONE (out_c, f) x
+    # (f, n*L) multiply instead of n per-sample GEMMs.
+    cols, out_h, out_w = _im2col_fm(padded, kernel, stride)
+    out_data = np.ascontiguousarray(
+        (w_mat @ cols).reshape(out_c, n, out_h, out_w).transpose(1, 0, 2, 3)
+    )
 
     def backward(grad: Array) -> None:
-        if legacy:
-            g = np.asarray(grad).reshape(n, out_c, -1)
-            dw = np.einsum("nol,nfl->of", g, cols).reshape(weight.data.shape)
-        else:
-            g = np.asarray(grad).reshape(n, out_c, -1)
-            g_fm = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(out_c, -1)
-            dw = (g_fm @ cols.T).reshape(weight.data.shape)
+        g = np.asarray(grad).reshape(n, out_c, -1)
+        g_fm = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(out_c, -1)
+        dw = (g_fm @ cols.T).reshape(weight.data.shape)
         weight._accumulate(dw, owned=True)
-        if not legacy and not x.requires_grad:
+        if not x.requires_grad:
             # Nothing differentiates the input (the image batch feeding
             # the first conv): skip the transposed convolution entirely
             # instead of materialising a gradient no one reads.
             return
-        if not legacy:
-            dpadded = _conv_input_grad(
-                g, weight.data, padded.shape, kernel, stride, out_h, out_w
-            )
-        else:
-            dcols = np.einsum("of,nol->nfl", w_mat, g)
-            dpadded = np.zeros_like(padded)
-            dcols = dcols.reshape(n, in_c, kernel, kernel, out_h, out_w)
-            for i in range(kernel):
-                for j in range(kernel):
-                    dpadded[
-                        :,
-                        :,
-                        i : i + out_h * stride : stride,
-                        j : j + out_w * stride : stride,
-                    ] += dcols[:, :, i, j]
+        dpadded = _conv_input_grad(
+            g, weight.data, padded.shape, kernel, stride, out_h, out_w
+        )
         if padding:
             dpadded = dpadded[:, :, padding:-padding, padding:-padding]
         x._accumulate(dpadded, owned=True)
@@ -1019,7 +941,5 @@ __all__ = [
     "conv2d",
     "conv2d_cnhw",
     "softmax_cross_entropy_workers",
-    "legacy_conv_kernels",
-    "legacy_kernels_active",
     "avg_pool2d",
 ]

@@ -16,7 +16,6 @@ from repro.models.autodiff import (
     conv2d_cnhw,
     leaf_grads,
     leaf_tensors,
-    legacy_kernels_active,
     reshape,
     softmax_cross_entropy,
     softmax_cross_entropy_workers,
@@ -96,14 +95,10 @@ class SmallConvNet:
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
         tensors = leaf_tensors(params, out)
-        if legacy_kernels_active():
-            # The faithful pre-vectorisation chain (NCHW + einsum conv).
-            logits = self.logits(tensors, Tensor(np.asarray(x)))
-        else:
-            x_cn = Tensor(
-                np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3))
-            )
-            logits = self.logits_cnhw(tensors, x_cn)
+        x_cn = Tensor(
+            np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3))
+        )
+        logits = self.logits_cnhw(tensors, x_cn)
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
@@ -124,9 +119,7 @@ class SmallConvNet:
         *is* that destination.  One-sample batches take the per-row body:
         a ``(1, c2)`` classifier-head operand is contiguous in both
         orders, so BLAS would see it untransposed there and transposed
-        in the block, and the two sum differently.  So does everything
-        under :func:`~repro.models.autodiff.legacy_conv_kernels`, whose
-        chain only that body has.
+        in the block, and the two sum differently.
         """
         # Allocated and freed at once, no page of it touched.  glibc serves a
         # block from the heap up to a threshold, and keeps up to twice that of
@@ -146,7 +139,7 @@ class SmallConvNet:
         }
         losses = np.empty(workers)
         metrics: list[dict[str, float]] = []
-        if local == 1 or legacy_kernels_active():
+        if local == 1:
             for row in range(workers):
                 dest = {name: grad[row] for name, grad in grads.items()}
                 losses[row], _, row_metrics = self.loss_and_grad(params, xs[row], ys[row], dest)

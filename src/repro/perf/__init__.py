@@ -12,10 +12,8 @@ measurement it is pinned to.
 from repro.perf.calibration import CALIBRATION, Calibration
 from repro.perf.elastic_cost import ElasticCostReport, account
 from repro.perf.hotpath import (
-    HotPathComparison,
     HotPathReport,
     PhaseTimer,
-    compare_hotpaths,
     measure_steps_per_sec,
     worker_batches,
 )
@@ -36,9 +34,7 @@ from repro.perf.timeline import (
 __all__ = [
     "PhaseTimer",
     "HotPathReport",
-    "HotPathComparison",
     "measure_steps_per_sec",
-    "compare_hotpaths",
     "worker_batches",
     "TimelineResult",
     "simulate_backward_overlap",

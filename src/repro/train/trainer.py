@@ -18,15 +18,8 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.comm.base import CommScheme
-from repro.comm.legacy import legacy_aggregate
 from repro.optim.sgd import SGD
-from repro.utils.partition import (
-    FlatLayout,
-    flatten_tensors,
-    gradient_rows,
-    round_robin_shards,
-    unflatten_tensors,
-)
+from repro.utils.partition import FlatLayout, gradient_rows, round_robin_shards
 from repro.utils.seeding import RandomState, new_rng
 
 
@@ -114,11 +107,6 @@ class DistributedTrainer:
         destinations and they had to be copied in) and ``aggregate`` /
         ``apply`` (one per step) phases are accumulated; when ``None``
         nothing is recorded.
-    legacy_hotpath:
-        Route ``train_step`` through the pre-vectorisation reference
-        path (per-worker ``flatten_tensors`` + the per-rank loops of
-        :func:`repro.comm.legacy.legacy_aggregate`).  Kept for parity
-        tests and perf baselining; results are bit-identical.
     exec_backend:
         Optional :mod:`repro.exec` backend deciding where per-worker
         forward/backward runs.  ``None`` (and the ``serial`` backend)
@@ -137,7 +125,6 @@ class DistributedTrainer:
         *,
         seed: int = 0,
         timer=None,
-        legacy_hotpath: bool = False,
         exec_backend=None,
     ) -> None:
         self.model = model
@@ -147,7 +134,6 @@ class DistributedTrainer:
         self._rng = new_rng(seed)
         self.params = model.init_params(new_rng(seed + 1))
         self.timer = timer
-        self.legacy_hotpath = legacy_hotpath
         # Fused-gradient layout, computed ONCE: every worker produces
         # gradients with the init-time shapes.
         self._layout = FlatLayout.of(self.params)
@@ -185,8 +171,11 @@ class DistributedTrainer:
             raise ValueError(
                 f"need {self.world_size} worker batches, got {len(batches)}"
             )
-        if self.legacy_hotpath:
-            return self._train_step_legacy(batches)
+        for worker, (bx, _) in enumerate(batches):
+            if not len(bx):
+                raise ValueError(
+                    f"worker {worker}'s batch is empty (x shape {np.shape(bx)})"
+                )
         if self._engine is not None:
             losses, metrics = self._engine.run_step(self, batches)
         else:
@@ -223,33 +212,6 @@ class DistributedTrainer:
                 metric_sums[key] = metric_sums.get(key, 0.0) + value
         means = {k: v / self.world_size for k, v in metric_sums.items()}
         return float(np.mean(losses)), means | {"comm_seconds": result.time}
-
-    def _train_step_legacy(
-        self, batches: Sequence[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[float, dict[str, float]]:
-        """The pre-vectorisation step: per-worker flatten + rank loops."""
-        worker_flat: list[np.ndarray] = []
-        losses: list[float] = []
-        metric_sums: dict[str, float] = {}
-        shapes = None
-        for bx, by in batches:
-            loss, grads, metrics = self.model.loss_and_grad(self.params, bx, by)
-            flat, shapes = flatten_tensors([grads[k] for k in self._layout.names])
-            worker_flat.append(flat)
-            losses.append(loss)
-            for key, value in metrics.items():
-                metric_sums[key] = metric_sums.get(key, 0.0) + value
-
-        result = legacy_aggregate(self.scheme, worker_flat, rng=self._rng)
-        mean_flat = result.outputs[0] / self.world_size
-        assert shapes is not None
-        mean_grads = dict(
-            zip(self._layout.names, unflatten_tensors(mean_flat, shapes))
-        )
-        self.optimizer.step(self.params, mean_grads)
-
-        metrics = {k: v / self.world_size for k, v in metric_sums.items()}
-        return float(np.mean(losses)), metrics | {"comm_seconds": result.time}
 
     def train(
         self,

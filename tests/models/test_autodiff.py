@@ -11,7 +11,6 @@ from repro.models.autodiff import (
     embedding,
     exp,
     layer_norm,
-    legacy_conv_kernels,
     log,
     matmul,
     power,
@@ -51,14 +50,14 @@ def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def check_gradient(build_loss, x: np.ndarray, atol=1e-5, rtol=1e-4):
+def check_gradient(build_loss, x: np.ndarray, atol=1e-5, rtol=1e-4, eps=1e-6):
     """Compare tape gradient against finite differences: once allocated
     by the tape, once computed into a NaN-filled gradient destination."""
 
     def scalar_fn(arr):
         return float(build_loss(Tensor(arr)).data)
 
-    expected = numerical_grad(scalar_fn, x.copy())
+    expected = numerical_grad(scalar_fn, x.copy(), eps)
     for dest in (None, np.full(x.shape, np.nan)):
         t = Tensor(x.copy(), requires_grad=True, grad_out=dest)
         build_loss(t).backward()
@@ -252,32 +251,84 @@ def _worker_axis(weight: Tensor, workers: int) -> Tensor:
     return Tensor(np.broadcast_to(weight.data, (workers, *weight.shape)))
 
 
+#: ``(n, c, h, w, oc, k, stride, pad)``: strides 2 and 3, kernels 1 / 2 / 5,
+#: non-square maps, a stride that leaves a remainder.
+CONV_SHAPES = [
+    (2, 3, 6, 6, 4, 3, 1, 1),
+    (4, 3, 12, 12, 6, 3, 1, 1),
+    (2, 5, 9, 11, 4, 3, 2, 0),
+    (3, 2, 8, 8, 7, 5, 1, 2),
+    (2, 3, 10, 10, 4, 3, 3, 1),
+    (1, 1, 4, 4, 1, 1, 1, 0),
+    (2, 3, 7, 9, 5, 2, 2, 1),
+]
+
+
+def _conv_case(rng, n, c, h, w, oc, k, stride, pad):
+    """Input, fan-in-scaled weight and an output cotangent for one shape."""
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    return (
+        rng.normal(size=(n, c, h, w)),
+        rng.normal(size=(oc, c, k, k)) / np.sqrt(c * k * k),
+        Tensor(rng.normal(size=(n, oc, out_h, out_w))),
+    )
+
+
 class TestConvPool:
-    def test_conv2d_matches_naive(self, rng):
-        x = rng.normal(size=(2, 3, 6, 6))
-        w = rng.normal(size=(4, 3, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
+    @pytest.mark.parametrize("n,c,h,w,oc,k,stride,pad", CONV_SHAPES)
+    def test_conv2d_matches_naive(self, rng, n, c, h, w, oc, k, stride, pad):
+        x, weight, cotangent = _conv_case(rng, n, c, h, w, oc, k, stride, pad)
+        out = conv2d(Tensor(x), Tensor(weight), stride=stride, padding=pad)
         # Naive direct convolution reference.
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        expected = np.zeros((2, 4, 6, 6))
-        for n in range(2):
-            for o in range(4):
-                for i in range(6):
-                    for j in range(6):
-                        expected[n, o, i, j] = np.sum(
-                            padded[n, :, i : i + 3, j : j + 3] * w[o]
-                        )
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        expected = np.zeros(cotangent.shape)
+        for b in range(n):
+            for o in range(oc):
+                for i in range(expected.shape[2]):
+                    rows = slice(i * stride, i * stride + k)
+                    for j in range(expected.shape[3]):
+                        window = padded[b, :, rows, j * stride : j * stride + k]
+                        expected[b, o, i, j] = np.sum(window * weight[o])
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
-    def test_conv2d_input_gradient(self, rng):
-        w = Tensor(rng.normal(size=(2, 1, 3, 3)))
-        x = rng.normal(size=(1, 1, 5, 5))
-        check_gradient(lambda t: conv2d(t, w, padding=1).sum(), x, atol=1e-4)
+    # tanh makes the loss non-linear in both operands (central differences
+    # are exact on a bilinear one, at any eps), the random cotangent makes
+    # the incoming gradient a general one.
+    @pytest.mark.parametrize("n,c,h,w,oc,k,stride,pad", CONV_SHAPES)
+    def test_conv2d_input_gradient(self, rng, n, c, h, w, oc, k, stride, pad):
+        x, weight, cotangent = _conv_case(rng, n, c, h, w, oc, k, stride, pad)
+        weight = Tensor(weight)
 
-    def test_conv2d_weight_gradient(self, rng):
-        x = Tensor(rng.normal(size=(2, 2, 5, 5)))
-        w = rng.normal(size=(3, 2, 3, 3))
-        check_gradient(lambda t: conv2d(x, t, padding=1).sum(), w, atol=1e-4)
+        def loss(t):
+            return (tanh(conv2d(t, weight, stride, pad)) * cotangent).sum()
+
+        check_gradient(loss, x, atol=1e-4)
+
+    @pytest.mark.parametrize("n,c,h,w,oc,k,stride,pad", CONV_SHAPES)
+    def test_conv2d_weight_gradient(self, rng, n, c, h, w, oc, k, stride, pad):
+        x, weight, cotangent = _conv_case(rng, n, c, h, w, oc, k, stride, pad)
+        x = Tensor(x)
+
+        def loss(t):
+            return (tanh(conv2d(x, t, stride, pad)) * cotangent).sum()
+
+        check_gradient(loss, weight, atol=1e-4)
+
+    @pytest.mark.parametrize("operand", ["input", "weight"])
+    def test_negative_control_a_coarse_eps_fails_the_gradient_check(self, rng, operand):
+        """The numerical Jacobian is only an oracle at a fine ``eps``: at
+        0.5 the same check must fail, or it would pass anything."""
+        x, weight, cotangent = _conv_case(rng, *CONV_SHAPES[-1])
+        value = x if operand == "input" else weight
+
+        def loss(t):
+            operands = (t, Tensor(weight)) if operand == "input" else (Tensor(x), t)
+            return (tanh(conv2d(*operands, stride=2, padding=1)) * cotangent).sum()
+
+        check_gradient(loss, value, atol=1e-4)
+        with pytest.raises(AssertionError):
+            check_gradient(loss, value, atol=1e-4, eps=0.5)
 
     def test_conv2d_stride(self, rng):
         out = conv2d(
@@ -472,37 +523,7 @@ class TestKernelSummationOrder:
 
 
 class TestVectorizedConvKernels:
-    """The BLAS conv kernels match the pre-vectorisation reference."""
-
-    @pytest.mark.parametrize(
-        "n,c,h,w,oc,k,stride,pad",
-        [
-            (4, 3, 12, 12, 6, 3, 1, 1),
-            (2, 5, 9, 11, 4, 3, 2, 0),
-            (3, 2, 8, 8, 7, 5, 1, 2),
-            (2, 3, 10, 10, 4, 3, 3, 1),
-            (1, 1, 4, 4, 1, 1, 1, 0),
-            (2, 3, 7, 9, 5, 2, 2, 1),
-        ],
-    )
-    def test_matches_legacy_kernels(self, rng, n, c, h, w, oc, k, stride, pad):
-        x_val = rng.normal(size=(n, c, h, w))
-        w_val = rng.normal(size=(oc, c, k, k))
-        out_h = (h + 2 * pad - k) // stride + 1
-        out_w = (w + 2 * pad - k) // stride + 1
-        grad = rng.normal(size=(n, oc, out_h, out_w))
-
-        x1, w1 = Tensor(x_val, requires_grad=True), Tensor(w_val, requires_grad=True)
-        out1 = conv2d(x1, w1, stride=stride, padding=pad)
-        out1.backward(grad)
-        with legacy_conv_kernels():
-            x2 = Tensor(x_val, requires_grad=True)
-            w2 = Tensor(w_val, requires_grad=True)
-            out2 = conv2d(x2, w2, stride=stride, padding=pad)
-            out2.backward(grad)
-        np.testing.assert_allclose(out1.data, out2.data, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(x1.grad, x2.grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(w1.grad, w2.grad, rtol=1e-11, atol=1e-12)
+    """The BLAS conv kernels: what they skip, and NCHW against channel-major."""
 
     def test_leaf_input_gradient_skipped(self, rng):
         """A non-differentiable conv input gets no materialised grad."""
@@ -518,16 +539,6 @@ class TestVectorizedConvKernels:
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         conv2d(x, w, padding=1).sum().backward()
         assert x.grad is not None and x.grad.shape == x.data.shape
-
-    def test_legacy_context_restores_flag(self):
-        from repro.models import autodiff
-
-        assert not autodiff._LEGACY_CONV_KERNELS
-        assert not autodiff.legacy_kernels_active()
-        with legacy_conv_kernels():
-            assert autodiff._LEGACY_CONV_KERNELS
-            assert autodiff.legacy_kernels_active()
-        assert not autodiff._LEGACY_CONV_KERNELS
 
     @pytest.mark.parametrize(
         "n,c,h,w,oc,k,stride,pad",

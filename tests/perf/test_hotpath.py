@@ -1,12 +1,10 @@
 """Hot-path instrumentation: PhaseTimer and steps/sec measurement."""
 
-import numpy as np
 import pytest
 
 from repro.api.registry import build_cluster, build_scheme, build_workload
 from repro.perf.hotpath import (
     PhaseTimer,
-    compare_hotpaths,
     measure_steps_per_sec,
     worker_batches,
 )
@@ -22,52 +20,6 @@ class TestPhaseTimer:
         timer.add("fuse", 0.5)
         assert timer.summary() == {"aggregate": 1.0, "fuse": 0.5}
         assert timer.calls == {"aggregate": 2, "fuse": 1}
-        assert timer.total == 1.5
-        assert timer.shares() == {"aggregate": 1.0 / 1.5, "fuse": 0.5 / 1.5}
-
-    def test_phase_context_manager_records(self):
-        timer = PhaseTimer()
-        with timer.phase("work"):
-            sum(range(1000))
-        assert timer.calls["work"] == 1
-        assert timer.seconds["work"] >= 0.0
-
-    def test_reset_and_empty_shares(self):
-        timer = PhaseTimer()
-        timer.add("x", 1.0)
-        timer.reset()
-        assert timer.summary() == {}
-        assert timer.shares() == {}
-        assert timer.total == 0.0
-
-    def test_merge_mapping_with_calls(self):
-        timer = PhaseTimer()
-        timer.add("aggregate", 1.0)
-        timer.merge(
-            {"forward_backward": 2.0, "fuse": 0.5},
-            calls={"forward_backward": 4, "fuse": 4},
-        )
-        assert timer.summary() == {
-            "aggregate": 1.0,
-            "forward_backward": 2.0,
-            "fuse": 0.5,
-        }
-        assert timer.calls == {"aggregate": 1, "forward_backward": 4, "fuse": 4}
-
-    def test_merge_mapping_defaults_one_call_per_phase(self):
-        timer = PhaseTimer()
-        timer.merge({"forward_backward": 1.5})
-        assert timer.calls == {"forward_backward": 1}
-
-    def test_merge_other_timer(self):
-        worker = PhaseTimer()
-        worker.add("forward_backward", 0.25)
-        worker.add("forward_backward", 0.25)
-        parent = PhaseTimer()
-        parent.add("aggregate", 0.5)
-        parent.merge(worker)
-        assert parent.summary() == {"aggregate": 0.5, "forward_backward": 0.5}
-        assert parent.calls == {"aggregate": 1, "forward_backward": 2}
 
     def test_pool_worker_phases_reach_parent_timer(self):
         """The process backend's off-main-process compute is not dropped:
@@ -132,30 +84,6 @@ class TestMeasurement:
         )
         with pytest.raises(ValueError):
             measure_steps_per_sec(trainer, batches, steps=0)
-
-    def test_compare_hotpaths_trains_both_paths_identically(self, mlp_setup):
-        workload, network, batches = mlp_setup
-
-        trainers = {}
-
-        def make(legacy_hotpath):
-            trainer = DistributedTrainer(
-                workload.model,
-                build_scheme("mstopk", network, density=0.05),
-                seed=0,
-                legacy_hotpath=legacy_hotpath,
-            )
-            trainers[legacy_hotpath] = trainer
-            return trainer
-
-        comparison = compare_hotpaths(make, batches, steps=3, warmup=1)
-        assert comparison.vectorized.steps == comparison.legacy.steps == 3
-        assert comparison.speedup > 0
-        # Both paths consumed the same data and stayed bit-identical.
-        for key in trainers[False].params:
-            np.testing.assert_array_equal(
-                trainers[False].params[key], trainers[True].params[key]
-            )
 
     def test_worker_batches_shapes(self, mlp_setup):
         workload, _, batches = mlp_setup

@@ -3,10 +3,10 @@
 The hot-path engine rewrote every scheme's aggregation, the trainer's
 fusion, and the compression batch paths.  These tests pin all of it to
 the pre-vectorisation reference (`repro.comm.legacy.legacy_aggregate`
-and the trainer's ``legacy_hotpath`` step) — outputs, wire accounting,
-error-feedback residuals, rng streams, losses, and parameters must match
-bit for bit, for every registered scheme, under sync training and under
-elastic world-size changes.
+and :class:`ReferenceTrainer`, the step built on it) — outputs, wire
+accounting, error-feedback residuals, rng streams, losses, and
+parameters must match bit for bit, for every registered scheme, under
+sync training and under elastic world-size changes.
 """
 
 import numpy as np
@@ -14,10 +14,12 @@ import pytest
 
 from repro.api.registry import build_cluster, build_scheme, build_workload
 from repro.comm.legacy import legacy_aggregate
+from repro.elastic import elastic_trainer
 from repro.elastic.elastic_trainer import ElasticTrainer
 from repro.elastic.events import ChurnEvent, PoissonChurn, TraceSchedule
 from repro.exec.backend import ProcessBackend
 from repro.train.trainer import DistributedTrainer
+from repro.utils.partition import flatten_tensors, unflatten_tensors
 from repro.utils.seeding import new_rng
 
 #: The four registered scheme families of the convergence experiments.
@@ -69,6 +71,30 @@ def assert_aggregate_parity(name, network, d, steps=4):
     assert rng_vec.integers(0, 1 << 30) == rng_ref.integers(0, 1 << 30)
 
 
+class ReferenceTrainer(DistributedTrainer):
+    """The pre-vectorisation step, kept live as the oracle: per-worker
+    ``loss_and_grad`` → ``flatten_tensors`` → the per-rank loops of
+    ``legacy_aggregate`` → ``optimizer.step``.  An ``ElasticTrainer``
+    gets it by patching ``elastic_trainer.DistributedTrainer``, the one
+    name ``_fresh_trainer`` constructs every (re)built trainer through."""
+
+    def train_step(self, batches):
+        names = list(self.params)
+        flats, losses, sums = [], [], {}
+        for bx, by in batches:
+            loss, grads, metrics = self.model.loss_and_grad(self.params, bx, by)
+            flat, shapes = flatten_tensors([grads[name] for name in names])
+            flats.append(flat)
+            losses.append(loss)
+            for key, value in metrics.items():
+                sums[key] = sums.get(key, 0.0) + value
+        result = legacy_aggregate(self.scheme, flats, rng=self._rng)
+        mean = unflatten_tensors(result.outputs[0] / self.world_size, shapes)
+        self.optimizer.step(self.params, dict(zip(names, mean)))
+        means = {key: value / self.world_size for key, value in sums.items()}
+        return float(np.mean(losses)), means | {"comm_seconds": result.time}
+
+
 class TestSchemeParity:
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_aggregate_bit_identical_over_steps(self, network, name):
@@ -116,11 +142,8 @@ class TestTrainerParity:
         vec = DistributedTrainer(
             workload.model, build_scheme(scheme_name, network, density=0.05), seed=7
         )
-        ref = DistributedTrainer(
-            workload.model,
-            build_scheme(scheme_name, network, density=0.05),
-            seed=7,
-            legacy_hotpath=True,
+        ref = ReferenceTrainer(
+            workload.model, build_scheme(scheme_name, network, density=0.05), seed=7
         )
         report_vec = vec.train(workload.x, workload.y, epochs=2, local_batch=8)
         report_ref = ref.train(workload.x, workload.y, epochs=2, local_batch=8)
@@ -297,7 +320,7 @@ class TestProcessBackendParity:
 
 class TestElasticParity:
     @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_elastic_bit_identical_under_churn(self, scheme_name, tmp_path):
+    def test_elastic_bit_identical_under_churn(self, scheme_name, tmp_path, monkeypatch):
         workload = build_workload("mlp-tiny", num_samples=192, rng=new_rng(5))
         trace = TraceSchedule(
             [
@@ -307,7 +330,8 @@ class TestElasticParity:
             ]
         )
 
-        def run(legacy_hotpath, subdir):
+        def run(trainer_class, subdir):
+            monkeypatch.setattr(elastic_trainer, "DistributedTrainer", trainer_class)
             trainer = ElasticTrainer(
                 workload.model,
                 scheme=scheme_name,
@@ -318,25 +342,27 @@ class TestElasticParity:
                 seed=11,
                 checkpoint_every=5,
                 checkpoint_dir=tmp_path / subdir,
-                legacy_hotpath=legacy_hotpath,
             )
-            return trainer.run(
+            report = trainer.run(
                 workload.x, workload.y, iterations=26, local_batch=8, schedule=trace
             )
+            assert type(trainer.trainer) is trainer_class
+            return report
 
-        vec = run(False, "vec")
-        ref = run(True, "ref")
+        vec = run(DistributedTrainer, "vec")
+        ref = run(ReferenceTrainer, "ref")
         assert vec.losses == ref.losses
         assert vec.world_sizes == ref.world_sizes
         assert vec.useful_iterations == ref.useful_iterations
         assert vec.rollbacks == ref.rollbacks
         assert vec.comm_seconds == ref.comm_seconds
 
-    def test_elastic_poisson_churn_parity(self, tmp_path):
+    def test_elastic_poisson_churn_parity(self, tmp_path, monkeypatch):
         workload = build_workload("mlp-tiny", num_samples=192, rng=new_rng(5))
         schedule = PoissonChurn(0.02, warned_fraction=0.5, rejoin_delay=5)
 
-        def run(legacy_hotpath, subdir):
+        def run(trainer_class, subdir):
+            monkeypatch.setattr(elastic_trainer, "DistributedTrainer", trainer_class)
             trainer = ElasticTrainer(
                 workload.model,
                 scheme="mstopk",
@@ -347,14 +373,15 @@ class TestElasticParity:
                 seed=3,
                 checkpoint_every=4,
                 checkpoint_dir=tmp_path / subdir,
-                legacy_hotpath=legacy_hotpath,
             )
-            return trainer.run(
+            report = trainer.run(
                 workload.x, workload.y, iterations=30, local_batch=8, schedule=schedule
             )
+            assert type(trainer.trainer) is trainer_class
+            return report
 
-        vec = run(False, "vec")
-        ref = run(True, "ref")
+        vec = run(DistributedTrainer, "vec")
+        ref = run(ReferenceTrainer, "ref")
         assert vec.losses == ref.losses
         assert vec.world_sizes == ref.world_sizes
         assert vec.revocations == ref.revocations

@@ -118,4 +118,4 @@ class TestCollect:
         trajectory = json.loads((REPO / "results" / "TRAJECTORY.json").read_text())
         assert trajectory["schema_version"] == 1
         assert trajectory["commits"]
-        assert "perf_hotpath_run" in trajectory["benches"]
+        assert "trace_replay_run" in trajectory["benches"]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import build_scheme
+from repro.api.registry import MODELS, build_workload
 from repro.cluster.cloud_presets import make_cluster
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.sgd import SGD
@@ -110,6 +111,21 @@ class TestTrainingLoop:
         trainer = DistributedTrainer(model, build_scheme("dense", net), seed=0)
         with pytest.raises(ValueError):
             trainer.train_step([(x[:8], y[:8])])  # needs 4 batches
+
+    @pytest.mark.parametrize("workload_name", MODELS.available())
+    def test_empty_worker_batch_is_a_one_line_error(self, workload_name):
+        """Not a reshape error from inside numpy (mlp, resnet) and not a
+        silent ``accuracy: nan`` under a RuntimeWarning (cnn, transformer)."""
+        workload = build_workload(workload_name, num_samples=32, rng=new_rng(1))
+        net = make_cluster(4, "tencent", gpus_per_node=2)
+        trainer = DistributedTrainer(workload.model, build_scheme("dense", net), seed=0)
+        x, y = workload.x, workload.y
+        batches = [(x[:4], y[:4])] * 7 + [(x[:0], y[:0])]
+        before = {name: value.copy() for name, value in trainer.params.items()}
+        with pytest.raises(ValueError, match=r"^worker 7's batch is empty \(x shape \(0, "):
+            trainer.train_step(batches)
+        for name, value in before.items():
+            np.testing.assert_array_equal(trainer.params[name], value)
 
     def test_dataset_too_small(self, rng):
         model = MLPClassifier(input_dim=2, hidden=(4,), num_classes=4)
