@@ -22,20 +22,13 @@ exactly the continuous re-planning the EasyDL/DLRover Brain argues for.
 
 Everything is closed-form deterministic; the per-brain decision-log and
 fault-log digests pin bit-identical replay across hosts and ``--jobs``
-widths in ``results/BENCH_brain.json``.
+widths (``tests/brain/test_driver_integration.py``).
 """
 
 from __future__ import annotations
 
 from repro.api.config import SchedConfig
-from repro.faults.drill import (
-    GRAY_STORM_EVENTS,
-    GRAY_STORM_HEALTH,
-    gray_storm_config,
-    sched_reports,
-    storm_scores,
-)
-from repro.utils.bench import bench_payload
+from repro.faults.drill import gray_storm_config, sched_reports, storm_scores
 
 #: Brains the drill compares (static first: it is the baseline every
 #: active brain must beat).
@@ -47,7 +40,7 @@ BRAIN_DRILL_BRAINS = ("static", "throughput", "health-migrate")
 #: a fault-blind placement it never had to compete with.
 BRAIN_DRILL_POLICY = "fault-aware"
 
-#: Columns of the ``BENCH_brain.json`` rows.
+#: Columns of the drill scorecard (the brain-autotune experiment's table).
 BRAIN_DRILL_COLUMNS = [
     "brain",
     "storm_goodput",
@@ -147,41 +140,11 @@ def run_brain_drills(brains=None, *, seed: int = 7, sweeper=None) -> list[dict]:
                     else None
                 ),
                 # Full structured decision log for callers that audit the
-                # replay (stripped from the BENCH rows; digest pins it).
+                # replay (not a scorecard column; the digest pins it).
                 "entries": brain_log.get("entries", []),
             }
         )
     return results
-
-
-def brain_drills_payload(
-    brains=None, *, seed: int = 7, sweeper=None, bench: str = "brain"
-) -> dict:
-    """One BENCH-schema payload covering the brain drill matrix."""
-    results = run_brain_drills(brains, seed=seed, sweeper=sweeper)
-    return bench_payload(
-        bench,
-        title=(
-            f"{bench}: {len(results)} brains x gray storm under "
-            f"{BRAIN_DRILL_POLICY} (seed {seed})"
-        ),
-        columns=BRAIN_DRILL_COLUMNS,
-        rows=[[result[column] for column in BRAIN_DRILL_COLUMNS] for result in results],
-        meta={
-            "seed": seed,
-            "policy": BRAIN_DRILL_POLICY,
-            "brains": [result["brain"] for result in results],
-            "storm": [dict(event) for event in GRAY_STORM_EVENTS],
-            "health": dict(GRAY_STORM_HEALTH),
-            "digests": {
-                result["brain"]: {
-                    "brain": result["brain_digest"],
-                    "faults": result["fault_digest"],
-                }
-                for result in results
-            },
-        },
-    )
 
 
 __all__ = [
@@ -190,5 +153,4 @@ __all__ = [
     "BRAIN_DRILL_COLUMNS",
     "brain_storm_config",
     "run_brain_drills",
-    "brain_drills_payload",
 ]

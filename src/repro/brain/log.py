@@ -9,7 +9,7 @@ applied/declined action appends one entry —
 ``t`` is *virtual* simulation seconds, ``seq`` the append index, and
 ``detail`` holds JSON scalars only, so the serialised log is
 byte-identical across hosts, repeat runs, and any ``--jobs`` width.
-:meth:`BrainLog.digest` pins that in the ``BENCH_brain.json`` payload.
+:meth:`BrainLog.digest` pins that (``tests/brain/test_driver_integration.py``).
 """
 
 from __future__ import annotations

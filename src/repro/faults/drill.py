@@ -9,16 +9,15 @@ goodput under the storm vs the no-fault baseline, lost work, and $
 cost.  A second act, the *policy drill*, replays
 :data:`GRAY_STORM_EVENTS` through the multi-tenant scheduler once per
 placement policy and scores the health-ledger-driven ``fault-aware``
-policy against the fault-blind built-ins.  Results emit as one
-BENCH-schema payload (``BENCH_fault_drills.json``); the per-scheme fault
-log digests pin bit-identical replay across hosts and ``--jobs`` widths.
+policy against the fault-blind built-ins.  The per-scheme and
+per-policy fault-log digests pin bit-identical replay across hosts and
+``--jobs`` widths (``tests/faults/test_drill.py``).
 """
 
 from __future__ import annotations
 
 from repro.api.config import RunConfig, SchedConfig
 from repro.api.registry import SCHEMES
-from repro.utils.bench import bench_payload
 
 #: The composed storm (``at`` in wall iterations of an 80-iteration run):
 #: a NIC flap, a fail-slow disk, and a straggler window overlap the
@@ -44,7 +43,7 @@ STORM_EVENTS = (
 #: window stretches them to 6 s, so the budget trips).
 STORM_CHECKPOINT_TIMEOUT = 4.0
 
-#: Columns of the ``BENCH_fault_drills.json`` rows.
+#: Columns of the drill scorecard (the ``Fault drills`` experiment's table).
 DRILL_COLUMNS = [
     "scheme",
     "injected",
@@ -103,7 +102,7 @@ def run_drills(schemes=None, *, seed: int = 7, sweeper=None) -> list[dict]:
     ``sweeper`` is an optional
     :class:`~repro.exec.sweeper.ParallelSweeper`; results are
     bit-identical to the serial loop at any pool width (pinned by
-    ``benchmarks/bench_fault_drills.py``).
+    ``tests/faults/test_drill.py``).
     """
     names = (
         [SCHEMES.canonical(s) or s for s in schemes]
@@ -148,7 +147,7 @@ def run_drills(schemes=None, *, seed: int = 7, sweeper=None) -> list[dict]:
                 "storm_usd_per_kiter": round(storm.summary["usd_per_kilo_iter"], 6),
                 "log_digest": fault_summary["digest"],
                 # Full structured log, for callers that audit the replay
-                # (stripped from the BENCH rows; digest pins it there).
+                # (not a scorecard column; the digest pins it).
                 "entries": storm.faults["entries"],
             }
         )
@@ -342,50 +341,6 @@ def run_policy_drills(policies=None, *, seed: int = 7, sweeper=None) -> list[dic
     return results
 
 
-def drills_payload(
-    schemes=None, *, seed: int = 7, sweeper=None, bench: str = "fault_drills"
-) -> dict:
-    """One BENCH-schema payload covering a full drill matrix.
-
-    Rows are the per-scheme elastic drills; ``meta.policy_drill`` holds
-    the scheduler-side gray-storm comparison (same columns/rows shape,
-    nested because the BENCH schema keys rows by the scheme axis).
-    """
-    results = run_drills(schemes, seed=seed, sweeper=sweeper)
-    policy_results = run_policy_drills(seed=seed, sweeper=sweeper)
-    return bench_payload(
-        bench,
-        title=(
-            f"{bench}: {len(results)} schemes x {len(STORM_EVENTS)}-fault storm "
-            f"(seed {seed})"
-        ),
-        columns=DRILL_COLUMNS,
-        rows=[[result[column] for column in DRILL_COLUMNS] for result in results],
-        meta={
-            "seed": seed,
-            "schemes": [result["scheme"] for result in results],
-            "storm": [dict(event) for event in STORM_EVENTS],
-            "digests": {
-                result["scheme"]: result["log_digest"] for result in results
-            },
-            "policy_drill": {
-                "columns": list(POLICY_DRILL_COLUMNS),
-                "rows": [
-                    [result[column] for column in POLICY_DRILL_COLUMNS]
-                    for result in policy_results
-                ],
-                "policies": [result["policy"] for result in policy_results],
-                "storm": [dict(event) for event in GRAY_STORM_EVENTS],
-                "health": dict(GRAY_STORM_HEALTH),
-                "digests": {
-                    result["policy"]: result["log_digest"]
-                    for result in policy_results
-                },
-            },
-        },
-    )
-
-
 __all__ = [
     "STORM_EVENTS",
     "STORM_CHECKPOINT_TIMEOUT",
@@ -398,5 +353,4 @@ __all__ = [
     "gray_storm_config",
     "run_drills",
     "run_policy_drills",
-    "drills_payload",
 ]

@@ -11,12 +11,7 @@ measurement it is pinned to.
 
 from repro.perf.calibration import CALIBRATION, Calibration
 from repro.perf.elastic_cost import ElasticCostReport, account
-from repro.perf.hotpath import (
-    HotPathReport,
-    PhaseTimer,
-    measure_steps_per_sec,
-    worker_batches,
-)
+from repro.perf.hotpath import PhaseTimer
 from repro.perf.dawnbench import (
     DawnbenchResult,
     DawnbenchSimulator,
@@ -33,9 +28,6 @@ from repro.perf.timeline import (
 
 __all__ = [
     "PhaseTimer",
-    "HotPathReport",
-    "measure_steps_per_sec",
-    "worker_batches",
     "TimelineResult",
     "simulate_backward_overlap",
     "derive_overlap_fraction",

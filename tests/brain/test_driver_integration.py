@@ -7,15 +7,22 @@ spacing no two applied actions may violate.
 """
 
 import json
-import pathlib
 
 import pytest
 
 from repro.api.facade import run_sched
-from repro.brain.drill import brain_storm_config, run_brain_drills
+from repro.brain.drill import BRAIN_DRILL_BRAINS, brain_storm_config, run_brain_drills
 from repro.brain.log import PHASES
+from repro.utils.registry import ConfigError
 
 APPLY_PHASES = ("migrate", "shrink", "grow")
+
+#: Decision-log and fault-log digest per brain on the gray storm (seed 7).
+DIGESTS = {
+    "health-migrate": {"brain": "14add2455a4c7b21", "faults": "6ad1f8e0d14d270d"},
+    "static": {"brain": None, "faults": "6e07456dd33e75e2"},
+    "throughput": {"brain": "4820bfb68fd4aa35", "faults": "6ad1f8e0d14d270d"},
+}
 
 
 def _storm_report(brain: str, **brain_overrides):
@@ -109,6 +116,10 @@ class TestDriverInvariants:
 
 
 class TestDrillScorecard:
+    @pytest.fixture(scope="class")
+    def results(self):
+        return run_brain_drills(seed=7)
+
     def test_drill_rows_cover_requested_brains(self):
         results = run_brain_drills(["static", "health-migrate"])
         assert [r["brain"] for r in results] == ["static", "health-migrate"]
@@ -121,15 +132,48 @@ class TestDrillScorecard:
         assert brain["usd_per_kiter"] < static["usd_per_kiter"]
         assert brain["fairness"] >= static["fairness"]
 
-    def test_digests_equal_committed_baseline(self):
+    def test_digests_equal_committed_baseline(self, results):
         # Decision log and fault log of every brain, byte for byte the
-        # committed ones (otherwise gated only by the brain-smoke CI job).
-        repo = pathlib.Path(__file__).resolve().parent.parent.parent
-        payload = json.loads((repo / "results" / "BENCH_brain.json").read_text())
+        # pinned ones.
         assert {
             r["brain"]: {"brain": r["brain_digest"], "faults": r["fault_digest"]}
-            for r in run_brain_drills(seed=7)
-        } == payload["meta"]["digests"]
+            for r in results
+        } == DIGESTS
+
+    def test_drill_rows_cover_every_builtin(self, results):
+        assert [r["brain"] for r in results] == list(BRAIN_DRILL_BRAINS)
+
+    @pytest.mark.parametrize("brain", BRAIN_DRILL_BRAINS)
+    def test_brain_keeps_every_deadline(self, results, brain):
+        (row,) = [r for r in results if r["brain"] == brain]
+        # No brain may trade the deadline job away for throughput.
+        assert row["deadline_hit_rate"] == 1.0, row
+        # The ratio is the storm over the shared fault-free baseline.
+        assert row["goodput_ratio"] == pytest.approx(
+            row["storm_goodput"] / row["baseline_goodput"], rel=1e-5
+        )
+
+    def test_static_is_the_idle_baseline(self, results):
+        # The static row is the no-brain baseline: no decisions, no log.
+        (static,) = [r for r in results if r["brain"] == "static"]
+        assert static["brain_digest"] is None and static["entries"] == []
+        for count in ("migrations", "shrinks", "grows", "declined"):
+            assert static[count] == 0, (count, static)
+
+    def test_health_migrate_acts_on_the_storm(self, results):
+        # A win with an empty decision log would not be the brain's doing.
+        (row,) = [r for r in results if r["brain"] == "health-migrate"]
+        assert row["migrations"] >= 1 and row["entries"], row
+
+    def test_unknown_brain_is_one_config_error(self):
+        with pytest.raises(ConfigError, match="unknown brain 'nope'; registered: "):
+            run_brain_drills(["nope"])
+
+    def test_pool_width_invariance(self, results):
+        from repro.exec.sweeper import ParallelSweeper
+
+        pooled = run_brain_drills(seed=7, sweeper=ParallelSweeper("process", jobs=2))
+        assert json.dumps(pooled, sort_keys=True) == json.dumps(results, sort_keys=True)
 
     def test_aliases_resolve_in_drills(self):
         results = run_brain_drills(["health"])

@@ -31,22 +31,21 @@ KNOWN_EXERCISED = {
     # Editable install; CI uses PYTHONPATH=src instead (this repo has no
     # third-party build deps, so the install path is trivial).
     "python setup.py develop": "install step (CI uses PYTHONPATH=src)",
-    # The 10k-job day replay (~2.5 s each) — CI trace-smoke runs the same
-    # path at the same scale through bench_trace_replay.py and gates it.
+    # The 10k-job day replay (~2.5 s each) — the CI test job replays four
+    # such days (faults + brain) through benchmarks/e2e's sched-replay
+    # workload against their recorded digest.
     "python -m repro sched --trace /tmp/big_day.jsonl": (
-        "CI trace-smoke job (bench_trace_replay, 10k scale)"
+        "CI test job (sched-replay at full scale)"
     ),
     "python -m repro sched --trace /tmp/big_day.jsonl --set "
     "'policies=[\"bin-pack\", \"spread\", \"network-aware\"]' --jobs 0": (
-        "CI trace-smoke job (bench_trace_replay) + exec pool parity in "
+        "CI test job (sched-replay at full scale) + exec pool parity in "
         "tests/sched/test_traces.py"
     ),
-    # CI faults-smoke job runs the drill bench + regression gate; the
-    # --jobs 4 CLI run is cmp'd byte-for-byte there and in
+    # Part of the tier-1 suite, and of CI faults-smoke's unit-test subset;
+    # the --jobs 4 CLI run is cmp'd byte-for-byte there and in
     # tests/faults/test_cli_faults.py.
-    "python -m pytest benchmarks/bench_fault_drills.py -q --benchmark-disable": (
-        "CI faults-smoke job"
-    ),
+    "python -m pytest tests/faults/test_drill.py -q": "CI test + faults-smoke jobs",
     "python -m repro run --config examples/configs/fault_drill.json --jobs 4 --json": (
         "CI faults-smoke job + tests/faults/test_cli_faults.py "
         "(jobs-width byte parity)"
@@ -147,6 +146,17 @@ class TestDocsExist:
             for ref in pattern.findall((DOCS / page).read_text()):
                 ref = ref.rstrip(".")
                 assert (REPO / ref).exists(), f"{page} references missing {ref}"
+
+    @pytest.mark.parametrize("path", ["README.md", ".github/workflows/ci.yml"])
+    def test_readme_and_ci_name_only_existing_files(self, path):
+        """Every examples/, src/, benchmarks/ or tests/ path the README
+        mentions or a CI step runs exists (``results/`` is generated)."""
+        pattern = re.compile(r"(?:examples|src|benchmarks|tests)/[\w./-]+")
+        refs = pattern.findall((REPO / path).read_text())
+        assert refs
+        for ref in refs:
+            ref = ref.rstrip(".")
+            assert (REPO / ref).exists(), f"{path} references missing {ref}"
 
 
 class TestEveryDocumentedCommandRuns:

@@ -15,6 +15,10 @@ import sys
 from repro.api.cli import main
 from repro.faults.registry import FAULTS
 
+# Sibling module; pytest's prepend import mode puts this directory on
+# sys.path, so the CLI is held to the drill's own pins.
+from test_drill import POLICY_DIGESTS, SCHEME_DIGESTS
+
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 DRILL_CONFIG = REPO / "examples" / "configs" / "fault_drill.json"
 GRAY_STORM_CONFIG = REPO / "examples" / "configs" / "gray_storm.json"
@@ -83,7 +87,8 @@ class TestDrillRun:
 
 class TestJobsWidthInvariance:
     def test_drill_json_bit_identical_across_jobs(self):
-        """The ISSUE acceptance bar: --jobs 1 vs --jobs 4, byte for byte."""
+        """--jobs 1 vs --jobs 4, byte for byte, and the fault log the
+        mstopk drill pins (config file -> CLI -> facade -> ledger)."""
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -100,11 +105,12 @@ class TestJobsWidthInvariance:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        digests = json.loads(outputs[0])["meta"]["faults"]["summary"]["digest"]
-        assert len(digests) == 16
+        digest = json.loads(outputs[0])["meta"]["faults"]["summary"]["digest"]
+        assert digest == SCHEME_DIGESTS["mstopk"]
 
     def test_gray_storm_sched_bit_identical_across_jobs(self):
-        """The committed gray storm: serial vs 4-worker pool, byte for byte."""
+        """The committed gray storm: serial vs 4-worker pool, byte for byte,
+        and every policy's fault log the policy drill pins."""
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -121,6 +127,8 @@ class TestJobsWidthInvariance:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+        faults = json.loads(outputs[0])["meta"]["faults"]
+        assert {policy: log["digest"] for policy, log in faults.items()} == POLICY_DIGESTS
 
 
 class TestFailureModes:

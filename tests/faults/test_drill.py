@@ -1,12 +1,13 @@
 """End-to-end fault drills through the facade: recovery + determinism.
 
-The ISSUE acceptance bar lives here: a seeded fault-storm drill (seven
+The acceptance bar lives here: a seeded fault-storm drill (seven
 composed fault kinds, including the unwarned crash, the fail-slow disk,
 the gray link, and the AZ-wide reclaim) completes with recovery on
 every registered scheme; the gray-failure policy drill shows
 ``fault-aware`` beating every fault-blind baseline on goodput under the
 storm; and the event log + BENCH payload are byte-identical across
-repeat runs and ``--jobs`` widths.
+repeat runs and ``--jobs`` widths.  The fault-log digests below are the
+pins: ``tests/faults/test_cli_faults.py`` holds the CLI to the same ones.
 """
 
 import dataclasses
@@ -26,13 +27,34 @@ from repro.faults.drill import (
     POLICY_DRILL_POLICIES,
     STORM_EVENTS,
     drill_config,
-    drills_payload,
     gray_storm_config,
     run_drills,
     run_policy_drills,
 )
+from repro.utils.registry import ConfigError
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
+
+#: Storm-run fault-log digest per scheme (seed 7).
+SCHEME_DIGESTS = {
+    "2dtar": "b2400229efa5c23f",
+    "dense": "6eac4986767c74ad",
+    "dense-ring": "4ba44caba067601d",
+    "gtopk": "a29a27e045210bc0",
+    "mstopk": "fb48e74017562d7a",
+    "naiveag-mstopk": "ed895b6edf0b034e",
+    "topk": "ed895b6edf0b034e",
+}
+#: Gray-storm fault-log digest per placement policy (seed 7).
+POLICY_DIGESTS = {
+    "bin-pack": "60abd4d54393659a",
+    "fault-aware": "6e07456dd33e75e2",
+    "network-aware": "60abd4d54393659a",
+    "spread": "60abd4d54393659a",
+}
+#: Below this share of its fault-free goodput a scheme's recovery is
+#: broken, not slow (the matrix sits near 0.063).
+MIN_GOODPUT_RATIO = 0.05
 
 
 def _config(events, *, num_nodes=4, min_nodes=1, iterations=40,
@@ -85,15 +107,36 @@ class TestStormRecoveryEveryScheme:
             assert result["detect_recover_s"] > 0, result
             # Storm goodput is real but strictly below the baseline.
             assert 0 < result["storm_goodput"] < result["baseline_goodput"]
+            assert result["goodput_ratio"] >= MIN_GOODPUT_RATIO, result
 
     def test_drill_scores_latency_and_goodput_vs_baseline(self):
-        payload = drills_payload(schemes=["mstopk"])
-        assert payload["columns"] == DRILL_COLUMNS
-        (row,) = payload["rows"]
-        idx = {c: i for i, c in enumerate(DRILL_COLUMNS)}
-        assert 0 < row[idx["goodput_ratio"]] < 1
-        assert row[idx["storm_usd_per_kiter"]] > row[idx["baseline_usd_per_kiter"]]
-        assert payload["meta"]["digests"]["mstopk"] == row[idx["log_digest"]]
+        (row,) = run_drills(["mstopk"])
+        assert set(DRILL_COLUMNS) <= set(row)
+        assert 0 < row["goodput_ratio"] < 1
+        assert row["storm_usd_per_kiter"] > row["baseline_usd_per_kiter"]
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return {r["scheme"]: r for r in run_drills(list(SCHEME_DIGESTS), seed=7)}
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_DIGESTS))
+    def test_scorecard_row_is_consistent(self, pinned, scheme):
+        row = pinned[scheme]
+        assert set(DRILL_COLUMNS) <= set(row)
+        # Lost and re-done iterations bill the storm more per kiter.
+        assert row["storm_usd_per_kiter"] > row["baseline_usd_per_kiter"], row
+        assert row["goodput_ratio"] == pytest.approx(
+            row["storm_goodput"] / row["baseline_goodput"], rel=1e-5
+        )
+
+    def test_scheme_alias_resolves_to_the_pinned_row(self):
+        (row,) = run_drills(["torus"], seed=7)
+        assert row["scheme"] == "2dtar"
+        assert row["log_digest"] == SCHEME_DIGESTS["2dtar"]
+
+    def test_unknown_scheme_is_one_config_error(self):
+        with pytest.raises(ConfigError, match="unknown comm scheme 'nope'; registered: "):
+            run_drills(["nope"])
 
 
 class TestDeterminism:
@@ -130,16 +173,14 @@ class TestDeterminism:
 
 def test_drill_digests_equal_committed_baseline():
     """Every per-scheme run-storm and per-policy gray-storm fault log is
-    the committed one, byte for byte — a dropped detail key fails here,
-    not only in the ``faults-smoke`` CI job."""
-    meta = json.loads((REPO / "results" / "BENCH_fault_drills.json").read_text())["meta"]
-    # The committed schemes by name: other tests leave schemes registered.
+    the pinned one, byte for byte — a dropped detail key fails here."""
+    # The pinned schemes by name: other tests leave schemes registered.
     assert {
-        r["scheme"]: r["log_digest"] for r in run_drills(list(meta["digests"]), seed=7)
-    } == meta["digests"]
+        r["scheme"]: r["log_digest"] for r in run_drills(list(SCHEME_DIGESTS), seed=7)
+    } == SCHEME_DIGESTS
     assert {
         r["policy"]: r["log_digest"] for r in run_policy_drills(seed=7)
-    } == meta["policy_drill"]["digests"]
+    } == POLICY_DIGESTS
 
 
 class TestInjectionEdgeCases:
@@ -307,18 +348,29 @@ class TestPolicyDrill:
             # sees the same flap train and the same quarantine.
             assert result["quarantines"] == 1
 
+    @pytest.mark.parametrize("policy", POLICY_DRILL_POLICIES)
+    def test_gray_storm_costs_every_policy_goodput(self, results, policy):
+        (row,) = [r for r in results if r["policy"] == policy]
+        assert 0 < row["storm_goodput"] < row["baseline_goodput"], row
+        assert row["goodput_ratio"] == pytest.approx(
+            row["storm_goodput"] / row["baseline_goodput"], rel=1e-5
+        )
+        assert row["lost_iterations"] > 0 and row["usd_per_kiter"] > 0, row
+
+    def test_policy_alias_resolves_to_the_pinned_row(self):
+        (row,) = run_policy_drills(["binpack"], seed=7)
+        assert row["policy"] == "bin-pack"
+        assert row["log_digest"] == POLICY_DIGESTS["bin-pack"]
+
+    def test_unknown_policy_is_one_config_error(self):
+        with pytest.raises(ConfigError, match="unknown policy 'nope'; registered: "):
+            run_policy_drills(["nope"])
+
     def test_repeat_runs_identical(self, results):
         again = run_policy_drills(seed=7)
         assert json.dumps(again, sort_keys=True) == json.dumps(
             results, sort_keys=True
         )
-
-    def test_payload_embeds_policy_drill(self):
-        payload = drills_payload(schemes=["mstopk"])
-        drill = payload["meta"]["policy_drill"]
-        assert drill["columns"] == list(POLICY_DRILL_COLUMNS)
-        assert len(drill["rows"]) == len(POLICY_DRILL_POLICIES)
-        assert set(drill["digests"]) == set(POLICY_DRILL_POLICIES)
 
 
 class TestCommittedGrayStormConfig:
@@ -355,12 +407,12 @@ class TestCommittedGrayStormConfig:
 
 @pytest.mark.parametrize("jobs", [2])
 def test_pool_width_invariance_in_process(jobs):
-    """ParallelSweeper at any width returns the serial drill bit for bit."""
+    """ParallelSweeper at any width returns the serial drills bit for bit,
+    full fault logs included."""
     from repro.exec.sweeper import ParallelSweeper
 
-    serial = drills_payload(schemes=["dense", "mstopk"])
-    pooled = drills_payload(
-        schemes=["dense", "mstopk"],
-        sweeper=ParallelSweeper("process", jobs=jobs),
-    )
-    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+    sweeper = ParallelSweeper("process", jobs=jobs)
+    schemes = ["dense", "mstopk"]
+    canon = lambda results: json.dumps(results, sort_keys=True)  # noqa: E731
+    assert canon(run_drills(schemes, sweeper=sweeper)) == canon(run_drills(schemes))
+    assert canon(run_policy_drills(sweeper=sweeper)) == canon(run_policy_drills())

@@ -1,15 +1,14 @@
-"""Hot-path instrumentation: PhaseTimer and steps/sec measurement."""
+"""Hot-path instrumentation: the trainer's PhaseTimer."""
 
 import pytest
 
 from repro.api.registry import build_cluster, build_scheme, build_workload
-from repro.perf.hotpath import (
-    PhaseTimer,
-    measure_steps_per_sec,
-    worker_batches,
-)
-from repro.train.trainer import DistributedTrainer
+from repro.perf.hotpath import PhaseTimer
+from repro.utils.partition import round_robin_shards
 from repro.utils.seeding import new_rng
+
+#: The trainer's phases, in the order one step records them.
+PHASES = ("forward_backward", "fuse", "aggregate", "apply")
 
 
 class TestPhaseTimer:
@@ -29,7 +28,8 @@ class TestPhaseTimer:
 
         workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(2))
         network = build_cluster("tencent", 2, gpus_per_node=2)
-        batches = worker_batches(workload.x, workload.y, 4, 8)
+        shards = round_robin_shards(workload.x, workload.y, 4)
+        batches = [(sx[:8], sy[:8]) for sx, sy in shards]
         with ProcessBackend(jobs=2) as pool:
             trainer = DistributedTrainer(
                 workload.model,
@@ -50,43 +50,30 @@ class TestPhaseTimer:
         # of the two pool workers runs its two MLP rows as one blocked pass.
         assert timer.calls["forward_backward"] == 2
 
+    @pytest.mark.parametrize(
+        "model, scheme", [("mlp-tiny", "dense"), ("mlp-tiny", "mstopk"), ("cnn", "mstopk")]
+    )
+    def test_serial_trainer_times_every_phase_once_per_step(self, model, scheme):
+        from repro.train.trainer import DistributedTrainer
 
-@pytest.fixture(scope="module")
-def mlp_setup():
-    workload = build_workload("mlp-tiny", num_samples=256, rng=new_rng(1))
-    network = build_cluster("tencent", 2, gpus_per_node=2)
-    batches = worker_batches(workload.x, workload.y, 4, 8)
-    return workload, network, batches
-
-
-class TestMeasurement:
-    def test_measure_steps_per_sec_reports_phases(self, mlp_setup):
-        workload, network, batches = mlp_setup
+        workload = build_workload(model, num_samples=64, rng=new_rng(1))
+        network = build_cluster("tencent", 2, gpus_per_node=2)
+        shards = round_robin_shards(workload.x, workload.y, 4)
+        batches = [(sx[:4], sy[:4]) for sx, sy in shards]
         trainer = DistributedTrainer(
-            workload.model, build_scheme("mstopk", network, density=0.05), seed=0
+            workload.model, build_scheme(scheme, network, density=0.05), seed=0
         )
-        report = measure_steps_per_sec(
-            trainer, batches, steps=4, warmup=1, label="mlp"
-        )
-        assert report.steps == 4
-        assert report.steps_per_sec > 0
-        assert {"forward_backward", "fuse", "aggregate", "apply"} <= set(
-            report.phase_seconds
-        )
-        assert 0.0 <= report.phase_share("aggregate") <= 1.0
-        # The timer handed to the trainer is removed afterwards.
-        assert trainer.timer is None
+        timer = PhaseTimer()
+        trainer.timer = timer
+        for _ in range(3):
+            trainer.train_step(batches)
+        # Equal batches make one blocked model call per step.
+        assert timer.calls == {phase: 3 for phase in PHASES}
+        assert list(timer.summary()) == list(PHASES)
+        assert all(seconds >= 0.0 for seconds in timer.seconds.values())
 
-    def test_measure_validates_steps(self, mlp_setup):
-        workload, network, batches = mlp_setup
-        trainer = DistributedTrainer(
-            workload.model, build_scheme("dense", network), seed=0
-        )
-        with pytest.raises(ValueError):
-            measure_steps_per_sec(trainer, batches, steps=0)
-
-    def test_worker_batches_shapes(self, mlp_setup):
-        workload, _, batches = mlp_setup
-        assert len(batches) == 4
-        for bx, by in batches:
-            assert len(bx) == 8 and len(by) == 8
+    def test_summary_is_a_copy(self):
+        timer = PhaseTimer()
+        timer.add("apply", 0.5)
+        timer.summary()["apply"] = 9.0
+        assert timer.seconds == {"apply": 0.5}

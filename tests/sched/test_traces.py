@@ -213,6 +213,38 @@ class TestGenerator:
             SyntheticTraceConfig(payload_fraction=1.5)
 
 
+class TestThousandJobDay:
+    """A 1k-job synthetic day (seed 2021) on a 16 x 8 tencent cluster:
+    every built-in policy schedules the queue and bills real dollars,
+    and a replay is a pure function of trace + seed."""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        return trace_to_specs(
+            generate_trace(SyntheticTraceConfig(num_jobs=1_000, seed=2021))
+        )
+
+    @staticmethod
+    def _replay(specs, policy):
+        scheduler = MultiTenantScheduler(
+            num_nodes=16, gpus_per_node=8, policy=policy, seed=2021, name="day-1k"
+        )
+        return scheduler.run(specs)
+
+    @pytest.mark.parametrize(
+        "policy", ["bin-pack", "spread", "network-aware", "fault-aware"]
+    )
+    def test_day_completes_and_bills(self, specs, policy):
+        summary = self._replay(specs, policy).summary()
+        assert summary["jobs_done"] >= 950, summary
+        assert summary["total_cost_usd"] > 0, summary
+
+    def test_replay_is_deterministic(self, specs):
+        first, second = self._replay(specs, "bin-pack"), self._replay(specs, "bin-pack")
+        assert first.summary() == second.summary()
+        assert distribution_rows([first]) == distribution_rows([second])
+
+
 # ---------------------------------------------------------------------------
 # Fast path vs trainer path
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Kill-anywhere recovery: journal replay, snapshot fallback, drills."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -314,6 +315,59 @@ class TestDrillHarness:
     def test_ops_from_script_rejects_bad_json(self):
         with pytest.raises(ValueError, match="line 2: invalid JSON"):
             ops_from_script(["{}", "{nope"])
+
+
+class TestCommittedDayOps:
+    """The committed day of ops (``examples/configs/serve_smoke.json`` +
+    ``examples/serve/day_ops.jsonl``: faults and a brain riding along)
+    through the default drill, pinned to its reference payload digest."""
+
+    EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
+
+    @pytest.fixture(scope="class")
+    def day(self, tmp_path_factory):
+        config = ServeConfig.from_file(self.EXAMPLES / "configs" / "serve_smoke.json")
+        script = (self.EXAMPLES / "serve" / "day_ops.jsonl").read_text().splitlines()
+        work = tmp_path_factory.mktemp("day-ops")
+        drill = RecoveryDrill(config, ops_from_script(script), work_dir=work / "a")
+        result = drill.run()
+        return {"config": config, "script": script, "work": work,
+                "drill": drill, "result": result,
+                "points": {p["point"]: p for p in result["points"]}}
+
+    def test_default_drill_recovers_to_the_pinned_bytes(self, day):
+        result = day["result"]
+        assert result["reference_digest"] == "eb1c29fad7927953"
+        assert result["all_match"] is True and result["lost_acked_total"] == 0
+        assert [p["point"] for p in result["points"]] == list(DEFAULT_POINTS)
+
+    @pytest.mark.parametrize("point", DEFAULT_POINTS)
+    def test_every_kill_point_loses_no_ack(self, day, point):
+        row = day["points"][point]
+        assert row["payload_match"] is True and row["lost_acked"] == 0, row
+        # The client resends exactly what it saw no ack for.
+        assert row["acked_before_crash"] + row["resent"] == day["result"]["ops"], row
+
+    def test_append_kill_tears_the_journal_tail(self, day):
+        assert day["points"]["append:3"]["torn_bytes_dropped"] > 0
+
+    def test_tick_kill_replays_the_unapplied_op(self, day):
+        # The tick kill leaves a journaled-but-unapplied op behind.
+        assert day["points"]["tick:2"]["replayed"] >= 1
+
+    def test_snapshot_restart_replays_at_most_one_interval(self, day):
+        # A lost snapshot path shows up here as a genesis replay.
+        restored = [p for p in day["result"]["points"] if p["snapshot_slot"] is not None]
+        assert restored
+        for point in restored:
+            assert point["replayed"] <= day["config"].snapshot_every, point
+
+    def test_independent_reference_run_gives_equal_bytes(self, day):
+        again = RecoveryDrill(
+            day["config"], ops_from_script(day["script"]), work_dir=day["work"] / "b"
+        )
+        again.run_reference()
+        assert again.reference_bytes == day["drill"].reference_bytes
 
 
 class TestSigtermDrain:
