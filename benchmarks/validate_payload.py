@@ -1,8 +1,8 @@
 """Validate ``BENCH_*.json`` payloads against the envelope schema.
 
 The CLI over :func:`repro.utils.bench.validate_bench_payload` for
-``python -m repro ... --json`` output and the benches' ``results/``
-files; needs ``PYTHONPATH=src`` like everything else here::
+``python -m repro ... --json`` / ``--out`` output; needs
+``PYTHONPATH=src`` like everything else here::
 
     python benchmarks/validate_payload.py smoke_payload.json
 """

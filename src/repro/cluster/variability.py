@@ -12,8 +12,9 @@ its setting has to reason about it — so this module models it:
   a straggler's damage to its intra-node phase plus its one inter-node
   stream.
 
-Used by ``benchmarks/bench_ablation_stragglers.py`` to quantify how much
-of HiTopKComm's advantage survives (or grows) under jitter.
+The elastic trainer composes the per-node factors into its step times;
+:func:`expected_slowdown` quantifies how much of HiTopKComm's advantage
+survives (or grows) under jitter.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ class CommScheme(abc.ABC):
 
     Subclasses implement both the *functional* aggregation (NumPy data
     movement, used by convergence experiments and tests) and the
-    *analytic* time model (used by the Fig. 7/8 benchmarks where only the
+    *analytic* time model (used by the Fig. 7/8 harnesses where only the
     tensor size matters).
     """
 

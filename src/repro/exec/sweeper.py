@@ -1,7 +1,7 @@
 """Parallel sweeps: independent runs fanned across the worker pool.
 
 Every sweep in the repository — ``python -m repro experiments``, a sched
-policy grid, the ``bench_*`` config sweeps — is a list of *fully
+policy grid, a list of run configs — is a list of *fully
 independent, seed-complete* tasks.  :class:`ParallelSweeper` executes
 such a list on any registered execution backend with **deterministic
 result ordering**: results come back in submission order no matter

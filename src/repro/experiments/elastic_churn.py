@@ -36,7 +36,7 @@ DEFAULT_SCHEMES = ("dense", "gtopk", "mstopk")
 #: cluster averages ~3 revocations per 100 iterations.
 DEFAULT_RATES = (0.0, 0.005, 0.02)
 
-#: Fast defaults for the harness; the bench passes smaller settings.
+#: Iterations per cell; ``--fast`` trims them.
 DEFAULT_ITERATIONS = 120
 
 

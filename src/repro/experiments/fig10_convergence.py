@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.train.convergence import ConvergenceResult, ConvergenceRunner
 from repro.utils.tables import print_table
 
-#: Fast defaults for the harness; the bench can pass larger settings.
+#: The harness's full settings; ``--fast`` runs the trim below.
 DEFAULT_EPOCHS = 15
 DEFAULT_SAMPLES = 1024
 
@@ -31,7 +31,8 @@ def run(
     return {w: runner.run(w) for w in workloads}
 
 
-#: ``--fast`` trim: enough epochs for the curves to separate, small data.
+#: ``--fast`` trim (Table 2 uses it too): enough epochs for the curves
+#: to separate, small data.
 FAST_EPOCHS = 4
 FAST_SAMPLES = 512
 

@@ -34,8 +34,8 @@ from repro.utils.stats import RunningStat
 from repro.utils.tables import print_table
 
 #: Paper sweep: "different length of vectors from 256 thousand to 128
-#: million".  The default harness sweep stops at 8M to keep CI fast; the
-#: benchmark passes larger sizes explicitly.
+#: million".  The default harness sweep stops at 8M to keep CI fast;
+#: pass ``sizes=SMALL_SIZES + LARGE_SIZES`` for the paper's full range.
 SMALL_SIZES = (256_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000)
 LARGE_SIZES = (16_000_000, 32_000_000, 64_000_000, 128_000_000)
 

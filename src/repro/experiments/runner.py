@@ -61,6 +61,7 @@ EXPERIMENTS = (
 FAST_AWARE = (
     "Fig. 6",
     "Fig. 10",
+    "Table 2",
     "Elastic churn",
     "Multi-tenant sched",
     "Fault drills",

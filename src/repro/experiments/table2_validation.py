@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.fig10_convergence import FAST_EPOCHS, FAST_SAMPLES
 from repro.train.convergence import ConvergenceRunner
 from repro.utils.tables import print_table
 
@@ -64,8 +65,8 @@ def run(
     return rows
 
 
-def main() -> None:
-    rows = run()
+def main(*, fast: bool = False) -> None:
+    rows = run(epochs=FAST_EPOCHS, num_samples=FAST_SAMPLES) if fast else run()
     table = []
     for r in rows:
         paper = PAPER_TABLE2[r.model]

@@ -1,8 +1,8 @@
 """The ``BENCH_*.json`` envelope: one builder, one validator.
 
-Every machine-readable result this repo emits — CLI ``--json`` output,
-``results/BENCH_<name>.json`` from the paper-figure benches — is the
-same envelope, built by :func:`bench_payload` and checked
+Every machine-readable result this repo emits — the CLI's ``--json`` /
+``--out`` payloads of ``run``, ``sched`` and ``serve`` — is the same
+envelope, built by :func:`bench_payload` and checked
 by :func:`validate_bench_payload`.  Emitters serialise with
 ``sort_keys=True``, so key order here is free.
 """

@@ -84,7 +84,7 @@ def partition_layers_balanced(layer_sizes: Sequence[int], parts: int) -> list[li
     """Greedy size-balanced layer assignment (largest layer first).
 
     Provided as the "obvious improvement" over the paper's contiguous
-    split; used by the PTO ablation benchmark.
+    split; ``ParallelTensorOperator(balanced=True)`` uses it.
     """
     if parts <= 0:
         raise ValueError(f"parts must be positive, got {parts}")

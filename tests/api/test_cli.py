@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from repro.api.cli import main
+from repro.utils.bench import validate_bench_payload
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 SMOKE_CONFIG = REPO / "examples" / "configs" / "smoke.json"
@@ -56,7 +57,7 @@ class TestRun:
 
     def test_run_json_payload_passes_schema(self, capsys):
         assert main(["run", "--config", str(SMOKE_CONFIG), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = validate_bench_payload(json.loads(capsys.readouterr().out))
         assert payload["schema_version"] == 1
         assert payload["structured"] is True
         assert payload["meta"]["scheme"] == "mstopk"
@@ -68,7 +69,7 @@ class TestRun:
             "run", "--config", str(SMOKE_CONFIG), "--json",
             "--set", "comm.scheme=dense", "--set", "name=cli-dense",
         ]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = validate_bench_payload(json.loads(capsys.readouterr().out))
         assert payload["bench"] == "run_cli-dense"
         assert payload["meta"]["scheme"] == "dense"
 

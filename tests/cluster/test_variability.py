@@ -63,6 +63,21 @@ class TestExpectedSlowdown:
         flat_large, _ = expected_slowdown(large, 0.5, sigma=0.2, trials=300)
         assert flat_large > flat_small
 
+    def test_stretch_grows_with_sigma(self):
+        # HiTopKComm's inter-node share at the paper's training density,
+        # under increasing per-node jitter on the 16-node testbed.
+        from repro.comm.hitopkcomm import HiTopKComm
+
+        net = paper_testbed()
+        inter = HiTopKComm(net, density=0.001).time_model(25_000_000)
+        stretches = [
+            expected_slowdown(net, inter.fraction("inter_allgather"), sigma=sigma, trials=300, seed=1)
+            for sigma in (0.0, 0.05, 0.1, 0.2, 0.4)
+        ]
+        assert stretches[0] == (1.0, 1.0)
+        flats = [flat for flat, _ in stretches]
+        assert flats == sorted(flats)
+
     def test_schemes_equal_when_fraction_one(self):
         net = paper_testbed()
         flat, hier = expected_slowdown(net, 1.0, sigma=0.2, trials=100)

@@ -93,6 +93,15 @@ class TestGlobalTopK:
         report = trainer.train(x, y, epochs=6, local_batch=16)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
+    def test_cheaper_than_naiveag_at_training_density(self, testbed):
+        # log P merge rounds of k beat the flat All-Gather's P·k volume.
+        from repro.comm.naive_allgather import NaiveAllGather
+
+        for d in (10_000_000, 50_000_000, 100_000_000):
+            gtopk = GlobalTopK(testbed, density=0.001).time_model(d).total
+            naive = NaiveAllGather(testbed, density=0.001).time_model(d).total
+            assert gtopk < naive, d
+
     def test_time_model_structure(self, testbed):
         breakdown = GlobalTopK(testbed, density=0.001).time_model(25_000_000)
         assert set(breakdown.steps) == {"select", "merge_tree", "broadcast"}

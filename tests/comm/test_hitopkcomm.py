@@ -169,6 +169,52 @@ class TestCostModel:
         dense = Torus2DAllReduce(testbed, wire_bytes=2).time_model(d).total
         assert sparse < dense / 2
 
+    def test_density_sweep_monotone_and_far_below_dense(self, testbed):
+        # The cost curve the paper's ρ = 0.001 (training) and 0.01
+        # (microbenchmarks) sit on, for ResNet-50's d = 25M.
+        from repro.comm.dense import Torus2DAllReduce
+
+        d = 25_000_000
+        times = [
+            HiTopKComm(testbed, density=rho, value_bytes=2, dense_wire_bytes=2).time_model(d).total
+            for rho in (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
+        ]
+        assert times == sorted(times)
+        dense = Torus2DAllReduce(testbed, wire_bytes=2).time_model(d).total
+        assert dense / times[1] > 2.0
+
+    def test_hierarchy_and_operator_each_pay(self, testbed):
+        # Separates HiTopKComm's two ingredients at d = 25M, ρ = 0.001:
+        # flat All-Gather vs the hierarchy, exact top-k vs MSTopK on
+        # each GPU's 1/n shard.
+        from repro.cluster.gpu import exact_topk_gpu_time, mstopk_gpu_time
+        from repro.comm.naive_allgather import NaiveAllGather
+
+        d, rho = 25_000_000, 0.001
+        shard = d // testbed.gpus_per_node
+        flat = NaiveAllGather(testbed, density=rho).time_model(d).total
+        hier = HiTopKComm(testbed, density=rho).time_model(d)
+        hier_comm = hier.total - hier.get(STEP_MSTOPK)
+        paper = hier_comm + mstopk_gpu_time(shard)
+        assert paper < flat + mstopk_gpu_time(d)  # operator only
+        assert paper < hier_comm + exact_topk_gpu_time(shard)  # hierarchy only
+        assert paper < (flat + exact_topk_gpu_time(d)) / 3  # TopK-SGD
+
+    def test_gap_to_naiveag_widens_with_nodes(self):
+        # NaiveAG's volume grows with every GPU (P = 8m), HiTopKComm's
+        # inter step only with the node count scaled by ρ.
+        from repro.comm.naive_allgather import NaiveAllGather
+
+        d, rho = 25_000_000, 0.01
+        naive, hitopk = {}, {}
+        for m in (2, 32):
+            net = make_cluster(m, "tencent")
+            naive[m] = NaiveAllGather(net, density=rho, value_bytes=2).time_model(d).total
+            hitopk[m] = HiTopKComm(net, density=rho, value_bytes=2, dense_wire_bytes=2).time_model(d).total
+        assert naive[32] / naive[2] > 8
+        assert hitopk[32] / hitopk[2] < naive[32] / naive[2] / 2
+        assert naive[32] / hitopk[32] > naive[2] / hitopk[2]
+
     def test_density_validation(self, small_cluster):
         with pytest.raises(ValueError):
             HiTopKComm(small_cluster, density=0.0)

@@ -107,6 +107,20 @@ class TestApproximationQuality:
         )
         assert recall_40 >= recall_10 - 5
 
+    def test_recall_at_paper_samplings(self):
+        # The paper picks N = 30 without an ablation: recall there is
+        # high and no worse than with very few samplings.
+        x = new_rng(0).normal(size=200_000)
+        k = 200
+        exact = set(topk_argpartition(x, k).indices.tolist())
+
+        def recall(n):
+            selected = mstopk_select(x, k, n_samplings=n, rng=new_rng(1)).indices
+            return len(set(selected.tolist()) & exact) / k
+
+        assert recall(30) > 0.8
+        assert recall(30) >= recall(5)
+
 
 class TestDegenerateInputs:
     def test_constant_vector(self):

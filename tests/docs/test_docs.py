@@ -24,10 +24,8 @@ PAGES = ("architecture.md", "quickstart.md", "scenarios.md", "traces.md",
 KNOWN_EXERCISED = {
     # The tier-1 suite itself (CI `test` job runs `python -m pytest tests -x -q`).
     "python -m pytest tests -x -q": "CI test job",
-    # CI smoke-benchmarks job runs bench_sched through the schema gate.
-    "python -m pytest benchmarks/bench_sched.py -q --benchmark-disable": (
-        "CI smoke-benchmarks job"
-    ),
+    # Part of the tier-1 suite (CI test job).
+    "python -m pytest tests/sched/test_scheduler.py -q": "CI test job",
     # Editable install; CI uses PYTHONPATH=src instead (this repo has no
     # third-party build deps, so the install path is trivial).
     "python setup.py develop": "install step (CI uses PYTHONPATH=src)",
@@ -150,13 +148,25 @@ class TestDocsExist:
     @pytest.mark.parametrize("path", ["README.md", ".github/workflows/ci.yml"])
     def test_readme_and_ci_name_only_existing_files(self, path):
         """Every examples/, src/, benchmarks/ or tests/ path the README
-        mentions or a CI step runs exists (``results/`` is generated)."""
+        mentions or a CI step runs exists."""
         pattern = re.compile(r"(?:examples|src|benchmarks|tests)/[\w./-]+")
         refs = pattern.findall((REPO / path).read_text())
         assert refs
         for ref in refs:
             ref = ref.rstrip(".")
             assert (REPO / ref).exists(), f"{path} references missing {ref}"
+
+    def test_ci_runs_every_benchmark_script(self):
+        """The inverse: every ``benchmarks/*.py`` outside ``e2e/`` is named
+        by a CI step, so a script nothing runs fails here instead of
+        rotting (a ``conftest.py`` runs with the files beside it)."""
+        ci = (REPO / ".github/workflows/ci.yml").read_text()
+        unrun = sorted(
+            path.name
+            for path in (REPO / "benchmarks").glob("*.py")
+            if path.name != "conftest.py" and f"benchmarks/{path.name}" not in ci
+        )
+        assert not unrun, f"no CI step runs {unrun}"
 
 
 class TestEveryDocumentedCommandRuns:

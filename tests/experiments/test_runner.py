@@ -52,6 +52,18 @@ class TestFastFlag:
         assert f"\n{FAST_EPOCHS - 1} " in out
         assert f"\n{FAST_EPOCHS} " not in out
 
+    def test_fast_table2_trains_the_fig10_trim(self, capsys, monkeypatch):
+        from repro.experiments import table2_validation
+        from repro.experiments.fig10_convergence import FAST_EPOCHS, FAST_SAMPLES
+
+        calls, real_run = [], table2_validation.run
+        monkeypatch.setattr(
+            table2_validation, "run", lambda **kwargs: calls.append(kwargs) or real_run(**kwargs)
+        )
+        assert main(["--only", "Table 2", "--fast"]) == 0
+        assert calls == [{"epochs": FAST_EPOCHS, "num_samples": FAST_SAMPLES}]
+        assert "Table 2: final validation metric" in capsys.readouterr().out
+
     def test_fast_elastic_churn(self, capsys):
         assert main(["--only", "Elastic churn", "--fast"]) == 0
         assert "goodput" in capsys.readouterr().out

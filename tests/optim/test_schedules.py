@@ -51,7 +51,7 @@ class TestDecays:
 
 
 class TestProgressiveResize:
-    def test_dawnbench_schedule_matches_paper(self):
+    def test_dawnbench_recipe_matches_paper(self):
         # §5.6: 13 @ 96², 11 @ 128², 3 @ 224², 1 @ 288² (bs 128).
         sched = ProgressiveResizeSchedule.dawnbench_28_epoch()
         assert sched.total_epochs == 28

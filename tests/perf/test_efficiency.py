@@ -18,7 +18,7 @@ class TestIntroClaim:
 class TestSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return efficiency_sweep(node_counts=(1, 4, 16))
+        return efficiency_sweep(node_counts=(1, 4, 16, 32))
 
     def test_curve_shape(self, points):
         by = {(p.scheme, p.num_nodes): p for p in points}
@@ -36,6 +36,14 @@ class TestSweep:
         assert by[("Dense-SGD", 1)].efficiency > 1.3 * by[("Dense-SGD", 4)].efficiency
         # ... but the optimised schemes decay far more slowly.
         assert by[("MSTopK-SGD", 16)].efficiency > 2 * by[("Dense-SGD", 16)].efficiency
+
+    def test_gap_to_baseline_widens_with_scale(self, points):
+        by = {(p.scheme, p.num_nodes): p.efficiency for p in points}
+
+        def gap(nodes):
+            return by[("MSTopK-SGD", nodes)] - by[("Dense-SGD", nodes)]
+
+        assert gap(32) > gap(1) - 0.05
 
     def test_throughput_still_grows_with_nodes(self, points):
         by = {(p.scheme, p.num_nodes): p for p in points}

@@ -83,6 +83,26 @@ class TestSimulation:
         )
         assert fused.comm_end < unfused.comm_end / 5
 
+    def test_fusion_buffer_tradeoff_on_resnet50(self, testbed):
+        # Horovod's 64 MiB default between the two failure modes: tiny
+        # buffers pay a latency per collective, one giant buffer waits
+        # for the whole backward pass before sending anything.
+        from repro.comm.dense import Torus2DAllReduce
+
+        scheme = Torus2DAllReduce(testbed, wire_bytes=2)
+        by_threshold = {
+            threshold: simulate_backward_overlap(
+                resnet50_profile().layer_sizes,
+                backward_time=0.6 * 256 / 1150,
+                comm_time_fn=lambda nbytes: scheme.time_model(max(1, nbytes // 2)).total,
+                fusion_threshold=threshold,
+                bytes_per_element=2,
+            )
+            for threshold in (256 << 10, 64 << 20, 512 << 20)
+        }
+        assert by_threshold[256 << 10].busy_comm > by_threshold[64 << 20].busy_comm
+        assert by_threshold[512 << 20].visible_comm >= by_threshold[64 << 20].visible_comm
+
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):
             simulate_backward_overlap(

@@ -302,6 +302,41 @@ class TestDeadlinesAndCost:
         assert half.total_cost_usd < whole.total_cost_usd
 
 
+class TestCanonicalQueue:
+    """The shipped four-job queue (``examples/configs/multi_tenant.json``)
+    under every built-in placement policy."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        from repro.experiments.multi_tenant import run
+
+        return run()
+
+    def test_every_job_done_and_billed(self, reports):
+        for policy, report in reports.items():
+            for outcome in report.jobs:
+                assert outcome.status == "done", (policy, outcome.job)
+                assert outcome.cost_usd > 0
+
+    def test_spreading_relieves_the_dense_tenant(self, reports):
+        packed = next(o for o in reports["bin-pack"].jobs if o.job == "vgg-batch")
+        spread = next(o for o in reports["spread"].jobs if o.job == "vgg-batch")
+        assert packed.contention_slowdown > 1.02
+        assert spread.contention_slowdown < packed.contention_slowdown
+        assert reports["spread"].makespan_s < reports["bin-pack"].makespan_s
+        assert reports["spread"].total_cost_usd <= reports["bin-pack"].total_cost_usd
+
+    def test_late_transformer_preempts_and_meets_deadline(self, reports):
+        for policy, report in reports.items():
+            xfmr = next(o for o in report.jobs if o.job == "xfmr-deadline")
+            assert xfmr.deadline_met is True, policy
+            shrunk = [o for o in report.jobs if o.shrinks > 0]
+            assert shrunk, f"{policy}: nobody was preempted for the transformer"
+            for outcome in shrunk:
+                assert outcome.priority < xfmr.priority
+                assert outcome.membership_epochs >= outcome.shrinks
+
+
 class TestPayload:
     def test_bench_payload_schema(self):
         reports = compare_policies(

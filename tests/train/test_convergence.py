@@ -1,6 +1,7 @@
 """Convergence experiment (Fig. 10 / Table 2) — fast assertions.
 
-Full curves are produced by the benchmark harness; these tests run
+Full curves are produced by the experiment harness
+(``python -m repro experiments --only "Fig. 10"``); these tests run
 abbreviated versions and check the paper's qualitative claims.
 """
 

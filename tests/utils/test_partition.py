@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.profiles import resnet50_profile
 from repro.utils.partition import (
     chunk_bounds,
     chunk_sizes,
@@ -16,6 +17,8 @@ from repro.utils.partition import (
     shard_slice,
     unflatten_tensors,
 )
+
+RESNET50_SIZES = list(resnet50_profile().layer_sizes)
 
 
 class TestChunkSizes:
@@ -109,10 +112,21 @@ class TestPartitionLayers:
         flat = sorted(i for a in assignment for i in a)
         assert flat == list(range(len(sizes)))
 
-    def test_balanced_is_no_worse_than_contiguous(self):
-        sizes = [1000, 1, 1, 1, 1000, 1, 1, 1]
-        contiguous = partition_layers(sizes, 2)
-        balanced = partition_layers_balanced(sizes, 2)
+    # PTO's layer split, also over ResNet-50's 161 skewed tensors (a 2M
+    # fc weight beside 128-element batch-norm vectors).
+    @pytest.mark.parametrize(
+        ("sizes", "parts"),
+        [
+            ([1000, 1, 1, 1, 1000, 1, 1, 1], 2),
+            (RESNET50_SIZES, 8),
+            (RESNET50_SIZES, 32),
+            (RESNET50_SIZES, 128),
+        ],
+        ids=["toy", "resnet50-8", "resnet50-32", "resnet50-128"],
+    )
+    def test_balanced_is_no_worse_than_contiguous(self, sizes, parts):
+        contiguous = partition_layers(sizes, parts)
+        balanced = partition_layers_balanced(sizes, parts)
         load = lambda a: max(sum(sizes[i] for i in w) for w in a)  # noqa: E731
         assert load(balanced) <= load(contiguous)
 
