@@ -142,16 +142,6 @@ PRESET_LINKS: dict[str, LinkSpec] = {
 }
 
 
-def get_link(name: str) -> LinkSpec:
-    """Look up a preset link by short name (case-insensitive)."""
-    key = name.lower()
-    if key not in PRESET_LINKS:
-        raise KeyError(
-            f"unknown link preset {name!r}; available: {sorted(PRESET_LINKS)}"
-        )
-    return PRESET_LINKS[key]
-
-
 __all__ = [
     "LinkSpec",
     "NVLINK_V100",
@@ -161,5 +151,4 @@ __all__ = [
     "ETHERNET_32G",
     "INFINIBAND_100G",
     "PRESET_LINKS",
-    "get_link",
 ]

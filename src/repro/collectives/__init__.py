@@ -1,70 +1,37 @@
 """Functional collective operations over simulated workers.
 
-Each collective takes the per-worker inputs as a ``list`` (indexed by
-rank) of NumPy arrays and returns the per-worker outputs as a list, with
-no real networking involved — the point is numerical fidelity to the
-algorithms (ring reduce-scatter, ring/tree/2D-torus all-reduce,
-all-gather, and the sparse all-gather aggregation the paper's TopK-SGD
-needs).  Timing is handled separately by
-:class:`repro.cluster.NetworkModel` and the schemes in :mod:`repro.comm`.
+Each collective takes the per-worker inputs as one ``(W, d)`` matrix
+(row ``r`` is rank ``r``'s tensor) and returns the aggregate, with no
+real networking involved — the point is numerical fidelity to the
+algorithms (ring reduce-scatter, ring/tree/2D-torus all-reduce, and the
+sparse scatter-add the paper's TopK-SGD needs).  Timing is handled
+separately by :class:`repro.cluster.NetworkModel` and the schemes in
+:mod:`repro.comm`.
 
-The ring algorithms move data step by step exactly as the real ring
-would, rather than computing ``sum`` directly, so tests can check both
-the result *and* the communication schedule.
+Each matrix fold performs the same floating-point additions in the same
+order as the real schedule, so its result equals a rank-by-rank
+simulation of that schedule bit for bit; the tests hold it to one.
 """
 
-from repro.collectives.all_gather import all_gather, all_gather_concat, ring_all_gather
 from repro.collectives.all_reduce import (
     matrix_ring_allreduce,
     matrix_torus_allreduce_2d,
     matrix_tree_allreduce,
-    ring_allreduce,
-    torus_allreduce_2d,
-    tree_allreduce,
 )
-from repro.collectives.primitives import (
-    broadcast,
-    broadcast_views,
-    gather,
-    reduce_sum,
-    scatter,
-    validate_group,
-)
-from repro.collectives.reduce_scatter import (
-    matrix_reduce_scatter,
-    reference_reduce_scatter,
-    ring_reduce_scatter,
-)
-from repro.collectives.sparse import (
-    SparseVector,
-    batched_scatter_add,
-    coalesce,
-    sparse_allgather_reduce,
-    sparsify_dense,
-)
+from repro.collectives.primitives import broadcast, broadcast_views, gather, scatter
+from repro.collectives.reduce_scatter import matrix_reduce_scatter
+from repro.collectives.sparse import SparseVector, batched_scatter_add, coalesce
 
 __all__ = [
     "broadcast",
     "broadcast_views",
-    "reduce_sum",
     "gather",
     "scatter",
-    "validate_group",
-    "ring_reduce_scatter",
     "matrix_reduce_scatter",
-    "reference_reduce_scatter",
-    "all_gather",
-    "all_gather_concat",
-    "ring_all_gather",
-    "ring_allreduce",
-    "tree_allreduce",
-    "torus_allreduce_2d",
     "matrix_ring_allreduce",
     "matrix_tree_allreduce",
     "matrix_torus_allreduce_2d",
     "SparseVector",
     "coalesce",
     "batched_scatter_add",
-    "sparse_allgather_reduce",
-    "sparsify_dense",
 ]

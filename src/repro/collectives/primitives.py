@@ -1,7 +1,8 @@
-"""Basic collective primitives (broadcast, reduce, gather, scatter).
+"""Basic collective primitives (broadcast, gather, scatter).
 
-These underpin the composite collectives and the tree all-reduce.  All
-functions are pure: inputs are never mutated, outputs are fresh arrays.
+All functions are pure: inputs are never mutated, outputs are fresh
+arrays — except :func:`broadcast_views`, which hands every rank a
+read-only view of one aggregate.
 """
 
 from __future__ import annotations
@@ -11,31 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.utils.partition import chunk_bounds
-
-
-def validate_group(tensors: Sequence[np.ndarray], *, name: str = "collective") -> list[np.ndarray]:
-    """Check that a per-worker tensor list is a valid collective group.
-
-    All tensors must be one-dimensional with identical length and dtype
-    (the trainer flattens/fuses layer gradients before communicating, so
-    1-D is the only case the collectives need to support).
-    """
-    if len(tensors) == 0:
-        raise ValueError(f"{name}: empty worker group")
-    arrays = [np.asarray(t) for t in tensors]
-    first = arrays[0]
-    if first.ndim != 1:
-        raise ValueError(f"{name}: tensors must be 1-D, got shape {first.shape}")
-    for rank, arr in enumerate(arrays):
-        if arr.shape != first.shape:
-            raise ValueError(
-                f"{name}: rank {rank} has shape {arr.shape}, expected {first.shape}"
-            )
-        if arr.dtype != first.dtype:
-            raise ValueError(
-                f"{name}: rank {rank} has dtype {arr.dtype}, expected {first.dtype}"
-            )
-    return arrays
 
 
 def broadcast(tensor: np.ndarray, world_size: int) -> list[np.ndarray]:
@@ -64,15 +40,6 @@ def broadcast_views(tensor: np.ndarray, world_size: int) -> list[np.ndarray]:
     return views
 
 
-def reduce_sum(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum the per-worker tensors into one array (the 'reduce to root')."""
-    arrays = validate_group(tensors, name="reduce_sum")
-    out = arrays[0].copy()
-    for arr in arrays[1:]:
-        out += arr
-    return out
-
-
 def gather(tensors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Collect every worker's tensor at a (virtual) root, in rank order."""
     if len(tensors) == 0:
@@ -89,10 +56,8 @@ def scatter(tensor: np.ndarray, world_size: int) -> list[np.ndarray]:
 
 
 __all__ = [
-    "validate_group",
     "broadcast",
     "broadcast_views",
-    "reduce_sum",
     "gather",
     "scatter",
 ]

@@ -10,50 +10,9 @@ chunk to its successor, which matches the cost form of paper Eq. (7):
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.collectives.primitives import validate_group
 from repro.utils.partition import chunk_bounds
-
-
-def ring_reduce_scatter(tensors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Ring reduce-scatter: worker ``i`` ends up owning reduced chunk ``i``.
-
-    Simulates the actual ring schedule (``p - 1`` send/accumulate steps)
-    over chunk-partitioned buffers rather than summing directly, so the
-    result order and the floating-point accumulation order match a real
-    ring implementation.
-
-    Returns the list of owned chunks (worker ``i`` → chunk ``i``).
-    """
-    arrays = validate_group(tensors, name="ring_reduce_scatter")
-    p = len(arrays)
-    d = arrays[0].size
-    bounds = chunk_bounds(d, p)
-
-    if p == 1:
-        return [arrays[0].copy()]
-
-    # chunks[w][c] is worker w's current accumulated value of chunk c.
-    chunks: list[list[np.ndarray]] = [
-        [arr[start:end].copy() for start, end in bounds] for arr in arrays
-    ]
-
-    # At step t, worker w sends its accumulated chunk (w - t - 1) mod p to
-    # worker (w + 1) mod p.  After p-1 steps worker w owns chunk w fully
-    # reduced.  Sends within one step are simultaneous, so we read the
-    # pre-step state for all sends before applying any accumulation.
-    for step in range(p - 1):
-        sends = []
-        for w in range(p):
-            c = (w - step - 1) % p
-            sends.append((c, (w + 1) % p, chunks[w][c]))
-        for c, dst, payload in sends:
-            chunks[dst][c] = chunks[dst][c] + payload
-
-    return [chunks[w][w] for w in range(p)]
 
 
 def matrix_reduce_scatter(mat: np.ndarray) -> np.ndarray:
@@ -61,7 +20,8 @@ def matrix_reduce_scatter(mat: np.ndarray) -> np.ndarray:
 
     Returns the flat ``(d,)`` vector whose chunk ``w`` (NCCL bounds) is
     the reduced chunk owned by worker ``w`` — i.e. the rank-order
-    concatenation of :func:`ring_reduce_scatter`'s outputs, bit for bit.
+    concatenation of what the step-by-step ring schedule leaves on each
+    worker, bit for bit.
 
     The ring schedule accumulates chunk ``c`` in the fixed order
     ``x[c+1] + x[c+2] + ... + x[c]`` (indices mod ``p``).  Each owner
@@ -89,14 +49,4 @@ def matrix_reduce_scatter(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_reduce_scatter(tensors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Direct (non-ring) reference: sum then shard.  Used by tests."""
-    arrays = validate_group(tensors, name="reference_reduce_scatter")
-    total = arrays[0].copy()
-    for arr in arrays[1:]:
-        total += arr
-    bounds = chunk_bounds(total.size, len(arrays))
-    return [total[start:end].copy() for start, end in bounds]
-
-
-__all__ = ["ring_reduce_scatter", "matrix_reduce_scatter", "reference_reduce_scatter"]
+__all__ = ["matrix_reduce_scatter"]

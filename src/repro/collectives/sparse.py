@@ -4,7 +4,7 @@ Top-k sparsification makes indices differ across workers, so the values
 "cannot be aggregated through the All-Reduce collective.  The efficient
 way is to use two All-Gather operations to aggregate the values and
 indices respectively" (paper §3.2, citing SparCML).  This module provides
-the sparse container and that aggregation.
+the sparse container and the scatter-add that aggregation ends in.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ class SparseVector:
         return self.nnz * (value_bytes + index_bytes)
 
 
-def sparsify_dense(dense: np.ndarray, indices: np.ndarray) -> SparseVector:
-    """Build a :class:`SparseVector` by reading ``dense`` at ``indices``."""
-    dense = np.asarray(dense)
-    if dense.ndim != 1:
-        raise ValueError(f"dense must be 1-D, got shape {dense.shape}")
-    indices = np.asarray(indices, dtype=np.int64)
-    return SparseVector(dense[indices], indices, dense.size)
-
-
 def coalesce(vec: SparseVector) -> SparseVector:
     """Merge duplicate indices by summation; output indices are sorted."""
     if vec.nnz == 0:
@@ -88,19 +79,6 @@ def coalesce(vec: SparseVector) -> SparseVector:
     summed = np.zeros(unique_idx.size, dtype=vals.dtype)
     np.add.at(summed, inverse, vals)
     return SparseVector(summed, unique_idx, vec.length)
-
-
-def concat_sparse(vectors: Sequence[SparseVector]) -> SparseVector:
-    """Concatenate sparse vectors sharing one coordinate space."""
-    if not vectors:
-        raise ValueError("concat_sparse: empty input")
-    length = vectors[0].length
-    for v in vectors:
-        if v.length != length:
-            raise ValueError("concat_sparse: mismatched lengths")
-    values = np.concatenate([v.values for v in vectors]) if vectors else np.empty(0)
-    indices = np.concatenate([v.indices for v in vectors])
-    return SparseVector(values, indices, length)
 
 
 def batched_scatter_add(
@@ -142,32 +120,8 @@ def batched_scatter_add(
     return dense
 
 
-def sparse_allgather_reduce(vectors: Sequence[SparseVector]) -> list[np.ndarray]:
-    """The NaiveAG aggregation: all-gather (values, indices), then each
-    worker scatter-adds every contribution into a dense buffer.
-
-    Returns the per-worker dense aggregate (identical across workers).
-    """
-    if not vectors:
-        raise ValueError("sparse_allgather_reduce: empty worker group")
-    length = vectors[0].length
-    dtype = vectors[0].values.dtype
-    for rank, v in enumerate(vectors):
-        if v.length != length:
-            raise ValueError(
-                f"sparse_allgather_reduce: rank {rank} length {v.length} != {length}"
-            )
-    dense = np.zeros(length, dtype=dtype)
-    for v in vectors:
-        np.add.at(dense, v.indices, v.values)
-    return [dense.copy() for _ in range(len(vectors))]
-
-
 __all__ = [
     "SparseVector",
-    "sparsify_dense",
     "coalesce",
-    "concat_sparse",
     "batched_scatter_add",
-    "sparse_allgather_reduce",
 ]

@@ -20,7 +20,6 @@ from repro.comm.breakdown import TimeBreakdown
 from repro.comm.dense import RingAllReduce, Torus2DAllReduce, TreeAllReduce
 from repro.comm.gtopk import GlobalTopK
 from repro.comm.hitopkcomm import HiTopKComm
-from repro.comm.legacy import legacy_aggregate
 from repro.comm.naive_allgather import NaiveAllGather
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "NaiveAllGather",
     "HiTopKComm",
     "GlobalTopK",
-    "legacy_aggregate",
 ]

@@ -109,8 +109,8 @@ class GlobalTopK(CommScheme):
             self.ef.update_batch(ranks, corrected, selections)
 
         # Binomial merge tree: stride doubling, top-k re-selection at
-        # each merge (mirrors the reduce phase of tree_allreduce).  Each
-        # merge touches only 2k pairs, so this stays per-pair code.
+        # each merge (mirrors the reduce phase of the tree all-reduce).
+        # Each merge touches only 2k pairs, so this stays per-pair code.
         current: list[SparseVector | None] = list(selections)
         stride = 1
         while stride < p:

@@ -11,8 +11,6 @@ it alongside the baselines it is compared against in Fig. 6:
   Gradient Compression (Lin et al. 2018);
 * :mod:`repro.compression.mstopk` — Algorithm 1;
 * :mod:`repro.compression.randomk` — random-k (convergence baseline);
-* :mod:`repro.compression.quantize` — FP16 and QSGD quantisers
-  (related-work baselines, §6);
 * :mod:`repro.compression.error_feedback` — the residual memory that
   makes sparsified SGD converge (Stich et al. 2018; Karimireddy et al.
   2019).
@@ -22,21 +20,8 @@ from repro.compression.base import TopKCompressor, density_to_k
 from repro.compression.dgc import DGCTopK
 from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.exact_topk import ExactTopK, naive_topk_sort, topk_argpartition
-from repro.compression.mstopk import (
-    MSTopK,
-    mstopk_select,
-    mstopk_select_batch,
-    mstopk_threshold_search,
-    mstopk_threshold_search_batch,
-)
-from repro.compression.quantize import FP16Quantizer, QSGDQuantizer, Quantizer
+from repro.compression.mstopk import MSTopK, mstopk_select, mstopk_select_batch
 from repro.compression.randomk import RandomK
-from repro.compression.theory import (
-    CompressionDiagnostics,
-    contraction_factor,
-    residual_norm_bound,
-    topk_contraction_bound,
-)
 
 __all__ = [
     "TopKCompressor",
@@ -48,15 +33,6 @@ __all__ = [
     "MSTopK",
     "mstopk_select",
     "mstopk_select_batch",
-    "mstopk_threshold_search",
-    "mstopk_threshold_search_batch",
     "RandomK",
-    "Quantizer",
-    "FP16Quantizer",
-    "QSGDQuantizer",
     "ErrorFeedback",
-    "contraction_factor",
-    "topk_contraction_bound",
-    "residual_norm_bound",
-    "CompressionDiagnostics",
 ]

@@ -51,15 +51,6 @@ def topk_argpartition(x: np.ndarray, k: int) -> SparseVector:
     return SparseVector(x[indices], indices, x.size)
 
 
-def exact_threshold(x: np.ndarray, k: int) -> float:
-    """The k-th largest magnitude of ``x`` (paper Eq. 2's ``thres``)."""
-    x = np.asarray(x)
-    if not 1 <= k <= x.size:
-        raise ValueError(f"k={k} out of range for vector of size {x.size}")
-    magnitude = np.abs(x)
-    return float(np.partition(magnitude, x.size - k)[x.size - k])
-
-
 class ExactTopK(TopKCompressor):
     """Exact top-k compressor.
 
@@ -123,4 +114,4 @@ class ExactTopK(TopKCompressor):
         return f"ExactTopK(method={self.method!r})"
 
 
-__all__ = ["ExactTopK", "naive_topk_sort", "topk_argpartition", "exact_threshold"]
+__all__ = ["ExactTopK", "naive_topk_sort", "topk_argpartition"]

@@ -116,36 +116,6 @@ def _threshold_search(
     return ThresholdSearchResult(thres1, thres2, k1, k2, n_samplings, found1, found2)
 
 
-def mstopk_threshold_search(
-    magnitude: np.ndarray, k: int, n_samplings: int = DEFAULT_N_SAMPLINGS
-) -> ThresholdSearchResult:
-    """Binary-search bracketing thresholds for ``k`` on ``|x|``.
-
-    ``magnitude`` must already be the absolute values.  Follows Algorithm
-    1 exactly: the search interval is the ratio ``[l, r] ⊂ [0, 1]``
-    mapped onto ``[mean, max]`` of the magnitudes.
-    """
-    return mstopk_threshold_search_batch([magnitude], [k], n_samplings)[0]
-
-
-def mstopk_threshold_search_batch(
-    magnitudes: Sequence[np.ndarray],
-    ks: Sequence[int],
-    n_samplings: int = DEFAULT_N_SAMPLINGS,
-) -> list[ThresholdSearchResult]:
-    """The threshold search on every shard (of any lengths), in order."""
-    rows = [np.asarray(m) for m in magnitudes]
-    if len(rows) != len(ks):
-        raise ValueError(f"{len(rows)} shards but {len(ks)} k values")
-    for i, row in enumerate(rows):
-        if row.ndim != 1:
-            raise ValueError(f"shard {i} must be 1-D, got shape {row.shape}")
-    return [
-        _threshold_search(row, int(k), n_samplings, i)
-        for i, (row, k) in enumerate(zip(rows, ks))
-    ]
-
-
 def mstopk_select(
     x: np.ndarray,
     k: int,
@@ -284,8 +254,6 @@ class MSTopK(TopKCompressor):
 __all__ = [
     "DEFAULT_N_SAMPLINGS",
     "ThresholdSearchResult",
-    "mstopk_threshold_search",
-    "mstopk_threshold_search_batch",
     "mstopk_select",
     "mstopk_select_batch",
     "MSTopK",

@@ -19,18 +19,9 @@ deterministically.
 """
 
 from repro.data.cache import CacheStats, DataCache, ReadOutcome
-from repro.data.dataset import (
-    SyntheticImageDataset,
-    SyntheticTranslationDataset,
-)
+from repro.data.dataset import SyntheticImageDataset
 from repro.data.loader import CachedDataLoader, EpochTimings
-from repro.data.preprocess import (
-    PreprocessModel,
-    augment_image,
-    decode_image,
-    preprocess_sample,
-)
-from repro.data.sampler import DistributedSampler, make_samplers
+from repro.data.preprocess import PreprocessModel, augment_image, decode_image
 from repro.data.storage import (
     LocalDiskStore,
     MemoryStore,
@@ -47,13 +38,9 @@ __all__ = [
     "CacheStats",
     "ReadOutcome",
     "SyntheticImageDataset",
-    "SyntheticTranslationDataset",
     "decode_image",
     "augment_image",
-    "preprocess_sample",
     "PreprocessModel",
     "CachedDataLoader",
     "EpochTimings",
-    "DistributedSampler",
-    "make_samplers",
 ]

@@ -1,11 +1,10 @@
-"""Synthetic datasets standing in for ImageNet and WMT17.
+"""A synthetic dataset standing in for ImageNet.
 
-The paper trains CNNs on ImageNet (1.28M images) and a Transformer on
-WMT17 English-German.  We synthesise structurally equivalent datasets:
-encoded images with realistic compressed sizes, and token-id sentence
-pairs with realistic length distributions.  The content is random — the
-data path (storage tiers, decode, augmentation, sharding) is what the
-reproduction exercises.
+The paper trains CNNs on ImageNet (1.28M images).  We synthesise a
+structurally equivalent dataset: encoded images with realistic
+compressed sizes.  The content is random — the data path (storage
+tiers, decode, augmentation, sharding) is what the reproduction
+exercises.
 """
 
 from __future__ import annotations
@@ -83,70 +82,4 @@ class SyntheticImageDataset:
         return self.num_samples
 
 
-@dataclass
-class SyntheticTranslationDataset:
-    """A WMT-like corpus of token-id sentence pairs.
-
-    Sentence lengths follow a clipped log-normal (mean ≈ 25 tokens),
-    vocabulary ids are uniform.  The paper's Transformer treats "one
-    sentence with 256 words" as a sample unit; :meth:`padded_batch`
-    produces fixed-length arrays of that shape.
-    """
-
-    num_samples: int
-    vocab_size: int = 32_000
-    max_len: int = 256
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
-        rng = new_rng(self.seed)
-        lengths = np.clip(
-            rng.lognormal(mean=3.0, sigma=0.6, size=self.num_samples).astype(int),
-            4,
-            self.max_len,
-        )
-        self._lengths = lengths
-
-    def key(self, index: int) -> str:
-        self._check(index)
-        return f"sent-{index:09d}"
-
-    def sentence_pair(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) token id arrays for one sample."""
-        self._check(index)
-        rng = new_rng(self.seed + 7_000_000 + index)
-        src_len = int(self._lengths[index])
-        tgt_len = max(4, int(src_len * rng.uniform(0.8, 1.2)))
-        src = rng.integers(1, self.vocab_size, size=src_len)
-        tgt = rng.integers(1, self.vocab_size, size=min(tgt_len, self.max_len))
-        return src, tgt
-
-    def encoded(self, index: int) -> bytes:
-        src, tgt = self.sentence_pair(index)
-        return (
-            len(src).to_bytes(4, "little")
-            + src.astype(np.int32).tobytes()
-            + tgt.astype(np.int32).tobytes()
-        )
-
-    def padded_batch(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pad a batch of source/target pairs to ``max_len`` (id 0 = pad)."""
-        srcs = np.zeros((len(indices), self.max_len), dtype=np.int64)
-        tgts = np.zeros((len(indices), self.max_len), dtype=np.int64)
-        for row, index in enumerate(indices):
-            src, tgt = self.sentence_pair(int(index))
-            srcs[row, : len(src)] = src
-            tgts[row, : len(tgt)] = tgt
-        return srcs, tgts
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.num_samples:
-            raise IndexError(f"sample {index} out of range [0, {self.num_samples})")
-
-    def __len__(self) -> int:
-        return self.num_samples
-
-
-__all__ = ["SyntheticImageDataset", "SyntheticTranslationDataset"]
+__all__ = ["SyntheticImageDataset"]

@@ -108,19 +108,9 @@ class PreprocessModel:
         return pixel_bytes / self.augment_bytes_per_sec
 
 
-def preprocess_sample(
-    encoded: bytes,
-    out_resolution: int,
-    rng: RandomState,
-) -> np.ndarray:
-    """Full pipeline: decode + augment (the work DataCache memoises)."""
-    return augment_image(decode_image(encoded), out_resolution, rng)
-
-
 __all__ = [
     "encode_image",
     "decode_image",
     "augment_image",
-    "preprocess_sample",
     "PreprocessModel",
 ]

@@ -27,7 +27,6 @@ from repro.elastic.events import (
     PoissonChurn,
     SpotProfile,
     TraceSchedule,
-    warning_iterations,
 )
 from repro.elastic.membership import MembershipView, fold_residuals
 
@@ -39,7 +38,6 @@ __all__ = [
     "TraceSchedule",
     "SpotProfile",
     "SPOT_PROFILES",
-    "warning_iterations",
     "REVOKE",
     "JOIN",
     "MembershipView",

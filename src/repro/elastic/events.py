@@ -14,8 +14,7 @@ empirical properties shape the model here:
   clouds) notify a spot instance ~120 s before reclaiming it.  A warned
   revocation gives the job time to checkpoint, so no work is lost; a
   surprise revocation forces a rollback to the last periodic
-  checkpoint.  :func:`warning_iterations` converts the warning window
-  into whole training iterations.
+  checkpoint.
 
 :class:`TraceSchedule` replays an explicit event list instead, for
 reproducing a recorded revocation trace.  Both schedules produce plain
@@ -123,21 +122,6 @@ SPOT_PROFILES: dict[str, SpotProfile] = {
         spot_discount=0.30,
     ),
 }
-
-
-def warning_iterations(
-    iteration_seconds: float, *, warning_seconds: float = 120.0
-) -> int:
-    """Whole iterations covered by an advance-revocation warning.
-
-    The two-minute warning is only useful if at least one checkpoint
-    fits inside it; callers compare this against their checkpoint cost.
-    """
-    if iteration_seconds <= 0:
-        raise ValueError(f"iteration_seconds must be > 0, got {iteration_seconds}")
-    if warning_seconds < 0:
-        raise ValueError(f"warning_seconds must be >= 0, got {warning_seconds}")
-    return int(math.floor(warning_seconds / iteration_seconds))
 
 
 class TraceSchedule:
@@ -302,7 +286,6 @@ __all__ = [
     "ChurnEvent",
     "SpotProfile",
     "SPOT_PROFILES",
-    "warning_iterations",
     "TraceSchedule",
     "PoissonChurn",
 ]

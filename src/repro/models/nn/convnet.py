@@ -32,7 +32,7 @@ from repro.utils.seeding import RandomState
 #: measured 129 / 168 / 181 / 198 / 211 steps/s on ``train-compute``
 #: against 151 for eight per-row calls, at +1 / +4 / +8 / +12 / +26 % RSS
 #: against a 10 % bound — so the bound sits between 3 workers' im2col
-#: (1.42 MiB) and 4 (1.90 MiB).  ROADMAP 3(d) has the table.
+#: (1.42 MiB) and 4 (1.90 MiB).  ROADMAP 5(d) has the table.
 PASS_BYTES = 3 << 19  # 1.5 MiB
 
 

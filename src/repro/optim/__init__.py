@@ -1,21 +1,16 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers and the progressive-resizing schedule.
 
 Large-batch training (global batch 32K in the paper's §5.5) needs
 layer-wise adaptive scaling to converge — LARS (You et al. 2018) for
 CNNs, LAMB (You et al. 2020) for attention models.  Plain momentum SGD
-is the within-layer update rule underneath both.
+is the within-layer update rule underneath both.  The DAWNBench record
+run (§5.6) changes input resolution by phase
+(:class:`~repro.optim.schedules.ProgressiveResizeSchedule`).
 """
 
 from repro.optim.lars import LARS, lars_coefficient, lars_coefficients
 from repro.optim.lamb import LAMB
-from repro.optim.schedules import (
-    LRSchedule,
-    PolynomialDecay,
-    ProgressiveResizeSchedule,
-    ResolutionPhase,
-    StepDecay,
-    WarmupSchedule,
-)
+from repro.optim.schedules import ProgressiveResizeSchedule, ResolutionPhase
 from repro.optim.sgd import SGD
 
 __all__ = [
@@ -24,10 +19,6 @@ __all__ = [
     "LAMB",
     "lars_coefficient",
     "lars_coefficients",
-    "LRSchedule",
-    "WarmupSchedule",
-    "StepDecay",
-    "PolynomialDecay",
     "ProgressiveResizeSchedule",
     "ResolutionPhase",
 ]

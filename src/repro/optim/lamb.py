@@ -85,7 +85,7 @@ class LAMB:
         """The pre-trust-ratio update directions (input to PTO's ratios).
 
         Pure (does not advance optimizer state); mirrors what the real
-        system hands to :func:`repro.pto.lamb_trust_ratios_pto`.
+        system hands to PTO to compute the trust ratios (§4.2).
         """
         out: dict[str, np.ndarray] = {}
         t = self._step_count + 1

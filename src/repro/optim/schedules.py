@@ -1,83 +1,11 @@
-"""Learning-rate and input-resolution schedules.
-
-Two schedule families matter for the reproduction:
-
-* **Warmup + decay** — "the warmup process is necessary to preserve the
-  model accuracy" (§5.6, citing Goyal et al. 2017);
-* **Progressive resizing** — the DAWNBench recipe (§5.6): 13 epochs at
-  96², 11 at 128², 3 at 224², 1 at 288² with halved batch size.
+"""The input-resolution schedule of the DAWNBench recipe (§5.6):
+13 epochs at 96², 11 at 128², 3 at 224², 1 at 288² with halved batch
+size, switching from MSTopK to 2DTAR after the first phase.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Sequence
-
-
-class LRSchedule(abc.ABC):
-    """Learning rate as a function of (fractional) epoch."""
-
-    @abc.abstractmethod
-    def lr(self, epoch: float) -> float:
-        ...
-
-    def __call__(self, epoch: float) -> float:
-        return self.lr(epoch)
-
-
-@dataclass(frozen=True)
-class WarmupSchedule(LRSchedule):
-    """Linear warmup from ``initial`` to ``peak``, then delegate."""
-
-    peak: float
-    warmup_epochs: float
-    after: LRSchedule | None = None
-    initial: float = 0.0
-
-    def lr(self, epoch: float) -> float:
-        if epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {epoch}")
-        if self.warmup_epochs > 0 and epoch < self.warmup_epochs:
-            frac = epoch / self.warmup_epochs
-            return self.initial + frac * (self.peak - self.initial)
-        if self.after is None:
-            return self.peak
-        return self.after.lr(epoch - self.warmup_epochs)
-
-
-@dataclass(frozen=True)
-class StepDecay(LRSchedule):
-    """Multiply by ``factor`` at each milestone epoch (ResNet recipe)."""
-
-    base: float
-    milestones: tuple[float, ...] = (30.0, 60.0, 80.0)
-    factor: float = 0.1
-
-    def lr(self, epoch: float) -> float:
-        if epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {epoch}")
-        rate = self.base
-        for milestone in self.milestones:
-            if epoch >= milestone:
-                rate *= self.factor
-        return rate
-
-
-@dataclass(frozen=True)
-class PolynomialDecay(LRSchedule):
-    """``base * (1 - epoch/total)^power`` (the LARS-paper decay)."""
-
-    base: float
-    total_epochs: float
-    power: float = 2.0
-    floor: float = 0.0
-
-    def lr(self, epoch: float) -> float:
-        if epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {epoch}")
-        frac = min(1.0, epoch / self.total_epochs)
-        return self.floor + (self.base - self.floor) * (1.0 - frac) ** self.power
 
 
 @dataclass(frozen=True)
@@ -139,10 +67,6 @@ class ProgressiveResizeSchedule:
 
 
 __all__ = [
-    "LRSchedule",
-    "WarmupSchedule",
-    "StepDecay",
-    "PolynomialDecay",
     "ResolutionPhase",
     "ProgressiveResizeSchedule",
 ]

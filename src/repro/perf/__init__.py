@@ -11,13 +11,7 @@ measurement it is pinned to.
 
 from repro.perf.calibration import CALIBRATION, Calibration
 from repro.perf.elastic_cost import ElasticCostReport, account
-from repro.perf.hotpath import PhaseTimer
-from repro.perf.dawnbench import (
-    DawnbenchResult,
-    DawnbenchSimulator,
-    PhaseResult,
-    dawnbench_leaderboard,
-)
+from repro.perf.dawnbench import DawnbenchResult, DawnbenchSimulator, PhaseResult
 from repro.perf.iteration_model import IterationModel, SchemeKind, io_visible_time
 from repro.perf.throughput import ThroughputRow, table3_rows
 from repro.perf.timeline import (
@@ -27,7 +21,6 @@ from repro.perf.timeline import (
 )
 
 __all__ = [
-    "PhaseTimer",
     "TimelineResult",
     "simulate_backward_overlap",
     "derive_overlap_fraction",
@@ -43,5 +36,4 @@ __all__ = [
     "DawnbenchSimulator",
     "DawnbenchResult",
     "PhaseResult",
-    "dawnbench_leaderboard",
 ]

@@ -67,10 +67,6 @@ DAWNBENCH_LEADERBOARD: tuple[LeaderboardEntry, ...] = (
 )
 
 
-def dawnbench_leaderboard() -> tuple[LeaderboardEntry, ...]:
-    return DAWNBENCH_LEADERBOARD
-
-
 class DawnbenchSimulator:
     """Simulates the 28-epoch record run on the virtual testbed."""
 
@@ -201,7 +197,6 @@ __all__ = [
     "DawnbenchSimulator",
     "LeaderboardEntry",
     "DAWNBENCH_LEADERBOARD",
-    "dawnbench_leaderboard",
     "PAPER_TABLE4",
     "PAPER_RECORD_SECONDS",
 ]

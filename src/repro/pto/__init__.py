@@ -9,12 +9,11 @@ one cheap collective.
 """
 
 from repro.pto.operator import PTOCostModel, PTOResult, ParallelTensorOperator
-from repro.pto.lars_pto import lamb_trust_ratios_pto, lars_learning_rates_pto
+from repro.pto.lars_pto import lars_learning_rates_pto
 
 __all__ = [
     "ParallelTensorOperator",
     "PTOResult",
     "PTOCostModel",
     "lars_learning_rates_pto",
-    "lamb_trust_ratios_pto",
 ]

@@ -1,4 +1,4 @@
-"""PTO applied to LARS / LAMB learning-rate computation (§4.2).
+"""PTO applied to LARS learning-rate computation (§4.2).
 
 "We partition the workload in terms of the layer for different GPUs ...
 Finally, the layer-wise learning rates on the GPUs are all-gathered,
@@ -54,34 +54,4 @@ def lars_learning_rates_pto(
     return pto.run(layers, layer_sizes=sizes)
 
 
-def lamb_trust_ratios_pto(
-    network: NetworkModel,
-    weights: Sequence[np.ndarray],
-    updates: Sequence[np.ndarray],
-    *,
-    balanced: bool = False,
-) -> PTOResult:
-    """LAMB trust ratios ``||w|| / ||update||`` computed with PTO.
-
-    "It would be similar to handle the case of LAMB using PTO" (§4.2).
-    """
-    if len(weights) != len(updates):
-        raise ValueError(
-            f"weights ({len(weights)}) and updates ({len(updates)}) must align"
-        )
-    layers = list(zip(weights, updates))
-    sizes = [np.asarray(w).size for w in weights]
-
-    def op(layer: tuple[np.ndarray, np.ndarray]) -> float:
-        w, u = layer
-        w_norm = float(np.linalg.norm(w))
-        u_norm = float(np.linalg.norm(u))
-        if w_norm == 0.0 or u_norm == 0.0:
-            return 1.0
-        return w_norm / u_norm
-
-    pto = ParallelTensorOperator(network, op, balanced=balanced)
-    return pto.run(layers, layer_sizes=sizes)
-
-
-__all__ = ["lars_learning_rates_pto", "lamb_trust_ratios_pto"]
+__all__ = ["lars_learning_rates_pto"]

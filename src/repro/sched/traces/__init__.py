@@ -23,7 +23,6 @@ CLI: ``python -m repro trace gen`` / ``python -m repro trace validate``
 
 from repro.sched.traces.ingest import (
     load_trace,
-    specs_to_trace,
     trace_stats,
     trace_to_specs,
     validate_trace,
@@ -54,7 +53,6 @@ __all__ = [
     "load_trace",
     "validate_trace",
     "trace_to_specs",
-    "specs_to_trace",
     "write_trace",
     "write_trace_csv",
     "trace_stats",

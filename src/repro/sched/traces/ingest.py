@@ -13,13 +13,10 @@ Every parse error raises :class:`~repro.sched.traces.records.TraceError`
 with a ``file:line`` (or ``file:row``) prefix, so the CLI can fail with
 one actionable line instead of a traceback.
 
-Conversion is lossless for every scheduling-relevant field:
-``specs_to_trace(trace_to_specs(t))`` reproduces ``t``'s job and task
-rows exactly when ``t`` itself came from :func:`specs_to_trace` (or the
-synthetic generator); for foreign traces the only fields not carried
-into :class:`~repro.sched.job.JobSpec` are the informational ones
-(``user``, ``status``, instance rows), which re-serialization
-re-derives deterministically.
+:func:`trace_to_specs` carries every scheduling-relevant field into
+:class:`~repro.sched.job.JobSpec` (the tests serialize the specs back
+and get the same specs); the only fields it drops are the informational
+ones (``user``, ``status``, instance rows).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import dataclasses
 import json
 import pathlib
 import sys
-from typing import Any, Sequence
+from typing import Any
 
 from repro.sched.job import JobSpec, TrainPayload
 from repro.sched.traces.records import (
@@ -39,7 +36,6 @@ from repro.sched.traces.records import (
     TraceJob,
     TraceTask,
 )
-from repro.utils.seeding import derive_seed
 
 #: JSONL record-type discriminator -> record class.
 RECORD_TYPES = {"job": TraceJob, "task": TraceTask, "instance": TraceInstance}
@@ -295,52 +291,6 @@ def trace_to_specs(trace: Trace) -> list[JobSpec]:
     return specs
 
 
-def _user_of(job_name: str) -> str:
-    """Deterministic PAI-style hashed submitter id for one job."""
-    return f"u{derive_seed(0, job_name) & 0xFFFF:04x}"
-
-
-def specs_to_trace(specs: Sequence[JobSpec]) -> Trace:
-    """Serialize job specs back into trace rows (inverse of
-    :func:`trace_to_specs` for every scheduling-relevant field)."""
-    trace = Trace()
-    for spec in specs:
-        trace.jobs.append(
-            TraceJob(
-                job_name=spec.name,
-                user=_user_of(spec.name),
-                submit_time=spec.arrival_seconds,
-                priority=spec.priority,
-                preference=spec.preference,
-                deadline=spec.deadline_seconds,
-                workload=spec.profile,
-                scheme=spec.scheme,
-                density=spec.density,
-            )
-        )
-        trace.tasks.append(
-            TraceTask(
-                job_name=spec.name,
-                inst_num=spec.max_nodes,
-                min_inst_num=spec.min_nodes,
-                plan_gpu=(
-                    spec.gpus_per_node * 100
-                    if spec.gpus_per_node is not None
-                    else None
-                ),
-                resolution=spec.resolution,
-                local_batch=spec.local_batch,
-                iterations=spec.iterations,
-                payload=(
-                    dataclasses.asdict(spec.payload)
-                    if spec.payload is not None
-                    else None
-                ),
-            )
-        )
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
@@ -423,7 +373,6 @@ __all__ = [
     "load_trace",
     "validate_trace",
     "trace_to_specs",
-    "specs_to_trace",
     "write_trace",
     "write_trace_csv",
     "trace_stats",

@@ -39,7 +39,6 @@ from repro.serve.snapshot import (
     SnapshotCorruptError,
     SnapshotLoad,
     SnapshotStore,
-    read_snapshot,
     write_snapshot,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "ops_from_script",
     "ops_from_trace",
     "parse_kill_spec",
-    "read_snapshot",
     "repair_journal",
     "run_script",
     "scan_journal",

@@ -122,13 +122,6 @@ def _unpickle(path: pathlib.Path, body: memoryview) -> object:
         raise SnapshotCorruptError(f"snapshot {path} failed to decode: {exc}") from exc
 
 
-def read_snapshot(path: str | pathlib.Path) -> tuple[dict, object]:
-    """Verify and load ``(meta, state)``; raises :class:`SnapshotCorruptError`."""
-    path = pathlib.Path(path)
-    meta, body = _read_verified(path)
-    return meta, _unpickle(path, body)
-
-
 @dataclass
 class SnapshotLoad:
     """Result of :meth:`SnapshotStore.load`."""
@@ -228,5 +221,4 @@ __all__ = [
     "SnapshotLoad",
     "SnapshotStore",
     "write_snapshot",
-    "read_snapshot",
 ]

@@ -100,9 +100,9 @@ class DistributedTrainer:
     seed:
         Controls parameter init, shuffling, and MSTopK's random runs.
     timer:
-        Optional :class:`repro.perf.hotpath.PhaseTimer` (anything with an
-        ``add(phase, seconds)`` method).  When set, each step's
-        ``forward_backward`` / ``fuse`` (one record per model call;
+        Optional sink with an ``add(phase, seconds)`` method (the
+        benchmark's span recorder, or a test's accumulator).  When set,
+        each step's ``forward_backward`` / ``fuse`` (one record per model call;
         ``fuse`` is ≈ 0 unless the model computed gradients outside its
         destinations and they had to be copied in) and ``aggregate`` /
         ``apply`` (one per step) phases are accumulated; when ``None``

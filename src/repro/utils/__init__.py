@@ -5,15 +5,9 @@ subsystem of the reproduction.  Nothing in here is paper-specific.
 """
 
 from repro.utils.clock import VirtualClock
-from repro.utils.partition import (
-    chunk_bounds,
-    chunk_sizes,
-    partition_indices,
-    partition_layers,
-    shard_slice,
-)
-from repro.utils.seeding import RandomState, new_rng, spawn_rngs
-from repro.utils.stats import RunningStat, summarize
+from repro.utils.partition import chunk_bounds, chunk_sizes, partition_layers
+from repro.utils.seeding import RandomState, new_rng
+from repro.utils.stats import RunningStat
 from repro.utils.tables import format_table, format_row
 from repro.utils.units import (
     GB,
@@ -22,7 +16,6 @@ from repro.utils.units import (
     KiB,
     MB,
     MiB,
-    format_bytes,
     format_seconds,
     gbps_to_bytes_per_sec,
 )
@@ -31,14 +24,10 @@ __all__ = [
     "VirtualClock",
     "chunk_bounds",
     "chunk_sizes",
-    "partition_indices",
     "partition_layers",
-    "shard_slice",
     "RandomState",
     "new_rng",
-    "spawn_rngs",
     "RunningStat",
-    "summarize",
     "format_table",
     "format_row",
     "KB",
@@ -47,7 +36,6 @@ __all__ = [
     "KiB",
     "MiB",
     "GiB",
-    "format_bytes",
     "format_seconds",
     "gbps_to_bytes_per_sec",
 ]

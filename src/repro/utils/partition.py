@@ -9,8 +9,8 @@ centralised here so that every subsystem agrees on shard boundaries.
 The convention matches NCCL's reduce-scatter: the first ``d % parts``
 shards get one extra element.
 
-Tensor fusion lives here too: :func:`flatten_tensors` and its
-precomputed form :class:`FlatLayout`, and :func:`gradient_rows`, the
+Tensor fusion lives here too: :class:`FlatLayout`, where each tensor
+sits in one fused buffer, and :func:`gradient_rows`, the
 trainer's compute stage, which has every worker's gradient computed in
 its row of the ``(W, d)`` buffer.  NumPy only, so pool workers import
 it cleanly under ``spawn``.
@@ -54,19 +54,6 @@ def chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def shard_slice(total: int, parts: int, index: int) -> slice:
-    """Slice selecting chunk ``index`` out of ``parts`` chunks of ``total``."""
-    if not 0 <= index < parts:
-        raise IndexError(f"chunk index {index} out of range for {parts} parts")
-    start, end = chunk_bounds(total, parts)[index]
-    return slice(start, end)
-
-
-def partition_indices(total: int, parts: int) -> list[np.ndarray]:
-    """Index arrays (``np.arange`` views) for each chunk."""
-    return [np.arange(start, end) for start, end in chunk_bounds(total, parts)]
-
-
 def partition_layers(layer_sizes: Sequence[int], parts: int) -> list[list[int]]:
     """Assign layer indices to ``parts`` workers, contiguously and evenly.
 
@@ -100,13 +87,6 @@ def partition_layers_balanced(layer_sizes: Sequence[int], parts: int) -> list[li
     return assignment
 
 
-def reassemble(chunks: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate chunks back into a flat vector (inverse of sharding)."""
-    if not chunks:
-        return np.empty(0)
-    return np.concatenate([np.asarray(c).ravel() for c in chunks])
-
-
 def round_robin_shards(
     x: np.ndarray, y: np.ndarray, world_size: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -132,41 +112,13 @@ def round_robin_shards(
     return shards
 
 
-def flatten_tensors(tensors: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Flatten a list of tensors into one vector plus their shapes.
-
-    This is the "tensor fusion" primitive (Shi et al. 2019b; Horovod's
-    fusion buffer): gradients of many layers are fused into one flat
-    buffer before communication so the collective pays latency once.
-    """
-    shapes = [tuple(np.asarray(t).shape) for t in tensors]
-    if not tensors:
-        return np.empty(0), shapes
-    flat = np.concatenate([np.asarray(t).ravel() for t in tensors])
-    return flat, shapes
-
-
-def unflatten_tensors(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Inverse of :func:`flatten_tensors`."""
-    tensors: list[np.ndarray] = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        tensors.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    if offset != flat.size:
-        raise ValueError(
-            f"flat vector has {flat.size} elements but shapes account for {offset}"
-        )
-    return tensors
-
-
 @dataclass(frozen=True)
 class FlatLayout:
     """Where each named tensor lives in one fused ``(dim,)`` buffer.
 
-    :func:`flatten_tensors`' layout, derived once from the init-time
-    shapes instead of per call.  It pickles, so the trainer, the step
+    The tensors are concatenated flat in name order (tensor fusion:
+    Shi et al. 2019b; Horovod's fusion buffer), the layout derived once
+    from the init-time shapes.  It pickles, so the trainer, the step
     engine and the pool workers all read and fill flat gradient /
     parameter buffers through the same value.  A buffer is one
     ``(dim,)`` row or a ``(rows, dim)`` block of them; :meth:`views`
@@ -319,12 +271,7 @@ __all__ = [
     "gradient_rows",
     "chunk_sizes",
     "chunk_bounds",
-    "shard_slice",
-    "partition_indices",
     "partition_layers",
     "partition_layers_balanced",
     "round_robin_shards",
-    "reassemble",
-    "flatten_tensors",
-    "unflatten_tensors",
 ]

@@ -9,8 +9,6 @@ iteration order.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 #: Alias used in type hints throughout the code base.
@@ -34,18 +32,6 @@ def new_rng(seed: int | None = None) -> RandomState:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int, count: int) -> list[RandomState]:
-    """Spawn ``count`` statistically independent generators from one seed.
-
-    Used to give each simulated worker its own stream so that adding or
-    removing workers does not perturb the others' randomness.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
 def derive_seed(seed: int, *names: str | int) -> int:
     """Derive a stable sub-seed from a base seed and a path of names.
 
@@ -59,23 +45,8 @@ def derive_seed(seed: int, *names: str | int) -> int:
     return int(h)
 
 
-def worker_rngs(seed: int, world_size: int, *, label: str = "worker") -> list[RandomState]:
-    """Per-worker generators derived from a run seed and a label."""
-    return [new_rng(derive_seed(seed, label, rank)) for rank in range(world_size)]
-
-
-def check_seed(seed: int) -> int:
-    """Validate a user-provided seed, returning it unchanged."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    return int(seed)
-
-
 __all__ = [
     "RandomState",
     "new_rng",
-    "spawn_rngs",
     "derive_seed",
-    "worker_rngs",
-    "check_seed",
 ]

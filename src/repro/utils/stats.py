@@ -9,8 +9,8 @@ Fig. 6 caption) and report mean ± std.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass
@@ -78,21 +78,4 @@ class RunningStat:
         )
 
 
-def summarize(values: Sequence[float]) -> RunningStat:
-    """Build a :class:`RunningStat` from a finished sequence."""
-    stat = RunningStat()
-    stat.extend(values)
-    return stat
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; used for speedup aggregation across workloads."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(v <= 0 for v in vals):
-        raise ValueError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-__all__ = ["RunningStat", "summarize", "geometric_mean"]
+__all__ = ["RunningStat"]

@@ -30,23 +30,6 @@ def gbps_to_bytes_per_sec(gbps: float) -> float:
     return gbps * 1e9 / 8.0
 
 
-def bytes_per_sec_to_gbps(bps: float) -> float:
-    """Inverse of :func:`gbps_to_bytes_per_sec`."""
-    if bps < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {bps}")
-    return bps * 8.0 / 1e9
-
-
-def format_bytes(n: float) -> str:
-    """Human-readable binary size, e.g. ``format_bytes(3*MiB) == '3.00 MiB'``."""
-    n = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024.0 or unit == "TiB":
-            return f"{n:.2f} {unit}" if unit != "B" else f"{n:.0f} B"
-        n /= 1024.0
-    raise AssertionError("unreachable")
-
-
 def format_seconds(seconds: float) -> str:
     """Human-readable duration: µs/ms/s/min as appropriate."""
     if seconds < 0:
@@ -63,15 +46,6 @@ def format_seconds(seconds: float) -> str:
     return f"{int(minutes)} min {secs:.0f} s"
 
 
-def format_rate(samples_per_sec: float) -> str:
-    """Throughput formatting used by the Table 3/4 harnesses."""
-    if samples_per_sec >= 10_000:
-        return f"{samples_per_sec:,.0f}"
-    if samples_per_sec >= 100:
-        return f"{samples_per_sec:.0f}"
-    return f"{samples_per_sec:.1f}"
-
-
 __all__ = [
     "KB",
     "MB",
@@ -83,8 +57,5 @@ __all__ = [
     "BYTES_FP16",
     "BYTES_INT32",
     "gbps_to_bytes_per_sec",
-    "bytes_per_sec_to_gbps",
-    "format_bytes",
     "format_seconds",
-    "format_rate",
 ]

@@ -6,7 +6,6 @@ from repro.cluster.links import (
     ETHERNET_25G,
     LinkSpec,
     NVLINK_V100,
-    get_link,
 )
 
 
@@ -51,10 +50,3 @@ class TestPresets:
         # NVLink must be much faster than 25GbE — the asymmetry the whole
         # paper is about.
         assert NVLINK_V100.beta * 4 < ETHERNET_25G.beta
-
-    def test_get_link(self):
-        assert get_link("25GbE").bandwidth == pytest.approx(25e9 / 8)
-
-    def test_get_link_unknown(self):
-        with pytest.raises(KeyError):
-            get_link("teleport")

@@ -1,4 +1,4 @@
-"""All-Reduce variants: ring, tree, 2D-torus — all must equal the sum."""
+"""The list-form All-Reduce oracles: ring, tree, 2D-torus — all must equal the sum."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.all_reduce import (
+from tests.collectives.list_collectives import (
     ring_allreduce,
     torus_allreduce_2d,
     tree_allreduce,

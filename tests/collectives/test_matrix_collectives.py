@@ -18,6 +18,8 @@ from repro.collectives import (
     matrix_ring_allreduce,
     matrix_torus_allreduce_2d,
     matrix_tree_allreduce,
+)
+from tests.collectives.list_collectives import (
     ring_allreduce,
     ring_reduce_scatter,
     torus_allreduce_2d,

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.collectives.primitives import (
-    broadcast,
-    gather,
-    reduce_sum,
-    scatter,
-    validate_group,
-)
+from repro.collectives.primitives import broadcast, gather, scatter
+from tests.collectives.list_collectives import validate_group
 
 
 class TestValidateGroup:
@@ -50,17 +45,6 @@ class TestBroadcast:
 
 
 class TestReduceGatherScatter:
-    def test_reduce_sum(self, rng):
-        tensors = [rng.normal(size=16) for _ in range(5)]
-        np.testing.assert_allclose(reduce_sum(tensors), np.sum(tensors, axis=0))
-
-    def test_reduce_does_not_mutate(self, rng):
-        tensors = [rng.normal(size=4) for _ in range(3)]
-        originals = [t.copy() for t in tensors]
-        reduce_sum(tensors)
-        for t, o in zip(tensors, originals):
-            np.testing.assert_array_equal(t, o)
-
     def test_gather_preserves_rank_order(self):
         out = gather([np.array([1.0]), np.array([2.0])])
         assert out[0][0] == 1.0 and out[1][0] == 2.0

@@ -1,15 +1,15 @@
-"""Ring Reduce-Scatter correctness — step 1 of Algorithm 2."""
+"""The list-form ring Reduce-Scatter oracle — step 1 of Algorithm 2."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.reduce_scatter import (
+from repro.utils.partition import chunk_bounds
+from tests.collectives.list_collectives import (
     reference_reduce_scatter,
     ring_reduce_scatter,
 )
-from repro.utils.partition import chunk_bounds
 
 
 class TestRingReduceScatter:

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.sparse import (
-    SparseVector,
-    coalesce,
-    concat_sparse,
-    sparse_allgather_reduce,
-    sparsify_dense,
-)
+from repro.collectives.sparse import SparseVector, coalesce
+from tests.collectives.list_collectives import sparse_allgather_reduce
 
 
 class TestSparseVector:
@@ -44,11 +39,6 @@ class TestSparseVector:
         sv = SparseVector(np.zeros(10), np.arange(10), 100)
         assert sv.nbytes_on_wire(4, 4) == 80
 
-    def test_sparsify_dense(self, rng):
-        x = rng.normal(size=20)
-        sv = sparsify_dense(x, np.array([3, 7]))
-        assert sv.values[0] == x[3] and sv.values[1] == x[7]
-
 
 class TestCoalesce:
     def test_merges_duplicates(self):
@@ -74,20 +64,6 @@ class TestCoalesce:
             rng.normal(size=nnz), rng.integers(0, length, size=nnz), length
         )
         np.testing.assert_allclose(coalesce(sv).to_dense(), sv.to_dense())
-
-
-class TestConcatSparse:
-    def test_concat(self):
-        a = SparseVector(np.array([1.0]), np.array([0]), 4)
-        b = SparseVector(np.array([2.0]), np.array([0]), 4)
-        c = concat_sparse([a, b])
-        np.testing.assert_array_equal(c.to_dense(), [3.0, 0, 0, 0])
-
-    def test_length_mismatch(self):
-        a = SparseVector(np.array([1.0]), np.array([0]), 4)
-        b = SparseVector(np.array([2.0]), np.array([0]), 5)
-        with pytest.raises(ValueError):
-            concat_sparse([a, b])
 
 
 class TestSparseAllGatherReduce:

@@ -7,9 +7,8 @@ loop-per-rank algorithms alive, verbatim, for one purpose: they are the
 oracle of ``tests/perf/test_vectorized_parity.py`` — ``TestSchemeParity``
 proves every registered scheme reproduces these reference results
 (outputs, wire accounting, error-feedback residuals, and rng stream) bit
-for bit at any shape and seed, and the test-side ``ReferenceTrainer``
-steps a whole trainer through them.  Nothing under ``src/`` routes a
-training step here.
+for bit at any shape and seed, and ``ReferenceTrainer`` steps a whole
+trainer through them.
 
 :func:`legacy_aggregate` dispatches on the scheme type and reuses the
 scheme's own state (compressor, error feedback, time model), so a
@@ -18,17 +17,12 @@ reference step advances EF residuals exactly like the original did.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.all_reduce import (
-    ring_allreduce,
-    torus_allreduce_2d,
-    tree_allreduce,
-)
-from repro.collectives.reduce_scatter import ring_reduce_scatter
-from repro.collectives.sparse import SparseVector, sparse_allgather_reduce
+from repro.collectives.sparse import SparseVector
 from repro.comm.base import AggregationResult, CommScheme
 from repro.comm.dense import RingAllReduce, Torus2DAllReduce, TreeAllReduce
 from repro.comm.gtopk import GlobalTopK, merge_topk
@@ -37,8 +31,13 @@ from repro.comm.naive_allgather import NaiveAllGather
 from repro.compression.base import density_to_k
 from repro.utils.partition import chunk_bounds
 from repro.utils.seeding import RandomState
-
-import math
+from tests.collectives.list_collectives import (
+    ring_allreduce,
+    ring_reduce_scatter,
+    sparse_allgather_reduce,
+    torus_allreduce_2d,
+    tree_allreduce,
+)
 
 
 def _legacy_dense(
@@ -215,5 +214,3 @@ def legacy_aggregate(
         f"no legacy reference path for scheme type {type(scheme).__name__}"
     )
 
-
-__all__ = ["legacy_aggregate"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cloud_presets import make_cluster
-from repro.collectives.reduce_scatter import reference_reduce_scatter
 from repro.comm.hitopkcomm import (
     HiTopKComm,
     STEP_INTER_ALLGATHER,
@@ -17,6 +16,7 @@ from repro.comm.hitopkcomm import (
 from repro.compression.base import density_to_k
 from repro.compression.exact_topk import ExactTopK
 from repro.utils.partition import chunk_bounds
+from tests.collectives.list_collectives import reference_reduce_scatter
 from tests.conftest import make_worker_grads
 
 

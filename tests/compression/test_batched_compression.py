@@ -13,15 +13,13 @@ from repro.compression.base import TopKCompressor
 from repro.compression.dgc import DGCTopK
 from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.exact_topk import ExactTopK
-from repro.compression.mstopk import (
-    MSTopK,
-    mstopk_select,
-    mstopk_select_batch,
+from repro.compression.mstopk import MSTopK, mstopk_select, mstopk_select_batch
+from repro.compression.randomk import RandomK
+from repro.utils.seeding import new_rng
+from tests.compression.topk_oracles import (
     mstopk_threshold_search,
     mstopk_threshold_search_batch,
 )
-from repro.compression.randomk import RandomK
-from repro.utils.seeding import new_rng
 
 
 def _shards(rng, sizes):

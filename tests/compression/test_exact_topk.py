@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.exact_topk import (
-    ExactTopK,
-    exact_threshold,
-    naive_topk_sort,
-    topk_argpartition,
-)
+from repro.compression.exact_topk import ExactTopK, naive_topk_sort, topk_argpartition
+from tests.compression.topk_oracles import exact_threshold
 
 
 class TestAgreement:

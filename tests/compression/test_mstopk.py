@@ -17,14 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.exact_topk import exact_threshold, topk_argpartition
-from repro.compression.mstopk import (
-    MSTopK,
-    mstopk_select,
-    mstopk_select_batch,
-    mstopk_threshold_search,
-)
+from repro.compression.exact_topk import topk_argpartition
+from repro.compression.mstopk import MSTopK, mstopk_select, mstopk_select_batch
 from repro.utils.seeding import new_rng
+from tests.compression.topk_oracles import exact_threshold, mstopk_threshold_search
 
 
 class TestExactK:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import SyntheticImageDataset, SyntheticTranslationDataset
+from repro.data.dataset import SyntheticImageDataset
 
 
 class TestImageDataset:
@@ -45,33 +45,3 @@ class TestImageDataset:
         with pytest.raises(ValueError):
             SyntheticImageDataset(0)
 
-
-class TestTranslationDataset:
-    def test_pair_shapes(self):
-        ds = SyntheticTranslationDataset(30, vocab_size=1000, max_len=64)
-        src, tgt = ds.sentence_pair(0)
-        assert 4 <= len(src) <= 64
-        assert 4 <= len(tgt) <= 64
-        assert src.max() < 1000
-
-    def test_pairs_deterministic(self):
-        ds = SyntheticTranslationDataset(10, seed=1)
-        a = ds.sentence_pair(3)
-        b = SyntheticTranslationDataset(10, seed=1).sentence_pair(3)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_padded_batch(self):
-        ds = SyntheticTranslationDataset(20, max_len=32)
-        src, tgt = ds.padded_batch(np.arange(8))
-        assert src.shape == (8, 32)
-        assert tgt.shape == (8, 32)
-        # Padding (id 0) exists and tokens are non-zero where real.
-        assert (src == 0).any()
-
-    def test_encoded_roundtrip_length(self):
-        ds = SyntheticTranslationDataset(5)
-        payload = ds.encoded(0)
-        src_len = int.from_bytes(payload[:4], "little")
-        src, _ = ds.sentence_pair(0)
-        assert src_len == len(src)

@@ -8,7 +8,6 @@ from repro.data.preprocess import (
     augment_image,
     decode_image,
     encode_image,
-    preprocess_sample,
 )
 from repro.utils.seeding import new_rng
 
@@ -76,10 +75,6 @@ class TestAugment:
     def test_rejects_bad_shape(self, rng):
         with pytest.raises(ValueError):
             augment_image(np.zeros((8, 8)), 4, rng)
-
-    def test_preprocess_sample_end_to_end(self, rng):
-        out = preprocess_sample(encode_image(5, 48), 32, rng)
-        assert out.shape == (32, 32, 3)
 
 
 class TestCostModel:

@@ -7,6 +7,7 @@ explicitly accounted for as a command CI/the test suite already runs
 doc bug, and this test makes it a failing one.
 """
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -101,6 +102,23 @@ def bash_commands(page: str) -> list[str]:
 ALL_COMMANDS = sorted({cmd for page in PAGES for cmd in bash_commands(page)})
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is a module, or attributes off its longest
+    importable prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
 class TestDocsExist:
     @pytest.mark.parametrize("page", PAGES)
     def test_page_exists_with_content(self, page):
@@ -155,6 +173,17 @@ class TestDocsExist:
         for ref in refs:
             ref = ref.rstrip(".")
             assert (REPO / ref).exists(), f"{path} references missing {ref}"
+
+    def test_docs_name_only_importable_code(self):
+        """Every backticked ``repro.…`` dotted name in the README and the
+        docs pages imports as a module or resolves as an attribute of one."""
+        names = set()
+        for path in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+            for match in re.finditer(r"`(repro\.[\w.]+)[^`]*`", path.read_text()):
+                names.add((path.name, match.group(1).rstrip(".")))
+        assert len(names) >= 40, names
+        unresolved = [f"{page}: {dotted}" for page, dotted in sorted(names) if not resolves(dotted)]
+        assert not unresolved, unresolved
 
     def test_ci_runs_every_benchmark_script(self):
         """The inverse: every ``benchmarks/*.py`` outside ``e2e/`` is named

@@ -9,7 +9,6 @@ from repro.elastic.events import (
     ChurnEvent,
     PoissonChurn,
     TraceSchedule,
-    warning_iterations,
 )
 from repro.utils.seeding import new_rng
 
@@ -81,17 +80,3 @@ class TestPoissonChurn:
         assert schedule.revoke_rate == SPOT_PROFILES["aws"].revoke_rate
         with pytest.raises(KeyError):
             PoissonChurn.from_profile("oracle")
-
-
-class TestWarningIterations:
-    def test_two_minute_window(self):
-        # 0.5 s iterations -> 240 iterations of notice.
-        assert warning_iterations(0.5) == 240
-        # Iterations longer than the window -> no full iteration of notice.
-        assert warning_iterations(180.0) == 0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            warning_iterations(0.0)
-        with pytest.raises(ValueError):
-            warning_iterations(1.0, warning_seconds=-1)

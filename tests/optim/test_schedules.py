@@ -1,53 +1,8 @@
-"""LR and resolution schedules."""
+"""The progressive-resizing schedule."""
 
 import pytest
 
-from repro.optim.schedules import (
-    PolynomialDecay,
-    ProgressiveResizeSchedule,
-    ResolutionPhase,
-    StepDecay,
-    WarmupSchedule,
-)
-
-
-class TestWarmup:
-    def test_linear_ramp(self):
-        sched = WarmupSchedule(peak=1.0, warmup_epochs=10)
-        assert sched.lr(0) == 0.0
-        assert sched.lr(5) == pytest.approx(0.5)
-        assert sched.lr(10) == 1.0
-        assert sched.lr(50) == 1.0
-
-    def test_delegates_after_warmup(self):
-        sched = WarmupSchedule(
-            peak=1.0, warmup_epochs=5, after=StepDecay(base=1.0, milestones=(10,))
-        )
-        assert sched.lr(14) == 1.0  # 9 epochs after warmup: before milestone
-        assert sched.lr(16) == pytest.approx(0.1)
-
-    def test_negative_epoch(self):
-        with pytest.raises(ValueError):
-            WarmupSchedule(peak=1.0, warmup_epochs=5).lr(-1)
-
-
-class TestDecays:
-    def test_step_decay_milestones(self):
-        sched = StepDecay(base=0.8, milestones=(30, 60, 80), factor=0.1)
-        assert sched.lr(29) == pytest.approx(0.8)
-        assert sched.lr(30) == pytest.approx(0.08)
-        assert sched.lr(85) == pytest.approx(0.0008)
-
-    def test_polynomial_decay(self):
-        sched = PolynomialDecay(base=1.0, total_epochs=10, power=2.0)
-        assert sched.lr(0) == 1.0
-        assert sched.lr(5) == pytest.approx(0.25)
-        assert sched.lr(10) == 0.0
-        assert sched.lr(20) == 0.0  # clamped
-
-    def test_polynomial_floor(self):
-        sched = PolynomialDecay(base=1.0, total_epochs=10, floor=0.1)
-        assert sched.lr(10) == pytest.approx(0.1)
+from repro.optim.schedules import ProgressiveResizeSchedule, ResolutionPhase
 
 
 class TestProgressiveResize:

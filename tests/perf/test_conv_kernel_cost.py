@@ -19,7 +19,7 @@ pins the bits); the last four tests pin that it is cheaper than the
 eight calls — in a process that has freed nothing large, too, where
 glibc would hand a pass's memory back every time — and what one of its
 passes may allocate: the byte bound ``convnet.PASS_BYTES`` is what
-``peak_rss_mb`` can pay (ROADMAP 3(d)), so an edit that moves the
+``peak_rss_mb`` can pay (ROADMAP 5(d)), so an edit that moves the
 per-pass worker count has to be seen.
 """
 
@@ -171,7 +171,7 @@ def test_byte_bound_yields_three_workers_per_pass_at_the_benchmark_shape(rng):
     """1 / 2 / 3 / 4 / 8 workers per pass measured 129 / 168 / 181 / 198 /
     211 steps/s at +1 / +4 / +8 / +12 / +26 % ``peak_rss_mb`` (bound 10 %)
     in the benchmark worker: a shape-rule or constant edit that leaves 3
-    has to be re-measured there (ROADMAP 3(d))."""
+    has to be re-measured there (ROADMAP 5(d))."""
     assert convnet.PASS_BYTES // IM2COL_BYTES == 3
     model, params, xs, ys = _benchmark_step(rng)
     passes, blocked_pass = [], model._blocked_pass

@@ -1,11 +1,11 @@
-"""Hot-path instrumentation: the trainer's PhaseTimer."""
+"""Hot-path instrumentation: the trainer's ``timer.add(phase, seconds)``."""
 
 import pytest
 
 from repro.api.registry import build_cluster, build_scheme, build_workload
-from repro.perf.hotpath import PhaseTimer
 from repro.utils.partition import round_robin_shards
 from repro.utils.seeding import new_rng
+from tests.conftest import PhaseTimer
 
 #: The trainer's phases, in the order one step records them.
 PHASES = ("forward_backward", "fuse", "aggregate", "apply")

@@ -2,7 +2,7 @@
 
 The hot-path engine rewrote every scheme's aggregation, the trainer's
 fusion, and the compression batch paths.  These tests pin all of it to
-the pre-vectorisation reference (`repro.comm.legacy.legacy_aggregate`
+the pre-vectorisation reference (`tests/comm/legacy_schemes.py`
 and :class:`ReferenceTrainer`, the step built on it) — outputs, wire
 accounting, error-feedback residuals, rng streams, losses, and
 parameters must match bit for bit, for every registered scheme, under
@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from repro.api.registry import build_cluster, build_scheme, build_workload
-from repro.comm.legacy import legacy_aggregate
 from repro.elastic import elastic_trainer
 from repro.elastic.elastic_trainer import ElasticTrainer
 from repro.elastic.events import ChurnEvent, PoissonChurn, TraceSchedule
 from repro.exec.backend import ProcessBackend
 from repro.train.trainer import DistributedTrainer
-from repro.utils.partition import flatten_tensors, unflatten_tensors
 from repro.utils.seeding import new_rng
+from tests.comm.legacy_schemes import legacy_aggregate
+from tests.utils.flatten_oracle import flatten_tensors, unflatten_tensors
 
 #: The four registered scheme families of the convergence experiments.
 SCHEMES = ("dense", "topk", "gtopk", "mstopk")

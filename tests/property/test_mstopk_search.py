@@ -21,14 +21,12 @@ pytest.importorskip("hypothesis")  # optional dep; CI installs it
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.mstopk import (
-    ThresholdSearchResult,
-    mstopk_select,
-    mstopk_select_batch,
+from repro.compression.mstopk import ThresholdSearchResult, mstopk_select, mstopk_select_batch
+from repro.utils.seeding import new_rng
+from tests.compression.topk_oracles import (
     mstopk_threshold_search,
     mstopk_threshold_search_batch,
 )
-from repro.utils.seeding import new_rng
 
 
 def full_pass_search(magnitude: np.ndarray, k: int, n: int) -> ThresholdSearchResult:

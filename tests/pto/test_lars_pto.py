@@ -1,10 +1,10 @@
-"""PTO-LARS / PTO-LAMB: bit-equality with the serial computations."""
+"""PTO-LARS: equality with the serial computation."""
 
 import numpy as np
 import pytest
 
 from repro.optim.lars import lars_coefficients
-from repro.pto.lars_pto import lamb_trust_ratios_pto, lars_learning_rates_pto
+from repro.pto.lars_pto import lars_learning_rates_pto
 
 
 @pytest.fixture
@@ -56,23 +56,3 @@ class TestLarsPTO:
         ).result
         np.testing.assert_allclose(a, b)
 
-
-class TestLambPTO:
-    def test_trust_ratios(self, small_cluster, rng):
-        weights = [rng.normal(size=8) for _ in range(6)]
-        updates = [rng.normal(size=8) for _ in range(6)]
-        result = lamb_trust_ratios_pto(small_cluster, weights, updates)
-        expected = [
-            np.linalg.norm(w) / np.linalg.norm(u) for w, u in zip(weights, updates)
-        ]
-        np.testing.assert_allclose(result.result, expected)
-
-    def test_degenerate_norms_give_unity(self, small_cluster):
-        weights = [np.zeros(4)]
-        updates = [np.ones(4)]
-        result = lamb_trust_ratios_pto(small_cluster, weights, updates)
-        assert result.result[0] == 1.0
-
-    def test_length_mismatch(self, small_cluster, rng):
-        with pytest.raises(ValueError):
-            lamb_trust_ratios_pto(small_cluster, [rng.normal(size=3)], [])

@@ -28,7 +28,7 @@ import pytest
 from repro.api.cli import main
 from repro.api.config import SchedConfig
 from repro.api.facade import run_sched
-from repro.sched.job import TrainPayload
+from repro.sched.job import JobSpec, TrainPayload
 from repro.sched.scheduler import MultiTenantScheduler
 from repro.sched.traces import (
     DISTRIBUTION_COLUMNS,
@@ -42,17 +42,63 @@ from repro.sched.traces import (
     job_specs_for,
     load_trace,
     payload_for_trace_reports,
-    specs_to_trace,
     trace_stats,
     trace_to_specs,
     write_trace,
     write_trace_csv,
 )
 from repro.utils.bench import validate_bench_payload
+from repro.utils.seeding import derive_seed
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 SAMPLE_TRACE = REPO / "examples" / "traces" / "sample_day.jsonl"
 TRACE_CONFIG = REPO / "examples" / "configs" / "trace_replay.json"
+
+
+def _user_of(job_name: str) -> str:
+    """Deterministic PAI-style hashed submitter id for one job."""
+    return f"u{derive_seed(0, job_name) & 0xFFFF:04x}"
+
+
+def specs_to_trace(specs: list[JobSpec]) -> Trace:
+    """Serialize job specs back into trace rows (inverse of
+    :func:`trace_to_specs` for every scheduling-relevant field)."""
+    trace = Trace()
+    for spec in specs:
+        trace.jobs.append(
+            TraceJob(
+                job_name=spec.name,
+                user=_user_of(spec.name),
+                submit_time=spec.arrival_seconds,
+                priority=spec.priority,
+                preference=spec.preference,
+                deadline=spec.deadline_seconds,
+                workload=spec.profile,
+                scheme=spec.scheme,
+                density=spec.density,
+            )
+        )
+        trace.tasks.append(
+            TraceTask(
+                job_name=spec.name,
+                inst_num=spec.max_nodes,
+                min_inst_num=spec.min_nodes,
+                plan_gpu=(
+                    spec.gpus_per_node * 100
+                    if spec.gpus_per_node is not None
+                    else None
+                ),
+                resolution=spec.resolution,
+                local_batch=spec.local_batch,
+                iterations=spec.iterations,
+                payload=(
+                    dataclasses.asdict(spec.payload)
+                    if spec.payload is not None
+                    else None
+                ),
+            )
+        )
+    return trace
 
 
 def small_trace(num_jobs: int = 40, seed: int = 3, **overrides) -> Trace:

@@ -9,36 +9,48 @@ from repro.serve.snapshot import (
     SLOT_NAMES,
     SnapshotCorruptError,
     SnapshotStore,
-    read_snapshot,
     write_snapshot,
 )
 from repro.train.checkpoint import CheckpointCorruptError
 
 
+@pytest.fixture
+def unpickles(monkeypatch):
+    calls = []
+    real = pickle.loads
+
+    def loads(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(snapshot_module.pickle, "loads", loads)
+    return calls
+
+
 class TestOneFile:
     def test_roundtrip_meta_and_state(self, tmp_path):
-        path = tmp_path / "s.bin"
         state = {"records": {"j": [1, 2, 3]}, "now": 42.5}
-        write_snapshot(path, state, {"applied_seq": 7})
-        meta, loaded = read_snapshot(path)
-        assert meta == {"applied_seq": 7}
-        assert loaded == state
+        SnapshotStore(tmp_path).save(state, {"applied_seq": 7})
+        loaded = SnapshotStore(tmp_path).load()
+        assert loaded.meta == {"applied_seq": 7}
+        assert loaded.state == state
 
     def test_shared_references_survive_pickling(self, tmp_path):
-        path = tmp_path / "s.bin"
         shared = {"name": "job"}
-        write_snapshot(path, {"a": shared, "b": shared}, {"applied_seq": 1})
-        _, loaded = read_snapshot(path)
+        SnapshotStore(tmp_path).save({"a": shared, "b": shared}, {"applied_seq": 1})
+        loaded = SnapshotStore(tmp_path).load().state
         assert loaded["a"] is loaded["b"]  # one object graph, not two copies
 
-    def test_byte_flip_fails_crc_before_unpickling(self, tmp_path):
-        path = tmp_path / "s.bin"
-        write_snapshot(path, {"x": 1}, {"applied_seq": 1})
+    def test_byte_flip_fails_crc_before_unpickling(self, tmp_path, unpickles):
+        store = SnapshotStore(tmp_path)
+        path = store.save({"x": 1}, {"applied_seq": 1})
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotCorruptError, match="CRC32"):
-            read_snapshot(path)
+            snapshot_module._read_verified(path)
+        assert store.load() is None
+        assert unpickles == []
 
     def test_truncation_mid_file_is_detected(self, tmp_path):
         path = tmp_path / "s.bin"
@@ -46,19 +58,19 @@ class TestOneFile:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(SnapshotCorruptError, match="truncated"):
-            read_snapshot(path)
+            snapshot_module._read_verified(path)
 
     def test_tear_after_writes_a_real_torn_file(self, tmp_path):
         path = tmp_path / "s.bin"
         write_snapshot(path, {"x": 1}, {"applied_seq": 1}, tear_after=0.5)
         with pytest.raises(SnapshotCorruptError):
-            read_snapshot(path)
+            snapshot_module._read_verified(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "s.bin"
         path.write_bytes(b"NOTSNAPS" + b"\x00" * 64)
         with pytest.raises(SnapshotCorruptError, match="header"):
-            read_snapshot(path)
+            snapshot_module._read_verified(path)
 
     def test_corrupt_error_is_a_checkpoint_corrupt_error(self):
         # Callers that already handle corrupt training checkpoints get
@@ -132,18 +144,6 @@ def _refuse():
 
 class TestStoreReadsOnlyWhatItMust:
     @pytest.fixture
-    def unpickles(self, monkeypatch):
-        calls = []
-        real = pickle.loads
-
-        def loads(data):
-            calls.append(len(data))
-            return real(data)
-
-        monkeypatch.setattr(snapshot_module.pickle, "loads", loads)
-        return calls
-
-    @pytest.fixture
     def reads(self, monkeypatch):
         calls = []
         real = snapshot_module._read_verified
@@ -194,9 +194,7 @@ class TestStoreReadsOnlyWhatItMust:
     def test_crc_clean_but_unloadable_newest_falls_back(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save({"n": 1}, {"applied_seq": 1})
-        newest = store.save(Unloadable(), {"applied_seq": 2})
-        with pytest.raises(SnapshotCorruptError, match="failed to decode"):
-            read_snapshot(newest)
+        store.save(Unloadable(), {"applied_seq": 2})
         loaded = store.load()
         assert loaded.state == {"n": 1}
         assert loaded.corrupt_slots == 1

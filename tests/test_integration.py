@@ -1,7 +1,7 @@
 """Full-system integration tests.
 
 These wire every subsystem together the way the paper's system does:
-the distributed sampler feeds the DataCache, the real model trains
+each node's DataCache loader feeds its workers, the real model trains
 through HiTopKComm with MSTopK + shard-level error feedback, LARS rates
 come through PTO, and checkpoints punctuate the run.
 """
@@ -13,7 +13,7 @@ from repro.api import build_scheme
 from repro.cluster.cloud_presets import make_cluster
 from repro.data.cache import DataCache
 from repro.data.dataset import SyntheticImageDataset
-from repro.data.sampler import make_samplers
+from repro.data.loader import CachedDataLoader
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.lars import LARS, lars_coefficients
 from repro.optim.sgd import SGD
@@ -21,8 +21,6 @@ from repro.pto.lars_pto import lars_learning_rates_pto
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.synthetic import make_spiral_classification, train_val_split
 from repro.train.trainer import DistributedTrainer
-from repro.utils.clock import VirtualClock
-from repro.utils.seeding import new_rng
 
 
 @pytest.fixture(scope="module")
@@ -31,16 +29,16 @@ def cluster():
 
 
 class TestFullPipeline:
-    def test_sampler_cache_trainer_end_to_end(self, cluster):
-        """Sampler-driven cached data feeding a sparsified training run."""
-        rng = new_rng(0)
+    def test_loader_cache_trainer_end_to_end(self, cluster):
+        """Cached data, one loader per node's DataCache partition, feeding
+        a sparsified training run."""
         dataset = SyntheticImageDataset(64, resolution=8, num_classes=4, seed=1)
         topo = cluster.topology
-        samplers = make_samplers(len(dataset), topo, seed=5)
         caches = [
             DataCache(dataset, node=node, num_nodes=topo.num_nodes)
             for node in range(topo.num_nodes)
         ]
+        loaders = [CachedDataLoader(cache, 4, seed=5 + node) for node, cache in enumerate(caches)]
 
         model = MLPClassifier(input_dim=8 * 8 * 3, hidden=(16,), num_classes=4)
         trainer = DistributedTrainer(
@@ -48,21 +46,12 @@ class TestFullPipeline:
             optimizer=SGD(lr=0.05), seed=0,
         )
 
-        clock = VirtualClock()
         losses = []
         for epoch in range(3):
-            # Build one synchronous batch per worker from its sampler
-            # slice, reading through its node's cache.
-            batches = []
-            for rank in range(topo.world_size):
-                indices = samplers[rank].epoch_indices(epoch)[:4]
-                cache = caches[topo.node_of(rank)]
-                xs, ys = [], []
-                for index in indices:
-                    outcome = cache.read(int(index), clock, rng)
-                    xs.append(outcome.pixels)
-                    ys.append(dataset.label(int(index)))
-                batches.append((np.stack(xs), np.asarray(ys)))
+            # One synchronous batch per worker, each drawn from its
+            # node's loader and so read through that node's cache.
+            streams = [loader.epoch_batches(epoch) for loader in loaders]
+            batches = [next(streams[topo.node_of(rank)])[:2] for rank in range(topo.world_size)]
             loss, _ = trainer.train_step(batches)
             losses.append(loss)
 
@@ -133,15 +122,12 @@ class TestFullPipeline:
         model = MLPClassifier(input_dim=2, hidden=(12,), num_classes=4)
         params = model.init_params(rng)
 
-        from repro.utils.partition import flatten_tensors
-
         worker_grads = []
         for w in range(4):
             _, grads, _ = model.loss_and_grad(
                 params, x[w * 32 : (w + 1) * 32], y[w * 32 : (w + 1) * 32]
             )
-            flat, _ = flatten_tensors([grads[k] for k in params])
-            worker_grads.append(flat)
+            worker_grads.append(np.concatenate([grads[k].ravel() for k in params]))
         dense_sum = np.sum(worker_grads, axis=0)
 
         for name in ("dense", "2dtar", "topk", "mstopk", "naiveag-mstopk"):

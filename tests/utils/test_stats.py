@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.stats import RunningStat, geometric_mean, summarize
+from repro.utils.stats import RunningStat
+
+
+def summarize(values) -> RunningStat:
+    stat = RunningStat()
+    stat.extend(values)
+    return stat
+
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -48,15 +55,3 @@ class TestRunningStat:
     def test_total(self):
         assert summarize([1.0, 2.0, 3.0]).total == pytest.approx(6.0)
 
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
