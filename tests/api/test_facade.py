@@ -161,6 +161,14 @@ class TestElasticParity:
         assert report.mode == "elastic"
         assert report.cost.cloud == "aws"
 
+    def test_final_loss_is_the_elastic_runs_last_word(self):
+        data = RunConfig.from_json(ELASTIC_JSON).to_dict()
+        data["elastic"]["iterations"] = 5
+        report = run(RunConfig.from_dict(data))
+        assert report.training is None
+        assert report.final_loss == report.elastic_run.final_loss
+        assert np.isfinite(report.final_loss)
+
 
 class TestRunReport:
     def test_bench_payload_passes_schema_gate(self):

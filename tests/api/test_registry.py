@@ -195,3 +195,118 @@ class TestWorkloads:
         c = build_compressor("mstopk", n_samplings=12)
         assert isinstance(c, MSTopK) and c.n_samplings == 12
         assert build_compressor("exact").name == build_compressor("exact-topk").name
+
+    @pytest.mark.parametrize("name", COMPRESSORS.available())
+    def test_every_compressor_and_alias_builds_an_exactly_k_selector(self, name):
+        from repro.compression.base import TopKCompressor
+
+        x = new_rng(4).normal(size=300)
+        for alias in [name, *COMPRESSORS.aliases_of(name)]:
+            compressor = build_compressor(alias)
+            assert isinstance(compressor, TopKCompressor), alias
+            sent = compressor.select(x, 30, rng=new_rng(5))
+            assert sent.nnz == 30 and np.unique(sent.indices).size == 30, alias
+            np.testing.assert_array_equal(sent.values, x[sent.indices])
+
+
+@pytest.fixture
+def scratch_registries(monkeypatch):
+    """Let a test register components; every registry is restored after."""
+    for reg in (SCHEMES, COMPRESSORS, MODELS, CLUSTERS):
+        monkeypatch.setattr(reg, "_entries", dict(reg._entries))
+        monkeypatch.setattr(reg, "_aliases", dict(reg._aliases))
+
+
+def _tiny_train_config(**sections) -> dict:
+    config = {
+        "seed": 3,
+        "cluster": {"instance": "tencent", "num_nodes": 2, "gpus_per_node": 2},
+        "comm": {"scheme": "mstopk", "density": 0.05},
+        "train": {"model": "mlp", "epochs": 2, "num_samples": 128, "local_batch": 8},
+    }
+    for section, values in sections.items():
+        config[section] = {**config[section], **values}
+    return config
+
+
+class TestExtensionHooks:
+    """The public ``register_*`` decorators reach config, build and run."""
+
+    def test_a_registered_compressor_is_what_a_run_selects_with(self, scratch_registries):
+        from repro.api import RunConfig, run
+        from repro.compression.exact_topk import ExactTopK
+
+        calls = []
+
+        class CountingTopK(ExactTopK):
+            def select(self, x, k, *, rng=None):
+                calls.append(k)
+                return super().select(x, k, rng=rng)
+
+            def select_batch(self, xs, ks, *, rng=None):
+                calls.append(ks)
+                return super().select_batch(xs, ks, rng=rng)
+
+        @registry.register_compressor("counting-topk", aliases=("counting",))
+        def _build(*, n_samplings=30):
+            return CountingTopK()
+
+        config = RunConfig.from_dict(_tiny_train_config(comm={"compressor": "counting"}))
+        report = run(config)
+        assert calls, "the registered compressor was never asked to select"
+        assert np.isfinite(report.final_loss)
+        assert report.final_loss == report.training.epoch_losses[-1]
+
+    def test_an_unregistered_compressor_fails_config_load(self):
+        from repro.api import RunConfig
+        from repro.utils.registry import ConfigError
+
+        with pytest.raises(ConfigError, match="registered: .*mstopk"):
+            RunConfig.from_dict(_tiny_train_config(comm={"compressor": "counting"}))
+
+    def test_a_registered_model_trains_through_a_run(self, scratch_registries):
+        from repro.api import RunConfig, run
+
+        built = []
+
+        @registry.register_model("spiral-narrow")
+        def _build(*, num_samples, rng):
+            from repro.models.nn.mlp import MLPClassifier
+            from repro.train.synthetic import make_spiral_classification
+
+            x, y = make_spiral_classification(num_samples, num_classes=4, rng=rng)
+            model = MLPClassifier(input_dim=2, hidden=(8,), num_classes=4)
+            built.append(model)
+            return registry.Workload(
+                "spiral-narrow", model, x, y, "top-1 accuracy",
+                lambda p, vx, vy: model.evaluate(p, vx, vy, topk=1),
+            )
+
+        assert "spiral-narrow" in available("models")
+        report = run(RunConfig.from_dict(_tiny_train_config(train={"model": "spiral-narrow"})))
+        assert len(built) == 1
+        assert report.training.iterations > 0
+        assert np.isfinite(report.final_loss)
+
+    def test_a_registered_cluster_preset_shapes_the_network(self, scratch_registries):
+        import dataclasses
+
+        from repro.api import RunConfig
+        from repro.cluster.cloud_presets import TENCENT_18XLARGE320
+
+        fast = dataclasses.replace(
+            TENCENT_18XLARGE320, instance="fast-100g", network_gbps=100
+        )
+        registry.register_cluster("fast", aliases=(fast.instance,))(fast)
+        net = build_cluster("fast-100g", 2, gpus_per_node=2)
+        base = build_cluster("tencent", 2, gpus_per_node=2)
+        assert net.topology.world_size == 4
+        assert net.beta_inter == pytest.approx(base.beta_inter / 4)
+        assert net.alpha_inter == base.alpha_inter
+        assert net.alpha_intra == base.alpha_intra
+        RunConfig.from_dict(_tiny_train_config(cluster={"instance": "fast"}))
+
+    def test_registrations_do_not_outlive_the_fixture(self):
+        assert "counting-topk" not in COMPRESSORS
+        assert "spiral-narrow" not in MODELS
+        assert "fast" not in CLUSTERS

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.cluster.cloud_presets import CLOUD_INSTANCES
 from repro.cluster.links import (
+    ETHERNET_10G,
     ETHERNET_25G,
+    ETHERNET_32G,
+    INFINIBAND_100G,
+    PRESET_LINKS,
     LinkSpec,
     NVLINK_V100,
 )
@@ -50,3 +55,19 @@ class TestPresets:
         # NVLink must be much faster than 25GbE — the asymmetry the whole
         # paper is about.
         assert NVLINK_V100.beta * 4 < ETHERNET_25G.beta
+
+    def test_faster_fabrics_cost_less_per_byte(self):
+        ladder = [ETHERNET_10G, ETHERNET_25G, ETHERNET_32G, INFINIBAND_100G]
+        betas = [link.beta for link in ladder]
+        assert betas == sorted(betas, reverse=True)
+        assert set(ladder) <= set(PRESET_LINKS.values())
+
+    @pytest.mark.parametrize(
+        ("cloud", "preset"), [("aws", "25gbe"), ("aliyun", "32gbe"), ("tencent", "25gbe")]
+    )
+    def test_each_cloud_inter_link_is_its_ethernet_preset(self, cloud, preset):
+        # Table 1: AWS and Tencent ship 25 GbE, Aliyun 32 GbE.
+        inter = CLOUD_INSTANCES[cloud].inter_link
+        assert inter.beta == PRESET_LINKS[preset].beta
+        assert inter.alpha == PRESET_LINKS[preset].alpha
+        assert CLOUD_INSTANCES[cloud].intra_link is PRESET_LINKS["nvlink"]

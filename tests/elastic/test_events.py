@@ -7,6 +7,7 @@ from repro.elastic.events import (
     REVOKE,
     SPOT_PROFILES,
     ChurnEvent,
+    SpotProfile,
     PoissonChurn,
     TraceSchedule,
 )
@@ -80,3 +81,29 @@ class TestPoissonChurn:
         assert schedule.revoke_rate == SPOT_PROFILES["aws"].revoke_rate
         with pytest.raises(KeyError):
             PoissonChurn.from_profile("oracle")
+
+
+class TestSpotProfiles:
+    def test_every_cloud_preset_has_a_profile(self):
+        from repro.cluster.cloud_presets import CLOUD_INSTANCES
+
+        assert set(SPOT_PROFILES) == set(CLOUD_INSTANCES)
+        for key, profile in SPOT_PROFILES.items():
+            assert profile.cloud == key
+            assert 0 < profile.spot_discount < 1  # spot undercuts on-demand
+            assert profile.warning_seconds > 0
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("revoke_rate", -0.001, "revoke_rate"),
+            ("warned_fraction", 1.2, "warned_fraction"),
+            ("spot_discount", 0.0, "spot_discount"),
+            ("spot_discount", 1.5, "spot_discount"),
+        ],
+        ids=["negative-rate", "warned-over-one", "free-spot", "spot-above-on-demand"],
+    )
+    def test_out_of_range_fields_are_rejected(self, field, value, message):
+        fields = {**SPOT_PROFILES["aws"].__dict__, field: value}
+        with pytest.raises(ValueError, match=message):
+            SpotProfile(**fields)

@@ -100,6 +100,32 @@ class TestElementwise:
         check_gradient(lambda t: (t - 2.0).sum(), x)
         check_gradient(lambda t: (t / 2.0).sum(), x)
 
+    # A constant on the left dispatches to the reflected operator.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: (1.5 + t) * t,
+            lambda t: (1.5 - t) * t,
+            lambda t: 1.5 * t * t,
+            lambda t: -t * t,
+            lambda t: t.tanh() * t,
+            lambda t: t.relu() * t,
+        ],
+        ids=["radd", "rsub", "rmul", "neg", "tanh-method", "relu-method"],
+    )
+    def test_reflected_and_method_forms(self, rng, build):
+        check_gradient(lambda t: build(t).sum(), rng.normal(size=(3, 2)))
+
+    def test_detach_cuts_the_tape(self, rng):
+        t = Tensor(rng.normal(size=5), requires_grad=True)
+        frozen = t.detach()
+        assert not frozen.requires_grad and frozen.data is not t.data
+        (t * frozen).sum().backward()
+        # Only the live operand's path contributes: d/dt (t * c) = c.
+        np.testing.assert_array_equal(t.grad, frozen.data)
+        assert frozen.grad is None
+        assert (t.ndim, t.size) == (1, 5)
+
 
 class TestMatmul:
     def test_2d(self, rng):

@@ -41,6 +41,41 @@ class TestForward:
             assert np.abs(g).max() > 0, name
 
 
+
+class TestEvaluate:
+    @pytest.fixture
+    def setup(self, rng):
+        model = TinyResNet(width=4, num_classes=5, image_size=8)
+        params = model.init_params(rng)
+        x, y = make_synthetic_images(20, num_classes=5, image_size=8, rng=rng)
+        logits = model.logits({k: Tensor(v) for k, v in params.items()}, Tensor(x)).data
+        return model, params, x, y, logits
+
+    def test_top1_is_argmax_accuracy(self, setup):
+        model, params, x, y, logits = setup
+        assert model.evaluate(params, x, y) == np.mean(logits.argmax(axis=1) == y)
+
+    def test_topk_counts_the_label_anywhere_in_the_k_best(self, setup):
+        model, params, x, y, logits = setup
+        rank_of_label = (logits > logits[np.arange(len(y)), y][:, None]).sum(axis=1)
+        for k in (2, 3):
+            assert model.evaluate(params, x, y, topk=k) == np.mean(rank_of_label < k)
+
+    def test_accuracy_grows_with_k_and_saturates_at_the_class_count(self, setup):
+        model, params, x, y, _ = setup
+        scores = [model.evaluate(params, x, y, topk=k) for k in range(1, 8)]
+        assert scores == sorted(scores)
+        assert scores[4:] == [1.0, 1.0, 1.0]  # k >= 5 classes covers every label
+
+    def test_the_registered_workload_scores_with_it(self):
+        from repro.api.registry import build_workload
+
+        workload = build_workload("resnet", num_samples=16, rng=new_rng(2))
+        params = workload.model.init_params(new_rng(3))
+        score = workload.evaluate(params, workload.x, workload.y)
+        assert score == workload.model.evaluate(params, workload.x, workload.y, topk=1)
+        assert 0.0 <= score <= 1.0
+
 class TestTraining:
     def test_learns_pattern_task(self, rng):
         x, y = make_synthetic_images(

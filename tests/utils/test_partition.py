@@ -11,6 +11,7 @@ from repro.utils.partition import (
     chunk_sizes,
     partition_layers,
     partition_layers_balanced,
+    round_robin_shards,
 )
 from tests.utils.flatten_oracle import flatten_tensors, unflatten_tensors
 
@@ -58,6 +59,60 @@ class TestChunkBounds:
         assert bounds[-1][1] == total
         for (_, end), (start, _) in zip(bounds, bounds[1:]):
             assert end == start
+
+    @given(total=st.integers(0, 5_000), parts=st.integers(1, 32))
+    def test_bound_widths_are_the_chunk_sizes(self, total, parts):
+        widths = [end - start for start, end in chunk_bounds(total, parts)]
+        assert widths == chunk_sizes(total, parts)
+
+
+class TestRoundRobinShards:
+    @given(n=st.integers(1, 300), world=st.integers(1, 16))
+    def test_every_sample_lands_in_exactly_one_shard(self, n, world):
+        if n < world:
+            return
+        x = np.arange(n, dtype=np.float64)[:, None]
+        y = np.arange(n)
+        shards = round_robin_shards(x, y, world)
+        assert len(shards) == world
+        ids = np.concatenate([sy for _, sy in shards])
+        np.testing.assert_array_equal(np.sort(ids), y)
+        # Sizes are the near-equal split, largest first.
+        assert [len(sy) for _, sy in shards] == chunk_sizes(n, world)
+
+    def test_rank_r_takes_every_world_th_sample_from_r(self):
+        x = np.arange(10)[:, None] * 1.0
+        y = np.arange(10)
+        shards = round_robin_shards(x, y, 3)
+        np.testing.assert_array_equal(shards[1][1], [1, 4, 7])
+        np.testing.assert_array_equal(shards[1][0][:, 0], [1.0, 4.0, 7.0])
+
+    def test_features_stay_with_their_labels(self, rng):
+        x = rng.normal(size=(40, 3))
+        y = rng.integers(0, 5, size=40)
+        for sx, sy in round_robin_shards(x, y, 4):
+            rows = [np.flatnonzero((x == row).all(axis=1))[0] for row in sx]
+            np.testing.assert_array_equal(y[rows], sy)
+
+    def test_sorted_labels_give_every_shard_the_class_mix(self):
+        # Spiral data arrives class by class; round-robin still balances.
+        y = np.repeat(np.arange(4), 25)
+        x = np.zeros((100, 2))
+        for _, sy in round_robin_shards(x, y, 5):
+            assert np.bincount(sy, minlength=4).tolist() == [5, 5, 5, 5]
+
+    @pytest.mark.parametrize(
+        ("n_x", "n_y", "world", "message"),
+        [
+            (8, 8, 0, "world_size"),
+            (8, 7, 2, "lengths differ"),
+            (3, 3, 4, "too small"),
+        ],
+        ids=["no-workers", "length-mismatch", "more-workers-than-samples"],
+    )
+    def test_rejects(self, n_x, n_y, world, message):
+        with pytest.raises(ValueError, match=message):
+            round_robin_shards(np.zeros((n_x, 2)), np.zeros(n_y), world)
 
 
 class TestPartitionLayers:
