@@ -45,6 +45,16 @@ def _subtract_sent(
     residual[indices] += corrected[indices]
 
 
+def _check_fits(key: object, residual: np.ndarray, shape: tuple, dtype: np.dtype) -> None:
+    """One ``ValueError`` line unless ``residual`` has the gradient's
+    shape and dtype — adding it would broadcast, or silently cast."""
+    for what, have, want in (("shape", residual.shape, shape), ("dtype", residual.dtype, dtype)):
+        if have != want:
+            raise ValueError(
+                f"residual {what} {have} does not match gradient {what} {want} for key {key!r}"
+            )
+
+
 class ErrorFeedback:
     """Per-key residual buffers with the standard EF update rule.
 
@@ -77,16 +87,7 @@ class ErrorFeedback:
         residual = self._residuals.get(key)
         if residual is None:
             return grad.copy()
-        if residual.shape != grad.shape:
-            raise ValueError(
-                f"residual shape {residual.shape} does not match gradient "
-                f"shape {grad.shape} for key {key!r}"
-            )
-        if residual.dtype != grad.dtype:
-            raise ValueError(
-                f"residual dtype {residual.dtype} does not match gradient "
-                f"dtype {grad.dtype} for key {key!r}"
-            )
+        _check_fits(key, residual, grad.shape, grad.dtype)
         return grad + residual
 
     def apply_batch(self, keys, mat: np.ndarray) -> np.ndarray:
@@ -106,11 +107,7 @@ class ErrorFeedback:
             residual = self._residuals.get(key)
             if residual is None:
                 continue
-            if residual.shape != mat.shape[1:]:
-                raise ValueError(
-                    f"residual shape {residual.shape} does not match gradient "
-                    f"shape {mat.shape[1:]} for key {key!r}"
-                )
+            _check_fits(key, residual, mat.shape[1:], mat.dtype)
             corrected[row] += residual
         return corrected
 

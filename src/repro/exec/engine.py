@@ -46,8 +46,9 @@ class ProcessStepEngine:
         self.engine_id = backend.allocate_engine_id()
         world = trainer.world_size
         self._chunks = chunk_bounds(world, min(backend.jobs, world))
-        self._grad = SharedArray.create((world, trainer.grad_dim))
-        self._params = SharedArray.create((trainer.grad_dim,))
+        dtype = trainer._layout.dtype  # pool workers compute in the trainer's dtype
+        self._grad = SharedArray.create((world, trainer.grad_dim), dtype)
+        self._params = SharedArray.create((trainer.grad_dim,), dtype)
         spec = EngineSpec(
             model=trainer.model,
             layout=trainer._layout,

@@ -23,6 +23,9 @@ import numpy as np
 
 Array = np.ndarray
 
+#: The dtypes a tensor keeps as given; anything else is stored as float64.
+_TAPE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (reverse of NumPy broadcasting)."""
@@ -64,7 +67,8 @@ class Tensor:
         _backward: Callable[[Array], None] | None = None,
         name: str | None = None,
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _TAPE_DTYPES else data.astype(np.float64)
         if grad_out is not None and grad_out.shape != self.data.shape:
             raise ValueError(
                 f"gradient destination of shape {grad_out.shape} for a tensor of "
@@ -112,7 +116,7 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             # _unbroadcast always reduces, so its result is fresh.
             grad = _unbroadcast(grad, self.data.shape)
@@ -418,7 +422,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = a.data.shape[axis]
     summed = tensor_sum(a, axis=axis, keepdims=keepdims)
-    return mul(summed, Tensor(1.0 / count))
+    return mul(summed, Tensor(np.asarray(1.0 / count, dtype=a.data.dtype)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -808,7 +812,7 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
     else:
         w_mat = w_data[0].reshape(out_c, -1)
         cols_w = _worker_columns(cols, workers)
-        out_data = np.empty((out_c, n, out_h, out_w))
+        out_data = np.empty((out_c, n, out_h, out_w), dtype=w_data.dtype)
         np.matmul(w_mat, cols_w, out=_worker_columns(out_data.reshape(out_c, -1), workers))
 
     def backward(grad: Array) -> None:
@@ -829,7 +833,7 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
         if workers is None:
             dcols = w_mat.T @ g
         else:
-            dcols = np.empty((w_mat.shape[1], g.shape[1]))
+            dcols = np.empty((w_mat.shape[1], g.shape[1]), dtype=w_data.dtype)
             np.matmul(w_mat.T, g_w, out=_worker_columns(dcols, workers))
         dcols = dcols.reshape(in_c, kernel, kernel, n, out_h, out_w)
         dpadded = _col2im_cnhw(dcols, padded.shape, stride)
@@ -899,7 +903,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     n, c, h, w = data.shape
     if h % kernel or w % kernel:
         raise ValueError(f"spatial dims {(h, w)} not divisible by kernel {kernel}")
-    out_data = np.zeros((n, c, h // kernel, w // kernel))
+    out_data = np.zeros((n, c, h // kernel, w // kernel), dtype=data.dtype)
     for i in range(kernel):
         row = data[:, :, i::kernel, ::kernel]
         for j in range(1, kernel):

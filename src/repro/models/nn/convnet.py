@@ -134,7 +134,7 @@ class SmallConvNet:
         workers, local = xs.shape[0], xs.shape[1]
         out = out or {}
         grads = {
-            name: out[name] if name in out else np.empty((workers, *np.shape(value)))
+            name: out[name] if name in out else np.empty((workers, *value.shape), value.dtype)
             for name, value in params.items()
         }
         losses = np.empty(workers)

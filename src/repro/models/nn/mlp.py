@@ -32,7 +32,17 @@ class MLPClassifier:
         Hidden layer widths.
     num_classes:
         Output classes.
+
+    The parameters are :attr:`dtype`, and every entry point casts its
+    input batch to the dtype of the parameters it is given — a float64
+    batch would otherwise promote the whole tape — so that dtype is what
+    the tape, the trainer's fusion buffer, error feedback, the
+    collectives and the optimizer all run in.
     """
+
+    #: The dtype :meth:`init_params` builds: float32, as the paper trains
+    #: in reduced precision, and the MLP's step is memory-bound.
+    dtype = np.float32
 
     def __init__(
         self, input_dim: int, hidden: tuple[int, ...] = (64, 64), num_classes: int = 10
@@ -49,9 +59,16 @@ class MLPClassifier:
         dims = [self.input_dim, *self.hidden, self.num_classes]
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             scale = np.sqrt(2.0 / fan_in)
-            params[f"fc{i}.weight"] = rng.normal(0.0, scale, size=(fan_in, fan_out))
-            params[f"fc{i}.bias"] = np.zeros(fan_out)
+            weight = rng.normal(0.0, scale, size=(fan_in, fan_out))
+            params[f"fc{i}.weight"] = weight.astype(self.dtype, copy=False)
+            params[f"fc{i}.bias"] = np.zeros(fan_out, dtype=self.dtype)
         return params
+
+    @staticmethod
+    def _batch(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+        """``x`` flattened per sample, in the parameters' dtype."""
+        x = np.asarray(x, dtype=params["fc0.weight"].dtype)
+        return x.reshape(len(x), -1)
 
     def logits(self, params: dict[str, Tensor], x: Tensor) -> Tensor:
         h = x
@@ -68,8 +85,7 @@ class MLPClassifier:
         """Forward + backward on one mini-batch (``out``: gradient
         destinations, see :class:`~repro.train.trainer.TrainableModel`)."""
         tensors = leaf_tensors(params, out)
-        x_t = Tensor(np.asarray(x).reshape(len(x), -1))
-        logits = self.logits(tensors, x_t)
+        logits = self.logits(tensors, Tensor(self._batch(params, x)))
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
@@ -92,11 +108,10 @@ class MLPClassifier:
         those GEMMs write each weight gradient straight into the
         caller's block.
         """
-        xs = np.asarray(xs)
         ys = np.asarray(ys)
-        workers, local = xs.shape[0], xs.shape[1]
+        workers, local = ys.shape[0], ys.shape[1]
         tensors = leaf_tensors(params, out, workers)
-        h = Tensor(xs.reshape(workers, local, -1))
+        h = Tensor(self._batch(params, xs).reshape(workers, local, -1))
         n_layers = len(self.hidden) + 1
         for i in range(n_layers):
             bias = tensors[f"fc{i}.bias"]
@@ -114,7 +129,7 @@ class MLPClassifier:
 
     def predict(self, params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
         tensors = {k: Tensor(v) for k, v in params.items()}
-        logits = self.logits(tensors, Tensor(np.asarray(x).reshape(len(x), -1)))
+        logits = self.logits(tensors, Tensor(self._batch(params, x)))
         return logits.data.argmax(axis=1)
 
     def evaluate(
@@ -122,7 +137,7 @@ class MLPClassifier:
     ) -> float:
         """Top-k accuracy (the paper reports top-5 for CNNs)."""
         tensors = {k: Tensor(v) for k, v in params.items()}
-        logits = self.logits(tensors, Tensor(np.asarray(x).reshape(len(x), -1))).data
+        logits = self.logits(tensors, Tensor(self._batch(params, x))).data
         topk = min(topk, logits.shape[1])
         ranked = np.argsort(logits, axis=1)[:, -topk:]
         return float(np.any(ranked == np.asarray(y)[:, None], axis=1).mean())

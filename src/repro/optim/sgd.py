@@ -46,7 +46,9 @@ class SGD:
         lr: float | None = None,
     ) -> None:
         """Apply one update in place.  ``lr`` overrides the stored rate."""
-        lr = self.lr if lr is None else lr
+        # A Python float scales any dtype without promoting it; a NumPy
+        # float64 scalar (a LARS rate from an array) would not.
+        lr = float(self.lr if lr is None else lr)
         for name, w in params.items():
             if name not in grads:
                 raise KeyError(f"missing gradient for parameter {name!r}")

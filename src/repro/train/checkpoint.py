@@ -140,6 +140,14 @@ def _read_verified(path: pathlib.Path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def _check_fits(record: str, value: np.ndarray, dtype: np.dtype, shape: tuple | None = None) -> None:
+    """One ``ValueError`` line unless a record has the trainer's dtype (and shape)."""
+    if shape is not None and value.shape != shape:
+        raise ValueError(f"checkpoint {record} has shape {value.shape}, model expects {shape}")
+    if value.dtype != dtype:
+        raise ValueError(f"checkpoint {record} is {value.dtype}, model expects {dtype}")
+
+
 def load_checkpoint(
     trainer: DistributedTrainer,
     path: str | pathlib.Path,
@@ -157,7 +165,10 @@ def load_checkpoint(
 
     The file is integrity-checked *before* any trainer state is touched;
     a damaged file raises :class:`CheckpointCorruptError` and leaves the
-    trainer exactly as it was.
+    trainer exactly as it was.  So does a valid one that does not fit:
+    every parameter, momentum and residual record is checked against the
+    trainer's shapes and dtype first (``KeyError`` for an unknown name,
+    one ``ValueError`` line for a shape or dtype that differs).
     """
     path = pathlib.Path(path)
     if not path.exists() and path.suffix != ".npz":
@@ -171,44 +182,43 @@ def load_checkpoint(
             f"checkpoint was taken at world size {meta['world_size']}, "
             f"trainer has {trainer.world_size}"
         )
+    # Every record is checked against the trainer before any state
+    # changes, so a checkpoint that does not fit leaves it untouched.
+    params: dict[str, np.ndarray] = {}
+    momentum: dict[str, np.ndarray] = {}
+    residuals: dict[object, np.ndarray] = {}
+    for key, value in arrays.items():
+        kind, _, name = key.partition("/")
+        if kind == "param" or kind == "momentum":
+            record = f"{'parameter' if kind == 'param' else kind} {name!r}"
+            if name not in trainer.params:
+                raise KeyError(f"checkpoint {record} unknown to model")
+            want = trainer.params[name]
+            _check_fits(record, value, want.dtype, want.shape)
+            (params if kind == "param" else momentum)[name] = value
+        elif kind == "residual":
+            _check_fits(f"residual {name!r}", value, trainer._layout.dtype)
+            # EF keys are worker ranks (ints) in the built-in
+            # schemes; fall back to the string form otherwise.
+            residuals[int(name) if name.lstrip("-").isdigit() else name] = value
+    rng_state = meta.get("rng_state")
+    if rng_state is not None:  # first: the one assignment that can still raise
+        trainer._rng.bit_generator.state = rng_state
     # Restoring must reproduce the checkpointed state exactly:
     # momentum/residual entries that post-date the checkpoint (e.g.
     # rolling back a trainer that kept stepping) are cleared before
     # the saved ones are loaded back in.
+    for name, value in params.items():
+        trainer.params[name] = value.copy()
     if isinstance(trainer.optimizer, SGD):
         trainer.optimizer._velocity.clear()
-    residuals: dict[object, np.ndarray] = {}
-    for key, value in arrays.items():
-        if key.startswith("param/"):
-            name = key[len("param/"):]
-            if name not in trainer.params:
-                raise KeyError(f"checkpoint parameter {name!r} unknown to model")
-            if value.shape != trainer.params[name].shape:
-                raise ValueError(
-                    f"checkpoint parameter {name!r} has shape "
-                    f"{value.shape}, model expects "
-                    f"{trainer.params[name].shape}"
-                )
-            trainer.params[name] = value.copy()
-        elif key.startswith("momentum/"):
-            name = key[len("momentum/"):]
-            if isinstance(trainer.optimizer, SGD):
-                trainer.optimizer._velocity[name] = value.copy()
-        elif key.startswith("residual/"):
-            raw_key = key[len("residual/"):]
-            # EF keys are worker ranks (ints) in the built-in
-            # schemes; fall back to the string form otherwise.
-            ef_key: object = int(raw_key) if raw_key.lstrip("-").isdigit() else raw_key
-            residuals[ef_key] = value
+        trainer.optimizer._velocity.update({name: v.copy() for name, v in momentum.items()})
     if world_matches:
         ef = getattr(trainer.scheme, "ef", None)
         if ef is not None:
             ef.replace(residuals)
     elif residuals:
         meta["residuals"] = residuals
-    rng_state = meta.get("rng_state")
-    if rng_state is not None:
-        trainer._rng.bit_generator.state = rng_state
     return meta
 
 

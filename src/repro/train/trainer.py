@@ -140,8 +140,9 @@ class DistributedTrainer:
         self.grad_dim = self._layout.dim
         # Preallocated (W, d) fusion buffer, reused every step: each row
         # is where one worker's gradient is computed, and the whole
-        # matrix is what the scheme aggregates.
-        self._grad_matrix = np.zeros((self.world_size, self.grad_dim))
+        # matrix is what the scheme aggregates.  It takes the parameters'
+        # dtype, and so do the aggregate and the update computed from it.
+        self._grad_matrix = np.zeros((self.world_size, self.grad_dim), dtype=self._layout.dtype)
         # Execution engine: a non-serial backend replaces the fusion
         # buffer with a shared-memory block and fans the per-worker
         # compute across its pool (the engine rebinds _grad_matrix).

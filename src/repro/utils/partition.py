@@ -124,20 +124,31 @@ class FlatLayout:
     ``(dim,)`` row or a ``(rows, dim)`` block of them; :meth:`views`
     hands out the tensors *in* it (what a model computes gradients
     into), :meth:`write` copies tensors that live elsewhere.
+
+    ``dtype`` is the tensors' one dtype — the dtype every buffer laid
+    out by it is allocated in, so a model's parameters fix the dtype of
+    its gradients, their aggregation and its update.
     """
 
     names: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
     slices: tuple[slice, ...]
     dim: int
+    dtype: np.dtype = np.dtype(np.float64)
 
     @classmethod
     def of(cls, tensors: Mapping[str, np.ndarray]) -> "FlatLayout":
+        first: dict[np.dtype, str] = {}  # each dtype's first tensor
+        for name, tensor in tensors.items():
+            first.setdefault(np.asarray(tensor).dtype, name)
+        if len(first) > 1:
+            mixed = ", ".join(f"{name} is {dtype}" for dtype, name in first.items())
+            raise ValueError(f"cannot fuse tensors of mixed dtypes into one buffer: {mixed}")
         shapes = tuple(tuple(np.shape(t)) for t in tensors.values())
         sizes = [int(np.prod(shape)) for shape in shapes]
         ends = np.cumsum(sizes).tolist()
         slices = tuple(slice(hi - size, hi) for size, hi in zip(sizes, ends))
-        return cls(tuple(tensors), shapes, slices, sum(sizes))
+        return cls(tuple(tensors), shapes, slices, sum(sizes), *first)  # the one dtype, if any
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The named tensors as zero-copy views of ``flat``: one ``(dim,)``

@@ -75,6 +75,33 @@ def test_torus_matches_schedule(m, n, d):
         np.testing.assert_array_equal(out, reference)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_collective_keeps_its_input_dtype_and_its_schedules_bits(dtype):
+    """The float32 trainer's matrix goes through the same folds: each live
+    collective and its list-form schedule return the input's dtype, and
+    the same bits."""
+    topo = ClusterTopology(2, 4)
+    rng = np.random.default_rng(29)
+    mat = rng.standard_normal((topo.world_size, 1003)).astype(dtype)
+    pairs = [
+        (matrix_reduce_scatter(mat), np.concatenate(ring_reduce_scatter(list(mat)))),
+        (matrix_ring_allreduce(mat), ring_allreduce(list(mat))[0]),
+        (matrix_tree_allreduce(mat), tree_allreduce(list(mat))[0]),
+        (matrix_torus_allreduce_2d(mat, topo), torus_allreduce_2d(list(mat), topo)[0]),
+    ]
+    vecs = [
+        SparseVector(rng.standard_normal(40).astype(dtype), rng.integers(0, 1003, 40), 1003)
+        for _ in range(6)
+    ]
+    expected = np.zeros(1003, dtype=dtype)
+    for v in vecs:
+        np.add.at(expected, v.indices, v.values)
+    pairs.append((batched_scatter_add(vecs, 1003), expected))
+    for got, want in pairs:
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
 class TestValidation:
     def test_reduce_scatter_rejects_non_matrix(self):
         with pytest.raises(ValueError):

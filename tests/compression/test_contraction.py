@@ -49,6 +49,21 @@ def test_exact_topk_meets_the_theoretical_bound(d, seed):
 
 
 @pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_selector_sends_exactly_k_of_the_shards_own_values_in_its_dtype(name, dtype):
+    """What the float32 trainer's aggregation relies on: a shard's dtype
+    is the dtype on the wire, one shard at a time or batched."""
+    compressor, rng = build_compressor(name), new_rng(5)
+    shards = rng.normal(size=(3, 400)).astype(dtype)
+    ks = [1, 40, 400]
+    batched = compressor.select_batch(shards, ks, rng=rng)
+    for shard, k, one_of_batch in zip(shards, ks, batched):
+        for sent in (one_of_batch, compressor.select(shard, k, rng=rng)):
+            assert sent.values.dtype == dtype and sent.nnz == k
+            np.testing.assert_array_equal(sent.values, shard[sent.indices])
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_no_selector_keeps_more_energy_than_exact_topk(name):
     # Every selector sends k of x's own values, so exact top-k — the k
     # largest squares — leaves the least residual of any of them.

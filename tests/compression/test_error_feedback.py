@@ -112,15 +112,19 @@ class TestBookkeeping:
         "grad_dtype,residual_dtype",
         [(np.float32, np.float64), (np.float64, np.float32)],
     )
-    def test_dtype_mismatch_rejected(self, rng, grad_dtype, residual_dtype):
-        # It used to upcast the corrected gradient silently while the
-        # stored residual kept the old dtype.
+    @pytest.mark.parametrize("path", ["apply", "apply_batch"])
+    def test_dtype_mismatch_rejected(self, rng, grad_dtype, residual_dtype, path):
+        # Both paths used to cast silently: apply upcast the corrected
+        # gradient, apply_batch cast the residual into the matrix's dtype.
         ef = ErrorFeedback()
         g = rng.normal(size=10).astype(residual_dtype)
         ef.update("w", g, topk_argpartition(g, 2))
-        with pytest.raises(ValueError, match="residual dtype .* does not match gradient dtype"):
-            ef.apply("w", rng.normal(size=10).astype(grad_dtype))
-        assert ef.apply("w", g).dtype == residual_dtype
+        run = ef.apply if path == "apply" else lambda key, x: ef.apply_batch([key], x[None])[0]
+        with pytest.raises(ValueError, match="residual dtype .* does not match gradient dtype") as err:
+            run("w", rng.normal(size=10).astype(grad_dtype))
+        message = str(err.value)
+        assert "\n" not in message and np.dtype(residual_dtype).name in message
+        assert run("w", g).dtype == residual_dtype
 
     def test_replace_swaps_every_buffer_for_a_copy(self, rng):
         ef = ErrorFeedback()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cloud_presets import make_cluster, paper_testbed
+from repro.models.nn.mlp import MLPClassifier
 from repro.utils.seeding import new_rng
 
 
@@ -15,6 +16,15 @@ from repro.utils.seeding import new_rng
 def rng():
     """Fresh deterministic generator per test."""
     return new_rng(1234)
+
+
+@pytest.fixture(params=[np.float32, np.float64], ids=["float32", "float64"])
+def mlp_dtype(request, monkeypatch):
+    """Run the test once per dtype the MLP family may train in: its own
+    float32 and, through ``MLPClassifier.dtype``, the float64 every
+    other model trains in.  Returns the dtype in force."""
+    monkeypatch.setattr(MLPClassifier, "dtype", request.param)
+    return np.dtype(request.param)
 
 
 @pytest.fixture

@@ -676,6 +676,34 @@ class TestEngine:
         t.zero_grad()
         assert t.grad is None
 
+    @pytest.mark.parametrize(
+        "data, dtype",
+        [
+            (np.ones(3, np.float32), np.float32),
+            (np.float32(2.0), np.float32),
+            (np.ones(3), np.float64),
+            (np.arange(3), np.float64),
+            (np.ones(3, np.float16), np.float64),
+            (2.0, np.float64),
+            ([1, 2], np.float64),
+        ],
+        ids=["f32", "f32-scalar", "f64", "int", "f16", "py-float", "list"],
+    )
+    def test_float32_data_stays_float32_and_the_rest_becomes_float64(self, data, dtype):
+        t = Tensor(data)
+        assert t.data.dtype == dtype
+        np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    def test_a_float32_tape_keeps_float32_through_mean_and_accumulation(self, rng):
+        """A leaf used twice, a mean's constant and an incoming float64
+        gradient: every gradient is accumulated in its tensor's dtype."""
+        x = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
+        out = tensor_mean((x @ w) @ w, axis=0)
+        assert out.data.dtype == np.float32
+        out.backward(np.ones(4))  # a float64 seed gradient
+        assert w.grad.dtype == np.float32 and out.grad.dtype == np.float32
+
     def test_deep_chain_iterative_toposort(self):
         # 2000-deep chain: a recursive topo-sort would blow the stack.
         t = Tensor(np.array([1.0]), requires_grad=True)

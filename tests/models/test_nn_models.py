@@ -183,7 +183,7 @@ def test_gradients_are_computed_in_their_destinations(name):
     layout = FlatLayout.of(params)
     for run, lead in passes:
         want_loss, want_grads, _ = run(params)
-        block = np.full((*lead, layout.dim), np.nan)
+        block = np.full((*lead, layout.dim), np.nan, dtype=layout.dtype)
         out = layout.views(block)
         for _ in range(2):
             loss, grads, _ = run(params, out)
@@ -245,3 +245,40 @@ def test_dead_operands_get_no_gradient_and_leaf_gradients_do_not_change(name, mo
         _, want_grads, _ = run(params)
         for key in params:
             np.testing.assert_array_equal(grads[key], want_grads[key])
+
+
+def test_every_array_on_an_mlp_tape_is_in_the_parameters_dtype(mlp_dtype, monkeypatch):
+    """The parameters fix the tape's dtype: every tensor's data and
+    gradient (the loss node's included) and the returned gradients,
+    through both entry points — although the workload's batches are
+    float64."""
+    model, passes = _gradient_passes("mlp")
+    params = model.init_params(new_rng(6))
+    assert {value.dtype for value in params.values()} == {mlp_dtype}
+    init = Tensor.__init__
+    for run, _ in passes:
+        created = []
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        _, grads, _ = run(params)
+        monkeypatch.setattr(Tensor, "__init__", init)
+        assert len(created) > 10
+        for tensor in created:
+            assert tensor.data.dtype == mlp_dtype, tensor
+            assert tensor.grad is None or tensor.grad.dtype == mlp_dtype, tensor
+        assert {grad.dtype for grad in grads.values()} == {mlp_dtype}
+
+
+def test_mlp_predict_and_evaluate_run_in_the_parameters_dtype(rng):
+    model = MLPClassifier(input_dim=2, hidden=(4,), num_classes=3)
+    params = model.init_params(rng)
+    x = rng.normal(size=(10, 2))
+    as64 = {name: value.astype(np.float64) for name, value in params.items()}
+    # The float64 batch is cast to the float32 params, so the two
+    # precisions see the same rounded inputs and agree on easy argmaxes.
+    assert (model.predict(params, x) == model.predict(as64, x.astype(np.float32))).mean() > 0.8
+    assert model.evaluate(params, x, model.predict(params, x)) == 1.0

@@ -41,19 +41,21 @@ def pool():
     backend.close()
 
 
-def assert_aggregate_parity(name, network, d, steps=4):
-    """Outputs, accounting, EF state, and rng stream all match."""
+def assert_aggregate_parity(name, network, d, steps=4, dtype=np.float64):
+    """Outputs, accounting, EF state, and rng stream all match, and all
+    of it stays in the gradients' ``dtype``."""
     world = network.topology.world_size
     vec = build_scheme(name, network, density=0.05)
     ref = build_scheme(name, network, density=0.05)
     rng_data = np.random.default_rng(17)
     rng_vec, rng_ref = new_rng(5), new_rng(5)
     for step in range(steps):
-        grads = rng_data.standard_normal((world, d))
+        grads = rng_data.standard_normal((world, d)).astype(dtype)
         a = vec.aggregate(grads, rng=rng_vec)
         b = legacy_aggregate(ref, grads, rng=rng_ref)
         assert len(a.outputs) == len(b.outputs) == world
         for out_a, out_b in zip(a.outputs, b.outputs):
+            assert out_a.dtype == out_b.dtype == dtype
             np.testing.assert_array_equal(out_a, out_b)
         assert a.inter_bytes == b.inter_bytes, (name, step)
         assert a.intra_bytes == b.intra_bytes, (name, step)
@@ -64,6 +66,7 @@ def assert_aggregate_parity(name, network, d, steps=4):
         if ef_vec is not None:
             assert list(ef_vec.keys()) == list(ef_ref.keys())
             for ef_key in ef_vec.keys():
+                assert ef_vec.residual(ef_key).dtype == ef_ref.residual(ef_key).dtype == dtype
                 np.testing.assert_array_equal(
                     ef_vec.residual(ef_key), ef_ref.residual(ef_key)
                 )
@@ -96,9 +99,10 @@ class ReferenceTrainer(DistributedTrainer):
 
 
 class TestSchemeParity:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", ALL_SCHEMES)
-    def test_aggregate_bit_identical_over_steps(self, network, name):
-        assert_aggregate_parity(name, network, d=863)
+    def test_aggregate_bit_identical_over_steps(self, network, name, dtype):
+        assert_aggregate_parity(name, network, d=863, dtype=dtype)
 
     @pytest.mark.parametrize("name", ["mstopk", "dense", "2dtar"])
     def test_eight_gpu_nodes_with_uneven_chunks(self, name):
@@ -153,6 +157,26 @@ class TestTrainerParity:
         for key in vec.params:
             np.testing.assert_array_equal(vec.params[key], ref.params[key])
 
+    @pytest.mark.parametrize("scheme_name", SCHEMES)
+    def test_mlp_bit_identical_in_either_dtype(self, network, scheme_name, mlp_dtype):
+        """The oracle step follows the parameters' dtype as the live one
+        does: same losses, same parameters, same residuals, same dtype."""
+        workload = build_workload("mlp", num_samples=128, rng=new_rng(7))
+        trainers = [
+            cls(workload.model, build_scheme(scheme_name, network, density=0.05), seed=7)
+            for cls in (DistributedTrainer, ReferenceTrainer)
+        ]
+        vec, ref = trainers
+        reports = [t.train(workload.x, workload.y, epochs=1, local_batch=8) for t in trainers]
+        assert reports[0].epoch_losses == reports[1].epoch_losses
+        for key in vec.params:
+            assert vec.params[key].dtype == ref.params[key].dtype == mlp_dtype
+            np.testing.assert_array_equal(vec.params[key], ref.params[key])
+        ef_vec, ef_ref = getattr(vec.scheme, "ef", None), getattr(ref.scheme, "ef", None)
+        for ef_key in ef_vec.keys() if ef_vec is not None else ():
+            assert ef_vec.residual(ef_key).dtype == mlp_dtype
+            np.testing.assert_array_equal(ef_vec.residual(ef_key), ef_ref.residual(ef_key))
+
     def test_layout_computed_once_and_reused(self, network):
         workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(3))
         trainer = DistributedTrainer(
@@ -206,6 +230,34 @@ class TestProcessBackendParity:
                 np.testing.assert_array_equal(
                     ef_p.residual(ef_key), ef_s.residual(ef_key)
                 )
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_shared_blocks_take_the_parameters_dtype(self, network, jobs, mlp_dtype):
+        """Pool workers compute in the trainer's dtype: both shared blocks
+        are allocated in it, and the run stays bit-identical to serial at
+        any pool width."""
+        workload = build_workload("mlp", num_samples=128, rng=new_rng(7))
+        serial = DistributedTrainer(
+            workload.model, build_scheme("mstopk", network, density=0.05), seed=7
+        )
+        with ProcessBackend(jobs=jobs) as backend:
+            parallel = DistributedTrainer(
+                workload.model,
+                build_scheme("mstopk", network, density=0.05),
+                seed=7,
+                exec_backend=backend,
+            )
+            try:
+                engine = parallel._engine
+                assert engine._grad.array.dtype == engine._params.array.dtype == mlp_dtype
+                report_p = parallel.train(workload.x, workload.y, epochs=1, local_batch=8)
+            finally:
+                parallel.close()
+        report_s = serial.train(workload.x, workload.y, epochs=1, local_batch=8)
+        assert report_p.epoch_losses == report_s.epoch_losses
+        for key in serial.params:
+            assert parallel.params[key].dtype == mlp_dtype
+            np.testing.assert_array_equal(parallel.params[key], serial.params[key])
 
     @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
     def test_every_registered_scheme_one_epoch(self, network, pool, scheme_name):

@@ -13,9 +13,9 @@ from repro.train.trainer import DistributedTrainer
 from repro.utils.seeding import new_rng
 
 
-def make_trainer(seed=0, scheme_name="mstopk"):
+def make_trainer(seed=0, scheme_name="mstopk", hidden=(12,)):
     net = make_cluster(2, "tencent", gpus_per_node=2)
-    model = MLPClassifier(input_dim=2, hidden=(12,), num_classes=4)
+    model = MLPClassifier(input_dim=2, hidden=hidden, num_classes=4)
     return DistributedTrainer(
         model,
         build_scheme(scheme_name, net, density=0.1),
@@ -116,6 +116,24 @@ class TestRoundTrip:
                 fresh.scheme.ef.residual(key), trainer.scheme.ef.residual(key)
             )
 
+    def test_float32_state_round_trips_in_float32(self, tmp_path, rng):
+        """Params, momentum and HiTopKComm's shard residuals come back
+        float32 and bit-equal, and the restored trainer steps in float32."""
+        x, y = make_spiral_classification(512, num_classes=4, rng=rng)
+        trainer = make_trainer()
+        for step in range(2):
+            trainer.train_step(batches_for(x, y, step))
+        path = save_checkpoint(trainer, tmp_path / "f32")
+        fresh = make_trainer(seed=7)
+        load_checkpoint(fresh, path)
+        for want, got in zip(_state(trainer), _state(fresh)):
+            assert list(got) == list(want) and want
+            for key in want:
+                assert got[key].dtype == want[key].dtype == np.float32, key
+                np.testing.assert_array_equal(got[key], want[key])
+        assert fresh.train_step(batches_for(x, y, 2)) == trainer.train_step(batches_for(x, y, 2))
+        assert fresh._grad_matrix.dtype == np.float32
+
     def test_momentum_restored(self, tmp_path, rng):
         x, y = make_spiral_classification(512, num_classes=4, rng=rng)
         trainer = make_trainer()
@@ -192,6 +210,59 @@ class TestValidation:
         )
         with pytest.raises((KeyError, ValueError)):
             load_checkpoint(other, path)
+
+
+def _state(trainer):
+    """Params, momentum and residuals: everything a load may replace."""
+    ef = trainer.scheme.ef
+    return (
+        dict(trainer.params),
+        dict(trainer.optimizer._velocity),
+        {key: ef.residual(key) for key in ef.keys()},
+    )
+
+
+class TestMisfitLeavesTheTrainerUntouched:
+    """A valid checkpoint that does not fit is rejected before any of the
+    trainer's state changes."""
+
+    def _assert_rejected_untouched(self, trainer, path, match):
+        before = [{k: v.copy() for k, v in part.items()} for part in _state(trainer)]
+        rng_before = trainer._rng.bit_generator.state
+        with pytest.raises(ValueError, match=match) as err:
+            load_checkpoint(trainer, path)
+        assert "\n" not in str(err.value)
+        for want, got in zip(before, _state(trainer)):
+            assert list(got) == list(want)
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
+        assert trainer._rng.bit_generator.state == rng_before
+
+    def _trained(self, rng, **kwargs):
+        x, y = make_spiral_classification(512, num_classes=4, rng=rng)
+        trainer = make_trainer(**kwargs)
+        for step in range(2):
+            trainer.train_step(batches_for(x, y, step))
+        assert all(_state(trainer))  # params, momentum and residuals to lose
+        return trainer
+
+    def test_a_later_parameter_of_another_shape(self, tmp_path, rng):
+        # fc0 fits, fc1.weight is (8, 8) against (8, 5): fc0 used to be
+        # replaced and the momentum cleared before fc1 was looked at.
+        path = save_checkpoint(self._trained(rng, hidden=(8, 8)), tmp_path / "shape")
+        target = self._trained(rng, seed=1, hidden=(8, 5))
+        self._assert_rejected_untouched(
+            target, path, r"parameter 'fc1.weight' has shape \(8, 8\), model expects \(8, 5\)"
+        )
+
+    def test_a_float64_checkpoint_into_a_float32_trainer(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(MLPClassifier, "dtype", np.float64)
+        path = save_checkpoint(self._trained(rng), tmp_path / "f64")
+        monkeypatch.undo()
+        target = self._trained(rng, seed=1)
+        self._assert_rejected_untouched(
+            target, path, "parameter 'fc0.weight' is float64, model expects float32"
+        )
 
 
 class TestTornWrites:

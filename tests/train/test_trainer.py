@@ -27,8 +27,14 @@ def setup(rng):
     return model, x, y
 
 
+#: Agreement of two summation orders of one step, per training dtype.
+STEP_TOLERANCE = {np.float64: dict(rtol=1e-9, atol=1e-11), np.float32: dict(rtol=1e-5, atol=1e-8)}
+
+
 class TestDataParallelEquivalence:
-    def test_dense_equals_large_batch_single_worker(self, setup):
+    def test_dense_equals_large_batch_single_worker(self, setup, mlp_dtype):
+        """Equal up to the order the per-sample terms are summed in — the
+        one difference between the two, sized by the dtype's epsilon."""
         model, x, y = setup
         net = make_cluster(2, "tencent", gpus_per_node=2)
         scheme = build_scheme("dense", net)
@@ -48,8 +54,9 @@ class TestDataParallelEquivalence:
         opt.step(ref_params, grads)
 
         for name in ref_params:
+            assert trainer.params[name].dtype == ref_params[name].dtype == mlp_dtype
             np.testing.assert_allclose(
-                trainer.params[name], ref_params[name], rtol=1e-9, atol=1e-11
+                trainer.params[name], ref_params[name], **STEP_TOLERANCE[mlp_dtype.type]
             )
 
     def test_2dtar_matches_tree_dense(self, setup):

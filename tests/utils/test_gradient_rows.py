@@ -60,6 +60,13 @@ class _Elsewhere:
         return call
 
 
+class _PerRowOnly:
+    """A model with its blocked pass hidden: every row is one call."""
+
+    def __init__(self, target):
+        self.loss_and_grad = target.loss_and_grad
+
+
 @pytest.fixture
 def writes(monkeypatch):
     """Names copied by ``FlatLayout.write`` while the test runs, per call."""
@@ -126,7 +133,7 @@ def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, c
 
     proxy = _Proxy(model)
     timer = PhaseTimer()
-    out = np.full((len(batches), layout.dim), np.nan)
+    out = np.full((len(batches), layout.dim), np.nan, dtype=layout.dtype)
     losses, metrics = gradient_rows(proxy, params, batches, out, layout, timer)
 
     assert proxy.calls == calls
@@ -137,6 +144,24 @@ def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, c
     # One forward_backward and one fuse record per model call.
     n_calls = sum(calls.values())
     assert timer.calls == {"forward_backward": n_calls, "fuse": n_calls}
+
+
+def test_mlp_blocked_and_per_row_bodies_agree_bit_for_bit(mlp_dtype):
+    """The same batches through the blocked pass and through per-row
+    calls give the same rows, losses and metrics, in either dtype."""
+    model, batches = _batches("mlp", [2] * 16)
+    params = model.init_params(new_rng(4))
+    layout = FlatLayout.of(params)
+    assert layout.dtype == mlp_dtype
+    results = []
+    for body, calls in ((model, BLOCKED), (_PerRowOnly(model), {"loss_and_grad": 16})):
+        proxy = _Proxy(body)
+        out = np.full((len(batches), layout.dim), np.nan, dtype=layout.dtype)
+        results.append((out, *gradient_rows(proxy, params, batches, out, layout)))
+        assert proxy.calls == calls
+    (blocked, *blocked_rest), (per_row, *per_row_rest) = results
+    np.testing.assert_array_equal(blocked, per_row)
+    assert blocked_rest == per_row_rest
 
 
 @pytest.mark.parametrize("sizes", [[8] * 4, [8, 8, 6, 8]], ids=["blocked", "per-row"])
@@ -196,7 +221,8 @@ def test_blocked_pass_replicates_no_parameters():
     parameter copy, 1.08x on the view)."""
     model, params, xs, ys = _wide_mlp_rows()
     peak = peak_bytes(lambda: model.loss_and_grad_workers(params, xs, ys))
-    grads_bytes = len(xs) * FlatLayout.of(params).dim * 8
+    layout = FlatLayout.of(params)
+    grads_bytes = len(xs) * layout.dim * layout.dtype.itemsize
     assert peak < 1.5 * grads_bytes, peak / grads_bytes
 
 
@@ -207,7 +233,7 @@ def test_a_warmed_call_allocates_no_gradient_sized_array():
     0.08x computed in place)."""
     model, params, xs, ys = _wide_mlp_rows()
     layout = FlatLayout.of(params)
-    out = np.zeros((len(xs), layout.dim))
+    out = np.zeros((len(xs), layout.dim), dtype=layout.dtype)
     peak = peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
     assert peak < 0.25 * out.nbytes, peak / out.nbytes
 
@@ -224,6 +250,19 @@ def test_layout_round_trips_through_a_flat_buffer():
     for name, value in params.items():
         np.testing.assert_array_equal(views[name], value)
         assert np.shares_memory(views[name], flat)
+
+
+def test_layout_takes_the_tensors_one_dtype_and_rejects_a_mix_in_one_line():
+    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
+    assert FlatLayout.of(params).dtype == np.float32
+    as64 = {name: value.astype(np.float64) for name, value in params.items()}
+    assert FlatLayout.of(as64).dtype == np.float64
+    mixed = params | {"fc1.weight": as64["fc1.weight"]}
+    with pytest.raises(ValueError, match="mixed dtypes") as err:
+        FlatLayout.of(mixed)
+    message = str(err.value)
+    assert "\n" not in message
+    assert "fc0.weight is float32" in message and "fc1.weight is float64" in message
 
 
 def test_layout_views_of_a_row_block_are_views_with_contiguous_tensors():
