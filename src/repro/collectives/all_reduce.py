@@ -89,12 +89,13 @@ def matrix_torus_allreduce_2d(mat: np.ndarray, topology: ClusterTopology) -> np.
     # node is a contiguous row block).
     node_acc = np.empty((m, d), dtype=mat.dtype)
     for node in range(m):
-        node_acc[node] = matrix_reduce_scatter(mat[node * n : (node + 1) * n])
+        matrix_reduce_scatter(mat[node * n : (node + 1) * n], out=node_acc[node])
 
-    # Phase 2: per-segment inter-node ring all-reduce (n column blocks).
+    # Phase 2: per-segment inter-node ring all-reduce (n column blocks);
+    # its reduced values are the ring reduce-scatter fold's.
     full = np.empty(d, dtype=mat.dtype)
     for start, end in chunk_bounds(d, n):
-        full[start:end] = matrix_ring_allreduce(node_acc[:, start:end])
+        matrix_reduce_scatter(node_acc[:, start:end], out=full[start:end])
 
     # Phase 3: the intra-node all-gather reassembles segments 0..n-1 in
     # order — exactly the layout ``full`` already has.

@@ -22,6 +22,12 @@ dense volume — that is the entire trick.
 Error feedback: the information drop happens in step 2, on the
 *node-reduced shard*, so the residual lives with the shard owner (one
 ``d/n`` buffer per GPU) and is added right after the reduce-scatter.
+
+Buffers: the scheme owns one ``(m, d)`` node accumulator that step 1
+writes and step 2 reads, reused by every call of the same shape and
+dtype; error feedback corrects its shard views in place and rewrites
+each residual in its own buffer.  Nothing a call returns points into
+either: the selections hold gathered copies and the aggregate is fresh.
 """
 
 from __future__ import annotations
@@ -94,6 +100,7 @@ class HiTopKComm(CommScheme):
         self.index_bytes = index_bytes
         self.dense_wire_bytes = dense_wire_bytes
         self.gpu = gpu
+        self._node_acc: np.ndarray | None = None
 
     # -- functional aggregation ------------------------------------------------
     def aggregate(
@@ -105,37 +112,36 @@ class HiTopKComm(CommScheme):
         d = mat.shape[1]
         bounds = chunk_bounds(d, n)
 
-        # Step 1: intra-node ring reduce-scatter, one contiguous-chunk
-        # fold per node (ranks are node-major, so each node is a
-        # contiguous row block of the gradient matrix).
-        node_acc = [
-            matrix_reduce_scatter(mat[node * n : (node + 1) * n]) for node in range(m)
-        ]
+        # Step 1: intra-node ring reduce-scatter, one fold per node into
+        # its row of the node accumulator (ranks are node-major, so each
+        # node is a contiguous row block of the gradient matrix).
+        node_acc = self._node_acc
+        if node_acc is None or node_acc.shape != (m, d) or node_acc.dtype != mat.dtype:
+            node_acc = self._node_acc = np.empty((m, d), dtype=mat.dtype)
+        for node in range(m):
+            matrix_reduce_scatter(mat[node * n : (node + 1) * n], out=node_acc[node])
 
         # Step 2: per-shard top-k selection with shard-resident error
-        # feedback; the EF-corrected shards of all m*n GPUs go through
-        # one ``select_batch`` call.  k̃ = ρ * shard_size (paper: ρ d / n).
-        # Shard order is rank order, which fixes the rng stream.
+        # feedback, added in place; the corrected shards of all m*n GPUs
+        # go through one ``select_batch`` call.  k̃ = ρ * shard_size
+        # (paper: ρ d / n).  Shard order is rank order, which fixes the
+        # rng stream.
         shard_ranks: list[int] = []
-        shard_views: list[np.ndarray] = []
+        shards: list[np.ndarray] = []
         ks: list[int] = []
         for node in range(m):
             for local in range(n):
                 start, end = bounds[local]
                 shard_ranks.append(topo.rank(node, local))
-                shard_views.append(node_acc[node][start:end])
+                shards.append(node_acc[node, start:end])
                 ks.append(density_to_k(end - start, self.density))
         if self.ef is not None:
-            corrected = [
-                self.ef.apply(rank_, shard)
-                for rank_, shard in zip(shard_ranks, shard_views)
-            ]
-        else:
-            corrected = shard_views
-        sel_list = self.compressor.select_batch(corrected, ks, rng=rng)
+            for rank_, shard in zip(shard_ranks, shards):
+                self.ef.apply(rank_, shard, out=shard)
+        sel_list = self.compressor.select_batch(shards, ks, rng=rng)
         if self.ef is not None:
-            for rank_, corr, sent in zip(shard_ranks, corrected, sel_list):
-                self.ef.update(rank_, corr, sent)
+            for rank_, shard, sent in zip(shard_ranks, shards, sel_list):
+                self.ef.update(rank_, shard, sent)
         selections: dict[int, object] = dict(zip(shard_ranks, sel_list))
 
         # Steps 3 + 4: inter-node all-gather per stream, then intra-node

@@ -55,12 +55,30 @@ def _check_fits(key: object, residual: np.ndarray, shape: tuple, dtype: np.dtype
             )
 
 
+def _check_sent(sent: SparseVector, corrected: np.ndarray) -> None:
+    """One ``ValueError`` line unless ``sent`` was selected from a
+    ``corrected`` like this one: the same length, the same dtype."""
+    if sent.length != corrected.shape[-1]:
+        raise ValueError(
+            f"sent length {sent.length} does not match gradient size {corrected.shape[-1]}"
+        )
+    if sent.values.dtype != corrected.dtype:
+        raise ValueError(
+            f"sent values dtype {sent.values.dtype} does not match gradient dtype "
+            f"{corrected.dtype}"
+        )
+
+
 class ErrorFeedback:
     """Per-key residual buffers with the standard EF update rule.
 
     Keys are arbitrary hashables (worker rank, ``(node, gpu)`` shard
     owner, parameter name, ...).  Buffers are created lazily with the
-    shape/dtype of the first gradient seen for the key.
+    shape/dtype of the first gradient seen for the key, and each
+    :meth:`update` rewrites the key's buffer in place: the object
+    :meth:`residual` hands out is the live buffer, and changes with the
+    next update.  Checkpoints copy it (``np.savez``); :meth:`replace`
+    stores copies.
     """
 
     def __init__(self) -> None:
@@ -73,7 +91,8 @@ class ErrorFeedback:
         return self._residuals.keys()
 
     def residual(self, key: object) -> np.ndarray | None:
-        """Current residual for ``key`` (``None`` before first update)."""
+        """The live residual buffer for ``key`` (``None`` before the first
+        update); the next :meth:`update` of ``key`` overwrites it."""
         return self._residuals.get(key)
 
     def replace(self, residuals: Mapping[object, np.ndarray]) -> None:
@@ -81,14 +100,26 @@ class ErrorFeedback:
         (checkpoint restore, elastic re-folding)."""
         self._residuals = {key: np.array(value) for key, value in residuals.items()}
 
-    def apply(self, key: object, grad: np.ndarray) -> np.ndarray:
-        """Return ``grad + residual[key]`` (fresh array; grad unmodified)."""
+    def apply(
+        self, key: object, grad: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Return ``grad + residual[key]``: a fresh array, or ``out``
+        (which may be ``grad`` itself) when given.  The add is the same
+        IEEE operation either way."""
         grad = np.asarray(grad)
+        if out is not None and (out.shape != grad.shape or out.dtype != grad.dtype):
+            raise ValueError(
+                f"out is {out.dtype}{out.shape}, gradient {grad.dtype}{grad.shape} "
+                f"for key {key!r}"
+            )
         residual = self._residuals.get(key)
         if residual is None:
-            return grad.copy()
+            if out is None:
+                return grad.copy()
+            np.copyto(out, grad)
+            return out
         _check_fits(key, residual, grad.shape, grad.dtype)
-        return grad + residual
+        return np.add(grad, residual, out=out)
 
     def apply_batch(self, keys, mat: np.ndarray) -> np.ndarray:
         """Batched :meth:`apply`: ``mat`` is ``(n, d)`` with row ``i``
@@ -131,13 +162,10 @@ class ErrorFeedback:
             )
         if len(sents) != len(keys):
             raise ValueError(f"{len(keys)} keys but {len(sents)} selections")
+        for sent in sents:
+            _check_sent(sent, corrected)
         residuals = corrected.copy()
         for row, (key, sent) in enumerate(zip(keys, sents)):
-            if sent.length != corrected.shape[1]:
-                raise ValueError(
-                    f"sent length {sent.length} does not match gradient size "
-                    f"{corrected.shape[1]}"
-                )
             residual = residuals[row]
             _subtract_sent(residual, corrected[row], sent)
             self._residuals[key] = residual
@@ -150,14 +178,24 @@ class ErrorFeedback:
         residual is ``corrected`` with the transmitted coordinates zeroed
         — for top-k selections the transmitted value equals the corrected
         value at those coordinates, so this is exactly
-        ``corrected - densify(sent)``.
+        ``corrected - densify(sent)``.  It is written into the key's
+        existing buffer when that has ``corrected``'s shape and dtype (and
+        is not ``corrected`` itself), else into a fresh one.
         """
         corrected = np.asarray(corrected)
-        if sent.length != corrected.size:
-            raise ValueError(
-                f"sent length {sent.length} does not match gradient size {corrected.size}"
-            )
-        residual = corrected.copy()
+        if corrected.ndim != 1:
+            raise ValueError(f"update needs a 1-D gradient, got shape {corrected.shape}")
+        _check_sent(sent, corrected)
+        residual = self._residuals.get(key)
+        if (
+            residual is None
+            or residual.shape != corrected.shape
+            or residual.dtype != corrected.dtype
+            or np.may_share_memory(residual, corrected)
+        ):
+            residual = corrected.copy()
+        else:
+            np.copyto(residual, corrected)
         _subtract_sent(residual, corrected, sent)
         self._residuals[key] = residual
 

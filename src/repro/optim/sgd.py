@@ -63,9 +63,10 @@ class SGD:
             if self.momentum:
                 v = self._velocity.get(name)
                 if v is None:
-                    v = np.zeros_like(w)
-                v = self.momentum * v + g
-                self._velocity[name] = v
+                    v = self._velocity[name] = np.zeros_like(w)
+                # In place: the same multiply, then the same add.
+                np.multiply(v, self.momentum, out=v)
+                v += g
                 g = g + self.momentum * v if self.nesterov else v
             w -= lr * g
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
+from repro.collectives import reduce_scatter
 from repro.collectives import (
     SparseVector,
     batched_scatter_add,
@@ -64,6 +65,48 @@ class TestMatrixFolds:
         matrix_ring_allreduce(mat)
         matrix_tree_allreduce(mat)
         np.testing.assert_array_equal(mat, original)
+
+
+#: ``(p, d)`` pairs with ``d < p``, ``d % p != 0``, every chunk one
+#: element, and chunks either side of the fold split (2 048 elements).
+FOLD_GRID = [
+    (3, 2), (3, 7), (4, 1), (5, 3), (5, 12), (7, 7), (8, 5), (8, 37), (8, 862),
+    (16, 15), (16, 862), (33, 1000), (64, 862), (128, 862),
+    (5, 5 * 2047 + 4), (5, 5 * 2048), (8, 8 * 2048 + 7),
+]
+
+
+class TestReduceScatterFolds:
+    """Both folds of ``matrix_reduce_scatter`` — chunk by chunk, and one
+    ring step across all chunks — against the step-by-step ring."""
+
+    @pytest.mark.parametrize("p,d", FOLD_GRID)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("below", [0, reduce_scatter._DIAGONAL_BELOW, 10**9])
+    def test_every_fold_matches_the_ring_bit_for_bit(self, monkeypatch, p, d, dtype, below):
+        monkeypatch.setattr(reduce_scatter, "_DIAGONAL_BELOW", below)
+        mat = np.random.default_rng(p * 1000 + d).standard_normal((p, d)).astype(dtype)
+        want = np.concatenate(ring_reduce_scatter(list(mat)))
+        assert matrix_reduce_scatter(mat).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p,d", [(2, 9), (3, 10), (8, 37), (16, 862), (5, 5 * 2048)])
+    def test_out_receives_the_fold(self, p, d):
+        # A strided column block in, a strided row view out.
+        wide = np.random.default_rng(d).standard_normal((p, d + 9)).astype(np.float32)
+        view = wide[:, 4 : 4 + d]
+        backing = np.full((2, 2 * d), np.nan, dtype=np.float32)
+        out = backing[1, ::2]
+        assert matrix_reduce_scatter(view, out=out) is out
+        want = np.concatenate(ring_reduce_scatter(list(view)))
+        np.testing.assert_array_equal(out, want)
+        assert np.isnan(backing[0]).all() and np.isnan(backing[1, 1::2]).all()
+
+    @pytest.mark.parametrize(
+        "out", [np.empty(10, dtype=np.float32), np.empty(11), np.empty((1, 10))]
+    )
+    def test_out_must_fit(self, out):
+        with pytest.raises(ValueError, match="out is"):
+            matrix_reduce_scatter(np.zeros((4, 10)), out=out)
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 1, 4), (1, 4, 10), (4, 1, 9), (2, 2, 8), (4, 2, 862), (3, 3, 100)])

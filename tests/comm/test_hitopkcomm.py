@@ -1,5 +1,7 @@
 """HiTopKComm (Algorithm 2) — functional semantics and cost structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,76 @@ class TestErrorFeedback:
         scheme = HiTopKComm(small_cluster, density=0.1, error_feedback=False)
         scheme.aggregate(make_worker_grads(rng, 8, 64), rng=rng)
         assert scheme.ef is None
+
+
+class TestBufferOwnership:
+    """The scheme writes its node accumulator and residuals in place;
+    nothing it returns or was handed may change under a later call."""
+
+    @pytest.mark.parametrize("ef", [True, False])
+    def test_a_result_survives_the_next_aggregate(self, small_cluster, rng, ef):
+        scheme = HiTopKComm(small_cluster, density=0.1, error_feedback=ef)
+        first = scheme.aggregate(np.stack(make_worker_grads(rng, 8, 203)), rng=rng)
+        output = first.outputs[0].copy()
+        selections = {
+            rank: (sv.values.copy(), sv.indices.copy())
+            for rank, sv in first.extras["selections"].items()
+        }
+        scheme.aggregate(np.stack(make_worker_grads(rng, 8, 203)), rng=rng)
+        for out in first.outputs:
+            np.testing.assert_array_equal(out, output)
+        for rank, sv in first.extras["selections"].items():
+            values, indices = selections[rank]
+            assert sv.values.tobytes() == values.tobytes()
+            np.testing.assert_array_equal(sv.indices, indices)
+
+    @pytest.mark.parametrize("ef", [True, False])
+    @pytest.mark.parametrize("form", ["list", "matrix"])
+    def test_the_callers_gradients_are_never_written(self, small_cluster, rng, ef, form):
+        scheme = HiTopKComm(small_cluster, density=0.1, error_feedback=ef)
+        for _ in range(3):
+            grads = make_worker_grads(rng, 8, 150)
+            given = grads if form == "list" else np.stack(grads)
+            kept = [g.copy() for g in given]
+            scheme.aggregate(given, rng=rng)
+            for g, want in zip(given, kept):
+                assert g.tobytes() == want.tobytes()
+
+    def test_buffers_are_reused_while_the_shape_holds(self, small_cluster, rng):
+        scheme = HiTopKComm(small_cluster, density=0.1)
+        scheme.aggregate(make_worker_grads(rng, 8, 120), rng=rng)
+        residuals = [scheme.ef.residual(rank) for rank in range(8)]
+        scheme.aggregate(make_worker_grads(rng, 8, 120), rng=rng)
+        assert all(scheme.ef.residual(r) is buf for r, buf in enumerate(residuals))
+        grads = [g.astype(np.float32) for g in make_worker_grads(rng, 8, 120)]
+        scheme.ef.reset()
+        out = scheme.aggregate(grads, rng=rng).outputs[0]
+        assert out.dtype == np.float32 == scheme.ef.residual(0).dtype
+
+    def test_a_warm_aggregate_at_the_train_comm_shape_allocates_only_its_result(self):
+        """2 nodes x 8 GPUs, d = 304 144, float32, ρ = 0.01.  Once warm, the
+        only block of one shard's size or more that a call leaves alive is
+        the aggregate it returns, and at no moment does it hold more than
+        the aggregate plus two shards (the selection's ``|x|`` and its
+        small index arrays; the scatter's pairs)."""
+        scheme = HiTopKComm(make_cluster(2, "tencent", gpus_per_node=8), density=0.01)
+        rng = np.random.default_rng(0)
+        d = 304_144
+        mat = rng.standard_normal((16, d)).astype(np.float32)
+        shard_bytes = d // 8 * 4
+        for _ in range(2):
+            scheme.aggregate(mat, rng=rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = scheme.aggregate(mat, rng=rng)
+            live = tracemalloc.take_snapshot()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        aggregate = result.outputs[0]
+        assert sorted(t.size for t in live.traces if t.size >= shard_bytes) == [aggregate.nbytes]
+        assert peak < aggregate.nbytes + 2 * shard_bytes
 
 
 class TestCostModel:

@@ -159,3 +159,104 @@ class TestBookkeeping:
         g = rng.normal(size=10)
         ef.update("w", g, topk_argpartition(g, 10))  # all sent -> residual 0
         assert ef.total_norm() == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBufferReuse:
+    """``apply(out=)`` and ``update`` write into existing buffers; the
+    bits are those of the allocating path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_apply_and_update_match_the_fresh_path(self, rng, dtype):
+        fresh, reused = ErrorFeedback(), ErrorFeedback()
+        for step in range(4):
+            g = rng.normal(size=50).astype(dtype)
+            corrected = fresh.apply("w", g)
+            shard = g.copy()
+            assert reused.apply("w", shard, out=shard) is shard
+            assert shard.tobytes() == corrected.tobytes()
+            sent = mstopk_select(corrected, 5, rng=new_rng(step))
+            buffer = reused.residual("w")
+            fresh.update("w", corrected, sent)
+            reused.update("w", shard, sent)
+            assert reused.residual("w").tobytes() == fresh.residual("w").tobytes()
+            if buffer is not None:
+                assert reused.residual("w") is buffer
+
+    def test_residual_is_the_live_buffer(self, rng):
+        ef = ErrorFeedback()
+        g = rng.normal(size=10)
+        ef.update("w", g, topk_argpartition(g, 2))
+        held = ef.residual("w")
+        before = held.copy()
+        h = rng.normal(size=10)
+        ef.update("w", h, topk_argpartition(h, 2))
+        assert ef.residual("w") is held
+        assert not np.array_equal(held, before)
+
+    def test_update_from_the_residual_itself_is_not_written_through(self, rng):
+        ef = ErrorFeedback()
+        g = rng.normal(size=10)
+        ef.update("w", g, topk_argpartition(g, 2))
+        live = ef.residual("w")
+        want = live.copy()
+        sent = topk_argpartition(want, 3)
+        want[sent.indices] = 0.0
+        ef.update("w", live, sent)
+        np.testing.assert_array_equal(ef.residual("w"), want)
+
+    def test_update_to_a_new_shape_allocates(self, rng):
+        ef = ErrorFeedback()
+        g = rng.normal(size=10)
+        ef.update("w", g, topk_argpartition(g, 2))
+        old = ef.residual("w")
+        h = rng.normal(size=12).astype(np.float32)
+        ef.update("w", h, topk_argpartition(h, 2))
+        assert ef.residual("w") is not old
+        assert ef.residual("w").shape == (12,) and ef.residual("w").dtype == np.float32
+
+    def test_apply_out_must_fit(self, rng):
+        ef = ErrorFeedback()
+        g = rng.normal(size=10)
+        with pytest.raises(ValueError, match="out is"):
+            ef.apply("w", g, out=np.empty(10, dtype=np.float32))
+
+
+class TestUpdateRefusesMismatchedInputs:
+    """``update`` / ``update_batch`` refuse what they would write wrongly,
+    and leave the stored residual as it was."""
+
+    def test_update_rejects_a_2d_gradient(self, rng):
+        # Accepted before: ``residual[indices] = 0`` zeroed rows, and the
+        # residual read -1 across a row instead of at flat index 0.
+        ef = ErrorFeedback()
+        g = rng.normal(size=6).astype(np.float32)
+        ef.update("b", g, topk_argpartition(g, 2))
+        kept = ef.residual("b").copy()
+        sent = SparseVector(np.array([1.0], dtype=np.float32), np.array([0]), 6)
+        with pytest.raises(ValueError, match="1-D gradient") as err:
+            ef.update("b", np.zeros((2, 3), dtype=np.float32), sent)
+        assert "\n" not in str(err.value)
+        np.testing.assert_array_equal(ef.residual("b"), kept)
+
+    @pytest.mark.parametrize("path", ["update", "update_batch"])
+    def test_sent_values_must_have_the_gradient_dtype(self, rng, path):
+        ef = ErrorFeedback()
+        g = rng.normal(size=6).astype(np.float32)
+        ef.update("b", g, topk_argpartition(g, 2))
+        kept = ef.residual("b").copy()
+        sent = SparseVector(np.array([1.0]), np.array([0]), 6)  # float64
+        run = ef.update if path == "update" else (
+            lambda key, x, s: ef.update_batch([key], x[None], [s])
+        )
+        with pytest.raises(ValueError, match="sent values dtype float64 .* float32") as err:
+            run("b", g, sent)
+        assert "\n" not in str(err.value)
+        np.testing.assert_array_equal(ef.residual("b"), kept)
+
+    def test_update_batch_rejects_a_sent_length_mismatch_before_writing(self, rng):
+        ef = ErrorFeedback()
+        mat = rng.normal(size=(2, 6))
+        sents = [topk_argpartition(mat[0], 2), topk_argpartition(rng.normal(size=7), 2)]
+        with pytest.raises(ValueError, match="sent length 7"):
+            ef.update_batch(["a", "b"], mat, sents)
+        assert len(ef) == 0

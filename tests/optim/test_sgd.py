@@ -46,6 +46,27 @@ class TestMomentum:
         nesterov.step(p2, g)
         assert p1["w"][0] != p2["w"][0]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nesterov, weight_decay", [(False, 0.0), (True, 1e-3)])
+    def test_in_place_velocity_keeps_the_allocating_bits(self, dtype, nesterov, weight_decay):
+        # The velocity is updated in its buffer; the values are those of
+        # ``v = μ v + g`` with fresh arrays, bit for bit, in either dtype.
+        mu, lr = 0.9, 0.05
+        opt = SGD(lr=lr, momentum=mu, weight_decay=weight_decay, nesterov=nesterov)
+        rng = np.random.default_rng(4)
+        params = {"w": rng.standard_normal(257).astype(dtype)}
+        w, v = params["w"].copy(), np.zeros_like(params["w"])
+        for _ in range(5):
+            g = rng.standard_normal(257).astype(dtype)
+            opt.step(params, {"w": g})
+            if weight_decay:
+                g = g + weight_decay * w
+            v = mu * v + g
+            w -= lr * (g + mu * v if nesterov else v)
+            assert params["w"].tobytes() == w.tobytes()
+            assert opt._velocity["w"].tobytes() == v.tobytes()
+            assert opt._velocity["w"].dtype == dtype
+
     def test_state_size_and_reset(self):
         opt = SGD(momentum=0.9)
         params = {"a": np.zeros(3), "b": np.zeros(5)}

@@ -116,6 +116,27 @@ class TestRoundTrip:
                 fresh.scheme.ef.residual(key), trainer.scheme.ef.residual(key)
             )
 
+    def test_the_checkpoint_holds_a_copy_of_the_live_buffers(self, tmp_path, rng):
+        """EF residuals and momentum are rewritten in place every step;
+        the checkpoint holds a copy, so a restore after more steps brings
+        the saved values back."""
+        x, y = make_spiral_classification(512, num_classes=4, rng=rng)
+        trainer = make_trainer()
+        for step in range(2):
+            trainer.train_step(batches_for(x, y, step))
+        path = save_checkpoint(trainer, tmp_path / "live")
+        saved = [{k: v.copy() for k, v in state.items()} for state in _state(trainer)]
+        live = _state(trainer)
+        trainer.train_step(batches_for(x, y, 2))
+        for before, after in zip(live, _state(trainer)):
+            for key in before:
+                assert after[key] is before[key], key  # the same buffers, rewritten
+        load_checkpoint(trainer, path)
+        for want, got in zip(saved, _state(trainer)):
+            assert list(got) == list(want) and want
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
+
     def test_float32_state_round_trips_in_float32(self, tmp_path, rng):
         """Params, momentum and HiTopKComm's shard residuals come back
         float32 and bit-equal, and the restored trainer steps in float32."""
