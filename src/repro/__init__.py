@@ -37,98 +37,52 @@ Quickstart::
     print(result.breakdown.format())
 """
 
-from repro.api import (
-    RunConfig,
-    RunReport,
-    available,
-    build_scheme,
-    register_cluster,
-    register_compressor,
-    register_model,
-    register_scheme,
-    run,
-)
-from repro.cluster import ClusterTopology, NetworkModel, make_cluster, paper_testbed
-from repro.comm import (
-    HiTopKComm,
-    NaiveAllGather,
-    RingAllReduce,
-    TimeBreakdown,
-    Torus2DAllReduce,
-    TreeAllReduce,
-)
-from repro.compression import (
-    DGCTopK,
-    ErrorFeedback,
-    ExactTopK,
-    MSTopK,
-    RandomK,
-    mstopk_select,
-)
-from repro.data import CachedDataLoader, DataCache, SyntheticImageDataset
-from repro.elastic import ElasticTrainer, MembershipView, PoissonChurn
-from repro.models import resnet50_profile, transformer_profile, vgg19_profile
-from repro.sched import JobSpec, MultiTenantScheduler, register_policy
-from repro.optim import LAMB, LARS, SGD
-from repro.pto import ParallelTensorOperator, lars_learning_rates_pto
-from repro.train import ConvergenceRunner, DistributedTrainer
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # api facade
-    "RunConfig",
-    "RunReport",
-    "run",
-    "available",
-    "build_scheme",
-    "register_scheme",
-    "register_compressor",
-    "register_model",
-    "register_cluster",
-    # cluster
-    "ClusterTopology",
-    "NetworkModel",
-    "make_cluster",
-    "paper_testbed",
-    # compression
-    "MSTopK",
-    "mstopk_select",
-    "ExactTopK",
-    "DGCTopK",
-    "RandomK",
-    "ErrorFeedback",
-    # comm
-    "HiTopKComm",
-    "NaiveAllGather",
-    "TreeAllReduce",
-    "Torus2DAllReduce",
-    "RingAllReduce",
-    "TimeBreakdown",
-    # data
-    "DataCache",
-    "CachedDataLoader",
-    "SyntheticImageDataset",
-    # pto / optim
-    "ParallelTensorOperator",
-    "lars_learning_rates_pto",
-    "SGD",
-    "LARS",
-    "LAMB",
-    # train
-    "DistributedTrainer",
-    "ConvergenceRunner",
-    # elastic
-    "ElasticTrainer",
-    "MembershipView",
-    "PoissonChurn",
-    # sched
-    "JobSpec",
-    "MultiTenantScheduler",
-    "register_policy",
-    # models
-    "resnet50_profile",
-    "vgg19_profile",
-    "transformer_profile",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.config": ["RunConfig"],
+        "repro.api.facade": ["RunReport", "run"],
+        "repro.api.registry": [
+            "available",
+            "build_scheme",
+            "register_cluster",
+            "register_compressor",
+            "register_model",
+            "register_scheme",
+        ],
+        "repro.cluster.cloud_presets": ["make_cluster", "paper_testbed"],
+        "repro.cluster.network": ["NetworkModel"],
+        "repro.cluster.topology": ["ClusterTopology"],
+        "repro.comm.breakdown": ["TimeBreakdown"],
+        "repro.comm.dense": ["RingAllReduce", "Torus2DAllReduce", "TreeAllReduce"],
+        "repro.comm.hitopkcomm": ["HiTopKComm"],
+        "repro.comm.naive_allgather": ["NaiveAllGather"],
+        "repro.compression.dgc": ["DGCTopK"],
+        "repro.compression.error_feedback": ["ErrorFeedback"],
+        "repro.compression.exact_topk": ["ExactTopK"],
+        "repro.compression.mstopk": ["MSTopK", "mstopk_select"],
+        "repro.compression.randomk": ["RandomK"],
+        "repro.data.cache": ["DataCache"],
+        "repro.data.dataset": ["SyntheticImageDataset"],
+        "repro.data.loader": ["CachedDataLoader"],
+        "repro.elastic.elastic_trainer": ["ElasticTrainer"],
+        "repro.elastic.events": ["PoissonChurn"],
+        "repro.elastic.membership": ["MembershipView"],
+        "repro.models.profiles": ["resnet50_profile", "transformer_profile", "vgg19_profile"],
+        "repro.optim.lamb": ["LAMB"],
+        "repro.optim.lars": ["LARS"],
+        "repro.optim.sgd": ["SGD"],
+        "repro.pto.lars_pto": ["lars_learning_rates_pto"],
+        "repro.pto.operator": ["ParallelTensorOperator"],
+        "repro.sched.job": ["JobSpec"],
+        "repro.sched.policies": ["register_policy"],
+        "repro.sched.scheduler": ["MultiTenantScheduler"],
+        "repro.train.convergence": ["ConvergenceRunner"],
+        "repro.train.trainer": ["DistributedTrainer"],
+    },
+)
+__all__ += ["__version__"]

@@ -21,68 +21,40 @@ The CLI (``python -m repro``) is a thin shell over these::
     print(report.format())
 """
 
-from repro.api.config import (
-    ClusterConfig,
-    CommConfig,
-    ConfigError,
-    ElasticConfig,
-    ExecConfig,
-    RunConfig,
-    SchedConfig,
-    TrainConfig,
-    apply_overrides,
-)
-from repro.api.facade import RunReport, preflight, run, run_sched
-from repro.api.registry import (
-    CLUSTERS,
-    COMPRESSORS,
-    CONVERGENCE_ALGORITHMS,
-    MODELS,
-    SCHEMES,
-    Registry,
-    Workload,
-    available,
-    build_cluster,
-    build_compressor,
-    build_scheme,
-    build_workload,
-    register_cluster,
-    register_compressor,
-    register_model,
-    register_scheme,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    # config
-    "RunConfig",
-    "ClusterConfig",
-    "CommConfig",
-    "TrainConfig",
-    "ElasticConfig",
-    "ExecConfig",
-    "SchedConfig",
-    "ConfigError",
-    "apply_overrides",
-    # facade
-    "run",
-    "run_sched",
-    "preflight",
-    "RunReport",
-    # registry
-    "Registry",
-    "Workload",
-    "SCHEMES",
-    "COMPRESSORS",
-    "MODELS",
-    "CLUSTERS",
-    "CONVERGENCE_ALGORITHMS",
-    "register_scheme",
-    "register_compressor",
-    "register_model",
-    "register_cluster",
-    "available",
-    "build_scheme",
-    "build_compressor",
-    "build_workload",
-    "build_cluster",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.config": [
+            "ClusterConfig",
+            "CommConfig",
+            "ConfigError",
+            "ElasticConfig",
+            "ExecConfig",
+            "RunConfig",
+            "SchedConfig",
+            "TrainConfig",
+            "apply_overrides",
+        ],
+        "repro.api.facade": ["RunReport", "preflight", "run", "run_sched"],
+        "repro.api.registry": [
+            "CLUSTERS",
+            "COMPRESSORS",
+            "CONVERGENCE_ALGORITHMS",
+            "MODELS",
+            "SCHEMES",
+            "Registry",
+            "Workload",
+            "available",
+            "build_cluster",
+            "build_compressor",
+            "build_scheme",
+            "build_workload",
+            "register_cluster",
+            "register_compressor",
+            "register_model",
+            "register_scheme",
+        ],
+    },
+)

@@ -40,11 +40,10 @@ import dataclasses
 import json
 import pathlib
 import sys
+from typing import TYPE_CHECKING
 
-from repro.api import registry
-from repro.api.config import RunConfig, SchedConfig, ServeConfig, apply_overrides
-from repro.api.facade import preflight, run_sched
-from repro.api.facade import run as run_facade
+if TYPE_CHECKING:
+    from repro.utils.registry import Registry
 
 LIST_GROUPS = (
     "schemes",
@@ -319,7 +318,7 @@ def _exec_overrides(args: argparse.Namespace) -> list[str]:
     return overrides
 
 
-def _registry_lines(reg: registry.Registry) -> list[str]:
+def _registry_lines(reg: Registry) -> list[str]:
     lines = []
     for name in reg.available():
         aliases = reg.aliases_of(name)
@@ -329,6 +328,7 @@ def _registry_lines(reg: registry.Registry) -> list[str]:
 
 
 def _cmd_list(group: str | None) -> int:
+    from repro.api import registry
     from repro.brain import BRAINS
     from repro.exec.backend import BACKENDS
     from repro.faults.registry import FAULTS
@@ -362,6 +362,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Everything a user can get wrong fails here (clean exit 2 from
     # main); errors past this point are real bugs and keep their
     # traceback.
+    from repro.api.config import RunConfig, apply_overrides
+    from repro.api.facade import preflight
+    from repro.api.facade import run as run_facade
+
     try:
         config = RunConfig.from_file(args.config)
         overrides = list(args.overrides) + _exec_overrides(args)
@@ -378,6 +382,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sched(args: argparse.Namespace) -> int:
     # Same error contract as `run`: user mistakes exit 2 with one line,
     # anything past validation is a real bug and keeps its traceback.
+    from repro.api.config import SchedConfig, apply_overrides
+    from repro.api.facade import run_sched
     from repro.sched import payload_for_reports
     from repro.sched.traces import payload_for_trace_reports
 
@@ -515,6 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import tempfile
 
+    from repro.api.config import ServeConfig, apply_overrides
     from repro.serve import (
         DEFAULT_POINTS,
         RecoveryDrill,

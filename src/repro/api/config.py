@@ -41,6 +41,7 @@ from repro.exec.backend import ExecConfig
 from repro.faults.plan import FaultConfig, FaultPlan, FaultsConfig
 from repro.sched.job import JobSpec, TrainPayload
 from repro.sched.policies import POLICIES
+from repro.utils.lazy import lazy_exports
 from repro.utils.registry import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -531,14 +532,9 @@ def apply_overrides(config, overrides: Sequence[str]):
     return type(config).from_dict(_apply_overrides_data(config.to_dict(), overrides))
 
 
-def __getattr__(name: str):
-    # ServeConfig is built from the classes above, so its module imports
-    # this one; the re-export resolves on first use.
-    if name == "ServeConfig":
-        from repro.serve.engine import ServeConfig
-
-        return ServeConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# ServeConfig is built from the classes above, so its module imports
+# this one; the re-export resolves on first use.
+__getattr__, _ = lazy_exports(__name__, {"repro.serve.engine": ["ServeConfig"]})
 
 
 __all__ = [

@@ -17,40 +17,22 @@ brains`` shows the registry; ``brain: {"name": "static"}`` (or leaving
 ``brain`` unset) is byte-identical to a build without this package.
 """
 
-from repro.brain.base import (
-    ACTION_KINDS,
-    BRAINS,
-    Action,
-    Autotuner,
-    BrainConfig,
-    build_brain,
-    register_brain,
-)
-from repro.brain.driver import BrainDriver
-from repro.brain.log import PHASES, BrainLog
-from repro.brain.signals import (
-    BrainObservation,
-    JobSignal,
-    NodeSignal,
-    build_observation,
-)
+from repro.utils.lazy import lazy_exports
 
-# Importing the module registers the built-in brains.
-from repro.brain import builtins as _builtins  # noqa: E402,F401  (side effect)
-
-__all__ = [
-    "BRAINS",
-    "ACTION_KINDS",
-    "Action",
-    "Autotuner",
-    "register_brain",
-    "BrainConfig",
-    "build_brain",
-    "BrainDriver",
-    "PHASES",
-    "BrainLog",
-    "NodeSignal",
-    "JobSignal",
-    "BrainObservation",
-    "build_observation",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.brain.base": [
+            "ACTION_KINDS",
+            "BRAINS",
+            "Action",
+            "Autotuner",
+            "BrainConfig",
+            "build_brain",
+            "register_brain",
+        ],
+        "repro.brain.driver": ["BrainDriver"],
+        "repro.brain.log": ["PHASES", "BrainLog"],
+        "repro.brain.signals": ["BrainObservation", "JobSignal", "NodeSignal", "build_observation"],
+    },
+)

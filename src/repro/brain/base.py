@@ -163,3 +163,6 @@ __all__ = [
     "Action",
     "Autotuner",
 ]
+
+# The registry owns its built-ins: whoever imports BRAINS finds them.
+from repro.brain import builtins as _builtins  # noqa: E402,F401  (registers them)

@@ -15,49 +15,32 @@ Table 1).  This package models that environment:
   sharing between concurrent inter-node streams.
 """
 
-from repro.cluster.cloud_presets import (
-    ALIYUN_GN10X,
-    AWS_P3_16XLARGE,
-    CLOUD_INSTANCES,
-    TENCENT_18XLARGE320,
-    CloudInstance,
-    make_cluster,
-    paper_testbed,
-)
-from repro.cluster.links import (
-    ETHERNET_10G,
-    ETHERNET_25G,
-    ETHERNET_32G,
-    INFINIBAND_100G,
-    LinkSpec,
-    NVLINK_V100,
-    PCIE_GEN3,
-)
-from repro.cluster.gpu import GpuSpec, V100
-from repro.cluster.network import NetworkModel
-from repro.cluster.topology import ClusterTopology, Device
-from repro.cluster.variability import VariabilityModel, expected_slowdown
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "LinkSpec",
-    "NVLINK_V100",
-    "PCIE_GEN3",
-    "ETHERNET_10G",
-    "ETHERNET_25G",
-    "ETHERNET_32G",
-    "INFINIBAND_100G",
-    "ClusterTopology",
-    "Device",
-    "NetworkModel",
-    "CloudInstance",
-    "CLOUD_INSTANCES",
-    "AWS_P3_16XLARGE",
-    "ALIYUN_GN10X",
-    "TENCENT_18XLARGE320",
-    "make_cluster",
-    "paper_testbed",
-    "GpuSpec",
-    "V100",
-    "VariabilityModel",
-    "expected_slowdown",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.cloud_presets": [
+            "ALIYUN_GN10X",
+            "AWS_P3_16XLARGE",
+            "CLOUD_INSTANCES",
+            "TENCENT_18XLARGE320",
+            "CloudInstance",
+            "make_cluster",
+            "paper_testbed",
+        ],
+        "repro.cluster.links": [
+            "ETHERNET_10G",
+            "ETHERNET_25G",
+            "ETHERNET_32G",
+            "INFINIBAND_100G",
+            "LinkSpec",
+            "NVLINK_V100",
+            "PCIE_GEN3",
+        ],
+        "repro.cluster.gpu": ["GpuSpec", "V100"],
+        "repro.cluster.network": ["NetworkModel"],
+        "repro.cluster.topology": ["ClusterTopology", "Device"],
+        "repro.cluster.variability": ["VariabilityModel", "expected_slowdown"],
+    },
+)

@@ -13,25 +13,18 @@ order as the real schedule, so its result equals a rank-by-rank
 simulation of that schedule bit for bit; the tests hold it to one.
 """
 
-from repro.collectives.all_reduce import (
-    matrix_ring_allreduce,
-    matrix_torus_allreduce_2d,
-    matrix_tree_allreduce,
-)
-from repro.collectives.primitives import broadcast, broadcast_views, gather, scatter
-from repro.collectives.reduce_scatter import matrix_reduce_scatter
-from repro.collectives.sparse import SparseVector, batched_scatter_add, coalesce
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "broadcast",
-    "broadcast_views",
-    "gather",
-    "scatter",
-    "matrix_reduce_scatter",
-    "matrix_ring_allreduce",
-    "matrix_tree_allreduce",
-    "matrix_torus_allreduce_2d",
-    "SparseVector",
-    "coalesce",
-    "batched_scatter_add",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.collectives.all_reduce": [
+            "matrix_ring_allreduce",
+            "matrix_torus_allreduce_2d",
+            "matrix_tree_allreduce",
+        ],
+        "repro.collectives.primitives": ["broadcast", "broadcast_views", "gather", "scatter"],
+        "repro.collectives.reduce_scatter": ["matrix_reduce_scatter"],
+        "repro.collectives.sparse": ["SparseVector", "batched_scatter_add", "coalesce"],
+    },
+)

@@ -15,21 +15,16 @@ and reports a per-step virtual-time breakdown:
   top-k communication (Algorithm 2).
 """
 
-from repro.comm.base import AggregationResult, CommScheme
-from repro.comm.breakdown import TimeBreakdown
-from repro.comm.dense import RingAllReduce, Torus2DAllReduce, TreeAllReduce
-from repro.comm.gtopk import GlobalTopK
-from repro.comm.hitopkcomm import HiTopKComm
-from repro.comm.naive_allgather import NaiveAllGather
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "TimeBreakdown",
-    "AggregationResult",
-    "CommScheme",
-    "RingAllReduce",
-    "TreeAllReduce",
-    "Torus2DAllReduce",
-    "NaiveAllGather",
-    "HiTopKComm",
-    "GlobalTopK",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.comm.base": ["AggregationResult", "CommScheme"],
+        "repro.comm.breakdown": ["TimeBreakdown"],
+        "repro.comm.dense": ["RingAllReduce", "Torus2DAllReduce", "TreeAllReduce"],
+        "repro.comm.gtopk": ["GlobalTopK"],
+        "repro.comm.hitopkcomm": ["HiTopKComm"],
+        "repro.comm.naive_allgather": ["NaiveAllGather"],
+    },
+)

@@ -16,23 +16,16 @@ it alongside the baselines it is compared against in Fig. 6:
   2019).
 """
 
-from repro.compression.base import TopKCompressor, density_to_k
-from repro.compression.dgc import DGCTopK
-from repro.compression.error_feedback import ErrorFeedback
-from repro.compression.exact_topk import ExactTopK, naive_topk_sort, topk_argpartition
-from repro.compression.mstopk import MSTopK, mstopk_select, mstopk_select_batch
-from repro.compression.randomk import RandomK
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "TopKCompressor",
-    "density_to_k",
-    "ExactTopK",
-    "naive_topk_sort",
-    "topk_argpartition",
-    "DGCTopK",
-    "MSTopK",
-    "mstopk_select",
-    "mstopk_select_batch",
-    "RandomK",
-    "ErrorFeedback",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.compression.base": ["TopKCompressor", "density_to_k"],
+        "repro.compression.dgc": ["DGCTopK"],
+        "repro.compression.error_feedback": ["ErrorFeedback"],
+        "repro.compression.exact_topk": ["ExactTopK", "naive_topk_sort", "topk_argpartition"],
+        "repro.compression.mstopk": ["MSTopK", "mstopk_select", "mstopk_select_batch"],
+        "repro.compression.randomk": ["RandomK"],
+    },
+)

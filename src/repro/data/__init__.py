@@ -18,29 +18,15 @@ accounting for every read/decode, so Fig. 9 can be regenerated
 deterministically.
 """
 
-from repro.data.cache import CacheStats, DataCache, ReadOutcome
-from repro.data.dataset import SyntheticImageDataset
-from repro.data.loader import CachedDataLoader, EpochTimings
-from repro.data.preprocess import PreprocessModel, augment_image, decode_image
-from repro.data.storage import (
-    LocalDiskStore,
-    MemoryStore,
-    NfsStore,
-    StorageBackend,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "StorageBackend",
-    "NfsStore",
-    "LocalDiskStore",
-    "MemoryStore",
-    "DataCache",
-    "CacheStats",
-    "ReadOutcome",
-    "SyntheticImageDataset",
-    "decode_image",
-    "augment_image",
-    "PreprocessModel",
-    "CachedDataLoader",
-    "EpochTimings",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.data.cache": ["CacheStats", "DataCache", "ReadOutcome"],
+        "repro.data.dataset": ["SyntheticImageDataset"],
+        "repro.data.loader": ["CachedDataLoader", "EpochTimings"],
+        "repro.data.preprocess": ["PreprocessModel", "augment_image", "decode_image"],
+        "repro.data.storage": ["LocalDiskStore", "MemoryStore", "NfsStore", "StorageBackend"],
+    },
+)

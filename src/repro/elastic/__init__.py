@@ -18,28 +18,21 @@ Cost/goodput accounting for elastic runs lives in
 :mod:`repro.perf.elastic_cost`.
 """
 
-from repro.elastic.elastic_trainer import ElasticRunReport, ElasticTrainer
-from repro.elastic.events import (
-    JOIN,
-    REVOKE,
-    SPOT_PROFILES,
-    ChurnEvent,
-    PoissonChurn,
-    SpotProfile,
-    TraceSchedule,
-)
-from repro.elastic.membership import MembershipView, fold_residuals
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ElasticTrainer",
-    "ElasticRunReport",
-    "ChurnEvent",
-    "PoissonChurn",
-    "TraceSchedule",
-    "SpotProfile",
-    "SPOT_PROFILES",
-    "REVOKE",
-    "JOIN",
-    "MembershipView",
-    "fold_residuals",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.elastic.elastic_trainer": ["ElasticRunReport", "ElasticTrainer"],
+        "repro.elastic.events": [
+            "JOIN",
+            "REVOKE",
+            "SPOT_PROFILES",
+            "ChurnEvent",
+            "PoissonChurn",
+            "SpotProfile",
+            "TraceSchedule",
+        ],
+        "repro.elastic.membership": ["MembershipView", "fold_residuals"],
+    },
+)

@@ -19,30 +19,23 @@ Select a backend declaratively (``"exec": {"backend": "process",
 (``python -m repro run ... --backend process --jobs 4``).
 """
 
-from repro.exec.backend import (
-    BACKENDS,
-    ExecConfig,
-    ProcessBackend,
-    SerialBackend,
-    build_backend,
-    cpu_count,
-    register_backend,
-    resolve_jobs,
-)
-from repro.exec.engine import ProcessStepEngine
-from repro.exec.shm import SharedArray
-from repro.exec.sweeper import ParallelSweeper
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "register_backend",
-    "ExecConfig",
-    "build_backend",
-    "cpu_count",
-    "resolve_jobs",
-    "SerialBackend",
-    "ProcessBackend",
-    "ProcessStepEngine",
-    "ParallelSweeper",
-    "SharedArray",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.exec.backend": [
+            "BACKENDS",
+            "ExecConfig",
+            "ProcessBackend",
+            "SerialBackend",
+            "build_backend",
+            "cpu_count",
+            "register_backend",
+            "resolve_jobs",
+        ],
+        "repro.exec.engine": ["ProcessStepEngine"],
+        "repro.exec.shm": ["SharedArray"],
+        "repro.exec.sweeper": ["ParallelSweeper"],
+    },
+)

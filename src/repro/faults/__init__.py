@@ -11,40 +11,25 @@ so replay is bit-identical at any ``--jobs`` width.  See
 on top of ``repro.api`` and are imported by module path.
 """
 
-from repro.faults.health import KIND_WEIGHTS, NodeHealthLedger
-from repro.faults.injector import FaultInjector, RunContext
-from repro.faults.log import PHASES, FaultLog
-from repro.faults.plan import FaultConfig, FaultEvent, FaultPlan, FaultsConfig
-from repro.faults.registry import (
-    FAULT_TARGETS,
-    FAULTS,
-    JITTER_DISTS,
-    Fault,
-    FaultError,
-    gray_jitter_draw,
-    register_fault,
-)
-from repro.faults.sched_driver import SchedFaultDriver
-from repro.faults.windows import FaultWindows
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "FAULTS",
-    "FAULT_TARGETS",
-    "JITTER_DISTS",
-    "Fault",
-    "FaultError",
-    "register_fault",
-    "gray_jitter_draw",
-    "FaultConfig",
-    "FaultsConfig",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultLog",
-    "PHASES",
-    "FaultInjector",
-    "RunContext",
-    "SchedFaultDriver",
-    "FaultWindows",
-    "KIND_WEIGHTS",
-    "NodeHealthLedger",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.health": ["KIND_WEIGHTS", "NodeHealthLedger"],
+        "repro.faults.injector": ["FaultInjector", "RunContext"],
+        "repro.faults.log": ["PHASES", "FaultLog"],
+        "repro.faults.plan": ["FaultConfig", "FaultEvent", "FaultPlan", "FaultsConfig"],
+        "repro.faults.registry": [
+            "FAULT_TARGETS",
+            "FAULTS",
+            "JITTER_DISTS",
+            "Fault",
+            "FaultError",
+            "gray_jitter_draw",
+            "register_fault",
+        ],
+        "repro.faults.sched_driver": ["SchedFaultDriver"],
+        "repro.faults.windows": ["FaultWindows"],
+    },
+)

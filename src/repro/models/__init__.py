@@ -12,18 +12,12 @@ trainable NumPy networks for the convergence experiments.
   (Fig. 10, Table 2) at laptop scale.
 """
 
-from repro.models.autodiff import Tensor
-from repro.models.profiles import (
-    ModelProfile,
-    resnet50_profile,
-    transformer_profile,
-    vgg19_profile,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "ModelProfile",
-    "resnet50_profile",
-    "vgg19_profile",
-    "transformer_profile",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.models.autodiff": ["Tensor"],
+        "repro.models.profiles": ["ModelProfile", "resnet50_profile", "transformer_profile", "vgg19_profile"],
+    },
+)

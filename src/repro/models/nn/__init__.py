@@ -11,9 +11,14 @@ buffer; see :class:`repro.train.trainer.TrainableModel`); the autodiff
 tape is an internal detail.
 """
 
-from repro.models.nn.convnet import SmallConvNet
-from repro.models.nn.mlp import MLPClassifier
-from repro.models.nn.resnet_tiny import TinyResNet
-from repro.models.nn.transformer import TinyTransformer
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["MLPClassifier", "SmallConvNet", "TinyResNet", "TinyTransformer"]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.models.nn.convnet": ["SmallConvNet"],
+        "repro.models.nn.mlp": ["MLPClassifier"],
+        "repro.models.nn.resnet_tiny": ["TinyResNet"],
+        "repro.models.nn.transformer": ["TinyTransformer"],
+    },
+)

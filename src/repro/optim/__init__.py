@@ -8,17 +8,14 @@ run (§5.6) changes input resolution by phase
 (:class:`~repro.optim.schedules.ProgressiveResizeSchedule`).
 """
 
-from repro.optim.lars import LARS, lars_coefficient, lars_coefficients
-from repro.optim.lamb import LAMB
-from repro.optim.schedules import ProgressiveResizeSchedule, ResolutionPhase
-from repro.optim.sgd import SGD
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "SGD",
-    "LARS",
-    "LAMB",
-    "lars_coefficient",
-    "lars_coefficients",
-    "ProgressiveResizeSchedule",
-    "ResolutionPhase",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.optim.lars": ["LARS", "lars_coefficient", "lars_coefficients"],
+        "repro.optim.lamb": ["LAMB"],
+        "repro.optim.schedules": ["ProgressiveResizeSchedule", "ResolutionPhase"],
+        "repro.optim.sgd": ["SGD"],
+    },
+)

@@ -9,31 +9,16 @@ iteration time.  Calibration constants live in
 measurement it is pinned to.
 """
 
-from repro.perf.calibration import CALIBRATION, Calibration
-from repro.perf.elastic_cost import ElasticCostReport, account
-from repro.perf.dawnbench import DawnbenchResult, DawnbenchSimulator, PhaseResult
-from repro.perf.iteration_model import IterationModel, SchemeKind, io_visible_time
-from repro.perf.throughput import ThroughputRow, table3_rows
-from repro.perf.timeline import (
-    TimelineResult,
-    derive_overlap_fraction,
-    simulate_backward_overlap,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "TimelineResult",
-    "simulate_backward_overlap",
-    "derive_overlap_fraction",
-    "Calibration",
-    "CALIBRATION",
-    "ElasticCostReport",
-    "account",
-    "IterationModel",
-    "SchemeKind",
-    "io_visible_time",
-    "ThroughputRow",
-    "table3_rows",
-    "DawnbenchSimulator",
-    "DawnbenchResult",
-    "PhaseResult",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.calibration": ["CALIBRATION", "Calibration"],
+        "repro.perf.elastic_cost": ["ElasticCostReport", "account"],
+        "repro.perf.dawnbench": ["DawnbenchResult", "DawnbenchSimulator", "PhaseResult"],
+        "repro.perf.iteration_model": ["IterationModel", "SchemeKind", "io_visible_time"],
+        "repro.perf.throughput": ["ThroughputRow", "table3_rows"],
+        "repro.perf.timeline": ["TimelineResult", "derive_overlap_fraction", "simulate_backward_overlap"],
+    },
+)

@@ -8,12 +8,12 @@ the results with an All-Gather (Eq. 14), trading ``P``-fold compute for
 one cheap collective.
 """
 
-from repro.pto.operator import PTOCostModel, PTOResult, ParallelTensorOperator
-from repro.pto.lars_pto import lars_learning_rates_pto
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ParallelTensorOperator",
-    "PTOResult",
-    "PTOCostModel",
-    "lars_learning_rates_pto",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.pto.operator": ["PTOCostModel", "PTOResult", "ParallelTensorOperator"],
+        "repro.pto.lars_pto": ["lars_learning_rates_pto"],
+    },
+)

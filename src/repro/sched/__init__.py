@@ -31,52 +31,31 @@ Declarative entry points: ``SchedConfig`` (:mod:`repro.api.config`) and
 ``python -m repro sched --config examples/configs/multi_tenant.json``.
 """
 
-from repro.sched.core import SchedRun
-from repro.sched.job import (
-    DONE,
-    PREFERENCES,
-    QUEUED,
-    RUNNING,
-    SCHEME_KINDS,
-    JobRecord,
-    JobSpec,
-    TrainPayload,
-    scheme_kind_of,
-)
-from repro.sched.policies import (
-    POLICIES,
-    ClusterState,
-    build_policy,
-    register_policy,
-)
-from repro.sched.scheduler import (
-    PAYLOAD_COLUMNS,
-    JobOutcome,
-    MultiTenantScheduler,
-    SchedReport,
-    compare_policies,
-    payload_for_reports,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "JobSpec",
-    "JobRecord",
-    "TrainPayload",
-    "SCHEME_KINDS",
-    "scheme_kind_of",
-    "PREFERENCES",
-    "QUEUED",
-    "RUNNING",
-    "DONE",
-    "POLICIES",
-    "register_policy",
-    "build_policy",
-    "ClusterState",
-    "MultiTenantScheduler",
-    "SchedRun",
-    "SchedReport",
-    "JobOutcome",
-    "compare_policies",
-    "payload_for_reports",
-    "PAYLOAD_COLUMNS",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sched.core": ["SchedRun"],
+        "repro.sched.job": [
+            "DONE",
+            "PREFERENCES",
+            "QUEUED",
+            "RUNNING",
+            "SCHEME_KINDS",
+            "JobRecord",
+            "JobSpec",
+            "TrainPayload",
+            "scheme_kind_of",
+        ],
+        "repro.sched.policies": ["POLICIES", "ClusterState", "build_policy", "register_policy"],
+        "repro.sched.scheduler": [
+            "PAYLOAD_COLUMNS",
+            "JobOutcome",
+            "MultiTenantScheduler",
+            "SchedReport",
+            "compare_policies",
+            "payload_for_reports",
+        ],
+    },
+)

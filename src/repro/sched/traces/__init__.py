@@ -21,45 +21,26 @@ CLI: ``python -m repro trace gen`` / ``python -m repro trace validate``
 / ``python -m repro sched --trace <file>``.
 """
 
-from repro.sched.traces.ingest import (
-    load_trace,
-    trace_stats,
-    trace_to_specs,
-    validate_trace,
-    write_trace,
-    write_trace_csv,
-)
-from repro.sched.traces.records import (
-    Trace,
-    TraceError,
-    TraceInstance,
-    TraceJob,
-    TraceTask,
-)
-from repro.sched.traces.replay import (
-    DISTRIBUTION_COLUMNS,
-    distribution_rows,
-    job_specs_for,
-    payload_for_trace_reports,
-)
-from repro.sched.traces.synth import SyntheticTraceConfig, generate_trace
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Trace",
-    "TraceError",
-    "TraceJob",
-    "TraceTask",
-    "TraceInstance",
-    "load_trace",
-    "validate_trace",
-    "trace_to_specs",
-    "write_trace",
-    "write_trace_csv",
-    "trace_stats",
-    "SyntheticTraceConfig",
-    "generate_trace",
-    "job_specs_for",
-    "distribution_rows",
-    "payload_for_trace_reports",
-    "DISTRIBUTION_COLUMNS",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sched.traces.ingest": [
+            "load_trace",
+            "trace_stats",
+            "trace_to_specs",
+            "validate_trace",
+            "write_trace",
+            "write_trace_csv",
+        ],
+        "repro.sched.traces.records": ["Trace", "TraceError", "TraceInstance", "TraceJob", "TraceTask"],
+        "repro.sched.traces.replay": [
+            "DISTRIBUTION_COLUMNS",
+            "distribution_rows",
+            "job_specs_for",
+            "payload_for_trace_reports",
+        ],
+        "repro.sched.traces.synth": ["SyntheticTraceConfig", "generate_trace"],
+    },
+)

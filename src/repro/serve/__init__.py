@@ -11,61 +11,35 @@ injection points to prove recovery is byte-identical.  See
 ``docs/serve.md``.
 """
 
-from repro.serve.client import SubmitError, send_ops
-from repro.serve.daemon import (
-    ServeRuntime,
-    SimulatedCrash,
-    parse_kill_spec,
-    run_script,
-    serve_socket,
-)
-from repro.serve.drill import (
-    DEFAULT_POINTS,
-    DrillOutcome,
-    RecoveryDrill,
-    ops_from_script,
-    ops_from_trace,
-)
-from repro.serve.engine import QueueFullError, ServeConfig, ServeEngine
-from repro.serve.journal import (
-    Journal,
-    JournalError,
-    JournalScan,
-    canonical_json,
-    repair_journal,
-    scan_journal,
-)
-from repro.serve.snapshot import (
-    SnapshotCorruptError,
-    SnapshotLoad,
-    SnapshotStore,
-    write_snapshot,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_POINTS",
-    "DrillOutcome",
-    "Journal",
-    "JournalError",
-    "JournalScan",
-    "QueueFullError",
-    "RecoveryDrill",
-    "ServeConfig",
-    "ServeEngine",
-    "ServeRuntime",
-    "SimulatedCrash",
-    "SnapshotCorruptError",
-    "SnapshotLoad",
-    "SnapshotStore",
-    "SubmitError",
-    "canonical_json",
-    "ops_from_script",
-    "ops_from_trace",
-    "parse_kill_spec",
-    "repair_journal",
-    "run_script",
-    "scan_journal",
-    "send_ops",
-    "serve_socket",
-    "write_snapshot",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.client": ["SubmitError", "send_ops"],
+        "repro.serve.daemon": [
+            "ServeRuntime",
+            "SimulatedCrash",
+            "parse_kill_spec",
+            "run_script",
+            "serve_socket",
+        ],
+        "repro.serve.drill": [
+            "DEFAULT_POINTS",
+            "DrillOutcome",
+            "RecoveryDrill",
+            "ops_from_script",
+            "ops_from_trace",
+        ],
+        "repro.serve.engine": ["QueueFullError", "ServeConfig", "ServeEngine"],
+        "repro.serve.journal": [
+            "Journal",
+            "JournalError",
+            "JournalScan",
+            "canonical_json",
+            "repair_journal",
+            "scan_journal",
+        ],
+        "repro.serve.snapshot": ["SnapshotCorruptError", "SnapshotLoad", "SnapshotStore", "write_snapshot"],
+    },
+)

@@ -273,16 +273,17 @@ class ServeRuntime:
             # Die mid-snapshot-write: persist roughly half the blob into
             # the (stale) target slot — the newest good slot survives.
             tear_after = 0.5
+        # The state carries its own digest (checked on restore); the
+        # slot meta reuses it rather than hashing the whole state twice.
+        state = self.engine.snapshot_state()
         meta = {
             "applied_seq": self._applied_seq,
             "last_op_id": self.engine.last_op_id,
             "now": self.engine.now,
-            "digest": self.engine.state_digest(),
+            "digest": state["digest"],
             "name": self.config.name,
         }
-        path = self.store.save(
-            self.engine.snapshot_state(), meta, tear_after=tear_after
-        )
+        path = self.store.save(state, meta, tear_after=tear_after)
         if torn:
             self._crash(f"snapshot:{self._snapshot_no}")
         self._ops_since_snapshot = 0

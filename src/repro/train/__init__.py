@@ -9,28 +9,18 @@ experiment: the same model and data trained under Dense-SGD, TopK-SGD
 and MSTopK-SGD.
 """
 
-from repro.train.checkpoint import load_checkpoint, save_checkpoint
-from repro.train.convergence import (
-    ConvergenceResult,
-    ConvergenceRunner,
-    EpochRecord,
-)
-from repro.train.synthetic import (
-    make_blob_classification,
-    make_spiral_classification,
-    make_synthetic_images,
-)
-from repro.train.trainer import DistributedTrainer, TrainingReport
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DistributedTrainer",
-    "TrainingReport",
-    "save_checkpoint",
-    "load_checkpoint",
-    "ConvergenceRunner",
-    "ConvergenceResult",
-    "EpochRecord",
-    "make_spiral_classification",
-    "make_blob_classification",
-    "make_synthetic_images",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.train.checkpoint": ["load_checkpoint", "save_checkpoint"],
+        "repro.train.convergence": ["ConvergenceResult", "ConvergenceRunner", "EpochRecord"],
+        "repro.train.synthetic": [
+            "make_blob_classification",
+            "make_spiral_classification",
+            "make_synthetic_images",
+        ],
+        "repro.train.trainer": ["DistributedTrainer", "TrainingReport"],
+    },
+)

@@ -98,9 +98,9 @@ def test_full_state_digest_only_at_snapshot_cadence(tmp_path, counts):
     for index, op in enumerate(ops, start=1):
         before = counts["state_digest"]
         runtime.handle(op)
-        # Two per snapshot (slot meta + the state's own restore check),
-        # none on any other ack.
-        expected = 2 if index % SNAPSHOT_EVERY == 0 else 0
+        # One per snapshot (the state's own restore check, which the
+        # slot meta reuses), none on any other ack.
+        expected = 1 if index % SNAPSHOT_EVERY == 0 else 0
         assert counts["state_digest"] - before == expected, f"op {index}"
     runtime.close()
 

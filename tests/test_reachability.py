@@ -4,9 +4,10 @@ the package ships.
 **Roots** — the only things that make code reached:
 
 1. the module-level statements of every ``src/repro`` module, except
-   imports and ``__all__`` (registry decorators, CLI parser wiring,
-   experiment tables, ``if __name__ == "__main__"``);
-2. the names in ``repro.__all__``;
+   imports, ``__all__`` and a package's export table (registry
+   decorators, CLI parser wiring, experiment tables,
+   ``if __name__ == "__main__"``);
+2. the names in ``repro.__all__``, which its export table lists;
 3. every name a file under ``benchmarks/`` or ``examples/`` imports
    from ``repro``.
 
@@ -78,11 +79,27 @@ def _is_all(stmt: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
+def _export_table(stmt: ast.stmt) -> ast.Dict | None:
+    """The table of ``__getattr__, __all__ = lazy_exports(__name__, {...})``.
+
+    It names what the package exports, as the import list it replaced
+    did, so — like that list — it is no root.
+    """
+    value = getattr(stmt, "value", None)
+    if isinstance(value, ast.Call) and names_in(value.func) == {"lazy_exports"}:
+        return value.args[1]
+    return None
+
+
 def _all_names(tree: ast.Module) -> set[str]:
+    names = set()
     for stmt in tree.body:
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and _is_all(stmt):
-            return {elt.value for elt in stmt.value.elts}
-    return set()
+        table = _export_table(stmt)
+        if table is not None:
+            names |= {elt.value for listed in table.values for elt in listed.elts}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and _is_all(stmt):
+            names |= {elt.value for elt in stmt.value.elts}
+    return names
 
 
 def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path]) -> list[str]:
@@ -104,6 +121,8 @@ def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path]) -> list[str]
                 decorated.append((stmt.name, decorators))
                 if stmt.name.startswith("__") and stmt.name.endswith("__"):
                     roots.add(stmt.name)
+            elif _export_table(stmt) is not None:
+                roots |= names_in(stmt.value.func)
             elif not (isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt)):
                 roots |= names_in(stmt)
         if path == src / "__init__.py":
@@ -227,3 +246,19 @@ class TestTheCheckerItself:
         assert claim_anchor_problems(missing, anchors, tmp_path, pkg.parent)[1] == [
             "toy/core.py::anchored is reached: drop it from CLAIM_ANCHORED"
         ]
+
+    def test_an_export_table_roots_only_the_top_level_names(self, tmp_path):
+        pkg = tmp_path / "toy"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "lazy.py").write_text("def lazy_exports(package, table):\n    return None, list(table)\n")
+        (pkg / "__init__.py").write_text(
+            "from toy.lazy import lazy_exports\n\n"
+            "__getattr__, __all__ = lazy_exports(__name__, {'toy.sub.core': ['exported']})\n"
+        )
+        (pkg / "sub" / "__init__.py").write_text(
+            "from toy.lazy import lazy_exports\n\n"
+            "__getattr__, __all__ = lazy_exports(__name__, {'toy.sub.core': ['exported', 'orphan']})\n"
+        )
+        (pkg / "sub" / "core.py").write_text("def exported():\n    pass\n\ndef orphan():\n    pass\n")
+        # The subpackage's table reaches nothing; the helper it calls is reached.
+        assert unreached(pkg, []) == ["toy/sub/core.py::orphan"]
