@@ -582,135 +582,23 @@ def _window_error(op: str, problem: str, shape, weight_shape=None) -> ValueError
     return ValueError(f"{op}: {problem} (input {tuple(shape)}{against})")
 
 
-def _pad_nchw(x: Array, padding: int) -> Array:
-    """Zero-pad the two spatial dims (faster than ``np.pad`` for 4-D)."""
+def _pad_spatial(x: Array, padding: int) -> Array:
+    """Zero-pad the two trailing (spatial) dims (faster than ``np.pad``)."""
     if not padding:
         return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = x
+    *lead, h, w = x.shape
+    out = np.zeros((*lead, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    out[..., padding : padding + h, padding : padding + w] = x
     return out
 
 
-def _im2col_fm(x: Array, kernel: int, stride: int) -> tuple[Array, int, int]:
-    """Feature-major im2col: ``(c * k * k, n * out_h * out_w)``.
+def _im2col_cnhw(x: Array, kernel: int, stride: int) -> tuple[Array, int, int]:
+    """Feature-major im2col over a channel-major ``(c, n, h, w)`` array:
+    ``(c * k * k, n * out_h * out_w)``.
 
     The batch axis folds into the GEMM's N dimension, so one large
-    matrix multiply replaces ``n`` tiny per-sample GEMMs — the layout
-    the vectorised conv kernels contract against.
+    matrix multiply replaces ``n`` tiny per-sample GEMMs.
     """
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    shape = (c, kernel, kernel, n, out_h, out_w)
-    strides = (
-        x.strides[1],
-        x.strides[2],
-        x.strides[3],
-        x.strides[0],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-    )
-    cols = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    return (
-        cols.reshape(c * kernel * kernel, n * out_h * out_w),
-        out_h,
-        out_w,
-    )
-
-
-def _conv_input_grad(
-    g: Array,
-    weight: Array,
-    padded_shape: tuple[int, ...],
-    kernel: int,
-    stride: int,
-    out_h: int,
-    out_w: int,
-) -> Array:
-    """Vectorised dL/d(padded input): a transposed convolution.
-
-    The output gradient is dilated by ``stride``, zero-padded by
-    ``kernel - 1``, and correlated with the spatially-flipped,
-    channel-swapped weights — one im2col + one BLAS matmul instead of
-    the ``kernel**2`` Python-loop scatter of the original.
-    """
-    n, in_c = padded_shape[0], padded_shape[1]
-    out_c = weight.shape[0]
-    dil_h = (out_h - 1) * stride + 1
-    dil_w = (out_w - 1) * stride + 1
-    g_dil = np.zeros(
-        (n, out_c, dil_h + 2 * (kernel - 1), dil_w + 2 * (kernel - 1)),
-        dtype=g.dtype,
-    )
-    g_dil[
-        :,
-        :,
-        kernel - 1 : kernel - 1 + dil_h : stride,
-        kernel - 1 : kernel - 1 + dil_w : stride,
-    ] = g.reshape(n, out_c, out_h, out_w)
-    cols_g, core_h, core_w = _im2col_fm(g_dil, kernel, 1)
-    # (in_c, out_c * k * k): flip spatial taps, swap in/out channels.
-    w_flip = (
-        weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_c, -1)
-    )
-    core = (
-        (w_flip @ cols_g)
-        .reshape(in_c, n, core_h, core_w)
-        .transpose(1, 0, 2, 3)
-    )
-    # Rows/cols of the padded input beyond the last window (when
-    # (H - kernel) % stride != 0) receive no gradient.
-    if (core_h, core_w) == padded_shape[2:]:
-        return np.ascontiguousarray(core)
-    dpadded = np.zeros(padded_shape, dtype=g.dtype)
-    dpadded[:, :, :core_h, :core_w] = core
-    return dpadded
-
-
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """NCHW convolution via im2col; ``weight`` is ``(out_c, in_c, k, k)``.
-
-    The forward contraction and all three backward contractions run as
-    BLAS matmuls.
-    """
-    out_c, _, kernel, kernel2 = weight.data.shape
-    if kernel != kernel2:
-        raise ValueError("only square kernels supported")
-    _check_window("conv2d", x.data.shape, kernel, stride, padding, weight.data.shape)
-    padded = _pad_nchw(x.data, padding)
-    n = x.data.shape[0]
-    w_mat = weight.data.reshape(out_c, -1)
-    # Feature-major layout: the batch folds into the GEMM's N
-    # dimension, so the forward contraction is ONE (out_c, f) x
-    # (f, n*L) multiply instead of n per-sample GEMMs.
-    cols, out_h, out_w = _im2col_fm(padded, kernel, stride)
-    out_data = np.ascontiguousarray(
-        (w_mat @ cols).reshape(out_c, n, out_h, out_w).transpose(1, 0, 2, 3)
-    )
-
-    def backward(grad: Array) -> None:
-        g = np.asarray(grad).reshape(n, out_c, -1)
-        g_fm = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(out_c, -1)
-        dw = (g_fm @ cols.T).reshape(weight.data.shape)
-        weight._accumulate(dw, owned=True)
-        if not x.requires_grad:
-            # Nothing differentiates the input (the image batch feeding
-            # the first conv): skip the transposed convolution entirely
-            # instead of materialising a gradient no one reads.
-            return
-        dpadded = _conv_input_grad(
-            g, weight.data, padded.shape, kernel, stride, out_h, out_w
-        )
-        if padding:
-            dpadded = dpadded[:, :, padding:-padding, padding:-padding]
-        x._accumulate(dpadded, owned=True)
-
-    return _node(out_data, (x, weight), backward)
-
-
-def _im2col_cnhw(x: Array, kernel: int, stride: int) -> tuple[Array, int, int]:
-    """Feature-major im2col over a channels-first ``(c, n, h, w)`` array."""
     c, n, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
@@ -763,17 +651,16 @@ def _worker_columns(mat: Array, workers: int) -> Array:
 
 
 def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Convolution over channel-major ``(c, n, h, w)`` activations.
+    """The tape's convolution, over channel-major ``(c, n, h, w)`` activations.
 
-    The zero-transpose variant of :func:`conv2d` for models that keep
-    their activations channel-major end to end: the forward GEMM output
-    ``(out_c, n * L)`` *is* the output layout, the incoming gradient
-    reshapes to GEMM form as a view, and the transposed-convolution
-    input gradient lands directly in ``(in_c, n, h, w)`` — three fewer
-    full-tensor copies per conv than the NCHW path, which matters when
-    the hot path is memory-bound.  Elementwise ops and spatial pooling
-    are layout-agnostic (spatial dims stay last), so only the conv op
-    needs this variant.
+    ``weight`` is ``(out_c, in_c, k, k)``.  Channel-major end to end, no
+    tensor is transposed: the forward GEMM output ``(out_c, n * L)``
+    *is* the output layout, the incoming gradient reshapes to GEMM form
+    as a view, and the input gradient (one GEMM back to column space,
+    then col2im) lands directly in ``(in_c, n, h, w)``.  Elementwise ops
+    and spatial pooling are layout-agnostic (spatial dims stay last), so
+    a model transposes its NCHW batch once on the way in and its
+    ``(c, n)`` features once before the head.
 
     A weight with :func:`leaf_tensors`' leading stride-0 worker axis,
     ``(W, out_c, in_c, k, k)``, makes this the worker-blocked op: the
@@ -803,7 +690,7 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
         problem = None
     if problem is not None:
         raise _window_error("conv2d_cnhw", problem, shape, w_data.shape)
-    padded = _pad_nchw(x.data, padding)  # pads the trailing spatial dims
+    padded = _pad_spatial(x.data, padding)
     n = shape[1]
     cols, out_h, out_w = _im2col_cnhw(padded, kernel, stride)
     if workers is None:
@@ -825,11 +712,9 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
             weight._accumulate_matmul(g_w, cols_w.transpose(0, 2, 1))
         if not x.requires_grad:
             return
-        # Input gradient: one GEMM back to column space, then col2im.
-        # At small spatial maps this moves ~(out_c/in_c) * (core/L)
-        # times fewer bytes than the dilated transposed convolution
-        # conv2d's NCHW path uses, which is what matters on a
-        # memory-bound host.
+        # Input gradient: one GEMM back to column space, then col2im.  At
+        # small spatial maps this moves ~(out_c/in_c) * (core/L) times
+        # fewer bytes than a dilated transposed convolution would.
         if workers is None:
             dcols = w_mat.T @ g
         else:
@@ -942,7 +827,6 @@ __all__ = [
     "softmax_cross_entropy",
     "layer_norm",
     "embedding",
-    "conv2d",
     "conv2d_cnhw",
     "softmax_cross_entropy_workers",
     "avg_pool2d",

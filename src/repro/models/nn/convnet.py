@@ -1,8 +1,8 @@
 """A small convolutional network — the VGG stand-in for convergence runs.
 
 conv3x3 → ReLU → avgpool2 → conv3x3 → ReLU → global average → linear.
-Uses the im2col convolution of the autodiff tape; sized for 16×16-ish
-synthetic images so an epoch takes well under a second.
+Runs channel-major on the tape's one convolution, ``conv2d_cnhw``; sized
+for 16×16-ish synthetic images so an epoch takes well under a second.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 from repro.models.autodiff import (
     Tensor,
     avg_pool2d,
-    conv2d,
     conv2d_cnhw,
     leaf_grads,
     leaf_tensors,
@@ -36,8 +35,13 @@ from repro.utils.seeding import RandomState
 PASS_BYTES = 3 << 19  # 1.5 MiB
 
 
+def _channel_major(x: np.ndarray) -> Tensor:
+    """An NCHW batch as the contiguous ``(c, n, h, w)`` tape input."""
+    return Tensor(np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3)))
+
+
 class SmallConvNet:
-    """Two-conv classifier over NCHW inputs."""
+    """Two-conv classifier: takes NCHW batches, computes channel-major."""
 
     def __init__(
         self,
@@ -65,14 +69,6 @@ class SmallConvNet:
         }
         return params
 
-    def logits(self, params: dict[str, Tensor], x: Tensor) -> Tensor:
-        h = conv2d(x, params["conv1.weight"], stride=1, padding=1).relu()
-        h = avg_pool2d(h, 2)
-        h = conv2d(h, params["conv2.weight"], stride=1, padding=1).relu()
-        # Global average pool: mean over spatial dims.
-        h = h.mean(axis=(2, 3))
-        return h @ params["fc.weight"] + params["fc.bias"]
-
     def _features_cnhw(self, params: dict[str, Tensor], x_cn: Tensor) -> Tensor:
         """The conv stack down to the ``(c2, n)`` global average, channel-major."""
         h = conv2d_cnhw(x_cn, params["conv1.weight"], stride=1, padding=1).relu()
@@ -95,10 +91,7 @@ class SmallConvNet:
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
         tensors = leaf_tensors(params, out)
-        x_cn = Tensor(
-            np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3))
-        )
-        logits = self.logits_cnhw(tensors, x_cn)
+        logits = self.logits_cnhw(tensors, _channel_major(x))
         loss = softmax_cross_entropy(logits, y)
         loss.backward()
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
@@ -164,9 +157,7 @@ class SmallConvNet:
         """
         workers, local = xs.shape[0], xs.shape[1]
         tensors = leaf_tensors(params, out, workers)
-        x_cn = Tensor(
-            np.ascontiguousarray(xs.reshape(workers * local, *xs.shape[2:]).transpose(1, 0, 2, 3))
-        )
+        x_cn = _channel_major(xs.reshape(workers * local, *xs.shape[2:]))
         h = reshape(self._features_cnhw(tensors, x_cn), (-1, workers, local))
         h = transpose(h, (1, 2, 0)) @ tensors["fc.weight"]
         h = h + reshape(tensors["fc.bias"], (workers, 1, self.num_classes))
@@ -180,7 +171,7 @@ class SmallConvNet:
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1
     ) -> float:
         tensors = {k: Tensor(v) for k, v in params.items()}
-        logits = self.logits(tensors, Tensor(np.asarray(x))).data
+        logits = self.logits_cnhw(tensors, _channel_major(x)).data
         topk = min(topk, logits.shape[1])
         ranked = np.argsort(logits, axis=1)[:, -topk:]
         return float(np.any(ranked == np.asarray(y)[:, None], axis=1).mean())

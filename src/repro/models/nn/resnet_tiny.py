@@ -1,23 +1,23 @@
 """A tiny residual CNN — a closer ResNet stand-in for convergence runs.
 
-Two residual blocks (conv3x3 → ReLU → conv3x3 with identity skip) over
-the im2col convolution of the autodiff tape, followed by global average
-pooling and a linear head.  Residual connections matter for this
-reproduction because they change the gradient *distribution* — skip
-paths make gradients flatter-tailed, which is exactly the regime where
-top-k selection drops relatively more information.
+Two residual blocks (conv3x3 → ReLU → conv3x3 with identity skip),
+channel-major on the tape's one convolution ``conv2d_cnhw``, followed by
+global average pooling and a linear head.  Residual connections matter
+for this reproduction because they change the gradient *distribution* —
+skip paths make gradients flatter-tailed, which is exactly the regime
+where top-k selection drops relatively more information.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.models.autodiff import Tensor, conv2d, leaf_grads, leaf_tensors, softmax_cross_entropy
+from repro.models.autodiff import Tensor, conv2d_cnhw, leaf_grads, leaf_tensors, softmax_cross_entropy
 from repro.utils.seeding import RandomState
 
 
 class TinyResNet:
-    """Residual two-block classifier over NCHW inputs."""
+    """Residual two-block classifier: takes NCHW batches, computes channel-major."""
 
     def __init__(
         self,
@@ -50,15 +50,18 @@ class TinyResNet:
         return params
 
     def _block(self, params: dict[str, Tensor], prefix: str, h: Tensor) -> Tensor:
-        inner = conv2d(h, params[f"{prefix}.conv1.weight"], padding=1).relu()
-        inner = conv2d(inner, params[f"{prefix}.conv2.weight"], padding=1)
+        inner = conv2d_cnhw(h, params[f"{prefix}.conv1.weight"], padding=1).relu()
+        inner = conv2d_cnhw(inner, params[f"{prefix}.conv2.weight"], padding=1)
         return (h + inner).relu()  # identity skip (He et al. 2016)
 
     def logits(self, params: dict[str, Tensor], x: Tensor) -> Tensor:
-        h = conv2d(x, params["stem.weight"], padding=1).relu()
+        """``x`` is an NCHW batch; the body runs on its ``(c, n, h, w)``
+        transpose (relu and the skip add are layout-agnostic) and flips
+        the ``(c, n)`` global average to ``(n, c)`` before the head."""
+        h = conv2d_cnhw(x.transpose((1, 0, 2, 3)), params["stem.weight"], padding=1).relu()
         h = self._block(params, "block1", h)
         h = self._block(params, "block2", h)
-        h = h.mean(axis=(2, 3))  # global average pool
+        h = h.mean(axis=(2, 3)).transpose()  # global average pool
         return h @ params["fc.weight"] + params["fc.bias"]
 
     def loss_and_grad(

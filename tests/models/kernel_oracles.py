@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.autodiff import Tensor, _im2col_cnhw, _pad_nchw, avg_pool2d, conv2d_cnhw
+from repro.models.autodiff import Tensor, _im2col_cnhw, _pad_spatial, avg_pool2d, conv2d_cnhw
 
 
 def reduce_runs_in_stated_order(kernel: int, out_w: int) -> bool:
@@ -90,7 +90,7 @@ def conv_cnhw_replaced(x, weight, stride, padding, grad):
     ``(out, dx, dw)`` for channel-major ``x`` and upstream ``grad``."""
     out_c, in_c, kernel, _ = weight.shape
     n = x.shape[1]
-    padded = _pad_nchw(x, padding)
+    padded = _pad_spatial(x, padding)
     w_mat = weight.reshape(out_c, -1)
     cols, out_h, out_w = _im2col_cnhw(padded, kernel, stride)
     out = (w_mat @ cols).reshape(out_c, n, out_h, out_w)

@@ -41,6 +41,60 @@ class TestForward:
             assert np.abs(g).max() > 0, name
 
 
+#: Every parameter of the gradient-check model, stem to head.
+PARAMS = [
+    "stem.weight",
+    "block1.conv1.weight",
+    "block1.conv2.weight",
+    "block2.conv1.weight",
+    "block2.conv2.weight",
+    "fc.weight",
+    "fc.bias",
+]
+
+
+class TestGradient:
+    """``loss_and_grad`` against central differences of its own loss, in
+    float64 on a tiny shape, for every parameter."""
+
+    @pytest.fixture
+    def case(self):
+        rng = new_rng(11)
+        model = TinyResNet(in_channels=2, width=2, num_classes=3, image_size=6)
+        params = model.init_params(rng)
+        x, y = make_synthetic_images(4, num_classes=3, image_size=6, channels=2, rng=rng)
+        return model, params, x, y
+
+    @staticmethod
+    def central_differences(model, params, x, y, name, eps):
+        value, numerical = params[name], np.zeros_like(params[name])
+        for i in np.ndindex(value.shape):
+            orig = value[i]
+            value[i] = orig + eps
+            up = model.loss_and_grad(params, x, y)[0]
+            value[i] = orig - eps
+            down = model.loss_and_grad(params, x, y)[0]
+            value[i] = orig
+            numerical[i] = (up - down) / (2 * eps)
+        return numerical
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_gradient_equals_central_differences(self, case, name):
+        model, params, x, y = case
+        _, grads, _ = model.loss_and_grad(params, x, y)
+        assert set(grads) == set(PARAMS)
+        numerical = self.central_differences(model, params, x, y, name, 1e-6)
+        np.testing.assert_allclose(grads[name], numerical, rtol=1e-5, atol=1e-8)
+
+    def test_negative_control_a_coarse_eps_fails_the_gradient_check(self, case):
+        """Central differences are only an oracle at a fine ``eps``: at 0.5
+        the same comparison must fail, or it would pass anything."""
+        model, params, x, y = case
+        _, grads, _ = model.loss_and_grad(params, x, y)
+        coarse = self.central_differences(model, params, x, y, "stem.weight", 0.5)
+        with pytest.raises(AssertionError):
+            np.testing.assert_allclose(grads["stem.weight"], coarse, rtol=1e-5, atol=1e-8)
+
 
 class TestEvaluate:
     @pytest.fixture
