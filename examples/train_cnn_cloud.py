@@ -15,7 +15,7 @@ Run:  python examples/train_cnn_cloud.py
 from repro.api import CONVERGENCE_ALGORITHMS, RunConfig, run
 from repro.cluster import paper_testbed
 from repro.models import resnet50_profile
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 from repro.utils.tables import print_table
 
 
@@ -52,15 +52,15 @@ def performance_demo() -> None:
     net = paper_testbed()
     profile = resnet50_profile()
     rows = []
-    for label, kind, optimised in (
-        ("Dense-SGD (TreeAR baseline)", SchemeKind.DENSE_TREE, False),
-        ("2DTAR-SGD", SchemeKind.DENSE_2DTAR, True),
-        ("MSTopK-SGD (this paper)", SchemeKind.MSTOPK_HIER, True),
+    for label, scheme, optimised in (
+        ("Dense-SGD (TreeAR baseline)", "dense", False),
+        ("2DTAR-SGD", "2dtar", True),
+        ("MSTopK-SGD (this paper)", "mstopk", True),
     ):
         model = IterationModel(
             network=net,
             profile=profile,
-            scheme=kind,
+            scheme=scheme,
             resolution=224,
             local_batch=256,
             single_gpu_throughput=profile.table3_single_gpu,

@@ -15,7 +15,7 @@ Run:  python examples/train_transformer_cloud.py
 from repro.api import CONVERGENCE_ALGORITHMS, RunConfig, run
 from repro.cluster import paper_testbed
 from repro.models import transformer_profile
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 from repro.utils.tables import print_table
 
 
@@ -57,15 +57,15 @@ def performance_demo() -> None:
     net = paper_testbed()
     profile = transformer_profile()
     rows = []
-    for label, kind, optimised in (
-        ("Dense-SGD", SchemeKind.DENSE_TREE, False),
-        ("2DTAR-SGD", SchemeKind.DENSE_2DTAR, True),
-        ("MSTopK-SGD", SchemeKind.MSTOPK_HIER, True),
+    for label, scheme, optimised in (
+        ("Dense-SGD", "dense", False),
+        ("2DTAR-SGD", "2dtar", True),
+        ("MSTopK-SGD", "mstopk", True),
     ):
         model = IterationModel(
             network=net,
             profile=profile,
-            scheme=kind,
+            scheme=scheme,
             resolution=0,  # text workload
             local_batch=8,
             use_datacache=optimised,

@@ -173,13 +173,14 @@ def _build_gtopk(network: NetworkModel, *, density: float = 0.001,
 
 @register_scheme("mstopk", aliases=("mstopk-sgd", "hitopk", "hitopkcomm"))
 def _build_mstopk_scheme(network: NetworkModel, *, density: float = 0.001,
-                         n_samplings: int = 30,
+                         wire_bytes: int = 4, n_samplings: int = 30,
                          compressor: TopKCompressor | None = None, **_: Any) -> CommScheme:
     return HiTopKComm(
         network,
         density=density,
         compressor=compressor if compressor is not None else MSTopK(n_samplings=n_samplings),
         error_feedback=True,
+        dense_wire_bytes=wire_bytes,
     )
 
 

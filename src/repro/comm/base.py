@@ -63,6 +63,8 @@ class CommScheme(abc.ABC):
     name: str = "scheme"
     #: True when the output is the exact dense sum of the inputs.
     dense: bool = True
+    #: The :meth:`time_model` step that is top-k selection, if any.
+    selection_step: str | None = None
 
     def __init__(self, network: NetworkModel) -> None:
         self.network = network
@@ -87,6 +89,18 @@ class CommScheme(abc.ABC):
     @abc.abstractmethod
     def time_model(self, d: int) -> TimeBreakdown:
         """Analytic virtual-time breakdown for a ``d``-element gradient."""
+
+    def selection_and_communication(self, d: int) -> tuple[float, float]:
+        """(selection, communication) seconds for a ``d``-element gradient.
+
+        The split of the Fig. 1 bars: selection is the "Compression"
+        bar, everything else in :meth:`time_model` is communication.
+        """
+        breakdown = self.time_model(d)
+        if self.selection_step is None:
+            return 0.0, breakdown.total
+        selection = breakdown.get(self.selection_step)
+        return selection, breakdown.total - selection
 
     def _worker_matrix(self, worker_grads) -> np.ndarray:
         """Normalise the aggregate input to a validated ``(W, d)`` matrix.

@@ -70,6 +70,7 @@ class GlobalTopK(CommScheme):
 
     name = "gTopK"
     dense = False
+    selection_step = "select"
 
     def __init__(
         self,

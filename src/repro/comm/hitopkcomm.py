@@ -77,6 +77,7 @@ class HiTopKComm(CommScheme):
 
     name = "HiTopKComm"
     dense = False
+    selection_step = STEP_MSTOPK
 
     def __init__(
         self,
@@ -209,10 +210,6 @@ class HiTopKComm(CommScheme):
                 STEP_INTRA_ALLGATHER: t4,
             }
         )
-
-    def compression_time_model(self, d: int) -> float:
-        """Step-2 compute time (already part of :meth:`time_model`)."""
-        return mstopk_gpu_time(int(d / self.topology.gpus_per_node), gpu=self.gpu)
 
 
 __all__ = [

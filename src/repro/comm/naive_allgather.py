@@ -121,15 +121,14 @@ class NaiveAllGather(CommScheme):
         breakdown = TimeBreakdown({"allgather": t_comm, "accumulate": t_accum})
         return breakdown
 
-    def compression_time_model(self, d: int) -> float:
-        """GPU-projected time of the top-k selection this scheme performs.
+    def selection_and_communication(self, d: int) -> tuple[float, float]:
+        """Selection runs outside :meth:`time_model`, on the full gradient.
 
         Exact selection uses the sort model (the Fig. 1 "Compression" bar
         that costs more than FF&BP); MSTopK uses the streaming model.
         """
-        if isinstance(self.compressor, ExactTopK):
-            return exact_topk_gpu_time(d, gpu=self.gpu)
-        return mstopk_gpu_time(d, gpu=self.gpu)
+        select = exact_topk_gpu_time if isinstance(self.compressor, ExactTopK) else mstopk_gpu_time
+        return select(d, gpu=self.gpu), self.time_model(d).total
 
 
 __all__ = ["NaiveAllGather"]

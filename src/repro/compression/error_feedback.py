@@ -208,8 +208,6 @@ class ErrorFeedback:
 
     def total_norm(self) -> float:
         """L2 norm of all residual mass (diagnostic; bounded for top-k EF)."""
-        if not self._residuals:
-            return 0.0
         return float(
             np.sqrt(sum(float(np.sum(r * r)) for r in self._residuals.values()))
         )

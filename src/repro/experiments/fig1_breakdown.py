@@ -18,7 +18,7 @@ from repro.cluster.cloud_presets import paper_testbed
 from repro.cluster.network import NetworkModel
 from repro.models.profiles import resnet50_profile
 from repro.perf.calibration import CALIBRATION, Calibration
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 from repro.utils.tables import print_table
 
 #: Fig. 1's bars, in legend order.
@@ -44,15 +44,12 @@ def run(
     network = network if network is not None else paper_testbed()
     profile = resnet50_profile()
     bars: list[BreakdownBar] = []
-    for scheme_label, kind in (
-        ("Dense-SGD", SchemeKind.DENSE_TREE),
-        ("TopK-SGD", SchemeKind.TOPK_NAIVE),
-    ):
+    for scheme_label, scheme in (("Dense-SGD", "dense"), ("TopK-SGD", "topk")):
         for resolution in (224, 96):
             model = IterationModel(
                 network=network,
                 profile=profile,
-                scheme=kind,
+                scheme=scheme,
                 resolution=resolution,
                 local_batch=256,
                 density=cal.training_density,

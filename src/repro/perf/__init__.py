@@ -17,7 +17,7 @@ __getattr__, __all__ = lazy_exports(
         "repro.perf.calibration": ["CALIBRATION", "Calibration"],
         "repro.perf.elastic_cost": ["ElasticCostReport", "account"],
         "repro.perf.dawnbench": ["DawnbenchResult", "DawnbenchSimulator", "PhaseResult"],
-        "repro.perf.iteration_model": ["IterationModel", "SchemeKind", "io_visible_time"],
+        "repro.perf.iteration_model": ["IterationModel", "io_visible_time"],
         "repro.perf.throughput": ["ThroughputRow", "table3_rows"],
         "repro.perf.timeline": ["TimelineResult", "derive_overlap_fraction", "simulate_backward_overlap"],
     },

@@ -45,14 +45,13 @@ class Calibration:
     sync_overhead: float = 0.005
 
     # -- wire formats -----------------------------------------------------------
-    #: The Horovod TreeAR baseline all-reduces FP32 gradients; the
-    #: optimized CommLib schemes (2DTAR, HiTopKComm) use FP16 ("we enable
-    #: the mixed-precision training technique", §5.5.2).
+    #: The Horovod TreeAR baseline (``dense``) all-reduces FP32
+    #: gradients; every other scheme's dense steps run on CommLib in FP16
+    #: ("we enable the mixed-precision training technique", §5.5.2).
+    #: Sparse exchanges keep the schemes' own FP32 values + int32 indices
+    #: (Eq. 3's accounting).
     dense_baseline_wire_bytes: int = 4
     commlib_wire_bytes: int = 2
-    #: Sparse exchange: FP32 values + int32 indices (Eq. 3's accounting).
-    sparse_value_bytes: int = 4
-    sparse_index_bytes: int = 4
 
     # -- training sparsity ---------------------------------------------------------
     #: k = 0.001 d — the operator benchmark's selection ratio (§5.2) and

@@ -21,7 +21,7 @@ from repro.cluster.cloud_presets import paper_testbed
 from repro.models.profiles import resnet50_profile
 from repro.optim.schedules import ProgressiveResizeSchedule, ResolutionPhase
 from repro.perf.calibration import CALIBRATION, Calibration
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,10 @@ class DawnbenchSimulator:
 
     # -- per-phase throughput (Table 4) -------------------------------------
     def phase_model(self, phase: ResolutionPhase) -> IterationModel:
-        kind = (
-            SchemeKind.MSTOPK_HIER
-            if phase.comm_scheme == "mstopk"
-            else SchemeKind.DENSE_2DTAR
-        )
         return IterationModel(
             network=self.network,
             profile=self.profile,
-            scheme=kind,
+            scheme=phase.comm_scheme,
             resolution=phase.resolution,
             local_batch=phase.local_batch,
             density=self.cal.training_density,

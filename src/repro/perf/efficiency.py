@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.cluster.cloud_presets import make_cluster
 from repro.models.profiles import ModelProfile, resnet50_profile
 from repro.perf.calibration import CALIBRATION, Calibration
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class EfficiencyPoint:
 def _model(
     network,
     profile: ModelProfile,
-    kind: SchemeKind,
+    scheme: str,
     *,
     resolution: int,
     local_batch: int,
@@ -46,7 +46,7 @@ def _model(
     return IterationModel(
         network=network,
         profile=profile,
-        scheme=kind,
+        scheme=scheme,
         resolution=resolution,
         local_batch=local_batch,
         single_gpu_throughput=single_gpu,
@@ -70,7 +70,7 @@ def intro_claim(*, cal: Calibration = CALIBRATION) -> EfficiencyPoint:
     model = _model(
         network,
         profile,
-        SchemeKind.DENSE_TREE,
+        "dense",
         resolution=224,
         local_batch=256,
         single_gpu=single_gpu,
@@ -95,10 +95,10 @@ def efficiency_sweep(
     profile: ModelProfile | None = None,
     resolution: int = 224,
     local_batch: int = 256,
-    schemes: tuple[tuple[str, SchemeKind, bool], ...] = (
-        ("Dense-SGD", SchemeKind.DENSE_TREE, False),
-        ("2DTAR-SGD", SchemeKind.DENSE_2DTAR, True),
-        ("MSTopK-SGD", SchemeKind.MSTOPK_HIER, True),
+    schemes: tuple[tuple[str, str, bool], ...] = (
+        ("Dense-SGD", "dense", False),
+        ("2DTAR-SGD", "2dtar", True),
+        ("MSTopK-SGD", "mstopk", True),
     ),
     cal: Calibration = CALIBRATION,
 ) -> list[EfficiencyPoint]:
@@ -112,11 +112,11 @@ def efficiency_sweep(
     points: list[EfficiencyPoint] = []
     for nodes in node_counts:
         network = make_cluster(nodes, "tencent")
-        for label, kind, optimised in schemes:
+        for label, scheme, optimised in schemes:
             model = _model(
                 network,
                 profile,
-                kind,
+                scheme,
                 resolution=resolution,
                 local_batch=local_batch,
                 single_gpu=single_gpu,

@@ -10,27 +10,15 @@ of Tables 3 and 4.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from repro.cluster.gpu import exact_topk_gpu_time
+from repro.api.registry import SCHEMES, build_scheme
 from repro.cluster.network import NetworkModel
+from repro.comm.base import CommScheme
 from repro.comm.breakdown import TimeBreakdown
-from repro.comm.dense import Torus2DAllReduce, TreeAllReduce
-from repro.comm.hitopkcomm import STEP_MSTOPK, HiTopKComm
-from repro.comm.naive_allgather import NaiveAllGather
 from repro.models.profiles import ModelProfile
 from repro.perf.calibration import CALIBRATION, Calibration
 from repro.pto.operator import PTOCostModel
-
-
-class SchemeKind(enum.Enum):
-    """The aggregation schemes of Table 3 / Fig. 1."""
-
-    DENSE_TREE = "dense-tree"  # "Dense-SGD" (Horovod TreeAR baseline)
-    DENSE_2DTAR = "2dtar"  # "2DTAR-SGD"
-    TOPK_NAIVE = "topk"  # "TopK-SGD" (exact top-k + flat All-Gather)
-    MSTOPK_HIER = "mstopk"  # "MSTopK-SGD" (the paper's system)
 
 
 def io_visible_time(
@@ -82,7 +70,9 @@ class IterationModel:
     profile:
         Workload inventory + throughput calibration.
     scheme:
-        One of :class:`SchemeKind`.
+        A registered comm-scheme name or alias (``python -m repro list
+        schemes``), stored canonical; priced by that scheme's own
+        :meth:`~repro.comm.base.CommScheme.time_model`.
     resolution:
         Input resolution (images) or ``0`` (Transformer).
     local_batch:
@@ -118,7 +108,7 @@ class IterationModel:
 
     network: NetworkModel
     profile: ModelProfile
-    scheme: SchemeKind
+    scheme: str
     resolution: int
     local_batch: int
     single_gpu_throughput: float | None = None
@@ -144,8 +134,8 @@ class IterationModel:
             raise ValueError(
                 f"comm_jitter must be >= 1, got {self.comm_jitter}"
             )
-        if isinstance(self.scheme, str):
-            self.scheme = SchemeKind(self.scheme)
+        SCHEMES.get(self.scheme)  # one-line KeyError on an unknown name
+        self.scheme = SCHEMES.canonical(self.scheme)
 
     @property
     def contended_network(self) -> NetworkModel:
@@ -167,47 +157,23 @@ class IterationModel:
         """
         return self.compute_stretch * self.local_batch / self.gpu_rate
 
-    def _comm_scheme(self):
+    def _comm_scheme(self) -> CommScheme:
+        """The registered scheme, built on the contended cluster.
+
+        ``dense`` is the TF + Horovod baseline and all-reduces at its
+        wire format; every other scheme's dense steps run at CommLib's.
+        """
         cal = self.cal
-        network = self.contended_network
-        if self.scheme is SchemeKind.DENSE_TREE:
-            return TreeAllReduce(network, wire_bytes=cal.dense_baseline_wire_bytes)
-        if self.scheme is SchemeKind.DENSE_2DTAR:
-            return Torus2DAllReduce(network, wire_bytes=cal.commlib_wire_bytes)
-        if self.scheme is SchemeKind.TOPK_NAIVE:
-            return NaiveAllGather(
-                network,
-                density=self.density,
-                value_bytes=cal.sparse_value_bytes,
-                index_bytes=cal.sparse_index_bytes,
-                error_feedback=False,
-            )
-        return HiTopKComm(
-            network,
-            density=self.density,
-            value_bytes=cal.sparse_value_bytes,
-            index_bytes=cal.sparse_index_bytes,
-            dense_wire_bytes=cal.commlib_wire_bytes,
-            error_feedback=False,
+        wire_bytes = (
+            cal.dense_baseline_wire_bytes if self.scheme == "dense" else cal.commlib_wire_bytes
+        )
+        return build_scheme(
+            self.scheme, self.contended_network, density=self.density, wire_bytes=wire_bytes
         )
 
-    def t_compression(self) -> tuple[float, float]:
-        """(compression, communication) times for the configured scheme."""
-        d = self.profile.num_params
-        scheme = self._comm_scheme()
-        breakdown = scheme.time_model(d)
-        if self.scheme is SchemeKind.TOPK_NAIVE:
-            # Exact top-k selection on the full gradient — the Fig. 1
-            # "Compression" bar that exceeds FF&BP.
-            return exact_topk_gpu_time(d), breakdown.total
-        if self.scheme is SchemeKind.MSTOPK_HIER:
-            compression = breakdown.get(STEP_MSTOPK)
-            return compression, breakdown.total - compression
-        return 0.0, breakdown.total
-
-    def t_communication_visible(self, t_comm_raw: float) -> float:
+    def t_communication_visible(self, scheme: CommScheme, t_comm_raw: float) -> float:
         cal = self.cal
-        if self.scheme in (SchemeKind.DENSE_TREE, SchemeKind.DENSE_2DTAR):
+        if scheme.dense:
             return max(0.0, t_comm_raw - cal.dense_overlap_fraction * self.t_ffbp())
         # Sparse paths: no overlap, plus pack/unpack overhead.
         return t_comm_raw + cal.sparse_pipeline_overhead
@@ -235,13 +201,14 @@ class IterationModel:
     # -- composition ---------------------------------------------------------
     def breakdown(self) -> TimeBreakdown:
         """The Fig. 1 bars: visible time per component."""
-        compression, comm_raw = self.t_compression()
+        scheme = self._comm_scheme()
+        compression, comm_raw = scheme.selection_and_communication(self.profile.num_params)
         return TimeBreakdown(
             {
                 "io": self.t_io(),
                 "ff_bp": self.t_ffbp(),
                 "compression": compression,
-                "communication": self.comm_jitter * self.t_communication_visible(comm_raw),
+                "communication": self.comm_jitter * self.t_communication_visible(scheme, comm_raw),
                 "lars": self.t_lars(),
                 "sync": self.cal.sync_overhead,
             }
@@ -260,4 +227,4 @@ class IterationModel:
         return self.throughput() / (self.network.world_size * base)
 
 
-__all__ = ["IterationModel", "SchemeKind", "io_visible_time"]
+__all__ = ["IterationModel", "io_visible_time"]

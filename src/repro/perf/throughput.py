@@ -21,7 +21,7 @@ from repro.models.profiles import (
     vgg19_profile,
 )
 from repro.perf.calibration import CALIBRATION, Calibration
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ TABLE3_WORKLOADS: tuple[tuple[str, object, int, int], ...] = (
 
 #: Paper-order schemes for the Table 3 columns.
 TABLE3_SCHEMES = (
-    ("Dense-SGD", SchemeKind.DENSE_TREE),
-    ("2DTAR-SGD", SchemeKind.DENSE_2DTAR),
-    ("MSTopK-SGD", SchemeKind.MSTOPK_HIER),
+    ("Dense-SGD", "dense"),
+    ("2DTAR-SGD", "2dtar"),
+    ("MSTopK-SGD", "mstopk"),
 )
 
 
@@ -74,12 +74,12 @@ def table3_rows(
     for label, factory, resolution, batch in TABLE3_WORKLOADS:
         profile = factory()
         base_rate = _single_gpu_rate(profile, resolution)
-        for scheme_label, kind in TABLE3_SCHEMES:
-            dense_baseline = kind is SchemeKind.DENSE_TREE
+        for scheme_label, scheme in TABLE3_SCHEMES:
+            dense_baseline = scheme == "dense"
             model = IterationModel(
                 network=network,
                 profile=profile,
-                scheme=kind,
+                scheme=scheme,
                 resolution=resolution,
                 local_batch=batch,
                 single_gpu_throughput=base_rate,

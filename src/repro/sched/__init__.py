@@ -42,11 +42,9 @@ __getattr__, __all__ = lazy_exports(
             "PREFERENCES",
             "QUEUED",
             "RUNNING",
-            "SCHEME_KINDS",
             "JobRecord",
             "JobSpec",
             "TrainPayload",
-            "scheme_kind_of",
         ],
         "repro.sched.policies": ["POLICIES", "ClusterState", "build_policy", "register_policy"],
         "repro.sched.scheduler": [

@@ -22,46 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.registry import MODELS, SCHEMES
 from repro.elastic.events import TraceSchedule
 from repro.elastic.membership import MembershipView
 from repro.models.profiles import ModelProfile, get_profile
-from repro.perf.iteration_model import SchemeKind
 
 #: Accepted billing preferences.
 PREFERENCES = ("spot", "on-demand")
-
-#: Registry scheme name -> IterationModel scheme kind.  The iteration
-#: model knows the four Table 3 aggregation archetypes; the remaining
-#: registered schemes map onto the archetype with the same traffic
-#: pattern (gTop-k and naiveag-mstopk move sparse blocks over a flat
-#: All-Gather like TopK-SGD; a dense ring prices like the dense tree at
-#: these sizes).  Scheduling accepts *any* registered scheme name and
-#: degrades it through the matching archetype.
-SCHEME_KINDS: dict[str, SchemeKind] = {
-    "dense": SchemeKind.DENSE_TREE,
-    "dense-ring": SchemeKind.DENSE_TREE,
-    "2dtar": SchemeKind.DENSE_2DTAR,
-    "topk": SchemeKind.TOPK_NAIVE,
-    "gtopk": SchemeKind.TOPK_NAIVE,
-    "naiveag-mstopk": SchemeKind.TOPK_NAIVE,
-    "mstopk": SchemeKind.MSTOPK_HIER,
-}
-
-
-def scheme_kind_of(scheme: str) -> SchemeKind:
-    """Map a registered comm-scheme name/alias to its timing archetype."""
-    from repro.api.registry import SCHEMES
-
-    canonical = SCHEMES.canonical(scheme)
-    if canonical is None:
-        raise KeyError(
-            f"unknown scheme {scheme!r}; registered: {', '.join(SCHEMES.available())}"
-        )
-    if canonical in SCHEME_KINDS:
-        return SCHEME_KINDS[canonical]
-    # A scheme registered after this table was written: price it as the
-    # flat sparse archetype (the conservative choice on cloud Ethernet).
-    return SchemeKind.TOPK_NAIVE
 
 
 @dataclass(frozen=True)
@@ -102,8 +69,6 @@ class TrainPayload:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        from repro.api.registry import MODELS
-
         if self.model not in MODELS:
             raise ValueError(
                 f"unknown payload model {self.model!r}; "
@@ -133,7 +98,7 @@ class JobSpec:
         resolved through :func:`repro.models.profiles.get_profile`).
     scheme:
         Registered comm-scheme name (any ``repro.api`` registry name or
-        alias); timed via :data:`SCHEME_KINDS`.
+        alias); timed by that scheme's own time model.
     density:
         Top-k sparsity rho for the sparse schemes, in (0, 1].
     resolution:
@@ -211,7 +176,7 @@ class JobSpec:
         # Resolve the profile and scheme eagerly so a typo fails at
         # construction (and config validation), not mid-simulation.
         get_profile(self.profile)
-        scheme_kind_of(self.scheme)
+        SCHEMES.get(self.scheme)
 
     def check_fits(self, num_nodes: int, gpus_per_node: int) -> None:
         """Raise ``ValueError`` if a cluster of this shape can never run the job."""
@@ -228,9 +193,6 @@ class JobSpec:
     # -- resolution helpers ---------------------------------------------------
     def model_profile(self) -> ModelProfile:
         return get_profile(self.profile)
-
-    def scheme_kind(self) -> SchemeKind:
-        return scheme_kind_of(self.scheme)
 
     def resolved_resolution(self, profile: ModelProfile | None = None) -> int:
         profile = profile if profile is not None else self.model_profile()
@@ -256,7 +218,7 @@ class JobSpec:
         profile = self.model_profile()
         return (
             profile.name,
-            self.scheme_kind(),
+            SCHEMES.canonical(self.scheme),
             self.density,
             self.resolved_resolution(profile),
             self.resolved_local_batch(profile),
@@ -368,8 +330,6 @@ class JobRecord:
 
 __all__ = [
     "PREFERENCES",
-    "SCHEME_KINDS",
-    "scheme_kind_of",
     "TrainPayload",
     "JobSpec",
     "JobRecord",

@@ -303,7 +303,7 @@ class MultiTenantScheduler:
         return IterationModel(
             network=network,
             profile=profile,
-            scheme=spec.scheme_kind(),
+            scheme=spec.scheme,
             resolution=spec.resolved_resolution(profile),
             local_batch=spec.resolved_local_batch(profile),
             density=spec.density,

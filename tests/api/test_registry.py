@@ -149,6 +149,17 @@ class TestSchemeBuilders:
         scheme = build_scheme("mstopk", net, n_samplings=7)
         assert scheme.compressor.n_samplings == 7
 
+    def test_wire_bytes_reaches_mstopk_dense_steps(self, net):
+        from repro.comm.hitopkcomm import STEP_REDUCE_SCATTER
+
+        d = 1 << 20
+        fp32, fp16 = (
+            build_scheme("mstopk", net, wire_bytes=w).time_model(d).get(STEP_REDUCE_SCATTER)
+            for w in (4, 2)
+        )
+        latency = net.reduce_scatter_time(net.gpus_per_node, 0.0, net.intra)
+        assert fp32 - latency == pytest.approx(2 * (fp16 - latency))
+
 
 class TestClusters:
     def test_presets_are_cloud_instances(self):

@@ -179,6 +179,12 @@ class TestBatchedErrorFeedback:
             ef.apply_batch([0, 1], np.zeros(4))
         with pytest.raises(ValueError):
             ef.update_batch([0], np.zeros((2, 4)), [])
+        # A matrix with the wrong row count is refused even when it is 2-D.
+        with pytest.raises(ValueError, match=r"\(2, d\) matrix"):
+            ef.apply_batch([0, 1], np.zeros((3, 4)))
+        sent = ExactTopK().select(np.arange(4.0), 1)
+        with pytest.raises(ValueError, match=r"\(1, d\) matrix"):
+            ef.update_batch([0], np.zeros((2, 4)), [sent])
 
 
 def test_custom_compressor_inherits_batch_loop():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.cloud_presets import make_cluster
 from repro.models.profiles import vgg19_profile
-from repro.perf.iteration_model import IterationModel, SchemeKind
+from repro.perf.iteration_model import IterationModel
 from repro.sched import JobSpec, MultiTenantScheduler
 
 
@@ -45,15 +45,7 @@ class TestContendedIterationModel:
             contention=contention,
         )
 
-    @pytest.mark.parametrize(
-        "scheme",
-        [
-            SchemeKind.DENSE_TREE,
-            SchemeKind.DENSE_2DTAR,
-            SchemeKind.TOPK_NAIVE,
-            SchemeKind.MSTOPK_HIER,
-        ],
-    )
+    @pytest.mark.parametrize("scheme", ["dense", "2dtar", "topk", "mstopk"])
     def test_contention_slows_every_scheme(self, scheme):
         solo = self._model(scheme, 1.0).iteration_time()
         duo = self._model(scheme, 2.0).iteration_time()
@@ -61,8 +53,8 @@ class TestContendedIterationModel:
         assert solo < duo < quad
 
     def test_only_comm_terms_stretch(self):
-        solo = self._model(SchemeKind.DENSE_TREE, 1.0).breakdown()
-        duo = self._model(SchemeKind.DENSE_TREE, 2.0).breakdown()
+        solo = self._model("dense", 1.0).breakdown()
+        duo = self._model("dense", 2.0).breakdown()
         assert duo.get("communication") > solo.get("communication")
         for untouched in ("io", "ff_bp", "compression", "sync"):
             assert duo.get(untouched) == solo.get(untouched)
@@ -75,11 +67,11 @@ class TestContendedIterationModel:
                 scheme, 1.0
             ).iteration_time()
 
-        assert slowdown(SchemeKind.DENSE_TREE) > slowdown(SchemeKind.MSTOPK_HIER)
+        assert slowdown("dense") > slowdown("mstopk")
 
     def test_contention_validated(self):
         with pytest.raises(ValueError, match="contention"):
-            self._model(SchemeKind.DENSE_TREE, 0.0)
+            self._model("dense", 0.0)
 
 
 class TestSchedulerContention:

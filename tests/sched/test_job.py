@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.api.registry import SCHEMES, register_scheme
+from repro.comm.base import CommScheme
+from repro.comm.breakdown import TimeBreakdown
 from repro.elastic.events import JOIN, REVOKE
-from repro.perf.iteration_model import SchemeKind
-from repro.sched.job import JobRecord, JobSpec, scheme_kind_of
+from repro.sched import MultiTenantScheduler
+from repro.sched.job import JobRecord, JobSpec
 
 
 class TestJobSpecValidation:
@@ -43,16 +46,11 @@ class TestJobSpecValidation:
 
 
 class TestResolution:
-    def test_scheme_kind_mapping_covers_registry(self):
-        from repro.api.registry import SCHEMES
-
+    def test_every_scheme_name_and_alias_keys_canonical(self):
         for name in SCHEMES.available():
-            assert isinstance(scheme_kind_of(name), SchemeKind)
-
-    def test_scheme_aliases_resolve(self):
-        assert scheme_kind_of("hitopkcomm") is SchemeKind.MSTOPK_HIER
-        assert scheme_kind_of("ring") is SchemeKind.DENSE_TREE
-        assert scheme_kind_of("gtopk") is SchemeKind.TOPK_NAIVE
+            for alias in (name, *SCHEMES.aliases_of(name)):
+                spec = JobSpec(name="j", scheme=alias)
+                assert spec.workload_key(8)[1] == name
 
     def test_resolution_defaults(self):
         assert JobSpec(name="r", profile="resnet50").resolved_resolution() == 224
@@ -66,6 +64,44 @@ class TestResolution:
         spec = JobSpec(name="r", profile="resnet50")
         assert spec.resolved_local_batch() == spec.model_profile().default_local_batch
         assert JobSpec(name="r", local_batch=32).resolved_local_batch() == 32
+
+
+class _FlatRate(CommScheme):
+    """A sparse scheme whose price is a fixed multiple of its density."""
+
+    dense = False
+    selection_step = "select"
+
+    def __init__(self, network, *, density):
+        super().__init__(network)
+        self.density = density
+
+    def aggregate(self, worker_grads, *, rng=None):
+        raise NotImplementedError
+
+    def time_model(self, d):
+        return TimeBreakdown({"select": 2.0 * self.density, "wire": 30.0 * self.density})
+
+
+@pytest.fixture
+def flat_rate():
+    name = "test-flat-rate"
+    register_scheme(name)(lambda network, *, density, **_: _FlatRate(network, density=density))
+    yield name
+    SCHEMES._entries.pop(name, None)
+
+
+class TestPricing:
+    def test_a_newly_registered_scheme_is_priced_by_its_own_model(self, flat_rate):
+        # Every term but selection and communication is density-free, so
+        # two densities differ by exactly the scheme's own price gap.
+        scheduler = MultiTenantScheduler(num_nodes=2, gpus_per_node=8)
+
+        def seconds(density):
+            spec = JobSpec(name="j", scheme=flat_rate, density=density)
+            return scheduler.iteration_seconds(spec, nodes=2)
+
+        assert seconds(0.2) - seconds(0.1) == pytest.approx(0.1 * (2.0 + 30.0))
 
 
 class TestTraceBridge:
