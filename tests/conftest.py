@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,25 @@ def peak_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def speedup(old, new, rounds: int = 7, reps: int = 40, between=None) -> float:
+    """min-of-``rounds`` time of ``old`` over that of ``new``, the two
+    timed alternately so a slow moment of the host hits both — the
+    speed gates' probe.  ``between``, if given, runs untimed before
+    every timed call."""
+    best = {old: float("inf"), new: float("inf")}
+    for _ in range(rounds):
+        for fn in (old, new):
+            elapsed = 0.0
+            for _ in range(reps):
+                if between is not None:
+                    between()
+                start = time.perf_counter()
+                fn()
+                elapsed += time.perf_counter() - start
+            best[fn] = min(best[fn], elapsed)
+    return best[old] / best[new]
 
 
 class PhaseTimer:

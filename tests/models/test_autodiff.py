@@ -1,9 +1,12 @@
 """Autodiff tape: every op checked against central finite differences."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.models.autodiff import (
+    _TILE_BYTES,
     Tensor,
     avg_pool2d,
     conv2d_cnhw,
@@ -726,6 +729,42 @@ class TestGradientDestinations:
         np.testing.assert_array_equal(got_a, want_a)
         np.testing.assert_array_equal(got_b, want_b)
         assert np.isnan(block[:, 32:]).all()
+
+    @pytest.mark.parametrize("stride0", ["none", "lhs", "rhs"])
+    @pytest.mark.parametrize("size", [-1, 0, 1], ids=["below-tile", "at-tile", "above-tile"])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("workers", [1, 3, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_product_above_the_tile_bound_lands_with_the_same_bits(
+        self, rng, dtype, workers, k, size, stride0
+    ):
+        """A per-worker product over ``_TILE_BYTES`` goes through one
+        reused tile; only the output pointer of each GEMM changes, so the
+        destination holds the batched matmul's bits either way."""
+        rows = 256
+        cols = _TILE_BYTES // (rows * np.dtype(dtype).itemsize) + size
+        x = rng.normal(size=(workers, rows, k)).astype(dtype)
+        y = rng.normal(size=(workers, k, cols)).astype(dtype)
+        if stride0 == "lhs":
+            x = np.broadcast_to(x[0], x.shape)
+        elif stride0 == "rhs":
+            y = np.broadcast_to(y[0], y.shape)
+        want = np.matmul(x, y)
+        # A row-strided view of a (W, d) block, like a gradient_rows leaf's.
+        block = np.full((workers, rows * cols + 5), np.nan, dtype=dtype)
+        dest = block[:, 3 : 3 + rows * cols].reshape(workers, rows, cols)
+        leaf = Tensor(np.zeros_like(dest), requires_grad=True, grad_out=dest)
+
+        with mock.patch("numpy.copyto", wraps=np.copyto) as copies:
+            leaf._accumulate_matmul(x, y)
+        assert copies.call_count == (workers if size > 0 else 0)
+        assert leaf.grad is dest
+        assert_same_bits(dest, want)
+        assert np.isnan(block[:, :3]).all() and np.isnan(block[:, -2:]).all()
+
+        leaf._accumulate_matmul(x, y)  # the tile serves the first accumulation only
+        assert leaf.grad is dest
+        assert_same_bits(dest, want + want)
 
     def test_wrong_shape_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match=r"destination of shape \(3, 2\).*\(2, 3\)") as err:

@@ -29,7 +29,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 import tracemalloc
 from unittest import mock
 
@@ -39,7 +38,7 @@ import pytest
 from repro.models.autodiff import Tensor, _col2im_cnhw, avg_pool2d, conv2d_cnhw
 from repro.models.nn import convnet
 from repro.utils.seeding import new_rng
-from tests.conftest import peak_bytes
+from tests.conftest import peak_bytes, speedup
 from tests.models.kernel_oracles import col2im_replaced, pool_forward_replaced
 
 #: conv1's output, ``(c1, n, h, w)``: what ``avg_pool2d(h, 2)`` reads.
@@ -52,24 +51,11 @@ DCOLS, PADDED, STRIDE = (6, 3, 3, 16, 6, 6), (6, 16, 8, 8), 1
 WORKERS, LOCAL, IM2COL_BYTES = 8, 16, 3 * 9 * 16 * 12 * 12 * 8
 
 
-def _speedup(old, new, rounds: int = 7, reps: int = 40) -> float:
-    """min-of-``rounds`` time of ``old`` over that of ``new``, the two
-    timed alternately so a slow moment of the host hits both."""
-    best = {old: float("inf"), new: float("inf")}
-    for _ in range(rounds):
-        for fn in (old, new):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            best[fn] = min(best[fn], time.perf_counter() - start)
-    return best[old] / best[new]
-
-
 def test_pool_forward_is_at_least_twice_the_multi_axis_mean(rng):
     x = rng.normal(size=ACTIVATIONS)
     tensor = Tensor(x)
     np.testing.assert_array_equal(avg_pool2d(tensor, 2).data, pool_forward_replaced(x, 2))
-    ratio = _speedup(lambda: pool_forward_replaced(x, 2), lambda: avg_pool2d(tensor, 2))
+    ratio = speedup(lambda: pool_forward_replaced(x, 2), lambda: avg_pool2d(tensor, 2))
     assert ratio >= 2.0, ratio  # measured 4.4–6.5 (≈ 150 -> 27 us), our tape node included
 
 
@@ -78,7 +64,7 @@ def test_col2im_beats_the_strided_in_place_adds(rng):
     np.testing.assert_array_equal(
         _col2im_cnhw(dcols, PADDED, STRIDE), col2im_replaced(dcols, PADDED, STRIDE)
     )
-    ratio = _speedup(
+    ratio = speedup(
         lambda: col2im_replaced(dcols, PADDED, STRIDE), lambda: _col2im_cnhw(dcols, PADDED, STRIDE)
     )
     assert ratio >= 1.15, ratio  # measured 1.4–1.85 (≈ 128 -> 82 us)
@@ -125,7 +111,7 @@ def test_blocked_pass_beats_eight_per_row_calls(rng):
             dest = {name: rows[worker] for name, rows in out.items()}
             model.loss_and_grad(params, xs[worker], ys[worker], dest)
 
-    ratio = _speedup(per_row, lambda: model.loss_and_grad_workers(params, xs, ys, out), reps=5)
+    ratio = speedup(per_row, lambda: model.loss_and_grad_workers(params, xs, ys, out), reps=5)
     assert ratio >= 1.1, ratio  # measured 1.2–1.35 (≈ 6.0 -> 4.6 ms)
 
 

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from repro.serve import journal as journal_module
 from repro.serve.journal import (
     JOURNAL_MAGIC,
     MAX_FRAME_BYTES,
@@ -99,6 +100,15 @@ class TestTornTails:
         assert scan.good_bytes == good and scan.torn_bytes == 2
         assert [r["seq"] for r in scan.records] == [1, 2, 3]
 
+    def test_a_one_byte_tail_is_torn_and_repaired(self, tmp_path):
+        path = self._journal_with(tmp_path)
+        good = scan_journal(path).good_bytes
+        path.write_bytes(path.read_bytes() + b"\x07")  # 1 stray byte
+        scan = repair_journal(path)
+        assert scan.torn and scan.good_bytes == good and scan.torn_bytes == 1
+        assert path.stat().st_size == good
+        assert [r["seq"] for r in scan_journal(path).records] == [1, 2, 3]
+
     def test_truncation_mid_payload_drops_only_the_tail(self, tmp_path):
         path = self._journal_with(tmp_path, n=2)
         data = path.read_bytes()
@@ -123,6 +133,17 @@ class TestTornTails:
         scan = scan_journal(path)
         assert [r["seq"] for r in scan.records] == [1]
         assert scan.torn
+
+    def test_a_frame_of_exactly_the_length_bound_is_read(self, tmp_path, monkeypatch):
+        path = self._journal_with(tmp_path, n=1)
+        at_bound = {"seq": 2, "pad": "x" * 40}
+        over_bound = encode_frame({"seq": 3, "pad": "x" * 41})  # one payload byte more
+        bound = len(canonical_json(at_bound).encode())
+        monkeypatch.setattr(journal_module, "MAX_FRAME_BYTES", bound)
+        path.write_bytes(path.read_bytes() + encode_frame(at_bound) + over_bound)
+        scan = scan_journal(path)
+        assert [r["seq"] for r in scan.records] == [1, 2]
+        assert scan.torn_bytes == len(over_bound)
 
     def test_repair_truncates_back_to_last_good_frame(self, tmp_path):
         path = tmp_path / "j.bin"

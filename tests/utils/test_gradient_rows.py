@@ -206,8 +206,8 @@ def test_row_block_destination_leaves_other_rows_untouched():
     assert (mat[:2] == 7.0).all() and (mat[6:] == 7.0).all()
 
 
-def _wide_mlp_rows(workers=16, local=2):
-    model = MLPClassifier(64, (256, 256), 16)
+def _wide_mlp_rows(workers=16, local=2, hidden=(256, 256)):
+    model = MLPClassifier(64, hidden, 16)
     params = model.init_params(new_rng(0))
     rng = new_rng(1)
     xs = rng.normal(size=(workers, local, 64))
@@ -232,6 +232,17 @@ def test_a_warmed_call_allocates_no_gradient_sized_array():
     ``(W, d)`` block when the products were allocated and then copied,
     0.08x computed in place)."""
     model, params, xs, ys = _wide_mlp_rows()
+    layout = FlatLayout.of(params)
+    out = np.zeros((len(xs), layout.dim), dtype=layout.dtype)
+    peak = peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
+    assert peak < 0.25 * out.nbytes, peak / out.nbytes
+
+
+def test_a_warmed_call_through_the_tile_route_allocates_no_gradient_sized_array():
+    """At ``train-comm``'s shape ``fc1``'s 1 MiB per-worker products pass
+    through one reused tile (``_TILE_BYTES``): the tile is one worker's
+    product, ≈ 5 % of the block, not a ``(W, d)``-sized array."""
+    model, params, xs, ys = _wide_mlp_rows(hidden=(512, 512))
     layout = FlatLayout.of(params)
     out = np.zeros((len(xs), layout.dim), dtype=layout.dtype)
     peak = peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
