@@ -3,7 +3,6 @@
 Subcommands::
 
     repro run --config cfg.json [--set key=value ...] [--json] [--out PATH]
-              [--backend NAME] [--jobs N]
     repro sched (--config cfg.json | --trace PATH) [--set key=value ...]
               [--json] [--out PATH] [--backend NAME] [--jobs N]
     repro trace gen --out PATH [--num-jobs N] [--seed S] [--duration-hours H]
@@ -27,10 +26,11 @@ trace (``docs/traces.md``) and the payload reports JCT / queue-wait /
 slowdown *distributions* instead of per-job rows; ``trace gen`` /
 ``trace validate`` create and check traces; ``list`` enumerates the
 registries (and the experiment harnesses); ``experiments`` delegates to
-:mod:`repro.experiments.runner`.  ``--backend``/``--jobs`` pick the
-:mod:`repro.exec` execution backend (``--set exec.backend=...``
-shorthand): ``process`` fans work across CPU cores, bit-identical to
-serial.
+:mod:`repro.experiments.runner`.  On ``sched`` and ``experiments``,
+``--backend``/``--jobs`` pick the :mod:`repro.exec` sweep pool (on
+``sched``, ``--set exec.backend=...`` shorthand): ``process`` fans the
+independent policies / harnesses across CPU cores, bit-identical to
+serial.  A training step (``run``) always runs inline.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one declarative run config")
     run_p.add_argument("--config", required=True, help="path to a RunConfig JSON file")
     _add_config_flags(run_p, example="comm.density=0.01")
-    _add_exec_flags(run_p)
+    # Retired with the process step engine: kept only to fail with one line.
+    for flag in ("--backend", "--jobs"):
+        run_p.add_argument(flag, dest="retired", help=argparse.SUPPRESS)
 
     sched_p = sub.add_parser(
         "sched", help="simulate a multi-tenant scheduling scenario"
@@ -285,9 +287,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, example: str) -> None:
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     """``--backend`` / ``--jobs``: execution-backend shorthand.
 
-    Equivalent to ``--set exec.backend=... --set exec.jobs=...`` (and
-    overriding them, since they apply last); ``experiments`` has no
-    config file, so there they are the only spelling.
+    On ``sched``, equivalent to ``--set exec.backend=... --set
+    exec.jobs=...`` (and overriding them, since they apply last);
+    ``experiments`` has no config file, so there they are the only
+    spelling.
     """
     parser.add_argument(
         "--backend",
@@ -367,10 +370,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api.facade import run as run_facade
 
     try:
+        if args.retired is not None:
+            raise ValueError(
+                "repro run has no --backend/--jobs any more: training steps "
+                "run inline; the process pool serves repro sched and repro "
+                "experiments"
+            )
         config = RunConfig.from_file(args.config)
-        overrides = list(args.overrides) + _exec_overrides(args)
-        if overrides:
-            config = apply_overrides(config, overrides)
+        if args.overrides:
+            config = apply_overrides(config, args.overrides)
         preflight(config)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -355,7 +355,16 @@ class RunConfig(JsonConfig):
     elastic: ElasticConfig | None = None
     #: Optional fault plan (requires ``elastic``); see ``docs/faults.md``.
     faults: FaultsConfig | None = None
-    exec: ExecConfig = field(default_factory=ExecConfig)
+
+    @classmethod
+    def from_dict(cls, data: dict, *, validate: bool = True):
+        if isinstance(data, dict) and "exec" in data:
+            raise ConfigError(
+                "run configs have no 'exec' section any more: training steps "
+                "run inline; the process pool fans out sched policies and "
+                "experiments (sched 'exec' / --backend / --jobs)"
+            )
+        return super().from_dict(data, validate=validate)
 
     def validate(self) -> "RunConfig":
         """Check names against the registries and values for sanity."""
@@ -368,7 +377,6 @@ class RunConfig(JsonConfig):
         self._validate_shared(fault_target="run")
         self.comm.validate()
         self.train.validate()
-        self.exec.validate()
         if self.elastic is not None:
             self.elastic.validate(self.cluster)
         return self

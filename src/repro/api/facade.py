@@ -80,7 +80,7 @@ class RunReport:
         return self.bench_payload()["text"]
 
 
-def _run_train(config: RunConfig, workload, exec_backend=None) -> RunReport:
+def _run_train(config: RunConfig, workload) -> RunReport:
     # Mirrors ConvergenceRunner.run() so fixed seeds are bit-identical.
     from repro.optim.sgd import SGD
     from repro.train.synthetic import train_val_split
@@ -107,25 +107,21 @@ def _run_train(config: RunConfig, workload, exec_backend=None) -> RunReport:
         scheme,
         optimizer=SGD(lr=train.lr, momentum=train.momentum),
         seed=config.seed,
-        exec_backend=exec_backend,
     )
     train_x, train_y, val_x, val_y = train_val_split(
         np.asarray(workload.x), np.asarray(workload.y)
     )
     scheme_name = SCHEMES.canonical(config.comm.scheme) or config.comm.scheme
-    try:
-        report = trainer.train(
-            train_x,
-            train_y,
-            epochs=train.epochs,
-            local_batch=train.local_batch,
-            val_x=val_x,
-            val_y=val_y,
-            evaluate=workload.evaluate,
-            algorithm_name=scheme_name,
-        )
-    finally:
-        trainer.close()
+    report = trainer.train(
+        train_x,
+        train_y,
+        epochs=train.epochs,
+        local_batch=train.local_batch,
+        val_x=val_x,
+        val_y=val_y,
+        evaluate=workload.evaluate,
+        algorithm_name=scheme_name,
+    )
     summary = {
         "final_loss": report.epoch_losses[-1],
         "final_metric": report.final_val_metric if report.val_metrics else None,
@@ -146,7 +142,7 @@ def _run_train(config: RunConfig, workload, exec_backend=None) -> RunReport:
     )
 
 
-def _run_elastic(config: RunConfig, workload, exec_backend=None) -> RunReport:
+def _run_elastic(config: RunConfig, workload) -> RunReport:
     # Mirrors experiments/elastic_churn.py so fixed seeds are bit-identical.
     from repro.cluster.variability import VariabilityModel
     from repro.elastic.elastic_trainer import ElasticTrainer
@@ -196,19 +192,15 @@ def _run_elastic(config: RunConfig, workload, exec_backend=None) -> RunReport:
         warning_seconds=elastic.warning_seconds,
         timing_d=elastic.timing_d,
         variability=variability,
-        exec_backend=exec_backend,
         faults=injector,
     )
-    try:
-        report = trainer.run(
-            workload.x,
-            workload.y,
-            iterations=elastic.iterations,
-            local_batch=config.train.local_batch,
-            schedule=schedule,
-        )
-    finally:
-        trainer.close()
+    report = trainer.run(
+        workload.x,
+        workload.y,
+        iterations=elastic.iterations,
+        local_batch=config.train.local_batch,
+        schedule=schedule,
+    )
     cost = account(report, instance=instance)
     summary = {
         "final_loss": report.final_loss,
@@ -272,13 +264,7 @@ def preflight(config: RunConfig) -> None:
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute one fully-specified run and return its structured report.
-
-    ``config.exec`` picks the execution backend: ``serial`` keeps the
-    historical inline paths; ``process`` fans the trainer's per-worker
-    compute across a shared-memory pool of ``exec.jobs`` processes —
-    same results to the bit, only the wall-clock changes.
-    """
+    """Execute one fully-specified run and return its structured report."""
     config.validate()
     data_seed = (
         config.train.data_seed if config.train.data_seed is not None else config.seed
@@ -288,27 +274,9 @@ def run(config: RunConfig) -> RunReport:
         num_samples=config.train.num_samples,
         rng=new_rng(data_seed),
     )
-    exec_backend = _build_exec_backend(config.exec)
-    try:
-        if config.elastic is not None:
-            return _run_elastic(config, workload, exec_backend)
-        return _run_train(config, workload, exec_backend)
-    finally:
-        if exec_backend is not None:
-            exec_backend.close()
-
-
-def _build_exec_backend(exec_config):
-    """The configured backend, or ``None`` for the serial fast path."""
-    from repro.exec.backend import BACKENDS, build_backend
-
-    if exec_config is None or BACKENDS.canonical(exec_config.backend) == "serial":
-        return None
-    return build_backend(
-        exec_config.backend,
-        jobs=exec_config.jobs,
-        start_method=exec_config.start_method,
-    )
+    if config.elastic is not None:
+        return _run_elastic(config, workload)
+    return _run_train(config, workload)
 
 
 def run_sched(config) -> dict:
@@ -325,15 +293,18 @@ def run_sched(config) -> dict:
     returned mapping is identical to the serial loop's.
     """
     config.validate()
-    exec_backend = _build_exec_backend(config.exec)
-    if exec_backend is None:
+    from repro.exec.backend import BACKENDS
+
+    pool = config.exec
+    if BACKENDS.canonical(pool.backend) == "serial":
         return run_sched_serial(config)
     from repro.exec.sweeper import ParallelSweeper
 
-    try:
-        return ParallelSweeper(exec_backend).run_sched_policies(config)
-    finally:
-        exec_backend.close()
+    # Named, so the sweeper owns the pool and closes it after the map.
+    sweeper = ParallelSweeper(
+        pool.backend, jobs=pool.jobs, start_method=pool.start_method
+    )
+    return sweeper.run_sched_policies(config)
 
 
 def run_sched_serial(config) -> dict:

@@ -173,7 +173,6 @@ class ElasticTrainer:
         warning_seconds: float = 120.0,
         timing_d: int | None = None,
         variability: VariabilityModel | None = None,
-        exec_backend=None,
         faults=None,
     ) -> None:
         if checkpoint_every < 1:
@@ -194,11 +193,6 @@ class ElasticTrainer:
         self.restart_seconds = restart_seconds
         self.warning_seconds = warning_seconds
         self.variability = variability
-        # Execution backend shared across rescales: each rebuilt trainer
-        # binds a fresh step engine to the same persistent worker pool,
-        # so a membership change re-sizes the shared (W, d) matrix
-        # without respawning processes.
-        self.exec_backend = exec_backend
         self.membership = MembershipView(
             num_nodes, gpus_per_node, instance=instance, min_nodes=min_nodes
         )
@@ -245,7 +239,6 @@ class ElasticTrainer:
             scheme,
             optimizer=self.optimizer,
             seed=self.seed,
-            exec_backend=self.exec_backend,
         )
 
     # -- checkpoint / restore --------------------------------------------------
@@ -287,7 +280,6 @@ class ElasticTrainer:
         when every checkpoint was lost and training restarts from the
         initial parameters.
         """
-        self.trainer.close()  # free the outgoing world size's step engine
         restored: int | None = None
         while self._ckpt_stack:
             path, ckpt_useful = self._ckpt_stack[-1]
@@ -295,7 +287,6 @@ class ElasticTrainer:
             try:
                 meta = load_checkpoint(new_trainer, path, strict_world=False)
             except CheckpointCorruptError:
-                new_trainer.close()
                 self._ckpt_stack.pop()
                 report.corrupt_checkpoints += 1
                 if self.faults is not None:
@@ -523,14 +514,6 @@ class ElasticTrainer:
         report.useful_iterations = useful
         report.wall_iterations = wall
         return report
-
-    def close(self) -> None:
-        """Release the current trainer's step engine (shared memory).
-
-        The execution backend itself (the worker pool) belongs to the
-        caller and stays open for reuse.
-        """
-        self.trainer.close()
 
 
 __all__ = ["ElasticTrainer", "ElasticRunReport"]

@@ -1,22 +1,20 @@
-"""Multicore execution engine: pluggable backends for model compute.
+"""Multicore sweeps: independent tasks fanned across a process pool.
 
-The ``exec`` subsystem decides *where* work runs, never *what* it
-computes — every backend is bit-identical to the serial reference:
+The ``exec`` subsystem decides *where* a sweep's tasks run, never *what*
+they compute — every backend is bit-identical to the serial reference.
+A training step always runs inline in its own process.
 
 * :mod:`repro.exec.backend` — the ``BACKENDS`` registry (``serial`` /
-  ``process``) and the persistent shared-memory worker pool;
-* :mod:`repro.exec.engine` — the trainer-facing step engine fanning
-  per-worker forward/backward across real CPU cores through a shared
-  ``(W, d)`` gradient matrix;
+  ``process``) and the persistent worker pool;
 * :mod:`repro.exec.sweeper` — :class:`ParallelSweeper`, fanning
   independent ``RunConfig``\\ s / sched policies / experiment harnesses
-  across the same pool with deterministic result ordering;
-* :mod:`repro.exec.shm` / :mod:`repro.exec.worker` — the shared-memory
-  blocks and the child-process service loop underneath both faces.
+  across the pool with deterministic result ordering;
+* :mod:`repro.exec.worker` — the child-process service loop.
 
 Select a backend declaratively (``"exec": {"backend": "process",
-"jobs": 4}`` in any run/sched config) or from the command line
-(``python -m repro run ... --backend process --jobs 4``).
+"jobs": 4}`` in a sched config) or from the command line
+(``python -m repro sched ... --backend process --jobs 4``, and the same
+flags on ``python -m repro experiments``).
 """
 
 from repro.utils.lazy import lazy_exports
@@ -34,8 +32,6 @@ __getattr__, __all__ = lazy_exports(
             "register_backend",
             "resolve_jobs",
         ],
-        "repro.exec.engine": ["ProcessStepEngine"],
-        "repro.exec.shm": ["SharedArray"],
         "repro.exec.sweeper": ["ParallelSweeper"],
     },
 )

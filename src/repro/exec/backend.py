@@ -1,22 +1,17 @@
-"""Pluggable execution backends: where model compute actually runs.
+"""Pluggable execution backends: where independent sweep tasks run.
 
 The registry follows the ``repro.api`` pattern — ``BACKENDS`` /
 :func:`register_backend` are the single source of backend names, what
 ``ExecConfig`` validates against and what ``--backend`` accepts:
 
-* ``serial`` — everything inline in the calling process (the historical
-  behaviour, and still the default);
-* ``process`` — a persistent pool of ``jobs`` worker processes.  The
-  trainer's per-worker forward/backward fans across the pool through a
-  shared-memory ``(W, d)`` gradient matrix
-  (:class:`~repro.exec.engine.ProcessStepEngine`), and whole independent
-  tasks (sweep configs, sched policies, experiment harnesses) dispatch
-  through :meth:`ProcessBackend.map`.
+* ``serial`` — everything inline in the calling process (the default);
+* ``process`` — a persistent pool of ``jobs`` worker processes; whole
+  independent tasks (sweep configs, sched policies, experiment
+  harnesses) dispatch through :meth:`ProcessBackend.map`.
 
-Both faces are deterministic: step results merge in virtual-worker row
-order and ``map`` returns results in submission order, so ``jobs=1`` and
+``map`` returns results in submission order, so ``jobs=1`` and
 ``jobs=N`` produce bit-identical outputs (pinned by
-``tests/exec/test_invariance.py``).
+``tests/exec/test_invariance.py``).  A training step always runs inline.
 """
 
 from __future__ import annotations
@@ -43,20 +38,19 @@ def register_backend(name: str, *, aliases: Iterable[str] = (), overwrite: bool 
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """The ``exec`` section: execution backend + pool width.
+    """The ``exec`` section of a sched config: backend + pool width.
 
     Never changes *what* is computed — every backend is bit-identical to
-    ``serial`` (results are pinned by the parity and invariance suites),
-    so this section is pure wall-clock policy.
+    ``serial`` (results are pinned by the invariance suite), so this
+    section is pure wall-clock policy.
     """
 
     #: Registered execution backend (``python -m repro list backends``);
     #: built-ins: ``serial`` (inline, the default) / ``process``
-    #: (shared-memory worker pool on real CPU cores).
+    #: (worker pool on real CPU cores).
     backend: str = "serial"
-    #: Pool width for parallel backends: worker processes for the
-    #: trainer's per-worker compute and for sweep fan-out (0 = all
-    #: usable cores; ignored by ``serial``).
+    #: Pool width for parallel backends: worker processes for sweep
+    #: fan-out (0 = all usable cores; ignored by ``serial``).
     jobs: int = 1
     #: Multiprocessing start method (``fork`` / ``spawn`` /
     #: ``forkserver``; None = platform preference — ``fork`` where
@@ -95,10 +89,6 @@ class SerialBackend:
 
     name = "serial"
     jobs = 1
-
-    def step_engine(self, trainer) -> None:
-        """Serial trainers keep their built-in inline step paths."""
-        return None
 
     def map(self, fn: Callable[..., Any], items: Sequence[Any]) -> list[Any]:
         """Apply ``fn`` to each item, in order, in this process."""
@@ -152,14 +142,13 @@ class _Worker:
 
 
 class ProcessBackend:
-    """A persistent shared-memory worker pool over real CPU cores.
+    """A persistent worker pool over real CPU cores.
 
     Workers are spawned lazily on first use and live until
-    :meth:`close` (or parent exit — they are daemonic), so repeated
-    trainer rebuilds (elastic rescales) and long sweeps pay the process
-    start-up cost once.  ``start_method`` defaults to ``fork`` where the
-    platform offers it (cheap, inherits the loaded interpreter) and
-    ``spawn`` elsewhere.  Standard multiprocessing semantics apply under
+    :meth:`close` (or parent exit — they are daemonic), so a long sweep
+    pays the process start-up cost once.  ``start_method`` defaults to
+    ``fork`` where the platform offers it (cheap, inherits the loaded
+    interpreter) and ``spawn`` elsewhere.  Standard multiprocessing semantics apply under
     ``spawn``: it re-imports the driver's ``__main__``, so scripts using
     it must guard their entry point with ``if __name__ == "__main__":``
     (the CLI and pytest already do).
@@ -181,25 +170,12 @@ class ProcessBackend:
         self.start_method = start_method
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: list[_Worker] = []
-        self._next_engine_id = 0
 
     # -- pool plumbing -----------------------------------------------------
     def _ensure_workers(self, count: int) -> list[_Worker]:
         while len(self._workers) < min(count, self.jobs):
             self._workers.append(_Worker(self._ctx, len(self._workers)))
         return self._workers[: min(count, self.jobs)]
-
-    def allocate_engine_id(self) -> int:
-        self._next_engine_id += 1
-        return self._next_engine_id
-
-    # -- the two faces -----------------------------------------------------
-    def step_engine(self, trainer):
-        """A shared-memory step engine fanning ``trainer``'s workers
-        across the pool (see :class:`~repro.exec.engine.ProcessStepEngine`)."""
-        from repro.exec.engine import ProcessStepEngine
-
-        return ProcessStepEngine(self, trainer)
 
     def map(self, fn: Callable[..., Any], items: Sequence[Any]) -> list[Any]:
         """Apply ``fn`` to each item across the pool, dynamically balanced.

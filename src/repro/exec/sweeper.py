@@ -5,7 +5,7 @@ policy grid, a list of run configs — is a list of *fully
 independent, seed-complete* tasks.  :class:`ParallelSweeper` executes
 such a list on any registered execution backend with **deterministic
 result ordering**: results come back in submission order no matter
-which pool worker finished first, and every child task runs with the
+which pool worker finished first, and a child sched task runs with the
 serial backend forced (one layer of parallelism — the sweep — at a
 time), so a parallel sweep is bit-identical to the serial loop it
 replaces.
@@ -69,9 +69,9 @@ class ParallelSweeper:
     def run_configs(self, configs: Sequence[Any]) -> list[Any]:
         """Execute :class:`~repro.api.config.RunConfig`\\ s -> ``RunReport``\\ s.
 
-        Accepts configs or plain config dicts; children re-validate and
-        run with the serial backend forced, so results are bit-identical
-        to a serial ``for config: run(config)`` loop in the same order.
+        Accepts configs or plain config dicts; children re-validate, so
+        results are bit-identical to a serial ``for config: run(config)``
+        loop in the same order.
         """
         payloads = [
             config if isinstance(config, dict) else config.to_dict()
@@ -106,13 +106,11 @@ class ParallelSweeper:
 
 
 def _task_run_config(payload: dict) -> Any:
-    """Pool task: one facade run, serial-forced (no nested pools)."""
+    """Pool task: one facade run."""
     from repro.api.config import RunConfig
     from repro.api.facade import run
 
-    data = dict(payload)
-    data["exec"] = {"backend": "serial", "jobs": 1}
-    return run(RunConfig.from_dict(data))
+    return run(RunConfig.from_dict(payload))
 
 
 def _task_sched_policy(task: tuple[dict, str]) -> Any:

@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     from repro.exec.backend import BACKENDS
 
-    # Same rule as `repro run`/`sched`: --jobs alone implies the process
+    # Same rule as `repro sched`: --jobs alone implies the process
     # backend, but an explicitly named backend always wins.
     name = args.backend
     if name is None:

@@ -20,6 +20,7 @@ through an actual :class:`~repro.elastic.ElasticTrainer`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.api.registry import MODELS, SCHEMES
@@ -167,10 +168,16 @@ class JobSpec:
             )
         if self.gpus_per_node is not None and self.gpus_per_node < 1:
             raise ValueError(f"gpus_per_node must be >= 1, got {self.gpus_per_node}")
-        if self.arrival_seconds < 0:
-            raise ValueError(f"arrival_seconds must be >= 0, got {self.arrival_seconds}")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError(f"deadline_seconds must be > 0, got {self.deadline_seconds}")
+        if not (math.isfinite(self.arrival_seconds) and self.arrival_seconds >= 0):
+            raise ValueError(
+                f"arrival_seconds must be finite and >= 0, got {self.arrival_seconds}"
+            )
+        if self.deadline_seconds is not None and not (
+            math.isfinite(self.deadline_seconds) and self.deadline_seconds > 0
+        ):
+            raise ValueError(
+                f"deadline_seconds must be finite and > 0, got {self.deadline_seconds}"
+            )
         if self.local_batch is not None and self.local_batch < 1:
             raise ValueError(f"local_batch must be >= 1, got {self.local_batch}")
         # Resolve the profile and scheme eagerly so a typo fails at

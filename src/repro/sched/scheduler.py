@@ -688,16 +688,13 @@ class MultiTenantScheduler:
             optimizer=SGD(lr=payload.lr, momentum=payload.momentum),
             seed=payload.seed,
         )
-        try:
-            report = trainer.run(
-                workload.x,
-                workload.y,
-                iterations=record.spec.iterations,
-                local_batch=payload.local_batch,
-                schedule=schedule,
-            )
-        finally:
-            trainer.close()
+        report = trainer.run(
+            workload.x,
+            workload.y,
+            iterations=record.spec.iterations,
+            local_batch=payload.local_batch,
+            schedule=schedule,
+        )
         return {
             "model": payload.model,
             "final_loss": report.final_loss,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 from typing import Any
@@ -78,12 +79,15 @@ def _coerce(kind: str, name: str, value: Any, where: str) -> Any:
         raise TraceError(f"{where}: {kind} field {name!r} must not be empty")
     try:
         if name in _FLOAT_FIELDS:
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"must be finite, got {value}")
+            return number
         if name in _INT_FIELDS:
             if isinstance(value, float) and value != int(value):
                 raise ValueError(f"not an integer: {value}")
             return int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"{where}: {kind} field {name!r}: {exc}") from exc
     if name == "payload":
         if isinstance(value, str):  # CSV cell carrying JSON

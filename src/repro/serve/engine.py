@@ -38,6 +38,7 @@ crash) composes into exactly-once admission.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -294,7 +295,15 @@ class ServeEngine:
             until = core.now + self.config.tick_seconds
         if not isinstance(until, (int, float)) or isinstance(until, bool):
             raise ValueError(f"tick 'until' must be a number, got {until!r}")
-        until = float(until)
+        try:
+            until = float(until)
+        except OverflowError:  # an integer literal beyond float range
+            until = math.inf
+        if not math.isfinite(until):
+            # The op is journaled before it applies: a NaN bound is never
+            # reached (every replay would hit the event cap again) and an
+            # infinite one would move the clock to inf.
+            raise ValueError(f"tick 'until' must be finite, got {until}")
         if until < core.now - 1e-9:
             raise ValueError(
                 f"tick until={until} is behind the virtual clock ({core.now})"

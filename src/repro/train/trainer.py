@@ -80,9 +80,8 @@ class DistributedTrainer:
 
     A step is: validate the batches, have every worker's gradient
     computed in its row of the ``(W, d)`` fusion buffer
-    (:func:`~repro.utils.partition.gradient_rows` — the same kernel inline
-    and in the execution engine's pool workers; it alone decides between
-    the model's blocked all-rows pass and the per-row loop), then
+    (:func:`~repro.utils.partition.gradient_rows`, which alone decides
+    between the model's blocked all-rows pass and the per-row loop), then
     aggregate through the scheme and apply the averaged gradient.  The
     trainer owns the gradient's memory: the model's tape writes into
     views of that one preallocated buffer, the scheme reads it in place,
@@ -107,14 +106,6 @@ class DistributedTrainer:
         destinations and they had to be copied in) and ``aggregate`` /
         ``apply`` (one per step) phases are accumulated; when ``None``
         nothing is recorded.
-    exec_backend:
-        Optional :mod:`repro.exec` backend deciding where per-worker
-        forward/backward runs.  ``None`` (and the ``serial`` backend)
-        compute inline; a :class:`~repro.exec.ProcessBackend` binds a
-        shared-memory step engine that fans contiguous row chunks across
-        real CPU cores — bit-identical to serial, pinned by
-        ``tests/perf/test_vectorized_parity.py``.  Call :meth:`close`
-        when done to release the engine's shared blocks.
     """
 
     def __init__(
@@ -125,7 +116,6 @@ class DistributedTrainer:
         *,
         seed: int = 0,
         timer=None,
-        exec_backend=None,
     ) -> None:
         self.model = model
         self.scheme = scheme
@@ -143,12 +133,6 @@ class DistributedTrainer:
         # matrix is what the scheme aggregates.  It takes the parameters'
         # dtype, and so do the aggregate and the update computed from it.
         self._grad_matrix = np.zeros((self.world_size, self.grad_dim), dtype=self._layout.dtype)
-        # Execution engine: a non-serial backend replaces the fusion
-        # buffer with a shared-memory block and fans the per-worker
-        # compute across its pool (the engine rebinds _grad_matrix).
-        self._engine = (
-            exec_backend.step_engine(self) if exec_backend is not None else None
-        )
 
     # ------------------------------------------------------------------
     def _shard_data(
@@ -164,9 +148,8 @@ class DistributedTrainer:
 
         Hot path: :func:`~repro.utils.partition.gradient_rows` has the
         model compute each worker's gradient in its row of the
-        preallocated ``(W, d)`` fusion buffer — inline over the whole
-        buffer, or in the engine's pool workers over one row chunk each
-        — and the scheme aggregates the matrix in one call.
+        preallocated ``(W, d)`` fusion buffer and the scheme aggregates
+        the matrix in one call.
         """
         if len(batches) != self.world_size:
             raise ValueError(
@@ -177,24 +160,11 @@ class DistributedTrainer:
                 raise ValueError(
                     f"worker {worker}'s batch is empty (x shape {np.shape(bx)})"
                 )
-        if self._engine is not None:
-            losses, metrics = self._engine.run_step(self, batches)
-        else:
-            losses, metrics = gradient_rows(
-                self.model, self.params, batches, self._grad_matrix,
-                self._layout, self.timer,
-            )
-        return self._aggregate_and_apply(losses, metrics)
-
-    def _aggregate_and_apply(
-        self, losses: Sequence[float], metrics: Sequence[dict[str, float]]
-    ) -> tuple[float, dict[str, float]]:
-        """Shared step tail: aggregate the fusion buffer, average, apply.
-
-        ``losses`` / ``metrics`` hold one entry per worker row; metrics
-        are summed here, in row order, wherever the rows were computed.
-        """
         timer = self.timer
+        losses, metrics = gradient_rows(
+            self.model, self.params, batches, self._grad_matrix,
+            self._layout, timer,
+        )
         tick = time.perf_counter
         if timer is not None:
             t0 = tick()
@@ -269,16 +239,6 @@ class DistributedTrainer:
             if val_x is not None and val_y is not None and evaluate is not None:
                 report.val_metrics.append(float(evaluate(self.params, val_x, val_y)))
         return report
-
-    def close(self) -> None:
-        """Release the execution engine (shared memory + worker bindings).
-
-        Serial trainers are a no-op; the trainer itself stays usable
-        afterwards (subsequent steps run inline).
-        """
-        engine, self._engine = self._engine, None
-        if engine is not None:
-            engine.close()
 
 
 __all__ = ["DistributedTrainer", "TrainingReport", "TrainableModel"]

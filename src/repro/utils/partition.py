@@ -12,8 +12,7 @@ shards get one extra element.
 Tensor fusion lives here too: :class:`FlatLayout`, where each tensor
 sits in one fused buffer, and :func:`gradient_rows`, the
 trainer's compute stage, which has every worker's gradient computed in
-its row of the ``(W, d)`` buffer.  NumPy only, so pool workers import
-it cleanly under ``spawn``.
+its row of the ``(W, d)`` buffer.
 """
 
 from __future__ import annotations
@@ -118,9 +117,8 @@ class FlatLayout:
 
     The tensors are concatenated flat in name order (tensor fusion:
     Shi et al. 2019b; Horovod's fusion buffer), the layout derived once
-    from the init-time shapes.  It pickles, so the trainer, the step
-    engine and the pool workers all read and fill flat gradient /
-    parameter buffers through the same value.  A buffer is one
+    from the init-time shapes; the trainer reads and fills flat gradient
+    buffers through it.  A buffer is one
     ``(dim,)`` row or a ``(rows, dim)`` block of them; :meth:`views`
     hands out the tensors *in* it (what a model computes gradients
     into), :meth:`write` copies tensors that live elsewhere.
@@ -212,8 +210,7 @@ def gradient_rows(
     computed in ``out[i]``, for every ``i``.
 
     One kernel, called by the trainer on the whole ``(W, d)`` fusion
-    buffer and by every pool worker on a view of its contiguous row
-    chunk (``out`` is a ``(len(batches), layout.dim)`` row block).  A
+    buffer (``out`` is a ``(len(batches), layout.dim)`` row block).  A
     model that offers ``loss_and_grad_workers`` runs all rows through
     one blocked tape pass when there is more than one and the batches
     stack; otherwise each row is one ``loss_and_grad`` call.  The two

@@ -74,15 +74,18 @@ REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 #: sha256 of ``from_file(path).to_json()``, recorded at the last commit
 #: whose ``to_dict`` was written out by hand per config (f8e0d3a): the
 #: codec may not reorder, drop or re-default a key of any shipped config.
+#: The four run configs were re-pinned once, when ``RunConfig.exec`` was
+#: removed: each new form is the old one with exactly its default
+#: ``"exec"`` entry deleted.
 CANONICAL_FORMS = {
     "examples/configs/dense_baseline.json":
-        (RunConfig, "364ef9f9e15242e64d9feb4ddf6f7bcab432ef4bfef1d90c1806e3d7155b1ec1"),
+        (RunConfig, "4ac4729b53f2a52e9c43f510ca7bcae50d273f2c92ebc65b11e3026ae6c74a85"),
     "examples/configs/elastic_spot.json":
-        (RunConfig, "0b34708c926efac98205120d801a51b10e1e90b5256de1f22edcb11349e52ca5"),
+        (RunConfig, "9abf66dfed63b19850d9425245161baa7c5bec24e2c6cf950dd5b7dd38290396"),
     "examples/configs/fault_drill.json":
-        (RunConfig, "8cd1eb353e3a6482ff1c2eb2549fe0d681f7d46e13d943afe8e936bc51fbd138"),
+        (RunConfig, "30133822776c57cef142f83b8c61c7f82a766b6fe4ccaae2c8d74eca0ef3f4c4"),
     "examples/configs/smoke.json":
-        (RunConfig, "58d75d3689bebb7dbd4b05767b831ad3b2218e8bb9c3ee891f8652a15e995275"),
+        (RunConfig, "aa1d529788d05409dd9bb63403664e0453808cad2d0f75d12fabbd479a8efd67"),
     "examples/configs/gray_storm.json":
         (SchedConfig, "8a6b44554fcd86912f7bf1bbeae248e81096d4e285a95c89978996a55b98015a"),
     "examples/configs/multi_tenant.json":

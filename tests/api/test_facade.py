@@ -1,5 +1,7 @@
 """run(RunConfig) reproduces the legacy hand-wired paths bit-identically."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ def _train_config_json(scheme: str) -> str:
         ' "train": {"model": "mlp", "epochs": 3, "num_samples": 256,'
         ' "local_batch": 16, "lr": 0.05, "momentum": 0.9}}'
     ) % (scheme, scheme)
+
+
+#: A small CNN run, to exercise the convolution kernels between two runs.
+CNN_CONFIG = {
+    "name": "between",
+    "seed": 3,
+    "cluster": {"instance": "tencent", "num_nodes": 2, "gpus_per_node": 2},
+    "comm": {"scheme": "mstopk", "density": 0.05},
+    "train": {"model": "cnn", "epochs": 1, "num_samples": 96, "local_batch": 4},
+}
 
 
 def _legacy_train(scheme: str):
@@ -60,6 +72,19 @@ class TestTrainParity:
         a, b = run(config), run(config)
         assert a.summary == b.summary
         assert a.training.epoch_losses == b.training.epoch_losses
+
+    @pytest.mark.parametrize("scheme", ["dense", "topk", "mstopk"])
+    def test_a_run_is_unaffected_by_the_runs_before_it(self, scheme):
+        """Training state lives in the run: after a CNN run and an
+        elastic run in the same process, the same config reproduces its
+        first report bit for bit."""
+        config = RunConfig.from_json(_train_config_json(scheme))
+        first = run(config)
+        run(RunConfig.from_dict(CNN_CONFIG))
+        run(RunConfig.from_json(ELASTIC_JSON))
+        again = run(config)
+        assert again.summary == first.summary
+        assert dataclasses.asdict(again.training) == dataclasses.asdict(first.training)
 
     def test_seed_changes_run(self):
         base = RunConfig.from_json(_train_config_json("mstopk"))
@@ -119,6 +144,13 @@ class TestElasticParity:
         assert facade.elastic_run.revocations == legacy.revocations
         assert facade.elastic_run.goodput == legacy.goodput
         assert facade.elastic_run.total_seconds == legacy.total_seconds
+
+    def test_elastic_run_is_unaffected_by_the_runs_before_it(self):
+        config = RunConfig.from_json(ELASTIC_JSON)
+        first = run(config)
+        run(RunConfig.from_dict(CNN_CONFIG))
+        again = run(config)
+        assert dataclasses.asdict(again.elastic_run) == dataclasses.asdict(first.elastic_run)
 
     def test_elastic_report_carries_cost(self):
         report = run(RunConfig.from_json(ELASTIC_JSON))

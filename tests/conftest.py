@@ -88,11 +88,7 @@ class PhaseTimer:
 
     The trainer guards every timing call with ``if timer is not None``,
     so an un-instrumented run pays nothing; an instrumented run pays two
-    ``perf_counter`` calls per phase.  The ``process`` execution backend
-    replays its pool workers' ``forward_backward`` / ``fuse`` records
-    through :meth:`add`, one per model call: those are *CPU seconds
-    across the pool*, and with ``jobs`` workers they can legitimately
-    exceed the step's wall-clock.
+    ``perf_counter`` calls per phase.
     """
 
     def __init__(self) -> None:

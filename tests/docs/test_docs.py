@@ -41,14 +41,8 @@ KNOWN_EXERCISED = {
         "CI test job (sched-replay at full scale) + exec pool parity in "
         "tests/sched/test_traces.py"
     ),
-    # Part of the tier-1 suite, and of CI faults-smoke's unit-test subset;
-    # the --jobs 4 CLI run is cmp'd byte-for-byte there and in
-    # tests/faults/test_cli_faults.py.
+    # Part of the tier-1 suite, and of CI faults-smoke's unit-test subset.
     "python -m pytest tests/faults/test_drill.py -q": "CI test + faults-smoke jobs",
-    "python -m repro run --config examples/configs/fault_drill.json --jobs 4 --json": (
-        "CI faults-smoke job + tests/faults/test_cli_faults.py "
-        "(jobs-width byte parity)"
-    ),
     # The socket daemon blocks until stopped, so the live-submission
     # trio can't run inline; the exact transport round trip (daemon
     # thread + client submit/tick/status/stop) runs in

@@ -2,7 +2,6 @@
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.exec.backend import (
@@ -13,7 +12,6 @@ from repro.exec.backend import (
     cpu_count,
     resolve_jobs,
 )
-from repro.exec.shm import SharedArray
 
 
 def _square(x):
@@ -78,9 +76,6 @@ class TestSerialBackend:
     def test_map_in_order(self):
         assert SerialBackend().map(_square, [3, 1, 2]) == [9, 1, 4]
 
-    def test_no_step_engine(self):
-        assert SerialBackend().step_engine(trainer=None) is None
-
 
 class TestProcessBackend:
     def test_map_returns_submission_order(self):
@@ -113,30 +108,6 @@ class TestProcessBackend:
             # Every worker is back in sync: fresh results, right order.
             assert backend.map(_square, [2, 3, 4]) == [4, 9, 16]
 
-    def test_step_engine_error_keeps_pool_usable(self):
-        from repro.api.registry import build_cluster, build_scheme, build_workload
-        from repro.train.trainer import DistributedTrainer
-        from repro.utils.seeding import new_rng
-
-        workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(0))
-        network = build_cluster("tencent", 2, gpus_per_node=2)
-        good = [(workload.x[:4], workload.y[:4])] * 4
-        bad = [(workload.x[:4], workload.y[:4])] * 3 + [(workload.x[:4, :1], workload.y[:4])]
-        with ProcessBackend(jobs=2) as backend:
-            trainer = DistributedTrainer(
-                workload.model, build_scheme("dense", network), seed=1,
-                exec_backend=backend,
-            )
-            try:
-                with pytest.raises(RuntimeError):
-                    trainer.train_step(bad)
-                # The surviving workers' replies were drained; a good
-                # step on the same engine still works.
-                loss, _ = trainer.train_step(good)
-                assert loss > 0.0
-            finally:
-                trainer.close()
-
     def test_workers_spawn_lazily_and_cap_at_jobs(self):
         with ProcessBackend(jobs=4) as backend:
             assert backend._workers == []
@@ -157,32 +128,6 @@ class TestProcessBackend:
         # The import-clean path used on platforms without fork.
         with ProcessBackend(jobs=1, start_method="spawn") as backend:
             assert backend.map(_square, [6]) == [36]
-
-
-class TestSharedArray:
-    def test_create_attach_roundtrip(self):
-        owner = SharedArray.create((4, 3))
-        try:
-            owner.array[:] = np.arange(12).reshape(4, 3)
-            view = SharedArray.attach(*owner.spec())
-            np.testing.assert_array_equal(view.array, owner.array)
-            view.array[2, 1] = 99.0
-            assert owner.array[2, 1] == 99.0
-            view.close()
-        finally:
-            owner.close()
-
-    def test_owner_close_unlinks(self):
-        owner = SharedArray.create((2,))
-        spec = owner.spec()
-        owner.close()
-        with pytest.raises(FileNotFoundError):
-            SharedArray.attach(*spec)
-
-    def test_close_idempotent(self):
-        arr = SharedArray.create((2, 2))
-        arr.close()
-        arr.close()
 
 
 def test_cpu_count_positive():

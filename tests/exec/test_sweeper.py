@@ -44,20 +44,23 @@ class TestRunConfigs:
         assert [r.name for r in reports] == ["a", "a"]
         assert reports[0].summary == reports[1].summary
 
+
+class TestRunSchedPolicies:
     def test_children_forced_serial(self):
         # A process-backend config must not nest a second pool inside
         # the pool worker; the child runs serial and still succeeds.
-        config = RunConfig.from_dict(
+        from repro.api.config import SchedConfig
+        from repro.api.facade import run_sched_serial
+
+        config = SchedConfig.from_dict(
             {
                 "name": "nested",
-                "train": {"model": "mlp-tiny", "epochs": 1, "num_samples": 64},
+                "policies": ["bin-pack", "spread"],
                 "exec": {"backend": "process", "jobs": 4},
             }
         )
-        (report,) = ParallelSweeper("process", jobs=1).run_configs([config])
-        assert report.summary["final_loss"] == pytest.approx(
-            ParallelSweeper().run_configs([config])[0].summary["final_loss"]
-        )
+        pooled = ParallelSweeper("process", jobs=1).run_sched_policies(config)
+        assert pooled == run_sched_serial(config)
 
 
 class TestRunExperiments:

@@ -16,7 +16,6 @@ from repro.api.registry import build_cluster, build_scheme, build_workload
 from repro.elastic import elastic_trainer
 from repro.elastic.elastic_trainer import ElasticTrainer
 from repro.elastic.events import ChurnEvent, PoissonChurn, TraceSchedule
-from repro.exec.backend import ProcessBackend
 from repro.train.trainer import DistributedTrainer
 from repro.utils.seeding import new_rng
 from tests.comm.legacy_schemes import legacy_aggregate
@@ -31,14 +30,6 @@ ALL_SCHEMES = ("dense", "dense-ring", "2dtar", "topk", "gtopk", "mstopk", "naive
 @pytest.fixture()
 def network():
     return build_cluster("tencent", 4, gpus_per_node=2)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One shared 2-process pool for the whole module (spawn cost once)."""
-    backend = ProcessBackend(jobs=2)
-    yield backend
-    backend.close()
 
 
 def assert_aggregate_parity(name, network, d, steps=4, dtype=np.float64):
@@ -177,6 +168,65 @@ class TestTrainerParity:
             assert ef_vec.residual(ef_key).dtype == mlp_dtype
             np.testing.assert_array_equal(ef_vec.residual(ef_key), ef_ref.residual(ef_key))
 
+    @pytest.mark.parametrize("workload_name", ["mlp-tiny", "cnn"])
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_every_registered_scheme_one_epoch(self, network, workload_name, scheme_name):
+        """The dense variants and naive all-gather too: the live step and
+        the oracle step agree on losses and parameters for every scheme
+        the registry builds."""
+        workload = build_workload(workload_name, num_samples=128, rng=new_rng(3))
+        vec, ref = (
+            cls(workload.model, build_scheme(scheme_name, network, density=0.05), seed=5)
+            for cls in (DistributedTrainer, ReferenceTrainer)
+        )
+        report_vec = vec.train(workload.x, workload.y, epochs=1, local_batch=8)
+        report_ref = ref.train(workload.x, workload.y, epochs=1, local_batch=8)
+        assert report_vec.epoch_losses == report_ref.epoch_losses
+        assert report_vec.comm_seconds == report_ref.comm_seconds
+        for key in vec.params:
+            np.testing.assert_array_equal(vec.params[key], ref.params[key])
+
+    @pytest.mark.parametrize("gpus_per_node", [1, 4], ids=["one-worker", "four-workers"])
+    def test_fusion_buffer_takes_the_parameters_dtype(self, gpus_per_node, mlp_dtype):
+        """The fusion buffer, the aggregate read from it and the update
+        all stay in the parameters' dtype, through the per-row body (one
+        worker) and the blocked one, bit-identical to the oracle."""
+        network = build_cluster("tencent", 1, gpus_per_node=gpus_per_node)
+        workload = build_workload("mlp", num_samples=128, rng=new_rng(7))
+        vec, ref = (
+            cls(workload.model, build_scheme("mstopk", network, density=0.05), seed=7)
+            for cls in (DistributedTrainer, ReferenceTrainer)
+        )
+        assert vec._grad_matrix.dtype == mlp_dtype
+        assert vec._grad_matrix.shape == (gpus_per_node, vec.grad_dim)
+        report_vec = vec.train(workload.x, workload.y, epochs=1, local_batch=8)
+        report_ref = ref.train(workload.x, workload.y, epochs=1, local_batch=8)
+        assert report_vec.epoch_losses == report_ref.epoch_losses
+        for key in vec.params:
+            assert vec.params[key].dtype == mlp_dtype
+            np.testing.assert_array_equal(vec.params[key], ref.params[key])
+
+    def test_fusion_buffer_is_the_aggregation_input(self, network, monkeypatch):
+        """Zero-copy: the scheme aggregates the very matrix the workers'
+        gradients were computed in, every step."""
+        workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(3))
+        trainer = DistributedTrainer(
+            workload.model, build_scheme("dense", network), seed=1
+        )
+        seen = []
+        aggregate = trainer.scheme.aggregate
+
+        def spy(grads, **kwargs):
+            seen.append(grads)
+            return aggregate(grads, **kwargs)
+
+        monkeypatch.setattr(trainer.scheme, "aggregate", spy)
+        batches = [(workload.x[:4], workload.y[:4])] * 8
+        trainer.train_step(batches)
+        trainer.train_step(batches)
+        assert len(seen) == 2
+        assert all(grads is trainer._grad_matrix for grads in seen)
+
     def test_layout_computed_once_and_reused(self, network):
         workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(3))
         trainer = DistributedTrainer(
@@ -190,184 +240,6 @@ class TestTrainerParity:
         trainer.train_step(batches)
         # The fusion buffer is preallocated once and reused every step.
         assert trainer._grad_matrix is buffer_before
-
-
-class TestProcessBackendParity:
-    """The ``process`` execution backend vs the serial hot path.
-
-    Same bar as the vectorized-vs-legacy pinning above: losses, metrics,
-    comm accounting, parameters and EF residuals must match bit for bit
-    for every registered scheme — parallelism may only move wall-clock.
-    """
-
-    @pytest.mark.parametrize("workload_name", ["mlp", "cnn"])
-    @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_sync_training_bit_identical(self, network, pool, workload_name, scheme_name):
-        workload = build_workload(workload_name, num_samples=256, rng=new_rng(7))
-        serial = DistributedTrainer(
-            workload.model, build_scheme(scheme_name, network, density=0.05), seed=7
-        )
-        parallel = DistributedTrainer(
-            workload.model,
-            build_scheme(scheme_name, network, density=0.05),
-            seed=7,
-            exec_backend=pool,
-        )
-        try:
-            report_s = serial.train(workload.x, workload.y, epochs=2, local_batch=8)
-            report_p = parallel.train(workload.x, workload.y, epochs=2, local_batch=8)
-        finally:
-            parallel.close()
-        assert report_p.epoch_losses == report_s.epoch_losses
-        assert report_p.epoch_metrics == report_s.epoch_metrics
-        assert report_p.comm_seconds == report_s.comm_seconds
-        for key in serial.params:
-            np.testing.assert_array_equal(parallel.params[key], serial.params[key])
-        ef_s = getattr(serial.scheme, "ef", None)
-        ef_p = getattr(parallel.scheme, "ef", None)
-        if ef_s is not None:
-            for ef_key in ef_s.keys():
-                np.testing.assert_array_equal(
-                    ef_p.residual(ef_key), ef_s.residual(ef_key)
-                )
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_shared_blocks_take_the_parameters_dtype(self, network, jobs, mlp_dtype):
-        """Pool workers compute in the trainer's dtype: both shared blocks
-        are allocated in it, and the run stays bit-identical to serial at
-        any pool width."""
-        workload = build_workload("mlp", num_samples=128, rng=new_rng(7))
-        serial = DistributedTrainer(
-            workload.model, build_scheme("mstopk", network, density=0.05), seed=7
-        )
-        with ProcessBackend(jobs=jobs) as backend:
-            parallel = DistributedTrainer(
-                workload.model,
-                build_scheme("mstopk", network, density=0.05),
-                seed=7,
-                exec_backend=backend,
-            )
-            try:
-                engine = parallel._engine
-                assert engine._grad.array.dtype == engine._params.array.dtype == mlp_dtype
-                report_p = parallel.train(workload.x, workload.y, epochs=1, local_batch=8)
-            finally:
-                parallel.close()
-        report_s = serial.train(workload.x, workload.y, epochs=1, local_batch=8)
-        assert report_p.epoch_losses == report_s.epoch_losses
-        for key in serial.params:
-            assert parallel.params[key].dtype == mlp_dtype
-            np.testing.assert_array_equal(parallel.params[key], serial.params[key])
-
-    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
-    def test_every_registered_scheme_one_epoch(self, network, pool, scheme_name):
-        workload = build_workload("mlp-tiny", num_samples=128, rng=new_rng(3))
-        serial = DistributedTrainer(
-            workload.model, build_scheme(scheme_name, network, density=0.05), seed=5
-        )
-        parallel = DistributedTrainer(
-            workload.model,
-            build_scheme(scheme_name, network, density=0.05),
-            seed=5,
-            exec_backend=pool,
-        )
-        try:
-            report_s = serial.train(workload.x, workload.y, epochs=1, local_batch=8)
-            report_p = parallel.train(workload.x, workload.y, epochs=1, local_batch=8)
-        finally:
-            parallel.close()
-        assert report_p.epoch_losses == report_s.epoch_losses
-        for key in serial.params:
-            np.testing.assert_array_equal(parallel.params[key], serial.params[key])
-
-    def test_shared_matrix_is_the_aggregation_input(self, network, pool):
-        """Zero-copy: the trainer's fusion buffer is the shared block."""
-        workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(3))
-        trainer = DistributedTrainer(
-            workload.model, build_scheme("dense", network), seed=1, exec_backend=pool
-        )
-        try:
-            engine = trainer._engine
-            assert engine is not None
-            assert trainer._grad_matrix is engine._grad.array
-            batches = [(workload.x[:4], workload.y[:4])] * 8
-            trainer.train_step(batches)
-            assert trainer._grad_matrix is engine._grad.array
-        finally:
-            trainer.close()
-        # close() hands back a private copy so training can continue inline.
-        assert trainer._engine is None
-        trainer.train_step([(workload.x[:4], workload.y[:4])] * 8)
-
-    @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_elastic_bit_identical_under_churn(self, pool, scheme_name, tmp_path):
-        workload = build_workload("mlp-tiny", num_samples=192, rng=new_rng(5))
-
-        def run(exec_backend, subdir):
-            trace = TraceSchedule(
-                [
-                    ChurnEvent(6, "revoke", warned=False),
-                    ChurnEvent(13, "join"),
-                    ChurnEvent(20, "revoke", warned=True),
-                ]
-            )
-            trainer = ElasticTrainer(
-                workload.model,
-                scheme=scheme_name,
-                density=0.05,
-                num_nodes=3,
-                gpus_per_node=2,
-                min_nodes=1,
-                seed=11,
-                checkpoint_every=5,
-                checkpoint_dir=tmp_path / subdir,
-                exec_backend=exec_backend,
-            )
-            try:
-                return trainer.run(
-                    workload.x, workload.y, iterations=26, local_batch=8, schedule=trace
-                )
-            finally:
-                trainer.close()
-
-        par = run(pool, "par")
-        ref = run(None, "ref")
-        assert par.losses == ref.losses
-        assert par.world_sizes == ref.world_sizes
-        assert par.useful_iterations == ref.useful_iterations
-        assert par.rollbacks == ref.rollbacks
-        assert par.comm_seconds == ref.comm_seconds
-
-    def test_elastic_poisson_churn_parity(self, pool, tmp_path):
-        workload = build_workload("mlp-tiny", num_samples=192, rng=new_rng(5))
-
-        def run(exec_backend, subdir):
-            schedule = PoissonChurn(0.02, warned_fraction=0.5, rejoin_delay=5)
-            trainer = ElasticTrainer(
-                workload.model,
-                scheme="mstopk",
-                density=0.05,
-                num_nodes=4,
-                gpus_per_node=2,
-                min_nodes=1,
-                seed=3,
-                checkpoint_every=4,
-                checkpoint_dir=tmp_path / subdir,
-                exec_backend=exec_backend,
-            )
-            try:
-                return trainer.run(
-                    workload.x, workload.y, iterations=30, local_batch=8,
-                    schedule=schedule,
-                )
-            finally:
-                trainer.close()
-
-        par = run(pool, "par")
-        ref = run(None, "ref")
-        assert par.losses == ref.losses
-        assert par.world_sizes == ref.world_sizes
-        assert par.revocations == ref.revocations
 
 
 class TestElasticParity:

@@ -30,6 +30,10 @@ class TestJobSpecValidation:
             {"arrival_seconds": -1.0},
             {"deadline_seconds": 0.0},
             {"local_batch": 0},
+            {"arrival_seconds": float("nan")},
+            {"arrival_seconds": float("inf")},
+            {"deadline_seconds": float("nan")},
+            {"deadline_seconds": float("inf")},
         ],
     )
     def test_bad_values_raise(self, kwargs):

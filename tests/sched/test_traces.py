@@ -16,6 +16,7 @@ The acceptance bars pinned here:
   ``repro.exec`` pool with bit-identical results at any ``--jobs``.
 """
 
+import csv
 import dataclasses
 import json
 import os
@@ -204,6 +205,36 @@ class TestValidation:
             ],
         )
         assert "duplicate" in message
+
+    @pytest.mark.parametrize("layout", ["jsonl", "csv"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_number_names_file_line_and_field(
+        self, tmp_path, layout, literal
+    ):
+        # Such a submit_time used to validate and replay to a NaN / inf
+        # makespan, in a payload that is not valid JSON.
+        trace = small_trace(num_jobs=3)
+        if layout == "jsonl":
+            path = write_trace(trace, tmp_path / "day.jsonl")
+            lines = path.read_text().splitlines()
+            record = json.loads(lines[1])
+            record["submit_time"] = "@"
+            lines[1] = json.dumps(record).replace('"@"', literal)
+            path.write_text("\n".join(lines) + "\n")
+            where = f"{path}:2"
+        else:
+            path = write_trace_csv(trace, tmp_path / "day")
+            with (path / "job.csv").open(newline="") as handle:
+                rows = list(csv.reader(handle))
+            rows[2][rows[0].index("submit_time")] = literal
+            with (path / "job.csv").open("w", newline="") as handle:
+                csv.writer(handle).writerows(rows)
+            where = f"{path / 'job.csv'}:3"
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        message = str(err.value)
+        assert message.startswith(f"{where}: job field 'submit_time'")
+        assert "must be finite" in message and "\n" not in message
 
     def test_unknown_workload_points_at_job(self):
         trace = Trace(

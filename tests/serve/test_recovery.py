@@ -95,6 +95,32 @@ class TestRestart:
         assert "b" not in again.engine.records
         again.close()
 
+    @pytest.mark.parametrize(
+        "until", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
+    def test_non_finite_tick_is_rejected_not_a_poison_pill(self, tmp_path, until):
+        # A NaN bound is journaled, then never reached: the tick used to
+        # raise at its event cap, and so did every replay of the state
+        # dir.  An infinite one was acked and moved the clock to inf.
+        runtime = ServeRuntime(CONFIG, tmp_path)
+        run_ops(runtime, OPS[:1])
+        ack = runtime.handle({"op": "tick", "id": 2, "until": until})
+        assert ack["ok"] is False and "must be finite" in ack["error"]
+        assert runtime.engine.rejected == 1
+        assert runtime.engine.now == 0.0
+        digest = runtime.engine.state_digest()
+        runtime.close()
+
+        again = ServeRuntime(CONFIG, tmp_path)
+        assert again.recovery["recovered"]
+        assert again.engine.state_digest() == digest
+        assert again.engine.rejected == 1
+        # ... and it keeps serving: the rest of the stream (past b, whose
+        # id the tick took) applies and drains a and c.
+        *_, drained = run_ops(again, OPS[2:])
+        assert drained["done"] == 2
+        again.close()
+
     def test_restart_dedups_resent_ops(self, tmp_path):
         runtime = ServeRuntime(CONFIG, tmp_path)
         run_ops(runtime, OPS)

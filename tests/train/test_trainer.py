@@ -134,6 +134,48 @@ class TestTrainingLoop:
         for name, value in before.items():
             np.testing.assert_array_equal(trainer.params[name], value)
 
+    @pytest.mark.parametrize("workload_name", ["mlp", "cnn", "transformer"])
+    def test_fusion_buffer_holds_each_workers_gradient(self, workload_name):
+        """After a step, row ``i`` of the fusion buffer is exactly worker
+        ``i``'s gradient as the model computes it alone."""
+        workload = build_workload(workload_name, num_samples=64, rng=new_rng(2))
+        net = make_cluster(2, "tencent", gpus_per_node=2)
+        trainer = DistributedTrainer(workload.model, build_scheme("dense", net), seed=4)
+        x, y = workload.x, workload.y
+        batches = [(x[i : i + 4], y[i : i + 4]) for i in range(0, 16, 4)]
+        params = {name: value.copy() for name, value in trainer.params.items()}
+        trainer.train_step(batches)
+        for row, (bx, by) in zip(trainer._grad_matrix, batches):
+            _, grads, _ = workload.model.loss_and_grad(params, bx, by)
+            want = np.concatenate([grads[name].ravel() for name in params])
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("bad_rows", [[3], [0, 1, 2, 3]], ids=["per-row", "blocked"])
+    def test_a_failed_step_leaves_no_trace(self, bad_rows):
+        """A step whose gradient computation raises changes neither the
+        parameters nor the scheme's rng: the next good step is the one a
+        fresh trainer would take."""
+        workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(0))
+        net = make_cluster(2, "tencent", gpus_per_node=2)
+        x, y = workload.x, workload.y
+        good = [(x[i : i + 4], y[i : i + 4]) for i in range(0, 16, 4)]
+        bad = [
+            (bx[:, :1], by) if worker in bad_rows else (bx, by)
+            for worker, (bx, by) in enumerate(good)
+        ]
+        failed, fresh = (
+            DistributedTrainer(workload.model, build_scheme("mstopk", net, density=0.05), seed=1)
+            for _ in range(2)
+        )
+        before = {name: value.copy() for name, value in failed.params.items()}
+        with pytest.raises(ValueError):
+            failed.train_step(bad)
+        for name, value in before.items():
+            np.testing.assert_array_equal(failed.params[name], value)
+        assert failed.train_step(good) == fresh.train_step(good)
+        for name in fresh.params:
+            np.testing.assert_array_equal(failed.params[name], fresh.params[name])
+
     def test_dataset_too_small(self, rng):
         model = MLPClassifier(input_dim=2, hidden=(4,), num_classes=4)
         net = make_cluster(4, "tencent", gpus_per_node=8)  # 32 workers

@@ -1,7 +1,7 @@
 """The compute-stage kernel: one gradient per row, blocked or per row.
 
-:func:`repro.utils.partition.gradient_rows` is what both the inline
-trainer and every pool worker run.  Its two bodies must agree bit for bit with
+:func:`repro.utils.partition.gradient_rows` is the trainer's compute
+stage.  Its two bodies must agree bit for bit with
 an explicit per-row reference, and the choice between them must follow
 only what the kernel can observe (the model's capability, the row count,
 whether the batches stack).
