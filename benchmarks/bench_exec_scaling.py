@@ -1,8 +1,8 @@
 """Exec scaling: a parallel config sweep vs the serial loop.
 
 A >= 8-config CNN sweep (the Fig. 10 scheme families x 2 seeds) runs
-serially and through :class:`~repro.exec.ParallelSweeper` on the
-``process`` backend at ``jobs`` in {2, 4}.  Whole independent runs
+serially and through :class:`~repro.exec.ParallelSweeper` at
+``jobs`` in {2, 4}.  Whole independent runs
 parallelise embarrassingly, so:
 
 * **parity** is asserted on every host: the parallel sweep's payloads
@@ -23,7 +23,7 @@ import pytest
 
 from repro.api.config import RunConfig
 from repro.api.facade import run
-from repro.exec.backend import cpu_count
+from repro.exec.config import cpu_count
 from repro.exec.sweeper import ParallelSweeper
 
 #: Pool widths measured against the serial loop.
@@ -65,7 +65,7 @@ def sweep():
     pooled, speedups = {}, {}
     for jobs in JOBS:
         start = time.perf_counter()
-        reports = ParallelSweeper("process", jobs=jobs).run_configs(configs)
+        reports = ParallelSweeper(jobs=jobs).run_configs(configs)
         speedups[jobs] = serial_seconds / (time.perf_counter() - start)
         pooled[jobs] = [report.bench_payload() for report in reports]
     return {"serial": serial, "pooled": pooled, "speedups": speedups}

@@ -4,7 +4,7 @@ Subcommands::
 
     repro run --config cfg.json [--set key=value ...] [--json] [--out PATH]
     repro sched (--config cfg.json | --trace PATH) [--set key=value ...]
-              [--json] [--out PATH] [--backend NAME] [--jobs N]
+              [--json] [--out PATH] [--jobs N]
     repro trace gen --out PATH [--num-jobs N] [--seed S] [--duration-hours H]
               [--payload-fraction F] [--format jsonl|csv]
     repro trace validate PATH [--json]
@@ -12,8 +12,8 @@ Subcommands::
               | --socket PATH] [--drill] [--kill-at POINT] [--set key=value ...]
     repro submit --socket PATH (--job JSON | --op JSON | --file PATH)
               [--retries N] [--timeout S] [--backoff S]
-    repro list [schemes|compressors|models|clusters|policies|backends|experiments]
-    repro experiments [--only SUBSTR] [--fast] [--backend NAME] [--jobs N]
+    repro list [schemes|compressors|models|clusters|policies|faults|brains|experiments]
+    repro experiments [--only SUBSTR] [--fast] [--jobs N]
 
 ``serve`` runs the crash-safe always-on scheduler daemon (write-ahead
 journal + snapshots under ``--state-dir``; see ``docs/serve.md``) and
@@ -27,10 +27,10 @@ slowdown *distributions* instead of per-job rows; ``trace gen`` /
 ``trace validate`` create and check traces; ``list`` enumerates the
 registries (and the experiment harnesses); ``experiments`` delegates to
 :mod:`repro.experiments.runner`.  On ``sched`` and ``experiments``,
-``--backend``/``--jobs`` pick the :mod:`repro.exec` sweep pool (on
-``sched``, ``--set exec.backend=...`` shorthand): ``process`` fans the
-independent policies / harnesses across CPU cores, bit-identical to
-serial.  A training step (``run``) always runs inline.
+``--jobs N`` is the width of the :mod:`repro.exec` sweep pool (on
+``sched``, ``--set exec.jobs=N`` shorthand): any width but 1 fans the
+independent policies / harnesses across CPU cores, bit-identical to the
+inline run.  A training step (``run``) always runs inline.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ LIST_GROUPS = (
     "models",
     "clusters",
     "policies",
-    "backends",
     "faults",
     "brains",
     "experiments",
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--config the scenario defaults to 16 8-GPU tencent nodes",
     )
     _add_config_flags(sched_p, example="jobs.0.priority=5")
-    _add_exec_flags(sched_p)
+    _add_jobs_flag(sched_p)
 
     trace_p = sub.add_parser(
         "trace", help="generate or validate cluster traces (docs/traces.md)"
@@ -259,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="trim the expensive sweeps (Fig. 6, Fig. 10, elastic churn)",
     )
-    _add_exec_flags(exp_p)
+    _add_jobs_flag(exp_p)
     return parser
 
 
@@ -284,41 +283,21 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, example: str) -> None:
     )
 
 
-def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    """``--backend`` / ``--jobs``: execution-backend shorthand.
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``: the sweep pool's width.
 
-    On ``sched``, equivalent to ``--set exec.backend=... --set
-    exec.jobs=...`` (and overriding them, since they apply last);
-    ``experiments`` has no config file, so there they are the only
-    spelling.
+    On ``sched``, equivalent to ``--set exec.jobs=N`` (and overriding
+    it, since it applies last); ``experiments`` has no config file, so
+    there it is the only spelling.
     """
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend (see `python -m repro list backends`); "
-        "'process' fans work across CPU cores, bit-identical to serial",
-    )
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for parallel backends (0 = all cores); "
-        "implies --backend process when no backend is named",
+        help="worker processes for the sweep (1 = inline; 0 = all usable "
+        "cores); bit-identical at every width",
     )
-
-
-def _exec_overrides(args: argparse.Namespace) -> list[str]:
-    """Translate --backend/--jobs into ``--set exec.*`` overrides."""
-    overrides = []
-    if args.backend is not None:
-        overrides.append(f"exec.backend={args.backend}")
-    if args.jobs is not None:
-        if args.backend is None:
-            overrides.append("exec.backend=process")
-        overrides.append(f"exec.jobs={args.jobs}")
-    return overrides
 
 
 def _registry_lines(reg: Registry) -> list[str]:
@@ -333,7 +312,6 @@ def _registry_lines(reg: Registry) -> list[str]:
 def _cmd_list(group: str | None) -> int:
     from repro.api import registry
     from repro.brain import BRAINS
-    from repro.exec.backend import BACKENDS
     from repro.faults.registry import FAULTS
     from repro.sched.policies import POLICIES
 
@@ -343,7 +321,6 @@ def _cmd_list(group: str | None) -> int:
         "models": registry.MODELS,
         "clusters": registry.CLUSTERS,
         "policies": POLICIES,
-        "backends": BACKENDS,
         "faults": FAULTS,
         "brains": BRAINS,
     }
@@ -416,7 +393,9 @@ def _cmd_sched(args: argparse.Namespace) -> int:
             )
         if args.trace is not None:
             config = dataclasses.replace(config, trace=args.trace, jobs=None)
-        overrides = list(args.overrides) + _exec_overrides(args)
+        overrides = list(args.overrides)
+        if args.jobs is not None:
+            overrides.append(f"exec.jobs={args.jobs}")
         if overrides:
             config = apply_overrides(config, overrides)
         config.validate()
@@ -695,8 +674,6 @@ def main(argv: list[str] | None = None) -> int:
             runner_argv += ["--only", args.only]
         if args.fast:
             runner_argv += ["--fast"]
-        if args.backend:
-            runner_argv += ["--backend", args.backend]
         if args.jobs is not None:
             runner_argv += ["--jobs", str(args.jobs)]
         return runner_main(runner_argv)

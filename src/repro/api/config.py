@@ -2,8 +2,8 @@
 
 Every knob is declared exactly once, as a field of the frozen dataclass
 the runtime itself reads.  The sections that belong to a subsystem live
-beside the registry they validate against (``brain`` →
-:mod:`repro.brain.base`, ``exec`` → :mod:`repro.exec.backend`,
+in it, beside the registry they validate against where it has one
+(``brain`` → :mod:`repro.brain.base`, ``exec`` → :mod:`repro.exec.config`,
 ``faults`` → :mod:`repro.faults.plan`, ``jobs[i]`` / ``payload`` →
 :mod:`repro.sched.job`, the serve config → :mod:`repro.serve.engine`);
 this module holds the sections of the training run itself, the
@@ -37,7 +37,7 @@ from typing import Any, ClassVar, Sequence
 
 from repro.api import registry
 from repro.brain.base import BrainConfig
-from repro.exec.backend import ExecConfig
+from repro.exec.config import ExecConfig
 from repro.faults.plan import FaultConfig, FaultPlan, FaultsConfig
 from repro.sched.job import JobSpec, TrainPayload
 from repro.sched.policies import POLICIES
@@ -362,7 +362,7 @@ class RunConfig(JsonConfig):
             raise ConfigError(
                 "run configs have no 'exec' section any more: training steps "
                 "run inline; the process pool fans out sched policies and "
-                "experiments (sched 'exec' / --backend / --jobs)"
+                "experiments (sched 'exec' / --jobs)"
             )
         return super().from_dict(data, validate=validate)
 
@@ -419,8 +419,8 @@ class SchedConfig(JsonConfig):
     #: Optional autotuning brain re-planning per-job resources online
     #: (migrate/shrink/grow); see ``docs/brain.md``.
     brain: BrainConfig | None = None
-    #: Where the per-policy simulations run: the ``process`` backend
-    #: fans the policy grid across cores (results identical to serial).
+    #: How many worker processes the per-policy simulations fan across
+    #: (results identical to the inline run at every width).
     exec: ExecConfig = field(default_factory=ExecConfig)
 
     def __post_init__(self) -> None:

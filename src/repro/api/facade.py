@@ -22,6 +22,7 @@ from repro.api.registry import (
     build_scheme,
     build_workload,
 )
+from repro.exec.config import resolve_jobs
 from repro.faults.plan import FaultPlan
 from repro.utils.bench import bench_payload
 from repro.utils.seeding import new_rng
@@ -287,24 +288,17 @@ def run_sched(config) -> dict:
     (insertion-ordered as configured).  Combine into one BENCH payload
     with :func:`repro.sched.payload_for_reports`.
 
-    With ``exec.backend: process`` the per-policy simulations (each
-    fully independent and deterministic) fan across the worker pool,
-    each worker running :func:`run_sched_serial` on one policy; the
-    returned mapping is identical to the serial loop's.
+    With ``exec.jobs`` wider than 1 the per-policy simulations (each
+    fully independent and deterministic) fan across a process pool, each
+    worker running :func:`run_sched_serial` on one policy; the returned
+    mapping is identical to the inline run's.
     """
     config.validate()
-    from repro.exec.backend import BACKENDS
-
-    pool = config.exec
-    if BACKENDS.canonical(pool.backend) == "serial":
+    if resolve_jobs(config.exec.jobs) == 1:
         return run_sched_serial(config)
     from repro.exec.sweeper import ParallelSweeper
 
-    # Named, so the sweeper owns the pool and closes it after the map.
-    sweeper = ParallelSweeper(
-        pool.backend, jobs=pool.jobs, start_method=pool.start_method
-    )
-    return sweeper.run_sched_policies(config)
+    return ParallelSweeper(jobs=config.exec.jobs).run_sched_policies(config)
 
 
 def run_sched_serial(config) -> dict:

@@ -28,7 +28,7 @@ widths (``tests/brain/test_driver_integration.py``).
 from __future__ import annotations
 
 from repro.api.config import SchedConfig
-from repro.faults.drill import gray_storm_config, sched_reports, storm_scores
+from repro.faults.drill import gray_storm_config, storm_scores
 
 #: Brains the drill compares (static first: it is the baseline every
 #: active brain must beat).
@@ -92,7 +92,7 @@ def _jain_fairness(values) -> float | None:
     return (total * total) / (len(values) * square_sum)
 
 
-def run_brain_drills(brains=None, *, seed: int = 7, sweeper=None) -> list[dict]:
+def run_brain_drills(brains=None, *, seed: int = 7) -> list[dict]:
     """Gray storm per brain + one fault-free no-brain baseline.
 
     Returns one scored dict per brain.  ``baseline_goodput`` is the
@@ -100,15 +100,13 @@ def run_brain_drills(brains=None, *, seed: int = 7, sweeper=None) -> list[dict]:
     every brain is normalised against, so ``goodput_ratio`` reads as
     "fraction of the healthy schedule kept under the storm".
     """
+    from repro.api.facade import run_sched
     from repro.brain.base import BRAINS
 
     names = [BRAINS.canonical(b) or b for b in (brains or BRAIN_DRILL_BRAINS)]
     configs = [brain_storm_config(seed=seed, storm=False)]
     configs.extend(brain_storm_config(brain, seed=seed) for brain in names)
-    reports = [
-        next(iter(sched_reports(config, sweeper=sweeper).values()))
-        for config in configs
-    ]
+    reports = [next(iter(run_sched(config).values())) for config in configs]
     baseline, storm_reports = reports[0], reports[1:]
     baseline_goodput = baseline.cluster_goodput_it_per_s
     results = []

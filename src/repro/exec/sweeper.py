@@ -1,13 +1,12 @@
-"""Parallel sweeps: independent runs fanned across the worker pool.
+"""Parallel sweeps: independent tasks fanned across a process pool.
 
 Every sweep in the repository — ``python -m repro experiments``, a sched
 policy grid, a list of run configs — is a list of *fully
 independent, seed-complete* tasks.  :class:`ParallelSweeper` executes
-such a list on any registered execution backend with **deterministic
-result ordering**: results come back in submission order no matter
-which pool worker finished first, and a child sched task runs with the
-serial backend forced (one layer of parallelism — the sweep — at a
-time), so a parallel sweep is bit-identical to the serial loop it
+such a list at any width with **deterministic result ordering**: results
+come back in submission order no matter which worker finished first, and
+a child sched task runs inline (one layer of parallelism — the sweep —
+at a time), so a parallel sweep is bit-identical to the serial loop it
 replaces.
 
 The module-level ``_task_*`` functions are the pool's picklable entry
@@ -19,51 +18,51 @@ from __future__ import annotations
 
 import contextlib
 import io
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.exec.backend import SerialBackend, build_backend
+from repro.exec.config import resolve_jobs
+
+
+def _pool_context():
+    """``fork`` where the platform has it (cheap: a child inherits the
+    loaded interpreter), else ``spawn``.  Under ``spawn`` a child
+    re-imports the driver's ``__main__``, so a script sweeping on such a
+    platform guards its entry point with ``if __name__ == "__main__":``
+    (the CLI and pytest already do)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 class ParallelSweeper:
-    """Fan independent tasks across an execution backend, in order.
+    """Fan independent tasks across a process pool, in order.
 
     Parameters
     ----------
-    backend:
-        A built backend instance, a registered backend name, or ``None``
-        for serial.  When the sweeper builds the backend itself (name
-        given), it owns it and closes it after each ``map``-style call
-        unless ``keep_open=True``.
     jobs:
-        Pool width when building by name (``0`` = all usable cores).
+        Pool width: ``1`` runs every task inline, in this process;
+        ``0`` means all usable cores.  A wider sweep starts
+        ``min(width, tasks)`` workers for each call and stops them
+        before returning.
     """
 
-    def __init__(
-        self,
-        backend: Any = None,
-        *,
-        jobs: int = 0,
-        start_method: str | None = None,
-        keep_open: bool = False,
-    ) -> None:
-        if backend is None:
-            backend = SerialBackend()
-            self._owned = False
-        elif isinstance(backend, str):
-            backend = build_backend(backend, jobs=jobs, start_method=start_method)
-            self._owned = not keep_open
-        else:
-            self._owned = False
-        self.backend = backend
+    def __init__(self, *, jobs: int = 1) -> None:
+        self.jobs = resolve_jobs(jobs)
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """``[fn(item) for item in items]`` with pool fan-out, in order."""
-        try:
-            return self.backend.map(fn, list(items))
-        finally:
-            if self._owned:
-                self.backend.close()
+        """``[fn(item) for item in items]`` with pool fan-out, in order.
+
+        A task's own exception is re-raised here, in the caller.
+        """
+        items = list(items)
+        if self.jobs == 1 or not items:
+            return [fn(item) for item in items]
+        with ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(items)), mp_context=_pool_context()
+        ) as pool:
+            return list(pool.map(fn, items))
 
     # -- the three sweep faces ---------------------------------------------
     def run_configs(self, configs: Sequence[Any]) -> list[Any]:
@@ -126,7 +125,6 @@ def _task_sched_policy(task: tuple[dict, str]) -> Any:
     payload, policy = task
     data = dict(payload)
     data["policies"] = [policy]
-    data["exec"] = {"backend": "serial", "jobs": 1}
     (report,) = run_sched_serial(SchedConfig.from_dict(data)).values()
     return report
 

@@ -5,11 +5,12 @@ regenerates all tables/figures; ``--fast`` trims the expensive sweeps
 (Fig. 6 CPU measurement, long convergence runs, the elastic churn sweep)
 and ``--only`` substring-filters by experiment name.
 
-``--backend process --jobs N`` fans the selected harnesses across a
-:mod:`repro.exec` worker pool — each harness is independent and seeded,
-so outputs are identical to the serial run; stdout is captured per
-harness and printed in paper order, so the transcript is deterministic
-too (only the per-harness timings move).
+``--jobs N`` (``0`` = all usable cores) fans the selected harnesses
+across a :mod:`repro.exec` process pool — each harness is independent
+and seeded, so outputs are identical to the serial run; stdout is
+captured per harness and printed in paper order, so the transcript is
+deterministic too (only the timings move).  ``--jobs 1``, the default,
+runs them inline and streams their output live.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import sys
 import time
 
+from repro.exec.config import resolve_jobs
 from repro.experiments import (
     brain_autotune,
     elastic_churn,
@@ -88,10 +90,10 @@ def _run_serial(selected, fast: bool) -> None:
         print(f"[{name} done in {time.perf_counter() - start:.1f}s]")
 
 
-def _run_parallel(selected, fast: bool, backend: str, jobs: int) -> None:
+def _run_parallel(selected, fast: bool, jobs: int) -> None:
     from repro.exec.sweeper import ParallelSweeper
 
-    sweeper = ParallelSweeper(backend, jobs=jobs)
+    sweeper = ParallelSweeper(jobs=jobs)
     entries = [
         (name, entry.__module__, fast and name in FAST_AWARE)
         for name, entry in selected
@@ -103,8 +105,7 @@ def _run_parallel(selected, fast: bool, backend: str, jobs: int) -> None:
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
         print(text, end="" if text.endswith("\n") else "\n")
     print(
-        f"[{len(outputs)} experiments done in {elapsed:.1f}s "
-        f"on backend {backend!r}, jobs={jobs}]"
+        f"[{len(outputs)} experiments done in {elapsed:.1f}s, jobs={jobs}]"
     )
 
 
@@ -122,17 +123,11 @@ def main(argv: list[str] | None = None) -> int:
         "long convergence runs, the elastic churn sweep)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="execution backend for the harness fan-out (serial runs "
-        "in-process and streams output live; --jobs alone implies "
-        "process, but a named backend always wins)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for parallel backends (0 = all cores)",
+        help="worker processes for the harness fan-out (1 = inline with "
+        "live output, the default; 0 = all usable cores)",
     )
     args = parser.parse_args(argv)
 
@@ -140,25 +135,15 @@ def main(argv: list[str] | None = None) -> int:
     if not selected:
         print(f"no experiment matches --only {args.only!r}", file=sys.stderr)
         return 2
-    from repro.exec.backend import BACKENDS
-
-    # Same rule as `repro sched`: --jobs alone implies the process
-    # backend, but an explicitly named backend always wins.
-    name = args.backend
-    if name is None:
-        name = "serial" if args.jobs == 1 else "process"
-    canonical = BACKENDS.canonical(name)
-    if canonical is None:
-        print(
-            f"error: unknown exec backend {name!r}; "
-            f"registered: {', '.join(BACKENDS.available())}",
-            file=sys.stderr,
-        )
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if canonical == "serial":
+    if jobs == 1:
         _run_serial(selected, args.fast)
     else:
-        _run_parallel(selected, args.fast, canonical, args.jobs)
+        _run_parallel(selected, args.fast, jobs)
     return 0
 
 

@@ -96,14 +96,10 @@ def drill_config(
     return RunConfig.from_dict(data)
 
 
-def run_drills(schemes=None, *, seed: int = 7, sweeper=None) -> list[dict]:
-    """Baseline + storm per scheme; returns one scored dict per scheme.
+def run_drills(schemes=None, *, seed: int = 7) -> list[dict]:
+    """Baseline + storm per scheme; returns one scored dict per scheme."""
+    from repro.api.facade import run
 
-    ``sweeper`` is an optional
-    :class:`~repro.exec.sweeper.ParallelSweeper`; results are
-    bit-identical to the serial loop at any pool width (pinned by
-    ``tests/faults/test_drill.py``).
-    """
     names = (
         [SCHEMES.canonical(s) or s for s in schemes]
         if schemes
@@ -113,12 +109,7 @@ def run_drills(schemes=None, *, seed: int = 7, sweeper=None) -> list[dict]:
     for scheme in names:
         configs.append(drill_config(scheme, storm=False, seed=seed))
         configs.append(drill_config(scheme, storm=True, seed=seed))
-    if sweeper is not None:
-        reports = sweeper.run_configs(configs)
-    else:
-        from repro.api.facade import run
-
-        reports = [run(config) for config in configs]
+    reports = [run(config) for config in configs]
     results = []
     for i, scheme in enumerate(names):
         baseline, storm = reports[2 * i], reports[2 * i + 1]
@@ -278,15 +269,6 @@ def gray_storm_config(
     return SchedConfig.from_dict(data)
 
 
-def sched_reports(config, *, sweeper=None):
-    """``{policy: SchedReport}`` for one scheduler config, pooled or not."""
-    if sweeper is not None:
-        return sweeper.run_sched_policies(config)
-    from repro.api.facade import run_sched
-
-    return run_sched(config)
-
-
 def storm_scores(report, baseline_goodput: float) -> dict:
     """The four storm-vs-baseline columns every scheduler drill reports."""
     goodput = report.cluster_goodput_it_per_s
@@ -303,7 +285,7 @@ def storm_scores(report, baseline_goodput: float) -> dict:
     }
 
 
-def run_policy_drills(policies=None, *, seed: int = 7, sweeper=None) -> list[dict]:
+def run_policy_drills(policies=None, *, seed: int = 7) -> list[dict]:
     """Gray storm + fault-free baseline per policy; one scored dict each.
 
     Goodput-under-storm is the cluster goodput of the storm run; the
@@ -311,12 +293,10 @@ def run_policy_drills(policies=None, *, seed: int = 7, sweeper=None) -> list[dic
     number isolates how much of the healthy schedule each policy keeps
     when the hardware turns gray.
     """
-    storm_reports = sched_reports(
-        gray_storm_config(policies, seed=seed), sweeper=sweeper
-    )
-    base_reports = sched_reports(
-        gray_storm_config(policies, seed=seed, storm=False), sweeper=sweeper
-    )
+    from repro.api.facade import run_sched
+
+    storm_reports = run_sched(gray_storm_config(policies, seed=seed))
+    base_reports = run_sched(gray_storm_config(policies, seed=seed, storm=False))
     results = []
     for policy, report in storm_reports.items():
         log = report.fault_log

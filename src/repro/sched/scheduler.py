@@ -136,7 +136,7 @@ class SchedReport:
     #: Job name -> allocation waypoints, for elastic replay.
     traces: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
     #: Fault-drill summary + structured event log (plain dict so reports
-    #: pickle across process backends); ``None`` when no faults ran.
+    #: pickle across the sweep pool); ``None`` when no faults ran.
     fault_log: dict | None = None
     #: Brain decision summary + structured log (same plain-dict shape);
     #: ``None`` when no (active) brain drove the run.

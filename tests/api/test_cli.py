@@ -27,8 +27,9 @@ class TestList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for header in ("schemes:", "compressors:", "models:", "clusters:",
-                       "policies:", "backends:", "experiments:"):
+                       "policies:", "faults:", "brains:", "experiments:"):
             assert header in out
+        assert "backends:" not in out
         assert "Fig. 10" in out
         assert "tencent" in out
 

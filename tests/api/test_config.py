@@ -76,7 +76,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 #: codec may not reorder, drop or re-default a key of any shipped config.
 #: The four run configs were re-pinned once, when ``RunConfig.exec`` was
 #: removed: each new form is the old one with exactly its default
-#: ``"exec"`` entry deleted.
+#: ``"exec"`` entry deleted.  The three sched configs were re-pinned
+#: once, when ``exec`` shrank to its width: each new form is the old one
+#: with exactly ``exec.backend`` and ``exec.start_method`` deleted.
 CANONICAL_FORMS = {
     "examples/configs/dense_baseline.json":
         (RunConfig, "4ac4729b53f2a52e9c43f510ca7bcae50d273f2c92ebc65b11e3026ae6c74a85"),
@@ -87,11 +89,11 @@ CANONICAL_FORMS = {
     "examples/configs/smoke.json":
         (RunConfig, "aa1d529788d05409dd9bb63403664e0453808cad2d0f75d12fabbd479a8efd67"),
     "examples/configs/gray_storm.json":
-        (SchedConfig, "8a6b44554fcd86912f7bf1bbeae248e81096d4e285a95c89978996a55b98015a"),
+        (SchedConfig, "2841dc23f93e3d8643149b5cb7e67ce86aea986dcf4667a79799d449eaa937ea"),
     "examples/configs/multi_tenant.json":
-        (SchedConfig, "c9a846d8d8049fd50bba6f2877f1cf81dc9f154a1cb8b59afbe8e378a1d40332"),
+        (SchedConfig, "1e3824d335a4eb64765bee6db12e69df2910dec3a89fecb718f3e7c4c328d88c"),
     "examples/configs/trace_replay.json":
-        (SchedConfig, "5945c1e21c8534cc39fb4cbcc430b3b9268f86f1a4cd9e9ece151e38cf8d8f2e"),
+        (SchedConfig, "525a388b2196819fecac41d549dd03eb1af68f7b2acb666be60687b3aaf14117"),
     "examples/configs/serve_smoke.json":
         (ServeConfig, "f4d7ca9aaf9d0d102a8fb6ec48318a9e69256322894d3ec0ab2d1b899e3a0d29"),
     "benchmarks/e2e/fixtures/serve_config.json":

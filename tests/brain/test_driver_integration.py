@@ -6,7 +6,7 @@ per-tick action cap (with its decline entries), and the per-job dwell
 spacing no two applied actions may violate.
 """
 
-import json
+import dataclasses
 
 import pytest
 
@@ -169,11 +169,13 @@ class TestDrillScorecard:
         with pytest.raises(ConfigError, match="unknown brain 'nope'; registered: "):
             run_brain_drills(["nope"])
 
-    def test_pool_width_invariance(self, results):
-        from repro.exec.sweeper import ParallelSweeper
+    def test_pool_width_invariance(self):
+        from repro.api.config import ExecConfig
 
-        pooled = run_brain_drills(seed=7, sweeper=ParallelSweeper("process", jobs=2))
-        assert json.dumps(pooled, sort_keys=True) == json.dumps(results, sort_keys=True)
+        for brain in BRAIN_DRILL_BRAINS:
+            config = brain_storm_config(brain)
+            pooled = run_sched(dataclasses.replace(config, exec=ExecConfig(jobs=2)))
+            assert pooled == run_sched(config), brain
 
     def test_aliases_resolve_in_drills(self):
         results = run_brain_drills(["health"])

@@ -3,8 +3,8 @@
 The contract of :mod:`repro.exec` is that ``jobs`` is pure wall-clock
 policy.  These tests pin it end to end through the facade: the same
 sweep of run configs, and the same sched policy grid, produce
-identical reports whether the ``process`` backend runs with one worker
-or four, across the paper's dense/topk/mstopk scheme families.
+identical reports inline, with two workers or with four, across the
+paper's dense/topk/mstopk scheme families.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.api import RunConfig, SchedConfig, run, run_sched
+from repro.api.facade import run_sched_serial
 from repro.exec.sweeper import ParallelSweeper
 
 #: The paper's Fig. 10 scheme families (satellite requirement).
@@ -43,20 +44,20 @@ class TestSweepInvariance:
         ]
 
     def test_process_sweep_jobs_1_vs_4(self, sweep_configs):
-        one = ParallelSweeper("process", jobs=1).run_configs(sweep_configs)
-        four = ParallelSweeper("process", jobs=4).run_configs(sweep_configs)
+        one = ParallelSweeper(jobs=1).run_configs(sweep_configs)
+        four = ParallelSweeper(jobs=4).run_configs(sweep_configs)
         assert len(one) == len(four) == len(sweep_configs)
         for a, b in zip(one, four):
             _reports_equal(a, b)
 
     def test_process_sweep_matches_serial_loop(self, sweep_configs):
         serial = [run(config) for config in sweep_configs]
-        pooled = ParallelSweeper("process", jobs=4).run_configs(sweep_configs)
+        pooled = ParallelSweeper(jobs=4).run_configs(sweep_configs)
         for a, b in zip(serial, pooled):
             _reports_equal(a, b)
 
     def test_results_keep_submission_order(self, sweep_configs):
-        reports = ParallelSweeper("process", jobs=4).run_configs(sweep_configs)
+        reports = ParallelSweeper(jobs=4).run_configs(sweep_configs)
         assert [r.name for r in reports] == [c.name for c in sweep_configs]
 
 
@@ -75,7 +76,7 @@ class TestSchedInvariance:
                     {"name": "c", "profile": "transformer", "iterations": 60,
                      "arrival_seconds": 30.0},
                 ],
-                "exec": {"backend": "process", "jobs": jobs},
+                "exec": {"jobs": jobs},
             }
         )
 
@@ -86,10 +87,7 @@ class TestSchedInvariance:
         assert one == four
 
     def test_matches_serial_run_sched(self):
-        serial_config = SchedConfig.from_dict(
-            {**self._config(1).to_dict(), "exec": {"backend": "serial"}}
-        )
-        serial = run_sched(serial_config)
+        serial = run_sched_serial(self._config(3))
         pooled = run_sched(self._config(3))
         assert list(serial) == list(pooled)
         assert serial == pooled

@@ -407,12 +407,23 @@ class TestCommittedGrayStormConfig:
 
 @pytest.mark.parametrize("jobs", [2])
 def test_pool_width_invariance_in_process(jobs):
-    """ParallelSweeper at any width returns the serial drills bit for bit,
-    full fault logs included."""
+    """A pooled sweep returns the serial drill runs bit for bit, full
+    fault logs included."""
+    from repro.api.config import ExecConfig
+    from repro.api.facade import run_sched
     from repro.exec.sweeper import ParallelSweeper
 
-    sweeper = ParallelSweeper("process", jobs=jobs)
-    schemes = ["dense", "mstopk"]
-    canon = lambda results: json.dumps(results, sort_keys=True)  # noqa: E731
-    assert canon(run_drills(schemes, sweeper=sweeper)) == canon(run_drills(schemes))
-    assert canon(run_policy_drills(sweeper=sweeper)) == canon(run_policy_drills())
+    configs = [
+        drill_config(scheme, storm=storm)
+        for scheme in ("dense", "mstopk")
+        for storm in (False, True)
+    ]
+    canon = lambda report: json.dumps(  # noqa: E731
+        [report.bench_payload(), report.faults], sort_keys=True
+    )
+    pooled = ParallelSweeper(jobs=jobs).run_configs(configs)
+    assert [canon(r) for r in pooled] == [canon(run(c)) for c in configs]
+    for storm in (True, False):
+        config = gray_storm_config(storm=storm)
+        pooled = run_sched(dataclasses.replace(config, exec=ExecConfig(jobs=jobs)))
+        assert pooled == run_sched(config)

@@ -4,7 +4,7 @@ Crashes evict tenants through the same membership machinery churn uses:
 survivors above the job's ``min_nodes`` shrink in place; below the
 floor the job is requeued and its recovery latency closes when the
 scheduler re-places it.  ``duration > 0`` on a crash schedules node
-repair.  Everything replays bit-identically on the process backend.
+repair.  Everything replays bit-identically in a process pool.
 """
 
 import dataclasses
@@ -281,7 +281,7 @@ class TestSchedDeterminism:
         pooled = run_sched(_sched_config(
             events,
             policies=("bin-pack", "spread"),
-            exec_section=ExecConfig(backend="process", jobs=2),
+            exec_section=ExecConfig(jobs=2),
         ))
         for policy in serial:
             a, b = serial[policy], pooled[policy]

@@ -404,11 +404,7 @@ class TestConfigThreading:
             "trace": str(path),
         }
         serial = run_sched(SchedConfig.from_dict(base))
-        pooled = run_sched(
-            SchedConfig.from_dict(
-                {**base, "exec": {"backend": "process", "jobs": 2}}
-            )
-        )
+        pooled = run_sched(SchedConfig.from_dict({**base, "exec": {"jobs": 2}}))
         assert payload_for_trace_reports(
             list(serial.values())
         ) == payload_for_trace_reports(list(pooled.values()))

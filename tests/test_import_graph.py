@@ -2,8 +2,9 @@
 
 Package ``__init__``s import nothing (``repro.utils.lazy``), so a
 process loads only what its own imports name: a trainer never loads the
-scheduler, the serve daemon, faults or the brain, and the daemon's
-client never loads numpy.  Each registry registers its own built-ins,
+scheduler, the serve daemon, faults or the brain, the daemon's client
+never loads numpy, and neither the config codec, the scheduler nor the
+daemon loads a process pool.  Each registry registers its own built-ins,
 so importing the module that defines it is enough to find them.
 """
 
@@ -26,7 +27,6 @@ NOT_TRAINING = ("sched", "serve", "faults", "brain", "elastic", "experiments")
 REGISTRIES = {
     "repro.api.registry": ["SCHEMES", "COMPRESSORS", "MODELS", "CLUSTERS"],
     "repro.brain.base": ["BRAINS"],
-    "repro.exec.backend": ["BACKENDS"],
     "repro.faults.registry": ["FAULTS"],
     "repro.sched.policies": ["POLICIES"],
     "repro.experiments.runner": ["EXPERIMENTS"],
@@ -82,6 +82,17 @@ def test_the_daemon_client_and_the_cli_load_no_numpy(module):
     loaded = loaded_after(module)
     assert module in loaded
     assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.api.config", "repro.sched.scheduler", "repro.serve.engine"]
+)
+def test_the_config_codec_scheduler_and_daemon_load_no_process_pool(module):
+    # Every sched and serve process loads these; only a sweep wider than
+    # one worker needs a pool, and it imports one then.
+    loaded = loaded_after(module)
+    assert module in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures"}
 
 
 @pytest.fixture(scope="module")
