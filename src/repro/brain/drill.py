@@ -28,7 +28,7 @@ widths (``tests/brain/test_driver_integration.py``).
 from __future__ import annotations
 
 from repro.api.config import SchedConfig
-from repro.faults.drill import gray_storm_config, storm_scores
+from repro.faults.drill import gray_storm_config, score_drills
 
 #: Brains the drill compares (static first: it is the baseline every
 #: active brain must beat).
@@ -74,24 +74,6 @@ def brain_storm_config(
     return SchedConfig.from_dict(data)
 
 
-def _jain_fairness(values) -> float | None:
-    """Jain's fairness index over per-job completion times, in (0, 1].
-
-    1.0 = every job finished in the same time; the index collapses
-    toward ``1/n`` as one tenant's completion time dwarfs the rest —
-    the finish-time-fairness lens on a storm that slows whichever gang
-    is stuck on the straggler.
-    """
-    values = [v for v in values if v is not None]
-    if not values:
-        return None
-    total = sum(values)
-    square_sum = sum(v * v for v in values)
-    if square_sum == 0:
-        return 1.0
-    return (total * total) / (len(values) * square_sum)
-
-
 def run_brain_drills(brains=None, *, seed: int = 7) -> list[dict]:
     """Gray storm per brain + one fault-free no-brain baseline.
 
@@ -100,49 +82,14 @@ def run_brain_drills(brains=None, *, seed: int = 7) -> list[dict]:
     every brain is normalised against, so ``goodput_ratio`` reads as
     "fraction of the healthy schedule kept under the storm".
     """
-    from repro.api.facade import run_sched
     from repro.brain.base import BRAINS
 
-    names = [BRAINS.canonical(b) or b for b in (brains or BRAIN_DRILL_BRAINS)]
-    configs = [brain_storm_config(seed=seed, storm=False)]
-    configs.extend(brain_storm_config(brain, seed=seed) for brain in names)
-    reports = [next(iter(run_sched(config).values())) for config in configs]
-    baseline, storm_reports = reports[0], reports[1:]
-    baseline_goodput = baseline.cluster_goodput_it_per_s
-    results = []
-    for brain, report in zip(names, storm_reports):
-        brain_log = report.brain_log or {}
-        jcts = [outcome.jct_s for outcome in report.jobs]
-        done = [jct for jct in jcts if jct is not None]
-        results.append(
-            {
-                "brain": brain,
-                **storm_scores(report, baseline_goodput),
-                "mean_jct_s": (
-                    round(sum(done) / len(done), 3) if done else None
-                ),
-                "fairness": (
-                    round(_jain_fairness(jcts), 6)
-                    if _jain_fairness(jcts) is not None
-                    else None
-                ),
-                "deadline_hit_rate": report.deadline_hit_rate,
-                "migrations": brain_log.get("migrations", 0),
-                "shrinks": brain_log.get("shrinks", 0),
-                "grows": brain_log.get("grows", 0),
-                "declined": brain_log.get("declined", 0),
-                "brain_digest": brain_log.get("digest"),
-                "fault_digest": (
-                    report.fault_log["digest"]
-                    if report.fault_log is not None
-                    else None
-                ),
-                # Full structured decision log for callers that audit the
-                # replay (not a scorecard column; the digest pins it).
-                "entries": brain_log.get("entries", []),
-            }
-        )
-    return results
+    baseline = brain_storm_config(seed=seed, storm=False)
+    names = [BRAINS.canonical(b) or b for b in brains or BRAIN_DRILL_BRAINS]
+    cases = [(brain, brain_storm_config(brain, seed=seed), baseline) for brain in names]
+    # ``entries``, the full structured decision log, is for callers that
+    # audit the replay: not a scorecard column (the digest pins it).
+    return score_drills(cases, [*BRAIN_DRILL_COLUMNS, "entries"])
 
 
 __all__ = [

@@ -9,7 +9,9 @@ goodput under the storm vs the no-fault baseline, lost work, and $
 cost.  A second act, the *policy drill*, replays
 :data:`GRAY_STORM_EVENTS` through the multi-tenant scheduler once per
 placement policy and scores the health-ledger-driven ``fault-aware``
-policy against the fault-blind built-ins.  The per-scheme and
+policy against the fault-blind built-ins.  Both acts, and the brain
+drill (:mod:`repro.brain.drill`), run and score their baseline/storm
+pairs through one runner, :func:`score_drills`.  The per-scheme and
 per-policy fault-log digests pin bit-identical replay across hosts and
 ``--jobs`` widths (``tests/faults/test_drill.py``).
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from repro.api.config import RunConfig, SchedConfig
 from repro.api.registry import SCHEMES
+from repro.sched.policies import POLICIES
+from repro.utils.registry import ConfigError
 
 #: The composed storm (``at`` in wall iterations of an 80-iteration run):
 #: a NIC flap, a fail-slow disk, and a straggler window overlap the
@@ -98,51 +102,18 @@ def drill_config(
 
 def run_drills(schemes=None, *, seed: int = 7) -> list[dict]:
     """Baseline + storm per scheme; returns one scored dict per scheme."""
-    from repro.api.facade import run
-
-    names = (
-        [SCHEMES.canonical(s) or s for s in schemes]
-        if schemes
-        else SCHEMES.available()
-    )
-    configs = []
-    for scheme in names:
-        configs.append(drill_config(scheme, storm=False, seed=seed))
-        configs.append(drill_config(scheme, storm=True, seed=seed))
-    reports = [run(config) for config in configs]
-    results = []
-    for i, scheme in enumerate(names):
-        baseline, storm = reports[2 * i], reports[2 * i + 1]
-        fault_summary = storm.faults["summary"]
-        baseline_goodput = baseline.summary["goodput_it_per_s"]
-        storm_goodput = storm.summary["goodput_it_per_s"]
-        results.append(
-            {
-                "scheme": scheme,
-                "injected": fault_summary["injected"],
-                "recovered": fault_summary["recovered"],
-                "absorbed": fault_summary["absorbed"],
-                "detect_recover_s": fault_summary["mean_detect_recover_s"],
-                "baseline_goodput": round(baseline_goodput, 6),
-                "storm_goodput": round(storm_goodput, 6),
-                "goodput_ratio": (
-                    round(storm_goodput / baseline_goodput, 6)
-                    if baseline_goodput
-                    else None
-                ),
-                "lost_iterations": storm.elastic_run.lost_iterations,
-                "corrupt_checkpoints": storm.elastic_run.corrupt_checkpoints,
-                "baseline_usd_per_kiter": round(
-                    baseline.summary["usd_per_kilo_iter"], 6
-                ),
-                "storm_usd_per_kiter": round(storm.summary["usd_per_kilo_iter"], 6),
-                "log_digest": fault_summary["digest"],
-                # Full structured log, for callers that audit the replay
-                # (not a scorecard column; the digest pins it).
-                "entries": storm.faults["entries"],
-            }
+    names = [SCHEMES.canonical(s) or s for s in schemes or SCHEMES.available()]
+    cases = [
+        (
+            scheme,
+            drill_config(scheme, storm=True, seed=seed),
+            drill_config(scheme, storm=False, seed=seed),
         )
-    return results
+        for scheme in names
+    ]
+    # ``entries``, the full structured log, is for callers that audit
+    # the replay: not a scorecard column (the digest pins it).
+    return score_drills(cases, [*DRILL_COLUMNS, "entries"])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +154,8 @@ GRAY_STORM_HEALTH = {
 #: fault-blind baselines read first in the table).
 POLICY_DRILL_POLICIES = ("bin-pack", "spread", "network-aware", "fault-aware")
 
-#: Columns of the ``meta.policy_drill`` rows.
+#: Columns of the policy drill scorecard (the ``Fault drills`` experiment's
+#: gray-storm table).
 POLICY_DRILL_COLUMNS = [
     "policy",
     "injected",
@@ -269,22 +241,6 @@ def gray_storm_config(
     return SchedConfig.from_dict(data)
 
 
-def storm_scores(report, baseline_goodput: float) -> dict:
-    """The four storm-vs-baseline columns every scheduler drill reports."""
-    goodput = report.cluster_goodput_it_per_s
-    iters = sum(outcome.iterations for outcome in report.jobs)
-    return {
-        "storm_goodput": round(goodput, 6),
-        "baseline_goodput": round(baseline_goodput, 6),
-        "goodput_ratio": (
-            round(goodput / baseline_goodput, 6) if baseline_goodput else None
-        ),
-        "usd_per_kiter": (
-            round(report.total_cost_usd / (iters / 1000.0), 6) if iters else None
-        ),
-    }
-
-
 def run_policy_drills(policies=None, *, seed: int = 7) -> list[dict]:
     """Gray storm + fault-free baseline per policy; one scored dict each.
 
@@ -293,32 +249,142 @@ def run_policy_drills(policies=None, *, seed: int = 7) -> list[dict]:
     number isolates how much of the healthy schedule each policy keeps
     when the hardware turns gray.
     """
-    from repro.api.facade import run_sched
-
-    storm_reports = run_sched(gray_storm_config(policies, seed=seed))
-    base_reports = run_sched(gray_storm_config(policies, seed=seed, storm=False))
-    results = []
-    for policy, report in storm_reports.items():
-        log = report.fault_log
-        results.append(
-            {
-                "policy": policy,
-                "injected": log["injected"],
-                "recovered": log["recovered"],
-                "requeues": log["requeues"],
-                "quarantines": log["health"]["quarantines"],
-                "lost_iterations": round(log["lost_iterations"], 6),
-                "mean_recovery_s": (
-                    round(log["mean_detect_recover_s"], 6)
-                    if log["mean_detect_recover_s"] is not None
-                    else None
-                ),
-                **storm_scores(report, base_reports[policy].cluster_goodput_it_per_s),
-                "makespan_s": round(report.makespan_s, 3),
-                "log_digest": log["digest"],
-            }
+    names = [POLICIES.canonical(p) or p for p in policies or POLICY_DRILL_POLICIES]
+    cases = [
+        (
+            policy,
+            gray_storm_config([policy], seed=seed),
+            gray_storm_config([policy], seed=seed, storm=False),
         )
-    return results
+        for policy in names
+    ]
+    return score_drills(cases, POLICY_DRILL_COLUMNS)
+
+
+# ---------------------------------------------------------------------------
+# Scoring: one runner, one column extractor per report type
+# ---------------------------------------------------------------------------
+
+
+def score_drills(cases, columns) -> list[dict]:
+    """Run and score ``(label, storm config, baseline config)`` cases.
+
+    A config is a :class:`RunConfig` (run through
+    :func:`repro.api.facade.run`) or a one-policy :class:`SchedConfig`
+    (through :func:`repro.api.facade.run_sched`).  Each distinct config runs once —
+    keyed by its canonical JSON, so a baseline several cases share is
+    simulated once.  Row *i* maps ``columns[0]`` to case *i*'s label and
+    every other column to its score, storm against baseline.
+    """
+    labels = [label for label, _, _ in cases]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        noun = columns[0]
+        plural = noun[:-1] + "ies" if noun.endswith("y") else noun + "s"
+        raise ConfigError(
+            f"{plural} resolve to duplicate entries: {', '.join(duplicates)}"
+        )
+    configs = {config.to_json(): config for _, *pair in cases for config in pair}
+    reports = {key: _run_report(config) for key, config in configs.items()}
+    rows = []
+    for label, storm, baseline in cases:
+        score = _run_scores if isinstance(storm, RunConfig) else _sched_scores
+        scores = score(reports[storm.to_json()], reports[baseline.to_json()])
+        rows.append({columns[0]: label, **{c: scores[c] for c in columns[1:]}})
+    return rows
+
+
+def _run_report(config):
+    """The one report of a run config or of a one-policy sched config."""
+    from repro.api.facade import run, run_sched
+
+    if isinstance(config, RunConfig):
+        return run(config)
+    (report,) = run_sched(config).values()
+    return report
+
+
+def _goodput_scores(storm: float, baseline: float) -> dict:
+    """Goodput under the storm, fault-free, and the share kept."""
+    return {
+        "storm_goodput": round(storm, 6),
+        "baseline_goodput": round(baseline, 6),
+        "goodput_ratio": round(storm / baseline, 6) if baseline else None,
+    }
+
+
+def _run_scores(storm, baseline) -> dict:
+    """Every column an elastic :class:`~repro.api.facade.RunReport` scores."""
+    faults = storm.faults["summary"]
+    return {
+        "injected": faults["injected"],
+        "recovered": faults["recovered"],
+        "absorbed": faults["absorbed"],
+        "detect_recover_s": faults["mean_detect_recover_s"],
+        **_goodput_scores(
+            storm.summary["goodput_it_per_s"], baseline.summary["goodput_it_per_s"]
+        ),
+        "lost_iterations": storm.elastic_run.lost_iterations,
+        "corrupt_checkpoints": storm.elastic_run.corrupt_checkpoints,
+        "baseline_usd_per_kiter": round(baseline.summary["usd_per_kilo_iter"], 6),
+        "storm_usd_per_kiter": round(storm.summary["usd_per_kilo_iter"], 6),
+        "log_digest": faults["digest"],
+        "entries": storm.faults["entries"],
+    }
+
+
+def _sched_scores(storm, baseline) -> dict:
+    """Every column a :class:`~repro.sched.scheduler.SchedReport` scores:
+    the policy drill's recovery counters and the brain drill's JCT,
+    fairness and decision counts."""
+    log = storm.fault_log
+    brain_log = storm.brain_log or {}
+    recovery_s = log["mean_detect_recover_s"]
+    iters = sum(outcome.iterations for outcome in storm.jobs)
+    done = [outcome.jct_s for outcome in storm.jobs if outcome.jct_s is not None]
+    return {
+        "injected": log["injected"],
+        "recovered": log["recovered"],
+        "requeues": log["requeues"],
+        "quarantines": log["health"]["quarantines"],
+        "lost_iterations": round(log["lost_iterations"], 6),
+        "mean_recovery_s": round(recovery_s, 6) if recovery_s is not None else None,
+        **_goodput_scores(
+            storm.cluster_goodput_it_per_s, baseline.cluster_goodput_it_per_s
+        ),
+        "makespan_s": round(storm.makespan_s, 3),
+        "usd_per_kiter": (
+            round(storm.total_cost_usd / (iters / 1000.0), 6) if iters else None
+        ),
+        "mean_jct_s": round(sum(done) / len(done), 3) if done else None,
+        "fairness": round(_jain_fairness(done), 6) if done else None,
+        "deadline_hit_rate": storm.deadline_hit_rate,
+        "migrations": brain_log.get("migrations", 0),
+        "shrinks": brain_log.get("shrinks", 0),
+        "grows": brain_log.get("grows", 0),
+        "declined": brain_log.get("declined", 0),
+        "brain_digest": brain_log.get("digest"),
+        # The policy and brain scorecards name the fault-log digest apart.
+        "log_digest": log["digest"],
+        "fault_digest": log["digest"],
+        "entries": brain_log.get("entries", []),
+    }
+
+
+def _jain_fairness(values) -> float:
+    """Jain's fairness index over (a non-empty list of) per-job
+    completion times, in (0, 1].
+
+    1.0 = every job finished in the same time; the index collapses
+    toward ``1/n`` as one tenant's completion time dwarfs the rest —
+    the finish-time-fairness lens on a storm that slows whichever gang
+    is stuck on the straggler.
+    """
+    total = sum(values)
+    square_sum = sum(v * v for v in values)
+    if square_sum == 0:
+        return 1.0
+    return (total * total) / (len(values) * square_sum)
 
 
 __all__ = [
@@ -333,4 +399,5 @@ __all__ = [
     "gray_storm_config",
     "run_drills",
     "run_policy_drills",
+    "score_drills",
 ]

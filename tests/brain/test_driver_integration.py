@@ -14,6 +14,7 @@ from repro.api.facade import run_sched
 from repro.brain.drill import BRAIN_DRILL_BRAINS, brain_storm_config, run_brain_drills
 from repro.brain.log import PHASES
 from repro.utils.registry import ConfigError
+from tests.conftest import rows_digest
 
 APPLY_PHASES = ("migrate", "shrink", "grow")
 
@@ -23,6 +24,9 @@ DIGESTS = {
     "static": {"brain": None, "faults": "6e07456dd33e75e2"},
     "throughput": {"brain": "4820bfb68fd4aa35", "faults": "6ad1f8e0d14d270d"},
 }
+#: Scorecard digest (:func:`tests.conftest.rows_digest`, seed 7): every
+#: value of every brain's row, ``entries`` included.
+ROWS_DIGEST = "9ffffb95884c02e2"
 
 
 def _storm_report(brain: str, **brain_overrides):
@@ -140,6 +144,9 @@ class TestDrillScorecard:
             for r in results
         } == DIGESTS
 
+    def test_scorecard_equals_committed_baseline(self, results):
+        assert rows_digest(results) == ROWS_DIGEST
+
     def test_drill_rows_cover_every_builtin(self, results):
         assert [r["brain"] for r in results] == list(BRAIN_DRILL_BRAINS)
 
@@ -164,6 +171,24 @@ class TestDrillScorecard:
         # A win with an empty decision log would not be the brain's doing.
         (row,) = [r for r in results if r["brain"] == "health-migrate"]
         assert row["migrations"] >= 1 and row["entries"], row
+
+    def test_shared_baseline_runs_once(self, monkeypatch):
+        import repro.api.facade as facade
+
+        ran, real_run_sched = [], facade.run_sched
+
+        def counting_run_sched(config):
+            ran.append(config.name)
+            return real_run_sched(config)
+
+        monkeypatch.setattr(facade, "run_sched", counting_run_sched)
+        run_brain_drills(["static", "throughput"])
+        # Two storms and the one fault-free baseline both rows divide by.
+        assert sorted(ran) == [
+            "gray-storm-static",
+            "gray-storm-static-baseline",
+            "gray-storm-throughput",
+        ]
 
     def test_unknown_brain_is_one_config_error(self):
         with pytest.raises(ConfigError, match="unknown brain 'nope'; registered: "):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 import tracemalloc
 
@@ -49,6 +51,16 @@ def testbed():
 def make_worker_grads(rng: np.random.Generator, world: int, d: int) -> list[np.ndarray]:
     """Helper used across comm/collective tests."""
     return [rng.normal(size=d) for _ in range(world)]
+
+
+def digest16(text: str) -> str:
+    """First 16 hex digits of ``sha256(text)``: the width of every pin."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def rows_digest(rows) -> str:
+    """:func:`digest16` of a scorecard's canonical JSON."""
+    return digest16(json.dumps(rows, sort_keys=True))
 
 
 def peak_bytes(call) -> int:

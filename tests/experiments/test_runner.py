@@ -1,8 +1,12 @@
 """The run-everything entry point."""
 
+import importlib
 import inspect
 
+import pytest
+
 from repro.experiments.runner import EXPERIMENTS, FAST_AWARE, main
+from tests.conftest import digest16
 
 
 class TestRunner:
@@ -67,3 +71,17 @@ class TestFastFlag:
     def test_fast_elastic_churn(self, capsys):
         assert main(["--only", "Elastic churn", "--fast"]) == 0
         assert "goodput" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "module, lines, digest",
+        [
+            ("fault_drills", 41, "557825d8521d6b6e"),
+            ("brain_autotune", 22, "a6132a3cd0f54e2a"),
+        ],
+    )
+    def test_fast_drill_transcript_is_pinned(self, capsys, module, lines, digest):
+        # Every printed scorecard value, byte for byte; nothing printed
+        # depends on the wall clock.
+        importlib.import_module(f"repro.experiments.{module}").main(fast=True)
+        out = capsys.readouterr().out
+        assert (len(out.splitlines()), digest16(out)) == (lines, digest)

@@ -13,12 +13,14 @@ pins: ``tests/faults/test_cli_faults.py`` holds the CLI to the same ones.
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 
 from repro.api.config import RunConfig, SchedConfig
 from repro.api.facade import run
 from repro.api.registry import SCHEMES
+from repro.brain.drill import run_brain_drills
 from repro.faults.drill import (
     DRILL_COLUMNS,
     GRAY_STORM_EVENTS,
@@ -32,6 +34,7 @@ from repro.faults.drill import (
     run_policy_drills,
 )
 from repro.utils.registry import ConfigError
+from tests.conftest import rows_digest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -52,6 +55,10 @@ POLICY_DIGESTS = {
     "network-aware": "60abd4d54393659a",
     "spread": "60abd4d54393659a",
 }
+#: Scorecard digests (:func:`tests.conftest.rows_digest`, seed 7): every
+#: value of every row, ``entries`` included.
+SCHEME_ROWS_DIGEST = "82025c64aa563d4f"
+POLICY_ROWS_DIGEST = "4dc22587f2e7768c"
 #: Below this share of its fault-free goodput a scheme's recovery is
 #: broken, not slow (the matrix sits near 0.063).
 MIN_GOODPUT_RATIO = 0.05
@@ -129,6 +136,9 @@ class TestStormRecoveryEveryScheme:
             row["storm_goodput"] / row["baseline_goodput"], rel=1e-5
         )
 
+    def test_scorecard_equals_committed_baseline(self, pinned):
+        assert rows_digest(list(pinned.values())) == SCHEME_ROWS_DIGEST
+
     def test_scheme_alias_resolves_to_the_pinned_row(self):
         (row,) = run_drills(["torus"], seed=7)
         assert row["scheme"] == "2dtar"
@@ -181,6 +191,30 @@ def test_drill_digests_equal_committed_baseline():
     assert {
         r["policy"]: r["log_digest"] for r in run_policy_drills(seed=7)
     } == POLICY_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "drill, names, message",
+    [
+        (run_drills, ["torus", "2dtar"], "schemes resolve to duplicate entries: 2dtar"),
+        (
+            run_policy_drills,
+            ["binpack", "bin-pack"],
+            "policies resolve to duplicate entries: bin-pack",
+        ),
+        (
+            run_brain_drills,
+            ["health", "health-migrate"],
+            "brains resolve to duplicate entries: health-migrate",
+        ),
+    ],
+    ids=["schemes", "policies", "brains"],
+)
+def test_aliases_of_one_entry_are_one_config_error(drill, names, message):
+    # Every drill scores each entry once: an alias beside its canonical
+    # name is rejected before anything runs, not scored twice.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        drill(names)
 
 
 class TestInjectionEdgeCases:
@@ -356,6 +390,9 @@ class TestPolicyDrill:
             row["storm_goodput"] / row["baseline_goodput"], rel=1e-5
         )
         assert row["lost_iterations"] > 0 and row["usd_per_kiter"] > 0, row
+
+    def test_scorecard_equals_committed_baseline(self, results):
+        assert rows_digest(results) == POLICY_ROWS_DIGEST
 
     def test_policy_alias_resolves_to_the_pinned_row(self):
         (row,) = run_policy_drills(["binpack"], seed=7)
