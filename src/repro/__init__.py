@@ -73,7 +73,6 @@ __getattr__, __all__ = lazy_exports(
         "repro.elastic.events": ["PoissonChurn"],
         "repro.elastic.membership": ["MembershipView"],
         "repro.models.profiles": ["resnet50_profile", "transformer_profile", "vgg19_profile"],
-        "repro.optim.lamb": ["LAMB"],
         "repro.optim.lars": ["LARS"],
         "repro.optim.sgd": ["SGD"],
         "repro.pto.lars_pto": ["lars_learning_rates_pto"],

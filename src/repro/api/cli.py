@@ -589,12 +589,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     # Client-side user errors (bad JSON, unreachable daemon, rejected
     # submissions) all exit 2 with one line.
     from repro.serve import SubmitError, send_ops
+    from repro.utils.eventlog import parse_json
 
     try:
         ops: list[dict] = []
         for raw in args.job:
             try:
-                job = json.loads(raw)
+                job = parse_json(raw)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"--job is not valid JSON: {exc}") from exc
             if not isinstance(job, dict):
@@ -609,7 +610,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    entry = json.loads(line)
+                    entry = parse_json(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(
                         f"{path} line {lineno}: invalid JSON: {exc}"
@@ -622,7 +623,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 ops.append(entry if "op" in entry else {"op": "submit", "job": entry})
         for raw in args.op:
             try:
-                op = json.loads(raw)
+                op = parse_json(raw)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"--op is not valid JSON: {exc}") from exc
             if not isinstance(op, dict):

@@ -41,6 +41,7 @@ from repro.exec.config import ExecConfig
 from repro.faults.plan import FaultConfig, FaultPlan, FaultsConfig
 from repro.sched.job import JobSpec, TrainPayload
 from repro.sched.policies import POLICIES
+from repro.utils.eventlog import parse_json
 from repro.utils.lazy import lazy_exports
 from repro.utils.registry import ConfigError
 
@@ -161,7 +162,7 @@ class JsonConfig:
     @classmethod
     def from_json(cls, text: str, *, validate: bool = True):
         try:
-            data = json.loads(text)
+            data = parse_json(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON {cls.KIND} config: {exc}") from exc
         return cls.from_dict(data, validate=validate)
@@ -473,7 +474,7 @@ class SchedConfig(JsonConfig):
 
 def _parse_override_value(raw: str) -> Any:
     try:
-        return json.loads(raw)
+        return parse_json(raw)
     except json.JSONDecodeError:
         return raw  # bare strings need no quoting: --set comm.scheme=dense
 

@@ -82,11 +82,6 @@ class BrainObservation:
         self.quarantine_threshold = (
             faults.quarantine_threshold if faults is not None else float("inf")
         )
-        #: Iterations between the implied checkpoints a crash rolls back
-        #: to — the unit of expected rollback cost.
-        self.checkpoint_iterations = (
-            faults if faults is not None else FaultsConfig
-        ).checkpoint_iterations  # the class attribute is the field default
         self.spot_discount = spot_discount
         #: Jobs waiting in the admission queue at the tick.
         self.queued = queued
@@ -164,17 +159,6 @@ class BrainObservation:
     def hourly_usd(self, name: str, node_count: int) -> float:
         """Spot/on-demand burn rate at a hypothetical allocation size."""
         return self._scheduler.hourly_rate(self._specs[name], node_count)
-
-    def expected_rollback_iterations(self, node: int) -> float:
-        """Iterations a crash of ``node`` would cost, suspicion-weighted.
-
-        An unwarned crash rolls a job back to its last implied
-        checkpoint — half a checkpoint interval in expectation — and the
-        ledger's suspicion fraction is the closed-form stand-in for the
-        crash probability.  This is the rollback cost brains price into
-        scale-up choices.
-        """
-        return self.suspicion_fraction(node) * self.checkpoint_iterations / 2.0
 
 
 def build_observation(run) -> BrainObservation:

@@ -40,7 +40,7 @@ __getattr__, __all__ = lazy_exports(
         ],
         "repro.cluster.gpu": ["GpuSpec", "V100"],
         "repro.cluster.network": ["NetworkModel"],
-        "repro.cluster.topology": ["ClusterTopology", "Device"],
+        "repro.cluster.topology": ["ClusterTopology"],
         "repro.cluster.variability": ["VariabilityModel", "expected_slowdown"],
     },
 )

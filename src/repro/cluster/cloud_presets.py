@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.cluster.links import LinkSpec, NVLINK_V100
 from repro.cluster.network import NetworkModel
 from repro.cluster.topology import ClusterTopology
-from repro.utils.units import GiB, gbps_to_bytes_per_sec
+from repro.utils.units import gbps_to_bytes_per_sec
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,6 @@ class StorageTier:
     bandwidth: float  # bytes / second
     latency: float  # seconds per request
 
-    def read_time(self, nbytes: float) -> float:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        if nbytes == 0:
-            return 0.0
-        return self.latency + nbytes / self.bandwidth
-
 
 @dataclass(frozen=True)
 class CloudInstance:
@@ -49,10 +42,6 @@ class CloudInstance:
     gpu_model: str = "Tesla V100-32GB"
     intra_link: LinkSpec = NVLINK_V100
     nfs: StorageTier = StorageTier("generic-nfs", 400e6, 2e-3)
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.memory_gib * GiB
 
     @property
     def inter_link(self) -> LinkSpec:

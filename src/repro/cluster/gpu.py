@@ -66,12 +66,6 @@ class GpuSpec:
         bandwidth = self.memory_bandwidth * self.irregular_efficiency
         return self.kernel_launch_overhead + n_elements * bytes_per_element / bandwidth
 
-    def elementwise_time(self, n_elements: int, flops_per_element: float = 1.0) -> float:
-        """Compute-bound elementwise kernel time."""
-        if n_elements < 0:
-            raise ValueError(f"n_elements must be non-negative, got {n_elements}")
-        return self.kernel_launch_overhead + n_elements * flops_per_element / self.fp32_flops
-
 
 #: Tesla V100-32GB (the paper's GPU): 900 GB/s HBM2, 15.7 TFLOPS FP32,
 #: 125 TFLOPS tensor cores, ~5 µs launch overhead through a framework.

@@ -56,14 +56,6 @@ class LinkSpec:
         """Effective transfer time per byte (seconds/byte)."""
         return 1.0 / (self.bandwidth * self.efficiency)
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Time to move one message of ``nbytes`` over this link."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        if nbytes == 0:
-            return 0.0
-        return self.alpha + nbytes * self.beta
-
     def scaled(self, share: float) -> "LinkSpec":
         """A copy of this link with only ``share`` of the bandwidth.
 

@@ -48,23 +48,6 @@ class NetworkModel:
     def world_size(self) -> int:
         return self.topology.world_size
 
-    @property
-    def alpha_intra(self) -> float:
-        return self.intra.alpha
-
-    @property
-    def beta_intra(self) -> float:
-        return self.intra.beta
-
-    @property
-    def alpha_inter(self) -> float:
-        return self.inter.alpha
-
-    @property
-    def beta_inter(self) -> float:
-        """Per-byte time across the node NIC for a single stream."""
-        return self.inter.beta
-
     def inter_link_shared(self, streams: int) -> LinkSpec:
         """The inter-node link as seen by one of ``streams`` concurrent flows."""
         if streams < 1:
@@ -138,14 +121,6 @@ class NetworkModel:
             intra=self.intra,
             inter=self.inter.scaled(1.0 - loss_rate),
         )
-
-    # -- point-to-point ---------------------------------------------------------
-    def p2p_time(self, rank_a: int, rank_b: int, nbytes: float) -> float:
-        """Point-to-point transfer time between two GPUs."""
-        if rank_a == rank_b:
-            return 0.0
-        link = self.intra if self.topology.same_node(rank_a, rank_b) else self.inter
-        return link.transfer_time(nbytes)
 
     # -- collective closed forms -------------------------------------------------
     # These implement the closed-form costs the paper states; the comm

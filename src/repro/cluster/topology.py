@@ -9,23 +9,6 @@ the collectives and by the hierarchical communication algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-
-@dataclass(frozen=True)
-class Device:
-    """One GPU in the virtual cluster."""
-
-    node: int
-    local_rank: int
-    rank: int
-
-    @property
-    def name(self) -> str:
-        return f"node{self.node}/gpu{self.local_rank}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Device({self.name}, rank={self.rank})"
 
 
 @dataclass(frozen=True)
@@ -69,39 +52,6 @@ class ClusterTopology:
         self._check_rank(rank)
         return rank % self.gpus_per_node
 
-    def device(self, rank: int) -> Device:
-        return Device(self.node_of(rank), self.local_rank_of(rank), rank)
-
-    def devices(self) -> list[Device]:
-        return [self.device(r) for r in range(self.world_size)]
-
-    def node_ranks(self, node: int) -> list[int]:
-        """Global ranks of all GPUs on one node."""
-        self._check_node(node)
-        start = node * self.gpus_per_node
-        return list(range(start, start + self.gpus_per_node))
-
-    def stream_ranks(self, local_rank: int) -> list[int]:
-        """Global ranks of the ``local_rank``-th GPU on every node.
-
-        These are the participants of one inter-node communication
-        stream in HiTopKComm step 3 ("for the j-th communication stream,
-        the j-th GPUs in all nodes perform an All-Gather").
-        """
-        self._check_local(local_rank)
-        return [self.rank(node, local_rank) for node in range(self.num_nodes)]
-
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        return self.node_of(rank_a) == self.node_of(rank_b)
-
-    def iter_node_groups(self) -> Iterator[list[int]]:
-        for node in range(self.num_nodes):
-            yield self.node_ranks(node)
-
-    def iter_stream_groups(self) -> Iterator[list[int]]:
-        for local in range(self.gpus_per_node):
-            yield self.stream_ranks(local)
-
     # -- validation ----------------------------------------------------------
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -124,4 +74,4 @@ class ClusterTopology:
         )
 
 
-__all__ = ["ClusterTopology", "Device"]
+__all__ = ["ClusterTopology"]

@@ -62,11 +62,6 @@ class SparseVector:
         """
         return SparseVector(self.values, self.indices + offset, new_length)
 
-    def nbytes_on_wire(self, value_bytes: int = 4, index_bytes: int = 4) -> int:
-        """Wire size: ``k`` values plus ``k`` indices (paper: "the number
-        of elements ... to be transmitted becomes 2k")."""
-        return self.nnz * (value_bytes + index_bytes)
-
 
 def coalesce(vec: SparseVector) -> SparseVector:
     """Merge duplicate indices by summation; output indices are sorted."""

@@ -39,13 +39,6 @@ class TimeBreakdown:
             raise ValueError(f"factor must be non-negative, got {factor}")
         return TimeBreakdown({k: v * factor for k, v in self.steps.items()})
 
-    def merged(self, other: "TimeBreakdown") -> "TimeBreakdown":
-        """Sum of two breakdowns, preserving this one's step order first."""
-        out = TimeBreakdown(dict(self.steps))
-        for name, seconds in other.steps.items():
-            out.add(name, seconds)
-        return out
-
     def fraction(self, name: str) -> float:
         """Share of the total attributable to one step (0 if total is 0)."""
         total = self.total

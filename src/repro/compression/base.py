@@ -62,13 +62,6 @@ class TopKCompressor(abc.ABC):
         rows, ks = self._validate_batch(xs, ks)
         return [self.select(x, k, rng=rng) for x, k in zip(rows, ks)]
 
-    def select_density(
-        self, x: np.ndarray, density: float, *, rng: RandomState | None = None
-    ) -> SparseVector:
-        """Select ``k = density * len(x)`` entries."""
-        x = np.asarray(x)
-        return self.select(x, density_to_k(x.size, density), rng=rng)
-
     @staticmethod
     def _validate(x: np.ndarray, k: int) -> np.ndarray:
         x = np.asarray(x)

@@ -199,18 +199,5 @@ class ErrorFeedback:
         _subtract_sent(residual, corrected, sent)
         self._residuals[key] = residual
 
-    def reset(self, key: object | None = None) -> None:
-        """Clear one residual or all of them."""
-        if key is None:
-            self._residuals.clear()
-        else:
-            self._residuals.pop(key, None)
-
-    def total_norm(self) -> float:
-        """L2 norm of all residual mass (diagnostic; bounded for top-k EF)."""
-        return float(
-            np.sqrt(sum(float(np.sum(r * r)) for r in self._residuals.values()))
-        )
-
 
 __all__ = ["ErrorFeedback"]

@@ -62,16 +62,6 @@ class CacheStats:
             self.nfs_reads += 1
             self.bytes_from_nfs += nbytes
 
-    @property
-    def total_reads(self) -> int:
-        return self.memory_hits + self.disk_hits + self.nfs_reads
-
-    def hit_rate(self) -> float:
-        total = self.total_reads
-        if total == 0:
-            return 0.0
-        return self.memory_hits / total
-
 
 @dataclass
 class ReadOutcome:
@@ -178,14 +168,6 @@ class DataCache:
             io_seconds=io_seconds,
             preprocess_seconds=clock.now - aug_start,
         )
-
-    def warm_memory_fraction(self) -> float:
-        """Fraction of this node's shard already resident in memory."""
-        owned = [i for i in range(len(self.dataset)) if self.owns(i)]
-        if not owned:
-            return 0.0
-        resident = sum(self.memory.contains(self.dataset.key(i)) for i in owned)
-        return resident / len(owned)
 
 
 __all__ = ["CacheLevel", "CacheStats", "ReadOutcome", "DataCache"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.preprocess import encode_image
-from repro.utils.seeding import RandomState, new_rng
+from repro.utils.seeding import new_rng
 
 
 @dataclass
@@ -66,13 +66,6 @@ class SyntheticImageDataset:
     def encoded_sample_bytes(self) -> int:
         """Size of one encoded sample (all samples are equal-sized here)."""
         return len(self.encoded(0))
-
-    def epoch_order(self, epoch: int, rng: RandomState | None = None) -> np.ndarray:
-        """Shuffled sample order for one epoch (deterministic per epoch)."""
-        order_rng = rng if rng is not None else new_rng(self.seed + 1000 + epoch)
-        order = np.arange(self.num_samples)
-        order_rng.shuffle(order)
-        return order
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.num_samples:

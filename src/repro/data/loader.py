@@ -32,15 +32,6 @@ class EpochTimings:
     visible_seconds: float = 0.0  # what the training loop actually waits
     level_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_pipeline_seconds(self) -> float:
-        return self.io_seconds + self.preprocess_seconds
-
-    def per_iteration_visible(self) -> float:
-        if self.iterations == 0:
-            return 0.0
-        return self.visible_seconds / self.iterations
-
 
 class CachedDataLoader:
     """Batched loader over a :class:`DataCache` partition.

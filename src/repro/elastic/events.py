@@ -214,29 +214,6 @@ class PoissonChurn:
         self.rejoin_delay = rejoin_delay
         self.min_nodes = min_nodes
 
-    @classmethod
-    def from_profile(
-        cls,
-        profile: SpotProfile | str,
-        *,
-        rejoin_delay: int = 0,
-        min_nodes: int = 1,
-    ) -> "PoissonChurn":
-        """Build a schedule from a cloud's :data:`SPOT_PROFILES` entry."""
-        if isinstance(profile, str):
-            key = profile.lower()
-            if key not in SPOT_PROFILES:
-                raise KeyError(
-                    f"unknown spot profile {profile!r}; available: {sorted(SPOT_PROFILES)}"
-                )
-            profile = SPOT_PROFILES[key]
-        return cls(
-            profile.revoke_rate,
-            warned_fraction=profile.warned_fraction,
-            rejoin_delay=rejoin_delay,
-            min_nodes=min_nodes,
-        )
-
     def generate(
         self, horizon: int, num_nodes: int, rng: RandomState | None = None
     ) -> list[ChurnEvent]:

@@ -26,6 +26,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.faults.registry import FAULT_TARGETS, FAULTS, FaultError
+from repro.utils.eventlog import parse_json
 from repro.utils.registry import ConfigError
 from repro.utils.seeding import derive_seed
 
@@ -289,7 +290,7 @@ def _load_plan_file(path_str: str) -> list[FaultConfig]:
     if not path.exists():
         raise FaultError(f"fault plan file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = parse_json(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FaultError(f"fault plan file {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):

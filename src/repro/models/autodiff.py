@@ -4,7 +4,7 @@ The convergence experiments (paper Fig. 10 / Table 2) need *real*
 training through the actual sparsified-communication pipeline, and no
 deep-learning framework is available offline — so this module provides
 the minimum viable tape: broadcast-aware elementwise ops, (batched)
-matmul, reductions, shape ops, ReLU/tanh, softmax / fused softmax
+matmul, reductions, shape ops, ReLU, softmax / fused softmax
 cross-entropy, layer norm, embedding lookup and an im2col convolution.
 
 Design follows the classic micro-tape pattern: each op builds a node
@@ -112,9 +112,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'}{tag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def _accumulate(self, grad: Array, owned: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient slot.
 
@@ -215,9 +212,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- operators --------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         return add(self, _wrap(other))
@@ -262,9 +256,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return relu(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
 
 
 def _wrap(value) -> Tensor:
@@ -376,15 +367,6 @@ def relu(a: Tensor) -> Tensor:
         a._accumulate(grad * (a.data > 0), owned=True)
 
     return _node(np.maximum(a.data, 0.0), (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(grad: Array) -> None:
-        a._accumulate(grad * (1.0 - out_data**2), owned=True)
-
-    return _node(out_data, (a,), backward)
 
 
 # -- linear algebra --------------------------------------------------------------
@@ -846,7 +828,6 @@ __all__ = [
     "exp",
     "log",
     "relu",
-    "tanh",
     "matmul",
     "tensor_sum",
     "tensor_mean",

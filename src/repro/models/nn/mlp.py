@@ -127,11 +127,6 @@ class MLPClassifier:
         metrics = [{"accuracy": float(a)} for a in accuracy]
         return losses, leaf_grads(tensors), metrics
 
-    def predict(self, params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-        tensors = {k: Tensor(v) for k, v in params.items()}
-        logits = self.logits(tensors, Tensor(self._batch(params, x)))
-        return logits.data.argmax(axis=1)
-
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1
     ) -> float:

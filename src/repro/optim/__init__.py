@@ -1,10 +1,9 @@
 """Optimizers and the progressive-resizing schedule.
 
 Large-batch training (global batch 32K in the paper's §5.5) needs
-layer-wise adaptive scaling to converge — LARS (You et al. 2018) for
-CNNs, LAMB (You et al. 2020) for attention models.  Plain momentum SGD
-is the within-layer update rule underneath both.  The DAWNBench record
-run (§5.6) changes input resolution by phase
+layer-wise adaptive scaling to converge — LARS (You et al. 2018).
+Plain momentum SGD is the within-layer update rule underneath it.  The
+DAWNBench record run (§5.6) changes input resolution by phase
 (:class:`~repro.optim.schedules.ProgressiveResizeSchedule`).
 """
 
@@ -14,7 +13,6 @@ __getattr__, __all__ = lazy_exports(
     __name__,
     {
         "repro.optim.lars": ["LARS", "lars_coefficient", "lars_coefficients"],
-        "repro.optim.lamb": ["LAMB"],
         "repro.optim.schedules": ["ProgressiveResizeSchedule", "ResolutionPhase"],
         "repro.optim.sgd": ["SGD"],
     },

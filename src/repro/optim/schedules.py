@@ -41,18 +41,6 @@ class ProgressiveResizeSchedule:
     def total_epochs(self) -> int:
         return sum(p.epochs for p in self.phases)
 
-    def phase_at(self, epoch: int) -> ResolutionPhase:
-        if epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {epoch}")
-        remaining = epoch
-        for phase in self.phases:
-            if remaining < phase.epochs:
-                return phase
-            remaining -= phase.epochs
-        raise IndexError(
-            f"epoch {epoch} beyond schedule of {self.total_epochs} epochs"
-        )
-
     @staticmethod
     def dawnbench_28_epoch() -> "ProgressiveResizeSchedule":
         """The paper's record run schedule (Table 4)."""

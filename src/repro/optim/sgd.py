@@ -70,12 +70,5 @@ class SGD:
                 g = g + self.momentum * v if self.nesterov else v
             w -= lr * g
 
-    def state_size(self) -> int:
-        """Total momentum-state elements (for memory accounting)."""
-        return sum(v.size for v in self._velocity.values())
-
-    def reset(self) -> None:
-        self._velocity.clear()
-
 
 __all__ = ["SGD"]

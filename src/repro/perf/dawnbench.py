@@ -45,10 +45,6 @@ class DawnbenchResult:
     epochs: int = 0
     reached_target: bool = False
 
-    @property
-    def time_to_target(self) -> float:
-        return self.total_seconds
-
 
 @dataclass(frozen=True)
 class LeaderboardEntry:

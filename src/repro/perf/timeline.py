@@ -17,7 +17,7 @@ which this simulator lets us derive rather than assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

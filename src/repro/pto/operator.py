@@ -63,10 +63,6 @@ class ParallelTensorOperator:
         self.op = op
         self.balanced = balanced
 
-    def run_serial(self, layers: Sequence[object]) -> np.ndarray:
-        """Reference execution: every layer computed in order (Eq. 12)."""
-        return np.asarray([np.asarray(self.op(layer)) for layer in layers]).ravel()
-
     def run(self, layers: Sequence[object], layer_sizes: Sequence[int] | None = None) -> PTOResult:
         """Partitioned execution (Eqs. 13–14) over ``P`` virtual workers."""
         p = self.network.world_size
@@ -149,10 +145,6 @@ class PTOCostModel:
 
     def speedup(self, layer_sizes: Sequence[int], network: NetworkModel) -> float:
         return self.serial_time(layer_sizes) / self.pto_time(layer_sizes, network)
-
-    def worthwhile(self, layer_sizes: Sequence[int], network: NetworkModel) -> bool:
-        """The paper's adoption criterion: PTO wins iff gather < compute saved."""
-        return self.pto_time(layer_sizes, network) < self.serial_time(layer_sizes)
 
 
 __all__ = ["ParallelTensorOperator", "PTOResult", "PTOCostModel"]

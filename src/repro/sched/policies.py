@@ -145,9 +145,6 @@ class ClusterState:
     def is_up(self, node: int) -> bool:
         return node not in self._down
 
-    def down_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self._down))
-
     def occupants_of(self, node: int) -> dict[str, int]:
         """``{job: gpus}`` currently resident on ``node`` (a copy)."""
         return dict(self._occupants[node])

@@ -37,6 +37,7 @@ from repro.sched.traces.records import (
     TraceJob,
     TraceTask,
 )
+from repro.utils.eventlog import parse_json
 
 #: JSONL record-type discriminator -> record class.
 RECORD_TYPES = {"job": TraceJob, "task": TraceTask, "instance": TraceInstance}
@@ -92,7 +93,7 @@ def _coerce(kind: str, name: str, value: Any, where: str) -> Any:
     if name == "payload":
         if isinstance(value, str):  # CSV cell carrying JSON
             try:
-                value = json.loads(value)
+                value = parse_json(value)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{where}: payload is not valid JSON: {exc}") from exc
         if not isinstance(value, dict):
@@ -146,7 +147,7 @@ def _load_jsonl(path: pathlib.Path) -> Trace:
                 continue
             where = f"{path}:{lineno}"
             try:
-                data = json.loads(line)
+                data = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(data, dict):

@@ -44,6 +44,7 @@ from typing import Iterable
 from repro.serve.engine import ServeEngine
 from repro.serve.journal import Journal, canonical_json, repair_journal
 from repro.serve.snapshot import SnapshotStore
+from repro.utils.eventlog import parse_json
 
 #: Op kinds that mutate state and therefore get journaled.
 MUTATING_OPS = ("submit", "tick", "drain", "snapshot", "stop")
@@ -333,7 +334,7 @@ def run_script(runtime: ServeRuntime, lines: Iterable[str]) -> list[dict]:
         if not line or line.startswith("#"):
             continue
         try:
-            op = json.loads(line)
+            op = parse_json(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"ops line {lineno}: invalid JSON: {exc}") from exc
         try:
@@ -373,7 +374,7 @@ def serve_socket(runtime: ServeRuntime, socket_path: str | pathlib.Path) -> int:
             with conn, conn.makefile("rwb") as stream:
                 for raw in stream:
                     try:
-                        op = json.loads(raw.decode("utf-8"))
+                        op = parse_json(raw.decode("utf-8"))
                         ack = runtime.handle(op)
                     except (ValueError, KeyError) as exc:
                         ack = {"ok": False, "error": str(exc)}

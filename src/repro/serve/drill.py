@@ -24,6 +24,7 @@ import time
 
 from repro.serve.daemon import ServeRuntime, SimulatedCrash, parse_kill_spec
 from repro.serve.journal import canonical_json
+from repro.utils.eventlog import parse_json
 
 #: One injection point per kill-plan kind: crash the daemon mid-tick,
 #: mid-snapshot-write, and mid-journal-append.
@@ -67,7 +68,7 @@ def ops_from_script(lines) -> list[dict]:
         if not line or line.startswith("#"):
             continue
         try:
-            ops.append(json.loads(line))
+            ops.append(parse_json(line))
         except json.JSONDecodeError as exc:
             raise ValueError(f"ops line {lineno}: invalid JSON: {exc}") from exc
     for index, op in enumerate(ops):

@@ -42,7 +42,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from repro.utils.eventlog import canonical_json
+from repro.utils.eventlog import canonical_json, parse_json
 
 #: Magic + format version; bump the trailing digits on layout changes.
 JOURNAL_MAGIC = b"RPJRNL01"
@@ -59,8 +59,16 @@ class JournalError(RuntimeError):
 
 
 def encode_frame(record: dict) -> bytes:
-    """One CRC-framed journal frame for ``record``."""
-    payload = canonical_json(record).encode("utf-8")
+    """One CRC-framed journal frame for ``record``.
+
+    A record nested too deep to encode is a ``ValueError``: an op can
+    decode a few levels under the recursion limit and still not encode
+    one call deeper, and the daemon rejects such an op rather than die.
+    """
+    try:
+        payload = canonical_json(record).encode("utf-8")
+    except RecursionError:
+        raise ValueError("op nested too deeply to journal") from None
     return _FRAME_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -167,7 +175,7 @@ def scan_journal(path: str | pathlib.Path) -> JournalScan:
         if zlib.crc32(payload) != crc:
             break  # bit rot or torn rewrite
         try:
-            record = json.loads(payload.decode("utf-8"))
+            record = parse_json(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             break
         scan.records.append(record)

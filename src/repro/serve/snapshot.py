@@ -29,7 +29,6 @@ when the first is corrupt, and returns ``None`` when neither is usable
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import pickle
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 
 from repro.serve.journal import canonical_json
 from repro.train.checkpoint import CheckpointCorruptError
+from repro.utils.eventlog import parse_json
 
 #: Magic + format version; bump the trailing digits on layout changes.
 SNAPSHOT_MAGIC = b"RPSNAP05"
@@ -109,7 +109,7 @@ def _read_verified(path: pathlib.Path) -> tuple[dict, memoryview]:
     if zlib.crc32(body, zlib.crc32(meta_bytes)) != crc:
         raise SnapshotCorruptError(f"snapshot {path} failed its CRC32 check")
     try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
+        meta = parse_json(meta_bytes.decode("utf-8"))
     except ValueError as exc:
         raise SnapshotCorruptError(f"snapshot {path} failed to decode: {exc}") from exc
     return meta, body

@@ -15,7 +15,7 @@ __getattr__, __all__ = lazy_exports(
     __name__,
     {
         "repro.train.checkpoint": ["load_checkpoint", "save_checkpoint"],
-        "repro.train.convergence": ["ConvergenceResult", "ConvergenceRunner", "EpochRecord"],
+        "repro.train.convergence": ["ConvergenceResult", "ConvergenceRunner"],
         "repro.train.synthetic": [
             "make_blob_classification",
             "make_spiral_classification",

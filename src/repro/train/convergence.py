@@ -28,14 +28,6 @@ from repro.utils.seeding import new_rng
 
 
 @dataclass
-class EpochRecord:
-    """One (epoch, metric) point on a convergence curve."""
-
-    epoch: int
-    metric: float
-
-
-@dataclass
 class ConvergenceResult:
     """All algorithms' curves for one workload."""
 
@@ -43,20 +35,12 @@ class ConvergenceResult:
     metric_name: str
     reports: dict[str, TrainingReport] = field(default_factory=dict)
 
-    def curve(self, algorithm: str) -> list[EpochRecord]:
-        report = self.reports[algorithm]
-        return [EpochRecord(i, m) for i, m in enumerate(report.val_metrics)]
-
     def final(self, algorithm: str) -> float:
         return self.reports[algorithm].final_val_metric
 
     def summary_rows(self) -> list[tuple[str, float]]:
         return [(alg, self.final(alg)) for alg in self.reports]
 
-
-#: Paper-analogue workloads (Fig. 10 / Table 2); the MODELS registry
-#: holds these plus extension workloads like "resnet".
-_WORKLOADS = ("mlp", "cnn", "transformer")
 
 #: Per-workload hyperparameter overrides.  The attention model needs a
 #: hotter rate to move in 15 epochs and a higher density for the
@@ -152,10 +136,5 @@ class ConvergenceRunner:
             result.reports[algorithm] = report
         return result
 
-    def run_all(
-        self, workloads: tuple[str, ...] = _WORKLOADS
-    ) -> dict[str, ConvergenceResult]:
-        return {w: self.run(w) for w in workloads}
 
-
-__all__ = ["ConvergenceRunner", "ConvergenceResult", "EpochRecord"]
+__all__ = ["ConvergenceRunner", "ConvergenceResult"]

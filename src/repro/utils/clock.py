@@ -41,10 +41,6 @@ class VirtualClock:
             return self.now
         return self.by_category.get(category, 0.0)
 
-    def reset(self) -> None:
-        self.now = 0.0
-        self.by_category = defaultdict(float)
-
     @contextmanager
     def window(self) -> Iterator["ClockWindow"]:
         """Context manager measuring virtual time spent inside the block."""

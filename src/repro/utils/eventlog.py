@@ -6,6 +6,9 @@ spelling of JSON: sorted keys, no whitespace.  :func:`canonical_json`
 is that spelling, :func:`digest16` the sha256-16 over it, and
 :class:`EventLog` the wall-clock-free structured log both the fault and
 the brain subsystem specialise with their own phases and key fields.
+:func:`parse_json` reads the JSON that comes from outside the process
+(config files, traces, op scripts, socket lines, journal frames and
+snapshot meta).
 """
 
 from __future__ import annotations
@@ -17,6 +20,20 @@ import json
 def canonical_json(record) -> str:
     """The one spelling a record ever has (digest- and CRC-stable)."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def parse_json(text: str):
+    """``json.loads`` for text from outside the process.
+
+    Input nested past the interpreter's recursion limit makes
+    ``json.loads`` raise ``RecursionError``; here it raises the
+    :class:`json.JSONDecodeError` (a ``ValueError``) that any other
+    malformed input raises, so a caller catches one exception.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
 def digest16(record) -> str:
@@ -109,12 +126,6 @@ class EventLog:
         closed = self._hash.copy()
         closed.update(b"]")
         return closed.hexdigest()[:16]
-
-    def phase_counts(self) -> dict[str, int]:
-        counts = {phase: 0 for phase in self.PHASES}
-        for entry in self._entries:
-            counts[entry["phase"]] += 1
-        return {phase: n for phase, n in counts.items() if n}
 
 
 def _jsonable(value):

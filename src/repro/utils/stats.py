@@ -51,26 +51,6 @@ class RunningStat:
     def total(self) -> float:
         return self.mean * self.count
 
-    def merge(self, other: "RunningStat") -> "RunningStat":
-        """Combine two accumulators (parallel Welford merge)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RunningStat(n={self.count}, mean={self.mean:.6g}, "

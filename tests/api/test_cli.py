@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.api.cli import main
 from repro.utils.bench import validate_bench_payload
 
@@ -13,6 +15,22 @@ REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 SMOKE_CONFIG = REPO / "examples" / "configs" / "smoke.json"
 SCHED_CONFIG = REPO / "examples" / "configs" / "multi_tenant.json"
 SERVE_CONFIG = REPO / "examples" / "configs" / "serve_smoke.json"
+
+
+def one_line_error(argv: list[str]) -> str:
+    """Run ``python -m repro *argv``; it must exit 2 with one ``error:``
+    line and no traceback.  Returns that line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2, (argv, proc.stderr[-500:])
+    assert "Traceback" not in proc.stderr, argv
+    lines = [line for line in proc.stderr.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr[-500:]
+    return lines[0]
 
 
 class TestList:
@@ -116,8 +134,6 @@ class TestRun:
 
     def test_failure_is_one_line_without_traceback(self, tmp_path):
         """User errors reach the shell as one actionable line, no traceback."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
         hostile_ops = tmp_path / "hostile.jsonl"
         hostile_ops.write_text(
             '{"op": "submit", "job": {"name": "b", "payload": {"model": 3}}}\n'
@@ -142,14 +158,25 @@ class TestRun:
             ["serve", "--config", str(SERVE_CONFIG), "--script", str(hostile_ops),
              "--state-dir", str(tmp_path / "state")],
         ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro", *argv],
-                capture_output=True, text=True, timeout=120, env=env,
-            )
-            assert proc.returncode == 2, argv
-            assert "Traceback" not in proc.stderr, argv
-            lines = [line for line in proc.stderr.splitlines() if line.strip()]
-            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+            one_line_error(argv)
+
+
+@pytest.mark.parametrize("command", ["run", "trace", "serve", "submit", "fault-plan"])
+def test_deeply_nested_json_is_one_line_error(tmp_path, command):
+    # Nested past the recursion limit, ``json.loads`` raises
+    # ``RecursionError``, not a decode error.
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    argv = {
+        "run": ["run", "--config", str(deep)],
+        "trace": ["trace", "validate", str(deep)],
+        "serve": ["serve", "--config", str(SERVE_CONFIG), "--script", str(deep),
+                  "--state-dir", str(tmp_path / "state")],
+        "submit": ["submit", "--socket", str(tmp_path / "none.sock"), "--file", str(deep)],
+        "fault-plan": ["run", "--config", str(REPO / "examples" / "configs" / "fault_drill.json"),
+                       "--set", "faults.events=[]", "--set", f"faults.plan={deep}"],
+    }[command]
+    assert "recursion depth" in one_line_error(argv)
 
 
 class TestSched:

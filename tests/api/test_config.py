@@ -231,9 +231,11 @@ class TestOverrides:
         assert out.train == config.train
 
     def test_json_values_and_bare_strings(self):
-        out = apply_overrides(RunConfig(), ["comm.scheme=dense", "train.data_seed=null"])
+        deep = "[" * 100_000
+        out = apply_overrides(RunConfig(), ["comm.scheme=dense", "train.data_seed=null", f"name={deep}"])
         assert out.comm.scheme == "dense"
         assert out.train.data_seed is None
+        assert out.name == deep  # past the recursion limit it is not JSON either
 
     def test_elastic_materialised_on_demand(self):
         base = RunConfig()

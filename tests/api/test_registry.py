@@ -312,9 +312,9 @@ class TestExtensionHooks:
         net = build_cluster("fast-100g", 2, gpus_per_node=2)
         base = build_cluster("tencent", 2, gpus_per_node=2)
         assert net.topology.world_size == 4
-        assert net.beta_inter == pytest.approx(base.beta_inter / 4)
-        assert net.alpha_inter == base.alpha_inter
-        assert net.alpha_intra == base.alpha_intra
+        assert net.inter.beta == pytest.approx(base.inter.beta / 4)
+        assert net.inter.alpha == base.inter.alpha
+        assert net.intra.alpha == base.intra.alpha
         RunConfig.from_dict(_tiny_train_config(cluster={"instance": "fast"}))
 
     def test_registrations_do_not_outlive_the_fixture(self):

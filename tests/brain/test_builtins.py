@@ -228,14 +228,11 @@ class TestObservationOracle:
         assert obs.throughput("a", 2) == pytest.approx(2.0)
         assert obs.throughput("a", 0) == 0.0
 
-    def test_suspicion_fraction_and_rollback(self):
+    def test_suspicion_fraction(self):
         obs = _observation(
             [_node(0, suspicion=1.0)], [_job("a", [0])], {"a": GOOD_THEN_FLAT}
         )
         assert obs.suspicion_fraction(0) == pytest.approx(0.5)
-        assert obs.expected_rollback_iterations(0) == pytest.approx(
-            0.5 * 25 / 2.0
-        )
 
     def test_gray_includes_down_and_quarantined(self):
         obs = _observation(

@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.cloud_presets import (
     ALIYUN_GN10X,
     AWS_P3_16XLARGE,
-    StorageTier,
     TENCENT_18XLARGE320,
     make_cluster,
     paper_testbed,
@@ -21,6 +20,8 @@ class TestTable1:
             ("Aliyun", "c10g1.20xlarge", 336, "OSS", 32),
             ("Tencent", "18XLARGE320", 320, "CFS", 25),
         ]
+        for inst in (AWS_P3_16XLARGE, ALIYUN_GN10X, TENCENT_18XLARGE320):
+            assert inst.storage_type in inst.nfs.name
 
     def test_instance_gpu_count(self):
         for inst in (AWS_P3_16XLARGE, ALIYUN_GN10X, TENCENT_18XLARGE320):
@@ -30,19 +31,6 @@ class TestTable1:
     def test_inter_link_matches_network_column(self):
         assert ALIYUN_GN10X.inter_link.bandwidth == pytest.approx(32e9 / 8)
         assert TENCENT_18XLARGE320.inter_link.bandwidth == pytest.approx(25e9 / 8)
-
-
-class TestStorageTier:
-    def test_read_time(self):
-        tier = StorageTier("t", bandwidth=100e6, latency=1e-3)
-        assert tier.read_time(100e6) == pytest.approx(1.001)
-
-    def test_zero_read_free(self):
-        assert StorageTier("t", 1e9, 1e-3).read_time(0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            StorageTier("t", 1e9, 1e-3).read_time(-1)
 
 
 class TestFactories:
@@ -66,4 +54,4 @@ class TestFactories:
 
     def test_testbed_links_are_hierarchical(self):
         net = paper_testbed()
-        assert net.beta_intra * 4 < net.beta_inter
+        assert net.intra.beta * 4 < net.inter.beta

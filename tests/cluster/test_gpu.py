@@ -30,8 +30,6 @@ class TestGpuSpec:
             V100.scan_time(-1)
         with pytest.raises(ValueError):
             V100.sort_time(-1)
-        with pytest.raises(ValueError):
-            V100.elementwise_time(-1)
 
 
 class TestFig6Anchors:

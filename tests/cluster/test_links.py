@@ -12,6 +12,7 @@ from repro.cluster.links import (
     LinkSpec,
     NVLINK_V100,
 )
+from repro.cluster.network import NetworkModel
 
 
 class TestLinkSpec:
@@ -20,15 +21,12 @@ class TestLinkSpec:
         assert link.beta == pytest.approx(2e-9)
 
     def test_transfer_time_alpha_beta(self):
+        # A two-rank All-Gather is one hop: alpha + beta * bytes.
         link = LinkSpec("t", alpha=1e-5, bandwidth=1e9)
-        assert link.transfer_time(1e6) == pytest.approx(1e-5 + 1e-3)
+        assert NetworkModel.allgather_time(2, 1e6, link) == pytest.approx(1e-5 + 1e-3)
 
-    def test_zero_bytes_is_free(self):
-        assert ETHERNET_25G.transfer_time(0) == 0.0
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            ETHERNET_25G.transfer_time(-1)
+    def test_zero_bytes_pays_only_latency(self):
+        assert NetworkModel.allgather_time(2, 0, ETHERNET_25G) == ETHERNET_25G.alpha
 
     def test_scaled_shares_bandwidth(self):
         shared = ETHERNET_25G.scaled(0.25)

@@ -70,15 +70,15 @@ class TestNicSharing:
             make_net().inter_link_shared(0)
 
 
-class TestP2P:
-    def test_same_rank_free(self):
-        assert make_net().p2p_time(0, 0, 1e6) == 0.0
-
+class TestLinkSelection:
     def test_intra_vs_inter_selection(self):
         fast = LinkSpec("fast", alpha=0, bandwidth=1e12)
         slow = LinkSpec("slow", alpha=0, bandwidth=1e6)
         net = NetworkModel(ClusterTopology(2, 2), intra=fast, inter=slow)
-        assert net.p2p_time(0, 1, 1e6) < net.p2p_time(0, 2, 1e6)
+        assert net.intra_allgather_time(1e6) == NetworkModel.allgather_time(2, 1e6, fast)
+        assert net.intra_reduce_scatter_time(1e6) == NetworkModel.reduce_scatter_time(2, 1e6, fast)
+        assert net.inter_allgather_time(1e6, streams=1) == NetworkModel.allgather_time(2, 1e6, slow)
+        assert net.intra_allgather_time(1e6) < net.inter_allgather_time(1e6, streams=1)
 
 
 class TestMonotonicity:

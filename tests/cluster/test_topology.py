@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
+from tests.collectives.list_collectives import node_ranks, stream_ranks
 
 
 class TestTopology:
@@ -27,30 +28,25 @@ class TestTopology:
 
     def test_node_ranks(self):
         topo = ClusterTopology(2, 4)
-        assert topo.node_ranks(1) == [4, 5, 6, 7]
+        assert node_ranks(topo, 1) == [4, 5, 6, 7]
 
     def test_stream_ranks(self):
         topo = ClusterTopology(3, 4)
-        assert topo.stream_ranks(2) == [2, 6, 10]
+        assert stream_ranks(topo, 2) == [2, 6, 10]
 
     @given(m=st.integers(1, 8), n=st.integers(1, 8))
     def test_node_and_stream_groups_partition_world(self, m, n):
         topo = ClusterTopology(m, n)
-        from_nodes = sorted(r for group in topo.iter_node_groups() for r in group)
-        from_streams = sorted(r for group in topo.iter_stream_groups() for r in group)
+        from_nodes = sorted(r for node in range(m) for r in node_ranks(topo, node))
+        from_streams = sorted(r for local in range(n) for r in stream_ranks(topo, local))
         assert from_nodes == list(range(topo.world_size))
         assert from_streams == list(range(topo.world_size))
 
     def test_same_node(self):
         topo = ClusterTopology(2, 4)
-        assert topo.same_node(0, 3)
-        assert not topo.same_node(3, 4)
-
-    def test_devices(self):
-        topo = ClusterTopology(2, 2)
-        devices = topo.devices()
-        assert len(devices) == 4
-        assert devices[3].name == "node1/gpu1"
+        assert topo.node_of(0) == topo.node_of(3) == 0
+        assert topo.node_of(4) == 1
+        assert topo.local_rank_of(4) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,4 +59,4 @@ class TestTopology:
         with pytest.raises(IndexError):
             topo.rank(2, 0)
         with pytest.raises(IndexError):
-            topo.stream_ranks(2)
+            stream_ranks(topo, 2)

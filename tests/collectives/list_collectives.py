@@ -20,6 +20,21 @@ from repro.collectives.sparse import SparseVector
 from repro.utils.partition import chunk_bounds
 
 
+def node_ranks(topology: ClusterTopology, node: int) -> list[int]:
+    """Global ranks of all GPUs on one node."""
+    return [topology.rank(node, local) for local in range(topology.gpus_per_node)]
+
+
+def stream_ranks(topology: ClusterTopology, local_rank: int) -> list[int]:
+    """Global ranks of the ``local_rank``-th GPU on every node.
+
+    These are the participants of one inter-node communication stream in
+    HiTopKComm step 3 ("for the j-th communication stream, the j-th GPUs
+    in all nodes perform an All-Gather").
+    """
+    return [topology.rank(node, local_rank) for node in range(topology.num_nodes)]
+
+
 def validate_group(tensors: Sequence[np.ndarray], *, name: str = "collective") -> list[np.ndarray]:
     """Check that a per-worker tensor list is a valid collective group.
 
@@ -217,14 +232,14 @@ def torus_allreduce_2d(
     # Phase 1: per-node reduce-scatter.
     shards: dict[int, np.ndarray] = {}
     for node in range(m):
-        group = [arrays[r] for r in topology.node_ranks(node)]
+        group = [arrays[r] for r in node_ranks(topology, node)]
         node_shards = ring_reduce_scatter(group)
         for local, shard in enumerate(node_shards):
             shards[topology.rank(node, local)] = shard
 
     # Phase 2: per-stream inter-node ring all-reduce of each segment.
     for local in range(n):
-        stream = topology.stream_ranks(local)
+        stream = stream_ranks(topology, local)
         stream_tensors = [shards[r] for r in stream]
         reduced = ring_allreduce(stream_tensors)
         for r, tensor in zip(stream, reduced):
@@ -233,7 +248,7 @@ def torus_allreduce_2d(
     # Phase 3: per-node all-gather reassembling segments 0..n-1.
     out: list[np.ndarray | None] = [None] * topology.world_size
     for node in range(m):
-        group_ranks = topology.node_ranks(node)
+        group_ranks = node_ranks(topology, node)
         gathered = ring_all_gather_unequal([shards[r] for r in group_ranks])
         for r, full in zip(group_ranks, gathered):
             out[r] = full

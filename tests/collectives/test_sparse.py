@@ -34,11 +34,6 @@ class TestSparseVector:
         assert shifted.indices[0] == 6
         assert shifted.length == 8
 
-    def test_nbytes_on_wire(self):
-        # "the number of elements ... to be transmitted becomes 2k".
-        sv = SparseVector(np.zeros(10), np.arange(10), 100)
-        assert sv.nbytes_on_wire(4, 4) == 80
-
 
 class TestCoalesce:
     def test_merges_duplicates(self):

@@ -32,6 +32,7 @@ from repro.compression.base import density_to_k
 from repro.utils.partition import chunk_bounds
 from repro.utils.seeding import RandomState
 from tests.collectives.list_collectives import (
+    node_ranks,
     ring_allreduce,
     ring_reduce_scatter,
     sparse_allgather_reduce,
@@ -149,7 +150,7 @@ def _legacy_hitopk(
     # Step 1: intra-node ring reduce-scatter (per node, in parallel).
     shards: dict[int, np.ndarray] = {}
     for node in range(m):
-        group = [arrays[r] for r in topo.node_ranks(node)]
+        group = [arrays[r] for r in node_ranks(topo, node)]
         for local, shard in enumerate(ring_reduce_scatter(group)):
             shards[topo.rank(node, local)] = shard
 

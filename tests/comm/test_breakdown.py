@@ -24,15 +24,6 @@ class TestTimeBreakdown:
         with pytest.raises(ValueError):
             TimeBreakdown({"a": 1.0}).scaled(-1)
 
-    def test_merged_preserves_order(self):
-        a = TimeBreakdown({"x": 1.0, "y": 2.0})
-        b = TimeBreakdown({"y": 3.0, "z": 4.0})
-        merged = a.merged(b)
-        assert list(merged.steps) == ["x", "y", "z"]
-        assert merged.get("y") == 5.0
-        # Originals untouched.
-        assert a.get("y") == 2.0
-
     def test_fraction(self):
         b = TimeBreakdown({"a": 1.0, "b": 3.0})
         assert b.fraction("b") == pytest.approx(0.75)

@@ -173,7 +173,7 @@ class TestBufferOwnership:
         scheme.aggregate(make_worker_grads(rng, 8, 120), rng=rng)
         assert all(scheme.ef.residual(r) is buf for r, buf in enumerate(residuals))
         grads = [g.astype(np.float32) for g in make_worker_grads(rng, 8, 120)]
-        scheme.ef.reset()
+        scheme.ef.replace({})
         out = scheme.aggregate(grads, rng=rng).outputs[0]
         assert out.dtype == np.float32 == scheme.ef.residual(0).dtype
 

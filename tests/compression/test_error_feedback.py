@@ -86,21 +86,6 @@ class TestBookkeeping:
         assert len(ef) == 2
         assert set(ef.keys()) == {"a", "b"}
 
-    def test_reset_single_key(self, rng):
-        ef = ErrorFeedback()
-        g = rng.normal(size=10)
-        ef.update("a", g, topk_argpartition(g, 2))
-        ef.reset("a")
-        assert ef.residual("a") is None
-
-    def test_reset_all(self, rng):
-        ef = ErrorFeedback()
-        g = rng.normal(size=10)
-        ef.update("a", g, topk_argpartition(g, 2))
-        ef.update("b", g, topk_argpartition(g, 2))
-        ef.reset()
-        assert len(ef) == 0
-
     def test_shape_mismatch_rejected(self, rng):
         ef = ErrorFeedback()
         g = rng.normal(size=10)
@@ -152,13 +137,6 @@ class TestBookkeeping:
         g = rng.normal(size=10)
         with pytest.raises(ValueError):
             ef.update("w", g, topk_argpartition(rng.normal(size=12), 2))
-
-    def test_total_norm(self, rng):
-        ef = ErrorFeedback()
-        assert ef.total_norm() == 0.0
-        g = rng.normal(size=10)
-        ef.update("w", g, topk_argpartition(g, 10))  # all sent -> residual 0
-        assert ef.total_norm() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBufferReuse:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression.base import density_to_k
 from repro.compression.exact_topk import topk_argpartition
 from repro.compression.mstopk import MSTopK, mstopk_select, mstopk_select_batch
 from repro.utils.seeding import new_rng
@@ -196,10 +197,25 @@ class TestThresholdSearch:
             mstopk_threshold_search(np.abs(np.random.default_rng(0).normal(size=10)), 2, 0)
 
 
+class TestDensityToK:
+    @pytest.mark.parametrize(
+        "d, density, k",
+        [(1000, 0.01, 10), (1000, 0.0015, 2), (10, 0.001, 1), (7, 1.0, 7), (0, 0.5, 0)],
+        ids=["exact", "rounded", "at-least-one", "dense", "empty"],
+    )
+    def test_k_is_rho_d(self, d, density, k):
+        assert density_to_k(d, density) == k
+
+    def test_validation(self):
+        for d, density in [(-1, 0.1), (10, 0.0), (10, 1.5)]:
+            with pytest.raises(ValueError):
+                density_to_k(d, density)
+
+
 class TestCompressorInterface:
     def test_select_density(self, rng):
-        comp = MSTopK()
-        sv = comp.select_density(rng.normal(size=1000), 0.01, rng=rng)
+        x = rng.normal(size=1000)
+        sv = MSTopK().select(x, density_to_k(x.size, 0.01), rng=rng)
         assert sv.nnz == 10
 
     def test_repr(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -46,6 +47,33 @@ def tiny_cluster():
 def testbed():
     """The paper's 16x8 testbed (session-scoped; it is immutable)."""
     return paper_testbed()
+
+
+def assert_ledger_balances(report) -> None:
+    """An :class:`~repro.elastic.elastic_trainer.ElasticRunReport` accounts
+    for every iteration it attempted: each was kept or rolled back, and
+    each kept one left exactly one loss."""
+    assert report.wall_iterations == report.useful_iterations + report.lost_iterations, report
+    assert len(report.losses) == report.useful_iterations, report
+
+
+@contextlib.contextmanager
+def recording_elastic_runs():
+    """Within the block, every ``ElasticTrainer.run`` appends its report
+    to the yielded list."""
+    from repro.elastic.elastic_trainer import ElasticTrainer
+
+    reports = []
+    original = ElasticTrainer.run
+
+    def recording(self, *args, **kwargs):
+        report = original(self, *args, **kwargs)
+        reports.append(report)
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ElasticTrainer, "run", recording)
+        yield reports
 
 
 def make_worker_grads(rng: np.random.Generator, world: int, d: int) -> list[np.ndarray]:

@@ -1,6 +1,5 @@
 """Synthetic datasets."""
 
-import numpy as np
 import pytest
 
 from repro.data.dataset import SyntheticImageDataset
@@ -24,15 +23,6 @@ class TestImageDataset:
     def test_encoded_sample_bytes_consistent(self):
         ds = SyntheticImageDataset(5, resolution=64)
         assert ds.encoded_sample_bytes == len(ds.encoded(3))
-
-    def test_epoch_order_is_permutation(self):
-        ds = SyntheticImageDataset(64)
-        order = ds.epoch_order(epoch=2)
-        assert sorted(order.tolist()) == list(range(64))
-
-    def test_epoch_orders_differ(self):
-        ds = SyntheticImageDataset(64)
-        assert not np.array_equal(ds.epoch_order(0), ds.epoch_order(1))
 
     def test_index_validation(self):
         ds = SyntheticImageDataset(5)

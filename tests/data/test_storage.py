@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.data.storage import LocalDiskStore, MemoryStore, NfsStore
+from repro.cluster.cloud_presets import ALIYUN_GN10X, AWS_P3_16XLARGE, TENCENT_18XLARGE320
+from repro.data.storage import LocalDiskStore, MemoryStore, NfsStore, StorageProfile
 from repro.utils.clock import VirtualClock
 
 
@@ -19,8 +20,13 @@ class TestDictStores:
         with pytest.raises(KeyError):
             NfsStore().read("nope", VirtualClock())
 
-    def test_read_charges_latency_plus_bandwidth(self):
-        store = NfsStore()
+    @pytest.mark.parametrize(
+        "tier",
+        [None, AWS_P3_16XLARGE.nfs, ALIYUN_GN10X.nfs, TENCENT_18XLARGE320.nfs],
+        ids=["default", "aws", "aliyun", "tencent"],
+    )
+    def test_read_charges_latency_plus_bandwidth(self, tier):
+        store = NfsStore() if tier is None else NfsStore(tier)
         clock = VirtualClock()
         store.write("k", b"x" * 1_000_000, clock)
         before = clock.now
@@ -28,6 +34,12 @@ class TestDictStores:
         elapsed = clock.now - before
         expected = store.tier.latency + 1_000_000 / store.tier.bandwidth
         assert elapsed == pytest.approx(expected)
+
+    def test_zero_bytes_are_free_and_negative_bytes_rejected(self):
+        profile = StorageProfile(latency=1e-3, bandwidth=1e9)
+        assert profile.time(0) == 0.0
+        with pytest.raises(ValueError):
+            profile.time(-1)
 
     def test_clock_categories(self):
         store = MemoryStore()

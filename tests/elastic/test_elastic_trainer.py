@@ -1,14 +1,21 @@
 """End-to-end elastic training: rollback, rescale, residual carry-over."""
 
+import pathlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, run
 from repro.cluster.variability import VariabilityModel
-from repro.elastic.elastic_trainer import ElasticTrainer
+from repro.elastic.elastic_trainer import ElasticRunReport, ElasticTrainer
 from repro.elastic.events import ChurnEvent, PoissonChurn, TraceSchedule
 from repro.models.nn.mlp import MLPClassifier
 from repro.train.synthetic import make_spiral_classification
 from repro.utils.seeding import new_rng
+from tests.conftest import assert_ledger_balances
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent.parent / "examples" / "configs"
 
 
 def make_elastic(tmp_path, **overrides):
@@ -219,6 +226,26 @@ class TestComposition:
         assert a.losses == b.losses
         assert a.total_seconds == b.total_seconds
         assert a.world_sizes == b.world_sizes
+
+
+class TestLedger:
+    """Iterations done + lost = attempted, on the shipped elastic configs."""
+
+    @pytest.mark.parametrize("name", ["elastic_spot.json", "fault_drill.json"])
+    def test_shipped_config_balances(self, name):
+        report = run(RunConfig.from_file(CONFIGS / name)).elastic_run
+        assert report.lost_iterations > 0  # the ledger has rollbacks to balance
+        assert_ledger_balances(report)
+
+    def test_an_unbalanced_report_fails(self):
+        report = ElasticRunReport(
+            "mstopk", 3, useful_iterations=2, wall_iterations=3, lost_iterations=1,
+            losses=[0.5, 0.4],
+        )
+        assert_ledger_balances(report)
+        for broken in (replace(report, wall_iterations=4), replace(report, losses=[0.5])):
+            with pytest.raises(AssertionError):
+                assert_ledger_balances(broken)
 
 
 class TestValidation:

@@ -76,12 +76,6 @@ class TestPoissonChurn:
         b = PoissonChurn(0.02, rejoin_delay=5).generate(300, 4, new_rng(9))
         assert a == b
 
-    def test_from_profile(self):
-        schedule = PoissonChurn.from_profile("aws")
-        assert schedule.revoke_rate == SPOT_PROFILES["aws"].revoke_rate
-        with pytest.raises(KeyError):
-            PoissonChurn.from_profile("oracle")
-
 
 class TestSpotProfiles:
     def test_every_cloud_preset_has_a_profile(self):

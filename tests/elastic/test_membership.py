@@ -14,6 +14,7 @@ from repro.comm.hitopkcomm import HiTopKComm
 from repro.elastic.membership import MembershipView, fold_residuals
 from repro.utils.partition import chunk_bounds
 from repro.utils.seeding import new_rng
+from tests.collectives.list_collectives import node_ranks, stream_ranks
 
 
 class TestMembershipView:
@@ -91,9 +92,9 @@ class TestHierarchyRederivation:
         topo = net.topology
         assert topo.num_nodes == new_m and topo.gpus_per_node == n
         # The stream/node group decomposition covers every rank once.
-        stream_ranks = sorted(r for group in topo.iter_stream_groups() for r in group)
-        node_ranks = sorted(r for group in topo.iter_node_groups() for r in group)
-        assert stream_ranks == node_ranks == list(range(new_m * n))
+        from_streams = sorted(r for local in range(n) for r in stream_ranks(topo, local))
+        from_nodes = sorted(r for node in range(new_m) for r in node_ranks(topo, node))
+        assert from_streams == from_nodes == list(range(new_m * n))
 
         # A rebuilt scheme aggregates correctly at the new world size.
         scheme = HiTopKComm(net, density=0.5)

@@ -34,7 +34,7 @@ from repro.faults.drill import (
     run_policy_drills,
 )
 from repro.utils.registry import ConfigError
-from tests.conftest import rows_digest
+from tests.conftest import assert_ledger_balances, recording_elastic_runs, rows_digest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -123,8 +123,26 @@ class TestStormRecoveryEveryScheme:
         assert row["storm_usd_per_kiter"] > row["baseline_usd_per_kiter"]
 
     @pytest.fixture(scope="class")
-    def pinned(self):
-        return {r["scheme"]: r for r in run_drills(list(SCHEME_DIGESTS), seed=7)}
+    def drill_runs(self):
+        with recording_elastic_runs() as reports:
+            rows = run_drills(list(SCHEME_DIGESTS), seed=7)
+        # Each scheme's storm and baseline run once, in row order.
+        assert len(reports) == 2 * len(rows)
+        return (
+            {r["scheme"]: r for r in rows},
+            {r["scheme"]: reports[2 * i : 2 * i + 2] for i, r in enumerate(rows)},
+        )
+
+    @pytest.fixture(scope="class")
+    def pinned(self, drill_runs):
+        return drill_runs[0]
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEME_DIGESTS))
+    def test_storm_and_baseline_runs_balance_their_ledger(self, drill_runs, scheme):
+        storm, baseline = drill_runs[1][scheme]
+        assert storm.lost_iterations > 0 and baseline.lost_iterations == 0
+        assert_ledger_balances(storm)
+        assert_ledger_balances(baseline)
 
     @pytest.mark.parametrize("scheme", sorted(SCHEME_DIGESTS))
     def test_scorecard_row_is_consistent(self, pinned, scheme):

@@ -110,11 +110,6 @@ class TestDigest:
 
 
 class TestScoring:
-    def test_phase_counts_drop_zeroes(self):
-        assert _sample_log().phase_counts() == {
-            "inject": 1, "detect": 1, "recover": 1,
-        }
-
     def test_latencies_inject_to_recover(self):
         assert _sample_log().latencies() == {0: 4.5}
         assert _sample_log().mean_latency() == 4.5

@@ -10,25 +10,18 @@ class TestProgressiveResize:
         # §5.6: 13 @ 96², 11 @ 128², 3 @ 224², 1 @ 288² (bs 128).
         sched = ProgressiveResizeSchedule.dawnbench_28_epoch()
         assert sched.total_epochs == 28
-        assert sched.phase_at(0).resolution == 96
-        assert sched.phase_at(12).resolution == 96
-        assert sched.phase_at(13).resolution == 128
-        assert sched.phase_at(24).resolution == 224
-        assert sched.phase_at(27).resolution == 288
-        assert sched.phase_at(27).local_batch == 128
+        assert [(p.epochs, p.resolution) for p in sched.phases] == [
+            (13, 96),
+            (11, 128),
+            (3, 224),
+            (1, 288),
+        ]
+        assert sched.phases[-1].local_batch == 128
 
     def test_scheme_switching(self):
         # MSTopK for the warmup phase, dense afterwards (§5.6).
         sched = ProgressiveResizeSchedule.dawnbench_28_epoch()
-        assert sched.phase_at(5).comm_scheme == "mstopk"
-        assert sched.phase_at(20).comm_scheme == "2dtar"
-
-    def test_epoch_out_of_range(self):
-        sched = ProgressiveResizeSchedule.dawnbench_28_epoch()
-        with pytest.raises(IndexError):
-            sched.phase_at(28)
-        with pytest.raises(ValueError):
-            sched.phase_at(-1)
+        assert [p.comm_scheme for p in sched.phases] == ["mstopk"] + ["2dtar"] * 3
 
     def test_phase_validation(self):
         with pytest.raises(ValueError):

@@ -67,15 +67,6 @@ class TestMomentum:
             assert opt._velocity["w"].tobytes() == v.tobytes()
             assert opt._velocity["w"].dtype == dtype
 
-    def test_state_size_and_reset(self):
-        opt = SGD(momentum=0.9)
-        params = {"a": np.zeros(3), "b": np.zeros(5)}
-        grads = {"a": np.ones(3), "b": np.ones(5)}
-        opt.step(params, grads)
-        assert opt.state_size() == 8
-        opt.reset()
-        assert opt.state_size() == 0
-
 
 class TestValidation:
     def test_hyperparameter_validation(self):

@@ -77,8 +77,7 @@ def test_conv_backward_allocates_no_scratch_stack(rng):
     weight = Tensor(rng.normal(size=(12, 6, 3, 3)), requires_grad=True)
     grad = rng.normal(size=(12, 16, 6, 6))
     conv2d_cnhw(x, weight, padding=1).backward(grad)  # warm
-    x.zero_grad()
-    weight.zero_grad()
+    x.grad = weight.grad = None
     out = conv2d_cnhw(x, weight, padding=1)
 
     tracemalloc.start()

@@ -1,6 +1,5 @@
 """Wait-free backprop timeline with tensor fusion."""
 
-import numpy as np
 import pytest
 
 from repro.models.profiles import resnet50_profile

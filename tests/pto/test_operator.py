@@ -13,11 +13,16 @@ def norm_op(layer):
     return float(np.linalg.norm(layer))
 
 
+def run_serial(op, layers):
+    """Reference execution: every layer computed in order (Eq. 12)."""
+    return np.asarray([np.asarray(op(layer)) for layer in layers]).ravel()
+
+
 class TestFunctionalEquality:
     def test_equals_serial(self, small_cluster, rng):
         layers = [rng.normal(size=s) for s in (3, 10, 7, 1, 20, 5, 8, 2, 9)]
         pto = ParallelTensorOperator(small_cluster, norm_op)
-        serial = pto.run_serial(layers)
+        serial = run_serial(norm_op, layers)
         result = pto.run(layers, layer_sizes=[a.size for a in layers])
         np.testing.assert_allclose(result.result, serial)
 
@@ -41,7 +46,7 @@ class TestFunctionalEquality:
         pto = ParallelTensorOperator(net, norm_op)
         np.testing.assert_allclose(
             pto.run(layers, layer_sizes=[a.size for a in layers]).result,
-            pto.run_serial(layers),
+            run_serial(norm_op, layers),
         )
 
     def test_balanced_assignment_same_result(self, small_cluster, rng):
@@ -72,7 +77,7 @@ class TestCostModel:
         net = paper_testbed()
         cost = PTOCostModel()
         sizes = [100_000] * 161
-        assert cost.worthwhile(sizes, net)
+        assert cost.pto_time(sizes, net) < cost.serial_time(sizes)
         assert 1.2 < cost.speedup(sizes, net) < 4.0
 
     def test_pto_loses_on_single_worker(self):
@@ -80,7 +85,7 @@ class TestCostModel:
         cost = PTOCostModel()
         sizes = [1000] * 50
         # One worker: same compute, extra gather overhead.
-        assert not cost.worthwhile(sizes, net)
+        assert cost.pto_time(sizes, net) > cost.serial_time(sizes)
 
     def test_serial_time_scales_with_layers(self):
         cost = PTOCostModel()

@@ -236,6 +236,24 @@ class TestValidation:
         assert message.startswith(f"{where}: job field 'submit_time'")
         assert "must be finite" in message and "\n" not in message
 
+    @pytest.mark.parametrize(
+        "cell",
+        ['{"model": ', "[" * 5_000 + "]" * 5_000],
+        ids=["truncated", "nested"],
+    )
+    def test_a_csv_payload_cell_that_is_not_json_names_file_and_line(self, tmp_path, cell):
+        path = write_trace_csv(small_trace(num_jobs=3), tmp_path / "day")
+        with (path / "task.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[2][rows[0].index("payload")] = cell
+        with (path / "task.csv").open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        message = str(err.value)
+        assert message.startswith(f"{path / 'task.csv'}:3: payload is not valid JSON")
+        assert "\n" not in message
+
     def test_unknown_workload_points_at_job(self):
         trace = Trace(
             jobs=[TraceJob(job_name="j", user="u", submit_time=0.0, workload="warp9")],

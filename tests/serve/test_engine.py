@@ -96,14 +96,15 @@ class TestOneCore:
         engine.apply_op({"op": "tick", "id": 8, "until": 35.0})
         assert engine.now == engine.core.now == 35.0
 
-    def test_brain_sees_the_plan_checkpoint_interval_like_batch_does(self):
+    def test_brain_sees_the_plan_like_batch_does(self):
         # The serve scheduler used to be built without the fault plan, so
-        # its brain priced rollbacks at the default 25 iterations.
+        # its brain priced risk with the default health knobs.
         from repro.brain.signals import build_observation
 
-        faults = {**FAULTS, "checkpoint_iterations": 7}
+        faults = {**FAULTS, "checkpoint_iterations": 7, "quarantine_threshold": 2.5}
         engine = engine_with(JOBS, serve_config(faults=faults, brain=BRAIN))
-        assert build_observation(engine.core).checkpoint_iterations == 7
+        assert engine.core.state.health.policy.checkpoint_iterations == 7
+        assert build_observation(engine.core).quarantine_threshold == 2.5
 
 
 class TestAdmission:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -133,6 +134,17 @@ class TestTornTails:
         scan = scan_journal(path)
         assert [r["seq"] for r in scan.records] == [1]
         assert scan.torn
+
+    def test_a_frame_nested_past_the_recursion_limit_stops_the_scan(self, tmp_path):
+        # CRC-valid, so only the decode can reject it, as it rejects any
+        # other malformed payload.
+        path = self._journal_with(tmp_path, n=1)
+        payload = b"[" * 5_000 + b"]" * 5_000
+        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        path.write_bytes(path.read_bytes() + frame)
+        scan = repair_journal(path)
+        assert [r["seq"] for r in scan.records] == [1]
+        assert scan.torn_bytes == len(frame)
 
     def test_a_frame_of_exactly_the_length_bound_is_read(self, tmp_path, monkeypatch):
         path = self._journal_with(tmp_path, n=1)

@@ -67,6 +67,25 @@ class TestRestart:
         assert again.finalize() == payload
         again.close()
 
+    def test_an_op_nested_too_deep_to_journal_is_rejected_unjournaled(self, tmp_path):
+        # Such an op decodes from a socket line just under the decode
+        # limit; the journal's encoder, a few calls deeper, used to raise
+        # ``RecursionError`` and end the daemon.
+        deep = []
+        for _ in range(5_000):
+            deep = [deep]
+        runtime = ServeRuntime(CONFIG, tmp_path)
+        run_ops(runtime, OPS[:1])
+        with pytest.raises(ValueError, match="nested too deeply"):
+            runtime.handle({"op": "submit", "id": 2, "job": {"name": "b", "tags": deep}})
+        run_ops(runtime, OPS[1:3])  # the rejected op consumed no id
+        digest = runtime.engine.state_digest()
+        runtime.close()
+
+        again = ServeRuntime(CONFIG, tmp_path)
+        assert again.engine.state_digest() == digest
+        again.close()
+
     def test_hostile_submit_is_rejected_not_a_poison_pill(self, tmp_path):
         # A wrong-typed nested value used to escape apply_op as an
         # AttributeError *after* the WAL append, so every restart from

@@ -1,6 +1,7 @@
 """Double-buffered snapshots: CRC verification, slots, torn-write fallback."""
 
 import pickle
+import zlib
 
 import pytest
 
@@ -51,6 +52,16 @@ class TestOneFile:
             snapshot_module._read_verified(path)
         assert store.load() is None
         assert unpickles == []
+
+    def test_meta_nested_past_the_recursion_limit_fails_to_decode(self, tmp_path):
+        meta = b"[" * 5_000 + b"]" * 5_000
+        body = pickle.dumps({"x": 1})
+        crc = zlib.crc32(body, zlib.crc32(meta))
+        head = snapshot_module._HEAD.pack(crc, len(meta), len(body))
+        path = tmp_path / "s.bin"
+        path.write_bytes(snapshot_module.SNAPSHOT_MAGIC + head + meta + body)
+        with pytest.raises(SnapshotCorruptError, match="failed to decode"):
+            snapshot_module._read_verified(path)
 
     def test_truncation_mid_file_is_detected(self, tmp_path):
         path = tmp_path / "s.bin"

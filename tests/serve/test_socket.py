@@ -1,5 +1,6 @@
 """The unix-socket transport: live daemon + ``repro submit`` client."""
 
+import json
 import threading
 
 import pytest
@@ -59,6 +60,23 @@ class TestRoundTrip:
         ])
         assert not acks[0]["ok"] and "unknown op" in acks[0]["error"]
         assert acks[1]["ok"] and acks[2]["ok"]  # the daemon stayed up
+
+    @pytest.mark.parametrize(
+        "nested",
+        ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+        ids=["arrays", "objects"],
+    )
+    def test_deeply_nested_line_is_rejected_and_the_connection_stays_up(self, daemon, nested):
+        runtime, socket_path = daemon
+        with connect(socket_path) as sock, sock.makefile("rwb") as stream:
+            replies = []
+            for line in ('{"op": "status"}', nested, '{"op": "status"}'):
+                stream.write((line + "\n").encode("utf-8"))
+                stream.flush()
+                replies.append(json.loads(stream.readline()))
+        assert replies[0]["ok"] and replies[2]["ok"]
+        assert not replies[1]["ok"] and "recursion" in replies[1]["error"]
+        assert not runtime.stopped
 
     def test_queue_full_is_shed_not_fatal(self, daemon):
         _, socket_path = daemon

@@ -1,5 +1,5 @@
-"""Every top-level definition under ``src/repro`` is reached from what
-the package ships.
+"""Every definition under ``src/repro`` — top-level, and each method
+of a reached class — is reached from what the package ships.
 
 **Roots** — the only things that make code reached:
 
@@ -14,14 +14,24 @@ the package ships.
 **Closure:** a top-level ``def`` / ``class`` is reached when a reached
 body names it — as an ``ast.Name``, an attribute, or an
 identifier-shaped string constant (so ``getattr`` and registry-by-name
-lookups count).  Two kinds of definition are roots themselves: one
-decorated by a project definition (the decorator runs at import and may
-keep it, as the registries do) and a module-level dunder such as
-``__getattr__`` (the interpreter calls it).  Methods of reached classes
-are out of scope.
+lookups count).  A ``def`` directly in the body of a reached class is
+reached when a reached body names it, or any file under ``benchmarks/``
+or ``examples/`` does.  The reached bodies are the top-level functions,
+the reached methods, and a reached class's statements other than its
+methods: a class body does not reach its own methods' bodies, so a
+method nothing calls reaches nothing either.  The closure iterates to
+a fixpoint, because a method's name can be reached before its class is.
 
-A definition nothing reaches is deleted, or — when a test compares a
-live path against it — moved into ``tests/`` as an oracle.  The only
+Some definitions are roots themselves: one decorated by a project
+definition (the decorator runs at import and may keep it, as the
+registries do), and a dunder such as a module's ``__getattr__`` or a
+class's ``__post_init__`` (the interpreter calls it).  What any
+decorator names is reached, because decorators run at import.
+
+Keys read ``repro/x.py::name`` and ``repro/x.py::Class.method``.  A
+method of an unreached class is not reported: the class is.  A
+definition nothing reaches is deleted, or — when a test compares a live
+path against it — moved into ``tests/`` as an oracle.  The only
 exceptions are :data:`CLAIM_ANCHORED`: code that holds a paper claim in
 a named tier-1 file until the paper scorecard reaches it.
 """
@@ -102,51 +112,79 @@ def _all_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _decorators(node: ast.AST) -> set[str]:
+    return set().union(*map(names_in, node.decorator_list))
+
+
 def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path]) -> list[str]:
-    """``"<module path>::<name>"`` for every definition in the package at
-    ``src`` that nothing reaches; ``consumers`` are the directories whose
-    files' imports from the package are roots."""
+    """The key of every definition in the package at ``src`` that nothing
+    reaches; ``consumers`` are the directories whose files' imports from
+    the package are roots, and whose every name can reach a method."""
     package = src.name
-    definitions: dict[str, list[tuple[str, ast.AST]]] = {}
-    decorated: list[tuple[str, set[str]]] = []
+    # (key, owning class or None, name, its decorators' names, what its
+    # body names once it is reached)
+    sites: list[tuple[str, str | None, str, set[str], set[str]]] = []
     roots: set[str] = set()
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         rel = path.relative_to(src.parent).as_posix()
         for stmt in tree.body:
-            if isinstance(stmt, DEFINITION):
-                definitions.setdefault(stmt.name, []).append((rel, stmt))
-                decorators = set().union(*map(names_in, stmt.decorator_list))
-                roots |= decorators
-                decorated.append((stmt.name, decorators))
-                if stmt.name.startswith("__") and stmt.name.endswith("__"):
-                    roots.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                body = set().union(*map(names_in, stmt.bases + stmt.keywords))
+                for sub in stmt.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        key = f"{rel}::{stmt.name}.{sub.name}"
+                        sites.append((key, stmt.name, sub.name, _decorators(sub), names_in(sub)))
+                    else:
+                        body |= names_in(sub)
+                sites.append((f"{rel}::{stmt.name}", None, stmt.name, _decorators(stmt), body))
+            elif isinstance(stmt, DEFINITION):
+                key = f"{rel}::{stmt.name}"
+                sites.append((key, None, stmt.name, _decorators(stmt), names_in(stmt)))
             elif _export_table(stmt) is not None:
                 roots |= names_in(stmt.value.func)
             elif not (isinstance(stmt, (ast.Import, ast.ImportFrom)) or _is_all(stmt)):
                 roots |= names_in(stmt)
         if path == src / "__init__.py":
             roots |= _all_names(tree)
-    roots |= {name for name, decorators in decorated if decorators & definitions.keys()}
+    project = {name for _, owner, name, _, _ in sites if owner is None}
+    rooted = {key for key, _, name, decorators, _ in sites
+              if decorators & project or _is_dunder(name)}
+    roots |= set().union(*(decorators for _, _, _, decorators, _ in sites))
+    roots |= {name for key, owner, name, _, _ in sites if owner is None and key in rooted}
+    named_by_consumers: set[str] = set()
     for directory in consumers:
         for path in sorted(directory.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
+            named_by_consumers |= names_in(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
                     roots |= {alias.name for alias in node.names}
 
-    reached: set[str] = set()
-    frontier = roots
-    while frontier:
-        reached |= frontier
-        frontier = set().union(*(
-            names_in(node) for name in frontier for _, node in definitions.get(name, ())
-        )) - reached
-    return sorted(
-        f"{rel}::{name}"
-        for name, sites in definitions.items() if name not in reached
-        for rel, _ in sites
-    )
+    reached = set(roots)  # every name a root or a reached body mentions
+    live: set[str] = set()
+    grew = True
+    while grew:  # to the fixpoint: a method may be named before its class is
+        grew = False
+        for key, owner, name, _, body in sites:
+            if key in live:
+                continue
+            if owner is None:
+                hit = name in reached
+            else:
+                hit = owner in reached and (
+                    key in rooted or name in reached or name in named_by_consumers
+                )
+            if hit:
+                live.add(key)
+                reached |= body
+                grew = True
+    return sorted(key for key, owner, _, _, _ in sites
+                  if key not in live and (owner is None or owner in reached))
 
 
 def claim_anchor_problems(missing: list[str], anchored: dict, repo: pathlib.Path,
@@ -262,3 +300,49 @@ class TestTheCheckerItself:
         (pkg / "sub" / "core.py").write_text("def exported():\n    pass\n\ndef orphan():\n    pass\n")
         # The subpackage's table reaches nothing; the helper it calls is reached.
         assert unreached(pkg, []) == ["toy/sub/core.py::orphan"]
+
+    def test_methods_close_over_reached_bodies_to_a_fixpoint(self, tmp_path):
+        pkg = tmp_path / "toy"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "registry.py").write_text("def register(fn):\n    return fn\n")
+        (pkg / "core.py").write_text(
+            "from toy.registry import register\n\n"
+            "class Toy:\n"
+            "    def live(self):\n"
+            "        return self\n\n"
+            "    def dead(self):\n"
+            "        return self.only_from_dead()\n\n"
+            "    def only_from_dead(self):\n"
+            "        return 2\n\n"
+            "    def late(self):\n"
+            "        return 3\n\n"
+            "    def __len__(self):\n"
+            "        return 0\n\n"
+            "    @register\n"
+            "    def hooked(self):\n"
+            "        return 4\n\n"
+            "class Orphan:\n"
+            "    def method(self):\n"
+            "        return 5\n\n"
+            "def run():\n"
+            "    return build().late()\n\n"
+            "def build():\n"
+            "    return Toy().live()\n\n"
+            "ENTRY = run\n"
+        )
+        # ``late`` is named (by ``run``) one step before ``Toy`` is reached
+        # (through ``build``), and ``Toy`` comes first in the module, so
+        # neither one pass over the definitions nor a frontier that visits
+        # each name once reaches it.
+        # A method of an unreached class is not reported: its class is.
+        # ``live``, the dunder and the decorated ``hooked`` are reached.
+        assert unreached(pkg, []) == [
+            "toy/core.py::Orphan",
+            "toy/core.py::Toy.dead",
+            "toy/core.py::Toy.only_from_dead",
+        ]
+        # A name in a consumer's file reaches a method; its body then reaches on.
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text("def main(toy):\n    toy.dead()\n")
+        assert unreached(pkg, [tmp_path / "examples"]) == ["toy/core.py::Orphan"]

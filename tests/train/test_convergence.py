@@ -43,10 +43,10 @@ class TestMLPConvergence:
         sparse_area = sum(mlp_result.reports["topk"].val_metrics[:4])
         assert dense_area >= sparse_area - 0.1
 
-    def test_curve_accessor(self, mlp_result):
-        curve = mlp_result.curve("dense")
-        assert len(curve) == 8
-        assert curve[0].epoch == 0
+    def test_every_algorithm_records_each_epoch(self, mlp_result):
+        for algorithm in ("dense", "topk", "mstopk"):
+            report = mlp_result.reports[algorithm]
+            assert len(report.val_metrics) == len(report.epoch_losses) == 8, algorithm
 
     def test_summary_rows(self, mlp_result):
         rows = mlp_result.summary_rows()

@@ -35,13 +35,6 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             VirtualClock().advance(-0.1)
 
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(1.0, category="x")
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.elapsed("x") == 0.0
-
     def test_window_measures_inner_time(self):
         clock = VirtualClock()
         clock.advance(1.0)

@@ -36,22 +36,6 @@ class TestRunningStat:
     def test_empty_variance(self):
         assert RunningStat().variance == 0.0
 
-    @given(
-        a=st.lists(finite_floats, min_size=1, max_size=50),
-        b=st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    def test_merge_equals_combined(self, a, b):
-        merged = summarize(a).merge(summarize(b))
-        combined = summarize(a + b)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(combined.variance, rel=1e-6, abs=1e-5)
-
-    def test_merge_with_empty(self):
-        stat = summarize([1.0, 2.0])
-        stat.merge(RunningStat())
-        assert stat.count == 2
-
     def test_total(self):
         assert summarize([1.0, 2.0, 3.0]).total == pytest.approx(6.0)
 
