@@ -25,8 +25,8 @@ def convergence_demo() -> None:
     for algorithm in CONVERGENCE_ALGORITHMS:
         # The attention model wants a hotter rate and higher density at
         # this scale.  RunConfig is deliberately explicit — it applies
-        # no hidden per-model overrides — so we spell out the values
-        # ConvergenceRunner keeps in its _WORKLOAD_HP table.
+        # no hidden per-model overrides — so we spell out the values the
+        # Fig. 10 / Table 2 harness runs it with.
         config = RunConfig.from_dict({
             "name": f"transformer-cloud-{algorithm}",
             "seed": 7,

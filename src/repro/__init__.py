@@ -80,7 +80,6 @@ __getattr__, __all__ = lazy_exports(
         "repro.sched.job": ["JobSpec"],
         "repro.sched.policies": ["register_policy"],
         "repro.sched.scheduler": ["MultiTenantScheduler"],
-        "repro.train.convergence": ["ConvergenceRunner"],
         "repro.train.trainer": ["DistributedTrainer"],
     },
 )

@@ -248,9 +248,9 @@ class CommConfig:
 class TrainConfig:
     """Workload and optimisation hyperparameters.
 
-    Deliberately explicit: unlike ``ConvergenceRunner`` (whose
-    ``_WORKLOAD_HP`` table nudges lr/density per workload), a config
-    applies exactly the values written in it.
+    Deliberately explicit: a config applies exactly the values written
+    in it, with no per-model defaults (the Fig. 10 harness writes the
+    transformer's hotter lr out in its own configs).
     """
 
     #: Registered model workload name or alias (``python -m repro list

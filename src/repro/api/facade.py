@@ -1,12 +1,9 @@
 """The run facade: ``run(RunConfig) -> RunReport``.
 
-One call composes the pieces every experiment used to hand-wire —
-cluster preset → :class:`NetworkModel` → comm scheme → trainer — and
-returns a structured report.  The wiring deliberately mirrors the legacy
-paths step for step (:class:`~repro.train.convergence.ConvergenceRunner`
-for synchronous runs, :mod:`repro.experiments.elastic_churn` for elastic
-ones), so a fixed seed produces *bit-identical* results either way;
-``tests/api/test_facade.py`` pins that equivalence.
+The one place a config becomes a trainer: cluster preset →
+:class:`NetworkModel` → comm scheme → trainer.  The experiment harnesses
+call :func:`run`; the scheduler's payload replay builds its
+:class:`~repro.elastic.ElasticTrainer` through :func:`elastic_trainer`.
 """
 
 from __future__ import annotations
@@ -41,6 +38,8 @@ class RunReport:
     mode: str  # "train" | "elastic"
     scheme: str
     model: str
+    #: What ``summary["final_metric"]`` and the validation curve measure.
+    metric_name: str
     world_size: int
     seed: int
     config: dict = field(default_factory=dict)
@@ -81,21 +80,14 @@ class RunReport:
         return self.bench_payload()["text"]
 
 
-def _run_train(config: RunConfig, workload) -> RunReport:
-    # Mirrors ConvergenceRunner.run() so fixed seeds are bit-identical.
-    from repro.optim.sgd import SGD
-    from repro.train.synthetic import train_val_split
-    from repro.train.trainer import DistributedTrainer
-
-    import numpy as np
-
-    train = config.train
+def _scheme(config: RunConfig):
+    """The run's comm scheme on its virtual cluster."""
     network = build_cluster(
         config.cluster.instance,
         config.cluster.num_nodes,
         gpus_per_node=config.cluster.gpus_per_node,
     )
-    scheme = build_scheme(
+    return build_scheme(
         config.comm.scheme,
         network,
         density=config.comm.density,
@@ -103,6 +95,30 @@ def _run_train(config: RunConfig, workload) -> RunReport:
         n_samplings=config.comm.n_samplings,
         compressor=config.comm.compressor,
     )
+
+
+def workload_for(config: RunConfig):
+    """The run's model and synthetic dataset (seeded by ``train.data_seed``,
+    else the run seed)."""
+    data_seed = (
+        config.train.data_seed if config.train.data_seed is not None else config.seed
+    )
+    return build_workload(
+        config.train.model,
+        num_samples=config.train.num_samples,
+        rng=new_rng(data_seed),
+    )
+
+
+def _run_train(config: RunConfig, workload) -> RunReport:
+    from repro.optim.sgd import SGD
+    from repro.train.synthetic import train_val_split
+    from repro.train.trainer import DistributedTrainer
+
+    import numpy as np
+
+    train = config.train
+    scheme = _scheme(config)
     trainer = DistributedTrainer(
         workload.model,
         scheme,
@@ -135,7 +151,8 @@ def _run_train(config: RunConfig, workload) -> RunReport:
         mode="train",
         scheme=scheme_name,
         model=workload.name,
-        world_size=network.topology.world_size,
+        metric_name=workload.metric_name,
+        world_size=scheme.topology.world_size,
         seed=config.seed,
         config=config.to_dict(),
         summary=summary,
@@ -143,12 +160,45 @@ def _run_train(config: RunConfig, workload) -> RunReport:
     )
 
 
-def _run_elastic(config: RunConfig, workload) -> RunReport:
-    # Mirrors experiments/elastic_churn.py so fixed seeds are bit-identical.
+def elastic_trainer(config: RunConfig, workload, faults=None):
+    """The :class:`~repro.elastic.ElasticTrainer` of an elastic run config.
+
+    ``faults`` is an optional :class:`~repro.faults.injector.FaultInjector`;
+    the churn schedule is not built here but handed to the trainer's
+    ``run``, so a caller may replay any schedule (the scheduler passes a
+    job's allocation history).
+    """
     from repro.cluster.variability import VariabilityModel
     from repro.elastic.elastic_trainer import ElasticTrainer
-    from repro.elastic.events import PoissonChurn
     from repro.optim.sgd import SGD
+
+    elastic = config.elastic
+    return ElasticTrainer(
+        workload.model,
+        scheme=config.comm.scheme,
+        density=config.comm.density,
+        wire_bytes=config.comm.wire_bytes,
+        n_samplings=config.comm.n_samplings,
+        compressor=config.comm.compressor,
+        instance=config.cluster.instance,
+        num_nodes=config.cluster.num_nodes,
+        gpus_per_node=config.cluster.gpus_per_node,
+        min_nodes=elastic.min_nodes,
+        optimizer=SGD(lr=config.train.lr, momentum=config.train.momentum),
+        seed=config.seed,
+        checkpoint_every=elastic.checkpoint_every,
+        compute_seconds=elastic.compute_seconds,
+        checkpoint_seconds=elastic.checkpoint_seconds,
+        restart_seconds=elastic.restart_seconds,
+        warning_seconds=elastic.warning_seconds,
+        timing_d=elastic.timing_d,
+        variability=VariabilityModel(sigma=elastic.sigma) if elastic.sigma > 0 else None,
+        faults=faults,
+    )
+
+
+def _run_elastic(config: RunConfig, workload) -> RunReport:
+    from repro.elastic.events import PoissonChurn
     from repro.perf.elastic_cost import account
 
     elastic = config.elastic
@@ -162,46 +212,22 @@ def _run_elastic(config: RunConfig, workload) -> RunReport:
         if elastic.schedule == "poisson" and elastic.rate > 0
         else None
     )
-    variability = VariabilityModel(sigma=elastic.sigma) if elastic.sigma > 0 else None
     injector = None
     if config.faults is not None:
         from repro.faults.injector import FaultInjector
 
         plan = FaultPlan.from_config(config.faults, seed=config.seed, target="run")
         injector = FaultInjector(plan)
-    scheme_name = SCHEMES.canonical(config.comm.scheme) or config.comm.scheme
-    # Canonicalize so aliases ("p3.16xlarge" -> "aws") hit the right
-    # spot-price profile in the cost layer.
-    instance = CLUSTERS.canonical(config.cluster.instance) or config.cluster.instance
-    trainer = ElasticTrainer(
-        workload.model,
-        scheme=scheme_name,
-        density=config.comm.density,
-        wire_bytes=config.comm.wire_bytes,
-        n_samplings=config.comm.n_samplings,
-        compressor=config.comm.compressor,
-        instance=instance,
-        num_nodes=config.cluster.num_nodes,
-        gpus_per_node=config.cluster.gpus_per_node,
-        min_nodes=elastic.min_nodes,
-        optimizer=SGD(lr=config.train.lr, momentum=config.train.momentum),
-        seed=config.seed,
-        checkpoint_every=elastic.checkpoint_every,
-        compute_seconds=elastic.compute_seconds,
-        checkpoint_seconds=elastic.checkpoint_seconds,
-        restart_seconds=elastic.restart_seconds,
-        warning_seconds=elastic.warning_seconds,
-        timing_d=elastic.timing_d,
-        variability=variability,
-        faults=injector,
-    )
-    report = trainer.run(
+    report = elastic_trainer(config, workload, injector).run(
         workload.x,
         workload.y,
         iterations=elastic.iterations,
         local_batch=config.train.local_batch,
         schedule=schedule,
     )
+    # Canonicalize so aliases ("p3.16xlarge" -> "aws") hit the right
+    # spot-price profile in the cost layer.
+    instance = CLUSTERS.canonical(config.cluster.instance) or config.cluster.instance
     cost = account(report, instance=instance)
     summary = {
         "final_loss": report.final_loss,
@@ -229,6 +255,7 @@ def _run_elastic(config: RunConfig, workload) -> RunReport:
         mode="elastic",
         scheme=report.scheme,
         model=workload.name,
+        metric_name=workload.metric_name,
         world_size=config.cluster.num_nodes * config.cluster.gpus_per_node,
         seed=config.seed,
         config=config.to_dict(),
@@ -249,32 +276,13 @@ def preflight(config: RunConfig) -> None:
     a genuine bug.
     """
     config.validate()
-    network = build_cluster(
-        config.cluster.instance,
-        config.cluster.num_nodes,
-        gpus_per_node=config.cluster.gpus_per_node,
-    )
-    build_scheme(
-        config.comm.scheme,
-        network,
-        density=config.comm.density,
-        wire_bytes=config.comm.wire_bytes,
-        n_samplings=config.comm.n_samplings,
-        compressor=config.comm.compressor,
-    )
+    _scheme(config)
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute one fully-specified run and return its structured report."""
     config.validate()
-    data_seed = (
-        config.train.data_seed if config.train.data_seed is not None else config.seed
-    )
-    workload = build_workload(
-        config.train.model,
-        num_samples=config.train.num_samples,
-        rng=new_rng(data_seed),
-    )
+    workload = workload_for(config)
     if config.elastic is not None:
         return _run_elastic(config, workload)
     return _run_train(config, workload)

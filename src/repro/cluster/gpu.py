@@ -29,8 +29,6 @@ class GpuSpec:
 
     name: str
     memory_bandwidth: float  # bytes/s, peak HBM bandwidth
-    fp32_flops: float  # FLOP/s
-    tensor_flops: float  # FLOP/s with tensor cores (mixed precision)
     kernel_launch_overhead: float  # seconds per kernel launch
     #: Fraction of peak bandwidth achieved by coalesced streaming kernels.
     streaming_efficiency: float = 0.85
@@ -72,8 +70,6 @@ class GpuSpec:
 V100 = GpuSpec(
     name="Tesla V100-32GB",
     memory_bandwidth=900e9,
-    fp32_flops=15.7e12,
-    tensor_flops=125e12,
     kernel_launch_overhead=5e-6,
 )
 

@@ -365,91 +365,55 @@ class ElasticTrainer:
         lo, hi = pos * local_batch, (pos + 1) * local_batch
         return [(sx[lo:hi], sy[lo:hi]) for sx, sy in self._shards]
 
-    # -- event handling --------------------------------------------------------
-    def _apply_event(
-        self,
-        event: ChurnEvent,
-        report: ElasticRunReport,
-        x: np.ndarray,
-        y: np.ndarray,
-        useful: int,
-    ) -> int:
-        """Apply one membership change; returns the (possibly rewound) step."""
-        if event.kind == JOIN:
-            # Graceful grow: snapshot current state so the newcomer
-            # starts consistent; nothing is lost.
-            self._save_checkpoint(report, useful)
-            self.membership.join()
-            report.joins += 1
-            self._rebuild_from_checkpoint(report, x, y)
-            return useful
-
-        # Refuse the event before paying any overhead for it: at
-        # min_nodes the provider keeps the node, and a trace may name a
-        # node that already departed.
-        if self.membership.num_nodes <= self.membership.min_nodes:
-            return useful
-        if event.node is not None and event.node not in self.membership.live_nodes:
-            return useful
-        warned = event.warned and self.checkpoint_seconds <= self.warning_seconds
-        if warned:
-            # The two-minute warning: checkpoint *before* the node
-            # vanishes, then shrink — no lost work.
-            self._save_checkpoint(report, useful)
-        self.membership.revoke(event.node, rng=self._event_rng)
-        report.revocations += 1
-        if warned:
-            report.warned_revocations += 1
-            restored = self._rebuild_from_checkpoint(report, x, y)
-            if restored < useful:
-                # Only reachable when the just-saved checkpoint AND its
-                # predecessor were both corrupted by a fault.
-                report.lost_iterations += useful - restored
-                report.rollbacks += 1
-                del report.losses[restored:]
-        else:
-            # Surprise revocation: the synchronous step can no longer
-            # complete — roll back to the newest intact checkpoint.
-            restored = self._rebuild_from_checkpoint(report, x, y)
-            report.lost_iterations += useful - restored
-            report.rollbacks += 1
-            del report.losses[restored:]
-        return restored
-
-    def apply_fault_revocation(
+    # -- membership changes ----------------------------------------------------
+    def revoke(
         self,
         nodes,
         report: ElasticRunReport,
         x: np.ndarray,
         y: np.ndarray,
         useful: int,
+        *,
+        warned: bool,
     ) -> tuple[int, int, list[int]]:
-        """Simultaneous *unwarned* loss of ``nodes`` (fault injection).
+        """Simultaneous loss of ``nodes``: a churn revocation or a fault's
+        crash / AZ reclaim.
 
-        Revokes every named node that is still live — stopping at the
-        ``min_nodes`` floor, where the provider keeps capacity — then
-        performs ONE rollback + rebuild: a correlated failure (AZ-wide
-        spot reclaim) costs a single recovery, unlike the sequential
-        churn events of :meth:`_apply_event`.  Returns
-        ``(restored_useful, lost_iterations, victims)``; no live victim
-        means the fault was absorbed and nothing changes.
+        Revokes every named node that is still live (``None`` draws the
+        victim from the event stream) — stopping at the ``min_nodes``
+        floor, where the provider keeps capacity — then performs ONE
+        rebuild, so a correlated failure costs a single recovery.  A
+        *warned* loss (the two-minute warning, when a checkpoint fits
+        inside it) checkpoints before the first node leaves and loses no
+        work; an unwarned one rolls back to the newest intact
+        checkpoint.  Returns ``(restored_useful, lost_iterations,
+        victims)``; no live victim means the loss was absorbed and
+        nothing changes — no overhead is paid for it.
         """
+        warned = warned and self.checkpoint_seconds <= self.warning_seconds
         victims: list[int] = []
         for node in nodes:
             if self.membership.num_nodes <= self.membership.min_nodes:
                 break
-            if node not in self.membership.live_nodes:
+            if node is not None and node not in self.membership.live_nodes:
                 continue
-            self.membership.revoke(node, rng=self._event_rng)
+            if warned and not victims:
+                # Checkpoint while the node is still live (and billed).
+                self._save_checkpoint(report, useful)
+            victims.append(int(self.membership.revoke(node, rng=self._event_rng)))
             report.revocations += 1
-            victims.append(int(node))
         if not victims:
             return useful, 0, []
+        if warned:
+            report.warned_revocations += len(victims)
         restored = self._rebuild_from_checkpoint(report, x, y)
         lost = useful - restored
-        report.lost_iterations += lost
-        report.rollbacks += 1
-        del report.losses[restored:]
+        # A warned loss rolls back only when the just-saved checkpoint
+        # AND its predecessor were both corrupted by a fault.
+        if lost or not warned:
+            report.lost_iterations += lost
+            report.rollbacks += 1
+            del report.losses[restored:]
         return restored, lost, victims
 
     # -- main loop -------------------------------------------------------------
@@ -499,7 +463,17 @@ class ElasticTrainer:
             if self.faults is not None:
                 useful = self.faults.on_iteration(self, wall, useful, report, x, y)
             for event in by_iteration.get(wall, ()):
-                useful = self._apply_event(event, report, x, y, useful)
+                if event.kind == JOIN:
+                    # Graceful grow: snapshot current state so the
+                    # newcomer starts consistent; nothing is lost.
+                    self._save_checkpoint(report, useful)
+                    self.membership.join()
+                    report.joins += 1
+                    self._rebuild_from_checkpoint(report, x, y)
+                else:
+                    useful, _, _ = self.revoke(
+                        (event.node,), report, x, y, useful, warned=event.warned
+                    )
             loss, _ = self.trainer.train_step(self._batches(local_batch, useful))
             compute, comm = self._step_times()
             report.compute_seconds += compute

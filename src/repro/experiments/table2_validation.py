@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.fig10_convergence import FAST_EPOCHS, FAST_SAMPLES
-from repro.train.convergence import ConvergenceRunner
+from repro.experiments.fig10_convergence import (
+    FAST_EPOCHS,
+    FAST_SAMPLES,
+    convergence_runs,
+)
 from repro.utils.tables import print_table
 
 #: Paper Table 2: model -> algorithm -> metric.
@@ -48,18 +51,18 @@ class ValidationRow:
 def run(
     *, epochs: int = 15, num_samples: int = 1024, seed: int = 7
 ) -> list[ValidationRow]:
-    runner = ConvergenceRunner(epochs=epochs, num_samples=num_samples, seed=seed)
     rows: list[ValidationRow] = []
     for model, workload in ANALOGUES.items():
-        result = runner.run(workload)
+        reports = convergence_runs(
+            workload, epochs=epochs, num_samples=num_samples, seed=seed
+        )
+        finals = {a: r.summary["final_metric"] for a, r in reports.items()}
         rows.append(
             ValidationRow(
                 model=model,
                 workload=workload,
-                metric_name=result.metric_name,
-                dense=result.final("dense"),
-                topk=result.final("topk"),
-                mstopk=result.final("mstopk"),
+                metric_name=reports["dense"].metric_name,
+                **finals,
             )
         )
     return rows

@@ -123,8 +123,8 @@ class FaultInjector:
         windows, report = self.windows, ctx.report
         t0 = report.total_seconds
         windows.inject(event, t0, iteration=ctx.wall, nodes=[int(n) for n in nodes])
-        restored, lost, victims = ctx.trainer.apply_fault_revocation(
-            nodes, report, ctx.x, ctx.y, ctx.useful
+        restored, lost, victims = ctx.trainer.revoke(
+            nodes, report, ctx.x, ctx.y, ctx.useful, warned=False
         )
         if not victims:
             windows.absorb(

@@ -665,35 +665,46 @@ class MultiTenantScheduler:
 
     def _replay_payload(self, record: JobRecord) -> dict:
         """Train a payload job's allocation history with ElasticTrainer."""
-        from repro.api.registry import build_workload
-        from repro.elastic.elastic_trainer import ElasticTrainer
-        from repro.optim.sgd import SGD
-        from repro.utils.seeding import new_rng
+        from repro.api.config import (
+            ClusterConfig,
+            CommConfig,
+            ElasticConfig,
+            RunConfig,
+            TrainConfig,
+        )
+        from repro.api.facade import elastic_trainer, workload_for
 
-        payload = record.spec.payload
+        spec, payload = record.spec, record.spec.payload
         assert payload is not None  # caller-checked
-        workload = build_workload(
-            payload.model, num_samples=payload.num_samples, rng=new_rng(payload.seed)
-        )
-        schedule = record.to_trace_schedule()
-        start_nodes = record.waypoints[0][1]
-        trainer = ElasticTrainer(
-            workload.model,
-            scheme=record.spec.scheme,
-            density=record.spec.density,
-            instance=self.instance,
-            num_nodes=start_nodes,
-            gpus_per_node=self.job_gpus(record.spec),
-            min_nodes=record.spec.min_nodes,
-            optimizer=SGD(lr=payload.lr, momentum=payload.momentum),
+        # The job starts on its first waypoint's node count; the
+        # allocation history after that is the churn schedule.
+        config = RunConfig(
+            name=spec.name,
             seed=payload.seed,
+            cluster=ClusterConfig(
+                instance=self.instance,
+                num_nodes=record.waypoints[0][1],
+                gpus_per_node=self.job_gpus(spec),
+            ),
+            comm=CommConfig(scheme=spec.scheme, density=spec.density),
+            train=TrainConfig(
+                model=payload.model,
+                num_samples=payload.num_samples,
+                local_batch=payload.local_batch,
+                lr=payload.lr,
+                momentum=payload.momentum,
+            ),
+            elastic=ElasticConfig(
+                iterations=spec.iterations, schedule="none", min_nodes=spec.min_nodes
+            ),
         )
-        report = trainer.run(
+        workload = workload_for(config)
+        report = elastic_trainer(config, workload).run(
             workload.x,
             workload.y,
-            iterations=record.spec.iterations,
+            iterations=spec.iterations,
             local_batch=payload.local_batch,
-            schedule=schedule,
+            schedule=record.to_trace_schedule(),
         )
         return {
             "model": payload.model,

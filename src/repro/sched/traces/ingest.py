@@ -173,17 +173,23 @@ def _load_csv_dir(path: pathlib.Path) -> Trace:
             raise TraceError(f"trace directory {path} is missing {filename}")
         with file.open(newline="") as handle:
             reader = csv.DictReader(handle)
-            expected = set(_FIELDS[kind])
-            header = set(reader.fieldnames or ())
-            if not header <= expected:
-                raise TraceError(
-                    f"{file}: unknown column(s) "
-                    f"{', '.join(sorted(header - expected))}; "
-                    f"accepted: {', '.join(sorted(expected))}"
-                )
-            for rowno, row in enumerate(reader, start=2):
-                record = _build_record(kind, row, f"{file}:{rowno}")
-                getattr(trace, kind + "s").append(record)
+            try:
+                expected = set(_FIELDS[kind])
+                header = set(reader.fieldnames or ())
+                if not header <= expected:
+                    raise TraceError(
+                        f"{file}: unknown column(s) "
+                        f"{', '.join(sorted(header - expected))}; "
+                        f"accepted: {', '.join(sorted(expected))}"
+                    )
+                for rowno, row in enumerate(reader, start=2):
+                    record = _build_record(kind, row, f"{file}:{rowno}")
+                    getattr(trace, kind + "s").append(record)
+            except csv.Error as exc:
+                # E.g. a cell over the csv module's field size limit
+                # (128 KiB), which stays as it is: the limit is global.
+                # The inner reader's line count includes the failed row.
+                raise TraceError(f"{file}:{reader.reader.line_num}: {exc}") from exc
     return trace
 
 

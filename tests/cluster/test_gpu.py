@@ -70,5 +70,5 @@ class TestFig6Anchors:
 
 class TestCustomGpu:
     def test_faster_memory_means_faster_scan(self):
-        fast = GpuSpec("fast", 2e12, 1e13, 1e14, 1e-6)
+        fast = GpuSpec("fast", memory_bandwidth=2e12, kernel_launch_overhead=1e-6)
         assert fast.scan_time(1e9) < V100.scan_time(1e9)

@@ -77,6 +77,8 @@ class TestFastFlag:
         [
             ("fault_drills", 41, "557825d8521d6b6e"),
             ("brain_autotune", 22, "a6132a3cd0f54e2a"),
+            ("fig10_convergence", 22, "baec31aa59c4fd79"),
+            ("table2_validation", 8, "0c65515af099e4e2"),
         ],
     )
     def test_fast_drill_transcript_is_pinned(self, capsys, module, lines, digest):

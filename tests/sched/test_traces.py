@@ -237,11 +237,19 @@ class TestValidation:
         assert "must be finite" in message and "\n" not in message
 
     @pytest.mark.parametrize(
-        "cell",
-        ['{"model": ', "[" * 5_000 + "]" * 5_000],
-        ids=["truncated", "nested"],
+        "cell, error",
+        [
+            ('{"model": ', "payload is not valid JSON"),
+            ("[" * 5_000 + "]" * 5_000, "payload is not valid JSON"),
+            # Over the csv module's 128 KiB field limit: the reader
+            # itself refuses the row, before the JSON parse.
+            ("x" * 200_000, "field larger than field limit"),
+        ],
+        ids=["truncated", "nested", "oversized"],
     )
-    def test_a_csv_payload_cell_that_is_not_json_names_file_and_line(self, tmp_path, cell):
+    def test_a_csv_payload_cell_that_is_not_json_names_file_and_line(
+        self, tmp_path, cell, error
+    ):
         path = write_trace_csv(small_trace(num_jobs=3), tmp_path / "day")
         with (path / "task.csv").open(newline="") as handle:
             rows = list(csv.reader(handle))
@@ -251,7 +259,7 @@ class TestValidation:
         with pytest.raises(TraceError) as err:
             load_trace(path)
         message = str(err.value)
-        assert message.startswith(f"{path / 'task.csv'}:3: payload is not valid JSON")
+        assert message.startswith(f"{path / 'task.csv'}:3: {error}")
         assert "\n" not in message
 
     def test_unknown_workload_points_at_job(self):
@@ -362,6 +370,23 @@ class TestPayloadParity:
             o.row()[:-1] for o in without.jobs
         ]
         assert with_payload.summary() == without.summary()
+
+    def test_sample_day_payload_losses_are_pinned(self, monkeypatch):
+        """The five payload jobs of the sample day train to these exact
+        losses under both policies of the committed trace config."""
+        monkeypatch.chdir(REPO)  # config paths are repo-root relative
+        reports = run_sched(SchedConfig.from_file(TRACE_CONFIG))
+        expected = {
+            "job-00013": 0.49863898754119873,
+            "job-00017": 0.8060696721076965,
+            "job-00021": 0.6720361411571503,
+            "job-00064": 0.8450103402137756,
+            "job-00073": 0.9184590578079224,
+        }
+        assert list(reports) == ["bin-pack", "network-aware"]
+        for report in reports.values():
+            losses = {o.job: o.final_loss for o in report.jobs if o.final_loss is not None}
+            assert losses == expected
 
     def test_payload_jobs_actually_train(self):
         payload = TrainPayload(seed=13)
