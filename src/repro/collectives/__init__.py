@@ -24,7 +24,7 @@ __getattr__, __all__ = lazy_exports(
             "matrix_tree_allreduce",
         ],
         "repro.collectives.primitives": ["broadcast", "broadcast_views", "gather", "scatter"],
-        "repro.collectives.reduce_scatter": ["matrix_reduce_scatter"],
+        "repro.collectives.reduce_scatter": ["matrix_reduce_scatter", "ring_fold"],
         "repro.collectives.sparse": ["SparseVector", "batched_scatter_add", "coalesce"],
     },
 )

@@ -67,6 +67,39 @@ def _diagonal_fold(mat: np.ndarray, out: np.ndarray) -> None:
                     rows += part
 
 
+def ring_fold(rows: np.ndarray, d: int, start: int, out: np.ndarray) -> np.ndarray:
+    """The ring reduce-scatter of a ``(p, d)`` matrix, on its columns
+    ``[start, start + L)`` only, given as the ``(p, L)`` ``rows``.
+
+    Each element of chunk ``c`` (NCCL bounds over the full ``d``) is
+    added in the ring schedule's order ``x[c+1] + x[c+2] + ... + x[c]``
+    (indices mod ``p``) into ``out`` (``(L,)``), which is returned.  The
+    order is elementwise, so any split of the columns into ranges gives
+    the bits of the whole fold: a caller may fold a gradient slab by
+    slab while each is still in cache.  Each chunk the range meets is
+    one contiguous slice add per ring step, so the accumulating slice
+    stays in cache.
+    """
+    p, length = rows.shape
+    if not 0 <= start <= start + length <= d:
+        raise ValueError(f"ring_fold: columns [{start}, {start + length}) outside [0, {d})")
+    if p == 1:
+        np.copyto(out, rows[0])
+        return out
+    if p == 2:
+        # Both chunks fold as one commutative pairwise add.
+        return np.add(rows[0], rows[1], out=out)
+    for c, (lo, hi) in enumerate(chunk_bounds(d, p)):
+        lo, hi = max(lo, start) - start, min(hi, start + length) - start
+        if lo >= hi:
+            continue
+        acc = out[lo:hi]
+        np.add(rows[(c + 1) % p, lo:hi], rows[(c + 2) % p, lo:hi], out=acc)
+        for t in range(3, p + 1):
+            acc += rows[(c + t) % p, lo:hi]
+    return out
+
+
 def matrix_reduce_scatter(mat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorised ring reduce-scatter over a ``(p, d)`` gradient matrix.
 
@@ -79,11 +112,10 @@ def matrix_reduce_scatter(mat: np.ndarray, *, out: np.ndarray | None = None) -> 
     The ring schedule accumulates chunk ``c`` in the fixed order
     ``x[c+1] + x[c+2] + ... + x[c]`` (indices mod ``p``); both folds
     below add in exactly that order and read every element of ``mat``
-    once.  Long chunks fold one at a time, ``p - 1`` contiguous slice
-    adds each, so the accumulating chunk stays in cache.  Short chunks
-    fold one ring step at a time across all chunks
-    (:func:`_diagonal_fold`): ``O(p)`` NumPy calls instead of
-    ``p (p - 1)``.  The split is :data:`_DIAGONAL_BELOW`.
+    once.  Long chunks fold one at a time (:func:`ring_fold` over all
+    ``d`` columns).  Short chunks fold one ring step at a time across
+    all chunks (:func:`_diagonal_fold`): ``O(p)`` NumPy calls instead
+    of ``p (p - 1)``.  The split is :data:`_DIAGONAL_BELOW`.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2:
@@ -97,21 +129,10 @@ def matrix_reduce_scatter(mat: np.ndarray, *, out: np.ndarray | None = None) -> 
         raise ValueError(
             f"matrix_reduce_scatter: out is {out.dtype}{out.shape}, need {mat.dtype}({d},)"
         )
-    if p == 1:
-        np.copyto(out, mat[0])
+    if p > 4 and d // p < _DIAGONAL_BELOW:
+        _diagonal_fold(mat, out)
         return out
-    if p == 2:
-        # Both chunks fold as one commutative pairwise add.
-        return np.add(mat[0], mat[1], out=out)
-    if p <= 4 or d // p >= _DIAGONAL_BELOW:
-        for c, (start, end) in enumerate(chunk_bounds(d, p)):
-            acc = out[start:end]
-            np.add(mat[(c + 1) % p, start:end], mat[(c + 2) % p, start:end], out=acc)
-            for t in range(3, p + 1):
-                acc += mat[(c + t) % p, start:end]
-        return out
-    _diagonal_fold(mat, out)
-    return out
+    return ring_fold(mat, d, 0, out)
 
 
-__all__ = ["matrix_reduce_scatter"]
+__all__ = ["matrix_reduce_scatter", "ring_fold"]

@@ -28,6 +28,10 @@ writes and step 2 reads, reused by every call of the same shape and
 dtype; error feedback corrects its shard views in place and rewrites
 each residual in its own buffer.  Nothing a call returns points into
 either: the selections hold gathered copies and the aggregate is fresh.
+A caller that folds the node sums while the gradient is being made (the
+trainer) fills the accumulator itself (:meth:`HiTopKComm.node_accumulator`)
+and runs steps 2-4 alone (:meth:`HiTopKComm.aggregate_node_sums`); the
+per-worker ``(W, d)`` matrix then never exists.
 """
 
 from __future__ import annotations
@@ -108,19 +112,39 @@ class HiTopKComm(CommScheme):
         self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
-        topo = self.topology
-        m, n = topo.num_nodes, topo.gpus_per_node
-        d = mat.shape[1]
-        bounds = chunk_bounds(d, n)
-
+        n = self.topology.gpus_per_node
         # Step 1: intra-node ring reduce-scatter, one fold per node into
         # its row of the node accumulator (ranks are node-major, so each
         # node is a contiguous row block of the gradient matrix).
+        node_acc = self.node_accumulator(mat.shape[1], mat.dtype)
+        for node, row in enumerate(node_acc):
+            matrix_reduce_scatter(mat[node * n : (node + 1) * n], out=row)
+        return self.aggregate_node_sums(node_acc, rng=rng)
+
+    def node_accumulator(self, d: int, dtype) -> np.ndarray:
+        """The ``(m, d)`` buffer whose row ``i`` holds node ``i``'s sum
+        after step 1, reused by every call of the same shape and dtype.
+
+        A caller that folds the node sums itself (the trainer, while the
+        gradient is computed) fills it and hands it to
+        :meth:`aggregate_node_sums`.
+        """
+        m = self.topology.num_nodes
         node_acc = self._node_acc
-        if node_acc is None or node_acc.shape != (m, d) or node_acc.dtype != mat.dtype:
-            node_acc = self._node_acc = np.empty((m, d), dtype=mat.dtype)
-        for node in range(m):
-            matrix_reduce_scatter(mat[node * n : (node + 1) * n], out=node_acc[node])
+        if node_acc is None or node_acc.shape != (m, d) or node_acc.dtype != dtype:
+            node_acc = self._node_acc = np.empty((m, d), dtype=dtype)
+        return node_acc
+
+    def aggregate_node_sums(
+        self, node_acc: np.ndarray, *, rng: RandomState | None = None
+    ) -> AggregationResult:
+        """Steps 2-4 from a filled ``(m, d)`` node accumulator, each row
+        laid out as step 1's reduce-scatter leaves it: error feedback
+        corrects its shards in place."""
+        topo = self.topology
+        m, n = topo.num_nodes, topo.gpus_per_node
+        d = node_acc.shape[1]
+        bounds = chunk_bounds(d, n)
 
         # Step 2: per-shard top-k selection with shard-resident error
         # feedback, added in place; the corrected shards of all m*n GPUs
@@ -157,7 +181,7 @@ class HiTopKComm(CommScheme):
             for node in range(m):
                 stream_order.append(selections[topo.rank(node, local)])
                 offsets.append(start)
-        full = batched_scatter_add(stream_order, d, dtype=mat.dtype, offsets=offsets)
+        full = batched_scatter_add(stream_order, d, dtype=node_acc.dtype, offsets=offsets)
         outputs = broadcast_views(full, topo.world_size)
 
         breakdown = self.time_model(d)

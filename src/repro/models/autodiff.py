@@ -35,8 +35,17 @@ _TAPE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 #: tile ≈ 1.1 ms, plus ≈ 1.5 ms to copy the tiles out.  In the trainer
 #: the call went 5.5–6.0 → 3.1–3.4 ms.  A 64 KiB bound (which also
 #: tiles ``fc0``), 128-row tiles and a per-worker ``np.dot`` loop
-#: measured the same.
+#: measured the same.  The trainer reads the same bound: where the
+#: scheme takes node sums, a 2-D parameter above it gets a fold sink
+#: (see :class:`Tensor`) instead of rows, and its product never lands
+#: in a ``(W, d)`` matrix at all.
 _TILE_BYTES = 256 * 1024
+
+
+def _is_sink(dest) -> bool:
+    """Whether a gradient destination (or ``None``) is a fold sink (see
+    :class:`Tensor`)."""
+    return hasattr(dest, "matmul")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -67,6 +76,14 @@ class Tensor:
     tile on its way there (:meth:`_accumulate_matmul`: faster, same
     bits).  Without a destination the tape allocates ``grad`` itself.
     Either way the same floating-point operations run in the same order.
+
+    A destination may instead be a *fold sink*: any object with a
+    ``matmul(x, y)`` method, which takes the leaf's worker-batched
+    product ``x @ y`` whole and keeps only what it reduces it to (the
+    trainer's sinks fold each node's workers into one sum, slab by
+    slab).  The sink then stands as ``grad``.  Its leaf's gradient must
+    be that one product: any other accumulation into it raises, since
+    ``Σ_w (a_w + b_w)`` is not ``Σ_w a_w + Σ_w b_w`` in floating point.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name", "_grad_out")
@@ -83,7 +100,7 @@ class Tensor:
     ) -> None:
         data = np.asarray(data)
         self.data = data if data.dtype in _TAPE_DTYPES else data.astype(np.float64)
-        if grad_out is not None and grad_out.shape != self.data.shape:
+        if grad_out is not None and not _is_sink(grad_out) and grad_out.shape != self.data.shape:
             raise ValueError(
                 f"gradient destination of shape {grad_out.shape} for a tensor of "
                 f"shape {self.data.shape}"
@@ -127,6 +144,8 @@ class Tensor:
         """
         if not self.requires_grad:
             return
+        if _is_sink(self._grad_out):
+            raise _sink_error(self)
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             # _unbroadcast always reduces, so its result is fresh.
@@ -156,9 +175,15 @@ class Tensor:
         :data:`_TILE_BYTES`).  Each tile GEMM has the M, N, K and
         operands (transpositions, leading dimensions) of the batched
         call's matrix — only where C is written differs — so the bits
-        are the same.
+        are the same.  A fold sink takes the first product as it is.
         """
         out = self._grad_out
+        if _is_sink(out):
+            if self.grad is not None:
+                raise _sink_error(self)
+            out.matmul(x, y)
+            self.grad = out
+            return
         if self.grad is None and out is not None:
             shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
             # A reshape copies only where the destination's own dims are strided.
@@ -256,6 +281,14 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return relu(self)
+
+
+def _sink_error(leaf: Tensor) -> ValueError:
+    return ValueError(
+        f"a fold sink takes its leaf's whole gradient as one matmul product, but the "
+        f"leaf of shape {leaf.shape} has another gradient term, which cannot be added "
+        "once the workers are folded"
+    )
 
 
 def _wrap(value) -> Tensor:

@@ -61,6 +61,10 @@ _INT_FIELDS = {
     "local_batch",
     "iterations",
 }
+#: Most ``iterations`` a task may ask for.  The sample day's largest is
+#: 19 655 and the synthetic generator's cap 50 000; a value near 10**18
+#: would replay as a JCT of ~10**17 s and a bill of ~10**15 $.
+MAX_ITERATIONS = 10**9
 #: Fields where None is meaningful (empty CSV cell / JSON null).
 _OPTIONAL_FIELDS = {
     "deadline",
@@ -87,7 +91,10 @@ def _coerce(kind: str, name: str, value: Any, where: str) -> Any:
         if name in _INT_FIELDS:
             if isinstance(value, float) and value != int(value):
                 raise ValueError(f"not an integer: {value}")
-            return int(value)
+            number = int(value)
+            if name == "iterations" and number > MAX_ITERATIONS:
+                raise ValueError(f"must be at most {MAX_ITERATIONS}, got {number}")
+            return number
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"{where}: {kind} field {name!r}: {exc}") from exc
     if name == "payload":
@@ -172,24 +179,39 @@ def _load_csv_dir(path: pathlib.Path) -> Trace:
                 continue  # instance rows are optional
             raise TraceError(f"trace directory {path} is missing {filename}")
         with file.open(newline="") as handle:
-            reader = csv.DictReader(handle)
+            reader = csv.reader(handle)
+            start = 1  # the header's line
             try:
+                header = next(reader, [])
                 expected = set(_FIELDS[kind])
-                header = set(reader.fieldnames or ())
-                if not header <= expected:
+                if not set(header) <= expected:
                     raise TraceError(
                         f"{file}: unknown column(s) "
-                        f"{', '.join(sorted(header - expected))}; "
+                        f"{', '.join(sorted(set(header) - expected))}; "
                         f"accepted: {', '.join(sorted(expected))}"
                     )
-                for rowno, row in enumerate(reader, start=2):
-                    record = _build_record(kind, row, f"{file}:{rowno}")
+                while True:
+                    # A quoted cell may span lines and a blank line is no
+                    # record, so a record starts on the line after the
+                    # last one read, not on its row number.
+                    start = reader.line_num + 1
+                    cells = next(reader, None)
+                    if cells is None:
+                        break
+                    if not cells:
+                        continue
+                    if len(cells) > len(header):
+                        raise TraceError(
+                            f"{file}:{start}: {len(cells)} cells for {len(header)} columns"
+                        )
+                    # A short row leaves its last fields empty.
+                    row = dict(zip(header, cells + [None] * (len(header) - len(cells))))
+                    record = _build_record(kind, row, f"{file}:{start}")
                     getattr(trace, kind + "s").append(record)
             except csv.Error as exc:
                 # E.g. a cell over the csv module's field size limit
                 # (128 KiB), which stays as it is: the limit is global.
-                # The inner reader's line count includes the failed row.
-                raise TraceError(f"{file}:{reader.reader.line_num}: {exc}") from exc
+                raise TraceError(f"{file}:{start}: {exc}") from exc
     return trace
 
 
@@ -381,6 +403,7 @@ def trace_stats(trace: Trace) -> dict:
 __all__ = [
     "RECORD_TYPES",
     "CSV_FILES",
+    "MAX_ITERATIONS",
     "load_trace",
     "validate_trace",
     "trace_to_specs",

@@ -10,9 +10,11 @@ The convention matches NCCL's reduce-scatter: the first ``d % parts``
 shards get one extra element.
 
 Tensor fusion lives here too: :class:`FlatLayout`, where each tensor
-sits in one fused buffer, and :func:`gradient_rows`, the
-trainer's compute stage, which has every worker's gradient computed in
-its row of the ``(W, d)`` buffer.
+sits in one fused buffer, and :func:`gradient_rows`, the compute stage
+of the trainer's matrix route, which has every worker's gradient
+computed in its row of the ``(W, d)`` buffer.  (Where the scheme takes
+node sums the trainer folds them as the gradient is made, and that
+buffer is not built; see :mod:`repro.train.trainer`.)
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ class FlatLayout:
                 out[..., sl] = tensors[name].reshape(*out.shape[:-1], -1)
 
 
-def _stackable(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Whether :func:`gradient_rows`' blocked pass can take these batches.
+def stackable(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether a blocked all-workers pass (``loss_and_grad_workers``)
+    can take these batches.
 
     Requires uniform shapes (they stack into one ``(W, B, ...)`` block)
     and no padded labels — the worker-blocked cross-entropy does not
@@ -209,8 +212,9 @@ def gradient_rows(
     """The trainer's compute stage: the gradient of ``batches[i]``,
     computed in ``out[i]``, for every ``i``.
 
-    One kernel, called by the trainer on the whole ``(W, d)`` fusion
-    buffer (``out`` is a ``(len(batches), layout.dim)`` row block).  A
+    One kernel, called by the trainer's matrix route on the whole
+    ``(W, d)`` fusion buffer (``out`` is a ``(len(batches), layout.dim)``
+    row block).  A
     model that offers ``loss_and_grad_workers`` runs all rows through
     one blocked tape pass when there is more than one and the batches
     stack; otherwise each row is one ``loss_and_grad`` call.  The two
@@ -254,7 +258,7 @@ def gradient_rows(
     if (
         len(batches) > 1
         and hasattr(model, "loss_and_grad_workers")
-        and _stackable(batches)
+        and stackable(batches)
     ):
         t0 = tick()
         xs = np.stack([bx for bx, _ in batches])
@@ -282,4 +286,5 @@ __all__ = [
     "partition_layers",
     "partition_layers_balanced",
     "round_robin_shards",
+    "stackable",
 ]

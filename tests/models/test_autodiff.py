@@ -767,6 +767,50 @@ class TestGradientDestinations:
         assert leaf.grad is dest
         assert_same_bits(dest, want + want)
 
+    def test_a_fold_sink_takes_the_first_worker_batched_product_whole(self, rng):
+        """A destination with ``matmul`` is handed the leaf's product
+        operands once and stands as the leaf's gradient."""
+        calls = []
+
+        class Sink:
+            def matmul(self, x, y):
+                calls.append(np.matmul(x, y))
+
+        a_val, w_val = rng.normal(size=(3, 2, 4)), rng.normal(size=(4, 5))
+        sink = Sink()
+        w = Tensor(np.broadcast_to(w_val, (3, 4, 5)), requires_grad=True, grad_out=sink)
+        (Tensor(a_val) @ w).sum().backward()
+        assert w.grad is sink and len(calls) == 1
+        plain = Tensor(np.broadcast_to(w_val, (3, 4, 5)), requires_grad=True)
+        (Tensor(a_val) @ plain).sum().backward()
+        assert_same_bits(calls[0], plain.grad)
+
+    @pytest.mark.parametrize("second", ["matmul", "add"])
+    def test_a_fold_sink_refuses_a_second_gradient_term(self, rng, second):
+        """Σ_w (a_w + b_w) is not Σ_w a_w + Σ_w b_w in floating point, so a
+        leaf whose gradient has two terms cannot fold into a sink."""
+
+        class Sink:
+            def matmul(self, x, y):
+                pass
+
+        a = Tensor(rng.normal(size=(3, 2, 4)))
+        w = Tensor(np.zeros((3, 4, 4)), requires_grad=True, grad_out=Sink())
+        h = a @ w
+        loss = (h @ w) if second == "matmul" else (h + w.sum(axis=1, keepdims=True))
+        with pytest.raises(ValueError, match=r"^a fold sink takes its leaf's whole gradient as one") as err:
+            loss.sum().backward()
+        assert "\n" not in str(err.value)
+
+    def test_a_fold_sink_refuses_a_gradient_that_is_not_a_product(self, rng):
+        class Sink:
+            def matmul(self, x, y):
+                raise AssertionError("not a product")
+
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, grad_out=Sink())
+        with pytest.raises(ValueError, match=r"^a fold sink takes its leaf's whole gradient as one"):
+            (w * 2.0).sum().backward()
+
     def test_wrong_shape_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match=r"destination of shape \(3, 2\).*\(2, 3\)") as err:
             Tensor(np.zeros((2, 3)), requires_grad=True, grad_out=np.zeros((3, 2)))

@@ -48,6 +48,7 @@ from repro.sched.traces import (
     write_trace,
     write_trace_csv,
 )
+from repro.sched.traces.ingest import MAX_ITERATIONS
 from repro.utils.bench import validate_bench_payload
 from repro.utils.seeding import derive_seed
 
@@ -237,30 +238,93 @@ class TestValidation:
         assert "must be finite" in message and "\n" not in message
 
     @pytest.mark.parametrize(
-        "cell, error",
+        "cell, error, line",
         [
-            ('{"model": ', "payload is not valid JSON"),
-            ("[" * 5_000 + "]" * 5_000, "payload is not valid JSON"),
+            ('{"model": ', "payload is not valid JSON", 3),
+            ("[" * 5_000 + "]" * 5_000, "payload is not valid JSON", 3),
             # Over the csv module's 128 KiB field limit: the reader
             # itself refuses the row, before the JSON parse.
-            ("x" * 200_000, "field larger than field limit"),
+            ("x" * 200_000, "field larger than field limit", 3),
+            # The record above holds a quoted cell on lines 2-4, so the
+            # bad record is the second but starts on line 5.
+            (("task_name", "multi\nline\ncell", '{"model": '), "payload is not valid JSON", 5),
+            (("task_name", "multi\nline\ncell", "x" * 200_000), "field larger than field limit", 5),
         ],
-        ids=["truncated", "nested", "oversized"],
+        ids=["truncated", "nested", "oversized", "after-multi-line", "oversized-after-multi-line"],
     )
     def test_a_csv_payload_cell_that_is_not_json_names_file_and_line(
-        self, tmp_path, cell, error
+        self, tmp_path, cell, error, line
     ):
         path = write_trace_csv(small_trace(num_jobs=3), tmp_path / "day")
         with (path / "task.csv").open(newline="") as handle:
             rows = list(csv.reader(handle))
+        if isinstance(cell, tuple):
+            column, above, cell = cell
+            rows[1][rows[0].index(column)] = above
         rows[2][rows[0].index("payload")] = cell
         with (path / "task.csv").open("w", newline="") as handle:
             csv.writer(handle).writerows(rows)
         with pytest.raises(TraceError) as err:
             load_trace(path)
         message = str(err.value)
-        assert message.startswith(f"{path / 'task.csv'}:3: {error}")
+        assert message.startswith(f"{path / 'task.csv'}:{line}: {error}")
         assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "edit, line, error",
+        [
+            # A blank line is no record: the bad one below it starts on 4.
+            ("blank-line-above", 4, "job field 'submit_time': could not convert"),
+            # Used to be a TypeError traceback from the unknown-field message.
+            ("surplus-cell", 3, "11 cells for 10 columns"),
+        ],
+    )
+    def test_a_malformed_csv_row_names_file_and_line(self, tmp_path, edit, line, error):
+        path = write_trace_csv(small_trace(num_jobs=3), tmp_path / "day")
+        with (path / "job.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        if edit == "blank-line-above":
+            rows[2][rows[0].index("submit_time")] = "zz"
+            rows.insert(2, [])
+        else:
+            rows[2].append("surplus")
+        with (path / "job.csv").open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path / 'job.csv'}:{line}: {error}")
+
+    @pytest.mark.parametrize("layout", ["jsonl", "csv"])
+    def test_a_task_over_the_iteration_bound_names_file_and_line(self, tmp_path, layout):
+        # 10**18 iterations used to validate and replay to a JCT of
+        # ~4.7e17 s and a bill of ~8.4e14 $.
+        trace = small_trace(num_jobs=3)
+        huge = MAX_ITERATIONS + 1
+        if layout == "jsonl":
+            path = write_trace(trace, tmp_path / "day.jsonl")
+            lines = path.read_text().splitlines()
+            index = next(i for i, text in enumerate(lines) if '"type": "task"' in text)
+            record = json.loads(lines[index])
+            record["iterations"] = huge
+            lines[index] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            where = f"{path}:{index + 1}"
+        else:
+            path = write_trace_csv(trace, tmp_path / "day")
+            with (path / "task.csv").open(newline="") as handle:
+                rows = list(csv.reader(handle))
+            rows[2][rows[0].index("iterations")] = str(huge)
+            with (path / "task.csv").open("w", newline="") as handle:
+                csv.writer(handle).writerows(rows)
+            where = f"{path / 'task.csv'}:3"
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        assert str(err.value) == (
+            f"{where}: task field 'iterations': must be at most {MAX_ITERATIONS}, got {huge}"
+        )
+        # The bound itself is accepted.
+        trace.tasks[0] = dataclasses.replace(trace.tasks[0], iterations=MAX_ITERATIONS)
+        load_trace(write_trace(trace, tmp_path / "bound.jsonl"))
 
     def test_unknown_workload_points_at_job(self):
         trace = Trace(
