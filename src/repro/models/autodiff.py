@@ -26,21 +26,6 @@ Array = np.ndarray
 #: The dtypes a tensor keeps as given; anything else is stored as float64.
 _TAPE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
-#: Size above which one worker's product in a worker-batched gradient
-#: GEMM is computed into a reused tile and copied into its destination
-#: (:meth:`Tensor._accumulate_matmul`).  At ``train-comm``'s ``fc1``
-#: (16 products of 1 MiB, float32, one OpenBLAS thread on a 2-core
-#: Xeon) the 16 ``beta = 0`` GEMMs straight into the ``(W, d)`` rows
-#: took ≈ 6.7 ms with the rows out of cache; into one cache-resident
-#: tile ≈ 1.1 ms, plus ≈ 1.5 ms to copy the tiles out.  In the trainer
-#: the call went 5.5–6.0 → 3.1–3.4 ms.  A 64 KiB bound (which also
-#: tiles ``fc0``), 128-row tiles and a per-worker ``np.dot`` loop
-#: measured the same.  The trainer reads the same bound: where the
-#: scheme takes node sums, a 2-D parameter above it gets a fold sink
-#: (see :class:`Tensor`) instead of rows, and its product never lands
-#: in a ``(W, d)`` matrix at all.
-_TILE_BYTES = 256 * 1024
-
 
 def _is_sink(dest) -> bool:
     """Whether a gradient destination (or ``None``) is a fold sink (see
@@ -71,10 +56,8 @@ class Tensor:
     are never read), later ones add to it, and ``grad`` *is* that array
     once :meth:`backward` has reached the leaf — so a gradient that has
     to end up in a caller's buffer is the only gradient-sized array, not
-    computed elsewhere and copied.  A worker-batched weight product
-    larger than :data:`_TILE_BYTES` per worker passes through one reused
-    tile on its way there (:meth:`_accumulate_matmul`: faster, same
-    bits).  Without a destination the tape allocates ``grad`` itself.
+    computed elsewhere and copied.  Without a destination the tape
+    allocates ``grad`` itself.
     Either way the same floating-point operations run in the same order.
 
     A destination may instead be a *fold sink*: any object with a
@@ -166,16 +149,9 @@ class Tensor:
         weight's ``(out_c, in_c * k * k)`` matrix form) is reshaped to
         the tensor's.  When this is the first accumulation and the
         tensor has a gradient destination the product's shape is a view
-        of, the product lands in that view and no product-sized array is
-        allocated.  A small product is one GEMM with ``out=`` the view.
-        A worker-batched one whose per-worker product exceeds
-        :data:`_TILE_BYTES` is computed worker by worker into one reused
-        tile and copied into the view, which measured faster than the
-        ``beta = 0`` GEMMs straight into the cold destination (numbers at
-        :data:`_TILE_BYTES`).  Each tile GEMM has the M, N, K and
-        operands (transpositions, leading dimensions) of the batched
-        call's matrix — only where C is written differs — so the bits
-        are the same.  A fold sink takes the first product as it is.
+        of, the product lands in that view — one GEMM with ``out=`` the
+        view — and no product-sized array is allocated.  A fold sink
+        takes the first product as it is.
         """
         out = self._grad_out
         if _is_sink(out):
@@ -189,15 +165,7 @@ class Tensor:
             # A reshape copies only where the destination's own dims are strided.
             view = out.reshape(shape) if out.size == math.prod(shape) else None
             if view is not None and np.may_share_memory(view, out):
-                if view.ndim == 3 and math.prod(shape[1:]) * view.itemsize > _TILE_BYTES:
-                    x = np.broadcast_to(x, shape[:1] + x.shape[-2:])
-                    y = np.broadcast_to(y, shape[:1] + y.shape[-2:])
-                    tile = np.empty(shape[1:], dtype=view.dtype)
-                    for w in range(shape[0]):
-                        np.matmul(x[w], y[w], out=tile)
-                        np.copyto(view[w], tile)
-                else:
-                    np.matmul(x, y, out=view)
+                np.matmul(x, y, out=view)
                 self.grad = out
                 return
         product = x @ y
@@ -324,6 +292,20 @@ def leaf_grads(leaves: Mapping[str, Tensor]) -> dict[str, Array]:
     """The gradients of :func:`leaf_tensors`' leaves after ``backward()``;
     each *is* its leaf's destination where one was given."""
     return {name: leaf.grad for name, leaf in leaves.items()}
+
+
+def single_worker(loss_and_grad_workers, params, x, y, out=None):
+    """A model's ``loss_and_grad`` as its worker-blocked pass on a
+    one-worker block: ``x``, ``y`` and every destination get a leading
+    axis of one, and the loss, each gradient (the destination itself
+    where one was given) and the metrics come back without it."""
+    out = out or {}
+    dests = {name: dest[None] for name, dest in out.items()}
+    losses, grads, metrics = loss_and_grad_workers(
+        params, np.asarray(x)[None], np.asarray(y)[None], dests
+    )
+    grads = {name: out[name] if grad is dests.get(name) else grad[0] for name, grad in grads.items()}
+    return float(losses[0]), grads, metrics[0]
 
 
 def _node(
@@ -526,34 +508,59 @@ def _class_ids(op: str, labels, logits_shape: tuple[int, ...]) -> Array:
     raise ValueError(f"{op}: {problem} (logits {tuple(logits_shape)})")
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy over rows of ``logits`` (labels are class ids).
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, workers: int = 1) -> tuple[Tensor, Array]:
+    """Per-worker mean cross-entropy over the rows of ``logits`` (labels
+    are class ids), as one tape node.
 
-    Supports ``(N, C)`` logits or ``(N, T, C)`` sequence logits with
-    ``(N, T)`` labels; label id < 0 marks padding (ignored).
+    Takes ``(N, C)`` logits, or ``(N, T, C)`` sequence logits with
+    ``(N, T)`` labels, whose rows are ``workers`` equal worker-major
+    blocks.  A label id < 0 marks padding (ignored): each worker's mean
+    is over its own valid labels, at least one.  Returns the scalar node
+    — the sum of the per-worker means, whose backward scales each
+    worker's rows by ``1 / count`` exactly as a one-worker call does —
+    and the ``(workers,)`` array of per-worker means.
     """
     data = logits.data
     flat_labels = _class_ids("softmax_cross_entropy", labels, data.shape)
+    if flat_labels.size % workers:
+        raise ValueError(
+            f"softmax_cross_entropy: {flat_labels.size} rows do not split over {workers} workers"
+        )
     flat_logits = data.reshape(-1, data.shape[-1])
-    valid = flat_labels >= 0
-    count = max(1, int(valid.sum()))
     shifted = flat_logits - flat_logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    rows = np.arange(flat_labels.size)
-    picked = np.where(valid, log_probs[rows, np.where(valid, flat_labels, 0)], 0.0)
-    loss_value = -picked.sum() / count
+    rows, valid = np.arange(flat_labels.size), flat_labels >= 0
+    # A padding row picks nothing and gets no gradient; each worker's mean
+    # is over its own valid labels, at least one.
+    padding = None if valid.all() else ~valid
+    ids = flat_labels if padding is None else np.where(valid, flat_labels, 0)
+    picked = log_probs[rows, ids]
+    if padding is None:
+        counts = max(1, flat_labels.size // workers)
+    else:
+        picked[padding] = 0.0
+        counts = np.maximum(valid.reshape(workers, -1).sum(axis=1), 1)
+    losses = -picked.reshape(workers, -1).sum(axis=1) / np.asarray(counts, picked.dtype)
     probs = np.exp(log_probs)
 
     def backward(grad: Array) -> None:
         g = float(np.asarray(grad))
         dlogits = probs.copy()
-        dlogits[rows[valid], flat_labels[valid]] -= 1.0
-        dlogits[~valid] = 0.0
-        dlogits *= g / count
+        dlogits[rows, ids] -= 1.0
+        if padding is None:
+            dlogits *= g / counts
+        else:
+            dlogits[padding] = 0.0
+            # Each worker's scale rounded to the block's dtype first, as a
+            # Python-float scale is: a float32 block times float64 scales
+            # rounds differently.
+            scales = (g / counts).astype(dlogits.dtype)
+            blocks = dlogits.reshape(workers, -1, data.shape[-1])
+            blocks *= scales[:, None, None]
         logits._accumulate(dlogits.reshape(data.shape), owned=True)
 
-    return _node(np.asarray(loss_value), (logits,), backward)
+    return _node(np.asarray(losses.sum()), (logits,), backward), losses
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -773,46 +780,6 @@ def conv2d_cnhw(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
     return _node(out_data, (x, weight), backward)
 
 
-def softmax_cross_entropy_workers(
-    logits: Tensor, labels: np.ndarray, workers: int
-) -> tuple[Tensor, Array]:
-    """Worker-blocked cross-entropy: per-worker mean losses, one tape node.
-
-    ``logits`` is ``(W * B, C)`` (worker-major rows) with ``labels``
-    ``(W * B,)``; returns the scalar tape node (sum of the per-worker
-    means — its backward produces exactly the per-worker ``1/B``-scaled
-    gradients the sequential path computes) plus the ``(W,)`` array of
-    per-worker mean losses.  Padded labels (< 0) are not supported here;
-    use :func:`softmax_cross_entropy` per worker for those workloads.
-    """
-    data = logits.data
-    if data.ndim != 2:
-        raise ValueError(f"need flat (N, C) logits, got {data.shape}")
-    labels = _class_ids("softmax_cross_entropy_workers", labels, data.shape)
-    if data.shape[0] % workers:
-        raise ValueError(f"{data.shape[0]} rows do not split over {workers} workers")
-    if labels.size and labels.min() < 0:
-        raise ValueError("softmax_cross_entropy_workers requires unpadded labels")
-    local = data.shape[0] // workers
-    shifted = data - data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    rows = np.arange(labels.size)
-    picked = log_probs[rows, labels]
-    count = max(1, local)
-    losses = -picked.reshape(workers, local).sum(axis=1) / count
-    probs = np.exp(log_probs)
-
-    def backward(grad: Array) -> None:
-        g = float(np.asarray(grad))
-        dlogits = probs.copy()
-        dlogits[rows, labels] -= 1.0
-        dlogits *= g / count
-        logits._accumulate(dlogits, owned=True)
-
-    return _node(np.asarray(losses.sum()), (logits,), backward), losses
-
-
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping average pooling over the two trailing (spatial) dims.
 
@@ -854,6 +821,7 @@ __all__ = [
     "Tensor",
     "leaf_tensors",
     "leaf_grads",
+    "single_worker",
     "add",
     "neg",
     "mul",
@@ -871,6 +839,5 @@ __all__ = [
     "layer_norm",
     "embedding",
     "conv2d_cnhw",
-    "softmax_cross_entropy_workers",
     "avg_pool2d",
 ]

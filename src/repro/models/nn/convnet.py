@@ -13,11 +13,10 @@ from repro.models.autodiff import (
     Tensor,
     avg_pool2d,
     conv2d_cnhw,
-    leaf_grads,
     leaf_tensors,
     reshape,
+    single_worker,
     softmax_cross_entropy,
-    softmax_cross_entropy_workers,
     transpose,
 )
 from repro.utils.seeding import RandomState
@@ -25,13 +24,14 @@ from repro.utils.seeding import RandomState
 #: Most bytes the largest temporary of one blocked tape pass may take —
 #: the first conv's im2col, ``in_c * 9 * B * H * W * 8`` per worker;
 #: :meth:`SmallConvNet.loss_and_grad_workers` runs that many workers per
-#: pass.  A pass holds its workers' activations at once (≈ 3.5x this at
-#: the peak), which ``peak_rss_mb`` pays for: at the Fig. 10 shape
-#: (497 664 B per worker, 8 workers) 1 / 2 / 3 / 4 / 8 workers per pass
-#: measured 129 / 168 / 181 / 198 / 211 steps/s on ``train-compute``
-#: against 151 for eight per-row calls, at +1 / +4 / +8 / +12 / +26 % RSS
-#: against a 10 % bound — so the bound sits between 3 workers' im2col
-#: (1.42 MiB) and 4 (1.90 MiB).  ROADMAP 5(d) has the table.
+#: pass (one, for one-sample batches).  A pass holds its workers'
+#: activations at once (≈ 3.5x this at the peak), which ``peak_rss_mb``
+#: pays for: at the Fig. 10 shape (497 664 B per worker, 8 workers)
+#: 1 / 2 / 3 / 4 / 8 workers per pass measured 129 / 168 / 181 / 198 /
+#: 211 steps/s on ``train-compute`` against 151 for eight calls of the
+#: per-row body the blocked pass replaced, at +1 / +4 / +8 / +12 / +26 %
+#: RSS against a 10 % bound — so the bound sits between 3 workers'
+#: im2col (1.42 MiB) and 4 (1.90 MiB).  ROADMAP 5(d) has the table.
 PASS_BYTES = 3 << 19  # 1.5 MiB
 
 
@@ -69,39 +69,18 @@ class SmallConvNet:
         }
         return params
 
-    def _features_cnhw(self, params: dict[str, Tensor], x_cn: Tensor) -> Tensor:
-        """The conv stack down to the ``(c2, n)`` global average, channel-major."""
-        h = conv2d_cnhw(x_cn, params["conv1.weight"], stride=1, padding=1).relu()
-        h = avg_pool2d(h, 2)
-        h = conv2d_cnhw(h, params["conv2.weight"], stride=1, padding=1).relu()
-        return h.mean(axis=(2, 3))
-
-    def logits_cnhw(self, params: dict[str, Tensor], x_cn: Tensor) -> Tensor:
-        """Channel-major hot path: zero transposes through the conv stack.
-
-        ``x_cn`` is the batch transposed to ``(c, n, h, w)``; relu and
-        average pooling are layout-agnostic (spatial dims stay last), so
-        the only layout handling is one tiny input transpose and the
-        ``(c2, n) -> (n, c2)`` flip before the classifier head.
-        """
-        h = self._features_cnhw(params, x_cn).transpose()
-        return h @ params["fc.weight"] + params["fc.bias"]
-
     def loss_and_grad(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        tensors = leaf_tensors(params, out)
-        logits = self.logits_cnhw(tensors, _channel_major(x))
-        loss = softmax_cross_entropy(logits, y)
-        loss.backward()
-        accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
-        return float(loss.data), leaf_grads(tensors), {"accuracy": accuracy}
+        """Forward + backward on one mini-batch: :meth:`loss_and_grad_workers`
+        on a one-worker block."""
+        return single_worker(self.loss_and_grad_workers, params, x, y, out)
 
     def loss_and_grad_workers(
         self, params: dict[str, np.ndarray], xs: np.ndarray, ys: np.ndarray, out=None
     ) -> tuple[np.ndarray, dict[str, np.ndarray], list[dict[str, float]]]:
         """Forward + backward for ``W`` workers' batches, bit-identical to
-        ``W`` :meth:`loss_and_grad` calls (pinned by
+        ``W`` one-worker calls (pinned by
         ``tests/property/test_blocked_cnn.py``).
 
         ``xs`` is ``(W, B, c, h, w)`` and ``ys`` is ``(W, B)``.  The
@@ -109,10 +88,10 @@ class SmallConvNet:
         sub-blocks sized by :data:`PASS_BYTES`, each writing its rows of
         one ``(W, *shape)`` gradient per parameter — the caller's
         destination (``out``) where one is given, so what is returned
-        *is* that destination.  One-sample batches take the per-row body:
-        a ``(1, c2)`` classifier-head operand is contiguous in both
-        orders, so BLAS would see it untransposed there and transposed
-        in the block, and the two sum differently.
+        *is* that destination.  One-sample batches go one worker per
+        pass: a ``(1, c2)`` classifier-head operand is contiguous in both
+        orders, so BLAS would see it untransposed in a one-worker pass and
+        transposed in a wider one, and the two sum differently.
         """
         # Allocated and freed at once, no page of it touched.  glibc serves a
         # block from the heap up to a threshold, and keeps up to twice that of
@@ -132,14 +111,8 @@ class SmallConvNet:
         }
         losses = np.empty(workers)
         metrics: list[dict[str, float]] = []
-        if local == 1:
-            for row in range(workers):
-                dest = {name: grad[row] for name, grad in grads.items()}
-                losses[row], _, row_metrics = self.loss_and_grad(params, xs[row], ys[row], dest)
-                metrics.append(row_metrics)
-            return losses, grads, metrics
         # The first conv's im2col per worker: in_c * 3 * 3 * B * H * W float64s.
-        per_pass = max(1, PASS_BYTES // (xs[0].size * 9 * 8))
+        per_pass = 1 if local == 1 else max(1, PASS_BYTES // (xs[0].size * 9 * 8))
         for lo in range(0, workers, per_pass):
             rows = slice(lo, lo + per_pass)
             dest = {name: grad[rows] for name, grad in grads.items()}
@@ -147,31 +120,42 @@ class SmallConvNet:
             metrics.extend(pass_metrics)
         return losses, grads, metrics
 
-    def _blocked_pass(self, params, xs, ys, out) -> tuple[np.ndarray, list[dict[str, float]]]:
-        """One tape pass over a ``(W, B, c, h, w)`` block into ``out``.
+    def _logits(self, tensors: dict[str, Tensor], xs: np.ndarray) -> Tensor:
+        """The forward over a ``(W, B, c, h, w)`` block, on leaves with a
+        leading worker axis: ``(W * B, classes)`` logits, worker-major.
 
         Everything but the GEMMs runs once on the ``(c, W * B, h, w)``
-        block; the classifier head sees each worker's ``(B, c2)``
-        features in the per-row call's orientation (the transposed view
-        of a ``(c2, B)`` column block).
+        block, with zero transposes through the conv stack (relu and
+        average pooling are layout-agnostic); the classifier head sees
+        each worker's ``(B, c2)`` features as the transposed view of a
+        ``(c2, B)`` column block.
         """
         workers, local = xs.shape[0], xs.shape[1]
-        tensors = leaf_tensors(params, out, workers)
         x_cn = _channel_major(xs.reshape(workers * local, *xs.shape[2:]))
-        h = reshape(self._features_cnhw(tensors, x_cn), (-1, workers, local))
+        h = conv2d_cnhw(x_cn, tensors["conv1.weight"], stride=1, padding=1).relu()
+        h = avg_pool2d(h, 2)
+        h = conv2d_cnhw(h, tensors["conv2.weight"], stride=1, padding=1).relu()
+        h = reshape(h.mean(axis=(2, 3)), (-1, workers, local))
         h = transpose(h, (1, 2, 0)) @ tensors["fc.weight"]
         h = h + reshape(tensors["fc.bias"], (workers, 1, self.num_classes))
-        logits = reshape(h, (workers * local, self.num_classes))
-        loss, losses = softmax_cross_entropy_workers(logits, ys.reshape(-1), workers)
+        return reshape(h, (workers * local, self.num_classes))
+
+    def _blocked_pass(self, params, xs, ys, out) -> tuple[np.ndarray, list[dict[str, float]]]:
+        """One tape pass over a ``(W, B, c, h, w)`` block into ``out``."""
+        workers = len(xs)
+        tensors = leaf_tensors(params, out, workers)
+        logits = self._logits(tensors, xs)
+        loss, losses = softmax_cross_entropy(logits, ys, workers)
         loss.backward()
-        preds = logits.data.argmax(axis=1).reshape(workers, local)
+        preds = logits.data.argmax(axis=1).reshape(ys.shape)
         return losses, [{"accuracy": float(a)} for a in (preds == ys).mean(axis=1)]
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1
     ) -> float:
-        tensors = {k: Tensor(v) for k, v in params.items()}
-        logits = self.logits_cnhw(tensors, _channel_major(x)).data
+        # Leaves that take no gradient: the forward builds no tape.
+        leaves = {name: Tensor(value[None]) for name, value in params.items()}
+        logits = self._logits(leaves, np.asarray(x)[None]).data
         topk = min(topk, logits.shape[1])
         ranked = np.argsort(logits, axis=1)[:, -topk:]
         return float(np.any(ranked == np.asarray(y)[:, None], axis=1).mean())

@@ -15,8 +15,8 @@ from repro.models.autodiff import (
     leaf_grads,
     leaf_tensors,
     reshape,
+    single_worker,
     softmax_cross_entropy,
-    softmax_cross_entropy_workers,
 )
 from repro.utils.seeding import RandomState
 
@@ -64,54 +64,13 @@ class MLPClassifier:
             params[f"fc{i}.bias"] = np.zeros(fan_out, dtype=self.dtype)
         return params
 
-    @staticmethod
-    def _batch(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-        """``x`` flattened per sample, in the parameters' dtype."""
-        x = np.asarray(x, dtype=params["fc0.weight"].dtype)
-        return x.reshape(len(x), -1)
-
-    def logits(self, params: dict[str, Tensor], x: Tensor) -> Tensor:
-        h = x
-        n_layers = len(self.hidden) + 1
-        for i in range(n_layers):
-            h = h @ params[f"fc{i}.weight"] + params[f"fc{i}.bias"]
-            if i < n_layers - 1:
-                h = h.relu()
-        return h
-
-    def loss_and_grad(
-        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
-    ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        """Forward + backward on one mini-batch (``out``: gradient
-        destinations, see :class:`~repro.train.trainer.TrainableModel`)."""
-        tensors = leaf_tensors(params, out)
-        logits = self.logits(tensors, Tensor(self._batch(params, x)))
-        loss = softmax_cross_entropy(logits, y)
-        loss.backward()
-        accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
-        return float(loss.data), leaf_grads(tensors), {"accuracy": accuracy}
-
-    def loss_and_grad_workers(
-        self, params: dict[str, np.ndarray], xs: np.ndarray, ys: np.ndarray, out=None
-    ) -> tuple[np.ndarray, dict[str, np.ndarray], list[dict[str, float]]]:
-        """Fused forward + backward for ``W`` workers' batches at once.
-
-        ``xs`` is ``(W, B, ...)`` and ``ys`` is ``(W, B)``.  Every
-        parameter gets a worker axis as a read-only stride-0 view — the
-        ``W`` workers read the one array, nothing is replicated (the
-        tape never writes into a leaf's data; pinned by
-        ``tests/models/test_nn_models.py``) — so the worker-batched
-        matmuls produce per-worker gradients in single batched GEMMs,
-        bit-identical to ``W`` sequential :meth:`loss_and_grad` calls
-        (pinned by ``tests/utils/test_gradient_rows.py`` and the hot-path
-        parity tests).  With ``out`` — ``(W, *shape)`` destinations —
-        those GEMMs write each weight gradient straight into the
-        caller's block.
-        """
-        ys = np.asarray(ys)
-        workers, local = ys.shape[0], ys.shape[1]
-        tensors = leaf_tensors(params, out, workers)
-        h = Tensor(self._batch(params, xs).reshape(workers, local, -1))
+    def _logits(self, tensors: dict[str, Tensor], xs: np.ndarray) -> Tensor:
+        """The forward over a ``(W, B, ...)`` block of batches, on leaves
+        with a leading worker axis: ``(W * B, classes)`` logits,
+        worker-major.  The batch is cast to the parameters' dtype."""
+        workers, local = xs.shape[0], xs.shape[1]
+        dtype = tensors["fc0.weight"].data.dtype
+        h = Tensor(xs.astype(dtype, copy=False).reshape(workers, local, -1))
         n_layers = len(self.hidden) + 1
         for i in range(n_layers):
             bias = tensors[f"fc{i}.bias"]
@@ -119,20 +78,49 @@ class MLPClassifier:
             h = h @ tensors[f"fc{i}.weight"] + reshape(bias, (workers, 1, width))
             if i < n_layers - 1:
                 h = h.relu()
-        logits = reshape(h, (workers * local, self.num_classes))
-        loss, losses = softmax_cross_entropy_workers(logits, ys.reshape(-1), workers)
+        return reshape(h, (workers * local, self.num_classes))
+
+    def loss_and_grad(
+        self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, out=None
+    ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
+        """Forward + backward on one mini-batch (``out``: gradient
+        destinations, see :class:`~repro.train.trainer.TrainableModel`):
+        :meth:`loss_and_grad_workers` on a one-worker block."""
+        return single_worker(self.loss_and_grad_workers, params, x, y, out)
+
+    def loss_and_grad_workers(
+        self, params: dict[str, np.ndarray], xs: np.ndarray, ys: np.ndarray, out=None
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], list[dict[str, float]]]:
+        """Fused forward + backward for ``W`` workers' batches at once.
+
+        ``xs`` is ``(W, B, ...)`` and ``ys`` is ``(W, B)`` (a label < 0 is
+        padding).  Every parameter gets a worker axis as a read-only
+        stride-0 view — the ``W`` workers read the one array, nothing is
+        replicated (the tape never writes into a leaf's data; pinned by
+        ``tests/models/test_nn_models.py``) — so the worker-batched
+        matmuls produce per-worker gradients in single batched GEMMs,
+        bit-identical to ``W`` one-worker calls (pinned by
+        ``tests/utils/test_gradient_rows.py`` and the hot-path parity
+        tests).  With ``out`` — ``(W, *shape)`` destinations — those
+        GEMMs write each weight gradient straight into the caller's
+        block.
+        """
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        tensors = leaf_tensors(params, out, len(ys))
+        logits = self._logits(tensors, xs)
+        loss, losses = softmax_cross_entropy(logits, ys, len(ys))
         loss.backward()
-        preds = logits.data.argmax(axis=1).reshape(workers, local)
-        accuracy = (preds == ys).mean(axis=1)
-        metrics = [{"accuracy": float(a)} for a in accuracy]
+        preds = logits.data.argmax(axis=1).reshape(ys.shape)
+        metrics = [{"accuracy": float(a)} for a in (preds == ys).mean(axis=1)]
         return losses, leaf_grads(tensors), metrics
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1
     ) -> float:
         """Top-k accuracy (the paper reports top-5 for CNNs)."""
-        tensors = {k: Tensor(v) for k, v in params.items()}
-        logits = self.logits(tensors, Tensor(self._batch(params, x))).data
+        # Leaves that take no gradient: the forward builds no tape.
+        leaves = {name: Tensor(value[None]) for name, value in params.items()}
+        logits = self._logits(leaves, np.asarray(x)[None]).data
         topk = min(topk, logits.shape[1])
         ranked = np.argsort(logits, axis=1)[:, -topk:]
         return float(np.any(ranked == np.asarray(y)[:, None], axis=1).mean())

@@ -69,7 +69,7 @@ class TinyResNet:
     ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
         tensors = leaf_tensors(params, out)
         logits = self.logits(tensors, Tensor(np.asarray(x)))
-        loss = softmax_cross_entropy(logits, y)
+        loss, _ = softmax_cross_entropy(logits, y)
         loss.backward()
         accuracy = float((logits.data.argmax(axis=1) == np.asarray(y)).mean())
         return float(loss.data), leaf_grads(tensors), {"accuracy": accuracy}

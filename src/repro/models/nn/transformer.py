@@ -99,7 +99,7 @@ class TinyTransformer:
         """Sequence cross-entropy; ``y`` entries < 0 are padding."""
         tensors = leaf_tensors(params, out)
         logits = self.logits(tensors, x)
-        loss = softmax_cross_entropy(logits, y)
+        loss, _ = softmax_cross_entropy(logits, y)
         loss.backward()
         predictions = logits.data.argmax(axis=-1)
         valid = np.asarray(y) >= 0

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.collectives.reduce_scatter import ring_fold
 from repro.comm.base import CommScheme
-from repro.models.autodiff import _TILE_BYTES
 from repro.optim.sgd import SGD
 from repro.utils.partition import (
     FlatLayout,
@@ -32,6 +31,15 @@ from repro.utils.partition import (
     stackable,
 )
 from repro.utils.seeding import RandomState, new_rng
+
+#: Size above which a 2-D parameter's per-worker gradient gets a fold
+#: sink on the node-sum route (:func:`_large`).  At ``train-comm``'s
+#: ``fc1`` (1 MiB per worker, float32) the ``beta = 0`` GEMMs straight
+#: into the rows of a ``(W, d)`` matrix ran with those rows out of cache
+#: (≈ 6.7 ms for the 16 of them on a 2-core Xeon, one OpenBLAS thread);
+#: folded per node in cache-sized slabs the matrix never exists.  Its
+#: ``fc0`` (128 KiB) and every other workload's weights stay below it.
+_SINK_BYTES = 256 * 1024
 
 #: One node's weight-gradient slab on the node-sum route: the ``n``
 #: workers' products for a block of rows, computed and folded into the
@@ -60,7 +68,10 @@ class TrainableModel(Protocol):
     out=None)`` — all workers' stacked ``(W, B, ...)`` batches through
     one blocked pass, returning per-worker losses, gradients (and taking
     destinations) with a leading worker axis and per-worker metrics;
-    :func:`~repro.utils.partition.gradient_rows` takes it when it can.
+    :func:`~repro.utils.partition.gradient_rows` takes it whenever the
+    batches have one shape, padded labels included.  The MLP and the CNN
+    have no other body: their ``loss_and_grad`` is that pass on a
+    one-worker block (:func:`~repro.models.autodiff.single_worker`).
     On the node-sum route it is always the blocked pass, and the
     destination of a large weight is a fold sink (see
     :class:`~repro.models.autodiff.Tensor`) rather than an array.
@@ -194,8 +205,8 @@ class _NodeSums:
 
 def _large(shape: tuple[int, ...], dtype: np.dtype) -> bool:
     """Whether a parameter gets a fold sink on the node-sum route: a
-    matrix of more than one column above the weight-gradient tile bound."""
-    return len(shape) == 2 and shape[1] > 1 and shape[0] * shape[1] * dtype.itemsize > _TILE_BYTES
+    matrix of more than one column above :data:`_SINK_BYTES`."""
+    return len(shape) == 2 and shape[1] > 1 and shape[0] * shape[1] * dtype.itemsize > _SINK_BYTES
 
 
 def _takes_node_sums(model, scheme, layout: FlatLayout) -> bool:

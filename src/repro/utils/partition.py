@@ -179,26 +179,12 @@ class FlatLayout:
 
 
 def stackable(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Whether a blocked all-workers pass (``loss_and_grad_workers``)
-    can take these batches.
-
-    Requires uniform shapes (they stack into one ``(W, B, ...)`` block)
-    and no padded labels — the worker-blocked cross-entropy does not
-    support the ``label < 0`` padding convention the per-row pass
-    accepts.
-    """
-    bx0, by0 = batches[0]
-    shape_x = np.shape(bx0)
-    shape_y = np.shape(by0)
-    if not all(
-        np.shape(bx) == shape_x and np.shape(by) == shape_y for bx, by in batches[1:]
-    ):
-        return False
-    for _, by in batches:
-        labels = np.asarray(by)
-        if labels.size and np.issubdtype(labels.dtype, np.number) and labels.min() < 0:
-            return False
-    return True
+    """Whether the batches stack into one ``(W, B, ...)`` block for a
+    blocked all-workers pass (``loss_and_grad_workers``): every batch has
+    the first one's shapes.  Padded labels (``< 0``) stack too — the
+    cross-entropy counts each worker's valid labels itself."""
+    shape_x, shape_y = np.shape(batches[0][0]), np.shape(batches[0][1])
+    return all(np.shape(bx) == shape_x and np.shape(by) == shape_y for bx, by in batches[1:])
 
 
 def gradient_rows(
@@ -214,13 +200,15 @@ def gradient_rows(
 
     One kernel, called by the trainer's matrix route on the whole
     ``(W, d)`` fusion buffer (``out`` is a ``(len(batches), layout.dim)``
-    row block).  A
-    model that offers ``loss_and_grad_workers`` runs all rows through
-    one blocked tape pass when there is more than one and the batches
-    stack; otherwise each row is one ``loss_and_grad`` call.  The two
-    are bit-identical (pinned by ``tests/utils/test_gradient_rows.py``
-    and the hot-path parity suite), so the choice is purely one of
-    speed, made from what the kernel can observe.
+    row block).  A model that offers ``loss_and_grad_workers`` runs all
+    rows through one blocked tape pass when there is more than one and
+    the batches stack (:func:`stackable`: by shape; padded labels
+    stack); otherwise each row is one ``loss_and_grad`` call — for the
+    MLP and the CNN, the same blocked pass on a one-worker block.  The
+    two are bit-identical, the sign of zero included (pinned by
+    ``tests/utils/test_gradient_rows.py`` and the hot-path parity
+    suite), so the choice is purely one of speed, made from what the
+    kernel can observe.
 
     The gradient exists once: the model gets ``layout.views`` of its
     rows as gradient destinations (4th positional argument) and returns,

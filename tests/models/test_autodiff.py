@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.models.autodiff import (
-    _TILE_BYTES,
     Tensor,
     _node,
     avg_pool2d,
@@ -20,7 +19,6 @@ from repro.models.autodiff import (
     relu,
     softmax,
     softmax_cross_entropy,
-    softmax_cross_entropy_workers,
     tensor_mean,
     tensor_sum,
 )
@@ -199,25 +197,26 @@ class TestFusedOps:
     def test_cross_entropy_matches_manual(self, rng):
         logits = rng.normal(size=(4, 3))
         labels = np.array([0, 2, 1, 1])
-        loss = softmax_cross_entropy(Tensor(logits), labels)
+        loss, losses = softmax_cross_entropy(Tensor(logits), labels)
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = -logp[np.arange(4), labels].mean()
         assert float(loss.data) == pytest.approx(expected)
+        assert losses.shape == (1,) and losses[0] == float(loss.data)
 
     def test_cross_entropy_gradient(self, rng):
         labels = np.array([1, 0, 2])
         x = rng.normal(size=(3, 4))
-        check_gradient(lambda t: softmax_cross_entropy(t, labels), x)
+        check_gradient(lambda t: softmax_cross_entropy(t, labels)[0], x)
 
     def test_cross_entropy_sequence_with_padding(self, rng):
         logits = rng.normal(size=(2, 3, 4))
         labels = np.array([[1, 2, -1], [0, -1, -1]])  # -1 = pad
         x = logits.copy()
-        check_gradient(lambda t: softmax_cross_entropy(t, labels), x)
+        check_gradient(lambda t: softmax_cross_entropy(t, labels)[0], x)
         # Padded positions must receive zero gradient.
         t = Tensor(logits, requires_grad=True)
-        softmax_cross_entropy(t, labels).backward()
+        softmax_cross_entropy(t, labels)[0].backward()
         np.testing.assert_array_equal(t.grad[0, 2], np.zeros(4))
 
     @pytest.mark.parametrize(
@@ -231,8 +230,8 @@ class TestFusedOps:
     )
     @pytest.mark.parametrize(
         "op",
-        [softmax_cross_entropy, lambda t, y: softmax_cross_entropy_workers(t, y, 2)],
-        ids=["softmax_cross_entropy", "softmax_cross_entropy_workers"],
+        [softmax_cross_entropy, lambda t, y: softmax_cross_entropy(t, y, 2)],
+        ids=["one-worker", "two-workers"],
     )
     def test_hostile_labels_are_a_one_line_value_error(self, rng, op, labels, problem):
         """Not an IndexError from deep inside numpy's fancy indexing."""
@@ -587,33 +586,80 @@ class TestVectorizedConvKernels:
 
 
 class TestWorkerBlockedCrossEntropy:
-    """softmax_cross_entropy_workers equals W sequential CE calls."""
+    """softmax_cross_entropy over W workers equals W one-worker calls."""
 
-    def test_matches_per_worker_cross_entropy(self, rng):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pad", ["none", "some", "a-whole-worker"])
+    def test_matches_one_worker_calls_bit_for_bit(self, rng, pad, dtype):
         workers, local, classes = 4, 8, 5
-        logits_val = rng.normal(size=(workers * local, classes))
+        logits_val = rng.normal(size=(workers * local, classes)).astype(dtype)
         labels = rng.integers(0, classes, size=workers * local)
+        if pad != "none":
+            labels[[3, 9, 10, 31]] = -1
+        if pad == "a-whole-worker":
+            labels[2 * local : 3 * local] = -1
 
         blocked = Tensor(logits_val, requires_grad=True)
-        node, losses = softmax_cross_entropy_workers(blocked, labels, workers)
+        node, losses = softmax_cross_entropy(blocked, labels, workers)
         node.backward()
+        assert losses.dtype == blocked.grad.dtype == dtype
 
         for worker in range(workers):
             rows = slice(worker * local, (worker + 1) * local)
             single = Tensor(logits_val[rows], requires_grad=True)
-            loss = softmax_cross_entropy(single, labels[rows])
+            loss, _ = softmax_cross_entropy(single, labels[rows])
             loss.backward()
             assert float(loss.data) == float(losses[worker])
-            np.testing.assert_array_equal(blocked.grad[rows], single.grad)
+            assert_same_bits(blocked.grad[rows], single.grad)
+        if pad == "a-whole-worker":
+            assert losses[2] == 0.0 and not blocked.grad[2 * local : 3 * local].any()
 
-    def test_rejects_padded_labels_and_bad_shapes(self, rng):
+    def test_rejects_bad_shapes(self, rng):
         logits = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-        with pytest.raises(ValueError):
-            softmax_cross_entropy_workers(logits, np.array([0, 1, -1, 0, 1, 2, 0, 1]), 2)
-        with pytest.raises(ValueError):
-            softmax_cross_entropy_workers(logits, np.zeros(8, dtype=int), 3)
-        with pytest.raises(ValueError):
-            softmax_cross_entropy_workers(logits, np.zeros(4, dtype=int), 2)
+        with pytest.raises(ValueError, match="8 rows do not split over 3 workers"):
+            softmax_cross_entropy(logits, np.zeros(8, dtype=int), 3)
+        with pytest.raises(ValueError, match="4 labels for 8 rows"):
+            softmax_cross_entropy(logits, np.zeros(4, dtype=int), 2)
+
+
+class TestCrossEntropyGradcheck:
+    """Tape against central differences for the one cross-entropy, in
+    float64, each case with a negative control: a step too coarse for the
+    curvature must fail the same comparison (the tinygrad ``gradcheck``
+    pattern), so the check can tell a wrong gradient from a right one."""
+
+    CASES = {
+        "one-worker": ((6, 4), [1, 0, 3, 2, 2, 1], 1),
+        "three-workers": ((6, 4), [1, 0, 3, 2, 2, 1], 3),
+        "padded": ((6, 4), [1, -1, 3, 2, -1, -1], 3),
+        "an-all-padding-worker": ((6, 4), [1, 0, -1, -1, 2, -1], 3),
+        "sequence": ((2, 3, 4), [[1, 2, -1], [0, -1, 3]], 1),
+        "sequence-two-workers": ((2, 3, 4), [[1, 2, -1], [-1, -1, -1]], 2),
+    }
+
+    @staticmethod
+    def _gradcheck(x, labels, workers, eps):
+        def loss(t):
+            return softmax_cross_entropy(t, labels, workers)[0]
+
+        expected = numerical_grad(lambda arr: float(loss(Tensor(arr)).data), x.copy(), eps)
+        t = Tensor(x.copy(), requires_grad=True)
+        loss(t).backward()
+        np.testing.assert_allclose(t.grad, expected, atol=1e-7, rtol=1e-6)
+        return t.grad
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tape_matches_central_differences(self, rng, case):
+        shape, labels, workers = self.CASES[case]
+        labels = np.array(labels)
+        x = rng.normal(size=shape) * 2.0
+        grad = self._gradcheck(x, labels, workers, eps=1e-6)
+        # Padding gets no gradient; every other row's sums to zero.
+        flat, valid = grad.reshape(-1, shape[-1]), labels.reshape(-1) >= 0
+        assert not flat[~valid].any()
+        np.testing.assert_allclose(flat[valid].sum(axis=1), 0.0, atol=1e-12)
+        with pytest.raises(AssertionError):
+            self._gradcheck(x, labels, workers, eps=1.0)
 
 
 class TestEngine:
@@ -732,18 +778,19 @@ class TestGradientDestinations:
         assert np.isnan(block[:, 32:]).all()
 
     @pytest.mark.parametrize("stride0", ["none", "lhs", "rhs"])
-    @pytest.mark.parametrize("size", [-1, 0, 1], ids=["below-tile", "at-tile", "above-tile"])
+    @pytest.mark.parametrize("per_worker", [4 << 10, 1 << 20], ids=["4KiB", "1MiB"])
     @pytest.mark.parametrize("k", [1, 2, 7])
     @pytest.mark.parametrize("workers", [1, 3, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_product_above_the_tile_bound_lands_with_the_same_bits(
-        self, rng, dtype, workers, k, size, stride0
+    def test_a_worker_batched_product_is_one_gemm_into_its_destination(
+        self, rng, dtype, workers, k, per_worker, stride0
     ):
-        """A per-worker product over ``_TILE_BYTES`` goes through one
-        reused tile; only the output pointer of each GEMM changes, so the
-        destination holds the batched matmul's bits either way."""
+        """Into a row-strided view of a ``(W, d)`` block, small or as
+        large as ``train-comm``'s ``fc1`` product: the destination holds
+        the batched matmul's bits, nothing is copied in, and the bytes
+        around it are untouched; a second accumulation adds."""
         rows = 256
-        cols = _TILE_BYTES // (rows * np.dtype(dtype).itemsize) + size
+        cols = per_worker // (rows * np.dtype(dtype).itemsize)
         x = rng.normal(size=(workers, rows, k)).astype(dtype)
         y = rng.normal(size=(workers, k, cols)).astype(dtype)
         if stride0 == "lhs":
@@ -758,12 +805,12 @@ class TestGradientDestinations:
 
         with mock.patch("numpy.copyto", wraps=np.copyto) as copies:
             leaf._accumulate_matmul(x, y)
-        assert copies.call_count == (workers if size > 0 else 0)
+        assert copies.call_count == 0
         assert leaf.grad is dest
         assert_same_bits(dest, want)
         assert np.isnan(block[:, :3]).all() and np.isnan(block[:, -2:]).all()
 
-        leaf._accumulate_matmul(x, y)  # the tile serves the first accumulation only
+        leaf._accumulate_matmul(x, y)
         assert leaf.grad is dest
         assert_same_bits(dest, want + want)
 

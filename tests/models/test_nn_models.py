@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api.registry import MODELS, build_workload
-from repro.models.autodiff import Tensor
+from repro.models.autodiff import Tensor, leaf_tensors
 from repro.models.nn.convnet import SmallConvNet
 from repro.models.nn.mlp import MLPClassifier
 from repro.models.nn.transformer import TinyTransformer, make_copy_task
@@ -267,8 +267,8 @@ def test_every_array_on_an_mlp_tape_is_in_the_parameters_dtype(mlp_dtype, monkey
 
 
 def _predict(model, params, x):
-    tensors = {k: Tensor(v) for k, v in params.items()}
-    return model.logits(tensors, Tensor(model._batch(params, x))).data.argmax(axis=1)
+    tensors = leaf_tensors(params, workers=1)
+    return model._logits(tensors, np.asarray(x)[None]).data.argmax(axis=1)
 
 
 def test_mlp_predict_and_evaluate_run_in_the_parameters_dtype(rng):
@@ -280,3 +280,23 @@ def test_mlp_predict_and_evaluate_run_in_the_parameters_dtype(rng):
     # precisions see the same rounded inputs and agree on easy argmaxes.
     assert (_predict(model, params, x) == _predict(model, as64, x.astype(np.float32))).mean() > 0.8
     assert model.evaluate(params, x, _predict(model, params, x)) == 1.0
+
+
+@pytest.mark.parametrize("name", ["mlp", "cnn"])
+def test_evaluate_builds_no_tape(name, monkeypatch):
+    """The validation forward keeps no backward closure, so no node holds
+    its activations (a conv's columns, its padded input) past its use."""
+    workload = build_workload(name, num_samples=16, rng=new_rng(5))
+    model = workload.model
+    params = model.init_params(new_rng(6))
+    created, init = [], Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    model.evaluate(params, workload.x, workload.y)
+    monkeypatch.setattr(Tensor, "__init__", init)
+    assert len(created) > 5
+    assert not any(tensor.requires_grad or tensor._backward for tensor in created)

@@ -15,12 +15,13 @@ allocate so the speed is not bought with a scratch stack.
 
 The step's eight per-row calls are one worker-blocked
 ``loss_and_grad_workers`` call (``tests/property/test_blocked_cnn.py``
-pins the bits); the last four tests pin that it is cheaper than the
-eight calls — in a process that has freed nothing large, too, where
-glibc would hand a pass's memory back every time — and what one of its
-passes may allocate: the byte bound ``convnet.PASS_BYTES`` is what
-``peak_rss_mb`` can pay (ROADMAP 5(d)), so an edit that moves the
-per-pass worker count has to be seen.
+pins the bits; the per-row body lives on in
+``tests/models/row_oracles.py``); the last four tests pin that it is
+cheaper than the eight calls — in a process that has freed nothing
+large, too, where glibc would hand a pass's memory back every time —
+and what one of its passes may allocate: the byte bound
+``convnet.PASS_BYTES`` is what ``peak_rss_mb`` can pay (ROADMAP 5(d)),
+so an edit that moves the per-pass worker count has to be seen.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.models.autodiff import Tensor, _col2im_cnhw, avg_pool2d, conv2d_cnhw
 from repro.models.nn import convnet
 from repro.utils.seeding import new_rng
 from tests.conftest import peak_bytes, speedup
+from tests.models import row_oracles
 from tests.models.kernel_oracles import col2im_replaced, pool_forward_replaced
 
 #: conv1's output, ``(c1, n, h, w)``: what ``avg_pool2d(h, 2)`` reads.
@@ -108,7 +110,7 @@ def test_blocked_pass_beats_eight_per_row_calls(rng):
     def per_row():
         for worker in range(WORKERS):
             dest = {name: rows[worker] for name, rows in out.items()}
-            model.loss_and_grad(params, xs[worker], ys[worker], dest)
+            row_oracles.cnn_loss_and_grad(model, params, xs[worker], ys[worker], dest)
 
     ratio = speedup(per_row, lambda: model.loss_and_grad_workers(params, xs, ys, out), reps=5)
     assert ratio >= 1.1, ratio  # measured 1.2–1.35 (≈ 6.0 -> 4.6 ms)
@@ -178,13 +180,13 @@ def test_one_pass_allocates_within_the_byte_bound(rng):
     frees first is smaller than a pass."""
     model, params, xs, ys = _benchmark_step(rng)
     per_pass = convnet.PASS_BYTES // IM2COL_BYTES
-    snapshots, cross_entropy = [], convnet.softmax_cross_entropy_workers
+    snapshots, cross_entropy = [], convnet.softmax_cross_entropy
 
     def at_end_of_forward(*args):
         snapshots.append(tracemalloc.take_snapshot())
         return cross_entropy(*args)
 
-    with mock.patch.object(convnet, "softmax_cross_entropy_workers", at_end_of_forward):
+    with mock.patch.object(convnet, "softmax_cross_entropy", at_end_of_forward):
         tracemalloc.start()
         try:
             model.loss_and_grad_workers(params, xs, ys)
@@ -193,7 +195,7 @@ def test_one_pass_allocates_within_the_byte_bound(rng):
     largest = max(trace.size for snapshot in snapshots for trace in snapshot.traces)
     assert per_pass * IM2COL_BYTES <= largest <= convnet.PASS_BYTES, largest
 
-    row_peak = peak_bytes(lambda: model.loss_and_grad(params, xs[0], ys[0]))
+    row_peak = peak_bytes(lambda: row_oracles.cnn_loss_and_grad(model, params, xs[0], ys[0]))
     peak = peak_bytes(lambda: model.loss_and_grad_workers(params, xs, ys))
     gradients = WORKERS * sum(value.size for value in params.values()) * 8
     # Measured 3.007 per-row peaks (5.34 MB); 4 workers per pass would be 7.1 MB.

@@ -2,7 +2,7 @@
 
 On the node-sum route (``train/trainer.py``) a HiTopKComm trainer folds
 each node's workers into the scheme's ``(m, d)`` node accumulator while
-the backward makes the gradient: each weight above the tile bound row
+the backward makes the gradient: each weight above the sink bound row
 slab by row slab (``_FoldSink``), the rest as runs of a small per-worker
 buffer.  The matrix route computes all ``W`` rows into a ``(W, d)``
 matrix and reduce-scatters it.  The fuzz below drives both through the
@@ -10,7 +10,7 @@ same steps and requires the node sums handed to steps 2-4, the per-step
 losses and the final parameters to be the same bits.
 
 It covers the shapes the route takes: MLPs with one weight above the
-tile bound (rows and columns from 2 to tens of thousands, so slabs of
+sink bound (rows and columns from 2 to tens of thousands, so slabs of
 two rows up to the whole product) at any depth, small layers around it,
 local batches 1-4, ``(m, n)`` with ``n ∤ d`` and ``n = 1``, and slab
 sizes from the two-row minimum to the shipped one, whose edges fall
@@ -64,7 +64,7 @@ def _pair(monkeypatch, model, nodes, gpus, slab_bytes=None, seed=0):
     if slab_bytes is not None:
         monkeypatch.setattr(trainer_module, "_SLAB_BYTES", slab_bytes)
     route = make()
-    monkeypatch.setattr(trainer_module, "_TILE_BYTES", sys.maxsize)
+    monkeypatch.setattr(trainer_module, "_SINK_BYTES", sys.maxsize)
     matrix = make()
     assert route._node_sums is not None and route._grad_matrix is None
     assert matrix._node_sums is None and matrix._grad_matrix is not None
@@ -95,7 +95,7 @@ def assert_same_run(route, matrix, steps):
         assert_same_bits(route.params[name], value)
 
 
-#: ``(rows, cols)`` of the weight above the tile bound (65 536 float32s).
+#: ``(rows, cols)`` of the weight above the sink bound (65 536 float32s).
 LARGE = [
     (300, 260), (520, 130), (129, 511), (257, 257), (1025, 65), (2049, 33),
     (9363, 7), (21846, 3), (32769, 2), (2, 32769), (3, 21846), (7, 9363), (40, 1700),

@@ -7,9 +7,10 @@ them, so it never holds the ``(W, d)`` matrix: building it and taking
 one step must peak below that matrix's 18.56 MiB (the matrix route
 peaks at ≈ 28.9 MiB, the route at ≈ 13.9 MiB).  The edges: a step whose
 batches do not stack falls back to a matrix allocated then, in the same
-bits; a model that returns its gradients elsewhere still lands them; the
-route is taken only where the trainer decides it pays, and the timer
-still sees each phase once a step.
+bits, while a padded step stays on the route; a model that returns its
+gradients elsewhere still lands them; the route is taken only where the
+trainer decides it pays, and the timer still sees each phase once a
+step.
 """
 
 from __future__ import annotations
@@ -59,20 +60,30 @@ def test_the_route_never_holds_a_worker_by_gradient_matrix():
     assert peak < matrix_bytes, (peak / 2**20, matrix_bytes / 2**20)
 
 
-@pytest.mark.parametrize("ragged", ["sizes", "padded-labels"])
-def test_a_step_whose_batches_do_not_stack_falls_back_to_a_matrix(monkeypatch, ragged):
+def test_a_step_whose_batches_do_not_stack_falls_back_to_a_matrix(monkeypatch):
     """The matrix is allocated by the first such step only; the steps
     around it stay on the route, and all of them match the matrix route."""
     route, matrix = _pair(monkeypatch, MLPClassifier(16, (300, 260), 10), 2, 3)
     steps = _steps(np.random.default_rng(1), 6, 3, 16, 10)
-    if ragged == "sizes":
-        steps[1][4] = (steps[1][4][0][:2], steps[1][4][1][:2])
-    else:
-        steps[1][0][1][0] = -1
+    steps[1][4] = (steps[1][4][0][:2], steps[1][4][1][:2])
     assert_same_run(route, matrix, steps[:1])
     assert route._grad_matrix is None
     assert_same_run(route, matrix, steps[1:])
     assert route._grad_matrix is not None and route._node_sums is not None
+
+
+@pytest.mark.parametrize("pad", ["one-label", "a-whole-worker"])
+def test_a_padded_step_stays_on_the_route(monkeypatch, pad):
+    """Padded labels stack: the step is one blocked pass folded into the
+    node sums, no matrix is allocated, and the bits are the matrix
+    route's."""
+    route, matrix = _pair(monkeypatch, MLPClassifier(16, (300, 260), 10), 2, 3)
+    steps = _steps(np.random.default_rng(1), 6, 3, 16, 10)
+    steps[1][0][1][0] = -1
+    if pad == "a-whole-worker":
+        steps[1][4][1][:] = -1
+    assert_same_run(route, matrix, steps)
+    assert route._grad_matrix is None
 
 
 class _IgnoresDestinations:
@@ -111,7 +122,7 @@ def test_the_route_times_each_phase_once_a_step():
     ["train-compute", "float64", "one-worker", "dense-scheme", "small-weights", "one-column"],
 )
 def test_the_route_is_taken_only_where_it_pays(monkeypatch, change):
-    """``train-compute``'s CNN (d = 862, no parameter above the tile
+    """``train-compute``'s CNN (d = 862, no parameter above the sink
     bound) and every other missing condition keep the matrix route."""
     comm_mlp = MLPClassifier(COMM["input_dim"], COMM["hidden"], COMM["classes"])
     if change == "train-compute":

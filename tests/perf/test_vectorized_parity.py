@@ -19,6 +19,7 @@ from repro.elastic.events import ChurnEvent, PoissonChurn, TraceSchedule
 from repro.train.trainer import DistributedTrainer
 from repro.utils.seeding import new_rng
 from tests.comm.legacy_schemes import legacy_aggregate
+from tests.models import row_oracles
 from tests.utils.flatten_oracle import flatten_tensors, unflatten_tensors
 
 #: The four registered scheme families of the convergence experiments.
@@ -66,9 +67,10 @@ def assert_aggregate_parity(name, network, d, steps=4, dtype=np.float64):
 
 
 class ReferenceTrainer(DistributedTrainer):
-    """The pre-vectorisation step, kept live as the oracle: per-worker
-    ``loss_and_grad`` → ``flatten_tensors`` → the per-rank loops of
-    ``legacy_aggregate`` → ``optimizer.step``.  An ``ElasticTrainer``
+    """The pre-vectorisation step, kept live as the oracle: each worker
+    through the per-row body (``tests/models/row_oracles.py``) →
+    ``flatten_tensors`` → the per-rank loops of ``legacy_aggregate`` →
+    ``optimizer.step``.  An ``ElasticTrainer``
     gets it by patching ``elastic_trainer.DistributedTrainer``, the one
     name ``_fresh_trainer`` constructs every (re)built trainer through."""
 
@@ -76,7 +78,7 @@ class ReferenceTrainer(DistributedTrainer):
         names = list(self.params)
         flats, losses, sums = [], [], {}
         for bx, by in batches:
-            loss, grads, metrics = self.model.loss_and_grad(self.params, bx, by)
+            loss, grads, metrics = row_oracles.loss_and_grad(self.model, self.params, bx, by)
             flat, shapes = flatten_tensors([grads[name] for name in names])
             flats.append(flat)
             losses.append(loss)
@@ -189,8 +191,8 @@ class TestTrainerParity:
     @pytest.mark.parametrize("gpus_per_node", [1, 4], ids=["one-worker", "four-workers"])
     def test_fusion_buffer_takes_the_parameters_dtype(self, gpus_per_node, mlp_dtype):
         """The fusion buffer, the aggregate read from it and the update
-        all stay in the parameters' dtype, through the per-row body (one
-        worker) and the blocked one, bit-identical to the oracle."""
+        all stay in the parameters' dtype, through a one-worker call and
+        a blocked one, bit-identical to the oracle."""
         network = build_cluster("tencent", 1, gpus_per_node=gpus_per_node)
         workload = build_workload("mlp", num_samples=128, rng=new_rng(7))
         vec, ref = (

@@ -1,16 +1,17 @@
-"""Property: the CNN's worker-blocked pass keeps every bit of the per-row calls.
+"""Property: the CNN's worker-blocked pass keeps every bit of the per-row tape.
 
 ``SmallConvNet.loss_and_grad_workers`` runs pad, im2col, relu, pooling,
 the global mean and col2im once on a block of workers and only the GEMMs
 per worker, in sub-blocks sized by ``convnet.PASS_BYTES``.  Its contract
-is ``W`` per-row ``loss_and_grad`` calls, bit for bit: gradients
+is ``W`` calls of the per-row body the model used to ship (kept as
+``tests/models/row_oracles.py``), bit for bit: gradients
 ``array_equal`` *and* equal ``signbit``, losses and metrics ``==`` — into
 NaN-prefilled destinations, with none, and with some withheld (the
 ``_Elsewhere`` shape of ``tests/utils/test_gradient_rows.py``), at every
 sub-block split (the per-pass count is driven through the constant:
 one worker per pass, a count that does not divide ``W``, all of them) and
-for one-sample batches, which the method routes through the per-row
-body.  Two negative controls: the comparison sees a one-ulp flip, and
+for one-sample batches, which the method runs one worker per pass.  Two
+negative controls: the comparison sees a one-ulp flip, and
 the *widened* forward GEMM — the whole block as one ``w_mat @ cols`` —
 is not the per-worker bits on this BLAS unless ``B * L % 8 == 0``, which
 is why the GEMMs run per worker.
@@ -33,6 +34,7 @@ from repro.models.nn import convnet
 from repro.models.nn.convnet import SmallConvNet
 from repro.utils.seeding import new_rng
 from tests.models.kernel_oracles import assert_same_bits
+from tests.models.row_oracles import cnn_loss_and_grad
 
 #: Which parameters get a caller's destination.
 DESTINATIONS = {
@@ -78,7 +80,7 @@ def _assert_equals_per_row(model, params, xs, ys, blocked) -> None:
     losses, grads, metrics = blocked
     assert len(losses) == len(metrics) == len(xs) and sorted(grads) == sorted(params)
     for worker, (bx, by) in enumerate(zip(xs, ys)):
-        want_loss, want_grads, want_metrics = model.loss_and_grad(params, bx, by)
+        want_loss, want_grads, want_metrics = cnn_loss_and_grad(model, params, bx, by)
         assert float(losses[worker]) == want_loss
         assert metrics[worker] == want_metrics
         for name, want in want_grads.items():
@@ -93,14 +95,8 @@ def test_blocked_pass_equals_the_per_row_calls_bit_for_bit(block, given_names, s
     _assert_equals_per_row(model, params, xs, ys, blocked)
 
 
-@pytest.mark.parametrize(
-    "workers, per_pass, passes",
-    [(8, 3, [3, 3, 2]), (5, 2, [2, 2, 1]), (4, 1, [1] * 4), (3, 8, [3]), (6, 3, [3, 3])],
-)
-def test_workers_go_through_consecutive_sub_blocks(workers, per_pass, passes):
-    """The split the byte bound yields, and that every split is exact."""
-    block = (workers, 4, 8, 3, (6, 12), 4, per_pass, 0.0)
-    model, params, xs, ys, pass_bytes = _case(block, seed=workers)
+def _passes(model, params, xs, ys, pass_bytes):
+    """The workers each ``_blocked_pass`` call took, and the call's result."""
     seen = []
     blocked_pass = model._blocked_pass
 
@@ -110,17 +106,30 @@ def test_workers_go_through_consecutive_sub_blocks(workers, per_pass, passes):
 
     with mock.patch.object(model, "_blocked_pass", counted):
         blocked = _blocked(model, params, xs, ys, pass_bytes, DESTINATIONS["all"])
+    return seen, blocked
+
+
+@pytest.mark.parametrize(
+    "workers, per_pass, passes",
+    [(8, 3, [3, 3, 2]), (5, 2, [2, 2, 1]), (4, 1, [1] * 4), (3, 8, [3]), (6, 3, [3, 3])],
+)
+def test_workers_go_through_consecutive_sub_blocks(workers, per_pass, passes):
+    """The split the byte bound yields, and that every split is exact."""
+    block = (workers, 4, 8, 3, (6, 12), 4, per_pass, 0.0)
+    model, params, xs, ys, pass_bytes = _case(block, seed=workers)
+    seen, blocked = _passes(model, params, xs, ys, pass_bytes)
     assert seen == passes
     _assert_equals_per_row(model, params, xs, ys, blocked)
 
 
-def test_one_sample_batches_take_the_per_row_body():
+def test_one_sample_batches_go_one_worker_per_pass():
     """A ``(1, c2)`` head operand is contiguous in both orders, so BLAS
-    would see it untransposed per row and transposed in a block."""
+    would see it untransposed in a one-worker pass and transposed in a
+    wider one."""
     block = (3, 1, 8, 3, (6, 12), 4, None, 0.0)
     model, params, xs, ys, pass_bytes = _case(block, seed=1)
-    with mock.patch.object(model, "_blocked_pass", side_effect=AssertionError("blocked")):
-        blocked = _blocked(model, params, xs, ys, pass_bytes, DESTINATIONS["all"])
+    seen, blocked = _passes(model, params, xs, ys, pass_bytes)
+    assert seen == [1, 1, 1]
     _assert_equals_per_row(model, params, xs, ys, blocked)
 
 

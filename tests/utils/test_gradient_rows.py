@@ -1,10 +1,12 @@
 """The compute-stage kernel: one gradient per row, blocked or per row.
 
 :func:`repro.utils.partition.gradient_rows` is the trainer's compute
-stage.  Its two bodies must agree bit for bit with
-an explicit per-row reference, and the choice between them must follow
-only what the kernel can observe (the model's capability, the row count,
-whether the batches stack).
+stage.  Whether it makes one blocked call or one call per row, it must
+agree with the per-row tape the MLP and the CNN used to ship
+(``tests/models/row_oracles.py``), give the same bytes however the rows
+are grouped into calls, and choose between the two from only what the
+kernel can observe (the model's capability, the row count, whether the
+batches stack).
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.models.nn.mlp import MLPClassifier
 from repro.utils.partition import FlatLayout, gradient_rows
 from repro.utils.seeding import new_rng
 from tests.conftest import PhaseTimer, peak_bytes
+from tests.models import row_oracles
 from tests.utils.flatten_oracle import flatten_tensors
 
 
@@ -60,13 +63,6 @@ class _Elsewhere:
         return call
 
 
-class _PerRowOnly:
-    """A model with its blocked pass hidden: every row is one call."""
-
-    def __init__(self, target):
-        self.loss_and_grad = target.loss_and_grad
-
-
 @pytest.fixture
 def writes(monkeypatch):
     """Names copied by ``FlatLayout.write`` while the test runs, per call."""
@@ -94,10 +90,11 @@ def _batches(name, sizes, pad=False):
 
 
 def _reference(model, params, batches):
-    """The per-row loop, spelled out with the unfused primitives."""
+    """The per-row loop over the per-row oracle, flattened with the
+    unfused primitives."""
     rows, losses, metrics = [], [], []
     for bx, by in batches:
-        loss, grads, row_metrics = model.loss_and_grad(params, bx, by)
+        loss, grads, row_metrics = row_oracles.loss_and_grad(model, params, bx, by)
         rows.append(flatten_tensors([grads[name] for name in params])[0])
         losses.append(loss)
         metrics.append(row_metrics)
@@ -115,14 +112,14 @@ BLOCKED = {"loss_and_grad_workers": 1}
         ("mlp-tiny", [1] * 3, False, BLOCKED),
         ("mlp-tiny", [5] * 2, False, BLOCKED),
         ("mlp", [8, 8, 6, 8], False, {"loss_and_grad": 4}),  # ragged
-        ("mlp", [8] * 4, True, {"loss_and_grad": 4}),  # padded label
+        ("mlp", [8] * 4, True, BLOCKED),  # padded label
         ("mlp", [8], False, {"loss_and_grad": 1}),  # a one-row chunk
         ("cnn", [4] * 3, False, BLOCKED),
         ("cnn", [16] * 8, False, BLOCKED),  # the benchmark's step: passes of 3 + 3 + 2 workers
         ("cnn", [4] * 5, False, BLOCKED),
-        ("cnn", [1] * 3, False, BLOCKED),  # one-sample batches: the per-row body, inside
+        ("cnn", [1] * 3, False, BLOCKED),  # one-sample batches: one worker per pass, inside
         ("cnn", [4, 4, 3, 4], False, {"loss_and_grad": 4}),  # ragged
-        ("cnn", [4] * 3, True, {"loss_and_grad": 3}),  # padded label
+        ("cnn", [4] * 3, True, BLOCKED),  # padded label
     ],
 )
 def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, calls, writes):
@@ -146,22 +143,43 @@ def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, c
     assert timer.calls == {"forward_backward": n_calls, "fuse": n_calls}
 
 
-def test_mlp_blocked_and_per_row_bodies_agree_bit_for_bit(mlp_dtype):
-    """The same batches through the blocked pass and through per-row
-    calls give the same rows, losses and metrics, in either dtype."""
-    model, batches = _batches("mlp", [2] * 16)
+@pytest.mark.parametrize("pad", ["none", "one-label", "a-whole-worker"])
+@pytest.mark.parametrize("local", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "name, dtype",
+    [
+        ("mlp", np.float32),
+        ("mlp", np.float64),
+        ("mlp-tiny", np.float32),
+        ("mlp-tiny", np.float64),
+        ("cnn", np.float64),
+    ],
+)
+def test_one_call_over_w_rows_equals_w_one_row_calls_byte_for_byte(
+    name, dtype, local, pad, monkeypatch
+):
+    """Grouping invariance: the bytes of a row — the sign of zero
+    included, which ``assert_array_equal`` cannot see — do not depend on
+    how many rows share the call, padded labels and a worker whose labels
+    are all padding included, in each dtype the model may train in."""
+    monkeypatch.setattr(MLPClassifier, "dtype", dtype)
+    model, batches = _batches(name, [local] * 4, pad != "none")
+    if pad == "a-whole-worker":
+        batches[1][1][:] = -1
     params = model.init_params(new_rng(4))
     layout = FlatLayout.of(params)
-    assert layout.dtype == mlp_dtype
-    results = []
-    for body, calls in ((model, BLOCKED), (_PerRowOnly(model), {"loss_and_grad": 16})):
-        proxy = _Proxy(body)
-        out = np.full((len(batches), layout.dim), np.nan, dtype=layout.dtype)
-        results.append((out, *gradient_rows(proxy, params, batches, out, layout)))
-        assert proxy.calls == calls
-    (blocked, *blocked_rest), (per_row, *per_row_rest) = results
-    np.testing.assert_array_equal(blocked, per_row)
-    assert blocked_rest == per_row_rest
+    assert layout.dtype == dtype
+    whole = np.full((len(batches), layout.dim), np.nan, dtype=layout.dtype)
+    whole_losses, whole_metrics = gradient_rows(model, params, batches, whole, layout)
+    rows = np.full_like(whole, np.nan)
+    row_losses, row_metrics = [], []
+    for i, batch in enumerate(batches):
+        (loss,), (metrics,) = gradient_rows(model, params, [batch], rows[i : i + 1], layout)
+        row_losses.append(loss)
+        row_metrics.append(metrics)
+    assert whole.tobytes() == rows.tobytes()
+    assert np.array(whole_losses).tobytes() == np.array(row_losses).tobytes()
+    assert whole_metrics == row_metrics
 
 
 @pytest.mark.parametrize("sizes", [[8] * 4, [8, 8, 6, 8]], ids=["blocked", "per-row"])
@@ -238,10 +256,10 @@ def test_a_warmed_call_allocates_no_gradient_sized_array():
     assert peak < 0.25 * out.nbytes, peak / out.nbytes
 
 
-def test_a_warmed_call_through_the_tile_route_allocates_no_gradient_sized_array():
-    """At ``train-comm``'s shape ``fc1``'s 1 MiB per-worker products pass
-    through one reused tile (``_TILE_BYTES``): the tile is one worker's
-    product, ≈ 5 % of the block, not a ``(W, d)``-sized array."""
+def test_a_warmed_call_at_the_train_comm_shape_allocates_no_gradient_sized_array():
+    """At ``train-comm``'s shape ``fc1``'s 1 MiB per-worker products are
+    one batched GEMM straight into the ``(W, d)`` block: nothing
+    gradient-sized is allocated on the way."""
     model, params, xs, ys = _wide_mlp_rows(hidden=(512, 512))
     layout = FlatLayout.of(params)
     out = np.zeros((len(xs), layout.dim), dtype=layout.dtype)
