@@ -25,6 +25,7 @@ entirely (:meth:`grow_frozen`).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.brain.base import ACTION_KINDS, Action, Autotuner
@@ -82,9 +83,17 @@ class BrainDriver:
         running = run.running
         # Catch up ticks the event loop skipped while idle: at most one
         # decision round fires, at `now`, and the next tick is strictly
-        # in the future (the loop's progress guarantee).
-        while self._next_tick <= now + _EPS:
-            self._next_tick += float(self.config.interval)
+        # in the future (the loop's progress guarantee).  The next tick is
+        # the first whole number of intervals on that lands past `now`,
+        # found in O(1) (one interval at a time, a tick far ahead took
+        # that many additions, and forever where `now + interval == now`).
+        # The quotient is checked one either side; at whole-second
+        # intervals `k * interval` is exactly `k` additions.  Where no
+        # interval fits past `now`, the next tick is the next float.
+        interval = float(self.config.interval)
+        k = max(1, math.floor((now + _EPS - self._next_tick) / interval))
+        ahead = [t for t in (self._next_tick + j * interval for j in (k, k + 1, k + 2)) if t > now + _EPS]
+        self._next_tick = ahead[0] if ahead else math.nextafter(now + _EPS, math.inf)
         self.ticks += 1
         if not running:
             self.log.append("tick", t=now, job="-", jobs=0)

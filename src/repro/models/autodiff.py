@@ -62,10 +62,12 @@ class Tensor:
 
     A destination may instead be a *fold sink*: any object with a
     ``matmul(x, y)`` method, which takes the leaf's worker-batched
-    product ``x @ y`` whole and keeps only what it reduces it to (the
-    trainer's sinks fold each node's workers into one sum, slab by
-    slab).  The sink then stands as ``grad``.  Its leaf's gradient must
-    be that one product: any other accumulation into it raises, since
+    product ``x @ y`` whole, and a ``fold(grad)`` method, which takes
+    any other gradient whole, as an array of the leaf's shape; either
+    keeps only what it reduces the gradient to (the trainer's sinks
+    fold each node's workers into one sum, a product slab by slab).
+    The sink then stands as ``grad``.  Its leaf's gradient must be that
+    one term: a second accumulation into it raises, since
     ``Σ_w (a_w + b_w)`` is not ``Σ_w a_w + Σ_w b_w`` in floating point.
     """
 
@@ -118,7 +120,8 @@ class Tensor:
         A tensor that does not require a gradient takes none (closures
         that would do real work for such an operand skip it themselves;
         this is the backstop).  The first accumulation is copied into
-        the gradient destination when the tensor has one.  Otherwise
+        the gradient destination when the tensor has one, or handed whole
+        to a fold sink's ``fold``.  Otherwise
         ``owned=True`` promises the caller hands over a freshly
         allocated array it will neither mutate nor share — the first
         accumulation can then adopt it without the defensive copy.
@@ -127,7 +130,8 @@ class Tensor:
         """
         if not self.requires_grad:
             return
-        if _is_sink(self._grad_out):
+        sink = _is_sink(self._grad_out)
+        if sink and self.grad is not None:
             raise _sink_error(self)
         grad = np.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
@@ -136,6 +140,9 @@ class Tensor:
             owned = True
         if self.grad is not None:
             self.grad += grad
+        elif sink:
+            self._grad_out.fold(grad)
+            self.grad = self._grad_out
         elif self._grad_out is not None:
             np.copyto(self._grad_out, grad)
             self.grad = self._grad_out
@@ -253,9 +260,8 @@ class Tensor:
 
 def _sink_error(leaf: Tensor) -> ValueError:
     return ValueError(
-        f"a fold sink takes its leaf's whole gradient as one matmul product, but the "
-        f"leaf of shape {leaf.shape} has another gradient term, which cannot be added "
-        "once the workers are folded"
+        f"a fold sink takes its leaf's whole gradient as one term, but the leaf of "
+        f"shape {leaf.shape} has a second, which cannot be added once the workers are folded"
     )
 
 

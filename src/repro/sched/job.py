@@ -182,7 +182,9 @@ class JobSpec:
             raise ValueError(f"local_batch must be >= 1, got {self.local_batch}")
         # Resolve the profile and scheme eagerly so a typo fails at
         # construction (and config validation), not mid-simulation.
-        get_profile(self.profile)
+        res, rates = self.resolution, get_profile(self.profile).resolution_throughput
+        if res is not None and res not in rates:
+            raise ValueError(f"resolution {res}: {self.profile} is calibrated at {sorted(rates)} only")
         SCHEMES.get(self.scheme)
 
     def check_fits(self, num_nodes: int, gpus_per_node: int) -> None:

@@ -65,6 +65,17 @@ _INT_FIELDS = {
 #: 19 655 and the synthetic generator's cap 50 000; a value near 10**18
 #: would replay as a JCT of ~10**17 s and a bill of ~10**15 $.
 MAX_ITERATIONS = 10**9
+#: Largest per-GPU ``local_batch``: 256x the largest profile default
+#: (256).  A batch of 10**15 replayed to a makespan of 4.1e13 s and a
+#: bill of 1.5e11 $.
+MAX_LOCAL_BATCH = 2**16
+#: Latest ``submit_time``, seconds (~31 700 years).  Up to it the trace
+#: clock resolves 0.12 ms; past ~1e16 an iteration's seconds no longer
+#: move it at all, and a job submitted at 1e300 spun the replay to its
+#: event cap and reported no job done.
+MAX_SUBMIT_TIME = 10**12
+#: The bounded fields and their bounds.
+_MOST = {"iterations": MAX_ITERATIONS, "local_batch": MAX_LOCAL_BATCH, "submit_time": MAX_SUBMIT_TIME}
 #: Fields where None is meaningful (empty CSV cell / JSON null).
 _OPTIONAL_FIELDS = {
     "deadline",
@@ -77,6 +88,12 @@ _OPTIONAL_FIELDS = {
 }
 
 
+def _at_most(name: str, number: float) -> float:
+    if number > _MOST.get(name, number):
+        raise ValueError(f"must be at most {_MOST[name]}, got {number}")
+    return number
+
+
 def _coerce(kind: str, name: str, value: Any, where: str) -> Any:
     if value is None or value == "":
         if name in _OPTIONAL_FIELDS:
@@ -87,14 +104,11 @@ def _coerce(kind: str, name: str, value: Any, where: str) -> Any:
             number = float(value)
             if not math.isfinite(number):
                 raise ValueError(f"must be finite, got {value}")
-            return number
+            return _at_most(name, number)
         if name in _INT_FIELDS:
             if isinstance(value, float) and value != int(value):
                 raise ValueError(f"not an integer: {value}")
-            number = int(value)
-            if name == "iterations" and number > MAX_ITERATIONS:
-                raise ValueError(f"must be at most {MAX_ITERATIONS}, got {number}")
-            return number
+            return _at_most(name, int(value))
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"{where}: {kind} field {name!r}: {exc}") from exc
     if name == "payload":
@@ -404,6 +418,8 @@ __all__ = [
     "RECORD_TYPES",
     "CSV_FILES",
     "MAX_ITERATIONS",
+    "MAX_LOCAL_BATCH",
+    "MAX_SUBMIT_TIME",
     "load_trace",
     "validate_trace",
     "trace_to_specs",

@@ -14,6 +14,7 @@ convergence curve and a simulated wall-clock.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -32,8 +33,8 @@ from repro.utils.partition import (
 )
 from repro.utils.seeding import RandomState, new_rng
 
-#: Size above which a 2-D parameter's per-worker gradient gets a fold
-#: sink on the node-sum route (:func:`_large`).  At ``train-comm``'s
+#: Size above which a 2-D parameter's per-worker gradient makes the
+#: node-sum route pay (:func:`_takes_node_sums`).  At ``train-comm``'s
 #: ``fc1`` (1 MiB per worker, float32) the ``beta = 0`` GEMMs straight
 #: into the rows of a ``(W, d)`` matrix ran with those rows out of cache
 #: (≈ 6.7 ms for the 16 of them on a 2-core Xeon, one OpenBLAS thread);
@@ -44,9 +45,10 @@ _SINK_BYTES = 256 * 1024
 #: One node's weight-gradient slab on the node-sum route: the ``n``
 #: workers' products for a block of rows, computed and folded into the
 #: node sum while they are in cache.  At ``train-comm``'s ``fc1`` it is
-#: 8 workers x 64 rows x 512 x 4 B.  Step medians there, for 128 KiB /
-#: 256 KiB / 512 KiB / 1 MiB / 2 MiB: 11.8 / 9.1 / 9.7 / 9.0 / 10.4 ms
-#: (2-core Xeon, one OpenBLAS thread, a slow-host reading).
+#: 8 workers x 64 rows x 512 x 4 B, and its ``fc0`` (8 x 64 x 512 x 4 B)
+#: is one slab whole.  Step medians there, for 128 KiB / 256 KiB /
+#: 512 KiB / 1 MiB / 2 MiB: 11.8 / 9.1 / 9.7 / 9.0 / 10.4 ms (2-core
+#: Xeon, one OpenBLAS thread, a slow-host reading).
 _SLAB_BYTES = 1 << 20
 
 
@@ -72,9 +74,10 @@ class TrainableModel(Protocol):
     batches have one shape, padded labels included.  The MLP and the CNN
     have no other body: their ``loss_and_grad`` is that pass on a
     one-worker block (:func:`~repro.models.autodiff.single_worker`).
-    On the node-sum route it is always the blocked pass, and the
-    destination of a large weight is a fold sink (see
-    :class:`~repro.models.autodiff.Tensor`) rather than an array.
+    On the node-sum route it is always the blocked pass, and every
+    destination is a fold sink (see
+    :class:`~repro.models.autodiff.Tensor`) rather than an array; a
+    gradient returned as an array is folded by the caller.
     """
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
@@ -90,45 +93,44 @@ class TrainableModel(Protocol):
         ...
 
 
-def _fold_nodes(block: np.ndarray, start: int, node_acc: np.ndarray) -> None:
-    """Ring-fold the ``(W, L)`` ``block`` — columns ``[start, start + L)``
-    of every worker's gradient — into each node's row of ``node_acc``."""
-    m, d = node_acc.shape
-    n = len(block) // m
-    for node, acc in enumerate(node_acc):
-        ring_fold(block[node * n : (node + 1) * n], d, start, acc[start : start + block.shape[1]])
-
-
 class _FoldSink:
-    """The gradient destination of one large 2-D parameter on the
-    node-sum route: a fold sink (:class:`~repro.models.autodiff.Tensor`).
+    """The gradient destination of one parameter on the node-sum route:
+    a fold sink (:class:`~repro.models.autodiff.Tensor`), which folds each
+    node's workers into that node's row of the scheme's ``(m, d)`` node
+    accumulator, at the parameter's columns.
 
-    It takes the worker-batched weight-gradient product ``x @ y`` and
-    computes it one node at a time in row slabs of about
-    :data:`_SLAB_BYTES`, each ring-folded into that node's sum at the
-    parameter's columns while it is in cache.  A float32 slab of two rows
-    or more is the whole product's GEMM on fewer rows, with the same bits
-    on this path's shapes; a one-row slab or a one-column product is a
-    GEMV, whose bits differ.  So every slab has at least two rows (or is
-    the whole product), and a one-column parameter gets no sink
-    (``tests/perf/test_node_sum_bits.py``).
+    A weight's worker-batched product ``x @ y`` (:meth:`matmul`, the
+    parameter as ``(rows, cols)``: its first axis by the rest) is
+    computed one node at a time into the shared :attr:`slab`, each slab
+    ring-folded into that node's sum while it is in cache.  A node's
+    product within :data:`_SLAB_BYTES` is one slab: the per-worker GEMM
+    the matrix route runs.  Above it the product is split into row
+    slabs of about that size.  A float32 slab of two rows or more is the
+    whole product's GEMM on fewer rows, with the same bits at the shapes
+    that exceed the bound; a one-row slab or a one-column product is a
+    GEMV, whose bits differ.  So every slab has at least two rows, and a
+    one-column weight is never split (``tests/perf/test_node_sum_bits.py``).
+
+    Any other gradient (:meth:`fold`: a bias's, or one the model
+    returned outside its destination) arrives whole, as a ``(W, *shape)``
+    array, and is ring-folded as it is.
     """
 
-    def __init__(
-        self, node_acc: np.ndarray, start: int, shape: tuple[int, int], gpus: int
-    ) -> None:
-        self._node_acc = node_acc
-        self.start = start  # the parameter's first column in the gradient
-        self._shape = shape
-        self._gpus = gpus
-        rows, cols = shape
-        least = max(2, _SLAB_BYTES // (gpus * cols * node_acc.itemsize))
-        self._slabs = chunk_bounds(rows, max(1, rows // least))
-        most = max(hi - lo for lo, hi in self._slabs)
-        self._slab = np.empty(gpus * most * cols, dtype=node_acc.dtype)
+    def __init__(self, node_acc: np.ndarray, start: int, shape: tuple[int, ...], gpus: int) -> None:
+        self._node_acc, self._gpus = node_acc, gpus
+        self._start = start  # the parameter's first column in the gradient
+        rows, cols = (shape[0], math.prod(shape[1:])) if shape else (1, 1)
+        self._shape = rows, cols
+        least = max(2, _SLAB_BYTES // max(1, gpus * cols * node_acc.itemsize))
+        self._slabs = chunk_bounds(rows, 1 if cols == 1 else max(1, rows // least))
+        #: Elements the largest slab needs; :class:`_NodeSums` sets
+        #: :attr:`slab` to one buffer shared by all sinks, sized for the
+        #: largest.
+        self.slab_size = gpus * cols * max(hi - lo for lo, hi in self._slabs)
+        self.slab: np.ndarray | None = None
 
     def matmul(self, x: np.ndarray, y: np.ndarray) -> None:
-        node_acc, start, n = self._node_acc, self.start, self._gpus
+        node_acc, start, n = self._node_acc, self._start, self._gpus
         m, d = node_acc.shape
         rows, cols = self._shape
         shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
@@ -138,10 +140,16 @@ class _FoldSink:
         y = np.broadcast_to(y, shape[:1] + y.shape[-2:]).reshape(m, n, *y.shape[-2:])
         for node, acc in enumerate(node_acc):
             for r0, r1 in self._slabs:
-                slab = self._slab[: n * (r1 - r0) * cols].reshape(n, r1 - r0, cols)
+                slab = self.slab[: n * (r1 - r0) * cols].reshape(n, r1 - r0, cols)
                 np.matmul(x[node, :, r0:r1], y[node], out=slab)
                 lo = start + r0 * cols
                 ring_fold(slab.reshape(n, -1), d, lo, acc[lo : lo + (r1 - r0) * cols])
+
+    def fold(self, grad: np.ndarray) -> None:
+        (m, d), n, start = self._node_acc.shape, self._gpus, self._start
+        block = np.asarray(grad, dtype=self._node_acc.dtype).reshape(m * n, math.prod(self._shape))
+        for node, acc in enumerate(self._node_acc):
+            ring_fold(block[node * n : (node + 1) * n], d, start, acc[start : start + block.shape[1]])
 
 
 class _NodeSums:
@@ -149,35 +157,22 @@ class _NodeSums:
     the scheme's ``(m, d)`` node accumulator (HiTopKComm's step 1) as they
     are made, and no ``(W, d)`` matrix exists.
 
-    Each large 2-D parameter gets a :class:`_FoldSink`.  The others are
-    computed into views of one ``(W, d_small)`` buffer laid out in ``d``
-    order, so they form a few contiguous runs of the gradient, and each
-    run is ring-folded per node after the backward (the ``fuse`` phase).
+    Every parameter's destination is a :class:`_FoldSink`, and all of
+    them share one slab.  Only a gradient the model returns outside its
+    destination is folded after the backward (the ``fuse`` phase).
     Every column of the accumulator is rewritten each step.
     """
 
-    def __init__(self, scheme, params: dict[str, np.ndarray], layout: FlatLayout) -> None:
+    def __init__(self, scheme, layout: FlatLayout) -> None:
         self.node_acc = scheme.node_accumulator(layout.dim, layout.dtype)
         gpus = scheme.topology.gpus_per_node
-        self._sinks: dict[str, _FoldSink] = {}
-        self._runs: list[list[int]] = []  # [first column, first small column, length]
-        small = 0
-        for name, sl, shape in zip(layout.names, layout.slices, layout.shapes):
-            if _large(shape, layout.dtype):
-                self._sinks[name] = _FoldSink(self.node_acc, sl.start, shape, gpus)
-                continue
-            run = self._runs[-1] if self._runs else None
-            if run is not None and run[0] + run[2] == sl.start:
-                run[2] += sl.stop - sl.start
-            else:
-                self._runs.append([sl.start, small, sl.stop - sl.start])
-            small += sl.stop - sl.start
-        self._small_layout = FlatLayout.of(
-            {name: params[name] for name in layout.names if name not in self._sinks}
-        )
-        world = scheme.topology.world_size
-        self._small = np.zeros((world, small), dtype=layout.dtype)
-        self._dests = self._small_layout.views(self._small) | self._sinks
+        self._dests = {
+            name: _FoldSink(self.node_acc, sl.start, shape, gpus)
+            for name, sl, shape in zip(layout.names, layout.slices, layout.shapes)
+        }
+        slab = np.empty(max(sink.slab_size for sink in self._dests.values()), dtype=layout.dtype)
+        for sink in self._dests.values():
+            sink.slab = slab
 
     def gradients(self, model, params, batches, timer) -> tuple[list[float], list[dict]]:
         """One blocked pass over the stacked ``batches``, its gradient
@@ -188,15 +183,9 @@ class _NodeSums:
         ys = np.stack([by for _, by in batches])
         losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys, self._dests)
         t1 = tick()
-        elsewhere = {name: grad for name, grad in grads.items() if grad is not self._dests[name]}
-        if elsewhere:  # computed outside its destination: copied in, or folded if large
-            self._small_layout.write(self._small, elsewhere)
-            for name, sink in self._sinks.items():
-                if name in elsewhere:
-                    block = elsewhere[name].reshape(len(self._small), -1)
-                    _fold_nodes(block, sink.start, self.node_acc)
-        for start, first, length in self._runs:
-            _fold_nodes(self._small[:, first : first + length], start, self.node_acc)
+        for name, grad in grads.items():
+            if grad is not self._dests[name]:  # computed outside its destination
+                self._dests[name].fold(grad)
         if timer is not None:
             timer.add("forward_backward", t1 - t0)
             timer.add("fuse", tick() - t1)
@@ -204,8 +193,8 @@ class _NodeSums:
 
 
 def _large(shape: tuple[int, ...], dtype: np.dtype) -> bool:
-    """Whether a parameter gets a fold sink on the node-sum route: a
-    matrix of more than one column above :data:`_SINK_BYTES`."""
+    """Whether a parameter makes the node-sum route pay: a matrix of
+    more than one column above :data:`_SINK_BYTES`."""
     return len(shape) == 2 and shape[1] > 1 and shape[0] * shape[1] * dtype.itemsize > _SINK_BYTES
 
 
@@ -280,9 +269,9 @@ class DistributedTrainer:
         Optional sink with an ``add(phase, seconds)`` method (the
         benchmark's span recorder, or a test's accumulator).  When set,
         each step's ``forward_backward`` / ``fuse`` (one record per model call;
-        on the matrix route ``fuse`` is ≈ 0 unless the model computed
-        gradients outside its destinations and they had to be copied in,
-        on the node-sum route it is the small parameters' fold) and
+        ``fuse`` is ≈ 0 unless the model computed gradients outside its
+        destinations and they had to be copied in, or on the node-sum
+        route folded) and
         ``aggregate`` / ``apply`` (one per step) phases are accumulated;
         when ``None`` nothing is recorded.
     """
@@ -316,7 +305,7 @@ class DistributedTrainer:
         # Either takes the parameters' dtype, and so do the aggregate and
         # the update computed from it.
         self._node_sums = (
-            _NodeSums(scheme, self.params, self._layout)
+            _NodeSums(scheme, self._layout)
             if _takes_node_sums(model, scheme, self._layout)
             else None
         )
@@ -371,8 +360,9 @@ class DistributedTrainer:
         if timer is not None:
             t1 = tick()
             timer.add("aggregate", t1 - t0)
-        mean_grads = self._layout.views(result.outputs[0] / self.world_size)
-        self.optimizer.step(self.params, mean_grads)
+        comm_seconds, mean = result.time, result.outputs[0] / self.world_size
+        del result  # the dense aggregate dies before the optimizer's temporaries exist
+        self.optimizer.step(self.params, self._layout.views(mean))
         if timer is not None:
             timer.add("apply", tick() - t1)
 
@@ -381,7 +371,7 @@ class DistributedTrainer:
             for key, value in row_metrics.items():
                 metric_sums[key] = metric_sums.get(key, 0.0) + value
         means = {k: v / self.world_size for k, v in metric_sums.items()}
-        return float(np.mean(losses)), means | {"comm_seconds": result.time}
+        return float(np.mean(losses)), means | {"comm_seconds": comm_seconds}
 
     def train(
         self,

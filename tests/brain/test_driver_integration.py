@@ -7,11 +7,14 @@ spacing no two applied actions may violate.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.api.facade import run_sched
+from repro.brain.base import BrainConfig
 from repro.brain.drill import BRAIN_DRILL_BRAINS, brain_storm_config, run_brain_drills
+from repro.brain.driver import BrainDriver
 from repro.brain.log import PHASES
 from repro.utils.registry import ConfigError
 from tests.conftest import rows_digest
@@ -205,3 +208,45 @@ class TestDrillScorecard:
     def test_aliases_resolve_in_drills(self):
         results = run_brain_drills(["health"])
         assert results[0]["brain"] == "health-migrate"
+
+
+class _IdleRun:
+    """The slice of a scheduler run an idle decision tick reads."""
+
+    running: list = []
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+
+class TestCatchUp:
+    """The next tick after a skipped stretch is found in O(1): the first
+    interval on that lands past ``now``, as adding one interval at a time
+    found it, and strictly ahead of ``now`` however far that is."""
+
+    @staticmethod
+    def _driver(interval: float) -> BrainDriver:
+        return BrainDriver(BrainConfig(name="health-migrate", interval=interval), autotuner=None)
+
+    @pytest.mark.parametrize("interval", [60.0, 600.0, 7.0, 1.0])
+    def test_whole_second_intervals_land_where_one_at_a_time_did(self, interval):
+        rng = random.Random(int(interval))
+        nows = [interval * k for k in range(1, 40)]
+        nows += [interval * k + off for k in range(1, 40) for off in (-1e-13, 1e-13, 0.5)]
+        nows += [rng.uniform(0, 1e7) for _ in range(300)]
+        driver = self._driver(interval)
+        want = driver._next_tick
+        for now in sorted(nows):
+            if want > now + 1e-12:
+                continue
+            while want <= now + 1e-12:
+                want += interval
+            driver.apply_due(_IdleRun(now))
+            assert driver._next_tick == want, (now, driver._next_tick, want)
+
+    @pytest.mark.parametrize("now", [1e12, 1e20, 1e300])
+    def test_a_tick_far_ahead_returns_strictly_ahead_of_now(self, now):
+        driver = self._driver(60.0)
+        driver.apply_due(_IdleRun(now))
+        assert now < driver._next_tick < now * (1 + 1e-12) + 120
+        assert driver.ticks == 1

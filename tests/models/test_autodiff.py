@@ -841,6 +841,9 @@ class TestGradientDestinations:
             def matmul(self, x, y):
                 pass
 
+            def fold(self, grad):
+                pass
+
         a = Tensor(rng.normal(size=(3, 2, 4)))
         w = Tensor(np.zeros((3, 4, 4)), requires_grad=True, grad_out=Sink())
         h = a @ w
@@ -849,14 +852,30 @@ class TestGradientDestinations:
             loss.sum().backward()
         assert "\n" not in str(err.value)
 
-    def test_a_fold_sink_refuses_a_gradient_that_is_not_a_product(self, rng):
+    def test_a_fold_sink_takes_a_first_term_that_is_not_a_product_whole(self, rng):
+        """A bias's gradient is no product: its first term reaches the
+        sink's ``fold`` as one array of the leaf's shape, and a second
+        term still raises."""
+        folds = []
+
         class Sink:
             def matmul(self, x, y):
                 raise AssertionError("not a product")
 
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, grad_out=Sink())
+            def fold(self, grad):
+                folds.append(np.array(grad))
+
+        w_val = rng.normal(size=(3, 4))
+        sink = Sink()
+        w = Tensor(w_val, requires_grad=True, grad_out=sink)
+        (w * 2.0).sum().backward()
+        plain = Tensor(w_val, requires_grad=True)
+        (plain * 2.0).sum().backward()
+        assert w.grad is sink and len(folds) == 1
+        assert_same_bits(folds[0], plain.grad)
+        twice = Tensor(w_val, requires_grad=True, grad_out=Sink())
         with pytest.raises(ValueError, match=r"^a fold sink takes its leaf's whole gradient as one"):
-            (w * 2.0).sum().backward()
+            (twice * 2.0 + twice).sum().backward()
 
     def test_wrong_shape_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match=r"destination of shape \(3, 2\).*\(2, 3\)") as err:

@@ -2,23 +2,23 @@
 
 On the node-sum route (``train/trainer.py``) a HiTopKComm trainer folds
 each node's workers into the scheme's ``(m, d)`` node accumulator while
-the backward makes the gradient: each weight above the sink bound row
-slab by row slab (``_FoldSink``), the rest as runs of a small per-worker
-buffer.  The matrix route computes all ``W`` rows into a ``(W, d)``
-matrix and reduce-scatters it.  The fuzz below drives both through the
-same steps and requires the node sums handed to steps 2-4, the per-step
-losses and the final parameters to be the same bits.
+the backward makes the gradient: every parameter's destination is a
+``_FoldSink``, which takes a weight's product one node at a time (in row
+slabs where a node's product is above the slab bound) and any other
+gradient whole.  The matrix route computes all ``W`` rows into a
+``(W, d)`` matrix and reduce-scatters it.  The fuzz below drives both
+through the same steps and requires the node sums handed to steps 2-4,
+the per-step losses and the final parameters to be the same bits.
 
 It covers the shapes the route takes: MLPs with one weight above the
 sink bound (rows and columns from 2 to tens of thousands, so slabs of
 two rows up to the whole product) at any depth, small layers around it,
 local batches 1-4, ``(m, n)`` with ``n ∤ d`` and ``n = 1``, and slab
 sizes from the two-row minimum to the shipped one, whose edges fall
-inside the ring's chunks.  The full ``train-comm`` shape is pinned by
-``tests/perf/test_train_comm_full_shape.py``.  Below the bound, row
-slabs are not the whole GEMM's bits on this OpenBLAS (a 5-row, K = 4
-product split in 2-row slabs differs), which is why small weights keep
-per-worker rows.
+inside the ring's chunks; then a one-column weight (never split), a
+product exactly one slab in size, and a gradient the model returns
+outside its destination.  The full ``train-comm`` shape is pinned by
+``tests/perf/test_train_comm_full_shape.py``.
 """
 
 from __future__ import annotations
@@ -126,3 +126,48 @@ def test_the_train_comm_mlp_matches_the_matrix_route(monkeypatch):
     folds in eight 64-row slabs per node."""
     route, matrix = _pair(monkeypatch, MLPClassifier(64, (512, 512), 16), 2, 8)
     assert_same_run(route, matrix, _steps(np.random.default_rng(5), 16, 2, 64, 16))
+
+
+@pytest.mark.parametrize("slab_bytes", [1, None])
+def test_a_one_column_weight_is_one_slab_whatever_its_size(monkeypatch, slab_bytes):
+    """A ``(65 537, 1)`` product is a GEMV: split into row slabs its bits
+    would differ, so it is computed whole at any slab bound."""
+    route, matrix = _pair(monkeypatch, MLPClassifier(16, (65537, 1), 3), 2, 2, slab_bytes)
+    sink = route._node_sums._dests["fc1.weight"]
+    assert sink._slabs == [(0, 65537)]
+    assert_same_run(route, matrix, _steps(np.random.default_rng(3), 4, 3, 16, 3))
+
+
+def test_a_product_exactly_one_slab_in_size_is_one_gemm(monkeypatch):
+    """At ``n * rows * cols`` bytes equal to the slab bound the product
+    is not split: one slab, the matrix route's per-worker GEMM."""
+    rows, cols, gpus = 300, 260, 3
+    slab_bytes = gpus * rows * cols * np.dtype(np.float32).itemsize
+    route, matrix = _pair(monkeypatch, MLPClassifier(rows, (cols, 9), 4), 2, gpus, slab_bytes)
+    sink = route._node_sums._dests["fc0.weight"]
+    assert sink._slabs == [(0, rows)] and sink.slab.size == gpus * rows * cols
+    assert_same_run(route, matrix, _steps(np.random.default_rng(4), 6, 2, rows, 4))
+
+
+class _OneGradientElsewhere:
+    """A model that computes one gradient in an array of its own and
+    every other in its destination."""
+
+    def __init__(self, model, name):
+        self.model, self.name = model, name
+
+    def init_params(self, rng):
+        return self.model.init_params(rng)
+
+    def loss_and_grad_workers(self, params, xs, ys, out=None):
+        out = {key: dest for key, dest in (out or {}).items() if key != self.name}
+        return self.model.loss_and_grad_workers(params, xs, ys, out)
+
+
+@pytest.mark.parametrize("name", ["fc0.weight", "fc1.bias", "fc2.weight"])
+def test_a_gradient_returned_outside_its_destination_is_folded_whole(monkeypatch, name):
+    """The trainer folds what the model returned as an array, after the
+    backward: the large weight's, a bias's or a small weight's."""
+    model = _OneGradientElsewhere(MLPClassifier(5, (300, 260, 7), 3), name)
+    route, matrix = _pair(monkeypatch, model, 2, 3)
+    assert_same_run(route, matrix, _steps(np.random.default_rng(6), 6, 2, 5, 3))

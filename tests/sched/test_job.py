@@ -64,6 +64,23 @@ class TestResolution:
             == 96
         )
 
+    @pytest.mark.parametrize(
+        "profile, resolution", [("resnet50", 0), ("resnet50", 1), ("resnet50", 256), ("vgg19", 96)]
+    )
+    def test_an_uncalibrated_resolution_is_one_value_error_line(self, profile, resolution):
+        # Resolution 0 on ResNet-50 used to be priced at its largest
+        # calibration (288 px): a JCT of 19.2 s against 11.6 s at 224.
+        with pytest.raises(ValueError) as err:
+            JobSpec(name="j", profile=profile, resolution=resolution)
+        rates = JobSpec(name="j", profile=profile).model_profile().resolution_throughput
+        assert str(err.value) == f"resolution {resolution}: {profile} is calibrated at {sorted(rates)} only"
+
+    def test_every_calibrated_resolution_is_accepted(self):
+        for profile in ("resnet50", "vgg19", "transformer"):
+            for resolution in JobSpec(name="j", profile=profile).model_profile().resolution_throughput:
+                spec = JobSpec(name="j", profile=profile, resolution=resolution)
+                assert spec.resolved_resolution() == resolution
+
     def test_local_batch_defaults_to_profile(self):
         spec = JobSpec(name="r", profile="resnet50")
         assert spec.resolved_local_batch() == spec.model_profile().default_local_batch

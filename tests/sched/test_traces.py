@@ -48,7 +48,7 @@ from repro.sched.traces import (
     write_trace,
     write_trace_csv,
 )
-from repro.sched.traces.ingest import MAX_ITERATIONS
+from repro.sched.traces.ingest import MAX_ITERATIONS, MAX_LOCAL_BATCH, MAX_SUBMIT_TIME
 from repro.utils.bench import validate_bench_payload
 from repro.utils.seeding import derive_seed
 
@@ -295,36 +295,48 @@ class TestValidation:
         assert str(err.value).startswith(f"{path / 'job.csv'}:{line}: {error}")
 
     @pytest.mark.parametrize("layout", ["jsonl", "csv"])
-    def test_a_task_over_the_iteration_bound_names_file_and_line(self, tmp_path, layout):
-        # 10**18 iterations used to validate and replay to a JCT of
-        # ~4.7e17 s and a bill of ~8.4e14 $.
+    @pytest.mark.parametrize(
+        "kind, field, bound",
+        [
+            # 10**18 iterations validated and replayed to a JCT of ~4.7e17 s
+            # and a bill of ~8.4e14 $.
+            ("task", "iterations", MAX_ITERATIONS),
+            # A local batch of 10**15 replayed to a makespan of 4.1e13 s.
+            ("task", "local_batch", MAX_LOCAL_BATCH),
+            # A submit time of 1e300 spun the replay to its event cap.
+            ("job", "submit_time", MAX_SUBMIT_TIME),
+        ],
+    )
+    def test_a_field_over_its_bound_names_file_and_line(self, tmp_path, layout, kind, field, bound):
         trace = small_trace(num_jobs=3)
-        huge = MAX_ITERATIONS + 1
+        huge = bound + 1 if kind == "task" else float(bound + 1)
         if layout == "jsonl":
             path = write_trace(trace, tmp_path / "day.jsonl")
             lines = path.read_text().splitlines()
-            index = next(i for i, text in enumerate(lines) if '"type": "task"' in text)
+            index = next(i for i, text in enumerate(lines) if f'"type": "{kind}"' in text)
             record = json.loads(lines[index])
-            record["iterations"] = huge
+            record[field] = huge
             lines[index] = json.dumps(record)
             path.write_text("\n".join(lines) + "\n")
             where = f"{path}:{index + 1}"
         else:
             path = write_trace_csv(trace, tmp_path / "day")
-            with (path / "task.csv").open(newline="") as handle:
+            with (path / f"{kind}.csv").open(newline="") as handle:
                 rows = list(csv.reader(handle))
-            rows[2][rows[0].index("iterations")] = str(huge)
-            with (path / "task.csv").open("w", newline="") as handle:
+            rows[2][rows[0].index(field)] = str(huge)
+            with (path / f"{kind}.csv").open("w", newline="") as handle:
                 csv.writer(handle).writerows(rows)
-            where = f"{path / 'task.csv'}:3"
+            where = f"{path / f'{kind}.csv'}:3"
         with pytest.raises(TraceError) as err:
             load_trace(path)
-        assert str(err.value) == (
-            f"{where}: task field 'iterations': must be at most {MAX_ITERATIONS}, got {huge}"
-        )
+        assert str(err.value) == f"{where}: {kind} field {field!r}: must be at most {bound}, got {huge}"
         # The bound itself is accepted.
-        trace.tasks[0] = dataclasses.replace(trace.tasks[0], iterations=MAX_ITERATIONS)
-        load_trace(write_trace(trace, tmp_path / "bound.jsonl"))
+        records = trace.tasks if kind == "task" else trace.jobs
+        records[0] = dataclasses.replace(records[0], **{field: bound})
+        if layout == "jsonl":
+            load_trace(write_trace(trace, tmp_path / "bound.jsonl"))
+        else:
+            load_trace(write_trace_csv(trace, tmp_path / "bound"))
 
     def test_unknown_workload_points_at_job(self):
         trace = Trace(

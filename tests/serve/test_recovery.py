@@ -67,6 +67,28 @@ class TestRestart:
         assert again.finalize() == payload
         again.close()
 
+    def test_a_tick_far_ahead_returns_and_a_restart_on_it_recovers(self, tmp_path):
+        """The brain catches up a skipped stretch in O(1): a tick to 1e12
+        (1.7e9 intervals of 600 s) or to 1e20 (where ``now + 600 == now``)
+        returns, and the restart that replays it from the journal does too."""
+        config = ServeConfig.from_file(TestCommittedDayOps.EXAMPLES / "configs" / "serve_smoke.json")
+        ops = [
+            {"op": "submit", "id": 1, "job": {"name": "a", "iterations": 150}},
+            {"op": "tick", "id": 2, "until": 1200},
+            {"op": "tick", "id": 3, "until": 1e12},
+            {"op": "tick", "id": 4, "until": 1e20},
+        ]
+        runtime = ServeRuntime(config, tmp_path)
+        run_ops(runtime, ops)
+        assert runtime.engine.core.now == 1e20
+        digest = runtime.engine.state_digest()
+        runtime.close()
+
+        again = ServeRuntime(config, tmp_path)
+        assert again.recovery["recovered"]
+        assert again.engine.state_digest() == digest
+        again.close()
+
     def test_an_op_nested_too_deep_to_journal_is_rejected_unjournaled(self, tmp_path):
         # Such an op decodes from a socket line just under the decode
         # limit; the journal's encoder, a few calls deeper, used to raise
