@@ -10,8 +10,7 @@ Each model exposes the same interface the distributed trainer consumes:
 Parameters are plain NumPy arrays, and gradients are computed into the
 caller's ``out`` arrays when given (views of the trainer's flat fusion
 buffer; see :class:`repro.train.trainer.TrainableModel`); one batch
-alone is a one-worker block
-(:func:`repro.models.autodiff.single_worker`).  The autodiff tape is an
+alone is a one-worker block (``x[None]``).  The autodiff tape is an
 internal detail.
 """
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.autodiff import (
+    Programs,
     Tensor,
     avg_pool2d,
+    contiguous,
     conv2d_cnhw,
-    keep_heap,
-    leaf_tensors,
     reshape,
-    softmax_cross_entropy,
     transpose,
 )
 from repro.utils.seeding import RandomState
@@ -24,20 +23,22 @@ from repro.utils.seeding import RandomState
 #: Most bytes the largest temporary of one blocked tape pass may take —
 #: the first conv's im2col, ``in_c * 9 * B * H * W * 8`` per worker;
 #: :meth:`SmallConvNet.loss_and_grad_workers` runs that many workers per
-#: pass (one, for one-sample batches).  A pass holds its workers'
-#: activations at once (≈ 3.5x this at the peak), which ``peak_rss_mb``
-#: pays for: at the Fig. 10 shape (497 664 B per worker, 8 workers)
-#: 1 / 2 / 3 / 4 / 8 workers per pass measured 129 / 168 / 181 / 198 /
-#: 211 steps/s on ``train-compute`` against 151 for eight calls of the
-#: per-row body the blocked pass replaced, at +1 / +4 / +8 / +12 / +26 %
-#: RSS against a 10 % bound — so the bound sits between 3 workers'
-#: im2col (1.42 MiB) and 4 (1.90 MiB).  ROADMAP 5(d) has the table.
-PASS_BYTES = 3 << 19  # 1.5 MiB
+#: pass (one, for one-sample batches).  The first call at a shape runs
+#: the tape, whose pass holds its workers' activations at once (≈ 3.5x
+#: this at the peak); later calls replay it in an arena of about that
+#: peak.  ``peak_rss_mb`` pays for both: at the Fig. 10 shape (497 664 B
+#: per worker, 8 workers) 1 / 2 / 3 / 4 / 8 workers per pass measured
+#: 237 / 262 / 263 / 281 / ≈ 250 steps/s on ``train-compute`` (medians of
+#: 3 interleaved runs; the tape before replay: 218) at −2.1 / −0.8 /
+#: +1.1 / +4.5 / +19.7 % RSS against the tape's — so the bound sits
+#: between 2 workers' im2col (0.95 MiB) and 3 (1.42 MiB).  ROADMAP 5(d)
+#: has the table.
+PASS_BYTES = 1 << 20  # 1 MiB
 
 
 def _channel_major(x: np.ndarray) -> Tensor:
     """An NCHW batch as the contiguous ``(c, n, h, w)`` tape input."""
-    return Tensor(np.ascontiguousarray(np.asarray(x).transpose(1, 0, 2, 3)))
+    return Tensor(contiguous(np.asarray(x).transpose(1, 0, 2, 3)))
 
 
 class SmallConvNet:
@@ -56,6 +57,7 @@ class SmallConvNet:
         self.channels = channels
         self.num_classes = num_classes
         self.image_size = image_size
+        self._programs = Programs()
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
         c1, c2 = self.channels
@@ -77,33 +79,32 @@ class SmallConvNet:
         ``tests/property/test_blocked_cnn.py``).
 
         ``xs`` is ``(W, B, c, h, w)`` and ``ys`` is ``(W, B)``.  The
-        workers go through :meth:`_blocked_pass` in consecutive
-        sub-blocks sized by :data:`PASS_BYTES`, each writing its rows of
-        one ``(W, *shape)`` gradient per parameter — the caller's
-        destination (``out``) where one is given, so what is returned
-        *is* that destination.  One-sample batches go one worker per
-        pass: a ``(1, c2)`` classifier-head operand is contiguous in both
-        orders, so BLAS would see it untransposed in a one-worker pass and
-        transposed in a wider one, and the two sum differently.
+        workers go through the tape in consecutive passes of
+        :meth:`_per_pass` workers, each writing its rows of one ``(W,
+        *shape)`` gradient per parameter — the caller's destination
+        (``out``) where one is given, so what is returned *is* that
+        destination.  The call is recorded once per shape and replayed
+        (:class:`~repro.models.autodiff.Programs`).
         """
-        keep_heap(2 * PASS_BYTES)  # a pass's transients peak at ≈ 3.5x PASS_BYTES
         xs, ys = np.asarray(xs), np.asarray(ys)
-        workers, local = xs.shape[0], xs.shape[1]
-        out = out or {}
-        grads = {
-            name: out[name] if name in out else np.empty((workers, *value.shape), value.dtype)
-            for name, value in params.items()
-        }
-        losses = np.empty(workers)
-        metrics: list[dict[str, float]] = []
-        # The first conv's im2col per worker: in_c * 3 * 3 * B * H * W float64s.
-        per_pass = 1 if local == 1 else max(1, PASS_BYTES // (xs[0].size * 9 * 8))
-        for lo in range(0, workers, per_pass):
-            rows = slice(lo, lo + per_pass)
-            dest = {name: grad[rows] for name, grad in grads.items()}
-            losses[rows], pass_metrics = self._blocked_pass(params, xs[rows], ys[rows], dest)
-            metrics.extend(pass_metrics)
-        return losses, grads, metrics
+        losses, grads, logits = self._programs.run(
+            # A first call's transients peak at ≈ 3.5x PASS_BYTES.
+            self._logits, params, xs, ys, out, per_pass=self._per_pass(xs), heap=2 * PASS_BYTES
+        )
+        preds = logits.argmax(axis=1).reshape(ys.shape)
+        return losses, grads, [{"accuracy": float(a)} for a in (preds == ys).mean(axis=1)]
+
+    @staticmethod
+    def _per_pass(xs: np.ndarray) -> int:
+        """Workers per tape pass: as many as :data:`PASS_BYTES` holds of
+        the first conv's im2col (``in_c * 3 * 3 * B * H * W`` float64s
+        each).  One-sample batches go one worker per pass: a ``(1, c2)``
+        classifier-head operand is contiguous in both orders, so BLAS
+        would see it untransposed in a one-worker pass and transposed in
+        a wider one, and the two sum differently."""
+        if xs.shape[1] == 1:
+            return 1
+        return max(1, PASS_BYTES // (xs[0].size * 9 * 8))
 
     def _logits(self, tensors: dict[str, Tensor], xs: np.ndarray) -> Tensor:
         """The forward over a ``(W, B, c, h, w)`` block, on leaves with a
@@ -124,16 +125,6 @@ class SmallConvNet:
         h = transpose(h, (1, 2, 0)) @ tensors["fc.weight"]
         h = h + reshape(tensors["fc.bias"], (workers, 1, self.num_classes))
         return reshape(h, (workers * local, self.num_classes))
-
-    def _blocked_pass(self, params, xs, ys, out) -> tuple[np.ndarray, list[dict[str, float]]]:
-        """One tape pass over a ``(W, B, c, h, w)`` block into ``out``."""
-        workers = len(xs)
-        tensors = leaf_tensors(params, out, workers)
-        logits = self._logits(tensors, xs)
-        loss, losses = softmax_cross_entropy(logits, ys, workers)
-        loss.backward()
-        preds = logits.data.argmax(axis=1).reshape(ys.shape)
-        return losses, [{"accuracy": float(a)} for a in (preds == ys).mean(axis=1)]
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.autodiff import (
-    Tensor,
-    leaf_grads,
-    leaf_tensors,
-    reshape,
-    softmax_cross_entropy,
-)
+from repro.models.autodiff import Programs, Tensor, cast, reshape
 from repro.utils.seeding import RandomState
 
 
@@ -51,6 +45,7 @@ class MLPClassifier:
         self.input_dim = input_dim
         self.hidden = tuple(hidden)
         self.num_classes = num_classes
+        self._programs = Programs()
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
         """He-initialised weights; zero biases."""
@@ -69,7 +64,7 @@ class MLPClassifier:
         worker-major.  The batch is cast to the parameters' dtype."""
         workers, local = xs.shape[0], xs.shape[1]
         dtype = tensors["fc0.weight"].data.dtype
-        h = Tensor(xs.astype(dtype, copy=False).reshape(workers, local, -1))
+        h = Tensor(cast(xs, dtype).reshape(workers, local, -1))
         n_layers = len(self.hidden) + 1
         for i in range(n_layers):
             bias = tensors[f"fc{i}.bias"]
@@ -94,16 +89,14 @@ class MLPClassifier:
         ``tests/utils/test_gradient_rows.py`` and the hot-path parity
         tests).  With ``out`` — ``(W, *shape)`` destinations — those
         GEMMs write each weight gradient straight into the caller's
-        block.
+        block.  The pass is recorded once per shape and replayed
+        (:class:`~repro.models.autodiff.Programs`).
         """
-        xs, ys = np.asarray(xs), np.asarray(ys)
-        tensors = leaf_tensors(params, out, len(ys))
-        logits = self._logits(tensors, xs)
-        loss, losses = softmax_cross_entropy(logits, ys, len(ys))
-        loss.backward()
-        preds = logits.data.argmax(axis=1).reshape(ys.shape)
+        losses, grads, logits = self._programs.run(self._logits, params, xs, ys, out)
+        ys = np.asarray(ys)
+        preds = logits.argmax(axis=1).reshape(ys.shape)
         metrics = [{"accuracy": float(a)} for a in (preds == ys).mean(axis=1)]
-        return losses, leaf_grads(tensors), metrics
+        return losses, grads, metrics
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, *, topk: int = 1

@@ -13,17 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.autodiff import (
-    Tensor,
-    embedding,
-    keep_heap,
-    layer_norm,
-    leaf_grads,
-    leaf_tensors,
-    reshape,
-    softmax,
-    softmax_cross_entropy,
-)
+from repro.models.autodiff import Programs, Tensor, embedding, layer_norm, reshape, softmax
 from repro.utils.seeding import RandomState
 
 
@@ -43,6 +33,7 @@ class TinyTransformer:
         self.d_model = d_model
         self.d_ff = d_ff
         self.max_len = max_len
+        self._programs = Programs()
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
         d, f, v = self.d_model, self.d_ff, self.vocab_size
@@ -97,7 +88,10 @@ class TinyTransformer:
         q = h @ weight("attn.wq")
         k = h @ weight("attn.wk")
         v = h @ weight("attn.wv")
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(self.d_model))
+        # The scale in the activations' dtype: a float64 constant would
+        # promote a float32 pass.
+        scale = Tensor(np.asarray(1.0 / np.sqrt(self.d_model), dtype=h.data.dtype))
+        scores = (q @ k.transpose((0, 1, 3, 2))) * scale
         attn = softmax(scores, axis=-1)
         context = (attn @ v) @ weight("attn.wo")
         h = layer_norm(h + context, tensors["ln1.gamma"], tensors["ln1.beta"])
@@ -120,7 +114,9 @@ class TinyTransformer:
         each worker's loss and ``token_accuracy`` count its own valid
         labels, at least one.  Every parameter gets a worker axis as a
         read-only stride-0 view, and with ``out`` — ``(W, *shape)``
-        destinations — each gradient lands in the caller's block.
+        destinations — each gradient lands in the caller's block.  The
+        pass is recorded once per shape and replayed
+        (:class:`~repro.models.autodiff.Programs`).
         """
         xs, ys = np.asarray(xs), np.asarray(ys)
         workers, local = ys.shape[:2]
@@ -129,16 +125,13 @@ class TinyTransformer:
         # a pass's transients peak at 11-12.5x that (measured).
         width = max(self.d_model, self.d_ff, self.vocab_size)
         largest = workers * local * max(self.d_model, xs.shape[-1]) * width
-        keep_heap(7 * largest * params["out.weight"].itemsize)
-        tensors = leaf_tensors(params, out, workers)
-        logits = self._logits(tensors, xs)
-        loss, losses = softmax_cross_entropy(logits, ys, workers)
-        loss.backward()
+        heap = 7 * largest * np.asarray(params["out.weight"]).itemsize
+        losses, grads, logits = self._programs.run(self._logits, params, xs, ys, out, heap=heap)
         valid = ys >= 0
-        correct = ((logits.data.argmax(axis=-1) == ys) & valid).sum(axis=(1, 2))
+        correct = ((logits.argmax(axis=-1) == ys) & valid).sum(axis=(1, 2))
         counts = np.maximum(valid.sum(axis=(1, 2)), 1)
         metrics = [{"token_accuracy": int(c) / int(n)} for c, n in zip(correct, counts)]
-        return losses, leaf_grads(tensors), metrics
+        return losses, grads, metrics
 
     def evaluate(
         self, params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray

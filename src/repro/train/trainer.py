@@ -61,7 +61,7 @@ class TrainableModel(Protocol):
     padding) and returns the ``(W,)`` losses, one ``(W, *shape)``
     gradient per parameter and ``W`` metric dicts, bit-identical to ``W``
     one-worker calls; one batch alone goes through it as a one-worker
-    block (:func:`~repro.models.autodiff.single_worker`).
+    block (``x[None]``).
 
     ``out`` maps parameter names to *gradient destinations*: ``(W,
     *shape)`` arrays owned by the caller (views of rows of the trainer's
@@ -76,6 +76,13 @@ class TrainableModel(Protocol):
     destination is a fold sink (see
     :class:`~repro.models.autodiff.Tensor`) rather than an array; a
     gradient returned as an array is folded by the caller.
+
+    The tape models record their first call at a shape and replay it
+    (:class:`~repro.models.autodiff.Programs`): a caller that keeps its
+    parameters and destinations in the same buffers from step to step —
+    parameters updated in place, fresh views of the same gradient rows,
+    the same sinks — makes every later step a replay, and one that
+    replaces them makes a new recording.
     """
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:

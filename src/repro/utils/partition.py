@@ -25,8 +25,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.models.autodiff import single_worker
-
 
 def chunk_sizes(total: int, parts: int) -> list[int]:
     """Sizes of ``parts`` near-equal chunks covering ``total`` elements.
@@ -202,14 +200,16 @@ def gradient_rows(
 
     One kernel, called by the trainer's matrix route on the whole
     ``(W, d)`` fusion buffer (``out`` is a ``(len(batches), layout.dim)``
-    row block).  When the batches stack (:func:`stackable`: by shape;
-    padded labels stack) all rows go through one call of the model's
-    blocked pass, ``loss_and_grad_workers``; otherwise each row is that
-    pass on a one-worker block
-    (:func:`~repro.models.autodiff.single_worker`).  The two are
-    bit-identical, the sign of zero included (pinned by
+    row block).  The rows are grouped by batch shape (padded labels
+    stack: the cross-entropy counts each worker's valid labels itself),
+    and each group goes through one call of the model's blocked pass,
+    ``loss_and_grad_workers`` — one call when the batches stack
+    (:func:`stackable`), one per shape when they are ragged, so a ragged
+    step has one recorded program per shape
+    (:class:`~repro.models.autodiff.Programs`).  However the rows are
+    grouped the bits are the same, the sign of zero included (pinned by
     ``tests/utils/test_gradient_rows.py`` and the hot-path parity
-    suite), so the choice is purely one of speed, made from what the
+    suite), so the grouping is purely one of speed, made from what the
     kernel can observe.
 
     The gradient exists once: the model gets ``layout.views`` of its
@@ -217,7 +217,9 @@ def gradient_rows(
     for every tensor it computed in place, the destination itself.  Only
     a tensor returned as some other array is copied in afterwards
     (``layout.write``), so a model that ignores its destinations still
-    fills ``out``.
+    fills ``out``.  A group whose rows are not one slice of ``out`` gets
+    no destinations (a view of its rows would be a copy, a new buffer
+    every step) and is copied in.
 
     ``timer`` (anything with ``add(phase, seconds)``) gets one
     ``forward_backward`` and one ``fuse`` record per model call; the
@@ -232,35 +234,33 @@ def gradient_rows(
             f"{len(batches)} rows of {layout.dim} elements"
         )
     tick = time.perf_counter
-
-    def fuse(t0: float, grads: Mapping[str, np.ndarray], dest: np.ndarray, views) -> None:
+    groups: dict[tuple, list[int]] = {}
+    for row, (bx, by) in enumerate(batches):
+        groups.setdefault((np.shape(bx), np.shape(by)), []).append(row)
+    losses, metrics = [0.0] * len(batches), [{}] * len(batches)
+    for rows in groups.values():
+        t0 = tick()
+        xs = np.stack([batches[row][0] for row in rows])
+        ys = np.stack([batches[row][1] for row in rows])
+        lo, hi = rows[0], rows[-1] + 1
+        sliced = hi - lo == len(rows)
+        block = out[lo:hi] if sliced else np.empty((len(rows), layout.dim), out.dtype)
+        views = layout.views(block) if sliced else {}
+        block_losses, grads, block_metrics = model.loss_and_grad_workers(params, xs, ys, views)
         t1 = tick()
         if timer is not None:
             timer.add("forward_backward", t1 - t0)
         elsewhere = {
-            name: grads[name] for name in layout.names if grads[name] is not views[name]
+            name: grads[name] for name in layout.names if grads[name] is not views.get(name)
         }
         if elsewhere:
-            layout.write(dest, elsewhere)
+            layout.write(block, elsewhere)
+        if not sliced:
+            out[rows] = block
         if timer is not None:
             timer.add("fuse", tick() - t1)
-
-    if stackable(batches):
-        t0 = tick()
-        xs = np.stack([bx for bx, _ in batches])
-        ys = np.stack([by for _, by in batches])
-        views = layout.views(out)
-        block_losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys, views)
-        fuse(t0, grads, out, views)
-        return [float(loss) for loss in block_losses], metrics
-    losses, metrics = [], []
-    for (bx, by), row in zip(batches, out):
-        t0 = tick()
-        views = layout.views(row)
-        loss, grads, row_metrics = single_worker(model.loss_and_grad_workers, params, bx, by, views)
-        fuse(t0, grads, row, views)
-        losses.append(loss)
-        metrics.append(row_metrics)
+        for row, loss, row_metrics in zip(rows, block_losses, block_metrics):
+            losses[row], metrics[row] = float(loss), row_metrics
     return losses, metrics
 
 

@@ -10,6 +10,8 @@ to hold the blocked pass to: ``tests/utils/test_gradient_rows.py``,
 ``tests/property/test_blocked_cnn.py``,
 ``tests/property/test_blocked_transformer.py`` and
 ``tests/perf/test_vectorized_parity.py``'s ``ReferenceTrainer``.
+:func:`single_worker` runs one batch through a model's blocked pass, as
+the tests that hold one batch's gradient do.
 The MLP and the CNN differ from the blocked pass only in the sign of a
 zero bias gradient at batch size 1 (this body's ``_unbroadcast`` sum
 turns ``-0.0`` into ``+0.0``), which ``assert_array_equal`` does not see.
@@ -32,6 +34,20 @@ from repro.models.autodiff import (
 from repro.models.nn.convnet import SmallConvNet, _channel_major
 from repro.models.nn.mlp import MLPClassifier
 from repro.models.nn.transformer import TinyTransformer
+
+
+def single_worker(loss_and_grad_workers, params, x, y, out=None):
+    """One batch through a model's worker-blocked pass, as a one-worker
+    block: ``x``, ``y`` and every destination get a leading axis of one,
+    and the loss, each gradient (the destination itself where one was
+    given) and the metrics come back without it."""
+    out = out or {}
+    dests = {name: dest[None] for name, dest in out.items()}
+    losses, grads, metrics = loss_and_grad_workers(
+        params, np.asarray(x)[None], np.asarray(y)[None], dests
+    )
+    grads = {name: out[name] if grad is dests.get(name) else grad[0] for name, grad in grads.items()}
+    return float(losses[0]), grads, metrics[0]
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -177,7 +193,7 @@ def transformer_logits(model: TinyTransformer, params: dict[str, Tensor], token_
     q = h @ params["attn.wq"]
     k = h @ params["attn.wk"]
     v = h @ params["attn.wv"]
-    scores = (q @ k.transpose((0, 2, 1))) * (1.0 / np.sqrt(model.d_model))
+    scores = (q @ k.transpose((0, 2, 1))) * Tensor(np.asarray(1.0 / np.sqrt(model.d_model), dtype=h.data.dtype))
     attn = softmax(scores, axis=-1)
     context = (attn @ v) @ params["attn.wo"]
     h = layer_norm(h + context, params["ln1.gamma"], params["ln1.beta"])

@@ -1,0 +1,288 @@
+"""The recorded-pass cache (:class:`repro.models.autodiff.Programs`).
+
+A model records its first call at a key and replays later calls at that
+key.  Everything a kernel's shape, operands or branch depends on is in
+the key, so each of these records anew: a new batch shape, a step with a
+padded label where there was none, a parameter array replaced (not
+updated in place), another destination buffer, another model instance.
+A parameter updated in place, fresh views of the same destination rows
+and a new batch of the same shape replay.  At most ``_KEPT`` programs
+are kept per model, over a whole Fig. 10 / Table 2 run too, and all of
+them read one set of parameter buffers, so a retired trainer's buffers
+die with it; a ragged step records one program per batch shape; and a
+replay still runs the cross-entropy's label check.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.models import autodiff
+from repro.models.nn.convnet import SmallConvNet
+from repro.models.nn.mlp import MLPClassifier
+from repro.models.nn.transformer import TinyTransformer
+from repro.utils.partition import FlatLayout, gradient_rows
+from repro.utils.seeding import new_rng
+
+
+class _Counted:
+    """Counts the tape passes (records) of the calls made under it."""
+
+    def __init__(self, monkeypatch):
+        self.passes, inner = 0, autodiff.tape_pass
+
+        def counted(*args):
+            self.passes += 1
+            return inner(*args)
+
+        monkeypatch.setattr(autodiff, "tape_pass", counted)
+
+    def recorded(self, call) -> bool:
+        before = self.passes
+        call()
+        return self.passes > before
+
+
+@pytest.fixture
+def mlp():
+    model = MLPClassifier(input_dim=5, hidden=(7,), num_classes=3)
+    params = model.init_params(new_rng(0))
+    rng = np.random.default_rng(0)
+
+    def batch(workers=2, local=4, padded=False):
+        ys = rng.integers(0, 3, size=(workers, local))
+        if padded:
+            ys[0, -1] = -1
+        return rng.normal(size=(workers, local, 5)), ys
+
+    return model, params, batch
+
+
+def test_a_new_batch_of_the_same_shape_replays(mlp, monkeypatch):
+    model, params, batch = mlp
+    counted = _Counted(monkeypatch)
+    assert counted.recorded(lambda: model.loss_and_grad_workers(params, *batch()))
+    assert not counted.recorded(lambda: model.loss_and_grad_workers(params, *batch()))
+    assert len(model._programs) == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["shape", "workers", "padded", "dtype"],
+)
+def test_what_a_kernel_depends_on_records_anew(mlp, monkeypatch, change):
+    model, params, batch = mlp
+    counted = _Counted(monkeypatch)
+    model.loss_and_grad_workers(params, *batch())
+    xs, ys = {
+        "shape": lambda: batch(local=3),
+        "workers": lambda: batch(workers=3),
+        "padded": lambda: batch(padded=True),
+        "dtype": lambda: (batch()[0].astype(np.float32), batch()[1]),
+    }[change]()
+    assert counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys))
+    assert len(model._programs) == 2
+
+
+def test_a_replaced_parameter_records_anew_and_an_updated_one_replays(mlp, monkeypatch):
+    model, params, batch = mlp
+    counted = _Counted(monkeypatch)
+    xs, ys = batch()
+    model.loss_and_grad_workers(params, xs, ys)
+    params["fc0.weight"] -= 0.5  # in place, as SGD steps: the same buffer
+    assert not counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys))
+    want = MLPClassifier(input_dim=5, hidden=(7,), num_classes=3).loss_and_grad_workers(params, xs, ys)
+    got = model.loss_and_grad_workers(params, xs, ys)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert all(got[1][name].tobytes() == want[1][name].tobytes() for name in params)
+
+    params["fc0.weight"] = params["fc0.weight"].copy()  # another buffer, same values
+    assert counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys))
+
+
+def test_destinations_are_bound_by_buffer_not_by_view(mlp, monkeypatch):
+    """Fresh views of the same rows each call replay (``gradient_rows``
+    builds them every step); another buffer records anew."""
+    model, params, batch = mlp
+    layout = FlatLayout.of(params)
+    counted = _Counted(monkeypatch)
+    xs, ys = batch()
+    block = np.zeros((2, layout.dim), dtype=layout.dtype)
+    model.loss_and_grad_workers(params, xs, ys, layout.views(block))
+    out = layout.views(block)
+    assert not counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys, out))
+    _, grads, _ = model.loss_and_grad_workers(params, xs, ys, out)
+    assert all(grads[name] is out[name] for name in params)
+
+    other = np.zeros_like(block)
+    assert counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys, layout.views(other)))
+
+
+def test_another_model_instance_records_anew(mlp, monkeypatch):
+    model, params, batch = mlp
+    counted = _Counted(monkeypatch)
+    xs, ys = batch()
+    model.loss_and_grad_workers(params, xs, ys)
+    twin = MLPClassifier(input_dim=5, hidden=(7,), num_classes=3)
+    assert counted.recorded(lambda: twin.loss_and_grad_workers(params, xs, ys))
+    assert len(model._programs) == len(twin._programs) == 1
+
+
+def test_gradients_without_a_destination_are_fresh_copies(mlp):
+    """A replay's own buffers are overwritten by the next call: what it
+    returns outside the caller's destinations is copied."""
+    model, params, batch = mlp
+    model.loss_and_grad_workers(params, *batch())
+    first = model.loss_and_grad_workers(params, *batch())
+    kept = {name: grad.copy() for name, grad in first[1].items()}
+    losses = first[0].copy()
+    model.loss_and_grad_workers(params, *batch())
+    assert first[0].tobytes() == losses.tobytes()
+    assert all(first[1][name].tobytes() == kept[name].tobytes() for name in params)
+
+
+def test_at_most_capacity_programs_are_kept(mlp):
+    model, params, batch = mlp
+    for local in range(1, 8):
+        model.loss_and_grad_workers(params, *batch(local=local))
+    assert len(model._programs) == autodiff._KEPT == 4
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (MLPClassifier(input_dim=4, hidden=(6,), num_classes=3), (2, 3, 4), (2, 3)),
+    lambda: (SmallConvNet(2, (3, 4), 3, 4), (2, 3, 2, 4, 4), (2, 3)),
+    lambda: (TinyTransformer(3, 4, 5, 4), (2, 3, 4), (2, 3, 4)),
+], ids=["mlp", "cnn", "transformer"])
+def test_a_replay_still_rejects_a_label_out_of_range(build, monkeypatch):
+    """The cross-entropy's label check reads the labels: a replay runs
+    it, with the tape's one-line error, and the next valid call is
+    unharmed."""
+    counted = _Counted(monkeypatch)
+    model, x_shape, y_shape = build()
+    params = model.init_params(new_rng(1))
+    rng = np.random.default_rng(1)
+    xs = rng.integers(0, 3, size=x_shape) if isinstance(model, TinyTransformer) else rng.normal(size=x_shape)
+    ys = rng.integers(0, 3, size=y_shape)
+    want = model.loss_and_grad_workers(params, xs, ys)[0].copy()
+    bad = ys.copy()
+    bad.flat[-1] = 3
+    with pytest.raises(ValueError, match=r"label 3 is out of range for 3 classes \(logits") as caught:
+        assert not counted.recorded(lambda: model.loss_and_grad_workers(params, xs, bad))
+    assert "\n" not in str(caught.value)
+    assert counted.passes == 1  # the first call: one pass
+    assert model.loss_and_grad_workers(params, xs, ys)[0].tobytes() == want.tobytes()
+
+
+def test_programs_stay_bounded_over_a_fig10_and_table2_run(monkeypatch, capsys):
+    """Every model of the fast Fig. 10 and Table 2 runs keeps at most
+    ``_KEPT`` programs, and records only a few times: the rest of its
+    calls replay."""
+    from repro.experiments import fig10_convergence, table2_validation
+
+    caches, init = [], autodiff.Programs.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        caches.append(self)
+
+    calls, records, run = {}, {}, autodiff.Programs.run
+
+    def counted(self, *args, **kwargs):
+        before = len(recorded.call_args_list)
+        result = run(self, *args, **kwargs)
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        records[id(self)] = records.get(id(self), 0) + len(recorded.call_args_list) - before
+        return result
+
+    monkeypatch.setattr(autodiff.Programs, "__init__", kept)
+    monkeypatch.setattr(autodiff.Programs, "run", counted)
+    with mock.patch.object(autodiff, "_record", wraps=autodiff._record) as recorded:
+        fig10_convergence.main(fast=True)
+        table2_validation.main(fast=True)
+    capsys.readouterr()
+    assert len(caches) >= 6 and max(len(cache) for cache in caches) <= 4
+    # Measured: one record per model, then 11 replays each.
+    assert max(records.values()) <= 2 and sum(calls.values()) >= 8 * sum(records.values())
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[5, 5, 5, 5, 5, 5, 5, 3], [5, 5, 5, 3, 5, 5, 5, 5]],
+    ids=["short-last", "scattered"],
+)
+def test_ragged_steps_between_stacked_steps_record_once(sizes):
+    """``gradient_rows`` runs a ragged step as one blocked call per batch
+    shape, so a run that alternates stacked and ragged steps has three
+    keys, each recorded in the first pair of steps and replayed in every
+    later one, at the tape's bits."""
+    model = SmallConvNet(3, (4, 6), 4, 8)
+    params = model.init_params(new_rng(2))
+    layout = FlatLayout.of(params)
+    rng = np.random.default_rng(2)
+    out, want = np.zeros((8, layout.dim)), np.zeros((8, layout.dim))
+    for step in range(3):
+        for step_sizes in ([5] * 8, sizes):
+            batches = [
+                (rng.normal(size=(size, 3, 8, 8)), rng.integers(0, 4, size=size))
+                for size in step_sizes
+            ]
+            with mock.patch.object(autodiff, "_record", wraps=autodiff._record) as recorded:
+                losses, _ = gradient_rows(model, params, batches, out, layout)
+            assert recorded.call_count == (len(set(step_sizes)) if step == 0 else 0)
+            fresh = SmallConvNet(3, (4, 6), 4, 8)
+            assert losses == gradient_rows(fresh, params, batches, want, layout)[0]
+            assert out.tobytes() == want.tobytes()
+    assert len(model._programs) == 3
+
+
+def test_parameters_in_new_buffers_drop_the_kept_programs(mlp):
+    """The kept programs hold the parameters and destinations they were
+    recorded against; a call on parameters in other buffers (a new
+    trainer around the model, a restored checkpoint) drops them."""
+    model, params, batch = mlp
+    for local in (2, 3):
+        model.loss_and_grad_workers(params, *batch(local=local))
+    assert len(model._programs) == 2
+    copies = {name: value.copy() for name, value in params.items()}
+    model.loss_and_grad_workers(copies, *batch())
+    assert len(model._programs) == 1
+
+
+def test_an_elastic_rebuild_frees_the_retired_trainers(tmp_path):
+    """``ElasticTrainer`` builds a new ``DistributedTrainer`` around the
+    same model at every membership change: once the run is over only the
+    live trainer's buffers are reachable, the kept programs included."""
+    from repro.elastic.elastic_trainer import ElasticTrainer
+    from repro.elastic.events import ChurnEvent, TraceSchedule
+    from repro.train import trainer as trainer_module
+    from repro.train.synthetic import make_spiral_classification
+
+    made, init = [], trainer_module.DistributedTrainer.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append((weakref.ref(self), weakref.ref(self.params["fc0.weight"])))
+
+    x, y = make_spiral_classification(512, num_classes=4, rng=new_rng(3))
+    revocations = [ChurnEvent(8, "revoke", warned=False), ChurnEvent(16, "revoke", warned=False)]
+    with mock.patch.object(trainer_module.DistributedTrainer, "__init__", tracked):
+        elastic = ElasticTrainer(
+            MLPClassifier(input_dim=2, hidden=(12,), num_classes=4),
+            scheme="mstopk",
+            density=0.1,
+            num_nodes=3,
+            gpus_per_node=2,
+            checkpoint_every=10,
+            checkpoint_dir=tmp_path,
+            seed=4,
+        )
+        elastic.run(x, y, iterations=24, local_batch=8, schedule=TraceSchedule(revocations))
+    gc.collect()
+    alive = [(trainer(), weight()) for trainer, weight in made]
+    assert len(alive) == 3 and alive[-1][0] is elastic.trainer
+    assert alive[:-1] == [(None, None)] * 2  # both alive while programs outlived them

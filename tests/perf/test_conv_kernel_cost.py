@@ -36,6 +36,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.models import autodiff
 from repro.models.autodiff import Tensor, _col2im_cnhw, avg_pool2d, conv2d_cnhw
 from repro.models.nn import convnet
 from repro.utils.seeding import new_rng
@@ -156,39 +157,46 @@ def test_blocked_pass_keeps_its_heap_in_a_process_that_has_freed_nothing_large()
     assert float(done.stdout) < 100, done.stdout  # measured 0.2
 
 
-def test_byte_bound_yields_three_workers_per_pass_at_the_benchmark_shape(rng):
-    """1 / 2 / 3 / 4 / 8 workers per pass measured 129 / 168 / 181 / 198 /
-    211 steps/s at +1 / +4 / +8 / +12 / +26 % ``peak_rss_mb`` (bound 10 %)
-    in the benchmark worker: a shape-rule or constant edit that leaves 3
-    has to be re-measured there (ROADMAP 5(d))."""
-    assert convnet.PASS_BYTES // IM2COL_BYTES == 3
+def test_byte_bound_yields_two_workers_per_pass_at_the_benchmark_shape(rng):
+    """With the pass recorded once and replayed, 1 / 2 / 3 / 4 / 8
+    workers per pass measured 237 / 262 / 263 / 281 / ≈ 250 steps/s at
+    −2.1 / −0.8 / +1.1 / +4.5 / +19.7 % ``peak_rss_mb`` against the tape's
+    218 steps/s in the benchmark worker (medians of 3 interleaved runs):
+    a shape-rule or constant edit that leaves 2 has to be re-measured there
+    (ROADMAP 5(d))."""
+    assert convnet.PASS_BYTES // IM2COL_BYTES == 2
     model, params, xs, ys = _benchmark_step(rng)
-    passes, blocked_pass = [], model._blocked_pass
+    passes, tape_pass = [], autodiff.tape_pass
 
-    def counted(params, xs, ys, out):
+    def counted(logits_fn, params, xs, ys, out):
         passes.append(len(xs))
-        return blocked_pass(params, xs, ys, out)
+        return tape_pass(logits_fn, params, xs, ys, out)
 
-    with mock.patch.object(model, "_blocked_pass", counted):
-        model.loss_and_grad_workers(params, xs, ys)
-    assert passes == [3, 3, 2]
+    with mock.patch.object(autodiff, "tape_pass", counted):
+        model.loss_and_grad_workers(params, xs, ys)  # a first call: the tape
+    assert passes == [2, 2, 2, 2]
 
 
 def test_one_pass_allocates_within_the_byte_bound(rng):
     """The largest block alive when a pass's forward ends is its first
-    im2col, within ``PASS_BYTES``; and the whole call peaks at one
+    im2col, within ``PASS_BYTES``; and the whole tape call peaks at one
     pass's workers x the per-row call's peak, plus the gradients it
-    returns — sub-blocks do not pile up, and the untouched block the call
-    frees first is smaller than a pass."""
+    returns — sub-blocks do not pile up.  Both are measured on the tape
+    as a first call runs it (``autodiff._tape_call``: the passes, the
+    call's gradients), which sets the step's peak.  A first call also
+    logs its kernels: with the log it reads 2.14 per-row peaks, 0.2 MB of
+    Python objects over this bar, which ``tests/perf/test_replay_cost.py``
+    bounds against the tape; a replay allocates nothing of activation
+    size (same file)."""
     model, params, xs, ys = _benchmark_step(rng)
     per_pass = convnet.PASS_BYTES // IM2COL_BYTES
-    snapshots, cross_entropy = [], convnet.softmax_cross_entropy
+    snapshots, cross_entropy = [], autodiff.softmax_cross_entropy
 
     def at_end_of_forward(*args):
         snapshots.append(tracemalloc.take_snapshot())
         return cross_entropy(*args)
 
-    with mock.patch.object(convnet, "softmax_cross_entropy", at_end_of_forward):
+    with mock.patch.object(autodiff, "softmax_cross_entropy", at_end_of_forward):
         tracemalloc.start()
         try:
             model.loss_and_grad_workers(params, xs, ys)
@@ -198,7 +206,7 @@ def test_one_pass_allocates_within_the_byte_bound(rng):
     assert per_pass * IM2COL_BYTES <= largest <= convnet.PASS_BYTES, largest
 
     row_peak = peak_bytes(lambda: row_oracles.cnn_loss_and_grad(model, params, xs[0], ys[0]))
-    peak = peak_bytes(lambda: model.loss_and_grad_workers(params, xs, ys))
+    peak = peak_bytes(lambda: autodiff._tape_call(model._logits, params, xs, ys, {}, per_pass))
     gradients = WORKERS * sum(value.size for value in params.values()) * 8
-    # Measured 3.007 per-row peaks (5.34 MB); 4 workers per pass would be 7.1 MB.
+    # Measured 2.02 per-row peaks (3.59 MB); 3.0 with 3 workers a pass.
     assert peak <= per_pass * row_peak + gradients, (peak, row_peak)

@@ -29,6 +29,7 @@ pytest.importorskip("hypothesis")  # optional dep; CI installs it
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models import autodiff
 from repro.models.autodiff import Tensor, conv2d_cnhw
 from repro.models.nn import convnet
 from repro.models.nn.convnet import SmallConvNet
@@ -96,15 +97,16 @@ def test_blocked_pass_equals_the_per_row_calls_bit_for_bit(block, given_names, s
 
 
 def _passes(model, params, xs, ys, pass_bytes):
-    """The workers each ``_blocked_pass`` call took, and the call's result."""
+    """The workers each tape pass took (the first call at a shape runs
+    the tape), and the call's result."""
     seen = []
-    blocked_pass = model._blocked_pass
+    tape_pass = autodiff.tape_pass
 
-    def counted(params, xs, ys, out):
+    def counted(logits_fn, params, xs, ys, out):
         seen.append(len(xs))
-        return blocked_pass(params, xs, ys, out)
+        return tape_pass(logits_fn, params, xs, ys, out)
 
-    with mock.patch.object(model, "_blocked_pass", counted):
+    with mock.patch.object(autodiff, "tape_pass", counted):
         blocked = _blocked(model, params, xs, ys, pass_bytes, DESTINATIONS["all"])
     return seen, blocked
 

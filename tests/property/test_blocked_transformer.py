@@ -18,6 +18,7 @@ sum.  A negative control shows the comparison sees a one-ulp flip.
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ pytest.importorskip("hypothesis")  # optional dep; CI installs it
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models import autodiff
+from repro.models.autodiff import Tensor
 from repro.models.nn.transformer import TinyTransformer
 from repro.utils.seeding import new_rng
 from tests.models.kernel_oracles import assert_same_bits
@@ -107,6 +110,26 @@ def test_the_shipped_shape_equals_the_per_row_calls(dtype, workers, local):
     (8 workers x 16 sequences of 10 tokens) and around it."""
     block = (workers, local, 10, (32, 24, 48, 10), dtype, 0.1)
     model, params, xs, ys = _case(block, seed=workers)
+    blocked = _blocked(model, params, xs, ys, DESTINATIONS["all"])
+    _assert_equals_per_row(model, params, xs, ys, blocked)
+
+
+def test_a_float32_transformer_computes_in_float32():
+    """The attention scale is built in the activations' dtype: with float32
+    parameters every tensor on the tape, the logits, the losses and every
+    gradient are float32 (a float64 scale promoted the scores onward)."""
+    model, params, xs, ys = _case((3, 2, 5, (11, 6, 5, 6), np.float32, 0.2), seed=4)
+    created, init = [], Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    with mock.patch.object(Tensor, "__init__", recording):
+        losses, logits, grads = autodiff.tape_pass(model._logits, params, xs, ys, None)
+    assert logits.dtype == losses.dtype == np.float32
+    assert {grad.dtype for grad in grads.values()} == {np.dtype(np.float32)}
+    assert {tensor.data.dtype for tensor in created} == {np.dtype(np.float32)}
     blocked = _blocked(model, params, xs, ys, DESTINATIONS["all"])
     _assert_equals_per_row(model, params, xs, ys, blocked)
 

@@ -14,7 +14,6 @@ from repro.cluster.cloud_presets import make_cluster
 from repro.data.cache import DataCache
 from repro.data.dataset import SyntheticImageDataset
 from repro.data.loader import CachedDataLoader
-from repro.models.autodiff import single_worker
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.lars import LARS, lars_coefficients
 from repro.optim.sgd import SGD
@@ -22,6 +21,7 @@ from repro.pto.lars_pto import lars_learning_rates_pto
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.synthetic import make_spiral_classification, train_val_split
 from repro.train.trainer import DistributedTrainer
+from tests.models.row_oracles import single_worker
 
 
 @pytest.fixture(scope="module")

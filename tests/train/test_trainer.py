@@ -13,12 +13,12 @@ import pytest
 from repro.api import build_scheme
 from repro.api.registry import MODELS, build_workload
 from repro.cluster.cloud_presets import make_cluster
-from repro.models.autodiff import single_worker
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.sgd import SGD
 from repro.train.synthetic import make_spiral_classification
 from repro.train.trainer import DistributedTrainer
 from repro.utils.seeding import new_rng
+from tests.models.row_oracles import single_worker
 
 
 @pytest.fixture

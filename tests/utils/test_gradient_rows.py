@@ -1,11 +1,11 @@
-"""The compute-stage kernel: one gradient per row, blocked or per row.
+"""The compute-stage kernel: one gradient per row, in blocked calls.
 
 :func:`repro.utils.partition.gradient_rows` is the trainer's compute
-stage.  Whether it makes one blocked call or one call per row, it must
+stage.  Whether it makes one blocked call or one call per batch shape, it must
 agree with the per-row tape the models used to ship
 (``tests/models/row_oracles.py``), give the same bytes however the rows
 are grouped into calls, and choose between the two from only what the
-kernel can observe (whether the batches stack).
+kernel can observe (the batches' shapes).
 """
 
 import numpy as np
@@ -89,7 +89,7 @@ def _reference(model, params, batches):
 
 
 BLOCKED = {"loss_and_grad_workers": 1}
-RAGGED = {"loss_and_grad_workers": 4}  # one one-worker block per row
+RAGGED = {"loss_and_grad_workers": 2}  # one blocked call per batch shape
 
 
 @pytest.mark.parametrize(
@@ -99,14 +99,16 @@ RAGGED = {"loss_and_grad_workers": 4}  # one one-worker block per row
         ("mlp", [2] * 16, False, BLOCKED),
         ("mlp-tiny", [1] * 3, False, BLOCKED),
         ("mlp-tiny", [5] * 2, False, BLOCKED),
-        ("mlp", [8, 8, 6, 8], False, RAGGED),
+        ("mlp", [8, 8, 6, 8], False, RAGGED),  # rows 0, 1, 3 are not one slice
+        ("mlp", [8, 8, 8, 6], False, RAGGED),
         ("mlp", [8] * 4, True, BLOCKED),  # padded label
         ("mlp", [8], False, BLOCKED),  # a one-row chunk
         ("cnn", [4] * 3, False, BLOCKED),
-        ("cnn", [16] * 8, False, BLOCKED),  # the benchmark's step: passes of 3 + 3 + 2 workers
+        ("cnn", [16] * 8, False, BLOCKED),  # the benchmark's step: four passes of 2 workers
         ("cnn", [4] * 5, False, BLOCKED),
         ("cnn", [1] * 3, False, BLOCKED),  # one-sample batches: one worker per pass, inside
         ("cnn", [4, 4, 3, 4], False, RAGGED),
+        ("cnn", [4, 4, 4, 3], False, RAGGED),
         ("cnn", [4] * 3, True, BLOCKED),  # padded label
         ("transformer", [4] * 3, False, BLOCKED),
         ("transformer", [16] * 8, False, BLOCKED),  # Fig. 10's step
@@ -127,7 +129,10 @@ def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, c
     losses, metrics = gradient_rows(proxy, params, batches, out, layout, timer)
 
     assert proxy.calls == calls
-    assert writes == []  # computed in place, blocked or per row: nothing to copy
+    # Computed in place: only rows of one shape that are not one slice of
+    # ``out`` (rows 0, 1 and 3 of 8, 8, 6, 8) get no destinations and are copied.
+    runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
+    assert writes == [sorted(layout.names)] * (runs - len(set(sizes)))
     np.testing.assert_array_equal(out, want_rows)
     assert losses == want_losses
     assert metrics == want_metrics  # per row, so any fold of them agrees
@@ -177,11 +182,16 @@ def test_one_call_over_w_rows_equals_w_one_row_calls_byte_for_byte(
     assert whole_metrics == row_metrics
 
 
-@pytest.mark.parametrize("sizes", [[8] * 4, [8, 8, 6, 8]], ids=["blocked", "per-row"])
+@pytest.mark.parametrize(
+    "sizes, scattered",
+    [([8] * 4, False), ([8, 8, 8, 6], False), ([8, 8, 6, 8], True)],
+    ids=["blocked", "ragged", "scattered"],
+)
 @pytest.mark.parametrize("some", [False, True], ids=["all", "some"])
-def test_gradients_a_model_computes_elsewhere_are_copied_in(sizes, some, writes):
+def test_gradients_a_model_computes_elsewhere_are_copied_in(sizes, scattered, some, writes):
     """A model that ignores its destinations still fills the rows, and
-    only the tensors it did not compute in place are copied."""
+    only the tensors it did not compute in place are copied: all of them
+    for rows of one shape that are not one slice of ``out``."""
     model, batches = _batches("mlp", sizes)
     params = model.init_params(new_rng(4))
     layout = FlatLayout.of(params)
@@ -189,8 +199,10 @@ def test_gradients_a_model_computes_elsewhere_are_copied_in(sizes, some, writes)
     out = np.full((len(batches), layout.dim), np.nan)
     gradient_rows(_Elsewhere(model, ignored), params, batches, out, layout)
     np.testing.assert_array_equal(out, _reference(model, params, batches)[0])
-    n_calls = 1 if len(set(sizes)) == 1 else len(batches)
-    assert writes == [ignored] * n_calls
+    want = [ignored] * len(set(sizes))  # one call per batch shape
+    if scattered:
+        want[0] = sorted(layout.names)
+    assert writes == want
 
 
 @pytest.mark.parametrize(
