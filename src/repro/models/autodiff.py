@@ -27,7 +27,6 @@ import bisect
 import functools
 import math
 import weakref
-from collections import OrderedDict
 from contextvars import ContextVar
 from typing import Callable, Mapping
 
@@ -1116,12 +1115,6 @@ def tape_pass(logits_fn, params: Mapping[str, Array], xs: Array, ys: Array, out)
 #: A program's gradient that is the caller's destination of this call.
 _GIVEN = object()
 
-#: Programs a model keeps: a trainer's step is one, each other batch
-#: shape of a ragged step (:func:`~repro.utils.partition.gradient_rows`)
-#: another.
-_KEPT = 4
-
-
 def _pack(sizes: list[int], births: list[int], lasts: list[int]) -> tuple[list[int], int]:
     """Byte offsets for buffers live from kernel ``births[i]`` to
     ``lasts[i]``, two sharing bytes only when their lives do not overlap:
@@ -1159,35 +1152,32 @@ def _place(value, arena: Array, offsets: list[int]):
 
 
 class _Program:
-    """One recorded call: its kernels in order, the inputs it copies in,
-    what it returns, and where each buffer it made lies in an arena — a
-    byte offset from :func:`_pack`, so that buffers whose lives do not
-    overlap share memory, and the arena is about the pass's peak, not
-    the sum of its temporaries."""
+    """One recorded call: its kernels in order, the inputs it copies in
+    and what it returns, all bound to buffers in the program's own arena
+    — each at a byte offset from :func:`_pack`, so that buffers whose
+    lives do not overlap share memory, and the arena is about the pass's
+    peak, not the sum of its temporaries."""
 
     def __init__(self, trace: _Trace, inputs: tuple, parts, grads: dict, out: Mapping) -> None:
         # After the last kernel: what the program returns lives to the end.
         slot = trace.slot
-        self._kernels = trace.kernels
-        self._inputs = inputs
-        self._parts = [slot(part) for part in parts]
-        self._grads = {
+        parts = [slot(part) for part in parts]
+        grads = {
             name: None if grad is None else _GIVEN if grad is out.get(name) else slot(grad)
             for name, grad in grads.items()
         }
         sizes = [-(-nbytes // 64) * 64 for nbytes in trace.sizes]
-        self._offsets, self.size = _pack(sizes, trace.births, trace.lasts)
-
-    def bind(self, arena: Array) -> None:
-        """Point every slot at its place in ``arena`` (``size`` bytes or more)."""
-        place = functools.partial(_place, arena=arena, offsets=self._offsets)
+        offsets, size = _pack(sizes, trace.births, trace.lasts)
+        # On the heap, where the recorded pass's transients were freed.
+        keep_heap(size)
+        place = functools.partial(_place, arena=np.empty(size, dtype=np.uint8), offsets=offsets)
         self._run = [
             functools.partial(fn, *place(args), **{name: place(v) for name, v in kwargs.items()})
-            for fn, args, kwargs in self._kernels
+            for fn, args, kwargs in trace.kernels
         ]
-        self._xs, self._ys = place(self._inputs)
-        self._outputs = [place(part) for part in self._parts]
-        self._returned = {name: place(grad) for name, grad in self._grads.items()}
+        self._xs, self._ys = place(inputs)
+        self._outputs = [place(part) for part in parts]
+        self._returned = {name: place(grad) for name, grad in grads.items()}
 
     def replay(self, xs: Array, ys: Array, out: Mapping) -> tuple[Array, dict, Array]:
         np.copyto(self._xs, xs)
@@ -1247,7 +1237,7 @@ def _record(logits_fn, params, xs: Array, ys: Array, out: Mapping, per_pass: int
 
 
 class Programs:
-    """A model's recorded blocked calls, replayed by key.
+    """A model's recorded blocked call, replayed while its key holds.
 
     Every call of the same shape builds the same graph, so the first
     call at a key runs the tape (:func:`tape_pass`, over consecutive
@@ -1264,28 +1254,22 @@ class Programs:
     label (the cross-entropy's padding steps run only for them), the pass
     width, and the memory of each parameter and destination (a fold
     sink by identity) — bound by buffer, as a trainer updates its
-    parameters in place and views the same gradient rows each step.
+    parameters in place and hands the same destinations each step.
     What a replay must still read, it reads: the label range check runs
     on every call.  A gradient the caller gave no destination for is a
     program buffer, returned as a copy.
 
-    At most :data:`_KEPT` programs are kept, the least recently used
-    dropped first, and all of them are bound to one set of parameter
-    buffers: a call on parameters in other buffers (a new trainer around
-    the model, a restored checkpoint) drops them all before it records,
-    so the buffers of a trainer that is gone are not kept alive.  They
-    share one arena, as they run one at a time: the outputs of one call
-    (the logits above all) are valid until the next.  Not thread-safe:
-    one call records or replays at a time.
+    One program is kept, with its arena: a call at another key (a new
+    trainer around the model, a restored checkpoint, another batch
+    shape) drops it before recording, so the buffers of a trainer that
+    is gone are not kept alive.  The outputs of one call (the logits
+    above all) are valid until the next.  Not thread-safe: one call
+    records or replays at a time.
     """
 
     def __init__(self) -> None:
-        self._programs: OrderedDict[tuple, _Program] = OrderedDict()
-        self._params: tuple = ()  # the parameter buffers every kept program reads
-        self._arena = np.empty(0, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return len(self._programs)
+        self._key: tuple | None = None
+        self._program: _Program | None = None
 
     def run(self, logits_fn, params, xs, ys, out=None, *, per_pass: int | None = None, heap: int = 0):
         """``(losses, grads, logits)`` of the tape pass
@@ -1297,7 +1281,6 @@ class Programs:
         xs, ys = np.asarray(xs), np.asarray(ys)
         out = out or {}
         per_pass = per_pass or len(xs)
-        bound = tuple((name, _buffer(value)) for name, value in params.items())
         key = (
             xs.shape,
             xs.dtype.str,
@@ -1305,29 +1288,15 @@ class Programs:
             ys.dtype.str,
             (ys < 0).reshape(len(ys), -1).any(axis=1).tobytes(),
             per_pass,
-            bound,
+            tuple((name, _buffer(value)) for name, value in params.items()),
             tuple((name, _buffer(dest)) for name, dest in out.items()),
         )
-        program = self._programs.get(key)
-        if program is not None:
-            self._programs.move_to_end(key)
-            return program.replay(xs, ys, out)
-        if bound != self._params:
-            self._programs.clear()
-            self._params = bound
+        if key == self._key:
+            return self._program.replay(xs, ys, out)
+        self._key = self._program = None  # its arena and the buffers it binds go first
         keep_heap(heap)
-        program, result = _record(logits_fn, params, xs, ys, out, per_pass)
-        self._programs[key] = program
-        if len(self._programs) > _KEPT:
-            self._programs.popitem(last=False)
-        if program.size > self._arena.nbytes:
-            # On the heap, where the recorded pass's transients were freed.
-            keep_heap(program.size)
-            self._arena = np.empty(program.size, dtype=np.uint8)
-            for each in self._programs.values():
-                each.bind(self._arena)
-        else:
-            program.bind(self._arena)
+        self._program, result = _record(logits_fn, params, xs, ys, out, per_pass)
+        self._key = key
         return result
 
 

@@ -86,10 +86,10 @@ class MLPClassifier:
         ``tests/models/test_nn_models.py``) — so the worker-batched
         matmuls produce per-worker gradients in single batched GEMMs,
         bit-identical to ``W`` one-worker calls (pinned by
-        ``tests/utils/test_gradient_rows.py`` and the hot-path parity
+        ``tests/train/test_compute_stage.py`` and the hot-path parity
         tests).  With ``out`` — ``(W, *shape)`` destinations — those
         GEMMs write each weight gradient straight into the caller's
-        block.  The pass is recorded once per shape and replayed
+        block.  The pass is recorded once per key and replayed
         (:class:`~repro.models.autodiff.Programs`).
         """
         losses, grads, logits = self._programs.run(self._logits, params, xs, ys, out)

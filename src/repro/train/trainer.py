@@ -24,13 +24,7 @@ import numpy as np
 from repro.collectives.reduce_scatter import ring_fold
 from repro.comm.base import CommScheme
 from repro.optim.sgd import SGD
-from repro.utils.partition import (
-    FlatLayout,
-    chunk_bounds,
-    gradient_rows,
-    round_robin_shards,
-    stackable,
-)
+from repro.utils.partition import FlatLayout, chunk_bounds, round_robin_shards
 from repro.utils.seeding import RandomState, new_rng
 
 #: Size above which a 2-D parameter's per-worker gradient makes the
@@ -77,12 +71,13 @@ class TrainableModel(Protocol):
     :class:`~repro.models.autodiff.Tensor`) rather than an array; a
     gradient returned as an array is folded by the caller.
 
-    The tape models record their first call at a shape and replay it
-    (:class:`~repro.models.autodiff.Programs`): a caller that keeps its
-    parameters and destinations in the same buffers from step to step —
-    parameters updated in place, fresh views of the same gradient rows,
-    the same sinks — makes every later step a replay, and one that
-    replaces them makes a new recording.
+    The tape models record their first call and replay it while the key
+    holds (:class:`~repro.models.autodiff.Programs`, one program a
+    model): the trainer keeps its parameters and destinations in the
+    same buffers from step to step — parameters updated in place, the
+    same views of the fusion buffer or the same sinks — so every step
+    after its first is a replay, and a new trainer around the model
+    makes a new recording.
     """
 
     def init_params(self, rng: RandomState) -> dict[str, np.ndarray]:
@@ -158,43 +153,52 @@ class _FoldSink:
 
 
 class _NodeSums:
-    """The node-sum route: each node's workers' gradients are folded into
-    the scheme's ``(m, d)`` node accumulator (HiTopKComm's step 1) as they
-    are made, and no ``(W, d)`` matrix exists.
+    """The node-sum route's destinations: each node's workers' gradients
+    are folded into the scheme's ``(m, d)`` node accumulator (HiTopKComm's
+    step 1) as they are made, and no ``(W, d)`` matrix exists.
 
     Every parameter's destination is a :class:`_FoldSink`, and all of
-    them share one slab.  Only a gradient the model returns outside its
-    destination is folded after the backward (the ``fuse`` phase).
-    Every column of the accumulator is rewritten each step.
+    them share one slab.  Every column of the accumulator is rewritten
+    each step.
     """
 
     def __init__(self, scheme, layout: FlatLayout) -> None:
         self.node_acc = scheme.node_accumulator(layout.dim, layout.dtype)
         gpus = scheme.topology.gpus_per_node
-        self._dests = {
+        self.dests = {
             name: _FoldSink(self.node_acc, sl.start, shape, gpus)
             for name, sl, shape in zip(layout.names, layout.slices, layout.shapes)
         }
-        slab = np.empty(max(sink.slab_size for sink in self._dests.values()), dtype=layout.dtype)
-        for sink in self._dests.values():
+        slab = np.empty(max(sink.slab_size for sink in self.dests.values()), dtype=layout.dtype)
+        for sink in self.dests.values():
             sink.slab = slab
 
-    def gradients(self, model, params, batches, timer) -> tuple[list[float], list[dict]]:
-        """One blocked pass over the stacked ``batches``, its gradient
-        folded into :attr:`node_acc`; ``(losses, metrics)`` per worker."""
-        tick = time.perf_counter
-        t0 = tick()
-        xs = np.stack([bx for bx, _ in batches])
-        ys = np.stack([by for _, by in batches])
-        losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys, self._dests)
-        t1 = tick()
-        for name, grad in grads.items():
-            if grad is not self._dests[name]:  # computed outside its destination
-                self._dests[name].fold(grad)
-        if timer is not None:
-            timer.add("forward_backward", t1 - t0)
-            timer.add("fuse", tick() - t1)
-        return [float(loss) for loss in losses], metrics
+
+def _gradients(model, params, batches, dests, land, timer) -> tuple[list[float], list[dict]]:
+    """The trainer's compute stage, on either route: one blocked pass
+    over the stacked ``batches``, every gradient computed in its
+    destination in ``dests``; ``(losses, metrics)``, one entry per worker.
+
+    A gradient the model returns as some other array is landed there
+    after the backward, ``land(dest, grad)`` (a copy into a view of the
+    matrix, a fold into a sink), so a model that ignores its
+    destinations is merely slower.  ``timer`` (anything with
+    ``add(phase, seconds)``) gets one ``forward_backward`` and one
+    ``fuse`` record; the latter times that check and whatever it landed.
+    """
+    tick = time.perf_counter
+    t0 = tick()
+    xs = np.stack([bx for bx, _ in batches])
+    ys = np.stack([by for _, by in batches])
+    losses, grads, metrics = model.loss_and_grad_workers(params, xs, ys, dests)
+    t1 = tick()
+    for name, grad in grads.items():
+        if grad is not dests[name]:  # computed outside its destination
+            land(dests[name], grad)
+    if timer is not None:
+        timer.add("forward_backward", t1 - t0)
+        timer.add("fuse", tick() - t1)
+    return [float(loss) for loss in losses], metrics
 
 
 def _large(shape: tuple[int, ...], dtype: np.dtype) -> bool:
@@ -241,19 +245,20 @@ class DistributedTrainer:
     """Synchronous data-parallel trainer over ``P`` virtual workers.
 
     A step is: validate the batches, have every worker's gradient
-    computed, then aggregate through the scheme and apply the averaged
-    gradient.  The trainer owns the gradient's memory, and decides once,
-    at construction, where the gradient is made:
+    computed in one blocked pass over the stacked ``(W, B, ...)`` block
+    (:func:`_gradients`), then aggregate through the scheme and apply the
+    averaged gradient.  Every worker's batch has worker 0's shapes (a
+    label < 0 is padding, and padding stacks).  The trainer owns the
+    gradient's memory, and decides once, at construction, where the
+    gradient is made:
 
     - the matrix route: in the rows of one preallocated ``(W, d)``
-      fusion buffer (:func:`~repro.utils.partition.gradient_rows`, which
-      alone decides between the model's blocked all-rows pass and the
-      per-row loop), which the scheme reads in place;
+      fusion buffer, whose ``layout.views`` are the model's
+      destinations, and which the scheme reads in place;
     - the node-sum route (:class:`_NodeSums`), where the scheme offers
       node sums and a large float32 weight makes them pay: folded into
       the scheme's ``(m, d)`` node accumulator as the blocked backward
-      makes it, so no ``(W, d)`` array exists.  A step whose batches do
-      not stack takes the matrix route, allocated then.
+      makes it, so no ``(W, d)`` array exists.
 
     Either way nothing of gradient size is allocated or copied per step,
     and the two give the same bits.
@@ -272,11 +277,10 @@ class DistributedTrainer:
     timer:
         Optional sink with an ``add(phase, seconds)`` method (the
         benchmark's span recorder, or a test's accumulator).  When set,
-        each step's ``forward_backward`` / ``fuse`` (one record per model call;
-        ``fuse`` is ≈ 0 unless the model computed gradients outside its
-        destinations and they had to be copied in, or on the node-sum
-        route folded) and
-        ``aggregate`` / ``apply`` (one per step) phases are accumulated;
+        each step's ``forward_backward`` / ``fuse`` / ``aggregate`` /
+        ``apply`` phases are accumulated, one record each (``fuse`` is
+        ≈ 0 unless the model computed gradients outside its destinations
+        and they had to be copied in, or on the node-sum route folded);
         when ``None`` nothing is recorded.
     """
 
@@ -300,23 +304,24 @@ class DistributedTrainer:
         # gradients with the init-time shapes.
         self._layout = FlatLayout.of(self.params)
         self.grad_dim = self._layout.dim
-        # Where the gradient is made, decided once.  On the node-sum route
-        # it is folded into the scheme's node sums as it is computed; the
-        # (W, d) fusion buffer is allocated only for a step whose batches
-        # do not stack.  Otherwise that buffer is preallocated and reused
-        # every step: each row is where one worker's gradient is
-        # computed, and the whole matrix is what the scheme aggregates.
-        # Either takes the parameters' dtype, and so do the aggregate and
-        # the update computed from it.
-        self._node_sums = (
-            _NodeSums(scheme, self._layout)
-            if _takes_node_sums(scheme, self._layout)
-            else None
-        )
-        self._grad_matrix = self._new_matrix() if self._node_sums is None else None
-
-    def _new_matrix(self) -> np.ndarray:
-        return np.zeros((self.world_size, self.grad_dim), dtype=self._layout.dtype)
+        # Where the gradient is made, decided once: what the scheme
+        # aggregates, the model's destinations in it, how a gradient
+        # returned outside its destination lands there, and the scheme
+        # method that aggregates it (looked up each step).  On the
+        # node-sum route the gradient is folded into the scheme's node
+        # sums as it is computed.  Otherwise the (W, d) fusion buffer is
+        # preallocated and reused every step: each row is where one
+        # worker's gradient is computed, and the whole matrix is what the
+        # scheme aggregates.  Either takes the parameters' dtype, and so
+        # do the aggregate and the update computed from it.
+        if _takes_node_sums(scheme, self._layout):
+            sums = _NodeSums(scheme, self._layout)
+            self._grads, self._dests, self._land = sums.node_acc, sums.dests, _FoldSink.fold
+            self._aggregate = "aggregate_node_sums"
+        else:
+            self._grads = np.zeros((self.world_size, self.grad_dim), dtype=self._layout.dtype)
+            self._dests, self._land = self._layout.views(self._grads), np.copyto
+            self._aggregate = "aggregate"
 
     # ------------------------------------------------------------------
     def _shard_data(
@@ -332,35 +337,35 @@ class DistributedTrainer:
 
         Hot path: the model computes every worker's gradient in one
         blocked pass, folded into the scheme's node sums (node-sum route)
-        or into the rows of the ``(W, d)`` fusion buffer
-        (:func:`~repro.utils.partition.gradient_rows`), and the scheme
-        aggregates them in one call.
+        or into the rows of the ``(W, d)`` fusion buffer, and the scheme
+        aggregates them in one call.  A batch that is empty, or whose
+        shapes are not worker 0's, is a one-line ``ValueError`` before
+        the model is called.
         """
         if len(batches) != self.world_size:
             raise ValueError(
                 f"need {self.world_size} worker batches, got {len(batches)}"
             )
-        for worker, (bx, _) in enumerate(batches):
+        shapes = np.shape(batches[0][0]), np.shape(batches[0][1])
+        for worker, (bx, by) in enumerate(batches):
             if not len(bx):
                 raise ValueError(
                     f"worker {worker}'s batch is empty (x shape {np.shape(bx)})"
                 )
+            if (np.shape(bx), np.shape(by)) != shapes:
+                raise ValueError(
+                    f"worker {worker}'s batch (x shape {np.shape(bx)}, y shape "
+                    f"{np.shape(by)}) does not stack with worker 0's (x shape "
+                    f"{shapes[0]}, y shape {shapes[1]})"
+                )
         timer = self.timer
-        if self._node_sums is not None and stackable(batches):
-            losses, metrics = self._node_sums.gradients(self.model, self.params, batches, timer)
-            aggregate, grads = self.scheme.aggregate_node_sums, self._node_sums.node_acc
-        else:
-            if self._grad_matrix is None:
-                self._grad_matrix = self._new_matrix()
-            grads = self._grad_matrix
-            losses, metrics = gradient_rows(
-                self.model, self.params, batches, grads, self._layout, timer
-            )
-            aggregate = self.scheme.aggregate
+        losses, metrics = _gradients(
+            self.model, self.params, batches, self._dests, self._land, timer
+        )
         tick = time.perf_counter
         if timer is not None:
             t0 = tick()
-        result = aggregate(grads, rng=self._rng)
+        result = getattr(self.scheme, self._aggregate)(self._grads, rng=self._rng)
         if timer is not None:
             t1 = tick()
             timer.add("aggregate", t1 - t0)
@@ -393,7 +398,8 @@ class DistributedTrainer:
 
         ``evaluate(params, val_x, val_y) -> float`` supplies the
         validation metric (top-k accuracy / token accuracy); defaults to
-        the model's ``evaluate`` if present.
+        the model's ``evaluate`` if present.  A ``local_batch`` above the
+        smallest shard takes that shard's size: one step an epoch.
         """
         if epochs < 1 or local_batch < 1:
             raise ValueError("epochs and local_batch must be >= 1")
@@ -401,7 +407,9 @@ class DistributedTrainer:
             evaluate = getattr(self.model, "evaluate", None)
         report = TrainingReport(algorithm=algorithm_name or self.scheme.name)
         shards = self._shard_data(np.asarray(x), np.asarray(y))
-        steps = max(1, min(len(sx) for sx, _ in shards) // local_batch)
+        smallest = min(len(sx) for sx, _ in shards)
+        local_batch = min(local_batch, smallest)  # no batch runs past a shard: every step stacks
+        steps = smallest // local_batch
 
         for _ in range(epochs):
             # Per-epoch reshuffle inside each shard.

@@ -10,18 +10,14 @@ The convention matches NCCL's reduce-scatter: the first ``d % parts``
 shards get one extra element.
 
 Tensor fusion lives here too: :class:`FlatLayout`, where each tensor
-sits in one fused buffer, and :func:`gradient_rows`, the compute stage
-of the trainer's matrix route, which has every worker's gradient
-computed in its row of the ``(W, d)`` buffer.  (Where the scheme takes
-node sums the trainer folds them as the gradient is made, and that
-buffer is not built; see :mod:`repro.train.trainer`.)
+sits in one fused buffer (the trainer's ``(W, d)`` gradient matrix, one
+worker a row; see :mod:`repro.train.trainer`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -123,7 +119,7 @@ class FlatLayout:
     buffers through it.  A buffer is one
     ``(dim,)`` row or a ``(rows, dim)`` block of them; :meth:`views`
     hands out the tensors *in* it (what a model computes gradients
-    into), :meth:`write` copies tensors that live elsewhere.
+    into).
 
     ``dtype`` is the tensors' one dtype — the dtype every buffer laid
     out by it is allocated in, so a model's parameters fix the dtype of
@@ -169,108 +165,12 @@ class FlatLayout:
             for name, sl, shape in zip(self.names, self.slices, self.shapes)
         }
 
-    def write(self, out: np.ndarray, tensors: Mapping[str, np.ndarray]) -> None:
-        """Copy ``tensors`` (all of the layout's, or some) into their
-        places in ``out``: one ``(dim,)`` row, or a ``(rows, dim)`` block
-        of tensors that carry a leading row axis."""
-        for name, sl in zip(self.names, self.slices):
-            if name in tensors:
-                out[..., sl] = tensors[name].reshape(*out.shape[:-1], -1)
-
-
-def stackable(batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Whether the batches stack into one ``(W, B, ...)`` block for the
-    model's blocked pass (``loss_and_grad_workers``): every batch has
-    the first one's shapes.  Padded labels (``< 0``) stack too — the
-    cross-entropy counts each worker's valid labels itself."""
-    shape_x, shape_y = np.shape(batches[0][0]), np.shape(batches[0][1])
-    return all(np.shape(bx) == shape_x and np.shape(by) == shape_y for bx, by in batches[1:])
-
-
-def gradient_rows(
-    model: Any,
-    params: dict[str, np.ndarray],
-    batches: Sequence[tuple[np.ndarray, np.ndarray]],
-    out: np.ndarray,
-    layout: FlatLayout,
-    timer=None,
-) -> tuple[list[float], list[dict[str, float]]]:
-    """The trainer's compute stage: the gradient of ``batches[i]``,
-    computed in ``out[i]``, for every ``i``.
-
-    One kernel, called by the trainer's matrix route on the whole
-    ``(W, d)`` fusion buffer (``out`` is a ``(len(batches), layout.dim)``
-    row block).  The rows are grouped by batch shape (padded labels
-    stack: the cross-entropy counts each worker's valid labels itself),
-    and each group goes through one call of the model's blocked pass,
-    ``loss_and_grad_workers`` — one call when the batches stack
-    (:func:`stackable`), one per shape when they are ragged, so a ragged
-    step has one recorded program per shape
-    (:class:`~repro.models.autodiff.Programs`).  However the rows are
-    grouped the bits are the same, the sign of zero included (pinned by
-    ``tests/utils/test_gradient_rows.py`` and the hot-path parity
-    suite), so the grouping is purely one of speed, made from what the
-    kernel can observe.
-
-    The gradient exists once: the model gets ``layout.views`` of its
-    rows as gradient destinations (4th positional argument) and returns,
-    for every tensor it computed in place, the destination itself.  Only
-    a tensor returned as some other array is copied in afterwards
-    (``layout.write``), so a model that ignores its destinations still
-    fills ``out``.  A group whose rows are not one slice of ``out`` gets
-    no destinations (a view of its rows would be a copy, a new buffer
-    every step) and is copied in.
-
-    ``timer`` (anything with ``add(phase, seconds)``) gets one
-    ``forward_backward`` and one ``fuse`` record per model call; the
-    latter times that check and whatever it had to copy.
-    Returns ``(losses, metrics)``, one entry per row in row order; the
-    caller folds the metrics, so the float accumulation order does not
-    depend on how the rows were split into calls.
-    """
-    if len(out) != len(batches) or out.shape[-1] != layout.dim:
-        raise ValueError(
-            f"gradient block of shape {out.shape} cannot take "
-            f"{len(batches)} rows of {layout.dim} elements"
-        )
-    tick = time.perf_counter
-    groups: dict[tuple, list[int]] = {}
-    for row, (bx, by) in enumerate(batches):
-        groups.setdefault((np.shape(bx), np.shape(by)), []).append(row)
-    losses, metrics = [0.0] * len(batches), [{}] * len(batches)
-    for rows in groups.values():
-        t0 = tick()
-        xs = np.stack([batches[row][0] for row in rows])
-        ys = np.stack([batches[row][1] for row in rows])
-        lo, hi = rows[0], rows[-1] + 1
-        sliced = hi - lo == len(rows)
-        block = out[lo:hi] if sliced else np.empty((len(rows), layout.dim), out.dtype)
-        views = layout.views(block) if sliced else {}
-        block_losses, grads, block_metrics = model.loss_and_grad_workers(params, xs, ys, views)
-        t1 = tick()
-        if timer is not None:
-            timer.add("forward_backward", t1 - t0)
-        elsewhere = {
-            name: grads[name] for name in layout.names if grads[name] is not views.get(name)
-        }
-        if elsewhere:
-            layout.write(block, elsewhere)
-        if not sliced:
-            out[rows] = block
-        if timer is not None:
-            timer.add("fuse", tick() - t1)
-        for row, loss, row_metrics in zip(rows, block_losses, block_metrics):
-            losses[row], metrics[row] = float(loss), row_metrics
-    return losses, metrics
-
 
 __all__ = [
     "FlatLayout",
-    "gradient_rows",
     "chunk_sizes",
     "chunk_bounds",
     "partition_layers",
     "partition_layers_balanced",
     "round_robin_shards",
-    "stackable",
 ]

@@ -103,19 +103,17 @@ def peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def speedup(old, new, rounds: int = 7, reps: int = 40) -> float:
-    """min-of-``rounds`` time of ``old`` over that of ``new``, the two
-    timed alternately so a slow moment of the host hits both — the
-    speed gates' probe."""
+def speedup(old, new, rounds: int = 60) -> float:
+    """Per-call minimum time of ``old`` over that of ``new``, over
+    ``rounds`` interleaved rounds of one call each — the speed gates'
+    probe: a burst of load that lands in one call moves neither side's
+    minimum."""
     best = {old: float("inf"), new: float("inf")}
     for _ in range(rounds):
         for fn in (old, new):
-            elapsed = 0.0
-            for _ in range(reps):
-                start = time.perf_counter()
-                fn()
-                elapsed += time.perf_counter() - start
-            best[fn] = min(best[fn], elapsed)
+            start = time.perf_counter()
+            fn()
+            best[fn] = min(best[fn], time.perf_counter() - start)
     return best[old] / best[new]
 
 

@@ -6,7 +6,7 @@ before — each model's one-batch forward, its ``loss_and_grad`` body,
 the one-batch cross-entropy they called and the Transformer's one-batch
 ``embedding`` / ``layer_norm`` — are kept here verbatim (as free
 functions taking the model) as an independent tape for the parity tests
-to hold the blocked pass to: ``tests/utils/test_gradient_rows.py``,
+to hold the blocked pass to: ``tests/train/test_compute_stage.py``,
 ``tests/property/test_blocked_cnn.py``,
 ``tests/property/test_blocked_transformer.py`` and
 ``tests/perf/test_vectorized_parity.py``'s ``ReferenceTrainer``.

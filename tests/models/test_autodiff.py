@@ -808,7 +808,7 @@ class TestGradientDestinations:
         elif stride0 == "rhs":
             y = np.broadcast_to(y[0], y.shape)
         want = np.matmul(x, y)
-        # A row-strided view of a (W, d) block, like a gradient_rows leaf's.
+        # A row-strided view of a (W, d) block, like a matrix-route leaf's.
         block = np.full((workers, rows * cols + 5), np.nan, dtype=dtype)
         dest = block[:, 3 : 3 + rows * cols].reshape(workers, rows, cols)
         leaf = Tensor(np.zeros_like(dest), requires_grad=True, grad_out=dest)

@@ -2,15 +2,17 @@
 
 A model records its first call at a key and replays later calls at that
 key.  Everything a kernel's shape, operands or branch depends on is in
-the key, so each of these records anew: a new batch shape, a step with a
-padded label where there was none, a parameter array replaced (not
-updated in place), another destination buffer, another model instance.
+the key, so each of these records anew: a new batch shape, another
+input or label dtype, a step with a padded label where there was none,
+a parameter array replaced (not updated in place), another destination
+buffer, another model instance.
 A parameter updated in place, fresh views of the same destination rows
-and a new batch of the same shape replay.  At most ``_KEPT`` programs
-are kept per model, over a whole Fig. 10 / Table 2 run too, and all of
-them read one set of parameter buffers, so a retired trainer's buffers
-die with it; a ragged step records one program per batch shape; and a
-replay still runs the cross-entropy's label check.
+and a new batch of the same shape replay.  A model keeps one program: a
+call at another key drops it, and the buffers it was recorded against,
+before recording, so a retired trainer's buffers die with it; every
+model of a whole Fig. 10 / Table 2 / elastic-churn run records once per
+trainer built around it and holds one program; and a replay still runs
+the cross-entropy's label check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.models import autodiff
 from repro.models.nn.convnet import SmallConvNet
 from repro.models.nn.mlp import MLPClassifier
 from repro.models.nn.transformer import TinyTransformer
-from repro.utils.partition import FlatLayout, gradient_rows
+from repro.utils.partition import FlatLayout
 from repro.utils.seeding import new_rng
 
 
@@ -68,25 +70,28 @@ def test_a_new_batch_of_the_same_shape_replays(mlp, monkeypatch):
     counted = _Counted(monkeypatch)
     assert counted.recorded(lambda: model.loss_and_grad_workers(params, *batch()))
     assert not counted.recorded(lambda: model.loss_and_grad_workers(params, *batch()))
-    assert len(model._programs) == 1
 
 
 @pytest.mark.parametrize(
     "change",
-    ["shape", "workers", "padded", "dtype"],
+    ["shape", "workers", "padded", "dtype", "label-dtype"],
 )
 def test_what_a_kernel_depends_on_records_anew(mlp, monkeypatch, change):
+    """Each change records anew, and the model keeps only the new
+    program: the first key records again."""
     model, params, batch = mlp
     counted = _Counted(monkeypatch)
-    model.loss_and_grad_workers(params, *batch())
+    first = batch()
+    model.loss_and_grad_workers(params, *first)
     xs, ys = {
         "shape": lambda: batch(local=3),
         "workers": lambda: batch(workers=3),
         "padded": lambda: batch(padded=True),
         "dtype": lambda: (batch()[0].astype(np.float32), batch()[1]),
+        "label-dtype": lambda: (batch()[0], batch()[1].astype(np.int32)),
     }[change]()
     assert counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys))
-    assert len(model._programs) == 2
+    assert counted.recorded(lambda: model.loss_and_grad_workers(params, *first))
 
 
 def test_a_replaced_parameter_records_anew_and_an_updated_one_replays(mlp, monkeypatch):
@@ -106,8 +111,8 @@ def test_a_replaced_parameter_records_anew_and_an_updated_one_replays(mlp, monke
 
 
 def test_destinations_are_bound_by_buffer_not_by_view(mlp, monkeypatch):
-    """Fresh views of the same rows each call replay (``gradient_rows``
-    builds them every step); another buffer records anew."""
+    """Fresh views of the same rows replay; another buffer records
+    anew."""
     model, params, batch = mlp
     layout = FlatLayout.of(params)
     counted = _Counted(monkeypatch)
@@ -130,7 +135,7 @@ def test_another_model_instance_records_anew(mlp, monkeypatch):
     model.loss_and_grad_workers(params, xs, ys)
     twin = MLPClassifier(input_dim=5, hidden=(7,), num_classes=3)
     assert counted.recorded(lambda: twin.loss_and_grad_workers(params, xs, ys))
-    assert len(model._programs) == len(twin._programs) == 1
+    assert not counted.recorded(lambda: model.loss_and_grad_workers(params, xs, ys))
 
 
 def test_gradients_without_a_destination_are_fresh_copies(mlp):
@@ -144,13 +149,6 @@ def test_gradients_without_a_destination_are_fresh_copies(mlp):
     model.loss_and_grad_workers(params, *batch())
     assert first[0].tobytes() == losses.tobytes()
     assert all(first[1][name].tobytes() == kept[name].tobytes() for name in params)
-
-
-def test_at_most_capacity_programs_are_kept(mlp):
-    model, params, batch = mlp
-    for local in range(1, 8):
-        model.loss_and_grad_workers(params, *batch(local=local))
-    assert len(model._programs) == autodiff._KEPT == 4
 
 
 @pytest.mark.parametrize("build", [
@@ -178,79 +176,56 @@ def test_a_replay_still_rejects_a_label_out_of_range(build, monkeypatch):
     assert model.loss_and_grad_workers(params, xs, ys)[0].tobytes() == want.tobytes()
 
 
-def test_programs_stay_bounded_over_a_fig10_and_table2_run(monkeypatch, capsys):
-    """Every model of the fast Fig. 10 and Table 2 runs keeps at most
-    ``_KEPT`` programs, and records only a few times: the rest of its
-    calls replay."""
-    from repro.experiments import fig10_convergence, table2_validation
+def test_every_trainer_of_a_fig10_table2_and_elastic_churn_run_records_once(monkeypatch, capsys):
+    """Every model of the fast Fig. 10, Table 2 and elastic-churn runs
+    records exactly once per trainer built around it (one in Fig. 10 and
+    Table 2; one per membership epoch under churn) and never holds more
+    than one program: the rest of its calls replay, and no program it
+    dropped is still alive."""
+    from repro.experiments import elastic_churn, fig10_convergence, table2_validation
+    from repro.train import trainer as trainer_module
 
-    caches, init = [], autodiff.Programs.__init__
+    trainers, calls, programs = {}, {}, {}
+    init, run = trainer_module.DistributedTrainer.__init__, autodiff.Programs.run
 
-    def kept(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        caches.append(self)
-
-    calls, records, run = {}, {}, autodiff.Programs.run
+    def built(self, model, *args, **kwargs):
+        init(self, model, *args, **kwargs)
+        trainers[model._programs] = trainers.get(model._programs, 0) + 1  # kept alive: no id is reused
 
     def counted(self, *args, **kwargs):
-        before = len(recorded.call_args_list)
         result = run(self, *args, **kwargs)
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        records[id(self)] = records.get(id(self), 0) + len(recorded.call_args_list) - before
+        calls[self] = calls.get(self, 0) + 1
+        held = programs.setdefault(self, [])
+        if not held or held[-1]() is not self._program:
+            held.append(weakref.ref(self._program))
+        assert sum(program() is not None for program in held) == 1
         return result
 
-    monkeypatch.setattr(autodiff.Programs, "__init__", kept)
+    monkeypatch.setattr(trainer_module.DistributedTrainer, "__init__", built)
     monkeypatch.setattr(autodiff.Programs, "run", counted)
-    with mock.patch.object(autodiff, "_record", wraps=autodiff._record) as recorded:
-        fig10_convergence.main(fast=True)
-        table2_validation.main(fast=True)
+    fig10_convergence.main(fast=True)
+    table2_validation.main(fast=True)
+    elastic_churn.main(fast=True)
     capsys.readouterr()
-    assert len(caches) >= 6 and max(len(cache) for cache in caches) <= 4
-    # Measured: one record per model, then 11 replays each.
-    assert max(records.values()) <= 2 and sum(calls.values()) >= 8 * sum(records.values())
+    assert len(programs) >= 18 and max(trainers.values()) > 1
+    assert {cache: len(held) for cache, held in programs.items()} == trainers
+    assert sum(calls.values()) >= 8 * sum(trainers.values())
 
 
-@pytest.mark.parametrize(
-    "sizes",
-    [[5, 5, 5, 5, 5, 5, 5, 3], [5, 5, 5, 3, 5, 5, 5, 5]],
-    ids=["short-last", "scattered"],
-)
-def test_ragged_steps_between_stacked_steps_record_once(sizes):
-    """``gradient_rows`` runs a ragged step as one blocked call per batch
-    shape, so a run that alternates stacked and ragged steps has three
-    keys, each recorded in the first pair of steps and replayed in every
-    later one, at the tape's bits."""
-    model = SmallConvNet(3, (4, 6), 4, 8)
-    params = model.init_params(new_rng(2))
-    layout = FlatLayout.of(params)
-    rng = np.random.default_rng(2)
-    out, want = np.zeros((8, layout.dim)), np.zeros((8, layout.dim))
-    for step in range(3):
-        for step_sizes in ([5] * 8, sizes):
-            batches = [
-                (rng.normal(size=(size, 3, 8, 8)), rng.integers(0, 4, size=size))
-                for size in step_sizes
-            ]
-            with mock.patch.object(autodiff, "_record", wraps=autodiff._record) as recorded:
-                losses, _ = gradient_rows(model, params, batches, out, layout)
-            assert recorded.call_count == (len(set(step_sizes)) if step == 0 else 0)
-            fresh = SmallConvNet(3, (4, 6), 4, 8)
-            assert losses == gradient_rows(fresh, params, batches, want, layout)[0]
-            assert out.tobytes() == want.tobytes()
-    assert len(model._programs) == 3
-
-
-def test_parameters_in_new_buffers_drop_the_kept_programs(mlp):
-    """The kept programs hold the parameters and destinations they were
+def test_a_call_at_another_key_drops_the_kept_program_and_its_buffers(mlp):
+    """The kept program holds the parameters and destinations it was
     recorded against; a call on parameters in other buffers (a new
-    trainer around the model, a restored checkpoint) drops them."""
+    trainer around the model, a restored checkpoint) drops it first."""
     model, params, batch = mlp
-    for local in (2, 3):
-        model.loss_and_grad_workers(params, *batch(local=local))
-    assert len(model._programs) == 2
     copies = {name: value.copy() for name, value in params.items()}
     model.loss_and_grad_workers(copies, *batch())
-    assert len(model._programs) == 1
+    retired = weakref.ref(copies["fc0.weight"]), weakref.ref(model._programs._program)
+    del copies
+    gc.collect()
+    assert all(ref() is not None for ref in retired)
+    model.loss_and_grad_workers(params, *batch())
+    gc.collect()
+    assert all(ref() is None for ref in retired)
 
 
 def test_an_elastic_rebuild_frees_the_retired_trainers(tmp_path):

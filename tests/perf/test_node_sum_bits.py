@@ -66,8 +66,7 @@ def _pair(monkeypatch, model, nodes, gpus, slab_bytes=None, seed=0):
     route = make()
     monkeypatch.setattr(trainer_module, "_SINK_BYTES", sys.maxsize)
     matrix = make()
-    assert route._node_sums is not None and route._grad_matrix is None
-    assert matrix._node_sums is None and matrix._grad_matrix is not None
+    assert route._aggregate == "aggregate_node_sums" and matrix._aggregate == "aggregate"
     return route, matrix
 
 
@@ -133,7 +132,7 @@ def test_a_one_column_weight_is_one_slab_whatever_its_size(monkeypatch, slab_byt
     """A ``(65 537, 1)`` product is a GEMV: split into row slabs its bits
     would differ, so it is computed whole at any slab bound."""
     route, matrix = _pair(monkeypatch, MLPClassifier(16, (65537, 1), 3), 2, 2, slab_bytes)
-    sink = route._node_sums._dests["fc1.weight"]
+    sink = route._dests["fc1.weight"]
     assert sink._slabs == [(0, 65537)]
     assert_same_run(route, matrix, _steps(np.random.default_rng(3), 4, 3, 16, 3))
 
@@ -144,7 +143,7 @@ def test_a_product_exactly_one_slab_in_size_is_one_gemm(monkeypatch):
     rows, cols, gpus = 300, 260, 3
     slab_bytes = gpus * rows * cols * np.dtype(np.float32).itemsize
     route, matrix = _pair(monkeypatch, MLPClassifier(rows, (cols, 9), 4), 2, gpus, slab_bytes)
-    sink = route._node_sums._dests["fc0.weight"]
+    sink = route._dests["fc0.weight"]
     assert sink._slabs == [(0, rows)] and sink.slab.size == gpus * rows * cols
     assert_same_run(route, matrix, _steps(np.random.default_rng(4), 6, 2, rows, 4))
 

@@ -8,12 +8,10 @@ of the small parameters, and the dense aggregate is freed before the
 update: building it and taking one step must peak below 11 MiB (the
 route at ≈ 10.1 MiB; ≈ 13.9 MiB with a ``(W, d_small)`` buffer and the
 aggregate alive through the update; the matrix route ≈ 28.9 MiB, its
-``(W, d)`` matrix alone 18.56 MiB).  The edges: a step whose
-batches do not stack falls back to a matrix allocated then, in the same
-bits, while a padded step stays on the route; a model that returns its
-gradients elsewhere still lands them; the route is taken only where the
-trainer decides it pays, and the timer still sees each phase once a
-step.
+``(W, d)`` matrix alone 18.56 MiB).  The edges: a padded step stays on
+the route; a model that returns its gradients elsewhere still lands
+them; the route is taken only where the trainer decides it pays, and
+the timer still sees each phase once a step.
 """
 
 from __future__ import annotations
@@ -58,34 +56,20 @@ def test_the_route_never_holds_a_worker_by_gradient_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trainer._node_sums is not None and trainer._grad_matrix is None
+    assert trainer._aggregate == "aggregate_node_sums"
     assert peak < 11 * 2**20, peak / 2**20
-
-
-def test_a_step_whose_batches_do_not_stack_falls_back_to_a_matrix(monkeypatch):
-    """The matrix is allocated by the first such step only; the steps
-    around it stay on the route, and all of them match the matrix route."""
-    route, matrix = _pair(monkeypatch, MLPClassifier(16, (300, 260), 10), 2, 3)
-    steps = _steps(np.random.default_rng(1), 6, 3, 16, 10)
-    steps[1][4] = (steps[1][4][0][:2], steps[1][4][1][:2])
-    assert_same_run(route, matrix, steps[:1])
-    assert route._grad_matrix is None
-    assert_same_run(route, matrix, steps[1:])
-    assert route._grad_matrix is not None and route._node_sums is not None
 
 
 @pytest.mark.parametrize("pad", ["one-label", "a-whole-worker"])
 def test_a_padded_step_stays_on_the_route(monkeypatch, pad):
     """Padded labels stack: the step is one blocked pass folded into the
-    node sums, no matrix is allocated, and the bits are the matrix
-    route's."""
+    node sums, and the bits are the matrix route's."""
     route, matrix = _pair(monkeypatch, MLPClassifier(16, (300, 260), 10), 2, 3)
     steps = _steps(np.random.default_rng(1), 6, 3, 16, 10)
     steps[1][0][1][0] = -1
     if pad == "a-whole-worker":
         steps[1][4][1][:] = -1
     assert_same_run(route, matrix, steps)
-    assert route._grad_matrix is None
 
 
 class _IgnoresDestinations:
@@ -139,5 +123,5 @@ def test_the_route_is_taken_only_where_it_pays(monkeypatch, change):
         trainer = _comm_trainer(MLPClassifier(64, (64, 64), 16))
     else:  # a (65 537, 1) weight's product is a GEMV: no sink
         trainer = _comm_trainer(MLPClassifier(65537, (1,), 2))
-    assert trainer._node_sums is None
-    assert trainer._grad_matrix.shape == (trainer.world_size, trainer.grad_dim)
+    assert trainer._aggregate == "aggregate"
+    assert trainer._grads.shape == (trainer.world_size, trainer.grad_dim)

@@ -1,4 +1,5 @@
-"""Allocation gates for recorded passes (``models/autodiff.py``, ``Programs``).
+"""Allocation and call-count gates for recorded passes (``models/autodiff.py``,
+``Programs``).
 
 A model's first call at a shape runs the tape and records it; every
 later call copies its batch into the program's buffers and replays the
@@ -7,10 +8,16 @@ size — what ``tracemalloc`` sees is numpy's own iteration buffers and
 the returned losses — and the first call costs the tape's peak plus the
 log of kernels (its Python objects).  Shapes: the ``train-compute`` step (8 workers x 16
 CNN samples), a Fig. 10 Transformer step (8 x 16 sequences of 10
-tokens) and a small MLP step.
+tokens) and a small MLP step.  A replay also runs less Python than the
+per-row tape the models used to ship, even on a one-worker block, where
+the tape's bookkeeping once made a blocked call dearer than the per-row
+body (counted with ``cProfile``, which no host load moves).
 """
 
 from __future__ import annotations
+
+import cProfile
+import pstats
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from repro.models.nn.convnet import SmallConvNet
 from repro.models.nn.mlp import MLPClassifier
 from repro.utils.seeding import new_rng
 from tests.conftest import peak_bytes
+from tests.models import row_oracles
 
 
 def _cnn(rng):
@@ -68,3 +76,27 @@ def test_the_first_call_costs_the_tape_and_its_log(rng):
     tape = peak_bytes(lambda: autodiff._tape_call(model._logits, params, xs, ys, {}, model._per_pass(xs)))
     first = peak_bytes(lambda: SmallConvNet(3, (6, 12), 4, 12).loss_and_grad_workers(params, xs, ys))
     assert first <= 1.15 * tape, (first, tape)
+
+
+def _python_calls(call) -> int:
+    """Function calls, Python and builtin, that one ``call()`` makes."""
+    profile = cProfile.Profile()
+    profile.runcall(call)
+    return pstats.Stats(profile).total_calls
+
+
+def test_a_warmed_one_worker_call_makes_fewer_python_calls_than_the_per_row_body(rng):
+    """One CNN batch of Fig. 10's shape as a one-worker block: a warmed
+    call replays (measured 171 calls) where the per-row body builds its
+    tape (739)."""
+    model, xs, ys, _ = _cnn(rng)
+    x, y = xs[0], ys[0]
+    params = model.init_params(new_rng(0))
+    out = {name: np.zeros((1, *value.shape)) for name, value in params.items()}
+    rows = {name: dest[0] for name, dest in out.items()}
+    blocked = lambda: model.loss_and_grad_workers(params, x[None], y[None], out)  # noqa: E731
+    per_row = lambda: row_oracles.cnn_loss_and_grad(model, params, x, y, rows)  # noqa: E731
+    blocked()  # the first call records
+    per_row()
+    replayed, taped = _python_calls(blocked), _python_calls(per_row)
+    assert replayed < taped, (replayed, taped)

@@ -200,8 +200,8 @@ class TestTrainerParity:
             cls(workload.model, build_scheme("mstopk", network, density=0.05), seed=7)
             for cls in (DistributedTrainer, ReferenceTrainer)
         )
-        assert vec._grad_matrix.dtype == mlp_dtype
-        assert vec._grad_matrix.shape == (gpus_per_node, vec.grad_dim)
+        assert vec._grads.dtype == mlp_dtype
+        assert vec._grads.shape == (gpus_per_node, vec.grad_dim)
         report_vec = vec.train(workload.x, workload.y, epochs=1, local_batch=8)
         report_ref = ref.train(workload.x, workload.y, epochs=1, local_batch=8)
         assert report_vec.epoch_losses == report_ref.epoch_losses
@@ -228,7 +228,7 @@ class TestTrainerParity:
         trainer.train_step(batches)
         trainer.train_step(batches)
         assert len(seen) == 2
-        assert all(grads is trainer._grad_matrix for grads in seen)
+        assert all(grads is trainer._grads for grads in seen)
 
     def test_layout_computed_once_and_reused(self, network):
         workload = build_workload("mlp-tiny", num_samples=64, rng=new_rng(3))
@@ -236,13 +236,13 @@ class TestTrainerParity:
             workload.model, build_scheme("dense", network), seed=1
         )
         assert trainer.grad_dim == sum(p.size for p in trainer.params.values())
-        assert trainer._grad_matrix.shape == (8, trainer.grad_dim)
-        buffer_before = trainer._grad_matrix
+        assert trainer._grads.shape == (8, trainer.grad_dim)
+        buffer_before = trainer._grads
         batches = [(workload.x[:4], workload.y[:4])] * 8
         trainer.train_step(batches)
         trainer.train_step(batches)
         # The fusion buffer is preallocated once and reused every step.
-        assert trainer._grad_matrix is buffer_before
+        assert trainer._grads is buffer_before
 
 
 class TestElasticParity:

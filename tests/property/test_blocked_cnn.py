@@ -7,7 +7,7 @@ is ``W`` calls of the per-row body the model used to ship (kept as
 ``tests/models/row_oracles.py``), bit for bit: gradients
 ``array_equal`` *and* equal ``signbit``, losses and metrics ``==`` — into
 NaN-prefilled destinations, with none, and with some withheld (the
-``_Elsewhere`` shape of ``tests/utils/test_gradient_rows.py``), at every
+``_Elsewhere`` shape of ``tests/train/test_compute_stage.py``), at every
 sub-block split (the per-pass count is driven through the constant:
 one worker per pass, a count that does not divide ``W``, all of them) and
 for one-sample batches, which the method runs one worker per pass.  Two

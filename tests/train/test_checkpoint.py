@@ -152,7 +152,7 @@ class TestRoundTrip:
                 assert got[key].dtype == want[key].dtype == np.float32, key
                 np.testing.assert_array_equal(got[key], want[key])
         assert fresh.train_step(batches_for(x, y, 2)) == trainer.train_step(batches_for(x, y, 2))
-        assert fresh._grad_matrix.dtype == np.float32
+        assert fresh._grads.dtype == np.float32
 
     def test_momentum_restored(self, tmp_path, rng):
         x, y = make_spiral_classification(512, num_classes=4, rng=rng)

@@ -1,11 +1,13 @@
-"""The compute-stage kernel: one gradient per row, in blocked calls.
+"""The trainer's compute stage: one gradient per worker, in one blocked call.
 
-:func:`repro.utils.partition.gradient_rows` is the trainer's compute
-stage.  Whether it makes one blocked call or one call per batch shape, it must
-agree with the per-row tape the models used to ship
-(``tests/models/row_oracles.py``), give the same bytes however the rows
-are grouped into calls, and choose between the two from only what the
-kernel can observe (the batches' shapes).
+:func:`repro.train.trainer._gradients` is the compute stage of both
+routes: it stacks the workers' batches, makes one call of the model's
+blocked pass with the route's destinations, and lands any gradient the
+model returned elsewhere.  Here it runs on the matrix route's
+destinations, ``layout.views`` of a ``(W, d)`` block, and must agree
+with the per-row tape the models used to ship
+(``tests/models/row_oracles.py``) and give the same bytes however many
+rows share the call.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 
 from repro.api.registry import build_workload
 from repro.models.nn.mlp import MLPClassifier
-from repro.utils.partition import FlatLayout, gradient_rows
+from repro.train.trainer import _gradients
+from repro.utils.partition import FlatLayout
 from repro.utils.seeding import new_rng
 from tests.conftest import PhaseTimer, peak_bytes
 from tests.models import row_oracles
@@ -50,18 +53,26 @@ class _Elsewhere:
         return self._target.loss_and_grad_workers(params, xs, ys, kept)
 
 
-@pytest.fixture
-def writes(monkeypatch):
-    """Names copied by ``FlatLayout.write`` while the test runs, per call."""
-    copied = []
-    write = FlatLayout.write
+class _Landed:
+    """The matrix route's ``land`` (``np.copyto``), noting the name of
+    every gradient it copies in."""
 
-    def counted(self, out, tensors):
-        copied.append(sorted(tensors))
-        write(self, out, tensors)
+    def __init__(self, dests):
+        self.names = {id(dest): name for name, dest in dests.items()}
+        self.copied = []
 
-    monkeypatch.setattr(FlatLayout, "write", counted)
-    return copied
+    def __call__(self, dest, grad):
+        self.copied.append(self.names[id(dest)])
+        np.copyto(dest, grad)
+
+
+def _compute(model, params, batches, out, layout, timer=None):
+    """The compute stage over ``out``'s rows, as the matrix route runs it;
+    ``(losses, metrics, names copied in)``."""
+    dests = layout.views(out)
+    land = _Landed(dests)
+    losses, metrics = _gradients(model, params, batches, dests, land, timer)
+    return losses, metrics, sorted(land.copied)
 
 
 def _batches(name, sizes, pad=False):
@@ -88,36 +99,27 @@ def _reference(model, params, batches):
     return np.stack(rows), losses, metrics
 
 
-BLOCKED = {"loss_and_grad_workers": 1}
-RAGGED = {"loss_and_grad_workers": 2}  # one blocked call per batch shape
-
-
 @pytest.mark.parametrize(
-    "name, sizes, pad, calls",
+    "name, sizes, pad",
     [
-        ("mlp", [8] * 4, False, BLOCKED),
-        ("mlp", [2] * 16, False, BLOCKED),
-        ("mlp-tiny", [1] * 3, False, BLOCKED),
-        ("mlp-tiny", [5] * 2, False, BLOCKED),
-        ("mlp", [8, 8, 6, 8], False, RAGGED),  # rows 0, 1, 3 are not one slice
-        ("mlp", [8, 8, 8, 6], False, RAGGED),
-        ("mlp", [8] * 4, True, BLOCKED),  # padded label
-        ("mlp", [8], False, BLOCKED),  # a one-row chunk
-        ("cnn", [4] * 3, False, BLOCKED),
-        ("cnn", [16] * 8, False, BLOCKED),  # the benchmark's step: four passes of 2 workers
-        ("cnn", [4] * 5, False, BLOCKED),
-        ("cnn", [1] * 3, False, BLOCKED),  # one-sample batches: one worker per pass, inside
-        ("cnn", [4, 4, 3, 4], False, RAGGED),
-        ("cnn", [4, 4, 4, 3], False, RAGGED),
-        ("cnn", [4] * 3, True, BLOCKED),  # padded label
-        ("transformer", [4] * 3, False, BLOCKED),
-        ("transformer", [16] * 8, False, BLOCKED),  # Fig. 10's step
-        ("transformer", [1] * 3, False, BLOCKED),
-        ("transformer", [4, 4, 3, 4], False, RAGGED),
-        ("transformer", [4] * 3, True, BLOCKED),  # a padded sequence
+        ("mlp", [8] * 4, False),
+        ("mlp", [2] * 16, False),
+        ("mlp-tiny", [1] * 3, False),
+        ("mlp-tiny", [5] * 2, False),
+        ("mlp", [8] * 4, True),  # padded label
+        ("mlp", [8], False),  # a one-row chunk
+        ("cnn", [4] * 3, False),
+        ("cnn", [16] * 8, False),  # the benchmark's step: four passes of 2 workers
+        ("cnn", [4] * 5, False),
+        ("cnn", [1] * 3, False),  # one-sample batches: one worker per pass, inside
+        ("cnn", [4] * 3, True),  # padded label
+        ("transformer", [4] * 3, False),
+        ("transformer", [16] * 8, False),  # Fig. 10's step
+        ("transformer", [1] * 3, False),
+        ("transformer", [4] * 3, True),  # a padded sequence
     ],
 )
-def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, calls, writes):
+def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad):
     model, batches = _batches(name, sizes, pad)
     params = model.init_params(new_rng(4))
     layout = FlatLayout.of(params)
@@ -126,19 +128,14 @@ def test_rows_losses_and_metrics_equal_the_per_row_reference(name, sizes, pad, c
     proxy = _Proxy(model)
     timer = PhaseTimer()
     out = np.full((len(batches), layout.dim), np.nan, dtype=layout.dtype)
-    losses, metrics = gradient_rows(proxy, params, batches, out, layout, timer)
+    losses, metrics, copied = _compute(proxy, params, batches, out, layout, timer)
 
-    assert proxy.calls == calls
-    # Computed in place: only rows of one shape that are not one slice of
-    # ``out`` (rows 0, 1 and 3 of 8, 8, 6, 8) get no destinations and are copied.
-    runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
-    assert writes == [sorted(layout.names)] * (runs - len(set(sizes)))
+    assert proxy.calls == {"loss_and_grad_workers": 1}
+    assert copied == []  # every gradient computed in place
     np.testing.assert_array_equal(out, want_rows)
     assert losses == want_losses
     assert metrics == want_metrics  # per row, so any fold of them agrees
-    # One forward_backward and one fuse record per model call.
-    n_calls = sum(calls.values())
-    assert timer.calls == {"forward_backward": n_calls, "fuse": n_calls}
+    assert timer.calls == {"forward_backward": 1, "fuse": 1}
 
 
 @pytest.mark.parametrize("pad", ["none", "one-label", "a-whole-worker"])
@@ -170,11 +167,11 @@ def test_one_call_over_w_rows_equals_w_one_row_calls_byte_for_byte(
     layout = FlatLayout.of(params)
     assert layout.dtype == dtype
     whole = np.full((len(batches), layout.dim), np.nan, dtype=layout.dtype)
-    whole_losses, whole_metrics = gradient_rows(model, params, batches, whole, layout)
+    whole_losses, whole_metrics, _ = _compute(model, params, batches, whole, layout)
     rows = np.full_like(whole, np.nan)
     row_losses, row_metrics = [], []
     for i, batch in enumerate(batches):
-        (loss,), (metrics,) = gradient_rows(model, params, [batch], rows[i : i + 1], layout)
+        (loss,), (metrics,), _ = _compute(model, params, [batch], rows[i : i + 1], layout)
         row_losses.append(loss)
         row_metrics.append(metrics)
     assert whole.tobytes() == rows.tobytes()
@@ -182,43 +179,28 @@ def test_one_call_over_w_rows_equals_w_one_row_calls_byte_for_byte(
     assert whole_metrics == row_metrics
 
 
-@pytest.mark.parametrize(
-    "sizes, scattered",
-    [([8] * 4, False), ([8, 8, 8, 6], False), ([8, 8, 6, 8], True)],
-    ids=["blocked", "ragged", "scattered"],
-)
 @pytest.mark.parametrize("some", [False, True], ids=["all", "some"])
-def test_gradients_a_model_computes_elsewhere_are_copied_in(sizes, scattered, some, writes):
-    """A model that ignores its destinations still fills the rows, and
-    only the tensors it did not compute in place are copied: all of them
-    for rows of one shape that are not one slice of ``out``."""
-    model, batches = _batches("mlp", sizes)
-    params = model.init_params(new_rng(4))
-    layout = FlatLayout.of(params)
-    ignored = ["fc1.weight", "fc2.bias"] if some else sorted(layout.names)
-    out = np.full((len(batches), layout.dim), np.nan)
-    gradient_rows(_Elsewhere(model, ignored), params, batches, out, layout)
-    np.testing.assert_array_equal(out, _reference(model, params, batches)[0])
-    want = [ignored] * len(set(sizes))  # one call per batch shape
-    if scattered:
-        want[0] = sorted(layout.names)
-    assert writes == want
-
-
 @pytest.mark.parametrize(
-    "shape", [(3, None), (5, None), (4, -1)], ids=["rows-short", "rows-over", "dim-off"]
+    "name, some_names",
+    [
+        ("mlp", ["fc1.weight", "fc2.bias"]),
+        ("cnn", ["conv2.weight", "fc.bias"]),
+        ("transformer", ["attn.wk", "ln2.beta"]),
+    ],
+    ids=["mlp", "cnn", "transformer"],
 )
-def test_a_block_that_does_not_match_is_rejected_before_any_model_call(shape):
-    model, batches = _batches("mlp", [8, 8, 6, 8])
+def test_gradients_a_model_computes_elsewhere_are_copied_in(name, some_names, some):
+    """A model that ignores its destinations still fills the rows, and
+    only the tensors it did not compute in place are copied."""
+    model, batches = _batches(name, [8] * 4)
     params = model.init_params(new_rng(4))
     layout = FlatLayout.of(params)
-    rows, dim = shape[0], layout.dim + (shape[1] or 0)
-    proxy = _Proxy(model)
-    with pytest.raises(ValueError) as err:
-        gradient_rows(proxy, params, batches, np.zeros((rows, dim)), layout)
-    message = str(err.value)
-    assert f"({rows}, {dim})" in message and f"4 rows of {layout.dim}" in message
-    assert "\n" not in message and proxy.calls == {}
+    assert set(some_names) <= set(layout.names)
+    ignored = sorted(some_names) if some else sorted(layout.names)
+    out = np.full((len(batches), layout.dim), np.nan)
+    _, _, copied = _compute(_Elsewhere(model, ignored), params, batches, out, layout)
+    np.testing.assert_array_equal(out, _reference(model, params, batches)[0])
+    assert copied == ignored
 
 
 def test_row_block_destination_leaves_other_rows_untouched():
@@ -226,7 +208,7 @@ def test_row_block_destination_leaves_other_rows_untouched():
     params = model.init_params(new_rng(4))
     layout = FlatLayout.of(params)
     mat = np.full((8, layout.dim), 7.0)
-    gradient_rows(model, params, batches, mat[2:6], layout)
+    _compute(model, params, batches, mat[2:6], layout)
     np.testing.assert_array_equal(mat[2:6], _reference(model, params, batches)[0])
     assert (mat[:2] == 7.0).all() and (mat[6:] == 7.0).all()
 
@@ -259,7 +241,7 @@ def test_a_warmed_call_allocates_no_gradient_sized_array():
     model, params, xs, ys = _wide_mlp_rows()
     layout = FlatLayout.of(params)
     out = np.zeros((len(xs), layout.dim), dtype=layout.dtype)
-    peak = peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
+    peak = peak_bytes(lambda: _compute(model, params, list(zip(xs, ys)), out, layout))
     assert peak < 0.25 * out.nbytes, peak / out.nbytes
 
 
@@ -270,49 +252,5 @@ def test_a_warmed_call_at_the_train_comm_shape_allocates_no_gradient_sized_array
     model, params, xs, ys = _wide_mlp_rows(hidden=(512, 512))
     layout = FlatLayout.of(params)
     out = np.zeros((len(xs), layout.dim), dtype=layout.dtype)
-    peak = peak_bytes(lambda: gradient_rows(model, params, list(zip(xs, ys)), out, layout))
+    peak = peak_bytes(lambda: _compute(model, params, list(zip(xs, ys)), out, layout))
     assert peak < 0.25 * out.nbytes, peak / out.nbytes
-
-
-def test_layout_round_trips_through_a_flat_buffer():
-    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
-    layout = FlatLayout.of(params)
-    assert layout.names == tuple(params)
-    assert layout.dim == sum(p.size for p in params.values())
-    flat = np.empty(layout.dim)
-    layout.write(flat, params)
-    np.testing.assert_array_equal(flat, flatten_tensors(list(params.values()))[0])
-    views = layout.views(flat)
-    for name, value in params.items():
-        np.testing.assert_array_equal(views[name], value)
-        assert np.shares_memory(views[name], flat)
-
-
-def test_layout_takes_the_tensors_one_dtype_and_rejects_a_mix_in_one_line():
-    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
-    assert FlatLayout.of(params).dtype == np.float32
-    as64 = {name: value.astype(np.float64) for name, value in params.items()}
-    assert FlatLayout.of(as64).dtype == np.float64
-    mixed = params | {"fc1.weight": as64["fc1.weight"]}
-    with pytest.raises(ValueError, match="mixed dtypes") as err:
-        FlatLayout.of(mixed)
-    message = str(err.value)
-    assert "\n" not in message
-    assert "fc0.weight is float32" in message and "fc1.weight is float64" in message
-
-
-def test_layout_views_of_a_row_block_are_views_with_contiguous_tensors():
-    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
-    layout = FlatLayout.of(params)
-    mat = np.zeros((5, layout.dim + 3))
-    block = mat[1:4, : layout.dim]  # rows strided wider than dim
-    views = layout.views(block)
-    for index, (name, value) in enumerate(params.items()):
-        assert views[name].shape == (3, *value.shape)
-        assert views[name][0].flags.c_contiguous
-        views[name][...] = index + 1.0
-    want = np.concatenate([np.full(v.size, i + 1.0) for i, v in enumerate(params.values())])
-    np.testing.assert_array_equal(block, np.tile(want, (3, 1)))
-    assert (mat[0] == 0).all() and (mat[4] == 0).all() and (mat[:, layout.dim :] == 0).all()
-    with pytest.raises(ValueError, match="last axis is not contiguous"):
-        layout.views(np.zeros((2, 2 * layout.dim))[:, ::2])

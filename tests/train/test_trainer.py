@@ -7,14 +7,18 @@ must take *exactly* the same step as one worker processing the combined
 trainers are tested for state handling and improvement.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.api import build_scheme
 from repro.api.registry import MODELS, build_workload
 from repro.cluster.cloud_presets import make_cluster
+from repro.models import autodiff
 from repro.models.nn.mlp import MLPClassifier
 from repro.optim.sgd import SGD
+from repro.train import trainer as trainer_module
 from repro.train.synthetic import make_spiral_classification
 from repro.train.trainer import DistributedTrainer
 from repro.utils.seeding import new_rng
@@ -146,7 +150,7 @@ class TestTrainingLoop:
         batches = [(x[i : i + 4], y[i : i + 4]) for i in range(0, 16, 4)]
         params = {name: value.copy() for name, value in trainer.params.items()}
         trainer.train_step(batches)
-        for row, (bx, by) in zip(trainer._grad_matrix, batches):
+        for row, (bx, by) in zip(trainer._grads, batches):
             _, grads, _ = single_worker(workload.model.loss_and_grad_workers, params, bx, by)
             want = np.concatenate([grads[name].ravel() for name in params])
             np.testing.assert_array_equal(row, want)
@@ -177,6 +181,67 @@ class TestTrainingLoop:
         for name in fresh.params:
             np.testing.assert_array_equal(failed.params[name], fresh.params[name])
 
+    @pytest.mark.parametrize(
+        "mismatch", ["x-shape", "y-shape", "rows-short", "rows-over", "worker-0-short"]
+    )
+    @pytest.mark.parametrize("route", ["matrix", "node-sums"])
+    def test_batches_that_do_not_stack_are_refused_before_any_model_call(
+        self, monkeypatch, route, mismatch
+    ):
+        """A step is one stacked ``(W, B, ...)`` block: a worker whose batch
+        has other shapes than worker 0's (other features, fewer labels than
+        samples, fewer or more samples; or worker 0 is the odd one, and
+        worker 1 is named) is a one-line error before the model is
+        called (no tape pass, where a call would have recorded), and the
+        parameters, the error-feedback residuals and the next good step
+        are those of a trainer that never saw the bad step."""
+        monkeypatch.setattr(trainer_module, "_SINK_BYTES", 0 if route == "node-sums" else sys.maxsize)
+        passes, tape_pass = [], autodiff.tape_pass
+        monkeypatch.setattr(autodiff, "tape_pass", lambda *args: passes.append(1) or tape_pass(*args))
+        net = make_cluster(2, "tencent", gpus_per_node=2)
+        refusing, clean = (
+            DistributedTrainer(
+                MLPClassifier(3, (8,), 4), build_scheme("mstopk", net, density=0.3), seed=2
+            )
+            for _ in range(2)
+        )
+        assert refusing._aggregate == {"matrix": "aggregate", "node-sums": "aggregate_node_sums"}[route]
+        rng = np.random.default_rng(5)
+        good = [
+            [(rng.normal(size=(4, 3)).astype(np.float32), rng.integers(0, 4, size=4)) for _ in range(4)]
+            for _ in range(2)
+        ]
+        bad = list(good[0])
+        odd = 0 if mismatch == "worker-0-short" else 2
+        bx, by = bad[odd]
+        bad[odd] = {
+            "x-shape": lambda: (bx[:, :2], by),
+            "y-shape": lambda: (bx, by[:3]),
+            "rows-short": lambda: (bx[:3], by[:3]),
+            "rows-over": lambda: (np.concatenate([bx, bx[:1]]), np.concatenate([by, by[:1]])),
+            "worker-0-short": lambda: (bx[:3], by[:3]),
+        }[mismatch]()
+        named = odd or 1  # the first worker whose shapes are not worker 0's
+        shapes = [f"(x shape {np.shape(bad[i][0])}, y shape {np.shape(bad[i][1])})" for i in (named, 0)]
+        want = f"worker {named}'s batch {shapes[0]} does not stack with worker 0's {shapes[1]}"
+
+        def state(trainer):
+            ef = trainer.scheme.ef
+            residuals = {key: ef.residual(key).tobytes() for key in ef.keys()}
+            return {name: value.tobytes() for name, value in trainer.params.items()}, residuals
+
+        for step in good:
+            before = state(refusing), len(passes)
+            with pytest.raises(ValueError) as err:
+                refusing.train_step(bad)
+            message = str(err.value)
+            assert message == want and "(x shape (4, 3), y shape (4,))" in message
+            assert "\n" not in message
+            assert (state(refusing), len(passes)) == before == (state(clean), len(passes))
+            assert refusing.train_step(step) == clean.train_step(step)
+        assert state(refusing) == state(clean) and len(passes) == 2  # one record each
+        assert state(clean)[1]  # there were residuals to keep
+
     def test_dataset_too_small(self, rng):
         model = MLPClassifier(input_dim=2, hidden=(4,), num_classes=4)
         net = make_cluster(4, "tencent", gpus_per_node=8)  # 32 workers
@@ -184,6 +249,22 @@ class TestTrainingLoop:
         x, y = make_spiral_classification(16, num_classes=4, rng=rng)
         with pytest.raises(ValueError):
             trainer.train(x, y, epochs=1, local_batch=4)
+
+    def test_a_batch_above_an_uneven_smallest_shard_takes_its_size(self, rng):
+        """10 samples over 4 workers shard 3 / 3 / 2 / 2: a ``local_batch``
+        of 4 trains one stacked step of 2 an epoch, as ``local_batch=2``
+        does, rather than a step whose batches do not stack."""
+        model = MLPClassifier(input_dim=2, hidden=(4,), num_classes=4)
+        net = make_cluster(2, "tencent", gpus_per_node=2)
+        x, y = make_spiral_classification(12, num_classes=4, rng=rng)
+        reports = [
+            DistributedTrainer(model, build_scheme("dense", net), seed=0).train(
+                x[:10], y[:10], epochs=2, local_batch=batch
+            )
+            for batch in (4, 2)
+        ]
+        assert reports[0].iterations == 2
+        assert reports[0].epoch_losses == reports[1].epoch_losses
 
     def test_same_seed_reproducible(self, setup):
         model, x, y = setup

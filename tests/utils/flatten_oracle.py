@@ -2,7 +2,7 @@
 
 :func:`flatten_tensors` / :func:`unflatten_tensors` concatenate and split
 tensors one call at a time.  They are the reference that
-``FlatLayout.write`` / ``views`` and ``gradient_rows`` are held to, and
+``FlatLayout.views`` and the trainer's compute stage are held to, and
 the fusion step of the test-side ``ReferenceTrainer``.
 """
 

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.nn.mlp import MLPClassifier
 from repro.models.profiles import resnet50_profile
 from repro.utils.partition import (
+    FlatLayout,
     chunk_bounds,
     chunk_sizes,
     partition_layers,
     partition_layers_balanced,
     round_robin_shards,
 )
+from repro.utils.seeding import new_rng
 from tests.utils.flatten_oracle import flatten_tensors, unflatten_tensors
 
 RESNET50_SIZES = list(resnet50_profile().layer_sizes)
@@ -189,3 +192,46 @@ class TestFlatten:
     def test_unflatten_size_mismatch(self):
         with pytest.raises(ValueError):
             unflatten_tensors(np.zeros(5), [(2, 2)])
+
+
+def test_layout_round_trips_through_a_flat_buffer():
+    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
+    layout = FlatLayout.of(params)
+    assert layout.names == tuple(params)
+    assert layout.dim == sum(p.size for p in params.values())
+    flat = np.empty(layout.dim, dtype=layout.dtype)
+    views = layout.views(flat)
+    for name, value in params.items():
+        views[name][...] = value
+        assert np.shares_memory(views[name], flat)
+    np.testing.assert_array_equal(flat, flatten_tensors(list(params.values()))[0])
+
+
+def test_layout_takes_the_tensors_one_dtype_and_rejects_a_mix_in_one_line():
+    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
+    assert FlatLayout.of(params).dtype == np.float32
+    as64 = {name: value.astype(np.float64) for name, value in params.items()}
+    assert FlatLayout.of(as64).dtype == np.float64
+    mixed = params | {"fc1.weight": as64["fc1.weight"]}
+    with pytest.raises(ValueError, match="mixed dtypes") as err:
+        FlatLayout.of(mixed)
+    message = str(err.value)
+    assert "\n" not in message
+    assert "fc0.weight is float32" in message and "fc1.weight is float64" in message
+
+
+def test_layout_views_of_a_row_block_are_views_with_contiguous_tensors():
+    params = MLPClassifier(3, (4,), 2).init_params(new_rng(0))
+    layout = FlatLayout.of(params)
+    mat = np.zeros((5, layout.dim + 3))
+    block = mat[1:4, : layout.dim]  # rows strided wider than dim
+    views = layout.views(block)
+    for index, (name, value) in enumerate(params.items()):
+        assert views[name].shape == (3, *value.shape)
+        assert views[name][0].flags.c_contiguous
+        views[name][...] = index + 1.0
+    want = np.concatenate([np.full(v.size, i + 1.0) for i, v in enumerate(params.values())])
+    np.testing.assert_array_equal(block, np.tile(want, (3, 1)))
+    assert (mat[0] == 0).all() and (mat[4] == 0).all() and (mat[:, layout.dim :] == 0).all()
+    with pytest.raises(ValueError, match="last axis is not contiguous"):
+        layout.views(np.zeros((2, 2 * layout.dim))[:, ::2])
