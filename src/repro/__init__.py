@@ -27,14 +27,18 @@ cluster substrate:
 
 Quickstart::
 
+    import numpy as np
+
     from repro.cluster import make_cluster
     from repro.comm import HiTopKComm
     from repro.compression import MSTopK
 
     net = make_cluster(4, "tencent", gpus_per_node=8)
     scheme = HiTopKComm(net, density=0.01, compressor=MSTopK())
+    # One (world size, d) matrix: row r is rank r's gradient.
+    worker_gradients = np.random.default_rng(0).normal(size=(32, 100_000))
     result = scheme.aggregate(worker_gradients)
-    print(result.breakdown.format())
+    print(result.aggregate.shape, result.breakdown.format())
 """
 
 from repro.utils.lazy import lazy_exports

@@ -54,14 +54,6 @@ class SparseVector:
         np.add.at(dense, self.indices, self.values)
         return dense
 
-    def shifted(self, offset: int, new_length: int) -> "SparseVector":
-        """Re-base indices by ``offset`` into a longer vector.
-
-        Used when a shard-local selection (Algorithm 2 step 2) is mapped
-        back into the full gradient's coordinate space.
-        """
-        return SparseVector(self.values, self.indices + offset, new_length)
-
 
 def coalesce(vec: SparseVector) -> SparseVector:
     """Merge duplicate indices by summation; output indices are sorted."""

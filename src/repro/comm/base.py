@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.network import NetworkModel
-from repro.collectives.primitives import broadcast_views
 from repro.comm.breakdown import TimeBreakdown
 from repro.utils.seeding import RandomState
 
@@ -20,11 +18,10 @@ class AggregationResult:
 
     Attributes
     ----------
-    outputs:
-        Per-rank aggregated gradient (all equal for correct schemes; for
-        sparse schemes this is the sparsified global sum densified).
-        Since the vectorised hot path these are zero-copy *views* of one
-        shared aggregate — treat them as read-only.
+    aggregate:
+        The aggregated gradient every rank receives (for sparse schemes,
+        the sparsified global sum densified).  Read-only: an in-place
+        edit raises.
     breakdown:
         Virtual-time breakdown of the aggregation steps.
     inter_bytes:
@@ -34,16 +31,14 @@ class AggregationResult:
         Bytes moved over NVLink per GPU.
     """
 
-    outputs: list[np.ndarray]
+    aggregate: np.ndarray
     breakdown: TimeBreakdown
     inter_bytes: float = 0.0
     intra_bytes: float = 0.0
     extras: dict = field(default_factory=dict)
 
-    @property
-    def aggregate(self) -> np.ndarray:
-        """The single shared aggregate all ranks receive."""
-        return self.outputs[0]
+    def __post_init__(self) -> None:
+        self.aggregate.flags.writeable = False
 
     @property
     def time(self) -> float:
@@ -75,15 +70,11 @@ class CommScheme(abc.ABC):
 
     @abc.abstractmethod
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
-        """Aggregate per-rank gradients; returns data + timing.
-
-        ``worker_grads`` is either a rank-indexed sequence of 1-D
-        arrays (the historical interface) or a ``(world_size, d)``
-        matrix whose rows are the per-rank fused gradients — the
-        hot-path form the trainer feeds from its preallocated fusion
-        buffer.  Implementations never mutate the input.
+        """Aggregate a ``(world_size, d)`` matrix whose row ``r`` is rank
+        ``r``'s fused gradient; returns data + timing.  Implementations
+        never mutate the input.
         """
 
     @abc.abstractmethod
@@ -103,42 +94,22 @@ class CommScheme(abc.ABC):
         return selection, breakdown.total - selection
 
     def _worker_matrix(self, worker_grads) -> np.ndarray:
-        """Normalise the aggregate input to a validated ``(W, d)`` matrix.
-
-        A 2-D array passes through as a zero-copy view (the trainer's
-        preallocated fusion buffer); a sequence of 1-D per-rank arrays —
-        the historical interface — is validated and stacked.
-        """
-        if isinstance(worker_grads, np.ndarray) and worker_grads.ndim == 2:
-            expected = self.topology.world_size
-            if worker_grads.shape[0] != expected:
-                raise ValueError(
-                    f"{self.name}: got {worker_grads.shape[0]} gradient rows for "
-                    f"world size {expected}"
-                )
-            return worker_grads
-        return np.stack(self._check_world(worker_grads))
-
-    def _check_world(self, worker_grads: Sequence[np.ndarray]) -> list[np.ndarray]:
-        expected = self.topology.world_size
-        if len(worker_grads) != expected:
+        """``worker_grads`` itself once it is a ``(world_size, d)`` array;
+        anything else is one ``ValueError`` line."""
+        world = self.topology.world_size
+        if not (
+            isinstance(worker_grads, np.ndarray)
+            and worker_grads.ndim == 2
+            and len(worker_grads) == world
+        ):
+            got = getattr(worker_grads, "shape", type(worker_grads).__name__)
             raise ValueError(
-                f"{self.name}: got {len(worker_grads)} gradients for "
-                f"world size {expected}"
+                f"{self.name}: needs a (world size {world}, d) gradient matrix, got {got}"
             )
-        arrays = [np.asarray(g) for g in worker_grads]
-        d = arrays[0].size
-        for rank, arr in enumerate(arrays):
-            if arr.ndim != 1:
-                raise ValueError(f"{self.name}: rank {rank} gradient must be 1-D")
-            if arr.size != d:
-                raise ValueError(
-                    f"{self.name}: rank {rank} has {arr.size} elements, expected {d}"
-                )
-        return arrays
+        return worker_grads
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(network={self.network!r})"
 
 
-__all__ = ["AggregationResult", "CommScheme", "broadcast_views"]
+__all__ = ["AggregationResult", "CommScheme"]

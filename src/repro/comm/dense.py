@@ -8,8 +8,6 @@ the slow inter-node links and how many latency terms they pay.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.cluster.network import NetworkModel
@@ -18,7 +16,7 @@ from repro.collectives.all_reduce import (
     matrix_torus_allreduce_2d,
     matrix_tree_allreduce,
 )
-from repro.comm.base import AggregationResult, CommScheme, broadcast_views
+from repro.comm.base import AggregationResult, CommScheme
 from repro.comm.breakdown import TimeBreakdown
 from repro.utils.seeding import RandomState
 
@@ -41,13 +39,13 @@ class RingAllReduce(CommScheme):
         self.wire_bytes = wire_bytes
 
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
         full = matrix_ring_allreduce(mat)
         d = mat.shape[1]
         return AggregationResult(
-            outputs=broadcast_views(full, self.topology.world_size),
+            aggregate=full,
             breakdown=self.time_model(d),
             inter_bytes=2.0 * d * self.wire_bytes,
             intra_bytes=2.0 * d * self.wire_bytes,
@@ -90,13 +88,13 @@ class TreeAllReduce(CommScheme):
         self.nic_contention = nic_contention
 
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
         full = matrix_tree_allreduce(mat)
         d = mat.shape[1]
         return AggregationResult(
-            outputs=broadcast_views(full, self.topology.world_size),
+            aggregate=full,
             breakdown=self.time_model(d),
             inter_bytes=self.traffic_factor * d * self.wire_bytes,
             intra_bytes=2.0 * d * self.wire_bytes,
@@ -142,14 +140,14 @@ class Torus2DAllReduce(CommScheme):
         self.wire_bytes = wire_bytes
 
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
         full = matrix_torus_allreduce_2d(mat, self.topology)
         d = mat.shape[1]
         breakdown = self.time_model(d)
         return AggregationResult(
-            outputs=broadcast_views(full, self.topology.world_size),
+            aggregate=full,
             breakdown=breakdown,
             inter_bytes=2.0 * d * self.wire_bytes,
             intra_bytes=2.0 * d * self.wire_bytes,

@@ -23,17 +23,16 @@ final k pairs.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.gpu import V100, GpuSpec, mstopk_gpu_time
 from repro.cluster.network import NetworkModel
 from repro.collectives.sparse import SparseVector, coalesce
-from repro.comm.base import AggregationResult, CommScheme, broadcast_views
+from repro.comm.base import AggregationResult, CommScheme
 from repro.comm.breakdown import TimeBreakdown
 from repro.compression.base import TopKCompressor, density_to_k
-from repro.compression.error_feedback import ErrorFeedback
+from repro.compression.error_feedback import ErrorFeedback, select_with_feedback
 from repro.compression.exact_topk import ExactTopK, topk_argpartition
 from repro.utils.seeding import RandomState
 
@@ -94,20 +93,17 @@ class GlobalTopK(CommScheme):
         self.gpu = gpu
 
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
         p, d = mat.shape
         k = density_to_k(d, self.density)
 
-        # Batched local selection with error feedback.
-        ranks = range(p)
-        corrected = self.ef.apply_batch(ranks, mat) if self.ef is not None else mat
-        selections: list[SparseVector] = self.compressor.select_batch(
-            corrected, k, rng=rng
+        # Local selection with error feedback, as NaiveAG's.
+        corrected = mat if self.ef is None else np.empty(mat.shape, mat.dtype)
+        selections = select_with_feedback(
+            self.compressor, self.ef, range(p), mat, k, out=corrected, rng=rng
         )
-        if self.ef is not None:
-            self.ef.update_batch(ranks, corrected, selections)
 
         # Binomial merge tree: stride doubling, top-k re-selection at
         # each merge (mirrors the reduce phase of the tree all-reduce).
@@ -124,12 +120,11 @@ class GlobalTopK(CommScheme):
         final = current[0]
         assert final is not None
         dense = final.to_dense()
-        outputs = broadcast_views(dense, p)
 
         pair_bytes = k * (self.value_bytes + self.index_bytes)
         rounds = math.ceil(math.log2(max(2, p)))
         return AggregationResult(
-            outputs=outputs,
+            aggregate=dense,
             breakdown=self.time_model(d),
             inter_bytes=rounds * pair_bytes,
             intra_bytes=rounds * pair_bytes,

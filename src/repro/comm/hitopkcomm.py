@@ -36,18 +36,16 @@ per-worker ``(W, d)`` matrix then never exists.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.cluster.gpu import V100, GpuSpec, mstopk_gpu_time
 from repro.cluster.network import NetworkModel
 from repro.collectives.reduce_scatter import matrix_reduce_scatter
 from repro.collectives.sparse import batched_scatter_add
-from repro.comm.base import AggregationResult, CommScheme, broadcast_views
+from repro.comm.base import AggregationResult, CommScheme
 from repro.comm.breakdown import TimeBreakdown
 from repro.compression.base import TopKCompressor, density_to_k
-from repro.compression.error_feedback import ErrorFeedback
+from repro.compression.error_feedback import ErrorFeedback, select_with_feedback
 from repro.compression.mstopk import MSTopK
 from repro.utils.partition import chunk_bounds
 from repro.utils.seeding import RandomState
@@ -109,7 +107,7 @@ class HiTopKComm(CommScheme):
 
     # -- functional aggregation ------------------------------------------------
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
         n = self.topology.gpus_per_node
@@ -160,13 +158,9 @@ class HiTopKComm(CommScheme):
                 shard_ranks.append(topo.rank(node, local))
                 shards.append(node_acc[node, start:end])
                 ks.append(density_to_k(end - start, self.density))
-        if self.ef is not None:
-            for rank_, shard in zip(shard_ranks, shards):
-                self.ef.apply(rank_, shard, out=shard)
-        sel_list = self.compressor.select_batch(shards, ks, rng=rng)
-        if self.ef is not None:
-            for rank_, shard, sent in zip(shard_ranks, shards, sel_list):
-                self.ef.update(rank_, shard, sent)
+        sel_list = select_with_feedback(
+            self.compressor, self.ef, shard_ranks, shards, ks, out=shards, rng=rng
+        )
         selections: dict[int, object] = dict(zip(shard_ranks, sel_list))
 
         # Steps 3 + 4: inter-node all-gather per stream, then intra-node
@@ -182,13 +176,12 @@ class HiTopKComm(CommScheme):
                 stream_order.append(selections[topo.rank(node, local)])
                 offsets.append(start)
         full = batched_scatter_add(stream_order, d, dtype=node_acc.dtype, offsets=offsets)
-        outputs = broadcast_views(full, topo.world_size)
 
         breakdown = self.time_model(d)
         k_tilde = density_to_k(bounds[0][1] - bounds[0][0], self.density)
         pair_bytes = k_tilde * (self.value_bytes + self.index_bytes)
         return AggregationResult(
-            outputs=outputs,
+            aggregate=full,
             breakdown=breakdown,
             inter_bytes=(m - 1) * pair_bytes * n,  # per NIC: n streams
             intra_bytes=2.0 * d * self.dense_wire_bytes / n * (n - 1),

@@ -12,18 +12,16 @@ collectives achieve poor goodput on VPC Ethernet.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.cluster.network import NetworkModel
 from repro.cluster.gpu import V100, GpuSpec, exact_topk_gpu_time, mstopk_gpu_time
 from repro.collectives.sparse import batched_scatter_add
-from repro.comm.base import AggregationResult, CommScheme, broadcast_views
+from repro.comm.base import AggregationResult, CommScheme
 from repro.comm.breakdown import TimeBreakdown
 from repro.compression.base import TopKCompressor, density_to_k
 from repro.compression.exact_topk import ExactTopK
-from repro.compression.error_feedback import ErrorFeedback
+from repro.compression.error_feedback import ErrorFeedback, select_with_feedback
 from repro.utils.seeding import RandomState
 
 
@@ -80,26 +78,25 @@ class NaiveAllGather(CommScheme):
         self.gpu = gpu
 
     def aggregate(
-        self, worker_grads: Sequence[np.ndarray], *, rng: RandomState | None = None
+        self, worker_grads: np.ndarray, *, rng: RandomState | None = None
     ) -> AggregationResult:
         mat = self._worker_matrix(worker_grads)
         p, d = mat.shape
         k = density_to_k(d, self.density)
 
-        # Batched local selection with error feedback: one corrected
-        # matrix, one multi-shard top-k pass, one residual update.
-        ranks = range(p)
-        corrected = self.ef.apply_batch(ranks, mat) if self.ef is not None else mat
-        selections = self.compressor.select_batch(corrected, k, rng=rng)
-        if self.ef is not None:
-            self.ef.update_batch(ranks, corrected, selections)
+        # Local selection with error feedback: one fresh corrected matrix,
+        # one multi-shard top-k pass, then each rank's residual rewritten.
+        corrected = mat if self.ef is None else np.empty(mat.shape, mat.dtype)
+        selections = select_with_feedback(
+            self.compressor, self.ef, range(p), mat, k, out=corrected, rng=rng
+        )
 
         # All-Gather + one fused scatter-add of every worker's pairs.
         dense = batched_scatter_add(selections, d, dtype=mat.dtype)
         breakdown = self.time_model(d)
         pair_bytes = k * (self.value_bytes + self.index_bytes)
         return AggregationResult(
-            outputs=broadcast_views(dense, p),
+            aggregate=dense,
             breakdown=breakdown,
             inter_bytes=(self.topology.world_size - 1) * pair_bytes,
             intra_bytes=(self.topology.world_size - 1) * pair_bytes,

@@ -20,11 +20,13 @@ Two deployment points exist in this reproduction:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.collectives.sparse import SparseVector
+from repro.compression.base import TopKCompressor
+from repro.utils.seeding import RandomState
 
 
 def _subtract_sent(
@@ -55,17 +57,19 @@ def _check_fits(key: object, residual: np.ndarray, shape: tuple, dtype: np.dtype
             )
 
 
-def _check_sent(sent: SparseVector, corrected: np.ndarray) -> None:
-    """One ``ValueError`` line unless ``sent`` was selected from a
-    ``corrected`` like this one: the same length, the same dtype."""
+def _check_sent(sent: SparseVector, corrected: np.ndarray, where: str) -> None:
+    """One ``ValueError`` line, led by ``where``, unless ``sent`` was
+    selected from a ``corrected`` like this one: the same length, the
+    same dtype."""
     if sent.length != corrected.shape[-1]:
         raise ValueError(
-            f"sent length {sent.length} does not match gradient size {corrected.shape[-1]}"
+            f"{where}: sent length {sent.length} does not match gradient size "
+            f"{corrected.shape[-1]}"
         )
     if sent.values.dtype != corrected.dtype:
         raise ValueError(
-            f"sent values dtype {sent.values.dtype} does not match gradient dtype "
-            f"{corrected.dtype}"
+            f"{where}: sent values dtype {sent.values.dtype} does not match gradient "
+            f"dtype {corrected.dtype}"
         )
 
 
@@ -73,12 +77,15 @@ class ErrorFeedback:
     """Per-key residual buffers with the standard EF update rule.
 
     Keys are arbitrary hashables (worker rank, ``(node, gpu)`` shard
-    owner, parameter name, ...).  Buffers are created lazily with the
-    shape/dtype of the first gradient seen for the key, and each
-    :meth:`update` rewrites the key's buffer in place: the object
-    :meth:`residual` hands out is the live buffer, and changes with the
-    next update.  Checkpoints copy it (``np.savez``); :meth:`replace`
-    stores copies.
+    owner, parameter name, ...).  One gradient goes through per call:
+    :meth:`apply` then, once the compressor has selected,
+    :meth:`update` — the flat schemes call them once per row of the
+    gradient matrix, HiTopKComm once per shard.  Buffers are created
+    lazily with the shape/dtype of the first gradient seen for the key,
+    and each :meth:`update` rewrites the key's buffer in place: the
+    object :meth:`residual` hands out is the live buffer, and changes
+    with the next update.  Checkpoints copy it (``np.savez``);
+    :meth:`replace` stores copies.
     """
 
     def __init__(self) -> None:
@@ -121,55 +128,6 @@ class ErrorFeedback:
         _check_fits(key, residual, grad.shape, grad.dtype)
         return np.add(grad, residual, out=out)
 
-    def apply_batch(self, keys, mat: np.ndarray) -> np.ndarray:
-        """Batched :meth:`apply`: ``mat`` is ``(n, d)`` with row ``i``
-        keyed by ``keys[i]``.  Returns a fresh corrected matrix; rows
-        without a residual are plain copies, matching the scalar path
-        bit for bit (``grad + residual`` is the identical IEEE add).
-        """
-        mat = np.asarray(mat)
-        keys = list(keys)
-        if mat.ndim != 2 or mat.shape[0] != len(keys):
-            raise ValueError(
-                f"apply_batch needs a ({len(keys)}, d) matrix, got shape {mat.shape}"
-            )
-        corrected = mat.copy()
-        for row, key in enumerate(keys):
-            residual = self._residuals.get(key)
-            if residual is None:
-                continue
-            _check_fits(key, residual, mat.shape[1:], mat.dtype)
-            corrected[row] += residual
-        return corrected
-
-    def update_batch(
-        self, keys, corrected: np.ndarray, sents: Sequence[SparseVector]
-    ) -> None:
-        """Batched :meth:`update` over the rows of ``corrected``.
-
-        One fused matrix copy replaces the per-key ``corrected.copy()``
-        calls; the per-row transmitted-coordinate zeroing follows the
-        exact operation sequence of the scalar update, so the stored
-        residuals are bit-identical.  Keys are inserted in row order
-        (the order the sequential loop would have used).
-        """
-        corrected = np.asarray(corrected)
-        keys = list(keys)
-        if corrected.ndim != 2 or corrected.shape[0] != len(keys):
-            raise ValueError(
-                f"update_batch needs a ({len(keys)}, d) matrix, got shape "
-                f"{corrected.shape}"
-            )
-        if len(sents) != len(keys):
-            raise ValueError(f"{len(keys)} keys but {len(sents)} selections")
-        for sent in sents:
-            _check_sent(sent, corrected)
-        residuals = corrected.copy()
-        for row, (key, sent) in enumerate(zip(keys, sents)):
-            residual = residuals[row]
-            _subtract_sent(residual, corrected[row], sent)
-            self._residuals[key] = residual
-
     def update(self, key: object, corrected: np.ndarray, sent: SparseVector) -> None:
         """Store the un-transmitted part of ``corrected`` as the new residual.
 
@@ -185,7 +143,7 @@ class ErrorFeedback:
         corrected = np.asarray(corrected)
         if corrected.ndim != 1:
             raise ValueError(f"update needs a 1-D gradient, got shape {corrected.shape}")
-        _check_sent(sent, corrected)
+        _check_sent(sent, corrected, f"key {key!r}")
         residual = self._residuals.get(key)
         if (
             residual is None
@@ -200,4 +158,41 @@ class ErrorFeedback:
         self._residuals[key] = residual
 
 
-__all__ = ["ErrorFeedback"]
+def select_with_feedback(
+    compressor: TopKCompressor,
+    ef: ErrorFeedback | None,
+    keys,
+    grads,
+    ks,
+    *,
+    out,
+    rng: RandomState | None = None,
+) -> list[SparseVector]:
+    """Error-compensated selection of many gradients at once.
+
+    Row ``i`` of ``out`` becomes ``ef.apply(keys[i], grads[i])`` (``out``
+    may be ``grads`` itself, corrected in place), one
+    ``compressor.select_batch`` runs over ``out`` with ``ks``, and each
+    key's residual is then rewritten by :meth:`ErrorFeedback.update`.
+    Every selection is checked against its row (length, dtype) before
+    the first residual is written: a malformed one is one ``ValueError``
+    line naming its shard, and every residual is left as it was.  With
+    ``ef`` ``None`` it is the plain selection of ``out``.
+    """
+    if ef is not None:
+        for key, grad, row in zip(keys, grads, out):
+            ef.apply(key, grad, out=row)
+    selections = compressor.select_batch(out, ks, rng=rng)
+    if len(selections) != len(out):
+        raise ValueError(
+            f"{compressor.name}: {len(selections)} selections for {len(out)} shards"
+        )
+    for shard, (sent, row) in enumerate(zip(selections, out)):
+        _check_sent(sent, row, f"{compressor.name} shard {shard}")
+    if ef is not None:
+        for key, row, sent in zip(keys, out, selections):
+            ef.update(key, row, sent)
+    return selections
+
+
+__all__ = ["ErrorFeedback", "select_with_feedback"]

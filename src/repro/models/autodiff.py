@@ -1168,9 +1168,13 @@ class _Program:
         }
         sizes = [-(-nbytes // 64) * 64 for nbytes in trace.sizes]
         offsets, size = _pack(sizes, trace.births, trace.lasts)
-        # On the heap, where the recorded pass's transients were freed.
-        keep_heap(size)
-        place = functools.partial(_place, arena=np.empty(size, dtype=np.uint8), offsets=offsets)
+        # On the heap, where the recorded pass's transients were freed,
+        # from its first 64-byte boundary: every buffer is cache-line
+        # aligned, wherever the heap puts the block.
+        keep_heap(size + 63)
+        arena = np.empty(size + 63, dtype=np.uint8)
+        skip = -arena.ctypes.data % 64
+        place = functools.partial(_place, arena=arena[skip : skip + size], offsets=offsets)
         self._run = [
             functools.partial(fn, *place(args), **{name: place(v) for name, v in kwargs.items()})
             for fn, args, kwargs in trace.kernels

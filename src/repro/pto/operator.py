@@ -28,13 +28,9 @@ from repro.utils.partition import partition_layers, partition_layers_balanced
 class PTOResult:
     """Functional output of a PTO execution."""
 
-    outputs: list[np.ndarray]  # per-worker copy of the assembled result
+    result: np.ndarray  # the assembled result every worker holds after Eq. 14
     per_worker_pieces: list[np.ndarray]  # what each worker computed locally
     assignment: list[list[int]]  # layer indices per worker
-
-    @property
-    def result(self) -> np.ndarray:
-        return self.outputs[0]
 
 
 class ParallelTensorOperator:
@@ -88,7 +84,7 @@ class ParallelTensorOperator:
         result = np.empty_like(gathered)
         result[np.asarray(flat_order, dtype=np.int64)] = gathered
         return PTOResult(
-            outputs=[result.copy() for _ in range(p)],
+            result=result,
             per_worker_pieces=pieces,
             assignment=assignment,
         )

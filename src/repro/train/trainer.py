@@ -369,7 +369,7 @@ class DistributedTrainer:
         if timer is not None:
             t1 = tick()
             timer.add("aggregate", t1 - t0)
-        comm_seconds, mean = result.time, result.outputs[0] / self.world_size
+        comm_seconds, mean = result.time, result.aggregate / self.world_size
         del result  # the dense aggregate dies before the optimizer's temporaries exist
         self.optimizer.step(self.params, self._layout.views(mean))
         if timer is not None:

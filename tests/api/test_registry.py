@@ -120,8 +120,8 @@ class TestRegistration:
                 return RingAllReduce(network)
 
         scheme = build_scheme(name, net)
-        grads = [np.full(16, float(i)) for i in range(4)]
-        out = scheme.aggregate(grads).outputs[0]
+        grads = np.stack([np.full(16, float(i)) for i in range(4)])
+        out = scheme.aggregate(grads).aggregate
         np.testing.assert_allclose(out, np.sum(grads, axis=0))
 
 

@@ -14,7 +14,6 @@ from repro.collectives import reduce_scatter
 from repro.collectives import (
     SparseVector,
     batched_scatter_add,
-    broadcast_views,
     matrix_reduce_scatter,
     matrix_ring_allreduce,
     matrix_torus_allreduce_2d,
@@ -189,17 +188,3 @@ class TestBatchedScatterAdd:
             batched_scatter_add([], 3)
         with pytest.raises(ValueError):
             batched_scatter_add([v], 4, offsets=[0, 1])
-
-
-class TestBroadcastViews:
-    def test_views_share_one_buffer(self):
-        base = np.arange(5.0)
-        views = broadcast_views(base, 3)
-        assert len(views) == 3
-        for v in views:
-            np.testing.assert_array_equal(v, base)
-            assert v.base is base
-
-    def test_rejects_bad_world(self):
-        with pytest.raises(ValueError):
-            broadcast_views(np.arange(3.0), 0)

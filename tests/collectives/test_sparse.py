@@ -28,12 +28,6 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector(np.zeros((1, 1)), np.zeros((1, 1), dtype=int), 5)
 
-    def test_shifted(self):
-        sv = SparseVector(np.array([1.0]), np.array([2]), 4)
-        shifted = sv.shifted(4, 8)
-        assert shifted.indices[0] == 6
-        assert shifted.length == 8
-
 
 class TestCoalesce:
     def test_merges_duplicates(self):

@@ -6,7 +6,7 @@ pinned bit-identical to the originals.  This module keeps the original
 loop-per-rank algorithms alive, verbatim, for one purpose: they are the
 oracle of ``tests/perf/test_vectorized_parity.py`` — ``TestSchemeParity``
 proves every registered scheme reproduces these reference results
-(outputs, wire accounting, error-feedback residuals, and rng stream) bit
+(aggregate, wire accounting, error-feedback residuals, and rng stream) bit
 for bit at any shape and seed, and ``ReferenceTrainer`` steps a whole
 trainer through them.
 
@@ -41,11 +41,26 @@ from tests.collectives.list_collectives import (
 )
 
 
+def _rows(scheme: CommScheme, worker_grads: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The per-rank 1-D gradients, one per rank of ``scheme``'s world."""
+    arrays = [np.asarray(g) for g in worker_grads]
+    assert len(arrays) == scheme.topology.world_size
+    assert all(a.ndim == 1 and a.size == arrays[0].size for a in arrays)
+    return arrays
+
+
+def _agreed(outputs: list[np.ndarray]) -> np.ndarray:
+    """Rank 0's output, once every rank's equals it bit for bit."""
+    for out in outputs[1:]:
+        assert out.tobytes() == outputs[0].tobytes()
+    return outputs[0]
+
+
 def _legacy_dense(
     scheme: RingAllReduce | TreeAllReduce | Torus2DAllReduce,
     worker_grads: Sequence[np.ndarray],
 ) -> AggregationResult:
-    arrays = scheme._check_world(worker_grads)
+    arrays = _rows(scheme, worker_grads)
     d = arrays[0].size
     if isinstance(scheme, RingAllReduce):
         outputs = ring_allreduce(arrays)
@@ -58,7 +73,7 @@ def _legacy_dense(
         outputs = torus_allreduce_2d(arrays, scheme.topology)
         inter = intra = 2.0 * d * scheme.wire_bytes
     return AggregationResult(
-        outputs=outputs,
+        aggregate=_agreed(outputs),
         breakdown=scheme.time_model(d),
         inter_bytes=inter,
         intra_bytes=intra,
@@ -70,7 +85,7 @@ def _legacy_naiveag(
     worker_grads: Sequence[np.ndarray],
     rng: RandomState | None,
 ) -> AggregationResult:
-    arrays = scheme._check_world(worker_grads)
+    arrays = _rows(scheme, worker_grads)
     d = arrays[0].size
     k = density_to_k(d, scheme.density)
 
@@ -85,7 +100,7 @@ def _legacy_naiveag(
     outputs = sparse_allgather_reduce(selections)
     pair_bytes = k * (scheme.value_bytes + scheme.index_bytes)
     return AggregationResult(
-        outputs=outputs,
+        aggregate=_agreed(outputs),
         breakdown=scheme.time_model(d),
         inter_bytes=(scheme.topology.world_size - 1) * pair_bytes,
         intra_bytes=(scheme.topology.world_size - 1) * pair_bytes,
@@ -98,7 +113,7 @@ def _legacy_gtopk(
     worker_grads: Sequence[np.ndarray],
     rng: RandomState | None,
 ) -> AggregationResult:
-    arrays = scheme._check_world(worker_grads)
+    arrays = _rows(scheme, worker_grads)
     d = arrays[0].size
     k = density_to_k(d, scheme.density)
 
@@ -123,12 +138,11 @@ def _legacy_gtopk(
     final = current[0]
     assert final is not None
     dense = final.to_dense()
-    outputs = [dense.copy() for _ in range(p)]
 
     pair_bytes = k * (scheme.value_bytes + scheme.index_bytes)
     rounds = math.ceil(math.log2(max(2, p)))
     return AggregationResult(
-        outputs=outputs,
+        aggregate=dense,
         breakdown=scheme.time_model(d),
         inter_bytes=rounds * pair_bytes,
         intra_bytes=rounds * pair_bytes,
@@ -141,7 +155,7 @@ def _legacy_hitopk(
     worker_grads: Sequence[np.ndarray],
     rng: RandomState | None,
 ) -> AggregationResult:
-    arrays = scheme._check_world(worker_grads)
+    arrays = _rows(scheme, worker_grads)
     topo = scheme.topology
     m, n = topo.num_nodes, topo.gpus_per_node
     d = arrays[0].size
@@ -176,12 +190,11 @@ def _legacy_hitopk(
 
     # Step 4: intra-node all-gather reassembles the full vector.
     full = np.concatenate(stream_accumulators)
-    outputs = [full.copy() for _ in range(topo.world_size)]
 
     k_tilde = density_to_k(bounds[0][1] - bounds[0][0], scheme.density)
     pair_bytes = k_tilde * (scheme.value_bytes + scheme.index_bytes)
     return AggregationResult(
-        outputs=outputs,
+        aggregate=full,
         breakdown=scheme.time_model(d),
         inter_bytes=(m - 1) * pair_bytes * n,
         intra_bytes=2.0 * d * scheme.dense_wire_bytes / n * (n - 1),
@@ -197,9 +210,11 @@ def legacy_aggregate(
 ) -> AggregationResult:
     """Run ``scheme``'s aggregation with the pre-vectorisation algorithm.
 
-    Accepts the same inputs as ``scheme.aggregate`` (a rank-indexed list
-    or a ``(W, d)`` matrix) and mutates the scheme's error-feedback
-    state exactly like the original per-rank loops did.
+    Takes a rank-indexed list of 1-D gradients or a ``(W, d)`` matrix,
+    runs the per-rank loops and list collectives on its rows, and hands
+    on the one aggregate every rank agreed on (the list collectives'
+    outputs are checked equal to rank 0's); it mutates the scheme's
+    error-feedback state exactly like the original per-rank loops did.
     """
     if isinstance(worker_grads, np.ndarray) and worker_grads.ndim == 2:
         worker_grads = list(worker_grads)

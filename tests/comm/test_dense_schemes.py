@@ -13,22 +13,19 @@ def dense_scheme(request, small_cluster):
 
 
 class TestFunctionalExactness:
-    def test_outputs_equal_global_sum(self, dense_scheme, rng):
+    def test_aggregate_equals_global_sum(self, dense_scheme, rng):
         grads = make_worker_grads(rng, dense_scheme.topology.world_size, 77)
         result = dense_scheme.aggregate(grads)
-        expected = np.sum(grads, axis=0)
-        assert len(result.outputs) == dense_scheme.topology.world_size
-        for out in result.outputs:
-            np.testing.assert_allclose(out, expected, rtol=1e-10)
+        np.testing.assert_allclose(result.aggregate, np.sum(grads, axis=0), rtol=1e-10)
 
     def test_world_size_validation(self, dense_scheme, rng):
         with pytest.raises(ValueError):
             dense_scheme.aggregate(make_worker_grads(rng, 3, 10))
 
-    def test_shape_validation(self, dense_scheme, rng):
-        grads = make_worker_grads(rng, dense_scheme.topology.world_size, 10)
+    def test_a_list_of_rank_gradients_is_refused(self, dense_scheme, rng):
+        grads = list(make_worker_grads(rng, dense_scheme.topology.world_size, 10))
         grads[-1] = rng.normal(size=11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gradient matrix, got list"):
             dense_scheme.aggregate(grads)
 
     def test_breakdown_positive(self, dense_scheme, rng):

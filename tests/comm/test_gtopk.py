@@ -44,14 +44,13 @@ class TestGlobalTopK:
         result = scheme.aggregate(grads, rng=rng)
         k = result.extras["k"]
         assert result.extras["global_nnz"] <= k
-        assert np.count_nonzero(result.outputs[0]) <= k
+        assert np.count_nonzero(result.aggregate) <= k
 
-    def test_outputs_identical_across_ranks(self, small_cluster, rng):
+    def test_the_aggregate_is_the_final_merge_densified(self, small_cluster, rng):
         scheme = GlobalTopK(small_cluster, density=0.05)
-        grads = make_worker_grads(rng, 8, 100)
-        result = scheme.aggregate(grads, rng=rng)
-        for out in result.outputs[1:]:
-            np.testing.assert_array_equal(out, result.outputs[0])
+        result = scheme.aggregate(make_worker_grads(rng, 8, 100), rng=rng)
+        assert result.aggregate.shape == (100,)
+        assert np.count_nonzero(result.aggregate) == result.extras["global_nnz"]
 
     def test_two_workers_equals_direct_merge(self, rng):
         from repro.cluster.cloud_presets import make_cluster
@@ -64,7 +63,7 @@ class TestGlobalTopK:
         expected = merge_topk(
             topk_argpartition(grads[0], k), topk_argpartition(grads[1], k), k
         ).to_dense()
-        np.testing.assert_allclose(result.outputs[0], expected)
+        np.testing.assert_allclose(result.aggregate, expected)
 
     def test_global_support_smaller_than_naiveag(self, small_cluster, rng):
         from repro.comm.naive_allgather import NaiveAllGather
@@ -72,8 +71,8 @@ class TestGlobalTopK:
         grads = make_worker_grads(rng, 8, 500)
         gtopk = GlobalTopK(small_cluster, density=0.02, error_feedback=False)
         naive = NaiveAllGather(small_cluster, density=0.02, error_feedback=False)
-        nnz_g = np.count_nonzero(gtopk.aggregate(grads, rng=rng).outputs[0])
-        nnz_n = np.count_nonzero(naive.aggregate(grads, rng=rng).outputs[0])
+        nnz_g = np.count_nonzero(gtopk.aggregate(grads, rng=rng).aggregate)
+        nnz_n = np.count_nonzero(naive.aggregate(grads, rng=rng).aggregate)
         assert nnz_g < nnz_n  # gTop-k keeps k, NaiveAG keeps up to P*k
 
     def test_trains_with_error_feedback(self, rng):

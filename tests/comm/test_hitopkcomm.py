@@ -23,13 +23,12 @@ from tests.conftest import make_worker_grads
 
 
 class TestFunctionalSemantics:
-    def test_outputs_identical_everywhere(self, small_cluster, rng):
+    def test_every_rank_receives_one_read_only_aggregate(self, small_cluster, rng):
         scheme = HiTopKComm(small_cluster, density=0.1)
-        grads = make_worker_grads(rng, 8, 120)
-        result = scheme.aggregate(grads, rng=rng)
-        assert len(result.outputs) == 8
-        for out in result.outputs[1:]:
-            np.testing.assert_array_equal(out, result.outputs[0])
+        result = scheme.aggregate(make_worker_grads(rng, 8, 120), rng=rng)
+        assert result.aggregate.shape == (120,)
+        with pytest.raises(ValueError, match="read-only"):
+            result.aggregate[0] = 1.0
 
     def test_density_one_equals_dense_sum(self, small_cluster, rng):
         # With ρ = 1 nothing is dropped: Algorithm 2 reduces to a
@@ -38,7 +37,7 @@ class TestFunctionalSemantics:
         grads = make_worker_grads(rng, 8, 64)
         result = scheme.aggregate(grads, rng=rng)
         np.testing.assert_allclose(
-            result.outputs[0], np.sum(grads, axis=0), rtol=1e-10
+            result.aggregate, np.sum(grads, axis=0), rtol=1e-10
         )
 
     def test_equals_manual_algorithm2(self, tiny_cluster, rng):
@@ -66,7 +65,7 @@ class TestFunctionalSemantics:
                 sv = ExactTopK("sort").select(shard, k)
                 start, _ = bounds[local]
                 np.add.at(expected, sv.indices + start, sv.values)
-        np.testing.assert_allclose(result.outputs[0], expected, rtol=1e-10)
+        np.testing.assert_allclose(result.aggregate, expected, rtol=1e-10)
 
     def test_nnz_bounded_by_rho_d_m(self, small_cluster, rng):
         # Accumulated non-zeros per shard ≤ m * k̃ -> total ≤ ~ρ d m.
@@ -77,7 +76,7 @@ class TestFunctionalSemantics:
         m = small_cluster.num_nodes
         n = small_cluster.gpus_per_node
         k_tilde = density_to_k(d // n, density)
-        assert np.count_nonzero(result.outputs[0]) <= m * n * k_tilde
+        assert np.count_nonzero(result.aggregate) <= m * n * k_tilde
 
     @given(
         m=st.integers(1, 3),
@@ -90,11 +89,8 @@ class TestFunctionalSemantics:
         rng = np.random.default_rng(seed)
         net = make_cluster(m, "tencent", gpus_per_node=n)
         scheme = HiTopKComm(net, density=0.25, error_feedback=False)
-        grads = [rng.normal(size=d) for _ in range(m * n)]
-        result = scheme.aggregate(grads, rng=rng)
-        assert result.outputs[0].size == d
-        for out in result.outputs[1:]:
-            np.testing.assert_array_equal(out, result.outputs[0])
+        result = scheme.aggregate(rng.normal(size=(m * n, d)), rng=rng)
+        assert result.aggregate.shape == (d,)
 
 
 class TestErrorFeedback:
@@ -119,11 +115,11 @@ class TestErrorFeedback:
         d = 200
         base = np.zeros(d)
         base[137] = 0.5  # below round-1 selection at this density? maybe
-        grads = [base + 0.001 * rng.normal(size=d) for _ in range(8)]
+        grads = np.stack([base + 0.001 * rng.normal(size=d) for _ in range(8)])
         total = np.zeros(d)
         for _ in range(6):
             result = scheme.aggregate(grads, rng=rng)
-            total += result.outputs[0]
+            total += result.aggregate
         # After several rounds EF must have pushed coordinate 137 through.
         assert total[137] > 0.5
 
@@ -140,31 +136,27 @@ class TestBufferOwnership:
     @pytest.mark.parametrize("ef", [True, False])
     def test_a_result_survives_the_next_aggregate(self, small_cluster, rng, ef):
         scheme = HiTopKComm(small_cluster, density=0.1, error_feedback=ef)
-        first = scheme.aggregate(np.stack(make_worker_grads(rng, 8, 203)), rng=rng)
-        output = first.outputs[0].copy()
+        first = scheme.aggregate(make_worker_grads(rng, 8, 203), rng=rng)
+        output = first.aggregate.copy()
         selections = {
             rank: (sv.values.copy(), sv.indices.copy())
             for rank, sv in first.extras["selections"].items()
         }
-        scheme.aggregate(np.stack(make_worker_grads(rng, 8, 203)), rng=rng)
-        for out in first.outputs:
-            np.testing.assert_array_equal(out, output)
+        scheme.aggregate(make_worker_grads(rng, 8, 203), rng=rng)
+        assert first.aggregate.tobytes() == output.tobytes()
         for rank, sv in first.extras["selections"].items():
             values, indices = selections[rank]
             assert sv.values.tobytes() == values.tobytes()
             np.testing.assert_array_equal(sv.indices, indices)
 
     @pytest.mark.parametrize("ef", [True, False])
-    @pytest.mark.parametrize("form", ["list", "matrix"])
-    def test_the_callers_gradients_are_never_written(self, small_cluster, rng, ef, form):
+    def test_the_callers_gradients_are_never_written(self, small_cluster, rng, ef):
         scheme = HiTopKComm(small_cluster, density=0.1, error_feedback=ef)
         for _ in range(3):
             grads = make_worker_grads(rng, 8, 150)
-            given = grads if form == "list" else np.stack(grads)
-            kept = [g.copy() for g in given]
-            scheme.aggregate(given, rng=rng)
-            for g, want in zip(given, kept):
-                assert g.tobytes() == want.tobytes()
+            kept = grads.tobytes()
+            scheme.aggregate(grads, rng=rng)
+            assert grads.tobytes() == kept
 
     def test_buffers_are_reused_while_the_shape_holds(self, small_cluster, rng):
         scheme = HiTopKComm(small_cluster, density=0.1)
@@ -172,9 +164,9 @@ class TestBufferOwnership:
         residuals = [scheme.ef.residual(rank) for rank in range(8)]
         scheme.aggregate(make_worker_grads(rng, 8, 120), rng=rng)
         assert all(scheme.ef.residual(r) is buf for r, buf in enumerate(residuals))
-        grads = [g.astype(np.float32) for g in make_worker_grads(rng, 8, 120)]
+        grads = make_worker_grads(rng, 8, 120).astype(np.float32)
         scheme.ef.replace({})
-        out = scheme.aggregate(grads, rng=rng).outputs[0]
+        out = scheme.aggregate(grads, rng=rng).aggregate
         assert out.dtype == np.float32 == scheme.ef.residual(0).dtype
 
     def test_a_warm_aggregate_at_the_train_comm_shape_allocates_only_its_result(self):
@@ -198,7 +190,7 @@ class TestBufferOwnership:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        aggregate = result.outputs[0]
+        aggregate = result.aggregate
         assert sorted(t.size for t in live.traces if t.size >= shard_bytes) == [aggregate.nbytes]
         assert peak < aggregate.nbytes + 2 * shard_bytes
 

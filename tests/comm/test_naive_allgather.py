@@ -9,32 +9,33 @@ from tests.conftest import make_worker_grads
 
 
 class TestFunctional:
-    def test_outputs_identical_across_ranks(self, small_cluster, rng):
+    def test_residuals_are_rewritten_in_their_own_buffers(self, small_cluster, rng):
         scheme = NaiveAllGather(small_cluster, density=0.1)
-        grads = make_worker_grads(rng, 8, 100)
-        result = scheme.aggregate(grads, rng=rng)
-        for out in result.outputs[1:]:
-            np.testing.assert_array_equal(out, result.outputs[0])
+        scheme.aggregate(make_worker_grads(rng, 8, 100), rng=rng)
+        residuals = [scheme.ef.residual(rank) for rank in range(8)]
+        assert all(buf.base is None for buf in residuals)  # not rows of one matrix
+        scheme.aggregate(make_worker_grads(rng, 8, 100), rng=rng)
+        assert all(scheme.ef.residual(r) is buf for r, buf in enumerate(residuals))
 
     def test_output_is_sum_of_selections(self, small_cluster, rng):
         scheme = NaiveAllGather(small_cluster, density=0.1, error_feedback=False)
         grads = make_worker_grads(rng, 8, 100)
         result = scheme.aggregate(grads, rng=rng)
         expected = np.sum([s.to_dense() for s in result.extras["selections"]], axis=0)
-        np.testing.assert_allclose(result.outputs[0], expected)
+        np.testing.assert_allclose(result.aggregate, expected)
 
     def test_density_one_equals_dense_sum(self, small_cluster, rng):
         scheme = NaiveAllGather(small_cluster, density=1.0, error_feedback=False)
         grads = make_worker_grads(rng, 8, 40)
         result = scheme.aggregate(grads, rng=rng)
-        np.testing.assert_allclose(result.outputs[0], np.sum(grads, axis=0))
+        np.testing.assert_allclose(result.aggregate, np.sum(grads, axis=0))
 
     def test_nnz_bounded_by_world_k(self, small_cluster, rng):
         scheme = NaiveAllGather(small_cluster, density=0.05, error_feedback=False)
         grads = make_worker_grads(rng, 8, 200)
         result = scheme.aggregate(grads, rng=rng)
         k = result.extras["k"]
-        assert np.count_nonzero(result.outputs[0]) <= 8 * k
+        assert np.count_nonzero(result.aggregate) <= 8 * k
 
     def test_error_feedback_mass_conservation(self, small_cluster, rng):
         # Over iterations, transmitted + residual == all gradients, per worker.
@@ -59,7 +60,7 @@ class TestFunctional:
         )
         grads = make_worker_grads(rng, 8, 100)
         result = scheme.aggregate(grads, rng=rng)
-        assert np.count_nonzero(result.outputs[0]) > 0
+        assert np.count_nonzero(result.aggregate) > 0
 
 
 class TestCostModel:

@@ -2,7 +2,7 @@
 
 Covers the multi-shard MSTopK threshold search / selection, the batched
 exact top-k, the base-class fallback used by non-vectorised compressors,
-batched error feedback, and the regression for the old
+error-compensated selection of many rows, and the regression for the old
 ``thres1 == 0.0`` "unset" sentinel (frozen-layer / all-zero gradients).
 """
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.compression.base import TopKCompressor
 from repro.compression.dgc import DGCTopK
-from repro.compression.error_feedback import ErrorFeedback
+from repro.compression.error_feedback import ErrorFeedback, select_with_feedback
 from repro.compression.exact_topk import ExactTopK
 from repro.compression.mstopk import MSTopK, mstopk_select, mstopk_select_batch
 from repro.compression.randomk import RandomK
@@ -136,55 +136,57 @@ class TestBatchedSelect:
             np.testing.assert_array_equal(sv.values, reference.values)
 
 
-class TestBatchedErrorFeedback:
+class TestSelectWithFeedback:
+    """``select_with_feedback`` is the per-key loop — ``apply``, select,
+    ``update`` — with one multi-shard selection, bit for bit."""
+
+    @staticmethod
+    def _scalar_step(ef, comp, mat, k, rng=None):
+        corrected = [ef.apply(r, mat[r]) for r in range(len(mat))]
+        sents = [comp.select(row, k, rng=rng) for row in corrected]
+        for r, (row, sent) in enumerate(zip(corrected, sents)):
+            ef.update(r, row, sent)
+        return np.stack(corrected), sents
+
     def test_apply_and_update_match_scalar_over_steps(self):
         comp = ExactTopK()
         ef_scalar, ef_batch = ErrorFeedback(), ErrorFeedback()
         rng_data = np.random.default_rng(8)
         for _ in range(4):
             mat = rng_data.standard_normal((5, 64))
-            corrected_scalar = np.stack(
-                [ef_scalar.apply(r, mat[r]) for r in range(5)]
-            )
-            corrected_batch = ef_batch.apply_batch(range(5), mat)
-            np.testing.assert_array_equal(corrected_scalar, corrected_batch)
-            sents = [comp.select(corrected_scalar[r], 6) for r in range(5)]
-            for r in range(5):
-                ef_scalar.update(r, corrected_scalar[r], sents[r])
-            ef_batch.update_batch(range(5), corrected_batch, sents)
+            corrected_scalar, sents = self._scalar_step(ef_scalar, comp, mat, 6)
+            corrected_batch = np.empty_like(mat)
+            batch = select_with_feedback(comp, ef_batch, range(5), mat, 6, out=corrected_batch)
+            assert corrected_scalar.tobytes() == corrected_batch.tobytes()
+            for a, b in zip(sents, batch):
+                assert (a.values.tobytes(), a.indices.tobytes()) == (b.values.tobytes(), b.indices.tobytes())
             assert list(ef_scalar.keys()) == list(ef_batch.keys())
             for r in range(5):
-                np.testing.assert_array_equal(
-                    ef_scalar.residual(r), ef_batch.residual(r)
-                )
+                assert ef_scalar.residual(r).tobytes() == ef_batch.residual(r).tobytes()
 
     def test_scaled_values_keep_difference(self):
         # RandomK transmits scaled values; the residual must keep the
-        # difference exactly as the scalar rule does.
+        # difference exactly as the scalar rule does, on the same rng stream.
         ef_scalar, ef_batch = ErrorFeedback(), ErrorFeedback()
         comp = RandomK()
         mat = np.random.default_rng(9).standard_normal((3, 32))
         ra, rb = new_rng(4), new_rng(4)
-        sents_a = [comp.select(mat[r], 4, rng=ra) for r in range(3)]
-        sents_b = comp.select_batch(mat, 4, rng=rb)
+        self._scalar_step(ef_scalar, comp, mat, 4, rng=ra)
+        select_with_feedback(comp, ef_batch, range(3), mat, 4, out=np.empty_like(mat), rng=rb)
         for r in range(3):
-            ef_scalar.update(r, mat[r], sents_a[r])
-        ef_batch.update_batch(range(3), mat, sents_b)
-        for r in range(3):
-            np.testing.assert_array_equal(ef_scalar.residual(r), ef_batch.residual(r))
+            assert ef_scalar.residual(r).tobytes() == ef_batch.residual(r).tobytes()
+        assert ra.integers(1 << 30) == rb.integers(1 << 30)
 
-    def test_validation(self):
+    def test_a_short_selection_list_is_refused_before_any_write(self):
+        class Dropping(ExactTopK):
+            def select_batch(self, xs, ks, *, rng=None):
+                return super().select_batch(xs, ks, rng=rng)[:-1]
+
         ef = ErrorFeedback()
-        with pytest.raises(ValueError):
-            ef.apply_batch([0, 1], np.zeros(4))
-        with pytest.raises(ValueError):
-            ef.update_batch([0], np.zeros((2, 4)), [])
-        # A matrix with the wrong row count is refused even when it is 2-D.
-        with pytest.raises(ValueError, match=r"\(2, d\) matrix"):
-            ef.apply_batch([0, 1], np.zeros((3, 4)))
-        sent = ExactTopK().select(np.arange(4.0), 1)
-        with pytest.raises(ValueError, match=r"\(1, d\) matrix"):
-            ef.update_batch([0], np.zeros((2, 4)), [sent])
+        mat = np.random.default_rng(3).standard_normal((3, 8))
+        with pytest.raises(ValueError, match="2 selections for 3 shards"):
+            select_with_feedback(Dropping(), ef, range(3), mat, 2, out=mat.copy())
+        assert len(ef) == 0
 
 
 def test_custom_compressor_inherits_batch_loop():

@@ -97,19 +97,16 @@ class TestBookkeeping:
         "grad_dtype,residual_dtype",
         [(np.float32, np.float64), (np.float64, np.float32)],
     )
-    @pytest.mark.parametrize("path", ["apply", "apply_batch"])
-    def test_dtype_mismatch_rejected(self, rng, grad_dtype, residual_dtype, path):
-        # Both paths used to cast silently: apply upcast the corrected
-        # gradient, apply_batch cast the residual into the matrix's dtype.
+    def test_dtype_mismatch_rejected(self, rng, grad_dtype, residual_dtype):
+        # apply used to upcast the corrected gradient silently.
         ef = ErrorFeedback()
         g = rng.normal(size=10).astype(residual_dtype)
         ef.update("w", g, topk_argpartition(g, 2))
-        run = ef.apply if path == "apply" else lambda key, x: ef.apply_batch([key], x[None])[0]
         with pytest.raises(ValueError, match="residual dtype .* does not match gradient dtype") as err:
-            run("w", rng.normal(size=10).astype(grad_dtype))
+            ef.apply("w", rng.normal(size=10).astype(grad_dtype))
         message = str(err.value)
         assert "\n" not in message and np.dtype(residual_dtype).name in message
-        assert run("w", g).dtype == residual_dtype
+        assert ef.apply("w", g).dtype == residual_dtype
 
     def test_replace_swaps_every_buffer_for_a_copy(self, rng):
         ef = ErrorFeedback()
@@ -200,7 +197,7 @@ class TestBufferReuse:
 
 
 class TestUpdateRefusesMismatchedInputs:
-    """``update`` / ``update_batch`` refuse what they would write wrongly,
+    """``update`` refuses what it would write wrongly,
     and leave the stored residual as it was."""
 
     def test_update_rejects_a_2d_gradient(self, rng):
@@ -216,25 +213,24 @@ class TestUpdateRefusesMismatchedInputs:
         assert "\n" not in str(err.value)
         np.testing.assert_array_equal(ef.residual("b"), kept)
 
-    @pytest.mark.parametrize("path", ["update", "update_batch"])
-    def test_sent_values_must_have_the_gradient_dtype(self, rng, path):
+    def test_sent_values_must_have_the_gradient_dtype(self, rng):
         ef = ErrorFeedback()
         g = rng.normal(size=6).astype(np.float32)
         ef.update("b", g, topk_argpartition(g, 2))
         kept = ef.residual("b").copy()
         sent = SparseVector(np.array([1.0]), np.array([0]), 6)  # float64
-        run = ef.update if path == "update" else (
-            lambda key, x, s: ef.update_batch([key], x[None], [s])
-        )
         with pytest.raises(ValueError, match="sent values dtype float64 .* float32") as err:
-            run("b", g, sent)
+            ef.update("b", g, sent)
         assert "\n" not in str(err.value)
         np.testing.assert_array_equal(ef.residual("b"), kept)
 
-    def test_update_batch_rejects_a_sent_length_mismatch_before_writing(self, rng):
+    def test_update_rejects_a_sent_length_mismatch(self, rng):
         ef = ErrorFeedback()
-        mat = rng.normal(size=(2, 6))
-        sents = [topk_argpartition(mat[0], 2), topk_argpartition(rng.normal(size=7), 2)]
-        with pytest.raises(ValueError, match="sent length 7"):
-            ef.update_batch(["a", "b"], mat, sents)
-        assert len(ef) == 0
+        g = rng.normal(size=6)
+        ef.update("a", g, topk_argpartition(g, 2))
+        kept = ef.residual("a").copy()
+        sent = topk_argpartition(rng.normal(size=7), 2)
+        with pytest.raises(ValueError, match="key 'a': sent length 7 does not match gradient size 6") as err:
+            ef.update("a", g, sent)
+        assert "\n" not in str(err.value)
+        np.testing.assert_array_equal(ef.residual("a"), kept)

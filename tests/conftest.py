@@ -76,9 +76,9 @@ def recording_elastic_runs():
         yield reports
 
 
-def make_worker_grads(rng: np.random.Generator, world: int, d: int) -> list[np.ndarray]:
-    """Helper used across comm/collective tests."""
-    return [rng.normal(size=d) for _ in range(world)]
+def make_worker_grads(rng: np.random.Generator, world: int, d: int) -> np.ndarray:
+    """A ``(world, d)`` gradient matrix, rank ``r``'s gradient in row ``r``."""
+    return rng.normal(size=(world, d))
 
 
 def digest16(text: str) -> str:

@@ -11,8 +11,9 @@ and a new batch of the same shape replay.  A model keeps one program: a
 call at another key drops it, and the buffers it was recorded against,
 before recording, so a retired trainer's buffers die with it; every
 model of a whole Fig. 10 / Table 2 / elastic-churn run records once per
-trainer built around it and holds one program; and a replay still runs
-the cross-entropy's label check.
+trainer built around it and holds one program; a replay still runs the
+cross-entropy's label check; and every program's arena starts on a
+64-byte boundary.
 """
 
 from __future__ import annotations
@@ -261,3 +262,62 @@ def test_an_elastic_rebuild_frees_the_retired_trainers(tmp_path):
     alive = [(trainer(), weight()) for trainer, weight in made]
     assert len(alive) == 3 and alive[-1][0] is elastic.trainer
     assert alive[:-1] == [(None, None)] * 2  # both alive while programs outlived them
+
+
+class _Arenas:
+    """Records the base address of every arena a program is bound to."""
+
+    def __init__(self, monkeypatch):
+        self.bases, place = [], autodiff._place
+
+        def spied(value, arena, offsets):
+            self.bases.append(arena.ctypes.data)
+            return place(value, arena, offsets)
+
+        monkeypatch.setattr(autodiff, "_place", spied)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (MLPClassifier(input_dim=4, hidden=(6,), num_classes=3), (4,), ()),
+    lambda: (SmallConvNet(2, (3, 4), 3, 4), (2, 4, 4), ()),
+    lambda: (TinyTransformer(3, 4, 5, 4), (4,), (4,)),
+], ids=["mlp", "cnn", "transformer"])
+def test_every_recorded_arena_starts_on_a_cache_line(build, monkeypatch):
+    """Every buffer sits a multiple of 64 bytes into its program's arena,
+    and the arena starts on a 64-byte boundary wherever the heap puts it:
+    over batch shapes and worker counts that record arenas of other sizes,
+    and over parameters in new buffers (what a new trainer brings)."""
+    arenas, counted = _Arenas(monkeypatch), _Counted(monkeypatch)
+    model, x_tail, y_tail = build()
+    rng = np.random.default_rng(2)
+    for workers, local, seed in [(1, 2, 0), (2, 3, 0), (3, 1, 1), (4, 5, 2), (2, 3, 3)]:
+        params = model.init_params(new_rng(seed))
+        x_shape, y_shape = (workers, local, *x_tail), (workers, local, *y_tail)
+        if isinstance(model, TinyTransformer):
+            xs = rng.integers(0, 3, size=x_shape)
+        else:
+            xs = rng.normal(size=x_shape)
+        model.loss_and_grad_workers(params, xs, rng.integers(0, 3, size=y_shape))
+    assert counted.passes >= 5  # each call records (the CNN in several passes)
+    assert arenas.bases and [base % 64 for base in arenas.bases] == [0] * len(arenas.bases)
+
+
+def test_trainers_rebuilt_around_one_model_record_aligned_arenas(monkeypatch):
+    """Each new trainer around the model records a program of its own;
+    every one of those arenas starts on a 64-byte boundary."""
+    from repro.api.registry import build_cluster, build_scheme
+    from repro.optim.sgd import SGD
+    from repro.train.trainer import DistributedTrainer
+
+    arenas, counted = _Arenas(monkeypatch), _Counted(monkeypatch)
+    model = MLPClassifier(input_dim=2, hidden=(12,), num_classes=4)
+    rng = np.random.default_rng(3)
+    shapes = [(1, 2), (2, 2), (3, 2), (1, 4), (2, 1)]
+    for nodes, gpus in shapes:
+        network = build_cluster("tencent", nodes, gpus_per_node=gpus)
+        trainer = DistributedTrainer(model, build_scheme("mstopk", network, density=0.1), optimizer=SGD(lr=0.1))
+        for _ in range(2):
+            batches = [(rng.normal(size=(4, 2)), rng.integers(0, 4, size=4)) for _ in range(nodes * gpus)]
+            trainer.train_step(batches)
+    assert counted.passes == len(shapes)
+    assert arenas.bases and [base % 64 for base in arenas.bases] == [0] * len(arenas.bases)

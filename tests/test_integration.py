@@ -128,11 +128,12 @@ class TestFullPipeline:
             rows = slice(w * 32, (w + 1) * 32)
             _, grads, _ = single_worker(model.loss_and_grad_workers, params, x[rows], y[rows])
             worker_grads.append(np.concatenate([grads[k].ravel() for k in params]))
-        dense_sum = np.sum(worker_grads, axis=0)
+        worker_grads = np.stack(worker_grads)
+        dense_sum = worker_grads.sum(axis=0)
 
         for name in ("dense", "2dtar", "topk", "mstopk", "naiveag-mstopk"):
             scheme = build_scheme(name, cluster, density=0.2)
-            out = scheme.aggregate(worker_grads, rng=rng).outputs[0]
+            out = scheme.aggregate(worker_grads, rng=rng).aggregate
             cosine = out @ dense_sum / (
                 np.linalg.norm(out) * np.linalg.norm(dense_sum) + 1e-12
             )

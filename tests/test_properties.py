@@ -5,8 +5,9 @@ and are the contracts the distributed pipeline is built on:
 
 1. any ``TopKCompressor`` returns exactly ``k`` unique in-range indices
    whose values match the source (the fixed-size-wire contract);
-2. any ``CommScheme`` produces rank-identical outputs (the synchronous
-   SGD consistency contract, paper Eq. 1);
+2. any ``CommScheme`` returns one aggregate, of the gradients' length and
+   dtype, that every rank receives (the synchronous SGD consistency
+   contract, paper Eq. 1);
 3. error feedback conserves gradient mass for every compressor;
 4. dense schemes are permutation-equivariant in their inputs.
 """
@@ -87,15 +88,12 @@ class TestSchemeContract:
         seed=st.integers(0, 10),
     )
     @settings(max_examples=10, deadline=None)
-    def test_outputs_rank_identical(self, name, m, n, d, seed):
+    def test_one_aggregate_of_the_gradients_shape_and_dtype(self, name, m, n, d, seed):
         rng = np.random.default_rng(seed)
         net = make_cluster(m, "tencent", gpus_per_node=n)
         scheme = build_scheme(name, net, density=0.25)
-        grads = [rng.normal(size=d) for _ in range(m * n)]
-        result = scheme.aggregate(grads, rng=new_rng(seed))
-        assert len(result.outputs) == m * n
-        for out in result.outputs[1:]:
-            np.testing.assert_array_equal(out, result.outputs[0])
+        result = scheme.aggregate(rng.normal(size=(m * n, d)), rng=new_rng(seed))
+        assert result.aggregate.shape == (d,) and result.aggregate.dtype == np.float64
         if m * n > 1:
             assert result.breakdown.total > 0
 
@@ -103,21 +101,10 @@ class TestSchemeContract:
     def test_dense_schemes_permutation_equivariant(self, name, rng):
         # Summation commutes: permuting worker order changes nothing.
         net = make_cluster(2, "tencent", gpus_per_node=2)
-        grads = [rng.normal(size=40) for _ in range(4)]
-        a = build_scheme(name, net).aggregate(grads).outputs[0]
-        permuted = [grads[i] for i in (2, 0, 3, 1)]
-        b = build_scheme(name, net).aggregate(permuted).outputs[0]
+        grads = rng.normal(size=(4, 40))
+        a = build_scheme(name, net).aggregate(grads).aggregate
+        b = build_scheme(name, net).aggregate(grads[[2, 0, 3, 1]]).aggregate
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
-    def test_inputs_never_mutated(self, name, rng):
-        net = make_cluster(2, "tencent", gpus_per_node=2)
-        scheme = build_scheme(name, net, density=0.25)
-        grads = [rng.normal(size=32) for _ in range(4)]
-        originals = [g.copy() for g in grads]
-        scheme.aggregate(grads, rng=rng)
-        for g, o in zip(grads, originals):
-            np.testing.assert_array_equal(g, o)
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
     def test_time_model_monotone_in_size(self, name, testbed):
