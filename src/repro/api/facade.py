@@ -137,7 +137,6 @@ def _run_train(config: RunConfig, workload) -> RunReport:
         val_x=val_x,
         val_y=val_y,
         evaluate=workload.evaluate,
-        algorithm_name=scheme_name,
     )
     summary = {
         "final_loss": report.epoch_losses[-1],

@@ -2,14 +2,12 @@
 
 The :class:`~repro.brain.driver.BrainDriver` builds a
 :class:`BrainObservation` from live scheduler state at every tick:
-per-node occupancy and health-ledger suspicion, per-job allocation,
-*live* throughput (contention, NIC degradation, straggler stretch and
-gray-link jitter all priced in via the scheduler's memoized
-:class:`~repro.perf.iteration_model.IterationModel` fast path), and
-spot-billing rates.  The observation also acts as a closed-form pricing
-oracle — :meth:`BrainObservation.throughput` and :meth:`hourly_usd`
-price *hypothetical* allocation sizes, so a brain can weigh a rescale
-before asking for it.
+per-node occupancy and health-ledger suspicion, and per-job allocation,
+gang window, priority and deadline.  The observation also acts as a closed-form
+pricing oracle — :meth:`BrainObservation.throughput` prices a
+*hypothetical* allocation size through the scheduler's memoized
+:class:`~repro.perf.iteration_model.IterationModel` fast path, so a
+brain can weigh a rescale before asking for it.
 
 Everything here is pure arithmetic on the snapshot: no RNG, no wall
 clock, no mutation — two identical scheduler states produce
@@ -39,7 +37,7 @@ class NodeSignal:
 
 @dataclass(frozen=True)
 class JobSignal:
-    """One running job's allocation, progress, and live throughput."""
+    """One running job's allocation, gang window, priority and deadline."""
 
     name: str
     nodes: tuple
@@ -47,16 +45,6 @@ class JobSignal:
     max_nodes: int
     priority: int
     deadline_seconds: float | None
-    preference: str
-    progress: float
-    remaining: float
-    #: Worst-case tenant count across the allocation (NIC contention).
-    contention: int
-    #: Live iterations/second — contention, NIC degradation, straggler
-    #: stretch and gray-link jitter included.
-    throughput_it_per_s: float
-    #: Current spot/on-demand burn rate for the allocation.
-    hourly_usd: float
 
 
 class BrainObservation:
@@ -146,8 +134,7 @@ class BrainObservation:
         """Model-driven solo iterations/second at a hypothetical size.
 
         Uncontended and fault-free by construction — the clean scaling
-        curve a rescale decision is judged against (live degradation is
-        what the per-job :attr:`JobSignal.throughput_it_per_s` carries).
+        curve a rescale decision is judged against.
         """
         if node_count < 1:
             return 0.0
@@ -156,14 +143,10 @@ class BrainObservation:
         )
         return 1.0 / seconds if seconds > 0 else 0.0
 
-    def hourly_usd(self, name: str, node_count: int) -> float:
-        """Spot/on-demand burn rate at a hypothetical allocation size."""
-        return self._scheduler.hourly_rate(self._specs[name], node_count)
-
 
 def build_observation(run) -> BrainObservation:
     """Snapshot a live :class:`~repro.sched.core.SchedRun` for one decision tick."""
-    scheduler, now, state, faults = run.scheduler, run.now, run.state, run.faults
+    scheduler, now, state = run.scheduler, run.now, run.state
     ledger = state.health
     nodes = []
     for n in range(state.num_nodes):
@@ -181,23 +164,11 @@ def build_observation(run) -> BrainObservation:
                 ),
             )
         )
-    nic_scale = faults.active_nic_scale() if faults is not None else 1.0
     jobs = []
     specs = {}
     for record in sorted(run.running, key=lambda r: r.spec.name):
         spec = record.spec
         specs[spec.name] = spec
-        contention = state.contention_for(record.nodes)
-        stretch = faults.stretch_for(record.nodes) if faults is not None else 1.0
-        jitter = faults.jitter_for(record.nodes) if faults is not None else 1.0
-        busy = scheduler.iteration_seconds(
-            spec,
-            nodes=len(record.nodes),
-            contention=contention,
-            nic_scale=nic_scale,
-            stretch=stretch,
-            jitter=jitter,
-        )
         jobs.append(
             JobSignal(
                 name=spec.name,
@@ -206,14 +177,6 @@ def build_observation(run) -> BrainObservation:
                 max_nodes=spec.max_nodes,
                 priority=spec.priority,
                 deadline_seconds=spec.deadline_seconds,
-                preference=spec.preference,
-                progress=record.progress,
-                remaining=record.remaining,
-                contention=contention,
-                throughput_it_per_s=round(1.0 / busy, 9) if busy > 0 else 0.0,
-                hourly_usd=round(
-                    scheduler.hourly_rate(spec, len(record.nodes)), 9
-                ),
             )
         )
     return BrainObservation(

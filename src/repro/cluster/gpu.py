@@ -22,6 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Bytes of one gradient element: the kernels modelled run on float32.
+FP32_BYTES = 4
+
 
 @dataclass(frozen=True)
 class GpuSpec:
@@ -44,7 +47,7 @@ class GpuSpec:
         bandwidth = self.memory_bandwidth * self.streaming_efficiency
         return passes * (self.kernel_launch_overhead + nbytes / bandwidth)
 
-    def sort_time(self, n_elements: int, bytes_per_element: int = 4) -> float:
+    def sort_time(self, n_elements: int) -> float:
         """Time for a sort-based selection over ``n_elements``.
 
         Modelled as ``n log2 n`` memory operations at the irregular-access
@@ -56,13 +59,13 @@ class GpuSpec:
         if n_elements <= 1:
             return self.kernel_launch_overhead
         bandwidth = self.memory_bandwidth * self.irregular_efficiency
-        ops_bytes = n_elements * math.log2(n_elements) * bytes_per_element
+        ops_bytes = n_elements * math.log2(n_elements) * FP32_BYTES
         return self.kernel_launch_overhead + ops_bytes / bandwidth
 
-    def gather_time(self, n_elements: int, bytes_per_element: int = 4) -> float:
+    def gather_time(self, n_elements: int) -> float:
         """Random-index gather (used by DGC's sampling step)."""
         bandwidth = self.memory_bandwidth * self.irregular_efficiency
-        return self.kernel_launch_overhead + n_elements * bytes_per_element / bandwidth
+        return self.kernel_launch_overhead + n_elements * FP32_BYTES / bandwidth
 
 
 #: Tesla V100-32GB (the paper's GPU): 900 GB/s HBM2, 15.7 TFLOPS FP32,
@@ -79,7 +82,6 @@ def mstopk_gpu_time(
     *,
     n_samplings: int = 30,
     gpu: GpuSpec = V100,
-    bytes_per_element: int = 4,
 ) -> float:
     """GPU-projected time of MSTopK (Algorithm 1) on a ``d``-vector.
 
@@ -90,12 +92,12 @@ def mstopk_gpu_time(
     setup_passes = 3  # abs + mean-reduce + max-reduce
     select_passes = 2  # two masked selections (Algorithm 1 lines 25-29)
     passes = n_samplings + setup_passes + select_passes
-    return gpu.scan_time(d * bytes_per_element, passes=passes)
+    return gpu.scan_time(d * FP32_BYTES, passes=passes)
 
 
-def exact_topk_gpu_time(d: int, *, gpu: GpuSpec = V100, bytes_per_element: int = 4) -> float:
+def exact_topk_gpu_time(d: int, *, gpu: GpuSpec = V100) -> float:
     """GPU-projected time of a sort-based exact top-k (``nn.topk``)."""
-    return gpu.sort_time(d, bytes_per_element)
+    return gpu.sort_time(d)
 
 
 def dgc_topk_gpu_time(
@@ -103,7 +105,6 @@ def dgc_topk_gpu_time(
     *,
     sample_fraction: float = 0.1,
     gpu: GpuSpec = V100,
-    bytes_per_element: int = 4,
 ) -> float:
     """GPU-projected time of DGC's double-sampling top-k (Lin et al. 2018).
 
@@ -116,9 +117,9 @@ def dgc_topk_gpu_time(
     if not 0 < sample_fraction <= 1:
         raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
     sample = max(1, int(d * sample_fraction))
-    t_sample = gpu.gather_time(sample, bytes_per_element)
-    t_topk = 2 * gpu.sort_time(sample, bytes_per_element)
-    t_passes = gpu.scan_time(d * bytes_per_element, passes=3)  # abs + threshold + select
+    t_sample = gpu.gather_time(sample)
+    t_topk = 2 * gpu.sort_time(sample)
+    t_passes = gpu.scan_time(d * FP32_BYTES, passes=3)  # abs + threshold + select
     return t_sample + t_topk + t_passes
 
 

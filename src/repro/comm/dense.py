@@ -20,6 +20,10 @@ from repro.comm.base import AggregationResult, CommScheme
 from repro.comm.breakdown import TimeBreakdown
 from repro.utils.seeding import RandomState
 
+#: Tree edges sharing each NIC in NCCL 2.5's ring-ordered tree (Fig. 7's
+#: TreeAR calibration).
+TREE_NIC_CONTENTION = 2.0
+
 
 class RingAllReduce(CommScheme):
     """Flat ring all-reduce across all ``P`` GPUs (Baidu 2017).
@@ -66,9 +70,10 @@ class TreeAllReduce(CommScheme):
     logarithmic latency, but an interior tree node's NIC carries roughly
     ``traffic_factor`` times the message volume, and NCCL 2.5's tree is
     laid out along the ring order rather than NIC-balanced, so about
-    ``nic_contention`` tree edges share each NIC.  The product of the two
-    calibration factors reproduces the TreeAR curve of Fig. 7 ("TreeAR
-    ... is also not that efficient in the cloud environment", §5.3).
+    :data:`TREE_NIC_CONTENTION` tree edges share each NIC.  The product
+    of the two calibration factors reproduces the TreeAR curve of Fig. 7
+    ("TreeAR ... is also not that efficient in the cloud environment",
+    §5.3).
     """
 
     name = "TreeAR"
@@ -80,12 +85,10 @@ class TreeAllReduce(CommScheme):
         *,
         wire_bytes: int = 4,
         traffic_factor: float = 3.0,
-        nic_contention: float = 2.0,
     ) -> None:
         super().__init__(network)
         self.wire_bytes = wire_bytes
         self.traffic_factor = traffic_factor
-        self.nic_contention = nic_contention
 
     def aggregate(
         self, worker_grads: np.ndarray, *, rng: RandomState | None = None
@@ -107,7 +110,7 @@ class TreeAllReduce(CommScheme):
         multi_node = self.topology.num_nodes > 1
         # A single-node tree runs over NVLink with no NIC to contend for.
         link = self.network.inter if multi_node else self.network.intra
-        contention = self.nic_contention if multi_node else 1.0
+        contention = TREE_NIC_CONTENTION if multi_node else 1.0
         base = NetworkModel.allreduce_tree_time(
             self.topology.world_size,
             nbytes,

@@ -24,6 +24,10 @@ from repro.compression.exact_topk import ExactTopK
 from repro.compression.error_feedback import ErrorFeedback, select_with_feedback
 from repro.utils.seeding import RandomState
 
+#: Multiplier (< 1) on link efficiency for the un-fused sparse exchange,
+#: calibrated against Fig. 7's NaiveAG curve.
+SPARSE_GOODPUT = 0.35
+
 
 class NaiveAllGather(CommScheme):
     """Flat sparse All-Gather aggregation ("NaiveAG").
@@ -42,11 +46,10 @@ class NaiveAllGather(CommScheme):
         next round (required for convergence; on by default).
     value_bytes / index_bytes:
         Wire format of the two all-gathered buffers.
-    sparse_goodput:
-        Multiplier (< 1) on link efficiency for the un-fused sparse
-        exchange: two separate collectives with small messages plus the
-        scatter-add accumulation pass.  Calibrated against Fig. 7's
-        NaiveAG curve.
+
+    The un-fused sparse exchange (two separate collectives with small
+    messages plus the scatter-add accumulation pass) runs links at
+    :data:`SPARSE_GOODPUT` of their efficiency.
     """
 
     name = "NaiveAG"
@@ -61,20 +64,16 @@ class NaiveAllGather(CommScheme):
         error_feedback: bool = True,
         value_bytes: int = 4,
         index_bytes: int = 4,
-        sparse_goodput: float = 0.35,
         gpu: GpuSpec = V100,
     ) -> None:
         super().__init__(network)
         if not 0 < density <= 1:
             raise ValueError(f"density must be in (0, 1], got {density}")
-        if not 0 < sparse_goodput <= 1:
-            raise ValueError(f"sparse_goodput must be in (0, 1], got {sparse_goodput}")
         self.density = density
         self.compressor = compressor if compressor is not None else ExactTopK()
         self.ef = ErrorFeedback() if error_feedback else None
         self.value_bytes = value_bytes
         self.index_bytes = index_bytes
-        self.sparse_goodput = sparse_goodput
         self.gpu = gpu
 
     def aggregate(
@@ -109,7 +108,7 @@ class NaiveAllGather(CommScheme):
         pair_bytes = k * (self.value_bytes + self.index_bytes)
         # Ring All-Gather over all P ranks (node-major): every inter-node
         # link forwards all (P-1) foreign messages, at degraded goodput.
-        link = self.network.inter.scaled(self.sparse_goodput)
+        link = self.network.inter.scaled(SPARSE_GOODPUT)
         t_comm = (p - 1) * (link.alpha + pair_bytes * link.beta)
         # Accumulation: scatter-add of P*k (value, index) pairs per GPU.
         accum_bytes = p * k * (self.value_bytes + self.index_bytes)

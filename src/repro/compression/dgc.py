@@ -28,22 +28,16 @@ class DGCTopK(TopKCompressor):
     ----------
     sample_fraction:
         Fraction of elements sampled for threshold estimation (DGC uses
-        0.1%–1% at ImageNet scale; we default to 1%).
-    headroom:
-        Over-selection factor applied to the sample-estimated rank to
-        reduce the chance of undershooting (DGC samples the threshold at
-        rank ``headroom * k * sample_fraction``).
+        0.1%–1% at ImageNet scale; we default to 1%).  The threshold
+        is sampled at rank ``k * sample_fraction``.
     """
 
-    def __init__(self, sample_fraction: float = 0.01, headroom: float = 1.0) -> None:
+    def __init__(self, sample_fraction: float = 0.01) -> None:
         if not 0 < sample_fraction <= 1:
             raise ValueError(
                 f"sample_fraction must be in (0, 1], got {sample_fraction}"
             )
-        if headroom < 1.0:
-            raise ValueError(f"headroom must be >= 1, got {headroom}")
         self.sample_fraction = sample_fraction
-        self.headroom = headroom
         self.name = "DGC"
 
     def select(
@@ -66,7 +60,7 @@ class DGCTopK(TopKCompressor):
 
         # First top-k: on the sample, at the scaled rank.
         sample_k = min(
-            sample_size, max(1, int(math.ceil(self.headroom * k * self.sample_fraction)))
+            sample_size, max(1, int(math.ceil(k * self.sample_fraction)))
         )
         thres = float(
             np.partition(sample, sample_size - sample_k)[sample_size - sample_k]
@@ -85,9 +79,7 @@ class DGCTopK(TopKCompressor):
         return SparseVector(x[indices], indices, x.size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DGCTopK(sample_fraction={self.sample_fraction}, headroom={self.headroom})"
-        )
+        return f"DGCTopK(sample_fraction={self.sample_fraction})"
 
 
 __all__ = ["DGCTopK"]

@@ -52,28 +52,14 @@ def topk_argpartition(x: np.ndarray, k: int) -> SparseVector:
 
 
 class ExactTopK(TopKCompressor):
-    """Exact top-k compressor.
+    """Exact top-k compressor: the efficient ``argpartition`` selection."""
 
-    Parameters
-    ----------
-    method:
-        ``"sort"`` for the naive full-sort path (what the paper benchmarks
-        as ``nn.topk``) or ``"argpartition"`` for the efficient selection.
-    """
-
-    def __init__(self, method: str = "argpartition") -> None:
-        if method not in ("sort", "argpartition"):
-            raise ValueError(f"method must be 'sort' or 'argpartition', got {method!r}")
-        self.method = method
-        self.name = "nn.topk" if method == "sort" else "exact-topk"
+    name = "exact-topk"
 
     def select(
         self, x: np.ndarray, k: int, *, rng: RandomState | None = None
     ) -> SparseVector:
-        x = self._validate(x, k)
-        if self.method == "sort":
-            return naive_topk_sort(x, k)
-        return topk_argpartition(x, k)
+        return topk_argpartition(self._validate(x, k), k)
 
     def select_batch(
         self,
@@ -86,17 +72,15 @@ class ExactTopK(TopKCompressor):
 
         NumPy's introselect runs independently per row, so the batched
         result is bit-identical to per-shard :func:`topk_argpartition`
-        calls (pinned by the parity tests).  Unequal shard lengths, the
-        ``k == 0`` / ``k == d`` edges, and the deliberately-slow ``sort``
-        method fall back to the per-shard loop.
+        calls (pinned by the parity tests).  Unequal shard lengths and the
+        ``k == 0`` / ``k == d`` edges fall back to the per-shard loop.
         """
         rows, ks = self._validate_batch(xs, ks)
         if not rows:
             return []
         d = rows[0].size
         uniform = (
-            self.method == "argpartition"
-            and all(r.size == d for r in rows)
+            all(r.size == d for r in rows)
             and all(k == ks[0] for k in ks)
             and 0 < ks[0] < d
         )
@@ -109,9 +93,6 @@ class ExactTopK(TopKCompressor):
         return [
             SparseVector(row[idx], idx, d) for row, idx in zip(rows, indices)
         ]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ExactTopK(method={self.method!r})"
 
 
 __all__ = ["ExactTopK", "naive_topk_sort", "topk_argpartition"]

@@ -51,7 +51,6 @@ class ThresholdSearchResult:
     k2: int
     iterations: int
     found1: bool = False  # thres1 established (not the 0.0 sentinel)
-    found2: bool = False  # thres2 established
     #: Ascending shard positions holding every element at or above
     #: ``thres2``, when the search kept track of them; ``None`` sends
     #: the gather over the whole shard.
@@ -137,7 +136,7 @@ def _threshold_search(
     lo, hi = 0.0, 1.0
     k1, k2 = 0, d
     thres1, thres2 = 0.0, 0.0
-    found1, found2 = False, False
+    found1 = False
     candidates = magnitude
     carried = 0  # decided-above elements still in ``candidates`` (all on top)
     positions = None  # shard positions of ``candidates`` (None: the whole shard)
@@ -174,7 +173,7 @@ def _threshold_search(
         else:
             lo = ratio
             if nnz < k2:
-                k2, thres2, found2 = nnz, thres, True
+                k2, thres2 = nnz, thres
             if ordered is not None:
                 continue  # what lies under the cut stays under every later one
             if n_above * _FEW >= candidates.size * (_FEW - 1):
@@ -185,7 +184,7 @@ def _threshold_search(
                 positions = kept if positions is None else positions.take(kept)
 
     reach = positions if tracked else None
-    return ThresholdSearchResult(thres1, thres2, k1, k2, n_samplings, found1, found2, reach)
+    return ThresholdSearchResult(thres1, thres2, k1, k2, n_samplings, found1, reach)
 
 
 def mstopk_select(

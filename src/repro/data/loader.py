@@ -17,6 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.cache import CacheLevel, DataCache
+from repro.perf.calibration import CALIBRATION
 from repro.utils.clock import VirtualClock
 from repro.utils.seeding import RandomState, new_rng
 
@@ -34,18 +35,15 @@ class EpochTimings:
 
 
 class CachedDataLoader:
-    """Batched loader over a :class:`DataCache` partition.
+    """Batched loader over the samples a node's :class:`DataCache` owns.
 
     Parameters
     ----------
     cache:
-        The node's DataCache.
+        The node's DataCache; the loader reads the shard it owns (see
+        :meth:`DataCache.owns`), so cache ownership lines up with access.
     batch_size:
         Samples per iteration.
-    partition:
-        Sample indices this worker is responsible for (node-sharded so
-        cache ownership lines up with access; see
-        :meth:`DataCache.owns`).
     decode_workers:
         Parallel input-pipeline workers dividing the decode cost (the
         paper's baselines vary here: Fig. 9's single-GPU measurement is
@@ -54,9 +52,6 @@ class CachedDataLoader:
         When True, pipeline time hides behind ``gpu_seconds`` up to a
         straggler residue; when False the full cost is visible (the
         "Naive" bar of Fig. 9).
-    straggler_fraction:
-        Residual fraction of pipeline time that stays visible even when
-        fully overlapped (queue jitter).
     """
 
     def __init__(
@@ -64,32 +59,23 @@ class CachedDataLoader:
         cache: DataCache,
         batch_size: int,
         *,
-        partition: np.ndarray | None = None,
         decode_workers: int = 1,
         pipelined: bool = True,
-        straggler_fraction: float = 0.1,
         seed: int = 0,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if decode_workers < 1:
             raise ValueError(f"decode_workers must be >= 1, got {decode_workers}")
-        if not 0 <= straggler_fraction <= 1:
-            raise ValueError(
-                f"straggler_fraction must be in [0, 1], got {straggler_fraction}"
-            )
         self.cache = cache
         self.batch_size = batch_size
-        if partition is None:
-            partition = np.array(
-                [i for i in range(len(cache.dataset)) if cache.owns(i)], dtype=np.int64
-            )
-        self.partition = np.asarray(partition, dtype=np.int64)
+        self.partition = np.array(
+            [i for i in range(len(cache.dataset)) if cache.owns(i)], dtype=np.int64
+        )
         if self.partition.size == 0:
             raise ValueError("empty partition")
         self.decode_workers = decode_workers
         self.pipelined = pipelined
-        self.straggler_fraction = straggler_fraction
         self._rng = new_rng(seed)
 
     def iterations_per_epoch(self) -> int:
@@ -146,7 +132,7 @@ class CachedDataLoader:
             pipeline = io_s + pre_s
             if self.pipelined:
                 hidden = min(pipeline, gpu_seconds_per_iteration)
-                visible = (pipeline - hidden) + self.straggler_fraction * hidden
+                visible = (pipeline - hidden) + CALIBRATION.io_straggler_fraction * hidden
             else:
                 visible = pipeline
             timings.visible_seconds += visible

@@ -31,7 +31,7 @@ _CHANNEL_MEAN = np.array([0.485, 0.456, 0.406], dtype=np.float32)
 _CHANNEL_STD = np.array([0.229, 0.224, 0.225], dtype=np.float32)
 
 
-def encode_image(sample_id: int, resolution: int, *, quality_bytes_per_pixel: float = 0.6) -> bytes:
+def encode_image(sample_id: int, resolution: int) -> bytes:
     """Produce a synthetic 'JPEG': a header plus compressed-size filler.
 
     The filler length models JPEG compression (~0.6 bytes/pixel for
@@ -42,7 +42,7 @@ def encode_image(sample_id: int, resolution: int, *, quality_bytes_per_pixel: fl
     if sample_id < 0:
         raise ValueError(f"sample_id must be non-negative, got {sample_id}")
     header = _HEADER.pack(_MAGIC, sample_id, resolution, resolution)
-    payload_len = max(0, int(resolution * resolution * quality_bytes_per_pixel) - len(header))
+    payload_len = max(0, int(resolution * resolution * 0.6) - len(header))
     # Deterministic filler; content is irrelevant, length is what matters.
     filler = (sample_id % 251).to_bytes(1, "little") * payload_len
     return header + filler

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.cluster.cloud_presets import CFS_TIER, StorageTier
+from repro.cluster.cloud_presets import CFS_TIER
 from repro.utils.clock import VirtualClock
 
 
@@ -95,26 +95,21 @@ class NfsStore(_DictStore):
 
     name = "nfs"
 
-    def __init__(self, tier: StorageTier = CFS_TIER) -> None:
-        profile = StorageProfile(tier.latency, tier.bandwidth)
+    def __init__(self) -> None:
+        profile = StorageProfile(CFS_TIER.latency, CFS_TIER.bandwidth)
         super().__init__(read_profile=profile, write_profile=profile)
-        self.tier = tier
 
 
 class LocalDiskStore(_DictStore):
-    """The instance-local SSD / file-system cache tier."""
+    """The instance-local SSD / file-system cache tier: 100 µs per
+    request, 2 GB/s reads and 1 GB/s writes."""
 
     name = "local_disk"
 
-    def __init__(
-        self,
-        read_bandwidth: float = 2.0e9,
-        write_bandwidth: float = 1.0e9,
-        latency: float = 1e-4,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__(
-            read_profile=StorageProfile(latency, read_bandwidth),
-            write_profile=StorageProfile(latency, write_bandwidth),
+            read_profile=StorageProfile(1e-4, 2.0e9),
+            write_profile=StorageProfile(1e-4, 1.0e9),
         )
 
 
@@ -123,35 +118,14 @@ class MemoryStore(_DictStore):
 
     "we further cache the pre-processed data into memory using the
     key-value store, where the key is the sample index and the value is
-    the pre-processed data" (§4.1).
+    the pre-processed data" (§4.1).  2 µs per request at 10 GB/s.
     """
 
     name = "memory"
 
-    def __init__(
-        self,
-        bandwidth: float = 10e9,
-        latency: float = 2e-6,
-        capacity_bytes: int | None = None,
-    ) -> None:
-        super().__init__(
-            read_profile=StorageProfile(latency, bandwidth),
-            write_profile=StorageProfile(latency, bandwidth),
-        )
-        self.capacity_bytes = capacity_bytes
-
-    def write(self, key: str, payload: bytes, clock: VirtualClock) -> None:
-        if (
-            self.capacity_bytes is not None
-            and not self.contains(key)
-            and self.nbytes() + len(payload) > self.capacity_bytes
-        ):
-            raise MemoryError(
-                f"memory cache over capacity: {self.nbytes() + len(payload)} "
-                f"> {self.capacity_bytes} bytes — shard the dataset across "
-                f"more nodes (paper §4.1)"
-            )
-        super().write(key, payload, clock)
+    def __init__(self) -> None:
+        profile = StorageProfile(2e-6, 10e9)
+        super().__init__(read_profile=profile, write_profile=profile)
 
 
 __all__ = [

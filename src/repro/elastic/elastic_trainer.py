@@ -57,13 +57,16 @@ from repro.train.checkpoint import (
 from repro.train.trainer import DistributedTrainer, TrainableModel
 from repro.utils.seeding import derive_seed, new_rng
 
+#: Wall iterations a run may take per useful iteration, so pathological
+#: churn schedules terminate.
+MAX_WALL_FACTOR = 4
+
 
 @dataclass
 class ElasticRunReport:
     """Accounting record of one elastic training run."""
 
     scheme: str
-    iterations_target: int
     useful_iterations: int = 0
     wall_iterations: int = 0
     lost_iterations: int = 0
@@ -425,7 +428,6 @@ class ElasticTrainer:
         iterations: int,
         local_batch: int,
         schedule=None,
-        max_wall_factor: int = 4,
     ) -> ElasticRunReport:
         """Train for ``iterations`` useful steps under a churn schedule.
 
@@ -434,13 +436,12 @@ class ElasticTrainer:
         (:class:`~repro.elastic.events.PoissonChurn`,
         :class:`~repro.elastic.events.TraceSchedule`, or ``None`` for a
         static cluster).  Wall iterations are capped at
-        ``iterations * max_wall_factor`` so pathological schedules
-        terminate.
+        ``iterations * MAX_WALL_FACTOR``.
         """
         if iterations < 1 or local_batch < 1:
             raise ValueError("iterations and local_batch must be >= 1")
         x, y = np.asarray(x), np.asarray(y)
-        horizon = iterations * max_wall_factor
+        horizon = iterations * MAX_WALL_FACTOR
         events = (
             schedule.generate(horizon, self.membership.num_nodes, self._event_rng)
             if schedule is not None
@@ -450,9 +451,7 @@ class ElasticTrainer:
         for event in events:
             by_iteration.setdefault(event.iteration, []).append(event)
 
-        report = ElasticRunReport(
-            scheme=self.trainer.scheme.name, iterations_target=iterations
-        )
+        report = ElasticRunReport(scheme=self.trainer.scheme.name)
         report.world_sizes.append(self.membership.world_size)
         self._shards = self.membership.reshard(x, y)
         self._save_checkpoint(report, 0)

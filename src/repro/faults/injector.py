@@ -349,12 +349,12 @@ class FaultInjector:
         }
 
 
-def _flip_bytes(path, span: int = _FLIP_SPAN) -> None:
-    """Invert ``span`` bytes in the middle of ``path`` (real disk damage)."""
+def _flip_bytes(path) -> None:
+    """Invert :data:`_FLIP_SPAN` bytes in the middle of ``path`` (real disk damage)."""
     size = os.path.getsize(path)
     if size == 0:
         return
-    span = min(span, size)
+    span = min(_FLIP_SPAN, size)
     offset = max(0, size // 2 - span // 2)
     with open(path, "r+b") as handle:
         handle.seek(offset)

@@ -214,11 +214,6 @@ class FaultPlan:
     def to_dicts(self) -> list[dict]:
         return [dataclasses.asdict(event) for event in self.events]
 
-    @property
-    def kinds(self) -> list[str]:
-        """Sorted distinct canonical kinds in this plan."""
-        return sorted({event.kind for event in self.events})
-
 
 #: FaultConfig fields FaultEvent takes as floats.  A config file may
 #: write ``20`` for ``20.0`` and the section keeps what was written (its

@@ -158,7 +158,11 @@ class _Slot(tuple):
 
 
 def _address(array: Array) -> int:
-    return array.__array_interface__["data"][0]
+    # Not ``__array_interface__["data"][0]``: that builds a dict whose
+    # "typestr" key the interpreter interns and frees again on each call,
+    # so every few 10 000 calls it rebuilds its table of interned strings
+    # (a 1-2 MB block) inside whichever pass makes the call.
+    return array.ctypes.data
 
 
 class _Trace:
@@ -815,7 +819,11 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, workers: int = 1) 
     return _node(_k(np.add.reduce, losses), (logits,), backward), losses
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+#: Layer normalisation's variance floor.
+_LN_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalisation over the last axis of ``(W, ..., dim)``
     activations, with each worker's ``(W, dim)`` gain and bias.
 
@@ -830,7 +838,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     centered = _k(np.subtract, a.data, mu)
     var = _k(np.add.reduce, _k(np.square, centered), axis=-1, keepdims=True)
     _do(np.true_divide, var, np.intp(a.shape[-1]), out=var, casting="unsafe")
-    inv = _k(np.true_divide, 1.0, _k(np.sqrt, _k(np.add, var, eps)))
+    inv = _k(np.true_divide, 1.0, _k(np.sqrt, _k(np.add, var, _LN_EPS)))
     x_hat = _k(np.multiply, centered, inv)
     # The per-worker gain and bias under the activations' middle axes.
     lead = (len(a.data), *[1] * (a.ndim - 2), a.shape[-1])

@@ -150,21 +150,18 @@ def make_copy_task(
     num_samples: int,
     vocab_size: int = 64,
     seq_len: int = 12,
-    shift: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthetic 'translation': target token = permuted *neighbour* token.
 
-    ``y[i] = mapping[x[(i + shift) % L]]`` — the vocabulary permutation
+    ``y[i] = mapping[x[(i + 1) % L]]`` — the vocabulary permutation
     needs the embeddings/output head, and the positional shift needs the
     attention layer (a bag-of-tokens model cannot solve it), so the task
     genuinely exercises the Transformer; convergence behaviour under
     sparsified gradients mirrors the real seq2seq task at this scale.
     """
-    if not 0 <= shift < seq_len:
-        raise ValueError(f"shift must be in [0, seq_len), got {shift}")
     mapping = rng.permutation(vocab_size)
     x = rng.integers(1, vocab_size, size=(num_samples, seq_len))
-    y = mapping[np.roll(x, -shift, axis=1)]
+    y = mapping[np.roll(x, -1, axis=1)]
     return x, y
 
 

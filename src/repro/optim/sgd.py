@@ -24,7 +24,6 @@ class SGD:
         lr: float = 0.1,
         momentum: float = 0.9,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
@@ -35,7 +34,6 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: dict[str, np.ndarray] = {}
 
     def step(
@@ -67,7 +65,7 @@ class SGD:
                 # In place: the same multiply, then the same add.
                 np.multiply(v, self.momentum, out=v)
                 v += g
-                g = g + self.momentum * v if self.nesterov else v
+                g = v
             w -= lr * g
 
 

@@ -53,14 +53,13 @@ def account(
     instance: str | SpotProfile = "tencent",
     on_demand_hourly: float | None = None,
     spot_discount: float | None = None,
-    baseline_nodes: int | None = None,
 ) -> ElasticCostReport:
     """Price an elastic run against its on-demand baseline.
 
     The baseline trains the same number of *useful* iterations on a
-    stable on-demand cluster of ``baseline_nodes`` (default: the run's
-    time-weighted mean live node count, so the baseline buys the same
-    capacity the run actually used) at the run's churn-free
+    stable on-demand cluster of the run's time-weighted mean live node
+    count (so the baseline buys the same capacity the run actually
+    used, just stably and on-demand) at the run's churn-free
     per-iteration time — total step time net of recovery overhead,
     averaged over attempted iterations — so the comparison isolates
     what churn costs.
@@ -88,14 +87,7 @@ def account(
         step_seconds / report.wall_iterations if report.wall_iterations else 0.0
     )
     baseline_seconds = per_iteration * report.useful_iterations
-    if baseline_nodes is None:
-        # Default: the run's mean live node count, so the baseline buys
-        # the same capacity it actually used, just stably and on-demand.
-        nodes = (
-            report.node_seconds / report.total_seconds if report.total_seconds else 1.0
-        )
-    else:
-        nodes = float(baseline_nodes)
+    nodes = report.node_seconds / report.total_seconds if report.total_seconds else 1.0
     on_demand_cost = baseline_seconds * max(nodes, 1.0) / 3600.0 * hourly
 
     cost_per_kilo = (

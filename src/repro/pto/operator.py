@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.cluster.gpu import FP32_BYTES
 from repro.cluster.network import NetworkModel
 from repro.utils.partition import partition_layers, partition_layers_balanced
 
@@ -109,9 +110,9 @@ class PTOCostModel:
     memory_bandwidth: float = 800e9  # bytes/s effective for the norm reductions
     gather_overhead_per_layer: float = 45e-6  # seconds per gathered result
 
-    def serial_time(self, layer_sizes: Sequence[int], bytes_per_element: int = 4) -> float:
+    def serial_time(self, layer_sizes: Sequence[int]) -> float:
         n_layers = len(layer_sizes)
-        total_bytes = sum(layer_sizes) * bytes_per_element
+        total_bytes = sum(layer_sizes) * FP32_BYTES
         launch = n_layers * self.kernels_per_layer * self.op_overhead
         # Each norm reads the layer twice (weights and gradients).
         return launch + 2.0 * total_bytes / self.memory_bandwidth
@@ -120,7 +121,6 @@ class PTOCostModel:
         self,
         layer_sizes: Sequence[int],
         network: NetworkModel,
-        bytes_per_element: int = 4,
     ) -> float:
         p = network.world_size
         n_layers = len(layer_sizes)
@@ -129,7 +129,7 @@ class PTOCostModel:
         worst_layers = max((len(a) for a in assignment), default=0)
         worst_bytes = max(
             (sum(layer_sizes[i] for i in a) for a in assignment), default=0
-        ) * bytes_per_element
+        ) * FP32_BYTES
         compute = (
             worst_layers * self.kernels_per_layer * self.op_overhead
             + 2.0 * worst_bytes / self.memory_bandwidth

@@ -286,10 +286,6 @@ class JobRecord:
     #: for payload-free jobs and jobs that were never placed.
     train_summary: dict | None = None
 
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self.spec.iterations - self.progress)
-
     def queue_wait(self, now: float) -> float:
         """Seconds spent waiting before first placement (so far)."""
         started = self.first_start if self.first_start is not None else now

@@ -17,10 +17,10 @@ def make_spiral_classification(
     num_samples: int,
     *,
     num_classes: int = 4,
-    noise: float = 0.15,
     rng: RandomState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved 2-D spirals, one arm per class."""
+    """Interleaved 2-D spirals, one arm per class, with Gaussian noise of
+    standard deviation ``0.15 t`` at arm parameter ``t``."""
     if num_samples < num_classes:
         raise ValueError("need at least one sample per class")
     rng = rng if rng is not None else new_rng()
@@ -31,7 +31,7 @@ def make_spiral_classification(
         angle = t * 4.0 * np.pi / num_classes + c * 2.0 * np.pi / num_classes
         radius = t
         x = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        x += rng.normal(0.0, noise * t[:, None], size=x.shape)
+        x += rng.normal(0.0, 0.15 * t[:, None], size=x.shape)
         xs.append(x)
         ys.append(np.full(per_class, c))
     x = np.concatenate(xs)
@@ -62,27 +62,26 @@ def make_synthetic_images(
     num_classes: int = 4,
     image_size: int = 16,
     channels: int = 3,
-    noise: float = 1.3,
-    amplitude: float = 0.8,
     rng: RandomState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """NCHW images whose class determines an oriented frequency pattern.
 
-    Class ``c`` injects a sinusoidal grating at angle ``c * pi / C`` on
-    top of noise — learnable by a small conv net, hopeless for a linear
-    model, which is what we want from a CNN benchmark.  The default
-    noise level keeps 15-epoch runs mid-curve so algorithm gaps stay
-    visible (nothing saturates at 100%).
+    Class ``c`` injects a sinusoidal grating of amplitude 0.8 at angle
+    ``c * pi / C`` on top of Gaussian noise (standard deviation 1.3) —
+    learnable by a small conv net, hopeless for a linear model, which is
+    what we want from a CNN benchmark.  That noise level keeps 15-epoch
+    runs mid-curve so algorithm gaps stay visible (nothing saturates at
+    100%).
     """
     rng = rng if rng is not None else new_rng()
     coords = np.arange(image_size)
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     y = rng.integers(0, num_classes, size=num_samples)
-    x = rng.normal(0.0, noise, size=(num_samples, channels, image_size, image_size))
+    x = rng.normal(0.0, 1.3, size=(num_samples, channels, image_size, image_size))
     for c in range(num_classes):
         mask = y == c
         angle = c * np.pi / num_classes
-        pattern = amplitude * np.sin(
+        pattern = 0.8 * np.sin(
             2.0 * np.pi * (np.cos(angle) * xx + np.sin(angle) * yy) / 6.0
         )
         x[mask] += pattern[None, None, :, :]
@@ -90,12 +89,10 @@ def make_synthetic_images(
 
 
 def train_val_split(
-    x: np.ndarray, y: np.ndarray, *, val_fraction: float = 0.2
+    x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic tail split (inputs are already shuffled)."""
-    if not 0 < val_fraction < 1:
-        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    n_val = max(1, int(len(x) * val_fraction))
+    """Deterministic tail split of a fifth (inputs are already shuffled)."""
+    n_val = max(1, int(len(x) * 0.2))
     return x[:-n_val], y[:-n_val], x[-n_val:], y[-n_val:]
 
 

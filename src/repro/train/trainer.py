@@ -227,7 +227,6 @@ def _takes_node_sums(scheme, layout: FlatLayout) -> bool:
 class TrainingReport:
     """Per-epoch records from one training run."""
 
-    algorithm: str
     epoch_losses: list[float] = field(default_factory=list)
     epoch_metrics: list[float] = field(default_factory=list)
     val_metrics: list[float] = field(default_factory=list)
@@ -392,7 +391,6 @@ class DistributedTrainer:
         val_x: np.ndarray | None = None,
         val_y: np.ndarray | None = None,
         evaluate=None,
-        algorithm_name: str | None = None,
     ) -> TrainingReport:
         """Run ``epochs`` of synchronous training.
 
@@ -405,7 +403,7 @@ class DistributedTrainer:
             raise ValueError("epochs and local_batch must be >= 1")
         if evaluate is None:
             evaluate = getattr(self.model, "evaluate", None)
-        report = TrainingReport(algorithm=algorithm_name or self.scheme.name)
+        report = TrainingReport()
         shards = self._shard_data(np.asarray(x), np.asarray(y))
         smallest = min(len(sx) for sx, _ in shards)
         local_batch = min(local_batch, smallest)  # no batch runs past a shard: every step stacks

@@ -56,12 +56,6 @@ def _job(name, nodes, *, min_nodes=1, max_nodes=3, priority=0, deadline=None):
         max_nodes=max_nodes,
         priority=priority,
         deadline_seconds=deadline,
-        preference="spot",
-        progress=0.5,
-        remaining=100.0,
-        contention=1,
-        throughput_it_per_s=1.0,
-        hourly_usd=2.0 * len(nodes),
     )
 
 

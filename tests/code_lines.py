@@ -1,4 +1,5 @@
-"""Count the code lines of Python sources: ``python tests/code_lines.py src/repro``.
+"""Count the code lines of Python sources: ``python tests/code_lines.py src/repro``
+(one count per argument, a directory's ``*.py`` files or one file).
 
 A line is a code line when it holds at least one token that is not a
 comment, a line break (``NL`` / ``NEWLINE``), an ``INDENT`` / ``DEDENT``,
@@ -41,8 +42,8 @@ def count_source(source: str) -> int:
 
 
 def count_tree(root: pathlib.Path) -> int:
-    """Code lines of every ``*.py`` under ``root``."""
-    paths = sorted(root.rglob("*.py"))
+    """Code lines of ``root`` when it is a file, else of every ``*.py`` under it."""
+    paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
     return sum(count_source(path.read_text(encoding="utf-8")) for path in paths)
 
 

@@ -48,7 +48,7 @@ class TestFunctionalSemantics:
         scheme = HiTopKComm(
             tiny_cluster,
             density=density,
-            compressor=ExactTopK("sort"),
+            compressor=ExactTopK(),
             error_feedback=False,
         )
         grads = make_worker_grads(rng, m * n, d)
@@ -62,7 +62,7 @@ class TestFunctionalSemantics:
             shards = reference_reduce_scatter(grads[node * n : (node + 1) * n])
             for local, shard in enumerate(shards):
                 k = density_to_k(shard.size, density)
-                sv = ExactTopK("sort").select(shard, k)
+                sv = ExactTopK().select(shard, k)
                 start, _ = bounds[local]
                 np.add.at(expected, sv.indices + start, sv.values)
         np.testing.assert_allclose(result.aggregate, expected, rtol=1e-10)

@@ -79,5 +79,3 @@ class TestCostModel:
     def test_validation(self, small_cluster):
         with pytest.raises(ValueError):
             NaiveAllGather(small_cluster, density=0.0)
-        with pytest.raises(ValueError):
-            NaiveAllGather(small_cluster, sparse_goodput=0.0)

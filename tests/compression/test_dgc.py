@@ -50,8 +50,6 @@ class TestDGC:
             DGCTopK(sample_fraction=0.0)
         with pytest.raises(ValueError):
             DGCTopK(sample_fraction=1.5)
-        with pytest.raises(ValueError):
-            DGCTopK(headroom=0.5)
 
     def test_values_match_source(self, rng):
         x = rng.normal(size=500)

@@ -25,6 +25,14 @@ class TestAgreement:
             np.sort(np.abs(by_sort.values)), np.sort(np.abs(by_part.values))
         )
 
+    def test_the_compressor_is_the_argpartition_selection(self, rng):
+        x = rng.normal(size=300)
+        by_class = ExactTopK().select(x, 30)
+        by_function = topk_argpartition(x, 30)
+        assert by_class.indices.tobytes() == by_function.indices.tobytes()
+        assert by_class.values.tobytes() == by_function.values.tobytes()
+        assert ExactTopK.name == "exact-topk"
+
     def test_sort_orders_by_descending_magnitude(self, rng):
         x = rng.normal(size=100)
         sv = naive_topk_sort(x, 10)
@@ -69,20 +77,3 @@ class TestExactThreshold:
         k = 50
         thres = exact_threshold(x, k)
         assert np.count_nonzero(np.abs(x) >= thres) >= k
-
-
-class TestCompressorClass:
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            ExactTopK("bogus")
-
-    def test_sort_name_is_nn_topk(self):
-        assert ExactTopK("sort").name == "nn.topk"
-
-    def test_select_dispatch(self, rng):
-        x = rng.normal(size=100)
-        a = ExactTopK("sort").select(x, 5)
-        b = ExactTopK("argpartition").select(x, 5)
-        np.testing.assert_allclose(
-            np.sort(np.abs(a.values)), np.sort(np.abs(b.values))
-        )

@@ -6,6 +6,8 @@ import pytest
 from repro.data.cache import DataCache
 from repro.data.dataset import SyntheticImageDataset
 from repro.data.loader import CachedDataLoader
+from repro.perf.calibration import CALIBRATION
+from repro.utils.clock import VirtualClock
 from repro.utils.seeding import new_rng
 
 
@@ -26,19 +28,15 @@ class TestBatches:
         loader = CachedDataLoader(cache, batch_size=8)
         assert loader.iterations_per_epoch() == 6
 
-    def test_partition_restricts_samples(self, cache):
-        loader = CachedDataLoader(cache, batch_size=4, partition=np.arange(8))
-        assert loader.iterations_per_epoch() == 2
-
     def test_validation(self, cache):
         with pytest.raises(ValueError):
             CachedDataLoader(cache, batch_size=0)
-        with pytest.raises(ValueError):
-            CachedDataLoader(cache, batch_size=4, partition=np.array([], dtype=int))
+        # A node that owns no sample has nothing to load.
+        lone = SyntheticImageDataset(1, resolution=8, num_classes=2, seed=0)
+        with pytest.raises(ValueError, match="empty partition"):
+            CachedDataLoader(DataCache(lone, node=1, num_nodes=2), batch_size=4)
         with pytest.raises(ValueError):
             CachedDataLoader(cache, batch_size=4, decode_workers=0)
-        with pytest.raises(ValueError, match="straggler_fraction"):
-            CachedDataLoader(cache, batch_size=4, straggler_fraction=1.5)
 
     def test_out_resolution_reaches_the_batch(self, cache):
         loader = CachedDataLoader(cache, batch_size=4, seed=0)
@@ -115,12 +113,13 @@ class TestNodePartitions:
     def test_a_foreign_shard_is_served_from_local_disk_not_memory(self):
         dataset = SyntheticImageDataset(24, resolution=8, num_classes=4, seed=0)
         cache = DataCache(dataset, node=0, num_nodes=2)
-        foreign = np.arange(1, 24, 2)
-        loader = CachedDataLoader(cache, batch_size=4, partition=foreign, seed=0)
-        loader.run_epoch(0)
-        loader.run_epoch(1)
+        foreign = [i for i in range(len(dataset)) if not cache.owns(i)]
+        rng = new_rng(0)
+        for _ in range(2):
+            for index in foreign:
+                cache.read(index, VirtualClock(), rng)
         assert cache.stats.memory_hits == 0
-        assert cache.stats.disk_hits == foreign.size
+        assert cache.stats.disk_hits == len(foreign)
 
 
 class TestEpochTimings:
@@ -176,13 +175,9 @@ class TestEpochTimings:
             timings.io_seconds + timings.preprocess_seconds
         )
 
-    @pytest.mark.parametrize("straggler", [0.0, 0.25, 1.0])
-    def test_fully_hidden_pipeline_leaves_the_straggler_share(self, straggler):
-        dataset = SyntheticImageDataset(48, resolution=16, num_classes=4, seed=0)
-        loader = CachedDataLoader(
-            DataCache(dataset), batch_size=8, straggler_fraction=straggler, seed=0
-        )
+    def test_fully_hidden_pipeline_leaves_the_straggler_share(self, cache):
+        loader = CachedDataLoader(cache, batch_size=8, seed=0)
         timings = loader.run_epoch(0, gpu_seconds_per_iteration=1e6, rng=new_rng(0))
         assert timings.visible_seconds == pytest.approx(
-            straggler * (timings.io_seconds + timings.preprocess_seconds)
+            CALIBRATION.io_straggler_fraction * (timings.io_seconds + timings.preprocess_seconds)
         )

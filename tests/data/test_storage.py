@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.cloud_presets import ALIYUN_GN10X, AWS_P3_16XLARGE, TENCENT_18XLARGE320
+from repro.cluster.cloud_presets import CFS_TIER
 from repro.data.storage import LocalDiskStore, MemoryStore, NfsStore, StorageProfile
 from repro.utils.clock import VirtualClock
 
@@ -21,18 +21,27 @@ class TestDictStores:
             NfsStore().read("nope", VirtualClock())
 
     @pytest.mark.parametrize(
-        "tier",
-        [None, AWS_P3_16XLARGE.nfs, ALIYUN_GN10X.nfs, TENCENT_18XLARGE320.nfs],
-        ids=["default", "aws", "aliyun", "tencent"],
+        "store_cls, latency, read_bandwidth, write_bandwidth",
+        [(LocalDiskStore, 1e-4, 2.0e9, 1.0e9), (MemoryStore, 2e-6, 10e9, 10e9)],
     )
-    def test_read_charges_latency_plus_bandwidth(self, tier):
-        store = NfsStore() if tier is None else NfsStore(tier)
+    def test_each_tier_charges_its_own_profile(self, store_cls, latency, read_bandwidth,
+                                               write_bandwidth):
+        store, clock = store_cls(), VirtualClock()
+        store.write("k", b"x" * 1_000_000, clock)
+        assert clock.now == pytest.approx(latency + 1_000_000 / write_bandwidth)
+        store.read("k", clock)
+        assert clock.by_category[f"{store.name}.read"] == pytest.approx(
+            latency + 1_000_000 / read_bandwidth
+        )
+
+    def test_read_charges_latency_plus_bandwidth(self):
+        store = NfsStore()
         clock = VirtualClock()
         store.write("k", b"x" * 1_000_000, clock)
         before = clock.now
         store.read("k", clock)
         elapsed = clock.now - before
-        expected = store.tier.latency + 1_000_000 / store.tier.bandwidth
+        expected = CFS_TIER.latency + 1_000_000 / CFS_TIER.bandwidth
         assert elapsed == pytest.approx(expected)
 
     def test_zero_bytes_are_free_and_negative_bytes_rejected(self):
@@ -46,8 +55,8 @@ class TestDictStores:
         clock = VirtualClock()
         store.write("k", b"abc", clock)
         store.read("k", clock)
-        assert clock.elapsed("memory.read") > 0
-        assert clock.elapsed("memory.write") > 0
+        assert clock.by_category["memory.read"] > 0
+        assert clock.by_category["memory.write"] > 0
 
     def test_nfs_slower_than_memory(self):
         nfs, mem = NfsStore(), MemoryStore()
@@ -65,19 +74,3 @@ class TestDictStores:
         store.write("b", b"123", VirtualClock())
         assert store.nbytes() == 8
         assert len(store) == 2
-
-
-class TestMemoryCapacity:
-    def test_over_capacity_raises(self):
-        store = MemoryStore(capacity_bytes=10)
-        clock = VirtualClock()
-        store.write("a", b"12345", clock)
-        with pytest.raises(MemoryError, match="shard the dataset"):
-            store.write("b", b"1234567", clock)
-
-    def test_overwrite_within_capacity_allowed(self):
-        store = MemoryStore(capacity_bytes=10)
-        clock = VirtualClock()
-        store.write("a", b"12345678", clock)
-        store.write("a", b"87654321", clock)  # same key, no growth check
-        assert store.read("a", clock) == b"87654321"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import RunConfig, run
 from repro.cluster.variability import VariabilityModel
-from repro.elastic.elastic_trainer import ElasticRunReport, ElasticTrainer
+from repro.elastic.elastic_trainer import MAX_WALL_FACTOR, ElasticRunReport, ElasticTrainer
 from repro.elastic.events import ChurnEvent, PoissonChurn, TraceSchedule
 from repro.models.nn.mlp import MLPClassifier
 from repro.train.synthetic import make_spiral_classification
@@ -76,6 +76,18 @@ class TestRevocation:
         assert report.wall_iterations == 34
         assert report.world_sizes == [6, 4]
         assert len(report.losses) == 30
+
+    def test_churn_that_outpaces_checkpoints_stops_at_the_wall_cap(self, tmp_path, data):
+        # Every revocation rolls back to the initial checkpoint, so the
+        # run never finishes and stops at iterations x MAX_WALL_FACTOR.
+        x, y = data
+        trace = TraceSchedule([ChurnEvent(i, "revoke", warned=False) for i in (4, 8, 12, 16)])
+        report = make_elastic(tmp_path, num_nodes=5, checkpoint_every=100).run(
+            x, y, iterations=5, local_batch=8, schedule=trace
+        )
+        assert report.wall_iterations == 5 * MAX_WALL_FACTOR
+        assert report.useful_iterations == 4
+        assert report.rollbacks == 4 and report.lost_iterations == 16
 
     def test_warned_revocation_loses_nothing(self, tmp_path, data):
         x, y = data
@@ -239,7 +251,7 @@ class TestLedger:
 
     def test_an_unbalanced_report_fails(self):
         report = ElasticRunReport(
-            "mstopk", 3, useful_iterations=2, wall_iterations=3, lost_iterations=1,
+            "mstopk", useful_iterations=2, wall_iterations=3, lost_iterations=1,
             losses=[0.5, 0.4],
         )
         assert_ledger_balances(report)

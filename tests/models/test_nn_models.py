@@ -96,7 +96,7 @@ class TestTinyTransformer:
     def test_shift_task_needs_attention(self, rng):
         # y depends on the *neighbouring* token, so accuracy above chance
         # proves attention moved information across positions.
-        x, y = make_copy_task(rng, num_samples=600, vocab_size=12, seq_len=6, shift=1)
+        x, y = make_copy_task(rng, num_samples=600, vocab_size=12, seq_len=6)
         model = TinyTransformer(vocab_size=12, d_model=24, d_ff=48, max_len=6)
         params = model.init_params(rng)
         train_steps(model, params, x, y, steps=250, lr=0.3, batch=64)
@@ -123,9 +123,12 @@ class TestTinyTransformer:
         with pytest.raises(ValueError, match="sequence length 6 exceeds max_len 4"):
             model.evaluate(params, x[0], y[0])
 
-    def test_copy_task_shift_validation(self, rng):
-        with pytest.raises(ValueError):
-            make_copy_task(rng, num_samples=4, seq_len=4, shift=4)
+    def test_copy_task_target_is_a_permutation_of_the_next_token(self, rng):
+        x, y = make_copy_task(rng, num_samples=64, vocab_size=8, seq_len=5)
+        mapping = {}
+        for token, target in zip(np.roll(x, -1, axis=1).ravel(), y.ravel()):
+            assert mapping.setdefault(token, target) == target
+        assert len(set(mapping.values())) == len(mapping)
 
     def test_odd_d_model_rejected(self):
         with pytest.raises(ValueError):

@@ -36,23 +36,13 @@ class TestMomentum:
         opt.step(params, g)  # v=1.5, w=-2.5
         np.testing.assert_allclose(params["w"], [-2.5])
 
-    def test_nesterov_differs(self):
-        plain = SGD(lr=0.1, momentum=0.9)
-        nesterov = SGD(lr=0.1, momentum=0.9, nesterov=True)
-        p1 = {"w": np.array([1.0])}
-        p2 = {"w": np.array([1.0])}
-        g = {"w": np.array([1.0])}
-        plain.step(p1, g)
-        nesterov.step(p2, g)
-        assert p1["w"][0] != p2["w"][0]
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("nesterov, weight_decay", [(False, 0.0), (True, 1e-3)])
-    def test_in_place_velocity_keeps_the_allocating_bits(self, dtype, nesterov, weight_decay):
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_in_place_velocity_keeps_the_allocating_bits(self, dtype, weight_decay):
         # The velocity is updated in its buffer; the values are those of
         # ``v = μ v + g`` with fresh arrays, bit for bit, in either dtype.
         mu, lr = 0.9, 0.05
-        opt = SGD(lr=lr, momentum=mu, weight_decay=weight_decay, nesterov=nesterov)
+        opt = SGD(lr=lr, momentum=mu, weight_decay=weight_decay)
         rng = np.random.default_rng(4)
         params = {"w": rng.standard_normal(257).astype(dtype)}
         w, v = params["w"].copy(), np.zeros_like(params["w"])
@@ -62,7 +52,7 @@ class TestMomentum:
             if weight_decay:
                 g = g + weight_decay * w
             v = mu * v + g
-            w -= lr * (g + mu * v if nesterov else v)
+            w -= lr * v
             assert params["w"].tobytes() == w.tobytes()
             assert opt._velocity["w"].tobytes() == v.tobytes()
             assert opt._velocity["w"].dtype == dtype

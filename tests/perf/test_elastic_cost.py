@@ -10,7 +10,6 @@ from repro.perf.elastic_cost import account
 def make_report(**overrides) -> ElasticRunReport:
     defaults = dict(
         scheme="HiTopKComm",
-        iterations_target=100,
         useful_iterations=100,
         wall_iterations=110,
         lost_iterations=10,
@@ -54,8 +53,9 @@ class TestAccount:
 
     def test_on_demand_baseline_excludes_overhead(self):
         report = make_report()
-        cost = account(report, instance="tencent", baseline_nodes=4)
-        # Baseline: churn-free per-iteration time x useful iterations.
+        cost = account(report, instance="tencent")
+        # Baseline: churn-free per-iteration time x useful iterations, on
+        # the run's mean live node count (264 node-seconds over 66 s).
         per_iter = 55.0 / 110
         baseline_seconds = per_iter * 100
         expected = baseline_seconds * 4 / 3600.0 * SPOT_PROFILES["tencent"].on_demand_hourly
@@ -73,7 +73,7 @@ class TestAccount:
             overhead_seconds=0.0,
             node_seconds=220.0,  # 4 nodes x 55 s
         )
-        cost = account(report, instance="tencent", baseline_nodes=4)
+        cost = account(report, instance="tencent")
         profile = SPOT_PROFILES["tencent"]
         assert cost.savings_fraction == pytest.approx(1 - profile.spot_discount)
 
@@ -81,12 +81,10 @@ class TestAccount:
         calm = account(
             make_report(overhead_seconds=0.0, wall_iterations=100, lost_iterations=0),
             instance="tencent",
-            baseline_nodes=4,
         )
         churny = account(
             make_report(overhead_seconds=200.0, node_seconds=264.0 + 800.0),
             instance="tencent",
-            baseline_nodes=4,
         )
         assert churny.savings_fraction < calm.savings_fraction
 

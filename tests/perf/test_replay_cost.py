@@ -29,6 +29,7 @@ from repro.models.nn.mlp import MLPClassifier
 from repro.utils.seeding import new_rng
 from tests.conftest import peak_bytes
 from tests.models import row_oracles
+from tests.test_import_graph import fresh
 
 
 def _cnn(rng):
@@ -76,6 +77,26 @@ def test_the_first_call_costs_the_tape_and_its_log(rng):
     tape = peak_bytes(lambda: autodiff._tape_call(model._logits, params, xs, ys, {}, model._per_pass(xs)))
     first = peak_bytes(lambda: SmallConvNet(3, (6, 12), 4, 12).loss_and_grad_workers(params, xs, ys))
     assert first <= 1.15 * tape, (first, tape)
+
+
+def test_reading_an_address_grows_no_interpreter_table():
+    """A first CNN call reads some 900 addresses.  Read through
+    ``__array_interface__``, each interned and freed a string, and every
+    ~32 000 reads in a fresh interpreter (more in a long one) the
+    interpreter rebuilt its table of interned strings: a 0.96 MB block
+    (1.9 MB in a long test run) inside whichever call made the read,
+    which the gate above then counted as the log's."""
+    peak = fresh(
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "from repro.models import autodiff\n"
+        "a = np.zeros((6, 32, 8, 8))\n"
+        "tracemalloc.start()\n"
+        "for _ in range(100_000):\n"
+        "    autodiff._address(a)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    assert int(peak) < 100_000, peak
 
 
 def _python_calls(call) -> int:

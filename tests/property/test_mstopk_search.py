@@ -44,7 +44,7 @@ from tests.compression.topk_oracles import (
 def full_pass_search(magnitude: np.ndarray, k: int, n: int) -> ThresholdSearchResult:
     mean, top = float(magnitude.mean()), float(magnitude.max())
     lo, hi, k1, k2 = 0.0, 1.0, 0, magnitude.size
-    thres1, thres2, found1, found2 = 0.0, 0.0, False, False
+    thres1, thres2, found1 = 0.0, 0.0, False
     for _ in range(n):
         ratio = lo + (hi - lo) / 2.0
         thres = mean + ratio * (top - mean)
@@ -56,8 +56,8 @@ def full_pass_search(magnitude: np.ndarray, k: int, n: int) -> ThresholdSearchRe
         else:
             lo = ratio
             if nnz < k2:
-                k2, thres2, found2 = nnz, thres, True
-    return ThresholdSearchResult(thres1, thres2, k1, k2, n, found1, found2)
+                k2, thres2 = nnz, thres
+    return ThresholdSearchResult(thres1, thres2, k1, k2, n, found1)
 
 
 @contextmanager

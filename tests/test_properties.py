@@ -28,8 +28,7 @@ from repro.compression.randomk import RandomK
 from repro.utils.seeding import new_rng
 
 ALL_COMPRESSORS: list[TopKCompressor] = [
-    ExactTopK("sort"),
-    ExactTopK("argpartition"),
+    ExactTopK(),
     DGCTopK(sample_fraction=0.2),
     MSTopK(n_samplings=20),
     RandomK(),

@@ -12,15 +12,34 @@ of a reached class — is reached from what the package ships.
    from ``repro``.
 
 **Closure:** a top-level ``def`` / ``class`` is reached when a reached
-body names it — as an ``ast.Name``, an attribute, or an
-identifier-shaped string constant (so ``getattr`` and registry-by-name
-lookups count).  A ``def`` directly in the body of a reached class is
-reached when a reached body names it, or any file under ``benchmarks/``
-or ``examples/`` does.  The reached bodies are the top-level functions,
-the reached methods, and a reached class's statements other than its
-methods: a class body does not reach its own methods' bodies, so a
-method nothing calls reaches nothing either.  The closure iterates to
-a fixpoint, because a method's name can be reached before its class is.
+body names it.  A body names what it loads as an ``ast.Name`` and does
+not bind itself (an assignment target or a parameter is local, so a
+same-named local reaches nothing), every attribute, and the string at
+a by-name lookup site: the literal second argument of ``getattr``,
+``hasattr`` or ``setattr`` (:data:`BY_NAME`).  No other string reaches
+anything — a step name, a dict key or a registry alias is data — and
+the gate infers no other site.  A ``def`` directly in the body of a
+reached class is reached when a reached body names it, or any file
+under ``benchmarks/`` or ``examples/`` does (by the same rule).  The
+reached bodies are the top-level functions, the reached methods, and a
+reached class's statements other than its methods: a class body does
+not reach its own methods' bodies, so a method nothing calls reaches
+nothing either.  The closure iterates to a fixpoint, because a
+method's name can be reached before its class is.
+
+**Fields:** an annotated field of a reached ``src/repro`` dataclass
+must be read.  A read is an attribute load of its name in ``src/``,
+``benchmarks/``, ``examples/`` or ``tests/``, or a by-name lookup site
+spelling it; and every field of a dataclass is read when a
+``src/repro`` module that calls ``dataclasses.asdict`` or
+``dataclasses.fields`` (the config codec walks ``fields``) defines or
+names the class, or names it in a field of such a class.  A read is
+matched by the field's name, not by its class: a load of
+``record.progress`` anywhere reads every field called ``progress``, so
+a field with a common name can go unread unreported.  Test reads
+count for fields, unlike for definitions: a definition only a test
+calls can move into ``tests/`` as an oracle, but a field a test reads
+cannot, and a counter a test asserts is checked behaviour.
 
 Some definitions are roots themselves: one decorated by a project
 definition (the decorator runs at import and may keep it, as the
@@ -28,8 +47,9 @@ registries do), and a dunder such as a module's ``__getattr__`` or a
 class's ``__post_init__`` (the interpreter calls it).  What any
 decorator names is reached, because decorators run at import.
 
-Keys read ``repro/x.py::name`` and ``repro/x.py::Class.method``.  A
-method of an unreached class is not reported: the class is.  A
+Keys read ``repro/x.py::name``, ``repro/x.py::Class.method`` and
+``repro/x.py::Class.field``.  A method or field of an unreached class is
+not reported: the class is.  A
 definition nothing reaches is deleted, or — when a test compares a live
 path against it — moved into ``tests/`` as an oracle.  The only
 exceptions are :data:`CLAIM_ANCHORED`: code that holds a paper claim in
@@ -43,8 +63,9 @@ import pathlib
 import re
 from collections.abc import Iterable
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
-IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Unreached code kept because a tier-1 file holds a paper claim against
@@ -70,17 +91,41 @@ CLAIM_ANCHORED = {
 }
 
 
+#: The by-name lookup sites: a string literal as the second argument of
+#: a call to one of these reaches the name it spells.  No other string
+#: reaches anything, and the gate infers no other site.
+BY_NAME = ("getattr", "hasattr", "setattr")
+
+#: The ``dataclasses`` functions that read every field of what they are
+#: given (the config codec walks ``fields``).
+ENCODERS = ("asdict", "fields")
+
+
+def by_name(node: ast.AST) -> str | None:
+    """The name a by-name lookup site spells, if ``node`` is one."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in BY_NAME and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+        return node.args[1].value
+    return None
+
+
 def names_in(node: ast.AST) -> set[str]:
-    """Every name ``node`` mentions: names, attributes, identifier strings."""
+    """Every name ``node`` mentions: a name it loads but does not bind
+    (as an assignment target or a parameter), an attribute, or the
+    string at a by-name lookup site."""
+    bound = {sub.arg for sub in ast.walk(node) if isinstance(sub, ast.arg)}
+    bound |= {sub.id for sub in ast.walk(node)
+              if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)}
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found.add(sub.id)
+            if isinstance(sub.ctx, ast.Load) and sub.id not in bound:
+                found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and IDENTIFIER.match(sub.value)):
-            found.add(sub.value)
+        elif (spelled := by_name(sub)) is not None:
+            found.add(spelled)
     return found
 
 
@@ -120,20 +165,64 @@ def _decorators(node: ast.AST) -> set[str]:
     return set().union(*map(names_in, node.decorator_list))
 
 
-def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path]) -> list[str]:
+def _fields(stmt: ast.ClassDef) -> dict[str, ast.expr]:
+    """Each annotated field of a dataclass -> its annotation (none for
+    another class, nor for a ``ClassVar`` / ``InitVar``)."""
+    if "dataclass" not in _decorators(stmt):
+        return {}
+    return {sub.target.id: sub.annotation for sub in stmt.body
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+            and not {"ClassVar", "InitVar"} & names_in(sub.annotation)}
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Every attribute ``tree`` loads, and every by-name lookup it makes."""
+    return {sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            } | {spelled for sub in ast.walk(tree) if (spelled := by_name(sub)) is not None}
+
+
+def _encodes(tree: ast.Module) -> bool:
+    """Whether the module reads dataclasses whole, through ``asdict`` or
+    ``fields`` (which the config codec walks)."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                for alias in node.names if alias.name in ENCODERS}
+    return any(
+        isinstance(sub, ast.Call) and (
+            (isinstance(sub.func, ast.Name) and sub.func.id in imported)
+            or (isinstance(sub.func, ast.Attribute) and sub.func.attr in ENCODERS
+                and isinstance(sub.func.value, ast.Name) and sub.func.value.id == "dataclasses"))
+        for sub in ast.walk(tree)
+    )
+
+
+def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path],
+              tests: Iterable[pathlib.Path] = ()) -> list[str]:
     """The key of every definition in the package at ``src`` that nothing
-    reaches; ``consumers`` are the directories whose files' imports from
-    the package are roots, and whose every name can reach a method."""
+    reaches, and of every field of a reached dataclass that nothing reads;
+    ``consumers`` are the directories whose files' imports from the
+    package are roots, and whose every name can reach a method; the files
+    under ``consumers`` and ``tests`` read fields as the package does."""
     package = src.name
     # (key, owning class or None, name, its decorators' names, what its
     # body names once it is reached)
     sites: list[tuple[str, str | None, str, set[str], set[str]]] = []
     roots: set[str] = set()
+    data_classes: dict[str, tuple[str, dict[str, ast.expr]]] = {}  # name -> (key, fields)
+    reads: set[str] = set()  # every field name an attribute load or by-name site reads
+    encoded: set[str] = set()  # the names a module that encodes dataclasses mentions
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         rel = path.relative_to(src.parent).as_posix()
+        reads |= _reads(tree)
+        if _encodes(tree):
+            encoded |= names_in(tree) | {stmt.name for stmt in tree.body
+                                         if isinstance(stmt, ast.ClassDef)}
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
+                if fields := _fields(stmt):
+                    data_classes[stmt.name] = (f"{rel}::{stmt.name}", fields)
                 body = set().union(*map(names_in, stmt.bases + stmt.keywords))
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -161,9 +250,13 @@ def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path]) -> list[str]
         for path in sorted(directory.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             named_by_consumers |= names_in(tree)
+            reads |= _reads(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
                     roots |= {alias.name for alias in node.names}
+    for directory in tests:
+        for path in sorted(directory.rglob("*.py")):
+            reads |= _reads(ast.parse(path.read_text(), filename=str(path)))
 
     reached = set(roots)  # every name a root or a reached body mentions
     live: set[str] = set()
@@ -183,8 +276,18 @@ def unreached(src: pathlib.Path, consumers: Iterable[pathlib.Path]) -> list[str]
                 live.add(key)
                 reached |= body
                 grew = True
-    return sorted(key for key, owner, _, _, _ in sites
-                  if key not in live and (owner is None or owner in reached))
+    # An encoded dataclass is read whole, and so is each one its fields name.
+    whole = set()
+    frontier = encoded & data_classes.keys()
+    while frontier:
+        whole |= frontier
+        frontier = set().union(*(names_in(annotation) for name in frontier
+                                 for annotation in data_classes[name][1].values()))
+        frontier = (frontier & data_classes.keys()) - whole
+    unread = [f"{key}.{field}" for name, (key, fields) in data_classes.items()
+              if key in live and name not in whole for field in fields if field not in reads]
+    return sorted([key for key, owner, _, _, _ in sites
+                   if key not in live and (owner is None or owner in reached)] + unread)
 
 
 def claim_anchor_problems(missing: list[str], anchored: dict, repo: pathlib.Path,
@@ -216,7 +319,7 @@ def claim_anchor_problems(missing: list[str], anchored: dict, repo: pathlib.Path
 
 def test_every_src_definition_is_reached():
     src = REPO / "src" / "repro"
-    missing = unreached(src, [REPO / "benchmarks", REPO / "examples"])
+    missing = unreached(src, [REPO / "benchmarks", REPO / "examples"], [REPO / "tests"])
     uncovered, broken = claim_anchor_problems(missing, CLAIM_ANCHORED, REPO, src.parent)
     files = {key.split("::")[0] for key in missing}
     assert not uncovered, (
@@ -346,3 +449,164 @@ class TestTheCheckerItself:
         (tmp_path / "examples").mkdir()
         (tmp_path / "examples" / "demo.py").write_text("def main(toy):\n    toy.dead()\n")
         assert unreached(pkg, [tmp_path / "examples"]) == ["toy/core.py::Orphan"]
+
+    # One case per way a name once fooled the gate: each reports what
+    # the looser rule (any ``Name``, any identifier-shaped string) called
+    # reached.
+
+    def test_a_name_the_body_binds_reaches_nothing(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "def shifted():\n    return 1\n\n"
+            "def gather():\n    return 2\n\n"
+            "def run(gather):\n"
+            "    shifted = gather + 1\n"
+            "    return shifted\n\n"
+            "ENTRY = run\n"
+        ))
+        assert unreached(pkg, []) == ["toy/core.py::gather", "toy/core.py::shifted"]
+
+    def test_a_step_name_string_reaches_nothing(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "def broadcast():\n    return 1\n\n"
+            "def run():\n    return {'broadcast': 0.5}\n\n"
+            "ENTRY = run\n"
+        ))
+        assert unreached(pkg, []) == ["toy/core.py::broadcast"]
+
+    def test_a_policy_alias_reaches_nothing(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "POLICIES = {}\n\n"
+            "def register(name, aliases=()):\n"
+            "    def wrap(fn):\n"
+            "        POLICIES[name] = fn\n"
+            "        return fn\n"
+            "    return wrap\n\n"
+            "@register('spread', aliases=('scatter',))\n"
+            "def spread():\n    return 1\n\n"
+            "def scatter():\n    return 2\n"
+        ))
+        assert unreached(pkg, []) == ["toy/core.py::scatter"]
+
+    @pytest.mark.parametrize("site", ["getattr(Toy(), 'hook')", "hasattr(Toy(), 'hook')",
+                                      "setattr(Toy(), 'hook', None)"])
+    def test_a_by_name_literal_reaches_and_another_string_does_not(self, tmp_path, site):
+        pkg = _toy(tmp_path, core=(
+            "class Toy:\n"
+            "    def hook(self):\n        return 1\n\n"
+            "    def other(self):\n        return 2\n\n"
+            "LABEL = 'other'\n\n"
+            f"def run():\n    return {site}\n\n"
+            "ENTRY = run\n"
+        ))
+        assert unreached(pkg, []) == ["toy/core.py::Toy.other"]
+
+    def test_a_field_nothing_reads_is_reported(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\n"
+            "class Report:\n"
+            "    read: int\n"
+            "    tested: int = 0\n"
+            "    unread: int = 0\n\n"
+            "def run():\n"
+            "    report = Report(1, unread=3)\n"
+            "    report.unread = 2\n"
+            "    return report.read\n\n"
+            "ENTRY = run\n"
+        ))
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_toy.py").write_text(
+            "def test_counts(report):\n    assert report.tested == 0\n"
+        )
+        # A test's read counts for a field; a store or a keyword does not.
+        assert unreached(pkg, [], [tmp_path / "tests"]) == ["toy/core.py::Report.unread"]
+        assert unreached(pkg, []) == ["toy/core.py::Report.tested", "toy/core.py::Report.unread"]
+
+    def test_a_field_read_only_through_asdict_is_read(self, tmp_path):
+        pkg = _toy(
+            tmp_path,
+            models=(
+                "from dataclasses import dataclass\n\n"
+                "@dataclass\nclass Inner:\n    x: int\n\n"
+                "@dataclass\nclass Outer:\n    inner: Inner\n\n"
+                "@dataclass\nclass Plain:\n    y: int\n"
+            ),
+            core=(
+                "import dataclasses\n"
+                "from toy.models import Outer\n\n"
+                "def dump(outer: Outer):\n    return dataclasses.asdict(outer)\n\n"
+                "ENTRY = dump\n"
+            ),
+            other="from toy.models import Plain\n\nPLAIN = Plain(2)\n",
+        )
+        # ``asdict`` reads every field of what its module names, and of
+        # every dataclass those fields name; ``Plain`` it never sees.
+        assert unreached(pkg, []) == ["toy/models.py::Plain.y"]
+
+
+    def test_a_name_imported_inside_a_body_reaches(self, tmp_path):
+        pkg = _toy(
+            tmp_path,
+            helpers="def helper():\n    return 1\n",
+            core=(
+                "def run():\n"
+                "    from toy.helpers import helper\n"
+                "    return helper()\n\n"
+                "ENTRY = run\n"
+            ),
+        )
+        assert unreached(pkg, []) == []
+
+    def test_a_consumer_reaches_a_method_by_attribute_not_by_a_local(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "class Plan:\n"
+            "    def kinds(self):\n        return []\n\n"
+            "    def events(self):\n        return []\n"
+        ))
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench.py").write_text(
+            "from toy.core import Plan\n\n"
+            "kinds = []\n"
+            "print(kinds, {'kinds': kinds}, Plan().events())\n"
+        )
+        assert unreached(pkg, [tmp_path / "benchmarks"]) == ["toy/core.py::Plan.kinds"]
+
+    def test_a_by_name_site_reads_a_field_and_a_classvar_is_no_field(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "from dataclasses import dataclass\n"
+            "from typing import ClassVar\n\n"
+            "@dataclass\n"
+            "class Row:\n"
+            "    KIND: ClassVar[str] = 'row'\n"
+            "    looked_up: int = 0\n"
+            "    unread: int = 0\n\n"
+            "def run(row: Row):\n    return getattr(row, 'looked_up')\n\n"
+            "ENTRY = run\n"
+        ))
+        assert unreached(pkg, []) == ["toy/core.py::Row.unread"]
+
+    def test_a_module_that_walks_fields_reads_its_classes_whole(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "from dataclasses import dataclass, fields\n\n"
+            "@dataclass\nclass Section:\n    knob: int = 0\n\n"
+            "def dump(value):\n"
+            "    return {f.name: getattr(value, f.name) for f in fields(value)}\n\n"
+            "ENTRY = dump(Section())\n"
+        ))
+        assert unreached(pkg, []) == []
+
+    def test_the_fields_of_an_unreached_class_are_not_reported(self, tmp_path):
+        pkg = _toy(tmp_path, core=(
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\nclass Orphan:\n    unread: int = 0\n"
+        ))
+        assert unreached(pkg, []) == ["toy/core.py::Orphan"]
+
+def _toy(tmp_path: pathlib.Path, **modules: str) -> pathlib.Path:
+    """A package ``toy`` under ``tmp_path`` holding ``modules`` (name -> source)."""
+    pkg = tmp_path / "toy"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    for name, source in modules.items():
+        (pkg / f"{name}.py").write_text(source)
+    return pkg

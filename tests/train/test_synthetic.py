@@ -57,11 +57,11 @@ class TestImages:
 class TestSplit:
     def test_sizes(self, rng):
         x, y = make_blob_classification(100, rng=rng)
-        tx, ty, vx, vy = train_val_split(x, y, val_fraction=0.2)
+        tx, ty, vx, vy = train_val_split(x, y)
         assert len(tx) == 80 and len(vx) == 20
         assert len(ty) == 80 and len(vy) == 20
 
-    def test_invalid_fraction(self, rng):
-        x, y = make_blob_classification(10, rng=rng)
-        with pytest.raises(ValueError):
-            train_val_split(x, y, val_fraction=0.0)
+    def test_a_tiny_set_keeps_one_validation_sample(self, rng):
+        x, y = make_blob_classification(3, rng=rng)
+        tx, _, vx, _ = train_val_split(x, y)
+        assert len(tx) == 2 and len(vx) == 1

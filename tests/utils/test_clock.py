@@ -24,35 +24,18 @@ class TestVirtualClock:
         clock.advance(1.0, category="io")
         clock.advance(2.0, category="compute")
         clock.advance(0.5, category="io")
-        assert clock.elapsed("io") == pytest.approx(1.5)
-        assert clock.elapsed("compute") == pytest.approx(2.0)
-        assert clock.elapsed() == pytest.approx(3.5)
+        assert clock.by_category["io"] == pytest.approx(1.5)
+        assert clock.by_category["compute"] == pytest.approx(2.0)
+        assert clock.now == pytest.approx(3.5)
+
+    def test_uncategorised_time_is_other(self):
+        clock = VirtualClock()
+        clock.advance(0.25)
+        assert dict(clock.by_category) == {"other": 0.25}
 
     def test_unknown_category_is_zero(self):
-        assert VirtualClock().elapsed("nothing") == 0.0
+        assert VirtualClock().by_category["nothing"] == 0.0
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-0.1)
-
-    def test_window_measures_inner_time(self):
-        clock = VirtualClock()
-        clock.advance(1.0)
-        with clock.window() as window:
-            clock.advance(2.5)
-        assert window.duration == pytest.approx(2.5)
-
-    def test_window_duration_live(self):
-        clock = VirtualClock()
-        with clock.window() as window:
-            clock.advance(1.0)
-            assert window.duration == pytest.approx(1.0)
-            clock.advance(1.0)
-        assert window.duration == pytest.approx(2.0)
-
-    def test_snapshot_is_a_copy(self):
-        clock = VirtualClock()
-        clock.advance(1.0, category="io")
-        snap = clock.snapshot()
-        snap["io"] = 99.0
-        assert clock.elapsed("io") == 1.0
