@@ -239,6 +239,10 @@ def _run_elastic(config: RunConfig, workload) -> RunReport:
         "savings_vs_on_demand": cost.savings_fraction,
         "useful_iterations": report.useful_iterations,
     }
+    if report.useful_iterations < elastic.iterations:
+        # Stopped at the wall cap (iterations x MAX_WALL_FACTOR): churn
+        # rolled back faster than the run checkpointed.
+        summary["wall_capped"] = True
     faults_record = None
     if injector is not None:
         metrics = injector.metrics()

@@ -76,28 +76,17 @@ class NetworkModel:
             inter=self.inter.scaled(1.0 / tenants),
         )
 
-    def degraded(
-        self, *, inter_scale: float = 1.0, intra_scale: float = 1.0
-    ) -> "NetworkModel":
-        """This cluster with faulty links at a fraction of their bandwidth.
+    def degraded(self, inter_scale: float) -> "NetworkModel":
+        """This cluster with its inter-node link at ``inter_scale`` (in
+        (0, 1]) of the healthy bandwidth.
 
         The fault model for NIC degradation/flap: a sick NIC (or a
-        congested top-of-rack switch) delivers only ``inter_scale`` of
-        the healthy inter-node bandwidth; ``intra_scale`` covers the
-        rarer case of a throttled NVLink.  Latency (``alpha``) is
-        unchanged — a degraded link is slow, not far away.  Scales of
-        1.0 return ``self`` so the healthy path shares object identity
-        with the original model.
+        congested top-of-rack switch) delivers only a fraction of the
+        inter-node bandwidth.  Latency (``alpha``) is unchanged — a
+        degraded link is slow, not far away.
         """
-        for label, scale in (("inter_scale", inter_scale), ("intra_scale", intra_scale)):
-            if not 0 < scale <= 1:
-                raise ValueError(f"{label} must be in (0, 1], got {scale}")
-        if inter_scale == 1 and intra_scale == 1:
-            return self
         return NetworkModel(
-            topology=self.topology,
-            intra=self.intra if intra_scale == 1 else self.intra.scaled(intra_scale),
-            inter=self.inter if inter_scale == 1 else self.inter.scaled(inter_scale),
+            topology=self.topology, intra=self.intra, inter=self.inter.scaled(inter_scale)
         )
 
     def lossy(self, loss_rate: float = 0.0) -> "NetworkModel":

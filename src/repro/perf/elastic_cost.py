@@ -14,8 +14,7 @@ the numbers that decide that trade:
   useful iterations on a stable cluster with zero churn overhead.
 
 Prices come from :data:`repro.elastic.events.SPOT_PROFILES` (ballpark
-USD per node-hour for the Table 1 8xV100 instances) and can be
-overridden per call.
+USD per node-hour for the Table 1 8xV100 instances).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.elastic.elastic_trainer import ElasticRunReport
-from repro.elastic.events import SPOT_PROFILES, SpotProfile
+from repro.elastic.events import SPOT_PROFILES
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,7 @@ class ElasticCostReport:
         return 1.0 - self.spot_cost / self.on_demand_cost
 
 
-def account(
-    report: ElasticRunReport,
-    *,
-    instance: str | SpotProfile = "tencent",
-    on_demand_hourly: float | None = None,
-    spot_discount: float | None = None,
-) -> ElasticCostReport:
+def account(report: ElasticRunReport, *, instance: str) -> ElasticCostReport:
     """Price an elastic run against its on-demand baseline.
 
     The baseline trains the same number of *useful* iterations on a
@@ -64,23 +57,15 @@ def account(
     averaged over attempted iterations — so the comparison isolates
     what churn costs.
     """
-    if isinstance(instance, SpotProfile):
-        profile = instance
-    else:
-        key = instance.lower()
-        if key not in SPOT_PROFILES:
-            raise KeyError(
-                f"unknown spot profile {instance!r}; available: {sorted(SPOT_PROFILES)}"
-            )
-        profile = SPOT_PROFILES[key]
-    hourly = on_demand_hourly if on_demand_hourly is not None else profile.on_demand_hourly
-    discount = spot_discount if spot_discount is not None else profile.spot_discount
-    if hourly < 0:
-        raise ValueError(f"on_demand_hourly must be >= 0, got {hourly}")
-    if not 0 < discount <= 1:
-        raise ValueError(f"spot_discount must be in (0, 1], got {discount}")
+    key = instance.lower()
+    if key not in SPOT_PROFILES:
+        raise KeyError(
+            f"unknown spot profile {instance!r}; available: {sorted(SPOT_PROFILES)}"
+        )
+    profile = SPOT_PROFILES[key]
+    hourly = profile.on_demand_hourly
 
-    spot_cost = report.node_seconds / 3600.0 * hourly * discount
+    spot_cost = report.node_seconds / 3600.0 * hourly * profile.spot_discount
 
     step_seconds = report.compute_seconds + report.comm_seconds
     per_iteration = (

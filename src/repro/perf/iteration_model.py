@@ -199,8 +199,14 @@ class IterationModel:
         )
 
     # -- composition ---------------------------------------------------------
-    def breakdown(self) -> TimeBreakdown:
-        """The Fig. 1 bars: visible time per component."""
+    def breakdown(self, lars: float | None = None) -> TimeBreakdown:
+        """The Fig. 1 bars: visible time per component.
+
+        ``lars`` is the LARS term when the caller already holds it:
+        it depends only on (profile, world size, nodes, α), and neither
+        contention (which keeps every link's α), stretch nor jitter
+        reaches it, so a scheduler prices it once per cluster slice.
+        """
         scheme = self._comm_scheme()
         compression, comm_raw = scheme.selection_and_communication(self.profile.num_params)
         return TimeBreakdown(
@@ -209,7 +215,7 @@ class IterationModel:
                 "ff_bp": self.t_ffbp(),
                 "compression": compression,
                 "communication": self.comm_jitter * self.t_communication_visible(scheme, comm_raw),
-                "lars": self.t_lars(),
+                "lars": self.t_lars() if lars is None else lars,
                 "sync": self.cal.sync_overhead,
             }
         )

@@ -9,8 +9,9 @@ with the crash-safety contract:
    That input frame's ``fsync`` is the only one an ack pays.
 2. **Audit after apply** — each applied op's acknowledgement and the
    engine's chained ``witness`` (a hash link over the op, its ack and
-   the state it could have touched — O(cluster), not O(history)) are
-   appended as an *audit* record.  Audits are never needed to recover
+   the records it could have touched: the one a submit creates, the
+   jobs a tick runs — never history) are appended as an *audit* record
+   under the key ``link``.  Audits are never needed to recover
    (the inputs alone rebuild the state), so they are flushed but not
    fsynced and ride the next input frame's ``fsync``; they are
    *verified* during replay: a mismatch means the engine stopped being
@@ -25,7 +26,9 @@ with the crash-safety contract:
 
 Recovery on construction is: repair the torn journal tail → load the
 newest good snapshot → replay input records past its ``applied_seq``,
-checking audit acks and witnesses → append a ``recovered`` note.  The
+checking audit acks and links → append a ``recovered`` note.  Audits
+journaled by older builds (a ``witness`` whose submit links hashed every
+running job, or a full-state ``digest``) are ack-checked only.  The
 whole procedure is exercised continuously by the kill-anywhere drills
 (:mod:`repro.serve.drill`), which crash the runtime at seeded injection
 points — mid-tick, mid-snapshot, mid-journal-append — via ``kill_plan``.
@@ -168,13 +171,19 @@ class ServeRuntime:
                     f"journal replay diverged at seq {seq}: ack {ack} != "
                     f"journaled {audit.get('ack')}"
                 )
-            # Audits from builds that journaled a full-state "digest"
-            # instead carry no witness and are ack-checked only.
-            witness = audit.get("witness")
-            if witness is not None and witness != self.engine.witness:
+            link = audit.get("link")
+            if link is None:
+                # An older build's audit: a full-state "digest", or a
+                # "witness" whose submit links hashed every running job.
+                # Neither is this build's link, so only the ack is
+                # checked; a legacy witness is adopted as the chain head,
+                # so every recovery path (either snapshot or genesis)
+                # continues the chain the older build left.
+                self.engine.witness = audit.get("witness", self.engine.witness)
+            elif link != self.engine.witness:
                 raise RuntimeError(
-                    f"journal replay diverged at seq {seq}: witness "
-                    f"{self.engine.witness} != journaled {witness} — the "
+                    f"journal replay diverged at seq {seq}: link "
+                    f"{self.engine.witness} != journaled {link} — the "
                     "engine is no longer deterministic in its inputs"
                 )
         self._next_seq = scan.last_seq + 1
@@ -255,7 +264,7 @@ class ServeRuntime:
                 "seq": self._next_seq,
                 "of": of_seq,
                 "ack": ack,
-                "witness": self.engine.witness,
+                "link": self.engine.witness,
             },
             durable=False,
         )

@@ -23,10 +23,11 @@ journal (:mod:`repro.serve.journal`) a complete crash-recovery story —
 replaying the journaled ops against a fresh (or snapshotted) engine
 reconstructs the live state bit for bit.  Two witnesses prove it: every
 applied op advances ``witness``, a hash chain over the op, its ack and
-everything the op could have touched (cost bounded by the cluster, not
-by history), which replay checks op by op; and :meth:`state_digest`
-hashes the *whole* state, which is O(history) and therefore taken only
-at snapshot cadence, on restore and in ``status`` / payloads.
+everything the op could have touched (a submit, the one record it
+creates; a tick, the jobs it ran — never history), which replay checks
+op by op; and :meth:`state_digest` hashes the *whole* state, which is
+O(history) and therefore taken only at snapshot cadence, on restore and
+in ``status`` / payloads.
 
 Exactly-once apply: every mutating op carries a client-assigned,
 strictly increasing integer ``id``.  An op whose id the engine has
@@ -51,6 +52,13 @@ from repro.sched.scheduler import MultiTenantScheduler, SchedReport, payload_for
 from repro.utils.eventlog import digest16
 
 _EPS = 1e-12
+
+#: Most ``queue_limit``: every waiting job is a live record in memory
+#: and in each snapshot, so a million is far past any useful backlog.
+MAX_QUEUE_LIMIT = 1_000_000
+#: Most ``snapshot_every``: recovery replays up to this many ops, which
+#: at ≈ 0.3 ms an op is a few seconds.
+MAX_SNAPSHOT_EVERY = 10_000
 
 #: ``witness`` of an engine that has applied nothing yet.
 GENESIS_WITNESS = "0" * 16
@@ -110,11 +118,14 @@ class ServeConfig(JsonConfig):
     def validate(self) -> "ServeConfig":
         self._validate_shared(fault_target="sched")
         POLICIES.require(self.policy)
-        if self.queue_limit < 1:
-            raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.snapshot_every < 1:
+        if not 1 <= self.queue_limit <= MAX_QUEUE_LIMIT:
             raise ConfigError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}"
+                f"queue_limit must be in [1, {MAX_QUEUE_LIMIT}], got {self.queue_limit}"
+            )
+        if not 1 <= self.snapshot_every <= MAX_SNAPSHOT_EVERY:
+            raise ConfigError(
+                f"snapshot_every must be in [1, {MAX_SNAPSHOT_EVERY}], "
+                f"got {self.snapshot_every}"
             )
         if not self.tick_seconds > 0:
             raise ConfigError(
@@ -205,11 +216,16 @@ class ServeEngine:
         Every applied op (``seq`` is its journal frame's number) also
         advances ``witness``: the sha256-16 chain link over the previous
         witness, ``seq``, the op, its ack, the core scalars, the state
-        of every record the op could have touched — running before or
-        after any event-loop step, completed, submitted — and the fault
-        and brain log entries it appended.  Two engines that applied
-        the same ops agree on it at every op, for O(cluster) work per
-        op where :meth:`state_digest` costs O(history).
+        of every record the op could have touched, and the fault and
+        brain log entries it appended.  Only an event-loop step changes
+        a record, so a ``tick`` or ``drain`` link hashes the jobs
+        running before or after any step and those it completed, while
+        a ``submit`` link hashes only the record it creates (a rejected
+        one, none) and a ``snapshot`` or ``stop`` link none at all.
+        Every record change is thus hashed at the op that makes it.
+        Two engines that applied the same ops agree on it at every op,
+        for O(what the op touched) work where :meth:`state_digest`
+        costs O(history).
         """
         if not isinstance(op, dict):
             raise ValueError(f"op must be a mapping, got {type(op).__name__}")
@@ -218,7 +234,12 @@ class ServeEngine:
         if op_id is not None and op_id <= self.last_op_id:
             return {"ok": True, "id": op_id, "duplicate": True}
         core = self.core
-        self._touched = {r.spec.name: r for r in core.running}
+        # Only an event-loop step can change a running job's record:
+        # ``tick`` and ``drain`` start from the running set, any other op
+        # from nothing (a submit adds the record it creates).
+        self._touched = (
+            {r.spec.name: r for r in core.running} if kind in ("tick", "drain") else {}
+        )
         logs = [d.log for d in (core.faults, core.brain) if d is not None]
         marks = [len(log) for log in logs]
         try:

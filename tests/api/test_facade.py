@@ -193,6 +193,26 @@ class TestElasticParity:
         assert report.mode == "elastic"
         assert report.cost.cloud == "aws"
 
+    def test_a_run_cut_at_the_wall_cap_says_so(self):
+        from repro.elastic.elastic_trainer import MAX_WALL_FACTOR
+
+        finished = run(RunConfig.from_json(ELASTIC_JSON))
+        assert finished.summary["useful_iterations"] == 40
+        assert "wall_capped" not in finished.summary
+        # Surprise revocations and no checkpoint after the first: every
+        # one rolls back to iteration 0, faster than the run progresses.
+        data = RunConfig.from_json(ELASTIC_JSON).to_dict()
+        data["seed"] = 2
+        data["cluster"].update(num_nodes=16, gpus_per_node=1)
+        data["elastic"].update(
+            iterations=5, rate=0.08, warned_fraction=0.0, rejoin_delay=0,
+            checkpoint_every=1000,
+        )
+        capped = run(RunConfig.from_dict(data))
+        assert capped.elastic_run.wall_iterations == 5 * MAX_WALL_FACTOR
+        assert capped.summary["useful_iterations"] < 5
+        assert capped.summary["wall_capped"] is True
+
     def test_final_loss_is_the_elastic_runs_last_word(self):
         data = RunConfig.from_json(ELASTIC_JSON).to_dict()
         data["elastic"]["iterations"] = 5

@@ -88,16 +88,6 @@ class TestAccount:
         )
         assert churny.savings_fraction < calm.savings_fraction
 
-    def test_overrides(self):
-        cost = account(
-            make_report(), instance="tencent", on_demand_hourly=10.0, spot_discount=0.5
-        )
-        assert cost.spot_cost == pytest.approx(264.0 / 3600.0 * 10.0 * 0.5)
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(KeyError):
             account(make_report(), instance="azure")
-
-    def test_bad_discount_rejected(self):
-        with pytest.raises(ValueError):
-            account(make_report(), spot_discount=0.0)

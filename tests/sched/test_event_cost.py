@@ -66,3 +66,35 @@ def test_what_the_day_decides_does_not_move(replay):
     assert report.events == 1265
     assert report.fault_log["events"] == 68
     assert [report.brain_log[kind] for kind in ("migrations", "grows", "shrinks")] == [0, 0, 43]
+
+
+def test_a_run_prices_each_cluster_slice_once(monkeypatch):
+    """The network and the PTO (LARS) term depend on (profile, nodes,
+    GPUs per node) only, so one run builds each once; the build that
+    rebuilt both at every price miss made 1 904 of each in a serve soak
+    with 379 distinct slices."""
+    from repro.api import registry
+    from repro.perf.iteration_model import IterationModel
+
+    slices, networks = [], []
+    real_t_lars, real_build_cluster = IterationModel.t_lars, registry.build_cluster
+
+    def t_lars(model):
+        slices.append((model.profile.name, model.network.num_nodes, model.network.gpus_per_node))
+        return real_t_lars(model)
+
+    def build_cluster(*args, **kwargs):
+        networks.append(args)
+        return real_build_cluster(*args, **kwargs)
+
+    monkeypatch.setattr(IterationModel, "t_lars", t_lars)
+    monkeypatch.setattr(registry, "build_cluster", build_cluster)
+    scheduler, specs = storm_day(150, arrive_within=4_000.0)
+    for _ in range(2):  # a second run starts from empty memos
+        report = scheduler.run(specs)
+        assert report.summary()["jobs_done"] == 150
+        assert len(slices) == len(set(slices)) == len(networks) > 10
+        assert len({profile for profile, _, _ in slices}) > 1
+        assert len({nodes for _, nodes, _ in slices}) > 1
+        slices.clear()
+        networks.clear()

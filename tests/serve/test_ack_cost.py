@@ -133,3 +133,32 @@ def test_witness_link_serialises_only_touched_records(tmp_path, counts):
     # record (the job submitted / run to completion) or none at all.
     assert touched == [1, 1, 0]
     runtime.close()
+
+
+def test_a_link_without_an_event_loop_step_hashes_only_what_it_creates(
+    tmp_path, counts
+):
+    # Off the snapshot cadence: only the explicit snapshot op takes one.
+    config = ServeConfig.from_dict({**CONFIG.to_dict(), "snapshot_every": 100})
+    runtime = ServeRuntime(config, tmp_path)
+    for op_id, name in enumerate("abc", start=1):
+        job = {"name": name, "iterations": 10_000, "max_nodes": 1}
+        assert runtime.handle({"op": "submit", "id": op_id, "job": job})["ok"]
+    assert runtime.handle({"op": "tick", "id": 4, "until": 10.0})["ok"]
+    assert len(runtime.engine.core.running) == 3
+    tail = [
+        {"op": "submit", "id": 5, "job": {"name": "d", "iterations": 40}},
+        # Rejected (the name is taken): it creates no record.
+        {"op": "submit", "id": 6, "job": {"name": "d", "iterations": 40}},
+        {"op": "snapshot", "id": 7},
+        {"op": "stop", "id": 8},
+    ]
+    touched = []
+    for op in tail:
+        before = counts["record_state"]
+        runtime.handle(op)
+        touched.append(counts["record_state"] - before)
+    # No op here ran a step, so none re-hashes the three running jobs
+    # (only the snapshot's full state_digest reads every record).
+    assert touched == [1, 0, len(runtime.engine.records), 0]
+    runtime.close()

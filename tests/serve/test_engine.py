@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.api.config import SchedConfig, ServeConfig
+from repro.api.config import ConfigError, SchedConfig, ServeConfig
 from repro.api.facade import run_sched
-from repro.serve.engine import QueueFullError, ServeEngine
+from repro.serve.engine import MAX_QUEUE_LIMIT, MAX_SNAPSHOT_EVERY, QueueFullError, ServeEngine
 
 CLUSTER = {"instance": "tencent", "num_nodes": 4, "gpus_per_node": 2}
 JOBS = [
@@ -158,6 +158,20 @@ class TestAdmission:
              "job": {"name": "x", "arrival_seconds": 10.0}}
         )
         assert ack["ok"] and ack["arrival"] == 100.0  # time never rewinds
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "field, most", [("queue_limit", MAX_QUEUE_LIMIT), ("snapshot_every", MAX_SNAPSHOT_EVERY)]
+    )
+    def test_each_knob_is_bounded_on_both_sides(self, field, most):
+        assert getattr(serve_config(**{field: most}), field) == most
+        for value in (0, most + 1):
+            with pytest.raises(ConfigError) as err:
+                serve_config(**{field: value})
+            assert str(err.value) == f"{field} must be in [1, {most}], got {value}"
+        # Every committed config, the bench fixture's 100 000 / 128
+        # included, still loads: tests/api/test_config.py::TestCanonicalForm.
 
 
 class TestOps:

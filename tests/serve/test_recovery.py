@@ -228,7 +228,7 @@ class TestRestart:
                 journal.append(record)
 
     @pytest.mark.parametrize(
-        "field, forged", [("witness", "0" * 16), ("ack", {"ok": True, "id": 1})]
+        "field, forged", [("link", "0" * 16), ("ack", {"ok": True, "id": 1})]
     )
     def test_tampered_audit_fails_replay_loudly(self, tmp_path, field, forged):
         runtime = ServeRuntime(CONFIG, tmp_path)
@@ -249,7 +249,7 @@ class TestRestart:
         runtime.close()
 
         def downgrade(record):  # what a pre-witness build journaled
-            del record["witness"]
+            del record["link"]
             record["digest"] = "f" * 16
 
         self._rewrite_audits(tmp_path, downgrade)
@@ -283,8 +283,65 @@ class TestRestart:
         monkeypatch.setattr(MultiTenantScheduler, "iteration_seconds", slower_a)
         # Same ack (nothing completes either way), different state: the
         # chained witness catches it at that tick, not a snapshot later.
-        with pytest.raises(RuntimeError, match="replay diverged at seq 5: witness"):
+        with pytest.raises(RuntimeError, match="replay diverged at seq 5: link"):
             ServeRuntime(config, tmp_path)
+
+    def test_witness_audits_of_older_builds_are_ack_checked_only(
+        self, tmp_path, monkeypatch
+    ):
+        """Older builds journaled a ``witness`` whose submit links hashed
+        every running job, which this build cannot recompute.  Such a
+        state dir recovers on its acks, and the links this build appends
+        after it verify whether recovery starts from the older build's
+        snapshot or, once no slot loads, from genesis."""
+        from repro.serve.engine import ServeEngine
+        from repro.serve.snapshot import SLOT_NAMES, SNAPSHOT_MAGIC
+        from repro.utils.eventlog import digest16
+
+        # The older build: the same ops on a chain this build never
+        # computes, audited as "witness", snapshotted after op 3.
+        real_apply = ServeEngine.apply_op
+
+        def older_apply(engine, op, seq=None):
+            ack = real_apply(engine, op, seq)
+            engine.witness = digest16(["older", engine.witness])
+            return ack
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ServeEngine, "apply_op", older_apply)
+            runtime = ServeRuntime(CONFIG, tmp_path)  # snapshot_every=3
+            run_ops(runtime, OPS[:4])
+            runtime.close()
+        self._rewrite_audits(tmp_path, lambda r: r.update(witness=r.pop("link")))
+        legacy = [
+            r["witness"] for r in scan_journal(tmp_path / "journal.bin").records
+            if r.get("kind") == "audit"
+        ]
+        # This build: recover from the older snapshot, then append links.
+        again = ServeRuntime(CONFIG, tmp_path)
+        assert again.recovery["snapshot_slot"] is not None
+        assert again.recovery["replayed"] == 1
+        assert again.engine.witness == legacy[-1]
+        run_ops(again, OPS[4:])
+        digest, witness = again.engine.state_digest(), again.engine.witness
+        again.close()
+        # A later layout bump: no slot loads, so replay from genesis
+        # meets the same chain at every link this build journaled.
+        for slot in (tmp_path / name for name in SLOT_NAMES):
+            if slot.exists():
+                slot.write_bytes(b"RPSNAP04" + slot.read_bytes()[len(SNAPSHOT_MAGIC):])
+        third = ServeRuntime(CONFIG, tmp_path)
+        assert third.recovery["replayed"] == len(OPS)
+        assert (third.engine.state_digest(), third.engine.witness) == (digest, witness)
+        third.close()
+        # ... and a forged link among them still fails at its own op.
+        seq = max(r["of"] for r in scan_journal(tmp_path / "journal.bin").records
+                  if "link" in r)
+        self._rewrite_audits(
+            tmp_path, lambda r: r.update(link="0" * 16) if r["of"] == seq else None
+        )
+        with pytest.raises(RuntimeError, match=f"replay diverged at seq {seq}: link"):
+            ServeRuntime(CONFIG, tmp_path)
 
 
 class TestKillPoints:
